@@ -10,14 +10,13 @@ from .imc import (
 )
 from .lqr import LqrDesign, LqrWeights, dare_solve, dd_lqr_gain, dd_lqr_p, model_lqr_gain
 from .markov import DataMatrices, MarkovEstimate, build_data_matrices, estimate_predictor, true_markov
+from .markov import state_snapshot
 from .matrix_kit import block_diag_repeat, block_hankel, block_toeplitz_strict_lower, pinv
 from .observability import (
     ObservabilityEstimate,
     drop_first_block_row,
     estimate_obs_alg1,
     estimate_obs_alg2,
-    orthogonal_projector,
-    state_snapshot,
     true_observability,
 )
 from .plant_sim import (
@@ -85,7 +84,6 @@ __all__ = [
     "integrator_imc",
     "model_lqr_gain",
     "monte_carlo_obs",
-    "orthogonal_projector",
     "pinv",
     "resonant_imc",
     "simulate",

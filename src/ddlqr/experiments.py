@@ -18,7 +18,6 @@ from .observability import (
     drop_first_block_row,
     estimate_obs_alg1,
     estimate_obs_alg2,
-    state_snapshot,
     true_observability,
 )
 from .plant_sim import (
@@ -134,24 +133,12 @@ def design_gain(data: Dataset, config: PipelineConfig) -> LqrDesign:
             f"(dataset outputs{' after augmentation' if config.imc is not None else ''})"
         )
     dm = _stage("data-matrices", build_data_matrices, data, config.depth, config.width)
-    est = _stage(
-        "markov-estimation",
-        estimate_predictor,
-        dm,
-        structure=config.markov_structure,
-        pinv_tol=config.pinv_tol,
-    )
-    X = _stage("state-snapshot", state_snapshot, data, dm.width)
+    est = _stage("markov-estimation", estimate_predictor, dm,
+                 structure=config.markov_structure, pinv_tol=config.pinv_tol)
     if config.algorithm == "alg1":
-        obs = _stage(
-            "observability", estimate_obs_alg1, dm.y_past, dm.u_past, est.toeplitz, X,
-            dm.depth, tol=config.pinv_tol,
-        )
+        obs = _stage("observability", estimate_obs_alg1, dm, est.toeplitz, tol=config.pinv_tol)
     else:
-        obs = _stage(
-            "observability", estimate_obs_alg2, dm.y_past, dm.u_past, X,
-            dm.depth, tol=config.pinv_tol,
-        )
+        obs = _stage("observability", estimate_obs_alg2, dm, tol=config.pinv_tol)
     order = config.horizon - 1
     p = data.n_inputs
     M = est.stacked(order)
@@ -164,6 +151,7 @@ def design_gain(data: Dataset, config: PipelineConfig) -> LqrDesign:
         depth=dm.depth,
         width=dm.width,
         input_rank=est.input_rank,
+        input_rank_margin=est.input_rank_margin,
         regressor_rank=est.regressor_rank,
         obs_residual=obs.residual,
         algorithm=config.algorithm,
@@ -232,20 +220,17 @@ def monte_carlo_obs(
         data = simulate(model, u, v=v, noise_mode=noise_mode)
         try:
             dm = build_data_matrices(data, depth, width)
-            X = state_snapshot(data, dm.width)
         except ValueError:
             failures["alg1"] += 1
             failures["alg2"] += 1
             continue
         try:
             est = estimate_predictor(dm, structure=structure, pinv_tol=pinv_tol)
-            obs1 = estimate_obs_alg1(dm.y_past, dm.u_past, est.toeplitz, X, depth, tol=pinv_tol)
-            samples["alg1"].append(obs1.shifted)
+            samples["alg1"].append(estimate_obs_alg1(dm, est.toeplitz, tol=pinv_tol).shifted)
         except ValueError:
             failures["alg1"] += 1
         try:
-            obs2 = estimate_obs_alg2(dm.y_past, dm.u_past, X, depth, tol=pinv_tol)
-            samples["alg2"].append(obs2.shifted)
+            samples["alg2"].append(estimate_obs_alg2(dm, tol=pinv_tol).shifted)
         except ValueError:
             failures["alg2"] += 1
 

@@ -4,17 +4,23 @@ Two estimators: one subtracts the estimated input Toeplitz contribution from
 the past outputs and regresses on the state snapshots; the other projects the
 past-input row space away first, which removes the need for the Toeplitz
 estimate altogether.
+
+Both work on the LQ factor of the stacked data (``DataMatrices.factor``,
+stack = L Q'): a least-squares fit between row blocks of the stack is the same
+fit between the row blocks of L, because Q' has orthonormal rows. The
+past-input projection is then a column selection: u_past = L_Up,Up Q1', with
+Q1' the first p*depth rows of Q', so dropping those columns of L applies it.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_kit import DEFAULT_PINV_TOL, pinv
-from .plant_sim import Dataset, StateSpaceModel
+from .markov import DataMatrices
+from .matrix_kit import DEFAULT_PINV_TOL
+from .plant_sim import StateSpaceModel
 
 ALGORITHMS = ("alg1", "alg2")
 
@@ -33,13 +39,6 @@ class ObservabilityEstimate:
     algorithm: str
     depth: int
     residual: float = 0.0
-
-
-def state_snapshot(data: Dataset, width: int) -> np.ndarray:
-    """First ``width`` state samples as columns of an (n, width) matrix."""
-    if width < 1 or width > data.n_samples:
-        raise ValueError(f"width must be in 1..{data.n_samples}, got {width}")
-    return data.x[:width].T
 
 
 def true_observability(model: StateSpaceModel, depth: int) -> np.ndarray:
@@ -65,107 +64,63 @@ def drop_first_block_row(obs: np.ndarray, q: int) -> np.ndarray:
     return obs[q:, :]
 
 
-def _right_pinv(m: np.ndarray, tol: float, what: str) -> np.ndarray:
-    """Pseudo-inverse of a wide full-row-rank matrix, raising when rank drops."""
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
+def _fit_states(dm: DataMatrices, algorithm: str, lhs: np.ndarray, x: np.ndarray,
+                tol: float, what: str) -> ObservabilityEstimate:
+    """Least-squares O in lhs = O x for a wide x of full row rank, with its residual."""
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
     if s.size == 0 or s[0] == 0.0 or s[-1] < tol * s[0]:
-        raise ValueError(f"{what}: numerical row rank below {m.shape[0]}")
-    return (vt.T / s) @ u.T
-
-
-def _block_size(y_past: np.ndarray, depth: int) -> int:
-    if depth < 1 or y_past.shape[0] % depth != 0:
-        raise ValueError(f"y_past row count {y_past.shape[0]} is not a multiple of depth {depth}")
-    return y_past.shape[0] // depth
+        raise ValueError(
+            f"states not sufficiently excited: {what}: numerical row rank below {x.shape[0]}"
+        )
+    obs = (lhs @ vt.T / s) @ u.T
+    return ObservabilityEstimate(
+        matrix=obs,
+        shifted=drop_first_block_row(obs, dm.n_outputs),
+        algorithm=algorithm,
+        depth=dm.depth,
+        residual=float(np.linalg.norm(lhs - obs @ x)),
+    )
 
 
 def estimate_obs_alg1(
-    y_past: np.ndarray,
-    u_past: np.ndarray,
+    dm: DataMatrices,
     s_hat: np.ndarray,
-    x_snapshot: np.ndarray,
-    depth: int,
     tol: float = DEFAULT_PINV_TOL,
 ) -> ObservabilityEstimate:
     """Estimate the observability matrix by Toeplitz subtraction.
 
-    Solves y_past = O x_snapshot + s_hat u_past for O in least squares:
-    O = (y_past - s_hat u_past) x_snapshot^+.
+    Solves y_past = O x_past + s_hat u_past for O in least squares:
+    O = (y_past - s_hat u_past) x_past^+, computed on the factor as
+    O = (L_Yp - s_hat L_Up) L_X^+.
     """
-    q = _block_size(y_past, depth)
-    if s_hat.shape[0] != y_past.shape[0] or s_hat.shape[1] != u_past.shape[0]:
+    qd, pd = dm.n_outputs * dm.depth, dm.n_inputs * dm.depth
+    if s_hat.shape != (qd, pd):
         raise ValueError(
             f"Toeplitz factor shape {s_hat.shape} does not match y_past rows "
-            f"{y_past.shape[0]} and u_past rows {u_past.shape[0]}"
+            f"{qd} and u_past rows {pd}"
         )
-    if not (y_past.shape[1] == u_past.shape[1] == x_snapshot.shape[1]):
-        raise ValueError("y_past, u_past and the state snapshot must share their width")
-    try:
-        x_pinv = _right_pinv(x_snapshot, tol, "state snapshot")
-    except ValueError as exc:
-        raise ValueError(f"states not sufficiently excited: {exc}") from exc
-    rhs = y_past - s_hat @ u_past
-    obs = rhs @ x_pinv
-    residual = float(np.linalg.norm(rhs - obs @ x_snapshot))
-    return ObservabilityEstimate(
-        matrix=obs,
-        shifted=drop_first_block_row(obs, q),
-        algorithm="alg1",
-        depth=depth,
-        residual=residual,
-    )
+    F = dm.factor
+    rhs = F[dm.parts["y_past"]] - s_hat @ F[dm.parts["u_past"]]
+    return _fit_states(dm, "alg1", rhs, F[dm.parts["x_past"]], tol, "state snapshot")
 
 
-def orthogonal_projector(u_past: np.ndarray, tol: float = DEFAULT_PINV_TOL) -> np.ndarray:
-    """Projector onto the orthogonal complement of the rows of u_past.
-
-    Returns the width x width matrix I - u_past' (u_past u_past')^-1 u_past,
-    falling back to the pseudo-inverse form when the Gram matrix is singular.
-    """
-    u_past = np.atleast_2d(np.asarray(u_past, dtype=float))
-    L = u_past.shape[1]
-    gram = u_past @ u_past.T
-    s = np.linalg.svd(gram, compute_uv=False)
-    if s.size and s[0] > 0 and s[-1] >= tol * s[0]:
-        coeff = np.linalg.solve(gram, u_past)
-    else:
-        warnings.warn("input Hankel Gram matrix is singular; using pseudo-inverse projector",
-                      stacklevel=2)
-        coeff = pinv(gram, tol) @ u_past
-    return np.eye(L) - u_past.T @ coeff
-
-
-def estimate_obs_alg2(
-    y_past: np.ndarray,
-    u_past: np.ndarray,
-    x_snapshot: np.ndarray,
-    depth: int,
-    tol: float = DEFAULT_PINV_TOL,
-) -> ObservabilityEstimate:
+def estimate_obs_alg2(dm: DataMatrices, tol: float = DEFAULT_PINV_TOL) -> ObservabilityEstimate:
     """Estimate the observability matrix by projecting the inputs away.
 
-    Applies the orthogonal-complement projector of the past-input rows to
-    both sides of y_past = O x_snapshot + S u_past, annihilating the unknown
-    Toeplitz term, then solves O = (y_past P) (x_snapshot P)^+. The projector
-    is applied implicitly (M P = M - (M u_past^+) u_past) to avoid forming
-    the width x width matrix.
+    Applies the orthogonal-complement projector P of the past-input rows to
+    both sides of y_past = O x_past + S u_past, annihilating the unknown
+    Toeplitz term, then solves O = (y_past P) (x_past P)^+. On the factor the
+    projection drops the u_past columns: O = L_Yp[:, pd:] (L_X[:, pd:])^+.
+    That needs u_past to have full row rank, which is checked with ``tol``.
     """
-    q = _block_size(y_past, depth)
-    if not (y_past.shape[1] == u_past.shape[1] == x_snapshot.shape[1]):
-        raise ValueError("y_past, u_past and the state snapshot must share their width")
-    u_pinv = pinv(u_past, tol)
-    y_proj = y_past - (y_past @ u_pinv) @ u_past
-    x_proj = x_snapshot - (x_snapshot @ u_pinv) @ u_past
-    try:
-        xp = _right_pinv(x_proj, tol, "projected state snapshot (X U_po)")
-    except ValueError as exc:
-        raise ValueError(f"states not sufficiently excited: {exc}") from exc
-    obs = y_proj @ xp
-    residual = float(np.linalg.norm(y_proj - obs @ x_proj))
-    return ObservabilityEstimate(
-        matrix=obs,
-        shifted=drop_first_block_row(obs, q),
-        algorithm="alg2",
-        depth=depth,
-        residual=residual,
-    )
+    up = dm.parts["u_past"]
+    F = dm.factor
+    s = np.linalg.svd(F[up, up], compute_uv=False)
+    if s[0] == 0.0 or s[-1] < tol * s[0]:
+        raise ValueError(
+            f"insufficient excitation: past-input Hankel has numerical row rank "
+            f"below {up.stop}"
+        )
+    cols = slice(up.stop, None)
+    return _fit_states(dm, "alg2", F[dm.parts["y_past"], cols], F[dm.parts["x_past"], cols],
+                       tol, "projected state snapshot (X U_po)")

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import prbs_dataset, random_stable_system, scalar_model, two_output_model
+from oracles import orthogonal_projector
 from ddlqr import (
     LqrWeights,
     PipelineConfig,
@@ -28,10 +29,8 @@ from ddlqr import (
     generate_signal,
     model_lqr_gain,
     monte_carlo_obs,
-    orthogonal_projector,
     pinv,
     simulate,
-    state_snapshot,
     true_markov,
     true_observability,
 )
@@ -155,14 +154,13 @@ def test_criterion_5_noise_free_exactness():
             depth = 12
             dm = build_data_matrices(data, depth)
             est = estimate_predictor(dm)
-            X = state_snapshot(data, dm.width)
             truth_markov = true_markov(model, depth - 1)
             for got, expect in zip(est.blocks, truth_markov):
                 scale = max(np.linalg.norm(np.vstack(truth_markov)), 1e-12)
                 assert np.linalg.norm(got - expect) / scale < 1e-6
             truth_obs = true_observability(model, depth)
-            o1 = estimate_obs_alg1(dm.y_past, dm.u_past, est.toeplitz, X, depth)
-            o2 = estimate_obs_alg2(dm.y_past, dm.u_past, X, depth)
+            o1 = estimate_obs_alg1(dm, est.toeplitz)
+            o2 = estimate_obs_alg2(dm)
             scale = np.linalg.norm(truth_obs)
             assert np.linalg.norm(o1.matrix - truth_obs) / scale < 1e-6
             assert np.linalg.norm(o2.matrix - truth_obs) / scale < 1e-6

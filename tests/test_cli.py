@@ -2,6 +2,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ddlqr import Dataset
 from ddlqr.cli import main
 from ddlqr.storage import read_dataset, read_matrix, write_dataset
 
@@ -66,7 +67,10 @@ class TestDesign:
         assert run("design", REGULATION, "--output-dir", str(tmp_path)) == 0
         K = read_matrix(tmp_path / "gain.csv")
         np.testing.assert_allclose(K, GAIN_LONG, atol=1e-3)
-        assert "algorithm" in (tmp_path / "design.txt").read_text()
+        report = (tmp_path / "design.txt").read_text()
+        assert "algorithm" in report
+        margin = [l for l in report.splitlines() if l.startswith("input_rank_margin: ")]
+        assert len(margin) == 1 and float(margin[0].split(": ")[1]) > 1.0
 
     def test_insufficient_data_exits_1(self, tmp_path, capsys):
         code = run("design", REGULATION, "--output-dir", str(tmp_path),
@@ -82,6 +86,22 @@ class TestDesign:
         k1 = read_matrix(tmp_path / "a1/gain.csv")
         k2 = read_matrix(tmp_path / "a2/gain.csv")
         np.testing.assert_allclose(k1, k2, atol=1e-6)
+
+    def test_unidentifiable_dataset_exits_1(self, tmp_path, capsys):
+        # y_t = u_{t+4}: the past outputs repeat the future inputs at depth 4
+        u = np.random.default_rng(0).normal(size=(204, 1))
+        write_dataset(tmp_path / "data.csv", Dataset(u=u[:200], y=u[4:], x=u[1:201]))
+        cfg = tmp_path / "anticipating.ini"
+        cfg.write_text(
+            "[model]\na = 0.5\nb = 1.0\nc = 1.0\n"
+            "[estimation]\ndepth = 4\n"
+            "[lqr]\nq = 1.0\nr = 1.0\nhorizon = 4\n"
+            f"[io]\ndataset = {tmp_path}/data.csv\n"
+        )
+        assert run("design", str(cfg), "--output-dir", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert "markov-estimation: insufficient excitation: future inputs" in err
+        assert "Traceback" not in err
 
     def test_design_from_dataset_file(self, tmp_path):
         run("simulate", REGULATION, "--output-dir", str(tmp_path),

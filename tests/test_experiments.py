@@ -1,8 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ddlqr.experiments
 from conftest import prbs_dataset, random_stable_system, scalar_model, two_output_model
 from ddlqr import (
+    Dataset,
     LqrDesign,
     LqrWeights,
     PipelineConfig,
@@ -10,20 +14,26 @@ from ddlqr import (
     SignalSpec,
     StateSpaceModel,
     TrackingScenario,
+    build_data_matrices,
     closed_loop_simulate,
     convergence_sweep,
     cost_J,
     dare_solve,
     design_gain,
+    estimate_predictor,
     evaluate_closed_loop,
+    generate_signal,
     harmonic_distortion,
     integrator_imc,
     model_lqr_gain,
     monte_carlo_obs,
+    simulate,
 )
+from ddlqr.config import RunConfig
 
 GAIN_SHORT = np.array([[4.2314, 7.644], [1.127, -1.8959]])
 GAIN_LONG = np.array([[4.6491, 7.5226], [1.4461, -1.9886]])
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def reference_weights():
@@ -71,6 +81,24 @@ class TestDesignGain:
         with pytest.raises(ValueError, match="markov-estimation"):
             with pytest.warns(UserWarning):
                 design_gain(longer, config)
+
+    @pytest.mark.parametrize("name", ["regulation_demo", "ups_tracking_demo",
+                                      "noisy_estimation_mc"])
+    def test_bundled_configs_are_persistently_exciting(self, name):
+        cfg = RunConfig.load(CONFIGS / f"{name}.ini")
+        model = cfg.model()
+        ts = model.sample_time
+        data = simulate(model, generate_signal(
+            cfg.signal(default_channels=model.n_inputs, default_ts=ts)))
+        depth = cfg.get_int("estimation", "depth")
+        width = cfg.get_int("estimation", "width")
+        if cfg.has("lqr"):
+            config = PipelineConfig(weights=cfg.weights(), horizon=cfg.get_int("lqr", "horizon"),
+                                    depth=depth, width=width, imc=cfg.imc(default_ts=ts))
+            margin = design_gain(data, config).diagnostics["input_rank_margin"]
+        else:
+            margin = estimate_predictor(build_data_matrices(data, depth, width)).input_rank_margin
+        assert margin > 1.0
 
     def test_weight_dimension_checked_after_augmentation(self):
         data = prbs_dataset(two_output_model())
@@ -146,6 +174,24 @@ class TestMonteCarlo:
         free = self.mc(runs=20)
         fixed = self.mc(runs=20, fixed_input=True)
         assert not np.array_equal(free[0].mean, fixed[0].mean)
+
+    def test_unidentifiable_run_counts_as_failure(self, monkeypatch):
+        # the first run's outputs repeat the input 3 steps ahead (y_t = u_{t+3}),
+        # so its future inputs lie in the span of its past outputs
+        calls = []
+
+        def first_run_anticipates(model, u, **kw):
+            data = simulate(model, u, **kw)
+            calls.append(None)
+            if len(calls) > 1:
+                return data
+            y = np.vstack([data.u[3:], data.u[:3]])
+            return Dataset(u=data.u, y=y, x=data.x)
+
+        monkeypatch.setattr(ddlqr.experiments, "simulate", first_run_anticipates)
+        rep1, rep2 = self.mc(runs=20)
+        assert (rep1.failures, rep1.runs) == (1, 19)
+        assert (rep2.failures, rep2.runs) == (0, 20)
 
     def test_rejects_single_run(self):
         with pytest.raises(ValueError, match="at least 2 runs"):

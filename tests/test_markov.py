@@ -21,6 +21,7 @@ class TestBuildDataMatrices:
         np.testing.assert_array_equal(dm.u_future, [[2, 3]])
         np.testing.assert_array_equal(dm.y_future, [[5, 6]])
         assert dm.regressor.shape == (3, 2)
+        np.testing.assert_array_equal(dm.x_past, [[0, 0]])
 
     def test_regressor_shape(self):
         ds = prbs_dataset(two_output_model())
@@ -78,12 +79,30 @@ class TestEstimatePredictor:
         with pytest.raises(ValueError, match="insufficient excitation"):
             estimate_predictor(dm)
 
+    def test_future_inputs_in_span_of_past_outputs(self):
+        # y_t = u_{t+d}: the past outputs repeat the future inputs, so the stacked
+        # inputs are exciting but the Toeplitz factor is not identifiable
+        d, T = 4, 120
+        u = np.random.default_rng(3).normal(size=(T + d, 1))
+        ds = Dataset(u=u[:T], y=u[d:], x=np.random.default_rng(4).normal(size=(T, 1)))
+        dm = build_data_matrices(ds, depth=d)
+        with pytest.raises(ValueError, match="insufficient excitation: future inputs"):
+            estimate_predictor(dm)
+
+    def test_input_rank_margin(self):
+        dm = build_data_matrices(prbs_dataset(two_output_model()), depth=6)
+        est = estimate_predictor(dm)
+        s = np.linalg.svd(np.vstack([dm.u_past, dm.u_future]), compute_uv=False)
+        assert est.input_rank == 24 and est.input_rank_margin > 1.0
+        assert est.input_rank_margin == pytest.approx(s[-1] / (1e-8 * s[0]), rel=1e-9)
+
     def test_shift_structure_of_raw_solution(self):
         ds = prbs_dataset(two_output_model())
         dm = build_data_matrices(ds, depth=8)
         est = estimate_predictor(dm)
         q, p, d = 2, 2, 8
-        raw = est.predictor[:, -p * d:]
+        raw = est.raw
+        assert raw.shape == (q * d, p * d)
         for i in range(d - 1):
             for j in range(d - 1):
                 if i > j:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import prbs_dataset, random_stable_system, scalar_model, two_output_model
+from oracles import orthogonal_projector
 from ddlqr import (
     Dataset,
     build_data_matrices,
@@ -9,7 +10,6 @@ from ddlqr import (
     estimate_obs_alg1,
     estimate_obs_alg2,
     estimate_predictor,
-    orthogonal_projector,
     state_snapshot,
     true_observability,
 )
@@ -18,9 +18,7 @@ from ddlqr import (
 def _estimation_inputs(model, depth, length=1022, seed=7):
     ds = prbs_dataset(model, length=length, seed=seed)
     dm = build_data_matrices(ds, depth=depth)
-    est = estimate_predictor(dm)
-    X = state_snapshot(ds, dm.width)
-    return dm, est, X
+    return dm, estimate_predictor(dm)
 
 
 class TestStateSnapshot:
@@ -44,8 +42,8 @@ class TestStateSnapshot:
 
 class TestAlg1:
     def test_scalar_noise_free(self):
-        dm, est, X = _estimation_inputs(scalar_model(), depth=3)
-        obs = estimate_obs_alg1(dm.y_past, dm.u_past, est.toeplitz, X, dm.depth)
+        dm, est = _estimation_inputs(scalar_model(), depth=3)
+        obs = estimate_obs_alg1(dm, est.toeplitz)
         np.testing.assert_allclose(obs.matrix.ravel(), [1.0, 0.14, 0.0196], atol=1e-8)
         np.testing.assert_allclose(obs.shifted.ravel(), [0.14, 0.0196], atol=1e-8)
         assert obs.algorithm == "alg1" and obs.depth == 3
@@ -53,8 +51,8 @@ class TestAlg1:
 
     def test_two_output_noise_free(self):
         model = two_output_model()
-        dm, est, X = _estimation_inputs(model, depth=11)
-        obs = estimate_obs_alg1(dm.y_past, dm.u_past, est.toeplitz, X, dm.depth)
+        dm, est = _estimation_inputs(model, depth=11)
+        obs = estimate_obs_alg1(dm, est.toeplitz)
         truth = true_observability(model, 11)
         np.testing.assert_allclose(obs.matrix, truth, atol=1e-6)
         np.testing.assert_allclose(truth[2:4], [[0.6, 1.35], [-0.2, 0.6]], atol=1e-15)
@@ -65,10 +63,9 @@ class TestAlg1:
         u = np.random.default_rng(0).normal(size=(T, 1))
         ds = Dataset(u=u, y=u, x=np.zeros((T, 1)))
         dm = build_data_matrices(ds, depth=2, width=20)
-        X = state_snapshot(ds, 20)
         s_hat = np.zeros((2, 2))
         with pytest.raises(ValueError, match="states not sufficiently excited"):
-            estimate_obs_alg1(dm.y_past, dm.u_past, s_hat, X, dm.depth)
+            estimate_obs_alg1(dm, s_hat)
 
 
 class TestProjector:
@@ -95,26 +92,36 @@ class TestProjector:
 class TestAlg2:
     def test_matches_alg1_noise_free(self):
         for model in (scalar_model(), two_output_model()):
-            dm, est, X = _estimation_inputs(model, depth=5)
-            o1 = estimate_obs_alg1(dm.y_past, dm.u_past, est.toeplitz, X, dm.depth)
-            o2 = estimate_obs_alg2(dm.y_past, dm.u_past, X, dm.depth)
+            dm, est = _estimation_inputs(model, depth=5)
+            o1 = estimate_obs_alg1(dm, est.toeplitz)
+            o2 = estimate_obs_alg2(dm)
             np.testing.assert_allclose(o1.matrix, o2.matrix, atol=1e-8)
 
     def test_matches_explicit_projector_form(self):
-        dm, _, X = _estimation_inputs(two_output_model(), depth=4, length=400)
-        o2 = estimate_obs_alg2(dm.y_past, dm.u_past, X, dm.depth)
+        dm, _ = _estimation_inputs(two_output_model(), depth=4, length=400)
+        o2 = estimate_obs_alg2(dm)
         P = orthogonal_projector(dm.u_past)
-        expect = (dm.y_past @ P) @ np.linalg.pinv(X @ P, rcond=1e-12)
+        expect = (dm.y_past @ P) @ np.linalg.pinv(dm.x_past @ P, rcond=1e-12)
         np.testing.assert_allclose(o2.matrix, expect, atol=1e-9)
+
+    def test_rank_deficient_past_inputs(self):
+        # a constant input leaves one independent past-input row, so the
+        # projection cannot be read off the factor's columns
+        T = 60
+        ds = Dataset(u=np.ones((T, 1)), y=np.random.default_rng(1).normal(size=(T, 1)),
+                     x=np.random.default_rng(2).normal(size=(T, 1)))
+        dm = build_data_matrices(ds, depth=2, width=20)
+        with pytest.raises(ValueError, match="insufficient excitation: past-input"):
+            estimate_obs_alg2(dm)
 
     def test_random_systems_truth(self):
         rng = np.random.default_rng(21)
         for trial in range(6):
             model = random_stable_system(rng)
-            dm, est, X = _estimation_inputs(model, depth=10, length=600, seed=900 + trial)
+            dm, est = _estimation_inputs(model, depth=10, length=600, seed=900 + trial)
             truth = true_observability(model, 10)
-            o1 = estimate_obs_alg1(dm.y_past, dm.u_past, est.toeplitz, X, dm.depth)
-            o2 = estimate_obs_alg2(dm.y_past, dm.u_past, X, dm.depth)
+            o1 = estimate_obs_alg1(dm, est.toeplitz)
+            o2 = estimate_obs_alg2(dm)
             scale = np.linalg.norm(truth)
             assert np.linalg.norm(o1.matrix - truth) / scale < 1e-6
             assert np.linalg.norm(o2.matrix - truth) / scale < 1e-6
