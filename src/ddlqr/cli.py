@@ -28,7 +28,7 @@ from .experiments import (
     evaluate_closed_loop,
     monte_carlo_obs,
 )
-from .plant_sim import generate_signal, simulate
+from .plant_sim import NOISE_MODES, generate_signal, simulate
 
 OUTPUT_DIR_ENV = "DDLQR_OUTPUT_DIR"
 FMT = "%.17g"
@@ -52,6 +52,23 @@ def _write_echo(cfg: RunConfig, outdir: Path) -> str:
     return echo
 
 
+def _noise_mode(cfg: RunConfig, section: str, key: str, default: str) -> str:
+    mode = cfg.get_str(section, key, default)
+    if mode not in NOISE_MODES:
+        raise ConfigError(f"[{section}] {key} must be one of {NOISE_MODES}, got {mode!r}")
+    return mode
+
+
+def _estimation(cfg: RunConfig):
+    """[estimation] depth and width, refusing the removed ``structure`` key."""
+    if cfg.has("estimation", "structure"):
+        raise ConfigError(
+            "[estimation] structure is no longer supported: the Markov blocks are "
+            "always sub-diagonal averages; remove the key"
+        )
+    return cfg.get_int("estimation", "depth", required=True), cfg.get_int("estimation", "width")
+
+
 def _load_or_simulate_dataset(cfg: RunConfig):
     """Dataset from [io] dataset path, or simulated from [model]+[signal]."""
     model = cfg.model()
@@ -66,7 +83,7 @@ def _load_or_simulate_dataset(cfg: RunConfig):
     if cfg.has("noise"):
         variance = cfg.get_float("noise", "variance", 0.0)
         seed = cfg.get_int("noise", "seed", 0)
-        mode = cfg.get_str("noise", "mode", "process")
+        mode = _noise_mode(cfg, "noise", "mode", "process")
         if variance > 0:
             if model.E is None:
                 raise ConfigError("[noise] requires the model to define E")
@@ -77,8 +94,7 @@ def _load_or_simulate_dataset(cfg: RunConfig):
 
 
 def _pipeline_config(cfg: RunConfig, model) -> PipelineConfig:
-    depth = cfg.get_int("estimation", "depth", required=True)
-    width = cfg.get_int("estimation", "width")
+    depth, width = _estimation(cfg)
     horizon = cfg.get_int("lqr", "horizon", required=True)
     ts = model.sample_time if model.sample_time is not None else 1.0
     try:
@@ -89,7 +105,6 @@ def _pipeline_config(cfg: RunConfig, model) -> PipelineConfig:
             width=width,
             algorithm=cfg.get_str("estimation", "algorithm", "alg1"),
             imc=cfg.imc(default_ts=ts),
-            markov_structure=cfg.get_str("estimation", "structure", "average"),
         )
     except ValueError as exc:
         raise ConfigError(f"pipeline configuration: {exc}") from exc
@@ -125,8 +140,10 @@ def cmd_design(cfg: RunConfig, outdir: Path) -> int:
 def cmd_sweep(cfg: RunConfig, outdir: Path) -> int:
     model, data = _load_or_simulate_dataset(cfg)
     horizons = cfg.get("sweep", "horizons", required=True)
-    if not isinstance(horizons, list) or not all(isinstance(h, int) for h in horizons):
-        raise ConfigError("[sweep] horizons must be a list of integers")
+    if not isinstance(horizons, list) or not horizons or not all(
+            type(h) is int and h >= 2 for h in horizons):
+        raise ConfigError(
+            f"[sweep] horizons must be a non-empty list of integers >= 2, got {horizons!r}")
     pipeline = _pipeline_config(cfg, model)
     rows = convergence_sweep(model, data, pipeline, horizons)
     lines = ["horizon,gain_error"] + [f"{n},{FMT % e}" for n, e in rows]
@@ -145,8 +162,7 @@ def cmd_montecarlo(cfg: RunConfig, outdir: Path) -> int:
     model = cfg.model()
     ts = model.sample_time if model.sample_time is not None else 1.0
     spec = cfg.signal(default_channels=model.n_inputs, default_ts=ts)
-    depth = cfg.get_int("estimation", "depth", required=True)
-    width = cfg.get_int("estimation", "width")
+    depth, width = _estimation(cfg)
     runs = cfg.get_int("montecarlo", "runs", required=True)
     reports = monte_carlo_obs(
         model,
@@ -156,9 +172,8 @@ def cmd_montecarlo(cfg: RunConfig, outdir: Path) -> int:
         noise_variance=cfg.get_float("montecarlo", "variance", required=True),
         base_seed=cfg.get_int("montecarlo", "seed", 0),
         width=width,
-        noise_mode=cfg.get_str("montecarlo", "noise_mode", "measurement"),
+        noise_mode=_noise_mode(cfg, "montecarlo", "noise_mode", "measurement"),
         fixed_input=cfg.get_bool("montecarlo", "fixed_input", False),
-        structure=cfg.get_str("estimation", "structure", "average"),
     )
     eig_lines = ["algorithm,quantity," + ",".join(
         f"value{i + 1}" for i in range(len(reports[0].covariance_eigenvalues)))]

@@ -1,20 +1,27 @@
 """End-to-end studies: full design pipeline, convergence sweeps, Monte Carlo
 statistics of the observability estimators, and closed-loop evaluation.
+
+The design pipeline has two halves. ``estimate`` turns a dataset into the
+Markov parameters and the shifted observability matrix at one Hankel depth;
+``synthesize`` turns those into a gain for given weights and any horizon up
+to that depth. The gain depends on the data only through the estimate, so a
+horizon sweep estimates once and synthesizes many times.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .imc import ImcRealization, augment_dataset, augment_model
 from .lqr import LqrDesign, LqrWeights, dare_solve, dd_lqr_gain, model_lqr_gain
-from .markov import build_data_matrices, estimate_predictor
-from .matrix_kit import DEFAULT_PINV_TOL, block_toeplitz_strict_lower
+from .markov import DataMatrices, MarkovEstimate, build_data_matrices, estimate_predictor
+from .matrix_kit import block_toeplitz_strict_lower
 from .observability import (
     ALGORITHMS,
+    ObservabilityEstimate,
     drop_first_block_row,
     estimate_obs_alg1,
     estimate_obs_alg2,
@@ -49,8 +56,6 @@ class PipelineConfig:
     width: Optional[int] = None
     algorithm: str = "alg1"
     imc: Optional[ImcRealization] = None
-    markov_structure: str = "average"
-    pinv_tol: float = DEFAULT_PINV_TOL
 
     def __post_init__(self):
         if self.horizon < 2:
@@ -61,6 +66,22 @@ class PipelineConfig:
             self.depth = self.horizon
         if self.depth < self.horizon:
             raise ValueError(f"depth {self.depth} must be >= horizon {self.horizon}")
+
+
+@dataclass
+class DataDrivenEstimate:
+    """What the closed-form gain takes from the data, at one Hankel depth.
+
+    The Markov parameters and the shifted observability matrix do not depend
+    on the weights or on any horizon up to ``depth``, so one estimate serves
+    every ``synthesize`` call within that range. ``augmented`` records whether
+    internal-model states were appended to the data before estimation.
+    """
+
+    markov: MarkovEstimate
+    observability: ObservabilityEstimate
+    width: int
+    augmented: bool = False
 
 
 @dataclass
@@ -116,48 +137,77 @@ def _stage(name: str, fn, *args, **kwargs):
         raise ValueError(f"{name}: {exc}") from exc
 
 
-def design_gain(data: Dataset, config: PipelineConfig) -> LqrDesign:
-    """Run the full data-driven pipeline on a dataset.
+def _observe(dm: DataMatrices, algorithm: str,
+             markov: Optional[MarkovEstimate] = None) -> ObservabilityEstimate:
+    """Observability estimate with the named algorithm.
 
-    Stages: optional internal-model augmentation, Hankel data matrices,
-    Markov-parameter least squares, observability estimation with the chosen
-    algorithm, closed-form gain. All stage diagnostics are merged into the
-    returned design.
+    alg1 subtracts the predictor's Toeplitz factor, estimated here unless
+    ``markov`` is given; alg2 needs no predictor.
+    """
+    if algorithm == "alg2":
+        return estimate_obs_alg2(dm)
+    if markov is None:
+        markov = estimate_predictor(dm)
+    return estimate_obs_alg1(dm, markov.toeplitz)
+
+
+def estimate(data: Dataset, config: PipelineConfig) -> DataDrivenEstimate:
+    """Estimation half of the pipeline, at ``config.depth``.
+
+    Stages: optional internal-model augmentation, Hankel data matrices and
+    their factor, Markov-parameter least squares, observability estimation
+    with the chosen algorithm. The weights and horizon of ``config`` are not
+    used.
     """
     if config.imc is not None:
         data = _stage("imc-augmentation", augment_dataset, data, config.imc)
-    q = data.n_outputs
-    if config.weights.Q.shape[0] != q:
-        raise ValueError(
-            f"Q has dimension {config.weights.Q.shape[0]}, expected {q} "
-            f"(dataset outputs{' after augmentation' if config.imc is not None else ''})"
-        )
     dm = _stage("data-matrices", build_data_matrices, data, config.depth, config.width)
-    est = _stage("markov-estimation", estimate_predictor, dm,
-                 structure=config.markov_structure, pinv_tol=config.pinv_tol)
-    if config.algorithm == "alg1":
-        obs = _stage("observability", estimate_obs_alg1, dm, est.toeplitz, tol=config.pinv_tol)
-    else:
-        obs = _stage("observability", estimate_obs_alg2, dm, tol=config.pinv_tol)
-    order = config.horizon - 1
-    p = data.n_inputs
-    M = est.stacked(order)
-    S = block_toeplitz_strict_lower(est.blocks[:order - 1], order, block_shape=(q, p))
+    markov = _stage("markov-estimation", estimate_predictor, dm)
+    obs = _stage("observability", _observe, dm, config.algorithm, markov)
+    return DataDrivenEstimate(markov=markov, observability=obs, width=dm.width,
+                              augmented=config.imc is not None)
+
+
+def synthesize(est: DataDrivenEstimate, weights: LqrWeights, horizon: int) -> LqrDesign:
+    """Synthesis half of the pipeline: the closed-form gain at ``horizon``.
+
+    Uses the first horizon - 1 Markov blocks and shifted observability blocks
+    of the estimate, so 2 <= horizon <= its depth. The estimation diagnostics
+    are merged into the returned design.
+    """
+    markov, obs = est.markov, est.observability
+    if horizon < 2:
+        raise ValueError("horizon must be >= 2 (the gain needs at least one Markov block)")
+    if horizon > markov.depth:
+        raise ValueError(f"depth {markov.depth} must be >= horizon {horizon}")
+    q, p = markov.blocks[0].shape
+    if weights.Q.shape[0] != q:
+        raise ValueError(
+            f"Q has dimension {weights.Q.shape[0]}, expected {q} "
+            f"(dataset outputs{' after augmentation' if est.augmented else ''})"
+        )
+    order = horizon - 1
+    M = markov.stacked(order)
+    S = block_toeplitz_strict_lower(markov.blocks[:order - 1], order, block_shape=(q, p))
     O_plus = obs.shifted[:q * order, :]
-    design = _stage("gain", dd_lqr_gain, M, S, O_plus, config.weights, order)
+    design = _stage("gain", dd_lqr_gain, M, S, O_plus, weights, order)
     diagnostics = dict(design.diagnostics)
     diagnostics.update(
         gain_order=order,
-        depth=dm.depth,
-        width=dm.width,
-        input_rank=est.input_rank,
-        input_rank_margin=est.input_rank_margin,
-        regressor_rank=est.regressor_rank,
+        depth=markov.depth,
+        width=est.width,
+        input_rank=markov.input_rank,
+        input_rank_margin=markov.input_rank_margin,
+        regressor_rank=markov.regressor_rank,
         obs_residual=obs.residual,
-        algorithm=config.algorithm,
+        algorithm=obs.algorithm,
     )
-    return LqrDesign(K=design.K, horizon=config.horizon, weights=config.weights,
-                     diagnostics=diagnostics)
+    return LqrDesign(K=design.K, horizon=horizon, weights=weights, diagnostics=diagnostics)
+
+
+def design_gain(data: Dataset, config: PipelineConfig) -> LqrDesign:
+    """Run the full data-driven pipeline on a dataset: estimate, then synthesize."""
+    return synthesize(estimate(data, config), config.weights, config.horizon)
 
 
 def convergence_sweep(
@@ -166,13 +216,21 @@ def convergence_sweep(
     config: PipelineConfig,
     horizons: Sequence[int],
 ) -> List[Tuple[int, float]]:
-    """Design at each horizon and measure the max-entry gap to the Riccati gain."""
+    """Design at each horizon and measure the max-entry gap to the Riccati gain.
+
+    A horizon up to ``config.depth`` reuses one estimate at that depth; a
+    longer horizon is estimated at a depth equal to itself, once per distinct
+    depth.
+    """
     P = dare_solve(model, config.weights)
     K_star = model_lqr_gain(model, P, config.weights.R)
+    estimates: Dict[int, DataDrivenEstimate] = {}
     rows: List[Tuple[int, float]] = []
     for N in horizons:
-        cfg = replace(config, horizon=N, depth=max(config.depth or N, N))
-        design = design_gain(data, cfg)
+        depth = max(config.depth, N)
+        if depth not in estimates:
+            estimates[depth] = estimate(data, replace(config, depth=depth))
+        design = synthesize(estimates[depth], config.weights, N)
         rows.append((N, float(np.abs(design.K - K_star).max())))
     return rows
 
@@ -187,8 +245,6 @@ def monte_carlo_obs(
     width: Optional[int] = None,
     noise_mode: str = "measurement",
     fixed_input: bool = False,
-    structure: str = "average",
-    pinv_tol: float = DEFAULT_PINV_TOL,
 ) -> Tuple[MonteCarloReport, MonteCarloReport]:
     """Monte Carlo statistics of both observability estimators under noise.
 
@@ -208,8 +264,8 @@ def monte_carlo_obs(
     std = float(np.sqrt(noise_variance))
     fixed_u = generate_signal(replace(signal, channels=model.n_inputs)) if fixed_input else None
 
-    samples: dict = {"alg1": [], "alg2": []}
-    failures = {"alg1": 0, "alg2": 0}
+    samples: dict = {alg: [] for alg in ALGORITHMS}
+    failures = dict.fromkeys(ALGORITHMS, 0)
     for r in range(runs):
         rng = np.random.default_rng(base_seed + r)
         u_seed = int(rng.integers(0, 2 ** 31))
@@ -221,21 +277,17 @@ def monte_carlo_obs(
         try:
             dm = build_data_matrices(data, depth, width)
         except ValueError:
-            failures["alg1"] += 1
-            failures["alg2"] += 1
+            for alg in ALGORITHMS:
+                failures[alg] += 1
             continue
-        try:
-            est = estimate_predictor(dm, structure=structure, pinv_tol=pinv_tol)
-            samples["alg1"].append(estimate_obs_alg1(dm, est.toeplitz, tol=pinv_tol).shifted)
-        except ValueError:
-            failures["alg1"] += 1
-        try:
-            samples["alg2"].append(estimate_obs_alg2(dm, tol=pinv_tol).shifted)
-        except ValueError:
-            failures["alg2"] += 1
+        for alg in ALGORITHMS:
+            try:
+                samples[alg].append(_observe(dm, alg).shifted)
+            except ValueError:
+                failures[alg] += 1
 
     reports = []
-    for alg in ("alg1", "alg2"):
+    for alg in ALGORITHMS:
         if len(samples[alg]) < 2:
             raise ValueError(f"{alg}: fewer than 2 successful runs ({failures[alg]} failures)")
         reports.append(_reduce_report(alg, samples[alg], failures[alg], truth))

@@ -57,31 +57,12 @@ class LqrDesign:
     diagnostics: Dict[str, float] = field(default_factory=dict)
 
 
-def _gamma_apply(S: np.ndarray, QN: np.ndarray, RN: np.ndarray, use_direct: bool):
-    """Return (Gamma, condition number of the inverted matrix).
-
-    Gamma = (QN^-1 + S RN^-1 S')^-1 evaluated through the matrix-inversion
-    lemma as QN - QN S (RN + S' QN S)^-1 S' QN, which avoids inverting the
-    weight blocks themselves. ``use_direct`` evaluates the textbook form
-    instead (for equivalence checks on small instances).
-    """
-    if use_direct:
-        inner = np.linalg.inv(QN) + S @ np.linalg.solve(RN, S.T)
-        return np.linalg.inv(inner), float(np.linalg.cond(inner))
-    mid = RN + S.T @ QN @ S
-    cond = float(np.linalg.cond(mid))
-    QNS = QN @ S
-    gamma = QN - QNS @ np.linalg.solve(mid, QNS.T)
-    return gamma, cond
-
-
 def dd_lqr_gain(
     M: np.ndarray,
     S: np.ndarray,
     O_plus: np.ndarray,
     weights: LqrWeights,
     horizon: int,
-    use_direct_gamma: bool = False,
 ) -> LqrDesign:
     """Closed-form LQR gain from Markov parameters and shifted observability.
 
@@ -92,7 +73,10 @@ def dd_lqr_gain(
         K = [R + M' Gamma M]^-1 M' Gamma O_plus,
         Gamma = (Q_N^-1 + S R_N^-1 S')^-1,
 
-    with Q_N, R_N the N-fold block-diagonal weight repeats.
+    with Q_N, R_N the N-fold block-diagonal weight repeats. Gamma is evaluated
+    through the matrix-inversion lemma as Q_N - Q_N S (R_N + S' Q_N S)^-1 S' Q_N,
+    which avoids inverting the weight blocks themselves; ``cond_inner`` is the
+    condition number of the inverted matrix R_N + S' Q_N S.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     S = np.atleast_2d(np.asarray(S, dtype=float))
@@ -111,7 +95,10 @@ def dd_lqr_gain(
 
     QN = block_diag_repeat(weights.Q, N)
     RN = block_diag_repeat(weights.R, N)
-    gamma, cond_inner = _gamma_apply(S, QN, RN, use_direct_gamma)
+    mid = RN + S.T @ QN @ S
+    cond_inner = float(np.linalg.cond(mid))
+    QNS = QN @ S
+    gamma = QN - QNS @ np.linalg.solve(mid, QNS.T)
     MtG = M.T @ gamma
     bracket = weights.R + MtG @ M
     cond_bracket = float(np.linalg.cond(bracket))
@@ -127,34 +114,6 @@ def dd_lqr_gain(
         weights=weights,
         diagnostics={"cond_inner": cond_inner, "cond_bracket": cond_bracket},
     )
-
-
-def dd_lqr_p(
-    O: np.ndarray,
-    S: np.ndarray,
-    weights: LqrWeights,
-    horizon: int,
-    use_direct_gamma: bool = False,
-) -> np.ndarray:
-    """Closed-form Riccati solution P = O' (Q^-1_{N+1} + S R^-1_{N+1} S')^-1 O.
-
-    With N = ``horizon``, O stacks C .. CA^N (q*(N+1) x n) and S is the
-    strictly-lower Toeplitz of the first N Markov blocks (q*(N+1) x p*(N+1)).
-    """
-    O = np.atleast_2d(np.asarray(O, dtype=float))
-    S = np.atleast_2d(np.asarray(S, dtype=float))
-    blocks = horizon + 1
-    q = weights.Q.shape[0]
-    p = weights.R.shape[0]
-    if O.shape[0] != q * blocks:
-        raise ValueError(f"O has {O.shape[0]} rows, expected {q * blocks}")
-    if S.shape != (q * blocks, p * blocks):
-        raise ValueError(f"S has shape {S.shape}, expected ({q * blocks}, {p * blocks})")
-    QN = block_diag_repeat(weights.Q, blocks)
-    RN = block_diag_repeat(weights.R, blocks)
-    gamma, _ = _gamma_apply(S, QN, RN, use_direct_gamma)
-    P = O.T @ gamma @ O
-    return 0.5 * (P + P.T)
 
 
 def dare_solve(

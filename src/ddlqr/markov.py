@@ -21,10 +21,14 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .matrix_kit import DEFAULT_PINV_TOL, block_hankel, block_toeplitz_strict_lower
+from .matrix_kit import block_hankel, block_toeplitz_strict_lower
 from .plant_sim import Dataset, StateSpaceModel
 
-DEFAULT_RANK_TOL = 1e-8
+# Relative singular-value cut-offs: RANK_TOL decides the excitation ranks,
+# PINV_TOL the directions a least-squares solve treats as null (a
+# pseudo-inverse's rcond).
+RANK_TOL = 1e-8
+PINV_TOL = 1e-12
 # Row partitions of ``DataMatrices.stack``, top to bottom.
 PARTS = ("u_past", "y_past", "u_future", "y_future", "x_past")
 
@@ -82,7 +86,7 @@ class MarkovEstimate:
     least-squares predictor; ``toeplitz`` is its structure-enforced
     strictly-lower block-Toeplitz form built from the ``blocks`` (depth-1 of
     them, each q x p). ``input_rank_margin`` is the smallest singular value of
-    [u_past; u_future] over ``rank_tol`` times the largest: above 1 the input
+    [u_past; u_future] over ``RANK_TOL`` times the largest: above 1 the input
     is persistently exciting.
     """
 
@@ -100,13 +104,6 @@ class MarkovEstimate:
         if count > len(self.blocks):
             raise ValueError(f"only {len(self.blocks)} blocks available, requested {count}")
         return np.vstack(self.blocks[:count])
-
-
-def state_snapshot(data: Dataset, width: int) -> np.ndarray:
-    """First ``width`` state samples as columns of an (n, width) matrix."""
-    if width < 1 or width > data.n_samples:
-        raise ValueError(f"width must be in 1..{data.n_samples}, got {width}")
-    return data.x[:width].T
 
 
 def build_data_matrices(data: Dataset, depth: int, width: Optional[int] = None) -> DataMatrices:
@@ -145,7 +142,7 @@ def build_data_matrices(data: Dataset, depth: int, width: Optional[int] = None) 
         block_hankel(data.y, 0, depth, width),
         block_hankel(data.u, depth, depth, width),
         block_hankel(data.y, depth, depth, width),
-        state_snapshot(data, width),
+        data.x[:width].T,
     ])
     return DataMatrices(stack=stack, depth=depth, width=width, n_inputs=p, n_outputs=q)
 
@@ -154,12 +151,7 @@ def _rank(s: np.ndarray, reference: float, tol: float) -> int:
     return int(np.sum(s >= tol * reference)) if reference > 0.0 else 0
 
 
-def estimate_predictor(
-    dm: DataMatrices,
-    structure: str = "average",
-    rank_tol: float = DEFAULT_RANK_TOL,
-    pinv_tol: float = DEFAULT_PINV_TOL,
-) -> MarkovEstimate:
+def estimate_predictor(dm: DataMatrices) -> MarkovEstimate:
     """Solve the lifted least-squares problem and extract Markov parameters.
 
     The predictor is y_future = W [u_past; y_past; u_future], solved on the
@@ -170,20 +162,15 @@ def estimate_predictor(
     has full row rank given u_past (noisy data) the remainder is L_Uf,Uf, so
     raw = L_Yf,Uf L_Uf,Uf^-1; otherwise (noise-free data, or more outputs than
     states) it also holds the null directions of L_Yp,Yp, decided with
-    ``pinv_tol`` as in the pseudo-inverse solution. ``structure`` chooses how
-    the strictly-lower Toeplitz structure is enforced on ``raw``:
+    ``PINV_TOL`` as in the pseudo-inverse solution. Each Markov block is the
+    average of its block sub-diagonal of ``raw``, which reduces noise.
 
-    * ``"average"``: average each block sub-diagonal (reduces noise),
-    * ``"first-column"``: read blocks from the first block column only.
-
-    Excitation is checked with ``rank_tol`` relative to the largest singular
+    Excitation is checked with ``RANK_TOL`` relative to the largest singular
     value of [u_past; u_future]: that stack (a persistently exciting input)
     and the u_future remainder (future inputs outside the row span of past
     inputs and outputs) must both have full row rank. ``regressor_rank`` sums
     the ranks of L_Up,Up, L_Yp,Yp and the remainder.
     """
-    if structure not in ("average", "first-column"):
-        raise ValueError(f"structure must be 'average' or 'first-column', got {structure!r}")
     d, L = dm.depth, dm.width
     p, q = dm.n_inputs, dm.n_outputs
     min_width = (2 * p + q) * d
@@ -196,7 +183,7 @@ def estimate_predictor(
     up, yp, uf, yf = (dm.parts[k] for k in ("u_past", "y_past", "u_future", "y_future"))
     cols = slice(0, uf.stop)
     s_in = np.linalg.svd(np.vstack([F[up, cols], F[uf, cols]]), compute_uv=False)
-    input_rank = _rank(s_in, s_in[0], rank_tol)
+    input_rank = _rank(s_in, s_in[0], RANK_TOL)
     if input_rank < 2 * p * d:
         raise ValueError(
             f"insufficient excitation: stacked input Hankel has numerical rank "
@@ -206,31 +193,27 @@ def estimate_predictor(
     # outside the row space of y_past, so they stay in the u_future remainder.
     _, s_yp, vt_yp = np.linalg.svd(F[yp, yp])
     scale = max(s_in[0], s_yp[0])  # stands in for the norm of the regressor
-    null = vt_yp[s_yp < pinv_tol * scale].T
+    null = vt_yp[s_yp < PINV_TOL * scale].T
     u_rest = np.hstack([F[uf, uf], F[uf, yp] @ null])
     y_rest = np.hstack([F[yf, uf], F[yf, yp] @ null])
     u_m, s_m, vt_m = np.linalg.svd(u_rest, full_matrices=False)
-    if s_m[-1] < rank_tol * s_in[0]:
+    if s_m[-1] < RANK_TOL * s_in[0]:
         raise ValueError(
             f"insufficient excitation: future inputs lie numerically in the span of "
             f"past inputs and outputs (smallest singular value of their remainder "
-            f"{s_m[-1]:.3e} < {rank_tol:g} x {s_in[0]:.3e}); the Toeplitz factor "
+            f"{s_m[-1]:.3e} < {RANK_TOL:g} x {s_in[0]:.3e}); the Toeplitz factor "
             f"is not identifiable"
         )
     raw = (y_rest @ vt_m.T / s_m) @ u_m.T
 
     blocks: List[np.ndarray] = []
-    if structure == "average":
-        for k in range(d - 1):
-            # sub-diagonal k holds block copies at positions (i+k+1, i)
-            copies = [
-                raw[(i + k + 1) * q:(i + k + 2) * q, i * p:(i + 1) * p]
-                for i in range(d - 1 - k)
-            ]
-            blocks.append(np.mean(copies, axis=0))
-    else:
-        for k in range(d - 1):
-            blocks.append(raw[(k + 1) * q:(k + 2) * q, 0:p])
+    for k in range(d - 1):
+        # sub-diagonal k holds block copies at positions (i+k+1, i)
+        copies = [
+            raw[(i + k + 1) * q:(i + k + 2) * q, i * p:(i + 1) * p]
+            for i in range(d - 1 - k)
+        ]
+        blocks.append(np.mean(copies, axis=0))
 
     S = block_toeplitz_strict_lower(blocks, d, block_shape=(q, p))
     s_up = np.linalg.svd(F[up, up], compute_uv=False)
@@ -240,8 +223,8 @@ def estimate_predictor(
         blocks=blocks,
         depth=d,
         input_rank=input_rank,
-        regressor_rank=sum(_rank(sv, scale, rank_tol) for sv in (s_up, s_yp, s_m)),
-        input_rank_margin=float(s_in[-1] / (rank_tol * s_in[0])),
+        regressor_rank=sum(_rank(sv, scale, RANK_TOL) for sv in (s_up, s_yp, s_m)),
+        input_rank_margin=float(s_in[-1] / (RANK_TOL * s_in[0])),
     )
 
 

@@ -1,8 +1,7 @@
 """Dense-matrix building blocks shared by the estimation and design pipeline.
 
 Everything here is a pure function of its inputs: block-Hankel construction
-from multivariable time series, an SVD pseudo-inverse with a relative
-singular-value cutoff, strictly-lower block-Toeplitz assembly, and
+from multivariable time series, strictly-lower block-Toeplitz assembly, and
 block-diagonal repetition of a weight matrix.
 """
 
@@ -11,8 +10,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-
-DEFAULT_PINV_TOL = 1e-12
 
 
 def as_series(signal) -> np.ndarray:
@@ -56,18 +53,6 @@ def block_hankel(signal, start: int, depth: int, width: int) -> np.ndarray:
         # row block i holds samples start+i .. start+i+width-1, transposed
         out[i * d:(i + 1) * d, :] = sig[start + i:start + i + width].T
     return out
-
-
-def pinv(m, tol: float = DEFAULT_PINV_TOL) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse via SVD.
-
-    Singular values below ``tol`` times the largest are treated as zero, so
-    ``tol`` sets the numerical rank decision.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.size == 0:
-        raise ValueError("cannot invert an empty matrix")
-    return np.linalg.pinv(m, rcond=tol)
 
 
 def block_toeplitz_strict_lower(

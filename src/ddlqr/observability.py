@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .markov import DataMatrices
-from .matrix_kit import DEFAULT_PINV_TOL
+from .markov import PINV_TOL, DataMatrices
 from .plant_sim import StateSpaceModel
 
 ALGORITHMS = ("alg1", "alg2")
@@ -65,10 +64,10 @@ def drop_first_block_row(obs: np.ndarray, q: int) -> np.ndarray:
 
 
 def _fit_states(dm: DataMatrices, algorithm: str, lhs: np.ndarray, x: np.ndarray,
-                tol: float, what: str) -> ObservabilityEstimate:
+                what: str) -> ObservabilityEstimate:
     """Least-squares O in lhs = O x for a wide x of full row rank, with its residual."""
     u, s, vt = np.linalg.svd(x, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0 or s[-1] < tol * s[0]:
+    if s.size == 0 or s[0] == 0.0 or s[-1] < PINV_TOL * s[0]:
         raise ValueError(
             f"states not sufficiently excited: {what}: numerical row rank below {x.shape[0]}"
         )
@@ -82,11 +81,7 @@ def _fit_states(dm: DataMatrices, algorithm: str, lhs: np.ndarray, x: np.ndarray
     )
 
 
-def estimate_obs_alg1(
-    dm: DataMatrices,
-    s_hat: np.ndarray,
-    tol: float = DEFAULT_PINV_TOL,
-) -> ObservabilityEstimate:
+def estimate_obs_alg1(dm: DataMatrices, s_hat: np.ndarray) -> ObservabilityEstimate:
     """Estimate the observability matrix by Toeplitz subtraction.
 
     Solves y_past = O x_past + s_hat u_past for O in least squares:
@@ -101,26 +96,26 @@ def estimate_obs_alg1(
         )
     F = dm.factor
     rhs = F[dm.parts["y_past"]] - s_hat @ F[dm.parts["u_past"]]
-    return _fit_states(dm, "alg1", rhs, F[dm.parts["x_past"]], tol, "state snapshot")
+    return _fit_states(dm, "alg1", rhs, F[dm.parts["x_past"]], "state snapshot")
 
 
-def estimate_obs_alg2(dm: DataMatrices, tol: float = DEFAULT_PINV_TOL) -> ObservabilityEstimate:
+def estimate_obs_alg2(dm: DataMatrices) -> ObservabilityEstimate:
     """Estimate the observability matrix by projecting the inputs away.
 
     Applies the orthogonal-complement projector P of the past-input rows to
     both sides of y_past = O x_past + S u_past, annihilating the unknown
     Toeplitz term, then solves O = (y_past P) (x_past P)^+. On the factor the
     projection drops the u_past columns: O = L_Yp[:, pd:] (L_X[:, pd:])^+.
-    That needs u_past to have full row rank, which is checked with ``tol``.
+    That needs u_past to have full row rank, which is checked with ``PINV_TOL``.
     """
     up = dm.parts["u_past"]
     F = dm.factor
     s = np.linalg.svd(F[up, up], compute_uv=False)
-    if s[0] == 0.0 or s[-1] < tol * s[0]:
+    if s[0] == 0.0 or s[-1] < PINV_TOL * s[0]:
         raise ValueError(
             f"insufficient excitation: past-input Hankel has numerical row rank "
             f"below {up.stop}"
         )
     cols = slice(up.stop, None)
     return _fit_states(dm, "alg2", F[dm.parts["y_past"], cols], F[dm.parts["x_past"], cols],
-                       tol, "projected state snapshot (X U_po)")
+                       "projected state snapshot (X U_po)")

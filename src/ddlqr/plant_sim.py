@@ -17,6 +17,7 @@ import scipy.linalg
 from .matrix_kit import as_series
 
 SIGNAL_KINDS = ("prbs", "white-noise", "sinusoid", "constant", "zero")
+NOISE_MODES = ("process", "measurement")
 
 
 def _check_finite(name: str, arr: np.ndarray) -> np.ndarray:
@@ -223,7 +224,7 @@ def simulate(
     In both modes the recorded output is y(k) = C x(k) + F w(k) with x the
     recorded state.
     """
-    if noise_mode not in ("process", "measurement"):
+    if noise_mode not in NOISE_MODES:
         raise ValueError(f"noise_mode must be 'process' or 'measurement', got {noise_mode!r}")
     u = as_series(u)
     T = len(u)

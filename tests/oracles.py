@@ -4,19 +4,37 @@ The library reads every estimate off one LQ factor of the stacked Hankel
 data. These oracles compute the same quantities the direct way, from the
 full Hankel matrices, with pseudo-inverses and full-width SVDs:
 
+* ``pinv`` is the SVD pseudo-inverse with a relative singular-value cut-off;
 * ``orthogonal_projector`` forms the width x width projector explicitly;
 * ``pinv_predictor``, ``pinv_obs_alg1`` and ``pinv_obs_alg2`` are the
   pseudo-inverse estimators that the factor route replaced.
+
+The library evaluates Gamma = (Q_N^-1 + S R_N^-1 S')^-1 through the
+matrix-inversion lemma; ``textbook_gamma`` inverts it as written, and
+``textbook_gain`` and ``dd_lqr_p`` build the closed-form gain and Riccati
+solution on it.
 """
 
 import warnings
 
 import numpy as np
 
-from ddlqr import pinv
+from ddlqr import block_diag_repeat
 
 PINV_TOL = 1e-12
 RANK_TOL = 1e-8
+
+
+def pinv(m, tol: float = PINV_TOL) -> np.ndarray:
+    """Moore-Penrose pseudo-inverse via SVD.
+
+    Singular values below ``tol`` times the largest are treated as zero, so
+    ``tol`` sets the numerical rank decision.
+    """
+    m = np.asarray(m, dtype=float)
+    if m.size == 0:
+        raise ValueError("cannot invert an empty matrix")
+    return np.linalg.pinv(m, rcond=tol)
 
 
 def orthogonal_projector(u_past: np.ndarray, tol: float = PINV_TOL) -> np.ndarray:
@@ -73,3 +91,29 @@ def pinv_obs_alg2(y_past, u_past, x, tol: float = PINV_TOL) -> np.ndarray:
     y_proj = y_past - (y_past @ u_pinv) @ u_past
     x_proj = x - (x @ u_pinv) @ u_past
     return y_proj @ np.linalg.pinv(x_proj, rcond=tol)
+
+
+def textbook_gamma(S, QN, RN) -> np.ndarray:
+    """Gamma = (QN^-1 + S RN^-1 S')^-1, inverted as written."""
+    return np.linalg.inv(np.linalg.inv(QN) + S @ np.linalg.solve(RN, S.T))
+
+
+def textbook_gain(M, S, O_plus, weights, horizon: int) -> np.ndarray:
+    """K = [R + M' Gamma M]^-1 M' Gamma O_plus with the textbook Gamma."""
+    QN = block_diag_repeat(weights.Q, horizon)
+    RN = block_diag_repeat(weights.R, horizon)
+    MtG = M.T @ textbook_gamma(S, QN, RN)
+    return np.linalg.solve(weights.R + MtG @ M, MtG @ O_plus)
+
+
+def dd_lqr_p(O, S, weights, horizon: int) -> np.ndarray:
+    """Closed-form Riccati solution P = O' (Q^-1_{N+1} + S R^-1_{N+1} S')^-1 O.
+
+    With N = ``horizon``, O stacks C .. CA^N (q*(N+1) x n) and S is the
+    strictly-lower Toeplitz of the first N Markov blocks (q*(N+1) x p*(N+1)).
+    """
+    blocks = horizon + 1
+    QN = block_diag_repeat(weights.Q, blocks)
+    RN = block_diag_repeat(weights.R, blocks)
+    P = O.T @ textbook_gamma(S, QN, RN) @ O
+    return 0.5 * (P + P.T)

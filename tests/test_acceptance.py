@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import prbs_dataset, random_stable_system, scalar_model, two_output_model
-from oracles import orthogonal_projector
+from oracles import orthogonal_projector, pinv
 from ddlqr import (
     LqrWeights,
     PipelineConfig,
@@ -29,7 +29,6 @@ from ddlqr import (
     generate_signal,
     model_lqr_gain,
     monte_carlo_obs,
-    pinv,
     simulate,
     true_markov,
     true_observability,

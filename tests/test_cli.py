@@ -103,6 +103,21 @@ class TestDesign:
         assert "markov-estimation: insufficient excitation: future inputs" in err
         assert "Traceback" not in err
 
+    def test_bogus_noise_mode_exits_2(self, tmp_path, capsys):
+        code = run("design", REGULATION, "--output-dir", str(tmp_path),
+                   "--set", "noise.mode=bogus")
+        assert code == 2
+        assert "[noise] mode" in capsys.readouterr().err
+
+    def test_removed_structure_key_exits_2(self, tmp_path, capsys):
+        for command, config in (("design", REGULATION), ("sweep", REGULATION),
+                                ("montecarlo", MC)):
+            code = run(command, config, "--output-dir", str(tmp_path),
+                       "--set", "estimation.structure=first-column",
+                       "--set", "montecarlo.runs=2")
+            assert code == 2
+            assert "[estimation] structure" in capsys.readouterr().err
+
     def test_design_from_dataset_file(self, tmp_path):
         run("simulate", REGULATION, "--output-dir", str(tmp_path),
             "--set", f"io.dataset={tmp_path}/dataset.csv")
@@ -120,6 +135,13 @@ class TestSweep:
         rows = {int(l.split(",")[0]): float(l.split(",")[1]) for l in lines[1:]}
         assert rows[50] < rows[10]
 
+    def test_malformed_horizons_exit_2(self, tmp_path, capsys):
+        for horizons in ("[1,10]", "[]", "[10,true]", "[10,20.5]", "10"):
+            code = run("sweep", REGULATION, "--output-dir", str(tmp_path),
+                       "--set", f"sweep.horizons={horizons}")
+            assert code == 2, horizons
+            assert "[sweep] horizons" in capsys.readouterr().err
+
 
 class TestMonteCarlo:
     def test_smoke_report(self, tmp_path):
@@ -132,6 +154,12 @@ class TestMonteCarlo:
         eig = (tmp_path / "mc_eigenvalues.csv").read_text().splitlines()
         assert eig[0] == "algorithm,quantity,value1,value2"
         assert len(eig) == 1 + 6  # three quantities per algorithm
+
+    def test_bogus_noise_mode_exits_2(self, tmp_path, capsys):
+        code = run("montecarlo", MC, "--output-dir", str(tmp_path),
+                   "--set", "montecarlo.noise_mode=bogus", "--set", "montecarlo.runs=2")
+        assert code == 2
+        assert "[montecarlo] noise_mode" in capsys.readouterr().err
 
     def test_single_run_rejected(self, tmp_path, capsys):
         code = run("montecarlo", MC, "--output-dir", str(tmp_path),

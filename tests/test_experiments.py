@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from ddlqr import (
     cost_J,
     dare_solve,
     design_gain,
+    estimate,
     estimate_predictor,
     evaluate_closed_loop,
     generate_signal,
@@ -28,6 +30,7 @@ from ddlqr import (
     model_lqr_gain,
     monte_carlo_obs,
     simulate,
+    synthesize,
 )
 from ddlqr.config import RunConfig
 
@@ -38,6 +41,32 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 def reference_weights():
     return LqrWeights(Q=20 * np.eye(2), R=0.2 * np.eye(2))
+
+
+def sweep_counting(monkeypatch, model, data, config, horizons):
+    """Run a sweep; return its rows and the depth of every predictor estimate.
+
+    Also checks that the gain behind each row equals ``design_gain`` at that
+    horizon, bit for bit.
+    """
+    depths, gains = [], []
+    predictor, synth = ddlqr.experiments.estimate_predictor, ddlqr.experiments.synthesize
+
+    def recording(est, weights, horizon):
+        design = synth(est, weights, horizon)
+        gains.append(design.K)
+        return design
+
+    monkeypatch.setattr(ddlqr.experiments, "estimate_predictor",
+                        lambda dm: depths.append(dm.depth) or predictor(dm))
+    monkeypatch.setattr(ddlqr.experiments, "synthesize", recording)
+    rows = convergence_sweep(model, data, config, horizons)
+    monkeypatch.undo()
+    assert len(gains) == len(horizons)
+    for N, K in zip(horizons, gains):
+        cfg = replace(config, horizon=N, depth=max(config.depth, N))
+        assert np.array_equal(K, design_gain(data, cfg).K)
+    return rows, depths
 
 
 class TestDesignGain:
@@ -100,6 +129,21 @@ class TestDesignGain:
             margin = estimate_predictor(build_data_matrices(data, depth, width)).input_rank_margin
         assert margin > 1.0
 
+    def test_one_estimate_serves_weights_and_horizons(self):
+        data = prbs_dataset(two_output_model())
+        config = PipelineConfig(weights=reference_weights(), horizon=12, depth=13)
+        est = estimate(data, config)
+        other = LqrWeights(Q=np.diag([1.0, 3.0]), R=np.eye(2))
+        for weights, horizon in ((reference_weights(), 12), (other, 12), (other, 5)):
+            expect = design_gain(data, replace(config, weights=weights, horizon=horizon))
+            got = synthesize(est, weights, horizon)
+            assert np.array_equal(got.K, expect.K)
+            assert got.diagnostics == expect.diagnostics
+        with pytest.raises(ValueError, match="depth 13 must be >= horizon 14"):
+            synthesize(est, other, 14)
+        with pytest.raises(ValueError, match="horizon must be >= 2"):
+            synthesize(est, other, 1)
+
     def test_weight_dimension_checked_after_augmentation(self):
         data = prbs_dataset(two_output_model())
         config = PipelineConfig(weights=reference_weights(), horizon=10, depth=11,
@@ -109,6 +153,20 @@ class TestDesignGain:
 
 
 class TestConvergenceSweep:
+    def test_one_estimate_for_horizons_within_depth(self, monkeypatch):
+        model = two_output_model()
+        config = PipelineConfig(weights=reference_weights(), horizon=10, depth=51)
+        _, depths = sweep_counting(monkeypatch, model, prbs_dataset(model), config,
+                                   [10, 20, 30, 40, 50])
+        assert depths == [51]
+
+    def test_one_estimate_per_distinct_deeper_horizon(self, monkeypatch):
+        model = two_output_model()
+        config = PipelineConfig(weights=reference_weights(), horizon=5, depth=8)
+        _, depths = sweep_counting(monkeypatch, model, prbs_dataset(model), config,
+                                   [5, 8, 10, 10, 6, 12])
+        assert depths == [8, 10, 12]
+
     def test_reference_plant_error_shrinks(self):
         model = two_output_model()
         data = prbs_dataset(model)
@@ -126,7 +184,7 @@ class TestConvergenceSweep:
         errs = dict(rows)
         assert errs[3] < 1e-6
 
-    def test_random_plant_bounded_and_converged(self):
+    def test_random_plant_bounded_and_converged(self, monkeypatch):
         rng = np.random.default_rng(31)
         model = random_stable_system(rng, radius=(0.4, 0.7))
         data = prbs_dataset(model, length=700, seed=77)
@@ -134,7 +192,8 @@ class TestConvergenceSweep:
         rho = np.abs(np.linalg.eigvals(model.A)).max()
         far = max(int(np.ceil(-10.0 / np.log(rho))), 6)
         config = PipelineConfig(weights=weights, horizon=far, depth=far + 1)
-        rows = convergence_sweep(model, data, config, [3, far])
+        rows, depths = sweep_counting(monkeypatch, model, data, config, [3, far])
+        assert depths == [far + 1]
         errs = [e for _, e in rows]
         assert all(np.isfinite(errs))
         assert errs[-1] < 1e-3

@@ -140,13 +140,6 @@ class TestEstimatePredictor:
         np.testing.assert_array_equal(M[:q * (N - 1)], S[q:, :p])
         np.testing.assert_array_equal(M[q * (N - 1):], est.blocks[N - 1])
 
-    def test_structure_modes_agree_noise_free(self):
-        ds = prbs_dataset(two_output_model())
-        dm = build_data_matrices(ds, depth=6)
-        avg = estimate_predictor(dm, structure="average")
-        fc = estimate_predictor(dm, structure="first-column")
-        np.testing.assert_allclose(avg.toeplitz, fc.toeplitz, atol=1e-9)
-
     def test_random_systems_noise_free_exactness(self):
         rng = np.random.default_rng(11)
         for trial in range(8):

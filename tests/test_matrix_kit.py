@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from oracles import pinv
 from ddlqr import (
     SignalSpec,
     block_diag_repeat,
     block_hankel,
     block_toeplitz_strict_lower,
     generate_signal,
-    pinv,
 )
 
 

@@ -10,7 +10,6 @@ from ddlqr import (
     estimate_obs_alg1,
     estimate_obs_alg2,
     estimate_predictor,
-    state_snapshot,
     true_observability,
 )
 
@@ -22,22 +21,26 @@ def _estimation_inputs(model, depth, length=1022, seed=7):
 
 
 class TestStateSnapshot:
+    """The state snapshot is the ``x_past`` rows of the data matrices."""
+
     def test_read_off(self):
         ds = Dataset(u=np.zeros((3, 1)), y=np.zeros((3, 1)), x=[[1.0], [2.0], [3.0]])
-        np.testing.assert_array_equal(state_snapshot(ds, 2), [[1.0, 2.0]])
+        with pytest.warns(UserWarning, match="guidance"):
+            dm = build_data_matrices(ds, depth=1, width=2)
+        np.testing.assert_array_equal(dm.x_past, [[1.0, 2.0]])
 
     def test_shape(self):
         ds = prbs_dataset(two_output_model())
-        assert state_snapshot(ds, 870).shape == (2, 870)
+        assert build_data_matrices(ds, depth=51, width=870).x_past.shape == (2, 870)
 
     def test_zero(self):
         ds = Dataset(u=np.zeros((5, 1)), y=np.zeros((5, 1)), x=np.zeros((5, 2)))
-        assert not state_snapshot(ds, 4).any()
+        assert not build_data_matrices(ds, depth=1, width=4).x_past.any()
 
     def test_too_wide(self):
         ds = Dataset(u=np.zeros((5, 1)), y=np.zeros((5, 1)), x=np.zeros((5, 2)))
         with pytest.raises(ValueError, match="width"):
-            state_snapshot(ds, 6)
+            build_data_matrices(ds, depth=1, width=6)
 
 
 class TestAlg1:
