@@ -59,6 +59,12 @@ def _noise_mode(cfg: RunConfig, section: str, key: str, default: str) -> str:
     return mode
 
 
+def _at_least(value, minimum, section: str, key: str):
+    if not value >= minimum:
+        raise ConfigError(f"[{section}] {key} must be >= {minimum}, got {value}")
+    return value
+
+
 def _estimation(cfg: RunConfig):
     """[estimation] depth and width, refusing the removed ``structure`` key."""
     if cfg.has("estimation", "structure"):
@@ -81,7 +87,7 @@ def _load_or_simulate_dataset(cfg: RunConfig):
     v = None
     mode = "process"
     if cfg.has("noise"):
-        variance = cfg.get_float("noise", "variance", 0.0)
+        variance = _at_least(cfg.get_float("noise", "variance", 0.0), 0, "noise", "variance")
         seed = cfg.get_int("noise", "seed", 0)
         mode = _noise_mode(cfg, "noise", "mode", "process")
         if variance > 0:
@@ -169,7 +175,8 @@ def cmd_montecarlo(cfg: RunConfig, outdir: Path) -> int:
         spec,
         depth,
         runs,
-        noise_variance=cfg.get_float("montecarlo", "variance", required=True),
+        noise_variance=_at_least(cfg.get_float("montecarlo", "variance", required=True), 0,
+                                 "montecarlo", "variance"),
         base_seed=cfg.get_int("montecarlo", "seed", 0),
         width=width,
         noise_mode=_noise_mode(cfg, "montecarlo", "noise_mode", "measurement"),
@@ -189,8 +196,10 @@ def cmd_montecarlo(cfg: RunConfig, outdir: Path) -> int:
             ("second_moment", rep.second_moment_eigenvalues),
         ):
             eig_lines.append(f"{rep.algorithm},{name}," + ",".join(FMT % v for v in values))
+        summary.append(f"{rep.algorithm}: runs {rep.runs}, failures {rep.failures}")
+        summary += [f"  failure reason      {reason} ({count} runs)"
+                    for reason, count in rep.failure_reasons.items()]
         summary += [
-            f"{rep.algorithm}: runs {rep.runs}, failures {rep.failures}",
             f"  mean                {np.array2string(rep.mean.ravel(), precision=6)}",
             f"  cov eigenvalues     {np.array2string(rep.covariance_eigenvalues, precision=6)}",
             f"  mse eigenvalues     {np.array2string(rep.mse_eigenvalues, precision=6)}",
@@ -212,7 +221,7 @@ def cmd_eval(cfg: RunConfig, outdir: Path) -> int:
     gain_path = cfg.get_str("io", "gain", required=True)
     K = storage.read_matrix(gain_path)
     weights = cfg.weights()
-    horizon = cfg.get_int("eval", "horizon", required=True)
+    horizon = _at_least(cfg.get_int("eval", "horizon", required=True), 1, "eval", "horizon")
     kind = cfg.get_str("eval", "scenario", required=True)
     from .lqr import LqrDesign
 

@@ -10,6 +10,7 @@ horizon sweep estimates once and synthesizes many times.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -31,12 +32,16 @@ from .plant_sim import (
     Dataset,
     SignalSpec,
     StateSpaceModel,
+    _dataset,
+    _open_loop,
     closed_loop_simulate,
     cost_J,
     generate_signal,
-    simulate,
     tracking_loop_simulate,
 )
+
+# Monte Carlo runs simulated per kernel call: runs x samples stays within this.
+MC_CHUNK_SAMPLES = 2 ** 15
 
 
 @dataclass
@@ -92,11 +97,13 @@ class MonteCarloReport:
     bias bias'); ``second_moment`` is the moment about the origin
     (covariance plus mean mean'), the raw-magnitude metric used when
     comparing the reported estimator figures. Eigenvalues are ascending.
+    ``failure_reasons`` counts failed runs by stage and leading error clause.
     """
 
     algorithm: str
     runs: int
     failures: int
+    failure_reasons: Dict[str, int]
     truth: np.ndarray
     mean: np.ndarray
     covariance: np.ndarray
@@ -142,13 +149,13 @@ def _observe(dm: DataMatrices, algorithm: str,
     """Observability estimate with the named algorithm.
 
     alg1 subtracts the predictor's Toeplitz factor, estimated here unless
-    ``markov`` is given; alg2 needs no predictor.
+    ``markov`` is given; alg2 needs no predictor. Errors are stage-tagged.
     """
     if algorithm == "alg2":
-        return estimate_obs_alg2(dm)
+        return _stage("observability", estimate_obs_alg2, dm)
     if markov is None:
-        markov = estimate_predictor(dm)
-    return estimate_obs_alg1(dm, markov.toeplitz)
+        markov = _stage("markov-estimation", estimate_predictor, dm)
+    return _stage("observability", estimate_obs_alg1, dm, markov.toeplitz)
 
 
 def estimate(data: Dataset, config: PipelineConfig) -> DataDrivenEstimate:
@@ -163,7 +170,7 @@ def estimate(data: Dataset, config: PipelineConfig) -> DataDrivenEstimate:
         data = _stage("imc-augmentation", augment_dataset, data, config.imc)
     dm = _stage("data-matrices", build_data_matrices, data, config.depth, config.width)
     markov = _stage("markov-estimation", estimate_predictor, dm)
-    obs = _stage("observability", _observe, dm, config.algorithm, markov)
+    obs = _observe(dm, config.algorithm, markov)
     return DataDrivenEstimate(markov=markov, observability=obs, width=dm.width,
                               augmented=config.imc is not None)
 
@@ -251,11 +258,14 @@ def monte_carlo_obs(
     Each run redraws the excitation signal and the state-noise sequence from
     a run-indexed seed (``fixed_input`` keeps one excitation realization
     across runs and redraws only the noise), simulates the model, and
-    estimates the shifted observability matrix with both algorithms. Runs
-    where an estimation stage fails are counted and excluded.
+    estimates the shifted observability matrix with both algorithms, one
+    run at a time; the simulation batches ``MC_CHUNK_SAMPLES // T`` runs per
+    call. Runs where an estimation stage fails are counted and excluded.
     """
     if runs < 2:
         raise ValueError("need at least 2 runs for covariance statistics")
+    if not noise_variance >= 0:
+        raise ValueError(f"noise variance must be >= 0, got {noise_variance}")
     if model.E is None:
         raise ValueError("model must define a state-noise channel E")
     truth = drop_first_block_row(true_observability(model, depth), model.n_outputs)
@@ -263,38 +273,50 @@ def monte_carlo_obs(
     T = signal.length
     std = float(np.sqrt(noise_variance))
     fixed_u = generate_signal(replace(signal, channels=model.n_inputs)) if fixed_input else None
+    chunk = max(1, MC_CHUNK_SAMPLES // T)
 
     samples: dict = {alg: [] for alg in ALGORITHMS}
-    failures = dict.fromkeys(ALGORITHMS, 0)
-    for r in range(runs):
-        rng = np.random.default_rng(base_seed + r)
-        u_seed = int(rng.integers(0, 2 ** 31))
-        u = fixed_u if fixed_u is not None else generate_signal(
-            replace(signal, seed=u_seed, channels=model.n_inputs)
-        )
-        v = rng.normal(0.0, std, size=(T, n_v))
-        data = simulate(model, u, v=v, noise_mode=noise_mode)
-        try:
-            dm = build_data_matrices(data, depth, width)
-        except ValueError:
-            for alg in ALGORITHMS:
-                failures[alg] += 1
-            continue
-        for alg in ALGORITHMS:
+    reasons = {alg: Counter() for alg in ALGORITHMS}
+    for first in range(0, runs, chunk):
+        # each run's generator draws its excitation seed, then its noise
+        rngs = [np.random.default_rng(base_seed + r) for r in range(first, min(first + chunk, runs))]
+        u_seeds = [int(rng.integers(0, 2 ** 31)) for rng in rngs]
+        u = np.stack([fixed_u if fixed_input else generate_signal(
+            replace(signal, seed=u_seed, channels=model.n_inputs)) for u_seed in u_seeds])
+        v = np.stack([rng.normal(0.0, std, size=(T, n_v)) for rng in rngs])
+        x, y = _open_loop(model, u, v, noise_mode)
+        for u_r, y_r, x_r in zip(u, y, x):
+            data = _dataset(model, u_r, y_r, x_r)
             try:
-                samples[alg].append(_observe(dm, alg).shifted)
-            except ValueError:
-                failures[alg] += 1
+                dm = _stage("data-matrices", build_data_matrices, data, depth, width)
+            except ValueError as exc:
+                for alg in ALGORITHMS:
+                    reasons[alg][_reason(exc)] += 1
+                continue
+            for alg in ALGORITHMS:
+                try:
+                    samples[alg].append(_observe(dm, alg).shifted)
+                except ValueError as exc:
+                    reasons[alg][_reason(exc)] += 1
 
     reports = []
     for alg in ALGORITHMS:
         if len(samples[alg]) < 2:
-            raise ValueError(f"{alg}: fewer than 2 successful runs ({failures[alg]} failures)")
-        reports.append(_reduce_report(alg, samples[alg], failures[alg], truth))
+            raise ValueError(
+                f"{alg}: fewer than 2 successful runs ({sum(reasons[alg].values())} failures, "
+                f"most often {reasons[alg].most_common(1)[0][0]})"
+            )
+        reports.append(_reduce_report(alg, samples[alg], reasons[alg], truth))
     return reports[0], reports[1]
 
 
-def _reduce_report(algorithm: str, estimates, failures: int, truth: np.ndarray) -> MonteCarloReport:
+def _reason(exc: ValueError) -> str:
+    """Stage and leading clause of a stage-tagged error, as ``stage: clause``."""
+    return ":".join(str(exc).split(";")[0].split(":")[:2])
+
+
+def _reduce_report(algorithm: str, estimates, reasons: Counter,
+                   truth: np.ndarray) -> MonteCarloReport:
     stack = np.stack(estimates)  # (runs, m, n)
     runs = stack.shape[0]
     mean = stack.mean(axis=0)
@@ -306,7 +328,8 @@ def _reduce_report(algorithm: str, estimates, failures: int, truth: np.ndarray) 
     return MonteCarloReport(
         algorithm=algorithm,
         runs=runs,
-        failures=failures,
+        failures=sum(reasons.values()),
+        failure_reasons=dict(reasons.most_common()),
         truth=truth,
         mean=mean,
         covariance=covariance,
@@ -377,7 +400,7 @@ def evaluate_closed_loop(
         y = ds.y[:, :model.n_outputs]
         if ref_spec.kind == "sinusoid" and ref_spec.frequency > 0:
             spp = int(round(2.0 * np.pi / (ref_spec.frequency * ref_spec.sample_time)))
-            amp = _fundamental_amplitude(y[:, 0], ref_spec, horizon)
+            amp = _fundamental_amplitude(y[:, 0], ref_spec, spp)
             sse = float(abs(amp - ref_spec.amplitude) / abs(ref_spec.amplitude))
             thd = harmonic_distortion(y[:, 0], spp)
         else:
@@ -387,11 +410,10 @@ def evaluate_closed_loop(
     return ClosedLoopMetrics(cost=cost, spectral_radius=rho, steady_state_error=sse, thd=thd)
 
 
-def _fundamental_amplitude(y: np.ndarray, ref: SignalSpec, horizon: int, periods: int = 10) -> float:
-    """Amplitude of the reference-frequency component over the final cycles."""
-    spp = int(round(2.0 * np.pi / (ref.frequency * ref.sample_time)))
+def _fundamental_amplitude(y: np.ndarray, ref: SignalSpec, spp: int, periods: int = 10) -> float:
+    """Amplitude of the reference-frequency component over the final ``periods`` cycles."""
     window = min(periods * spp, y.size)
-    t = np.arange(horizon - window, horizon) * ref.sample_time
+    t = np.arange(y.size - window, y.size) * ref.sample_time
     basis = np.column_stack([np.sin(ref.frequency * t), np.cos(ref.frequency * t)])
     coeff, *_ = np.linalg.lstsq(basis, y[-window:], rcond=None)
     return float(np.hypot(coeff[0], coeff[1]))

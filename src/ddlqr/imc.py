@@ -4,7 +4,8 @@ An internal-model controller replicates the reference's signal class inside
 the loop (an integrator for steps, a resonator for sinusoids). Filtering the
 plant outputs through the controller produces measurable controller states,
 and stacking them onto the plant data turns the tracking problem into a
-plain state-feedback design on an augmented system.
+plain state-feedback design on an augmented system. The filter runs every
+output channel through the simulators' LTI kernel in one batched call.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix_kit import as_series
-from .plant_sim import Dataset, StateSpaceModel
+from .plant_sim import Dataset, StateSpaceModel, _apply, _lti_run
 
 
 @dataclass
@@ -70,15 +71,8 @@ def filter_imc_states(y, imc: ImcRealization) -> np.ndarray:
     side by side, channel-major.
     """
     y = as_series(y)
-    T, q = y.shape
-    nc = imc.order
-    out = np.zeros((T, nc * q))
-    Ac, Bc = imc.A_c, imc.B_c[:, 0]
-    for j in range(q):
-        blk = slice(j * nc, (j + 1) * nc)
-        for k in range(T - 1):
-            out[k + 1, blk] = Ac @ out[k, blk] - Bc * y[k, j]
-    return out
+    xc = _lti_run(imc.A_c, 0.0, -_apply(imc.B_c, y.T[:, :, None]))  # one run per channel
+    return xc.transpose(1, 0, 2).reshape(len(y), -1)
 
 
 def augment_dataset(data: Dataset, imc: ImcRealization) -> Dataset:

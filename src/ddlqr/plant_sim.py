@@ -4,6 +4,12 @@ Produces the synchronized (input, output, state) batches the estimators
 consume. Models are plain (A, B, C) triples with optional process/measurement
 noise channels (E, F); continuous-time plants enter through zero-order-hold
 discretization.
+
+Every simulator is one call of the kernel ``_lti_run``, the recursion
+x(k+1) = A x(k) + d_1(k) + d_2(k) + ... over leading batch axes: the open
+loop (A driven by B u), the regulation loop (A - B K), the tracking loop
+(A_a - B_a K_a driven by the reference), ``imc.filter_imc_states`` (A_c
+driven by -B_c y per output) and a chunk of ``experiments.monte_carlo_obs`` runs.
 """
 
 from __future__ import annotations
@@ -42,26 +48,19 @@ class StateSpaceModel:
     sample_time: Optional[float] = None
 
     def __post_init__(self):
-        self.A = _check_finite("A", np.atleast_2d(np.asarray(self.A, dtype=float)))
-        self.B = _check_finite("B", np.atleast_2d(np.asarray(self.B, dtype=float)))
-        self.C = _check_finite("C", np.atleast_2d(np.asarray(self.C, dtype=float)))
+        for name in "ABCEF":
+            if name in "ABC" or getattr(self, name) is not None:
+                m = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
+                setattr(self, name, _check_finite(name, m))
         n = self.A.shape[0]
         if self.A.shape != (n, n):
             raise ValueError(f"A must be square, got {self.A.shape}")
-        if self.B.shape[0] != n:
-            raise ValueError(f"B has {self.B.shape[0]} rows, expected {n} to match A")
-        if self.C.shape[1] != n:
-            raise ValueError(f"C has {self.C.shape[1]} columns, expected {n} to match A")
-        if self.E is not None:
-            self.E = _check_finite("E", np.atleast_2d(np.asarray(self.E, dtype=float)))
-            if self.E.shape[0] != n:
-                raise ValueError(f"E has {self.E.shape[0]} rows, expected {n} to match A")
-        if self.F is not None:
-            self.F = _check_finite("F", np.atleast_2d(np.asarray(self.F, dtype=float)))
-            if self.F.shape[0] != self.C.shape[0]:
-                raise ValueError(
-                    f"F has {self.F.shape[0]} rows, expected {self.C.shape[0]} to match C"
-                )
+        for name, axis, size, match in (("B", 0, n, "A"), ("C", 1, n, "A"), ("E", 0, n, "A"),
+                                        ("F", 0, self.C.shape[0], "C")):
+            m = getattr(self, name)
+            if m is not None and m.shape[axis] != size:
+                raise ValueError(f"{name} has {m.shape[axis]} {('rows', 'columns')[axis]}, "
+                                 f"expected {size} to match {match}")
 
     @property
     def n_states(self) -> int:
@@ -195,23 +194,82 @@ def generate_signal(spec: SignalSpec) -> np.ndarray:
     raise ValueError(f"unsupported signal kind {spec.kind!r}")
 
 
-def _noise_series(name: str, series, length: int, width_name: str, width: int) -> np.ndarray:
-    arr = as_series(series)
-    if len(arr) != length:
-        raise ValueError(f"{name} has {len(arr)} samples, expected {length}")
-    if arr.shape[1] != width:
-        raise ValueError(f"{name} has {arr.shape[1]} channels, expected {width} to match {width_name}")
-    return arr
+def _lti_run(A: np.ndarray, x0, *drives: np.ndarray, steps: Optional[int] = None) -> np.ndarray:
+    """x(k+1) = A x(k) + d_1(k) + d_2(k) + ... from x(0) = x0, over leading batch axes.
+
+    The drives are (..., T, n) series (``steps`` gives T when there are none)
+    and x0 broadcasts against their batch axes. Each step is a batched
+    matrix-vector product and the drives are added one at a time, so every
+    run is bit-for-bit the loop ``x[k+1] = A @ x[k] + d_1[k]; x[k+1] += d_2[k]``.
+    """
+    T = drives[0].shape[-2] if drives else steps
+    if T < 1:
+        raise ValueError(f"a simulation needs at least one sample, got {T}")
+    batch = np.broadcast_shapes(np.shape(x0)[:-1], *(d.shape[:-2] for d in drives))
+    x = np.empty(batch + (T, len(A)))
+    x[..., 0, :] = x0
+    for k in range(T - 1):
+        nxt = x[..., k + 1, :]
+        np.matmul(A, x[..., k, :, None], out=nxt[..., None])
+        for d in drives:
+            nxt += d[..., k, :]
+    return x
 
 
-def simulate(
-    model: StateSpaceModel,
-    u,
-    x0=None,
-    v=None,
-    w=None,
-    noise_mode: str = "process",
-) -> Dataset:
+def _apply(M: np.ndarray, series: np.ndarray) -> np.ndarray:
+    """M s(k) for every sample of a (..., T, m) series, as the per-sample product."""
+    return (M @ series[..., None])[..., 0]
+
+
+def _checked(model: StateSpaceModel, x0, length: int, v, w):
+    """x0 (zeros when None), v and w checked against the model."""
+    n = model.n_states
+    x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
+    if x0.shape[0] != n:
+        raise ValueError(f"x0 has dimension {x0.shape[0]}, expected {n} to match A")
+    checked = [x0]
+    for name, series, label, channel in (("v", v, "E", model.E), ("w", w, "F", model.F)):
+        if series is not None:
+            if channel is None:
+                kind = "process" if name == "v" else "measurement"
+                raise ValueError(f"model has no {label} channel for {kind} noise {name}")
+            series = as_series(series)
+            if series.shape != (length, channel.shape[1]):
+                raise ValueError(f"{name} has shape {series.shape}, expected "
+                                 f"({length}, {channel.shape[1]}) to match the samples and {label}")
+        checked.append(series)
+    return checked
+
+
+def _dataset(model: StateSpaceModel, u, y, x) -> Dataset:
+    return Dataset(u=u, y=y, x=x, sample_time=1.0 if model.sample_time is None else model.sample_time)
+
+
+def _open_loop(model: StateSpaceModel, u, v=None, noise_mode: str = "process", x0=0.0, w=None):
+    """States and outputs of the open loop; leading axes of the series batch runs."""
+    drives = [_apply(model.B, u)]
+    if v is not None and noise_mode == "process":
+        drives.append(_apply(model.E, v))
+    x = _lti_run(model.A, x0, *drives)
+    if v is not None and noise_mode == "measurement":
+        x = x + v @ model.E.T
+    y = x @ model.C.T
+    return x, y if w is None else y + w @ model.F.T
+
+
+def _feedback(model: StateSpaceModel, A_cl, K, x0, drives, w, steps: int) -> Dataset:
+    """Run x(k+1) = A_cl x(k) + drives with u = -K x; y = C x + F w on the plant states."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = _lti_run(A_cl, x0, *drives, steps=steps)
+        u = -_apply(K, x)
+        y = x[:, :model.n_states] @ model.C.T
+        if w is not None:
+            y = y + w @ model.F.T
+    return _dataset(model, u, np.hstack([y, x[:, model.n_states:]]), x)
+
+
+def simulate(model: StateSpaceModel, u, x0=None, v=None, w=None,
+             noise_mode: str = "process") -> Dataset:
     """Run the model open loop over an input series.
 
     ``noise_mode`` selects how the state-noise series v enters:
@@ -227,139 +285,55 @@ def simulate(
     if noise_mode not in NOISE_MODES:
         raise ValueError(f"noise_mode must be 'process' or 'measurement', got {noise_mode!r}")
     u = as_series(u)
-    T = len(u)
-    n, p, q = model.n_states, model.n_inputs, model.n_outputs
-    if u.shape[1] != p:
-        raise ValueError(f"u has {u.shape[1]} channels, expected {p} to match B")
-    x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape[0] != n:
-        raise ValueError(f"x0 has dimension {x0.shape[0]}, expected {n} to match A")
-    if v is not None:
-        if model.E is None:
-            raise ValueError("model has no E channel for process noise v")
-        v = _noise_series("v", v, T, "E", model.E.shape[1])
-    if w is not None:
-        if model.F is None:
-            raise ValueError("model has no F channel for measurement noise w")
-        w = _noise_series("w", w, T, "F", model.F.shape[1])
-
-    x = np.empty((T, n))
-    x[0] = x0
-    drive = v if (v is not None and noise_mode == "process") else None
-    for k in range(T - 1):
-        x[k + 1] = model.A @ x[k] + model.B @ u[k]
-        if drive is not None:
-            x[k + 1] += model.E @ drive[k]
-    if v is not None and noise_mode == "measurement":
-        x = x + v @ model.E.T
-    y = x @ model.C.T
-    if w is not None:
-        y = y + w @ model.F.T
-    ts = model.sample_time if model.sample_time is not None else 1.0
-    return Dataset(u=u, y=y, x=x, sample_time=ts)
+    if u.shape[1] != model.n_inputs:
+        raise ValueError(f"u has {u.shape[1]} channels, expected {model.n_inputs} to match B")
+    x0, v, w = _checked(model, x0, len(u), v, w)
+    x, y = _open_loop(model, u, v, noise_mode, x0, w)
+    return _dataset(model, u, y, x)
 
 
-def closed_loop_simulate(
-    model: StateSpaceModel,
-    K,
-    x0,
-    horizon: int,
-    v=None,
-    w=None,
-) -> Dataset:
-    """Simulate the regulation loop u(k) = -K x(k) for ``horizon`` steps."""
+def closed_loop_simulate(model: StateSpaceModel, K, x0, horizon: int, v=None,
+                         w=None) -> Dataset:
+    """Simulate the regulation loop u(k) = -K x(k) for ``horizon`` steps.
+
+    The state runs under the closed-loop matrix A - B K, driven by E v.
+    """
     K = np.atleast_2d(np.asarray(K, dtype=float))
-    n, p = model.n_states, model.n_inputs
-    if K.shape != (p, n):
-        raise ValueError(f"K has shape {K.shape}, expected ({p}, {n})")
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape[0] != n:
-        raise ValueError(f"x0 has dimension {x0.shape[0]}, expected {n}")
-    if v is not None:
-        if model.E is None:
-            raise ValueError("model has no E channel for process noise v")
-        v = _noise_series("v", v, horizon, "E", model.E.shape[1])
-    if w is not None:
-        if model.F is None:
-            raise ValueError("model has no F channel for measurement noise w")
-        w = _noise_series("w", w, horizon, "F", model.F.shape[1])
-
-    x = np.empty((horizon, n))
-    u = np.empty((horizon, p))
-    x[0] = x0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(horizon):
-            u[k] = -K @ x[k]
-            if k + 1 < horizon:
-                x[k + 1] = model.A @ x[k] + model.B @ u[k]
-                if v is not None:
-                    x[k + 1] += model.E @ v[k]
-        y = x @ model.C.T
-    if w is not None:
-        y = y + w @ model.F.T
-    ts = model.sample_time if model.sample_time is not None else 1.0
-    return Dataset(u=u, y=y, x=x, sample_time=ts)
+    if K.shape != (model.n_inputs, model.n_states):
+        raise ValueError(f"K has shape {K.shape}, expected ({model.n_inputs}, {model.n_states})")
+    x0, v, w = _checked(model, np.asarray(x0, dtype=float), horizon, v, w)
+    drives = [] if v is None else [_apply(model.E, v)]
+    return _feedback(model, model.A - model.B @ K, K, x0, drives, w, horizon)
 
 
-def tracking_loop_simulate(
-    model: StateSpaceModel,
-    imc,
-    K_a,
-    r,
-    x0=None,
-    v=None,
-    w=None,
-) -> Dataset:
+def tracking_loop_simulate(model: StateSpaceModel, imc, K_a, r, x0=None, v=None,
+                           w=None) -> Dataset:
     """Close the loop of plant + internal-model controller on a reference.
 
     Each output channel owns one controller copy driven by its tracking
     error, x_c(k+1) = A_c x_c(k) + B_c (r_j(k) - y_j(k)), and the input is
-    u(k) = -K_a [x(k); x_imc(k)]. The returned dataset is the augmented one:
-    y holds [y; x_imc] and x holds [x; x_imc].
+    u(k) = -K_a [x(k); x_imc(k)]. So [x; x_imc] runs under A_a - B_a K_a of
+    ``imc.augment_model``, driven by G r with G = [0; I_q (x) B_c], by E v and
+    by -G F w. The returned dataset is the augmented one: y holds [y; x_imc]
+    and x holds [x; x_imc].
     """
+    from .imc import augment_model
+
     r = as_series(r)
-    T = len(r)
     n, p, q = model.n_states, model.n_inputs, model.n_outputs
-    nc = imc.order
     if r.shape[1] != q:
         raise ValueError(f"reference has {r.shape[1]} channels, expected {q} outputs")
     K_a = np.atleast_2d(np.asarray(K_a, dtype=float))
-    if K_a.shape != (p, n + nc * q):
-        raise ValueError(f"K_a has shape {K_a.shape}, expected ({p}, {n + nc * q})")
-    x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape[0] != n:
-        raise ValueError(f"x0 has dimension {x0.shape[0]}, expected {n}")
-    if v is not None:
-        if model.E is None:
-            raise ValueError("model has no E channel for process noise v")
-        v = _noise_series("v", v, T, "E", model.E.shape[1])
+    if K_a.shape != (p, n + imc.order * q):
+        raise ValueError(f"K_a has shape {K_a.shape}, expected ({p}, {n + imc.order * q})")
+    x0, v, w = _checked(model, x0, len(r), v, w)
+    aug = augment_model(model, imc)
+    G = np.vstack([np.zeros((n, q)), np.kron(np.eye(q), imc.B_c)])
+    drives = [_apply(G, r)] + ([] if v is None else [_apply(aug.E, v)])
     if w is not None:
-        if model.F is None:
-            raise ValueError("model has no F channel for measurement noise w")
-        w = _noise_series("w", w, T, "F", model.F.shape[1])
-
-    Ac, Bc = imc.A_c, imc.B_c
-    x = np.empty((T, n))
-    xc = np.zeros((T, nc * q))
-    u = np.empty((T, p))
-    y = np.empty((T, q))
-    x[0] = x0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(T):
-            u[k] = -K_a @ np.concatenate([x[k], xc[k]])
-            y[k] = model.C @ x[k]
-            if w is not None:
-                y[k] += model.F @ w[k]
-            if k + 1 < T:
-                x[k + 1] = model.A @ x[k] + model.B @ u[k]
-                if v is not None:
-                    x[k + 1] += model.E @ v[k]
-                err = r[k] - y[k]
-                for j in range(q):
-                    blk = slice(j * nc, (j + 1) * nc)
-                    xc[k + 1, blk] = Ac @ xc[k, blk] + Bc[:, 0] * err[j]
-    ts = model.sample_time if model.sample_time is not None else 1.0
-    return Dataset(u=u, y=np.hstack([y, xc]), x=np.hstack([x, xc]), sample_time=ts)
+        drives.append(-_apply(G, _apply(model.F, w)))
+    x0_a = np.concatenate([x0, np.zeros(imc.order * q)])
+    return _feedback(model, aug.A - aug.B @ K_a, K_a, x0_a, drives, w, len(r))
 
 
 def zoh_discretize(Ac, Bc, C, Ts: float) -> StateSpaceModel:

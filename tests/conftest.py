@@ -34,6 +34,27 @@ def prbs_dataset(model: StateSpaceModel, length: int = 1022, seed: int = 7,
     return simulate(model, generate_signal(spec))
 
 
+def first_run_anticipates(monkeypatch) -> None:
+    """Make the first Monte Carlo run unidentifiable.
+
+    Its outputs repeat the input 3 steps ahead (y_t = u_{t+3}), so its future
+    inputs lie in the span of its past outputs. The patch sits where
+    ``monte_carlo_obs`` simulates a chunk of runs.
+    """
+    import ddlqr.experiments
+
+    open_loop, calls = ddlqr.experiments._open_loop, []
+
+    def patched(model, u, *args):
+        x, y = open_loop(model, u, *args)
+        calls.append(None)
+        if len(calls) == 1:
+            y[0] = np.vstack([u[0, 3:], u[0, :3]])
+        return x, y
+
+    monkeypatch.setattr(ddlqr.experiments, "_open_loop", patched)
+
+
 def random_stable_system(rng: np.random.Generator, n_max: int = 4, p_max: int = 2,
                          q_max: int = 2, radius: tuple = (0.3, 0.9)) -> StateSpaceModel:
     """Random stable (hence stabilizable) system with generic B and C."""

@@ -13,13 +13,30 @@ The library evaluates Gamma = (Q_N^-1 + S R_N^-1 S')^-1 through the
 matrix-inversion lemma; ``textbook_gamma`` inverts it as written, and
 ``textbook_gain`` and ``dd_lqr_p`` build the closed-form gain and Riccati
 solution on it.
+
+The simulators all run one batched LTI kernel. ``loop_simulate``,
+``loop_closed_loop``, ``loop_tracking_loop`` and ``loop_filter_imc_states``
+step the plant, the regulation loop, the plant with its internal-model
+controllers, and the controller filter one sample at a time, as written in
+their docstrings; ``per_run_monte_carlo`` simulates and estimates one
+Monte Carlo run at a time with them.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
-from ddlqr import block_diag_repeat
+from ddlqr import (
+    Dataset,
+    block_diag_repeat,
+    build_data_matrices,
+    estimate_obs_alg1,
+    estimate_obs_alg2,
+    estimate_predictor,
+    generate_signal,
+)
+from ddlqr.observability import ALGORITHMS
 
 PINV_TOL = 1e-12
 RANK_TOL = 1e-8
@@ -117,3 +134,105 @@ def dd_lqr_p(O, S, weights, horizon: int) -> np.ndarray:
     RN = block_diag_repeat(weights.R, blocks)
     P = O.T @ textbook_gamma(S, QN, RN) @ O
     return 0.5 * (P + P.T)
+
+
+def loop_simulate(model, u, x0=None, v=None, w=None, noise_mode="process"):
+    """x(k+1) = A x + B u (+ E v in process mode); y = C x (+ F w)."""
+    u = np.asarray(u, dtype=float).reshape(len(u), -1)
+    T, n = len(u), model.n_states
+    x = np.empty((T, n))
+    x[0] = np.zeros(n) if x0 is None else x0
+    for k in range(T - 1):
+        x[k + 1] = model.A @ x[k] + model.B @ u[k]
+        if v is not None and noise_mode == "process":
+            x[k + 1] += model.E @ v[k]
+    if v is not None and noise_mode == "measurement":
+        x = x + v @ model.E.T
+    y = x @ model.C.T
+    if w is not None:
+        y = y + w @ model.F.T
+    return Dataset(u=u, y=y, x=x)
+
+
+def loop_closed_loop(model, K, x0, horizon, v=None, w=None):
+    """u(k) = -K x(k); x(k+1) = A x + B u (+ E v); y = C x (+ F w)."""
+    n, p = model.n_states, model.n_inputs
+    x = np.empty((horizon, n))
+    u = np.empty((horizon, p))
+    x[0] = x0
+    for k in range(horizon):
+        u[k] = -K @ x[k]
+        if k + 1 < horizon:
+            x[k + 1] = model.A @ x[k] + model.B @ u[k]
+            if v is not None:
+                x[k + 1] += model.E @ v[k]
+    y = x @ model.C.T
+    if w is not None:
+        y = y + w @ model.F.T
+    return Dataset(u=u, y=y, x=x)
+
+
+def loop_tracking_loop(model, imc, K_a, r, x0=None, v=None, w=None):
+    """Plant plus one controller copy per output on the tracking error r - y."""
+    T = len(r)
+    n, p, q = model.n_states, model.n_inputs, model.n_outputs
+    nc = imc.order
+    x = np.empty((T, n))
+    xc = np.zeros((T, nc * q))
+    u = np.empty((T, p))
+    y = np.empty((T, q))
+    x[0] = np.zeros(n) if x0 is None else x0
+    for k in range(T):
+        u[k] = -K_a @ np.concatenate([x[k], xc[k]])
+        y[k] = model.C @ x[k]
+        if w is not None:
+            y[k] += model.F @ w[k]
+        if k + 1 < T:
+            x[k + 1] = model.A @ x[k] + model.B @ u[k]
+            if v is not None:
+                x[k + 1] += model.E @ v[k]
+            err = r[k] - y[k]
+            for j in range(q):
+                blk = slice(j * nc, (j + 1) * nc)
+                xc[k + 1, blk] = imc.A_c @ xc[k, blk] + imc.B_c[:, 0] * err[j]
+    return Dataset(u=u, y=np.hstack([y, xc]), x=np.hstack([x, xc]))
+
+
+def loop_filter_imc_states(y, imc) -> np.ndarray:
+    """x_c(k+1) = A_c x_c(k) - B_c y_j(k) per output channel j, channel-major."""
+    T, q = y.shape
+    nc = imc.order
+    out = np.zeros((T, nc * q))
+    for j in range(q):
+        blk = slice(j * nc, (j + 1) * nc)
+        for k in range(T - 1):
+            out[k + 1, blk] = imc.A_c @ out[k, blk] - imc.B_c[:, 0] * y[k, j]
+    return out
+
+
+def per_run_monte_carlo(model, signal, depth, runs, noise_variance, base_seed=0,
+                        width=None, noise_mode="measurement"):
+    """Shifted-observability samples and failure counts, one run at a time.
+
+    Draws each run as ``monte_carlo_obs`` does: ``default_rng(base_seed + r)``,
+    then the excitation seed, then the state noise.
+    """
+    samples = {alg: [] for alg in ALGORITHMS}
+    failures = dict.fromkeys(ALGORITHMS, 0)
+    for r in range(runs):
+        rng = np.random.default_rng(base_seed + r)
+        u_seed = int(rng.integers(0, 2 ** 31))
+        u = generate_signal(replace(signal, seed=u_seed, channels=model.n_inputs))
+        v = rng.normal(0.0, np.sqrt(noise_variance), size=(len(u), model.E.shape[1]))
+        dm = build_data_matrices(loop_simulate(model, u, v=v, noise_mode=noise_mode),
+                                 depth, width)
+        for alg in ALGORITHMS:
+            try:
+                if alg == "alg1":
+                    est = estimate_obs_alg1(dm, estimate_predictor(dm).toeplitz)
+                else:
+                    est = estimate_obs_alg2(dm)
+                samples[alg].append(est.shifted)
+            except ValueError:
+                failures[alg] += 1
+    return samples, failures

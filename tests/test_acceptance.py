@@ -111,7 +111,7 @@ def test_criterion_3_riccati_oracle():
 
 
 def test_criterion_4_noisy_monte_carlo():
-    with _Criterion(4, "noisy scalar Monte Carlo, 5000 runs", budget_s=120.0):
+    with _Criterion(4, "noisy scalar Monte Carlo, 5000 runs", budget_s=20.0):
         model = scalar_model(with_noise=True)
         spec = SignalSpec(kind="prbs", length=1022, amplitude=1.0, hold=3)
         rep1, rep2 = monte_carlo_obs(

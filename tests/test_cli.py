@@ -2,6 +2,7 @@ from pathlib import Path
 
 import numpy as np
 
+from conftest import first_run_anticipates
 from ddlqr import Dataset
 from ddlqr.cli import main
 from ddlqr.storage import read_dataset, read_matrix, write_dataset
@@ -118,6 +119,13 @@ class TestDesign:
             assert code == 2
             assert "[estimation] structure" in capsys.readouterr().err
 
+    def test_negative_noise_variance_exits_2(self, tmp_path, capsys):
+        for command, config in (("design", REGULATION), ("simulate", MC)):
+            code = run(command, config, "--output-dir", str(tmp_path),
+                       "--set", "noise.variance=-1", "--set", f"io.dataset={tmp_path}/d.csv")
+            assert code == 2
+            assert "[noise] variance must be >= 0" in capsys.readouterr().err
+
     def test_design_from_dataset_file(self, tmp_path):
         run("simulate", REGULATION, "--output-dir", str(tmp_path),
             "--set", f"io.dataset={tmp_path}/dataset.csv")
@@ -161,6 +169,32 @@ class TestMonteCarlo:
         assert code == 2
         assert "[montecarlo] noise_mode" in capsys.readouterr().err
 
+    def test_negative_variance_exits_2(self, tmp_path, capsys):
+        code = run("montecarlo", MC, "--output-dir", str(tmp_path),
+                   "--set", "montecarlo.variance=-1", "--set", "montecarlo.runs=5")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "[montecarlo] variance must be >= 0" in err and "non-finite" not in err
+
+    def test_failure_reasons_listed(self, tmp_path, monkeypatch):
+        first_run_anticipates(monkeypatch)
+        assert run("montecarlo", MC, "--output-dir", str(tmp_path),
+                   "--set", "montecarlo.runs=5") == 0
+        report = (tmp_path / "montecarlo.txt").read_text().splitlines()
+        assert report[:2] == [
+            "alg1: runs 4, failures 1",
+            "  failure reason      markov-estimation: insufficient excitation (1 runs)",
+        ]
+        assert "alg2: runs 5, failures 0" in report
+        assert sum("failure reason" in line for line in report) == 1
+
+    def test_too_few_successes_name_the_reason(self, tmp_path, capsys):
+        code = run("montecarlo", MC, "--output-dir", str(tmp_path),
+                   "--set", "signal.length=6", "--set", "montecarlo.runs=5")
+        assert code == 1
+        assert ("fewer than 2 successful runs (5 failures, most often data-matrices: "
+                "need T >= 2*depth + width - 1)") in capsys.readouterr().err
+
     def test_single_run_rejected(self, tmp_path, capsys):
         code = run("montecarlo", MC, "--output-dir", str(tmp_path),
                    "--set", "montecarlo.runs=1")
@@ -200,6 +234,15 @@ class TestEval:
             line.split(",") for line in (tmp_path / "eval.csv").read_text().splitlines()[1:]
         )
         assert float(rows["spectral_radius"]) >= 1.0
+
+    def test_nonpositive_horizon_exits_2(self, tmp_path, capsys):
+        run("design", REGULATION, "--output-dir", str(tmp_path))
+        for horizon in (0, -3):
+            code = run("eval", REGULATION, "--output-dir", str(tmp_path),
+                       "--set", "eval.scenario=regulation", "--set", "eval.x0=[1.0,-1.0]",
+                       "--set", f"eval.horizon={horizon}", "--set", f"io.gain={tmp_path}/gain.csv")
+            assert code == 2, horizon
+            assert f"[eval] horizon must be >= 1, got {horizon}" in capsys.readouterr().err
 
     def test_tracking_metrics_schema(self, tmp_path):
         assert run("design", UPS, "--output-dir", str(tmp_path)) == 0

@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 
 import ddlqr.experiments
-from conftest import prbs_dataset, random_stable_system, scalar_model, two_output_model
+from conftest import (
+    first_run_anticipates,
+    prbs_dataset,
+    random_stable_system,
+    scalar_model,
+    two_output_model,
+)
+from oracles import per_run_monte_carlo
 from ddlqr import (
-    Dataset,
     LqrDesign,
     LqrWeights,
     PipelineConfig,
@@ -200,9 +206,9 @@ class TestConvergenceSweep:
 
 
 class TestMonteCarlo:
-    def mc(self, runs=60, **kw):
+    def mc(self, runs=60, signal=None, **kw):
         model = scalar_model(with_noise=True)
-        spec = SignalSpec(kind="prbs", length=1022, amplitude=1.0, hold=3)
+        spec = signal or SignalSpec(kind="prbs", length=1022, amplitude=1.0, hold=3)
         args = dict(depth=3, runs=runs, noise_variance=0.1, base_seed=0, width=420)
         args.update(kw)
         return monte_carlo_obs(model, spec, **args)
@@ -235,22 +241,51 @@ class TestMonteCarlo:
         assert not np.array_equal(free[0].mean, fixed[0].mean)
 
     def test_unidentifiable_run_counts_as_failure(self, monkeypatch):
-        # the first run's outputs repeat the input 3 steps ahead (y_t = u_{t+3}),
-        # so its future inputs lie in the span of its past outputs
-        calls = []
-
-        def first_run_anticipates(model, u, **kw):
-            data = simulate(model, u, **kw)
-            calls.append(None)
-            if len(calls) > 1:
-                return data
-            y = np.vstack([data.u[3:], data.u[:3]])
-            return Dataset(u=data.u, y=y, x=data.x)
-
-        monkeypatch.setattr(ddlqr.experiments, "simulate", first_run_anticipates)
+        first_run_anticipates(monkeypatch)
         rep1, rep2 = self.mc(runs=20)
         assert (rep1.failures, rep1.runs) == (1, 19)
         assert (rep2.failures, rep2.runs) == (0, 20)
+        assert rep1.failure_reasons == {"markov-estimation: insufficient excitation": 1}
+        assert rep2.failure_reasons == {}
+
+    def test_too_few_successes_name_the_reason(self):
+        with pytest.raises(ValueError, match=r"alg1: fewer than 2 successful runs \(3 failures, "
+                           r"most often data-matrices: need T >= 2\*depth \+ width - 1\)"):
+            self.mc(runs=3, signal=SignalSpec(kind="prbs", length=6))
+
+    def test_rejects_negative_variance(self):
+        with pytest.raises(ValueError, match="variance must be >= 0"):
+            self.mc(noise_variance=-1.0)
+
+    def test_chunks_match_per_run_loop(self, monkeypatch):
+        # a 2-state plant with two noise channels, one chunk and 3 runs more
+        model = StateSpaceModel(A=[[0.5, 0.2], [-0.1, 0.3]], B=[[1.0], [0.4]],
+                                C=[[1.0, 0.0]], E=[[1.0, 0.0], [0.0, 0.5]])
+        spec = SignalSpec(kind="prbs", length=1022, amplitude=1.0, hold=3)
+        chunk = ddlqr.experiments.MC_CHUNK_SAMPLES // spec.length
+        runs = chunk + 3
+        kernel_calls = []
+
+        def counted(*args, **kw):
+            kernel_calls.append(None)
+            return lti_run(*args, **kw)
+
+        lti_run = ddlqr.plant_sim._lti_run
+        monkeypatch.setattr(ddlqr.plant_sim, "_lti_run", counted)
+        for mode in ("measurement", "process"):
+            kernel_calls.clear()
+            args = dict(depth=3, runs=runs, noise_variance=0.1, base_seed=4, noise_mode=mode)
+            reports = monte_carlo_obs(model, spec, **args)
+            assert len(kernel_calls) == -(-runs // chunk) == 2
+            samples, failures = per_run_monte_carlo(model, spec, **args)
+            for rep in reports:
+                stack = np.stack(samples[rep.algorithm])
+                assert (rep.runs, rep.failures) == (len(stack), failures[rep.algorithm])
+                np.testing.assert_allclose(rep.mean, stack.mean(axis=0), rtol=1e-12, atol=0)
+                dev = stack - stack.mean(axis=0)
+                cov = sum(d @ d.T for d in dev) / len(stack)
+                np.testing.assert_allclose(rep.covariance, cov, rtol=1e-12,
+                                           atol=1e-12 * np.abs(cov).max())
 
     def test_rejects_single_run(self):
         with pytest.raises(ValueError, match="at least 2 runs"):

@@ -82,6 +82,11 @@ class TestSimulate:
             simulate(model, np.zeros((5, 3)))
         with pytest.raises(ValueError, match="no E channel"):
             simulate(model, np.zeros((5, 2)), v=np.zeros(5))
+        noisy = scalar_model(with_noise=True)
+        with pytest.raises(ValueError, match=r"v has shape \(4, 1\), expected \(5, 1\)"):
+            simulate(noisy, np.zeros(5), v=np.zeros(4))
+        with pytest.raises(ValueError, match="no F channel"):
+            closed_loop_simulate(noisy, [[0.0]], [1.0], 5, w=np.zeros(5))
 
 
 class TestClosedLoop:

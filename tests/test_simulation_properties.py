@@ -1,0 +1,129 @@
+"""Property tests: the kernel-backed simulators against per-sample loops.
+
+Random systems of every small (n, p, q, T), with process noise v and output
+noise w, run through ``simulate`` (both noise modes), the regulation and
+tracking loops and the internal-model filter, and through the loops in
+``oracles``. The open loop and the filter add the same products in the same
+order, so they agree exactly; the closed loops run A - B K as one matrix and
+agree within RTOL. The input u = -K x and the output y = C x + F w are
+products, which cancel when K or C is nearly orthogonal to a growing mode,
+so their errors are measured against the size of their terms.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from oracles import loop_closed_loop, loop_filter_imc_states, loop_simulate, loop_tracking_loop
+from ddlqr import (
+    ImcRealization,
+    StateSpaceModel,
+    closed_loop_simulate,
+    filter_imc_states,
+    simulate,
+    tracking_loop_simulate,
+)
+from ddlqr.plant_sim import _lti_run
+
+RTOL = 1e-12
+
+
+def _rel(got, expect, scale=None) -> float:
+    """Max-entry error relative to ``scale``, by default the largest entry of ``expect``."""
+    scale = np.abs(expect).max() if scale is None else scale
+    return float(np.abs(got - expect).max() / max(scale, 1e-300))
+
+
+def _loop_errors(model, K, got, expect, w):
+    """Errors of x, of u = -K x and of y = C x + F w, each against its scale."""
+    top = lambda m: np.abs(m).max()
+    n_y = model.n_outputs
+    y_scale = top(model.C) * top(expect.x[:, :model.n_states]) + top(model.F) * top(w)
+    return {
+        "x": _rel(got.x, expect.x),
+        "u": _rel(got.u, expect.u, top(K) * top(expect.x)),
+        "y": _rel(got.y[:, :n_y], expect.y[:, :n_y], y_scale),
+    }
+
+
+@st.composite
+def systems(draw):
+    n, p, q = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    T = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = rng.normal(size=(n, n))
+    A *= rng.uniform(0.2, 0.95) / max(np.abs(np.linalg.eigvals(A)).max(), 1e-12)
+    model = StateSpaceModel(A=A, B=rng.normal(size=(n, p)), C=rng.normal(size=(q, n)),
+                            E=rng.normal(size=(n, 2)), F=rng.normal(size=(q, 1)))
+    nc = draw(st.integers(1, 2))
+    imc = ImcRealization(A_c=rng.normal(size=(nc, nc)), B_c=rng.normal(size=nc))
+    return model, imc, T, rng
+
+
+SETTINGS = settings(derandomize=True, max_examples=60, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@SETTINGS
+@given(systems(), st.sampled_from(["process", "measurement"]))
+def test_open_loop_matches_per_sample_loop(system, noise_mode):
+    model, _, T, rng = system
+    u, x0 = rng.normal(size=(T, model.n_inputs)), rng.normal(size=model.n_states)
+    v, w = rng.normal(size=(T, 2)), rng.normal(size=(T, 1))
+    got = simulate(model, u, x0, v=v, w=w, noise_mode=noise_mode)
+    expect = loop_simulate(model, u, x0, v=v, w=w, noise_mode=noise_mode)
+    np.testing.assert_array_equal(got.x, expect.x)
+    np.testing.assert_array_equal(got.y, expect.y)
+
+
+@SETTINGS
+@given(systems())
+def test_regulation_loop_matches_per_sample_loop(system):
+    model, _, T, rng = system
+    K = 0.3 * rng.normal(size=(model.n_inputs, model.n_states))
+    x0, v, w = rng.normal(size=model.n_states), rng.normal(size=(T, 2)), rng.normal(size=(T, 1))
+    got = closed_loop_simulate(model, K, x0, T, v=v, w=w)
+    expect = loop_closed_loop(model, K, x0, T, v=v, w=w)
+    for name, err in _loop_errors(model, K, got, expect, w).items():
+        assert err <= RTOL, name
+
+
+@SETTINGS
+@given(systems())
+def test_tracking_loop_matches_per_sample_loop(system):
+    model, imc, T, rng = system
+    n_a = model.n_states + imc.order * model.n_outputs
+    K_a = 0.3 * rng.normal(size=(model.n_inputs, n_a))
+    r, x0 = rng.normal(size=(T, model.n_outputs)), rng.normal(size=model.n_states)
+    v, w = rng.normal(size=(T, 2)), rng.normal(size=(T, 1))
+    got = tracking_loop_simulate(model, imc, K_a, r, x0, v=v, w=w)
+    expect = loop_tracking_loop(model, imc, K_a, r, x0, v=v, w=w)
+    for name, err in _loop_errors(model, K_a, got, expect, w).items():
+        assert err <= RTOL, name
+    np.testing.assert_array_equal(got.y[:, model.n_outputs:], got.x[:, model.n_states:])
+
+
+@SETTINGS
+@given(systems())
+def test_imc_filter_matches_per_sample_loop(system):
+    model, imc, T, rng = system
+    y = rng.normal(size=(T, model.n_outputs))
+    np.testing.assert_array_equal(filter_imc_states(y, imc), loop_filter_imc_states(y, imc))
+
+
+def test_kernel_batches_independent_runs():
+    rng = np.random.default_rng(5)
+    A = rng.normal(size=(3, 3))
+    x0, d1, d2 = rng.normal(size=(4, 3)), rng.normal(size=(4, 9, 3)), rng.normal(size=(9, 3))
+    x = _lti_run(A, x0, d1, d2)
+    assert x.shape == (4, 9, 3)
+    for b in range(4):
+        np.testing.assert_array_equal(x[b], _lti_run(A, x0[b], d1[b], d2))
+
+
+def test_kernel_rejects_empty_horizon():
+    with pytest.raises(ValueError, match="at least one sample"):
+        _lti_run(np.eye(2), np.zeros(2), steps=0)
+    with pytest.raises(ValueError, match="at least one sample"):
+        _lti_run(np.eye(2), np.zeros(2), np.zeros((0, 2)))
