@@ -171,15 +171,11 @@ def cmd_montecarlo(cfg: RunConfig, outdir: Path) -> int:
     depth, width = _estimation(cfg)
     runs = cfg.get_int("montecarlo", "runs", required=True)
     reports = monte_carlo_obs(
-        model,
-        spec,
-        depth,
-        runs,
+        model, spec, _at_least(depth, 2, "estimation", "depth"), runs,
         noise_variance=_at_least(cfg.get_float("montecarlo", "variance", required=True), 0,
                                  "montecarlo", "variance"),
-        base_seed=cfg.get_int("montecarlo", "seed", 0),
-        width=width,
-        noise_mode=_noise_mode(cfg, "montecarlo", "noise_mode", "measurement"),
+        base_seed=_at_least(cfg.get_int("montecarlo", "seed", 0), 0, "montecarlo", "seed"),
+        width=width, noise_mode=_noise_mode(cfg, "montecarlo", "noise_mode", "measurement"),
         fixed_input=cfg.get_bool("montecarlo", "fixed_input", False),
     )
     eig_lines = ["algorithm,quantity," + ",".join(

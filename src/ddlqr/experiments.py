@@ -203,10 +203,10 @@ def synthesize(est: DataDrivenEstimate, weights: LqrWeights, horizon: int) -> Lq
         gain_order=order,
         depth=markov.depth,
         width=est.width,
-        input_rank=markov.input_rank,
-        input_rank_margin=markov.input_rank_margin,
-        regressor_rank=markov.regressor_rank,
-        obs_residual=obs.residual,
+        input_rank=int(markov.input_rank),
+        input_rank_margin=float(markov.input_rank_margin),
+        regressor_rank=int(markov.regressor_rank),
+        obs_residual=float(obs.residual),
         algorithm=obs.algorithm,
     )
     return LqrDesign(K=design.K, horizon=horizon, weights=weights, diagnostics=diagnostics)
@@ -242,28 +242,25 @@ def convergence_sweep(
     return rows
 
 
-def monte_carlo_obs(
-    model: StateSpaceModel,
-    signal: SignalSpec,
-    depth: int,
-    runs: int,
-    noise_variance: float,
-    base_seed: int = 0,
-    width: Optional[int] = None,
-    noise_mode: str = "measurement",
-    fixed_input: bool = False,
-) -> Tuple[MonteCarloReport, MonteCarloReport]:
+def monte_carlo_obs(model: StateSpaceModel, signal: SignalSpec, depth: int, runs: int,
+                    noise_variance: float, base_seed: int = 0, width: Optional[int] = None,
+                    noise_mode: str = "measurement",
+                    fixed_input: bool = False) -> Tuple[MonteCarloReport, MonteCarloReport]:
     """Monte Carlo statistics of both observability estimators under noise.
 
     Each run redraws the excitation signal and the state-noise sequence from
     a run-indexed seed (``fixed_input`` keeps one excitation realization
     across runs and redraws only the noise), simulates the model, and
     estimates the shifted observability matrix with both algorithms, one
-    run at a time; the simulation batches ``MC_CHUNK_SAMPLES // T`` runs per
-    call. Runs where an estimation stage fails are counted and excluded.
+    batch of ``MC_CHUNK_SAMPLES // T`` runs at a time. Runs where an
+    estimation stage fails are counted and excluded.
     """
     if runs < 2:
         raise ValueError("need at least 2 runs for covariance statistics")
+    if depth < 2:
+        raise ValueError(f"depth must be >= 2 to shift the observability matrix, got {depth}")
+    if base_seed < 0:
+        raise ValueError(f"base seed must be >= 0, got {base_seed}")
     if not noise_variance >= 0:
         raise ValueError(f"noise variance must be >= 0, got {noise_variance}")
     if model.E is None:
@@ -285,19 +282,15 @@ def monte_carlo_obs(
             replace(signal, seed=u_seed, channels=model.n_inputs)) for u_seed in u_seeds])
         v = np.stack([rng.normal(0.0, std, size=(T, n_v)) for rng in rngs])
         x, y = _open_loop(model, u, v, noise_mode)
-        for u_r, y_r, x_r in zip(u, y, x):
-            data = _dataset(model, u_r, y_r, x_r)
-            try:
-                dm = _stage("data-matrices", build_data_matrices, data, depth, width)
-            except ValueError as exc:
-                for alg in ALGORITHMS:
-                    reasons[alg][_reason(exc)] += 1
-                continue
+        data = _dataset(model, u, y, x)
+        try:
+            dm = _stage("data-matrices", build_data_matrices, data, depth, width)
+        except ValueError as exc:
             for alg in ALGORITHMS:
-                try:
-                    samples[alg].append(_observe(dm, alg).shifted)
-                except ValueError as exc:
-                    reasons[alg][_reason(exc)] += 1
+                reasons[alg][_reason(exc)] += len(rngs)
+            continue
+        for alg in ALGORITHMS:
+            samples[alg].extend(_observe_runs(dm, alg, reasons[alg]))
 
     reports = []
     for alg in ALGORITHMS:
@@ -308,6 +301,19 @@ def monte_carlo_obs(
             )
         reports.append(_reduce_report(alg, samples[alg], reasons[alg], truth))
     return reports[0], reports[1]
+
+
+def _observe_runs(dm: DataMatrices, algorithm: str, reasons: Counter) -> Sequence[np.ndarray]:
+    """Shifted estimates of a batch of runs. The runs a stage error marks (all
+    when it marks none) are counted in ``reasons``; the rest are estimated anew."""
+    while len(dm.stack):
+        try:
+            return _observe(dm, algorithm).shifted
+        except ValueError as exc:
+            failed = getattr(exc.__cause__, "failed", np.ones(len(dm.stack), bool))
+            reasons[_reason(exc)] += int(failed.sum())
+            dm = replace(dm, stack=dm.stack[~failed])
+    return []
 
 
 def _reason(exc: ValueError) -> str:

@@ -10,6 +10,11 @@ Each dataset is factored once: one LQ factorization of the stacked Hankel data
 factor, the excitation rank and both observability estimates are read off
 its blocks, whose sizes do not grow with the record length, so no full-width
 SVD or pseudo-inverse is taken.
+
+Data may carry leading batch axes (say, Monte Carlo runs); so do the stack,
+its factor and every estimate, and each entry is bit-for-bit its unbatched
+result. A rank check that fails for some entries raises a ValueError about
+the first; its ``failed`` attribute marks them all.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -34,18 +39,27 @@ PARTS = ("u_past", "y_past", "u_future", "y_future", "x_past")
 
 
 def _partition(name: str) -> property:
-    return property(lambda self: self.stack[self.parts[name]], doc=f"``{name}`` rows of ``stack``.")
+    return property(lambda self: self.stack[..., self.parts[name], :],
+                    doc=f"``{name}`` rows of ``stack``.")
+
+
+def _fail_entries(failed: np.ndarray, describe: Callable[[tuple], str]) -> None:
+    """If any entry is ``failed``, raise ValueError(describe(index of the first))."""
+    if failed.any():
+        exc = ValueError(describe(tuple(np.argwhere(failed)[0])))
+        exc.failed = failed
+        raise exc
 
 
 @dataclass
 class DataMatrices:
     """Past/future Hankel partitions of a dataset at one depth, and their factor.
 
-    ``stack`` holds [u_past; y_past; u_future; y_future; x_past] and each
-    partition is a view of its rows. ``u_past``/``y_past`` and the state
-    snapshot ``x_past`` start at sample 0, ``u_future``/``y_future`` at sample
-    ``depth``; all share ``width`` columns. ``regressor`` stacks
-    [u_past; y_past; u_future].
+    ``stack`` (..., rows, width) holds [u_past; y_past; u_future; y_future;
+    x_past] and each partition is a view of its rows. ``u_past``/``y_past``
+    and the state snapshot ``x_past`` start at sample 0, ``u_future``/
+    ``y_future`` at sample ``depth``; all share ``width`` columns.
+    ``regressor`` stacks [u_past; y_past; u_future].
     """
 
     stack: np.ndarray
@@ -61,12 +75,12 @@ class DataMatrices:
         """Row range of each partition in ``stack`` and ``factor``; those of the
         first four also index the factor's columns."""
         pd, qd = self.n_inputs * self.depth, self.n_outputs * self.depth
-        edges = [0, pd, pd + qd, 2 * pd + qd, 2 * (pd + qd), self.stack.shape[0]]
+        edges = [0, pd, pd + qd, 2 * pd + qd, 2 * (pd + qd), self.stack.shape[-2]]
         return {name: slice(a, b) for name, a, b in zip(PARTS, edges, edges[1:])}
 
     @property
     def regressor(self) -> np.ndarray:
-        return self.stack[:self.parts["u_future"].stop]
+        return self.stack[..., :self.parts["u_future"].stop, :]
 
     @cached_property
     def factor(self) -> np.ndarray:
@@ -75,7 +89,7 @@ class DataMatrices:
         Computed once per object. L has min(rows, width) columns; any least
         squares between row blocks of the stack can be solved on L alone.
         """
-        return np.linalg.qr(self.stack.T, mode="r").T
+        return np.linalg.qr(self.stack.swapaxes(-1, -2), mode="r").swapaxes(-1, -2)
 
 
 @dataclass
@@ -87,7 +101,8 @@ class MarkovEstimate:
     strictly-lower block-Toeplitz form built from the ``blocks`` (depth-1 of
     them, each q x p). ``input_rank_margin`` is the smallest singular value of
     [u_past; u_future] over ``RANK_TOL`` times the largest: above 1 the input
-    is persistently exciting.
+    is persistently exciting. Arrays, ranks and the margin carry the batch
+    axes of the data.
     """
 
     raw: np.ndarray
@@ -103,7 +118,7 @@ class MarkovEstimate:
         count = len(self.blocks) if count is None else count
         if count > len(self.blocks):
             raise ValueError(f"only {len(self.blocks)} blocks available, requested {count}")
-        return np.vstack(self.blocks[:count])
+        return np.concatenate(self.blocks[:count], axis=-2)
 
 
 def build_data_matrices(data: Dataset, depth: int, width: Optional[int] = None) -> DataMatrices:
@@ -137,18 +152,19 @@ def build_data_matrices(data: Dataset, depth: int, width: Optional[int] = None) 
             "estimates may be poorly conditioned",
             stacklevel=2,
         )
-    stack = np.vstack([
+    stack = np.concatenate([
         block_hankel(data.u, 0, depth, width),
         block_hankel(data.y, 0, depth, width),
         block_hankel(data.u, depth, depth, width),
         block_hankel(data.y, depth, depth, width),
-        data.x[:width].T,
-    ])
+        data.x[..., :width, :].swapaxes(-1, -2),
+    ], axis=-2)
     return DataMatrices(stack=stack, depth=depth, width=width, n_inputs=p, n_outputs=q)
 
 
-def _rank(s: np.ndarray, reference: float, tol: float) -> int:
-    return int(np.sum(s >= tol * reference)) if reference > 0.0 else 0
+def _rank(s: np.ndarray, reference, tol: float):
+    """Singular values in ``s`` (last axis) at least ``tol`` x ``reference``; 0 when that is 0."""
+    return np.sum(s >= tol * np.expand_dims(reference, -1), axis=-1) * (reference > 0.0)
 
 
 def estimate_predictor(dm: DataMatrices) -> MarkovEstimate:
@@ -175,57 +191,51 @@ def estimate_predictor(dm: DataMatrices) -> MarkovEstimate:
     p, q = dm.n_inputs, dm.n_outputs
     min_width = (2 * p + q) * d
     if L < min_width:
-        raise ValueError(
-            f"width {L} is below the regressor row count {min_width}; "
-            f"the least-squares problem cannot determine the predictor"
-        )
+        raise ValueError(f"width {L} is below the regressor row count {min_width}; "
+                         f"the least-squares problem cannot determine the predictor")
     F = dm.factor
     up, yp, uf, yf = (dm.parts[k] for k in ("u_past", "y_past", "u_future", "y_future"))
     cols = slice(0, uf.stop)
-    s_in = np.linalg.svd(np.vstack([F[up, cols], F[uf, cols]]), compute_uv=False)
-    input_rank = _rank(s_in, s_in[0], RANK_TOL)
-    if input_rank < 2 * p * d:
-        raise ValueError(
-            f"insufficient excitation: stacked input Hankel has numerical rank "
-            f"{input_rank}, need {2 * p * d} (persistently exciting input of order {2 * d})"
-        )
-    # L_Yp,Yp has a column for every y_past row; its null directions lie
-    # outside the row space of y_past, so they stay in the u_future remainder.
-    _, s_yp, vt_yp = np.linalg.svd(F[yp, yp])
-    scale = max(s_in[0], s_yp[0])  # stands in for the norm of the regressor
-    null = vt_yp[s_yp < PINV_TOL * scale].T
-    u_rest = np.hstack([F[uf, uf], F[uf, yp] @ null])
-    y_rest = np.hstack([F[yf, uf], F[yf, yp] @ null])
-    u_m, s_m, vt_m = np.linalg.svd(u_rest, full_matrices=False)
-    if s_m[-1] < RANK_TOL * s_in[0]:
-        raise ValueError(
+    s_in = np.linalg.svd(F[..., np.r_[up, uf], cols], compute_uv=False)
+    input_rank = _rank(s_in, s_in[..., 0], RANK_TOL)
+    _fail_entries(input_rank < 2 * p * d, lambda i: (
+        f"insufficient excitation: stacked input Hankel has numerical rank "
+        f"{input_rank[i]}, need {2 * p * d} (persistently exciting input of order {2 * d})"))
+    # L_Yp,Yp has a column for every y_past row; its null directions (trailing
+    # rows of vt_yp) lie outside the row space of y_past, so they stay in the
+    # u_future remainder. Each distinct count of them is solved for once.
+    _, s_yp, vt_yp = np.linalg.svd(F[..., yp, yp])
+    scale = np.maximum(s_in[..., 0], s_yp[..., 0])  # stands in for the norm of the regressor
+    nulls = np.sum(s_yp < PINV_TOL * scale[..., None], axis=-1)
+    raw = np.empty(F.shape[:-2] + (q * d, p * d))
+    s_m = np.zeros(F.shape[:-2] + (p * d,))
+    for k in np.unique(nulls):
+        at = nulls == k  # the copy keeps each entry's factor laid out as when alone
+        F_k, vt_k = (F, vt_yp) if at.all() else (
+            F.swapaxes(-1, -2)[at].swapaxes(-1, -2), vt_yp[at])
+        null = vt_k[..., q * d - k:, :].swapaxes(-1, -2)
+        u_rest = np.concatenate([F_k[..., uf, uf], F_k[..., uf, yp] @ null], axis=-1)
+        y_rest = np.concatenate([F_k[..., yf, uf], F_k[..., yf, yp] @ null], axis=-1)
+        u_m, s_k, vt_m = np.linalg.svd(u_rest, full_matrices=False)
+        s_m[at] = s_k
+        _fail_entries(at & (s_m[..., -1] < RANK_TOL * s_in[..., 0]), lambda i: (
             f"insufficient excitation: future inputs lie numerically in the span of "
             f"past inputs and outputs (smallest singular value of their remainder "
-            f"{s_m[-1]:.3e} < {RANK_TOL:g} x {s_in[0]:.3e}); the Toeplitz factor "
-            f"is not identifiable"
-        )
-    raw = (y_rest @ vt_m.T / s_m) @ u_m.T
+            f"{s_m[i][-1]:.3e} < {RANK_TOL:g} x {s_in[i][0]:.3e}); the Toeplitz factor "
+            f"is not identifiable"))
+        raw[at] = (y_rest @ vt_m.swapaxes(-1, -2) / s_k[..., None, :]) @ u_m.swapaxes(-1, -2)
 
-    blocks: List[np.ndarray] = []
-    for k in range(d - 1):
-        # sub-diagonal k holds block copies at positions (i+k+1, i)
-        copies = [
-            raw[(i + k + 1) * q:(i + k + 2) * q, i * p:(i + 1) * p]
-            for i in range(d - 1 - k)
-        ]
-        blocks.append(np.mean(copies, axis=0))
+    # block sub-diagonal k holds the copies at block positions (i+k+1, i)
+    grid = raw.reshape(raw.shape[:-2] + (d, q, d, p))
+    blocks = [np.ascontiguousarray(np.moveaxis(np.diagonal(grid, -k - 1, -4, -2), -1, -3))
+              .mean(axis=-3) for k in range(d - 1)]
 
     S = block_toeplitz_strict_lower(blocks, d, block_shape=(q, p))
-    s_up = np.linalg.svd(F[up, up], compute_uv=False)
+    s_up = np.linalg.svd(F[..., up, up], compute_uv=False)
     return MarkovEstimate(
-        raw=raw,
-        toeplitz=S,
-        blocks=blocks,
-        depth=d,
-        input_rank=input_rank,
+        raw=raw, toeplitz=S, blocks=blocks, depth=d, input_rank=input_rank,
         regressor_rank=sum(_rank(sv, scale, RANK_TOL) for sv in (s_up, s_yp, s_m)),
-        input_rank_margin=float(s_in[-1] / (RANK_TOL * s_in[0])),
-    )
+        input_rank_margin=s_in[..., -1] / (RANK_TOL * s_in[..., 0]))
 
 
 def true_markov(model: StateSpaceModel, count: int) -> List[np.ndarray]:

@@ -30,29 +30,28 @@ def block_hankel(signal, start: int, depth: int, width: int) -> np.ndarray:
     the window one step.
 
     Args:
-        signal: (T, d) array (or length-T 1-D array) of d-dimensional samples.
+        signal: (..., T, d) array (or length-T 1-D array) of d-dimensional
+            samples; leading axes batch series.
         start: index of the sample placed in the top-left block.
         depth: number of block rows.
         width: number of columns.
 
     Returns:
-        (depth * d, width) array.
+        (..., depth * d, width) array.
     """
-    sig = as_series(signal)
+    sig = np.asarray(signal, dtype=float)
+    sig = sig if sig.ndim > 2 else as_series(sig)
     if depth < 1 or width < 1:
         raise ValueError(f"depth and width must be >= 1, got {depth}, {width}")
     needed = start + depth + width - 1
-    if sig.shape[0] < needed:
+    if sig.shape[-2] < needed:
         raise ValueError(
             f"signal too short for block Hankel: need {needed} samples "
-            f"(start={start}, depth={depth}, width={width}), have {sig.shape[0]}"
+            f"(start={start}, depth={depth}, width={width}), have {sig.shape[-2]}"
         )
-    d = sig.shape[1]
-    out = np.empty((depth * d, width))
-    for i in range(depth):
-        # row block i holds samples start+i .. start+i+width-1, transposed
-        out[i * d:(i + 1) * d, :] = sig[start + i:start + i + width].T
-    return out
+    # window[..., i, c, j] = sig[..., start + i + j, c]
+    window = np.lib.stride_tricks.sliding_window_view(sig[..., start:needed, :], width, axis=-2)
+    return window.reshape(sig.shape[:-2] + (depth * sig.shape[-1], width))
 
 
 def block_toeplitz_strict_lower(
@@ -67,12 +66,13 @@ def block_toeplitz_strict_lower(
     column from the first sub-diagonal downward.
 
     Args:
-        blocks: n_blocks - 1 matrices, all of one shape (q, p).
+        blocks: n_blocks - 1 matrices, all of one shape (..., q, p); leading
+            axes batch matrices.
         n_blocks: number of block rows (= block columns).
         block_shape: required when ``blocks`` is empty to fix (q, p).
 
     Returns:
-        (q * n_blocks, p * n_blocks) array.
+        (..., q * n_blocks, p * n_blocks) array.
     """
     if n_blocks < 1:
         raise ValueError("n_blocks must be >= 1")
@@ -80,19 +80,20 @@ def block_toeplitz_strict_lower(
     if len(blocks) != n_blocks - 1:
         raise ValueError(f"need {n_blocks - 1} blocks for {n_blocks} block rows, got {len(blocks)}")
     if blocks:
-        q, p = blocks[0].shape
+        shape = blocks[0].shape
         for k, b in enumerate(blocks):
-            if b.shape != (q, p):
-                raise ValueError(f"block {k} has shape {b.shape}, expected {(q, p)}")
+            if b.shape != shape:
+                raise ValueError(f"block {k} has shape {b.shape}, expected {shape}")
+        *batch, q, p = shape
     elif block_shape is not None:
-        q, p = block_shape
+        batch, (q, p) = [], block_shape
     else:
         raise ValueError("block_shape is required when no blocks are given")
-    out = np.zeros((q * n_blocks, p * n_blocks))
-    for i in range(n_blocks):
-        for j in range(i):
-            out[i * q:(i + 1) * q, j * p:(j + 1) * p] = blocks[i - j - 1]
-    return out
+    out = np.zeros((*batch, n_blocks, q, n_blocks, p))
+    if blocks:
+        i, j = np.tril_indices(n_blocks, -1)
+        out[..., i, :, j, :] = np.stack(blocks)[i - j - 1]
+    return out.reshape(*batch, q * n_blocks, p * n_blocks)
 
 
 def block_diag_repeat(w, count: int) -> np.ndarray:

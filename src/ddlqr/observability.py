@@ -10,6 +10,9 @@ stack = L Q'): a least-squares fit between row blocks of the stack is the same
 fit between the row blocks of L, because Q' has orthonormal rows. The
 past-input projection is then a column selection: u_past = L_Up,Up Q1', with
 Q1' the first p*depth rows of Q', so dropping those columns of L applies it.
+
+Batch axes of the factor carry over to the estimates, and a rank check that
+fails for some entries marks them as in ``markov``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .markov import PINV_TOL, DataMatrices
+from .markov import PINV_TOL, DataMatrices, _fail_entries
 from .plant_sim import StateSpaceModel
 
 ALGORITHMS = ("alg1", "alg2")
@@ -30,7 +33,8 @@ class ObservabilityEstimate:
 
     ``matrix`` stacks the blocks C, CA, ..., CA^(depth-1); ``shifted`` drops
     the first block row, so it stacks CA, ..., CA^(depth-1). ``residual`` is
-    the Frobenius fit residual of the defining matrix equation.
+    the Frobenius fit residual of the defining matrix equation. All three
+    carry the batch axes of the data.
     """
 
     matrix: np.ndarray
@@ -55,29 +59,30 @@ def drop_first_block_row(obs: np.ndarray, q: int) -> np.ndarray:
     obs = np.atleast_2d(np.asarray(obs, dtype=float))
     if q < 1:
         raise ValueError("q must be >= 1")
-    if obs.shape[0] < 2 * q:
+    if obs.shape[-2] < 2 * q:
         raise ValueError(
-            f"observability matrix has {obs.shape[0]} rows; need at least {2 * q} "
+            f"observability matrix has {obs.shape[-2]} rows; need at least {2 * q} "
             f"to drop one block row of {q}"
         )
-    return obs[q:, :]
+    return obs[..., q:, :]
 
 
 def _fit_states(dm: DataMatrices, algorithm: str, lhs: np.ndarray, x: np.ndarray,
                 what: str) -> ObservabilityEstimate:
     """Least-squares O in lhs = O x for a wide x of full row rank, with its residual."""
     u, s, vt = np.linalg.svd(x, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0 or s[-1] < PINV_TOL * s[0]:
-        raise ValueError(
-            f"states not sufficiently excited: {what}: numerical row rank below {x.shape[0]}"
-        )
-    obs = (lhs @ vt.T / s) @ u.T
+    full = np.any((s[..., :1] > 0.0) & (s[..., -1:] >= PINV_TOL * s[..., :1]), axis=-1)
+    _fail_entries(~full, lambda i: (
+        f"states not sufficiently excited: {what}: numerical row rank below {x.shape[-2]}"))
+    obs = (lhs @ vt.swapaxes(-1, -2) / s[..., None, :]) @ u.swapaxes(-1, -2)
+    # per entry, the residual is np.linalg.norm's dot product of the raveled misfit
+    misfit = (lhs - obs @ x).reshape(obs.shape[:-2] + (-1,))
     return ObservabilityEstimate(
         matrix=obs,
         shifted=drop_first_block_row(obs, dm.n_outputs),
         algorithm=algorithm,
         depth=dm.depth,
-        residual=float(np.linalg.norm(lhs - obs @ x)),
+        residual=np.sqrt(np.vecdot(misfit, misfit)),
     )
 
 
@@ -89,14 +94,14 @@ def estimate_obs_alg1(dm: DataMatrices, s_hat: np.ndarray) -> ObservabilityEstim
     O = (L_Yp - s_hat L_Up) L_X^+.
     """
     qd, pd = dm.n_outputs * dm.depth, dm.n_inputs * dm.depth
-    if s_hat.shape != (qd, pd):
+    if s_hat.shape[-2:] != (qd, pd):
         raise ValueError(
             f"Toeplitz factor shape {s_hat.shape} does not match y_past rows "
             f"{qd} and u_past rows {pd}"
         )
     F = dm.factor
-    rhs = F[dm.parts["y_past"]] - s_hat @ F[dm.parts["u_past"]]
-    return _fit_states(dm, "alg1", rhs, F[dm.parts["x_past"]], "state snapshot")
+    rhs = F[..., dm.parts["y_past"], :] - s_hat @ F[..., dm.parts["u_past"], :]
+    return _fit_states(dm, "alg1", rhs, F[..., dm.parts["x_past"], :], "state snapshot")
 
 
 def estimate_obs_alg2(dm: DataMatrices) -> ObservabilityEstimate:
@@ -110,12 +115,9 @@ def estimate_obs_alg2(dm: DataMatrices) -> ObservabilityEstimate:
     """
     up = dm.parts["u_past"]
     F = dm.factor
-    s = np.linalg.svd(F[up, up], compute_uv=False)
-    if s[0] == 0.0 or s[-1] < PINV_TOL * s[0]:
-        raise ValueError(
-            f"insufficient excitation: past-input Hankel has numerical row rank "
-            f"below {up.stop}"
-        )
+    s = np.linalg.svd(F[..., up, up], compute_uv=False)
+    _fail_entries((s[..., 0] == 0.0) | (s[..., -1] < PINV_TOL * s[..., 0]), lambda i: (
+        f"insufficient excitation: past-input Hankel has numerical row rank below {up.stop}"))
     cols = slice(up.stop, None)
-    return _fit_states(dm, "alg2", F[dm.parts["y_past"], cols], F[dm.parts["x_past"], cols],
-                       "projected state snapshot (X U_po)")
+    return _fit_states(dm, "alg2", F[..., dm.parts["y_past"], cols],
+                       F[..., dm.parts["x_past"], cols], "projected state snapshot (X U_po)")

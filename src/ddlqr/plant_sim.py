@@ -15,6 +15,7 @@ driven by -B_c y per output) and a chunk of ``experiments.monte_carlo_obs`` runs
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -24,6 +25,12 @@ from .matrix_kit import as_series
 
 SIGNAL_KINDS = ("prbs", "white-noise", "sinusoid", "constant", "zero")
 NOISE_MODES = ("process", "measurement")
+# Feedback taps of the maximal-length register of each order: scipy.signal.max_len_seq's table.
+MLS_TAPS = {2: [1], 3: [2], 4: [3], 5: [3], 6: [5], 7: [6], 8: [7, 6, 1], 9: [5], 10: [7],
+            11: [9], 12: [11, 10, 4], 13: [12, 11, 8], 14: [13, 12, 2], 15: [14],
+            16: [15, 13, 4], 17: [14], 18: [11], 19: [18, 17, 14], 20: [17], 21: [19],
+            22: [21], 23: [18], 24: [23, 22, 17], 25: [22], 26: [25, 24, 20],
+            27: [26, 25, 22], 28: [25], 29: [27], 30: [29, 28, 7], 31: [28], 32: [31, 30, 10]}
 
 
 def _check_finite(name: str, arr: np.ndarray) -> np.ndarray:
@@ -77,7 +84,7 @@ class StateSpaceModel:
 
 @dataclass
 class Dataset:
-    """Synchronized input/output/state time series of equal length."""
+    """Synchronized (..., T, channels) input/output/state series; leading axes batch records."""
 
     u: np.ndarray
     y: np.ndarray
@@ -85,32 +92,32 @@ class Dataset:
     sample_time: float = 1.0
 
     def __post_init__(self):
-        self.u = _check_finite("u", as_series(self.u))
-        self.y = _check_finite("y", as_series(self.y))
-        self.x = _check_finite("x", as_series(self.x))
-        if not (len(self.u) == len(self.y) == len(self.x)):
+        for name in "uyx":
+            series = np.asarray(getattr(self, name), dtype=float)
+            setattr(self, name, _check_finite(name, series if series.ndim > 2 else as_series(series)))
+        if not (self.u.shape[:-1] == self.y.shape[:-1] == self.x.shape[:-1]):
             raise ValueError(
-                f"series lengths differ: u has {len(self.u)}, y has {len(self.y)}, "
-                f"x has {len(self.x)}"
+                f"series lengths differ: u has {self.u.shape[-2]}, y has {self.y.shape[-2]}, "
+                f"x has {self.x.shape[-2]}"
             )
-        if len(self.u) < 1:
+        if self.n_samples < 1:
             raise ValueError("dataset must contain at least one sample")
 
     @property
     def n_samples(self) -> int:
-        return len(self.u)
+        return self.u.shape[-2]
 
     @property
     def n_inputs(self) -> int:
-        return self.u.shape[1]
+        return self.u.shape[-1]
 
     @property
     def n_outputs(self) -> int:
-        return self.y.shape[1]
+        return self.y.shape[-1]
 
     @property
     def n_states(self) -> int:
-        return self.x.shape[1]
+        return self.x.shape[-1]
 
 
 @dataclass
@@ -120,7 +127,7 @@ class SignalSpec:
     ``hold`` stretches each PRBS register step over that many samples
     (1 keeps the usual chip-per-sample sequence); ``channels`` generates that
     many columns, with PRBS channels spread over well-separated phases of the
-    same maximal-length sequence.
+    same maximal-length sequence of a ``register_order``-bit register (2..32).
     """
 
     kind: str
@@ -141,10 +148,42 @@ class SignalSpec:
             raise ValueError("signal length must be >= 1")
         if self.variance < 0:
             raise ValueError("variance must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.register_order not in MLS_TAPS:
+            raise ValueError(f"register_order must be between 2 and 32, got {self.register_order}")
         if self.channels < 1:
             raise ValueError("channels must be >= 1")
         if self.hold < 1:
             raise ValueError("hold must be >= 1")
+
+
+@lru_cache(maxsize=8)
+def _lfsr_map(order: int, length: int) -> np.ndarray:
+    """GF(2) map G from a register state s to the bits b it emits, ``G @ s & 1``:
+    b_k = s_k for k < order, then b_(k+order) = b_k xor b_(k+t) over the taps t.
+    Its first ``length`` rows give the bits and the rest the state after them,
+    as scipy.signal.max_len_seq returns them. Rows [m, m + order) map s to the
+    state at step m, so rows [m, m + K) are rows [0, K) times them."""
+    G = np.eye(order + 1, order, dtype=np.uint8)
+    G[order, [0] + MLS_TAPS[order]] = 1
+    while len(G) < length + order:
+        m = len(G) - order
+        G = np.vstack([G[:m], G @ G[m:] & 1])
+    G.flags.writeable = False  # the cached map is shared by every caller
+    return G[:length + order]
+
+
+@lru_cache(maxsize=32)
+def _lfsr_jump(order: int, steps: int) -> np.ndarray:
+    """GF(2) matrix that moves a register state ``steps`` steps on, by squaring."""
+    power, jump = _lfsr_map(order, 1)[1:], np.eye(order, dtype=np.uint8)
+    while steps:
+        if steps & 1:
+            jump = power @ jump & 1
+        power, steps = power @ power & 1, steps >> 1
+    jump.flags.writeable = False
+    return jump
 
 
 def _prbs_channels(spec: SignalSpec) -> np.ndarray:
@@ -154,24 +193,19 @@ def _prbs_channels(spec: SignalSpec) -> np.ndarray:
     register at phases spaced period/channels steps apart so their shifted
     copies stay jointly exciting.
     """
-    from scipy.signal import max_len_seq
-
     rng = np.random.default_rng(spec.seed)
     order = spec.register_order
-    if order < 2:
-        raise ValueError("PRBS register order must be >= 2")
     state = rng.integers(0, 2, size=order)
     if not state.any():
         state[int(rng.integers(order))] = 1
-    period = 2 ** order - 1
-    shift = max(period // spec.channels, 1)
+    shift = max((2 ** order - 1) // spec.channels, 1)
     n_chips = -(-spec.length // spec.hold)
+    emit = _lfsr_map(order, n_chips)[:n_chips]
     out = np.empty((spec.length, spec.channels))
     for c in range(spec.channels):
         if c > 0:
-            state = max_len_seq(order, state=state, length=shift)[1]
-        bits = max_len_seq(order, state=state, length=n_chips)[0]
-        chips = spec.amplitude * (2.0 * bits.astype(float) - 1.0)
+            state = _lfsr_jump(order, shift) @ state & 1
+        chips = spec.amplitude * (2.0 * (emit @ state & 1) - 1.0)
         out[:, c] = np.repeat(chips, spec.hold)[:spec.length]
     return out
 

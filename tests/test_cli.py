@@ -126,6 +126,16 @@ class TestDesign:
             assert code == 2
             assert "[noise] variance must be >= 0" in capsys.readouterr().err
 
+    def test_bad_signal_register_order_and_seed_exit_2(self, tmp_path, capsys):
+        for setting, key in (("signal.register_order=40", "register_order"),
+                             ("signal.register_order=33", "register_order"),
+                             ("signal.register_order=1", "register_order"),
+                             ("signal.seed=-1", "seed")):
+            code = run("design", REGULATION, "--output-dir", str(tmp_path), "--set", setting)
+            assert code == 2, setting
+            err = capsys.readouterr().err
+            assert f"[signal]: {key} must be" in err, err
+
     def test_design_from_dataset_file(self, tmp_path):
         run("simulate", REGULATION, "--output-dir", str(tmp_path),
             "--set", f"io.dataset={tmp_path}/dataset.csv")
@@ -194,6 +204,19 @@ class TestMonteCarlo:
         assert code == 1
         assert ("fewer than 2 successful runs (5 failures, most often data-matrices: "
                 "need T >= 2*depth + width - 1)") in capsys.readouterr().err
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        code = run("montecarlo", MC, "--output-dir", str(tmp_path),
+                   "--set", "montecarlo.seed=-1", "--set", "montecarlo.runs=5")
+        assert code == 2
+        assert "[montecarlo] seed must be >= 0" in capsys.readouterr().err
+
+    def test_short_depth_exits_2(self, tmp_path, capsys):
+        for depth in (0, -2, 1):
+            code = run("montecarlo", MC, "--output-dir", str(tmp_path),
+                       "--set", f"estimation.depth={depth}", "--set", "montecarlo.runs=5")
+            assert code == 2, depth
+            assert "[estimation] depth must be >= 2" in capsys.readouterr().err
 
     def test_single_run_rejected(self, tmp_path, capsys):
         code = run("montecarlo", MC, "--output-dir", str(tmp_path),

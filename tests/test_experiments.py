@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from conftest import (
 )
 from oracles import per_run_monte_carlo
 from ddlqr import (
+    Dataset,
     LqrDesign,
     LqrWeights,
     PipelineConfig,
@@ -39,6 +41,7 @@ from ddlqr import (
     synthesize,
 )
 from ddlqr.config import RunConfig
+from ddlqr.observability import ALGORITHMS
 
 GAIN_SHORT = np.array([[4.2314, 7.644], [1.127, -1.8959]])
 GAIN_LONG = np.array([[4.6491, 7.5226], [1.4461, -1.9886]])
@@ -130,7 +133,12 @@ class TestDesignGain:
         if cfg.has("lqr"):
             config = PipelineConfig(weights=cfg.weights(), horizon=cfg.get_int("lqr", "horizon"),
                                     depth=depth, width=width, imc=cfg.imc(default_ts=ts))
-            margin = design_gain(data, config).diagnostics["input_rank_margin"]
+            diagnostics = design_gain(data, config).diagnostics
+            margin = diagnostics["input_rank_margin"]
+            # the design reports plain Python numbers, as a JSON encoder needs them
+            assert [type(diagnostics[k]) for k in ("input_rank", "regressor_rank",
+                                                   "input_rank_margin", "obs_residual")] == \
+                [int, int, float, float]
         else:
             margin = estimate_predictor(build_data_matrices(data, depth, width)).input_rank_margin
         assert margin > 1.0
@@ -270,13 +278,22 @@ class TestMonteCarlo:
             kernel_calls.append(None)
             return lti_run(*args, **kw)
 
-        lti_run = ddlqr.plant_sim._lti_run
+        def counted_predictor(dm):
+            predictor_calls.append(dm.stack.shape[0])
+            return estimate_predictor(dm)
+
+        lti_run, estimate_predictor = ddlqr.plant_sim._lti_run, ddlqr.experiments.estimate_predictor
+        predictor_calls = []
         monkeypatch.setattr(ddlqr.plant_sim, "_lti_run", counted)
+        monkeypatch.setattr(ddlqr.experiments, "estimate_predictor", counted_predictor)
         for mode in ("measurement", "process"):
             kernel_calls.clear()
+            predictor_calls.clear()
             args = dict(depth=3, runs=runs, noise_variance=0.1, base_seed=4, noise_mode=mode)
             reports = monte_carlo_obs(model, spec, **args)
             assert len(kernel_calls) == -(-runs // chunk) == 2
+            # each chunk is estimated as one batch
+            assert predictor_calls == [chunk, 3]
             samples, failures = per_run_monte_carlo(model, spec, **args)
             for rep in reports:
                 stack = np.stack(samples[rep.algorithm])
@@ -290,6 +307,45 @@ class TestMonteCarlo:
     def test_rejects_single_run(self):
         with pytest.raises(ValueError, match="at least 2 runs"):
             self.mc(runs=1)
+
+    def test_rejects_short_depth_and_negative_seed(self):
+        for depth in (1, 0, -2):
+            with pytest.raises(ValueError, match="depth must be >= 2"):
+                self.mc(depth=depth)
+        with pytest.raises(ValueError, match="base seed must be >= 0"):
+            self.mc(base_seed=-1)
+
+    def test_mixed_batch_drops_failed_runs(self):
+        # six runs: run 1 anticipates its input (y_t = u_(t+3)), runs 3 and 5
+        # have none; each must fail as it does alone, and the others must not move
+        rng = np.random.default_rng(5)
+        T, depth, width = 300, 3, 200
+        u = rng.choice([-1.0, 1.0], size=(6, T, 1))
+        u[[3, 5]] = 0.0
+        x = rng.normal(size=(6, T, 1))
+        y = x.copy()
+        y[1] = np.roll(u[1], -3, axis=0)
+        runs = [Dataset(u=u[r], y=y[r], x=x[r]) for r in range(6)]
+        dm = build_data_matrices(Dataset(u=u, y=y, x=x), depth, width)
+
+        with pytest.raises(ValueError, match="stacked input Hankel has numerical rank 0,") as exc:
+            estimate_predictor(dm)
+        np.testing.assert_array_equal(exc.value.failed, [False, False, False, True, False, True])
+        for alg in ALGORITHMS:
+            reasons, expect = Counter(), Counter()
+            got = ddlqr.experiments._observe_runs(dm, alg, reasons)
+            alone = []
+            for data in runs:
+                try:
+                    alone.append(ddlqr.experiments._observe(
+                        build_data_matrices(data, depth, width), alg).shifted)
+                except ValueError as err:
+                    expect[ddlqr.experiments._reason(err)] += 1
+            assert reasons == expect
+            assert sum(expect.values()) == (3 if alg == "alg1" else 2)
+            assert len(got) == len(alone) == 6 - sum(expect.values())
+            for a, b in zip(got, alone):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestHarmonicDistortion:

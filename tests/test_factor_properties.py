@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from oracles import pinv_obs_alg1, pinv_obs_alg2, pinv_predictor
 from ddlqr import (
+    Dataset,
     StateSpaceModel,
     build_data_matrices,
     estimate_obs_alg1,
@@ -73,3 +74,47 @@ def test_factor_route_matches_pinv_route(problem):
     assert _rel(o1.matrix, pinv_obs_alg1(dm.y_past, dm.u_past, est.toeplitz, dm.x_past)) < RTOL
     o2 = estimate_obs_alg2(dm)
     assert _rel(o2.matrix, pinv_obs_alg2(dm.y_past, dm.u_past, dm.x_past)) < RTOL
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(problems())
+def test_batch_entries_match_unbatched(problem):
+    # noise-free entries leave null directions in L_Yp,Yp when q*depth > n,
+    # noisy ones do not, so a batch mixes both counts of them
+    n, p, q, depth, width, _, seed = problem
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, n))
+    A *= rng.uniform(0.3, 0.9) / max(np.abs(np.linalg.eigvals(A)).max(), 1e-12)
+    model = StateSpaceModel(A=A, B=rng.normal(size=(n, p)), C=rng.normal(size=(q, n)),
+                            E=np.eye(n))
+    T = width + 2 * depth - 1
+    runs = [simulate(model, rng.normal(size=(T, p)), noise_mode="measurement",
+                     v=0.1 * rng.normal(size=(T, n)) if noisy else None)
+            for noisy in (False, True, True, False)]
+    batch = Dataset(*(np.stack([getattr(r, k) for r in runs]) for k in "uyx"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # narrow widths are below guidance
+        dms = [build_data_matrices(data, depth, width) for data in runs + [batch]]
+
+    est = estimate_predictor(dms[-1])
+    o1 = estimate_obs_alg1(dms[-1], est.toeplitz)
+    o2 = estimate_obs_alg2(dms[-1])
+    for b, dm in enumerate(dms[:-1]):
+        alone = estimate_predictor(dm)
+        # unbatched, the block averages and the residual are the plain formulas
+        d = depth
+        for k, blk in enumerate(alone.blocks):
+            assert np.array_equal(blk, np.mean([alone.raw[(i + k + 1) * q:(i + k + 2) * q,
+                                                         i * p:(i + 1) * p]
+                                                for i in range(d - 1 - k)], axis=0))
+        o = estimate_obs_alg1(dm, alone.toeplitz)
+        F, parts = dm.factor, dm.parts
+        lhs = F[parts["y_past"]] - alone.toeplitz @ F[parts["u_past"]]
+        assert o.residual == float(np.linalg.norm(lhs - o.matrix @ F[parts["x_past"]]))
+        for name in ("raw", "toeplitz", "input_rank", "regressor_rank", "input_rank_margin"):
+            assert np.array_equal(getattr(est, name)[b], getattr(alone, name)), name
+        assert np.array_equal(np.array(est.blocks)[:, b], np.array(alone.blocks))
+        for got, want in ((o1, estimate_obs_alg1(dm, alone.toeplitz)), (o2, estimate_obs_alg2(dm))):
+            for name in ("matrix", "shifted", "residual"):
+                assert np.array_equal(getattr(got, name)[b], getattr(want, name)), name

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +20,7 @@ from ddlqr import (
     simulate,
     zoh_discretize,
 )
+from ddlqr.plant_sim import _lfsr_jump, _lfsr_map
 
 GAIN_LONG_HORIZON = np.array([[4.6491, 7.5226], [1.4461, -1.9886]])
 
@@ -151,6 +158,63 @@ class TestGenerateSignal:
     def test_unsupported_kind(self):
         with pytest.raises(ValueError, match="unsupported signal kind"):
             SignalSpec(kind="sawtooth", length=10)
+
+    def test_rejects_register_order_and_seed_out_of_range(self):
+        for order in (1, 33, 40):
+            with pytest.raises(ValueError, match="register_order must be between 2 and 32"):
+                SignalSpec(kind="prbs", length=10, register_order=order)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            SignalSpec(kind="prbs", length=10, seed=-1)
+
+    def test_prbs_leaves_scipy_signal_unimported(self):
+        code = ("import sys, ddlqr.cli\n"
+                "from ddlqr import SignalSpec, generate_signal\n"
+                "generate_signal(SignalSpec(kind='prbs', length=100, channels=2))\n"
+                "assert 'scipy.signal' not in sys.modules, 'scipy.signal was imported'\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
+
+class TestMaxLenSeq:
+    """The in-house register against ``scipy.signal.max_len_seq`` as the oracle."""
+
+    def test_every_order_matches_scipy(self):
+        from scipy.signal import max_len_seq
+
+        rng = np.random.default_rng(17)
+        for order in range(2, 33):
+            period = 2 ** order - 1
+            lengths = [0, 1, order, 341, 1000] + ([period, period + 1, 3 * period + 2]
+                                                   if order <= 10 else [])
+            for length in lengths:
+                state = rng.integers(0, 2, size=order)
+                state[rng.integers(order)] = 1
+                out = _lfsr_map(order, length) @ state & 1
+                bits, final = out[:length], out[length:]
+                want_bits, want_final = max_len_seq(order, state=state, length=length)
+                np.testing.assert_array_equal(bits, want_bits)
+                np.testing.assert_array_equal(final, want_final)
+                np.testing.assert_array_equal(_lfsr_jump(order, length) @ state & 1, want_final)
+
+    def test_long_register_channels_jump_without_the_sequence(self):
+        # channel 2 starts 2^31 - 1 steps on; the jump is 31 squarings of a 32 x 32 map
+        spec = SignalSpec(kind="prbs", length=50, seed=4, register_order=32, channels=2)
+        sig = generate_signal(spec)
+        one = generate_signal(replace(spec, channels=1))
+        np.testing.assert_array_equal(sig[:, :1], one)
+        state = (sig[:32, 1] > 0).astype(int)
+        np.testing.assert_array_equal(_lfsr_jump(32, 2 ** 32 - 1) @ state & 1, state)
+
+    def test_full_period_from_ones(self):
+        from scipy.signal import max_len_seq
+
+        for order in (2, 5, 12):
+            out = _lfsr_map(order, 2 ** order - 1) @ np.ones(order, dtype=int) & 1
+            bits, final = out[:-order], out[-order:]
+            np.testing.assert_array_equal(bits, max_len_seq(order)[0])
+            np.testing.assert_array_equal(final, np.ones(order))
 
 
 class TestZohDiscretize:
