@@ -9,7 +9,7 @@ from .imc import (
     resonant_imc,
 )
 from .lqr import LqrDesign, LqrWeights, dare_solve, dd_lqr_gain, model_lqr_gain
-from .markov import DataMatrices, MarkovEstimate, build_data_matrices, estimate_predictor, true_markov
+from .markov import DataMatrices, MarkovEstimate, build_data_matrices, estimate_predictor
 from .matrix_kit import block_diag_repeat, block_hankel, block_toeplitz_strict_lower
 from .observability import (
     ObservabilityEstimate,
@@ -89,7 +89,6 @@ __all__ = [
     "simulate",
     "synthesize",
     "tracking_loop_simulate",
-    "true_markov",
     "true_observability",
     "zoh_discretize",
 ]

@@ -34,14 +34,17 @@ from .plant_sim import (
     StateSpaceModel,
     _dataset,
     _open_loop,
+    _prbs_channels,
     closed_loop_simulate,
     cost_J,
     generate_signal,
     tracking_loop_simulate,
 )
 
-# Monte Carlo runs simulated per kernel call: runs x samples stays within this.
+# Monte Carlo runs estimated together: runs x samples stays within this.
 MC_CHUNK_SAMPLES = 2 ** 15
+# Runs simulated per kernel call: a whole number of estimation chunks within this.
+MC_SIM_CHUNK_SAMPLES = 2 ** 16
 
 
 @dataclass
@@ -251,9 +254,10 @@ def monte_carlo_obs(model: StateSpaceModel, signal: SignalSpec, depth: int, runs
     Each run redraws the excitation signal and the state-noise sequence from
     a run-indexed seed (``fixed_input`` keeps one excitation realization
     across runs and redraws only the noise), simulates the model, and
-    estimates the shifted observability matrix with both algorithms, one
-    batch of ``MC_CHUNK_SAMPLES // T`` runs at a time. Runs where an
-    estimation stage fails are counted and excluded.
+    estimates the shifted observability matrix with both algorithms. A kernel
+    call (and a PRBS register product) simulates up to
+    ``MC_SIM_CHUNK_SAMPLES // T`` runs; one stacked factorization estimates
+    ``MC_CHUNK_SAMPLES // T``. Failed runs are counted and excluded.
     """
     if runs < 2:
         raise ValueError("need at least 2 runs for covariance statistics")
@@ -269,28 +273,40 @@ def monte_carlo_obs(model: StateSpaceModel, signal: SignalSpec, depth: int, runs
     n_v = model.E.shape[1]
     T = signal.length
     std = float(np.sqrt(noise_variance))
-    fixed_u = generate_signal(replace(signal, channels=model.n_inputs)) if fixed_input else None
+    signal = replace(signal, channels=model.n_inputs)
+    fixed_u = generate_signal(signal) if fixed_input else None
     chunk = max(1, MC_CHUNK_SAMPLES // T)
+    sim_chunk = chunk * max(1, MC_SIM_CHUNK_SAMPLES // (chunk * T))
 
     samples: dict = {alg: [] for alg in ALGORITHMS}
     reasons = {alg: Counter() for alg in ALGORITHMS}
-    for first in range(0, runs, chunk):
+    for first in range(0, runs, sim_chunk):
         # each run's generator draws its excitation seed, then its noise
-        rngs = [np.random.default_rng(base_seed + r) for r in range(first, min(first + chunk, runs))]
+        rngs = [np.random.default_rng(base_seed + r)
+                for r in range(first, min(first + sim_chunk, runs))]
         u_seeds = [int(rng.integers(0, 2 ** 31)) for rng in rngs]
-        u = np.stack([fixed_u if fixed_input else generate_signal(
-            replace(signal, seed=u_seed, channels=model.n_inputs)) for u_seed in u_seeds])
-        v = np.stack([rng.normal(0.0, std, size=(T, n_v)) for rng in rngs])
+        v = np.empty((len(rngs), T, n_v))
+        for rng, v_run in zip(rngs, v):
+            v_run[...] = rng.normal(0.0, std, size=(T, n_v))
+        if fixed_input:
+            u = np.broadcast_to(fixed_u, (len(rngs),) + fixed_u.shape)
+        elif signal.kind == "prbs":
+            u = _prbs_channels(signal, u_seeds)
+        else:
+            u = np.stack([generate_signal(replace(signal, seed=s)) for s in u_seeds])
         x, y = _open_loop(model, u, v, noise_mode)
-        data = _dataset(model, u, y, x)
-        try:
-            dm = _stage("data-matrices", build_data_matrices, data, depth, width)
-        except ValueError as exc:
+        del v
+        for a in range(0, len(rngs), chunk):
+            data = _dataset(model, u[a:a + chunk], y[a:a + chunk], x[a:a + chunk])
+            try:
+                dm = _stage("data-matrices", build_data_matrices, data, depth, width)
+            except ValueError as exc:
+                for alg in ALGORITHMS:
+                    reasons[alg][_reason(exc)] += len(data.u)
+                continue
             for alg in ALGORITHMS:
-                reasons[alg][_reason(exc)] += len(rngs)
-            continue
-        for alg in ALGORITHMS:
-            samples[alg].extend(_observe_runs(dm, alg, reasons[alg]))
+                samples[alg].extend(_observe_runs(dm, alg, reasons[alg]))
+        u = x = y = data = None  # drop this chunk's records before the next is simulated
 
     reports = []
     for alg in ALGORITHMS:

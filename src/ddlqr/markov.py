@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from .matrix_kit import block_hankel, block_toeplitz_strict_lower
-from .plant_sim import Dataset, StateSpaceModel
+from .plant_sim import Dataset
 
 # Relative singular-value cut-offs: RANK_TOL decides the excitation ranks,
 # PINV_TOL the directions a least-squares solve treats as null (a
@@ -59,7 +59,6 @@ class DataMatrices:
     x_past] and each partition is a view of its rows. ``u_past``/``y_past``
     and the state snapshot ``x_past`` start at sample 0, ``u_future``/
     ``y_future`` at sample ``depth``; all share ``width`` columns.
-    ``regressor`` stacks [u_past; y_past; u_future].
     """
 
     stack: np.ndarray
@@ -78,10 +77,6 @@ class DataMatrices:
         edges = [0, pd, pd + qd, 2 * pd + qd, 2 * (pd + qd), self.stack.shape[-2]]
         return {name: slice(a, b) for name, a, b in zip(PARTS, edges, edges[1:])}
 
-    @property
-    def regressor(self) -> np.ndarray:
-        return self.stack[..., :self.parts["u_future"].stop, :]
-
     @cached_property
     def factor(self) -> np.ndarray:
         """Lower-trapezoidal L with ``stack = L Q'`` and orthonormal Q, never formed.
@@ -90,6 +85,12 @@ class DataMatrices:
         squares between row blocks of the stack can be solved on L alone.
         """
         return np.linalg.qr(self.stack.swapaxes(-1, -2), mode="r").swapaxes(-1, -2)
+
+    @cached_property
+    def past_input_singular_values(self) -> np.ndarray:
+        """Singular values of L_Up,Up, those of u_past, descending."""
+        up = self.parts["u_past"]
+        return np.linalg.svd(self.factor[..., up, up], compute_uv=False)
 
 
 @dataclass
@@ -113,9 +114,8 @@ class MarkovEstimate:
     regressor_rank: int = 0
     input_rank_margin: float = 0.0
 
-    def stacked(self, count: Optional[int] = None) -> np.ndarray:
+    def stacked(self, count: int) -> np.ndarray:
         """Column-stack the first ``count`` Markov blocks into a (q*count, p) matrix."""
-        count = len(self.blocks) if count is None else count
         if count > len(self.blocks):
             raise ValueError(f"only {len(self.blocks)} blocks available, requested {count}")
         return np.concatenate(self.blocks[:count], axis=-2)
@@ -231,20 +231,9 @@ def estimate_predictor(dm: DataMatrices) -> MarkovEstimate:
               .mean(axis=-3) for k in range(d - 1)]
 
     S = block_toeplitz_strict_lower(blocks, d, block_shape=(q, p))
-    s_up = np.linalg.svd(F[..., up, up], compute_uv=False)
+    s_up = dm.past_input_singular_values
     return MarkovEstimate(
         raw=raw, toeplitz=S, blocks=blocks, depth=d, input_rank=input_rank,
         regressor_rank=sum(_rank(sv, scale, RANK_TOL) for sv in (s_up, s_yp, s_m)),
         input_rank_margin=s_in[..., -1] / (RANK_TOL * s_in[..., 0]))
 
-
-def true_markov(model: StateSpaceModel, count: int) -> List[np.ndarray]:
-    """Model-based impulse-response blocks C A^(i-1) B for i = 1..count."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    blocks = []
-    power = np.eye(model.n_states)
-    for _ in range(count):
-        blocks.append(model.C @ power @ model.B)
-        power = model.A @ power
-    return blocks

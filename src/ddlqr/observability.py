@@ -115,7 +115,7 @@ def estimate_obs_alg2(dm: DataMatrices) -> ObservabilityEstimate:
     """
     up = dm.parts["u_past"]
     F = dm.factor
-    s = np.linalg.svd(F[..., up, up], compute_uv=False)
+    s = dm.past_input_singular_values
     _fail_entries((s[..., 0] == 0.0) | (s[..., -1] < PINV_TOL * s[..., 0]), lambda i: (
         f"insufficient excitation: past-input Hankel has numerical row rank below {up.stop}"))
     cols = slice(up.stop, None)

@@ -9,7 +9,8 @@ Every simulator is one call of the kernel ``_lti_run``, the recursion
 x(k+1) = A x(k) + d_1(k) + d_2(k) + ... over leading batch axes: the open
 loop (A driven by B u), the regulation loop (A - B K), the tracking loop
 (A_a - B_a K_a driven by the reference), ``imc.filter_imc_states`` (A_c
-driven by -B_c y per output) and a chunk of ``experiments.monte_carlo_obs`` runs.
+driven by -B_c y per output) and a chunk of ``experiments.monte_carlo_obs``
+runs, whose PRBS inputs are one register product over their start states.
 """
 
 from __future__ import annotations
@@ -186,34 +187,35 @@ def _lfsr_jump(order: int, steps: int) -> np.ndarray:
     return jump
 
 
-def _prbs_channels(spec: SignalSpec) -> np.ndarray:
-    """Maximal-length +/-amplitude sequences, one column per channel.
+def _prbs_channels(spec: SignalSpec, seeds) -> np.ndarray:
+    """Maximal-length +/-amplitude sequences, (runs, length, channels), one run per seed.
 
-    The LFSR start state is drawn from the seed; extra channels restart the
-    register at phases spaced period/channels steps apart so their shifted
-    copies stay jointly exciting.
+    Each run's LFSR start state is drawn from its seed; extra channels restart
+    the register at phases spaced period/channels steps apart so their shifted
+    copies stay jointly exciting. Every run and channel is emitted by one
+    product with the register map.
     """
-    rng = np.random.default_rng(spec.seed)
-    order = spec.register_order
-    state = rng.integers(0, 2, size=order)
-    if not state.any():
-        state[int(rng.integers(order))] = 1
+    order, runs = spec.register_order, len(seeds)
+    states = np.empty((order, runs, spec.channels), dtype=np.int64)
+    for r, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        state = rng.integers(0, 2, size=order)
+        if not state.any():
+            state[int(rng.integers(order))] = 1
+        states[:, r, 0] = state
     shift = max((2 ** order - 1) // spec.channels, 1)
+    for c in range(1, spec.channels):
+        states[..., c] = _lfsr_jump(order, shift) @ states[..., c - 1] & 1
     n_chips = -(-spec.length // spec.hold)
-    emit = _lfsr_map(order, n_chips)[:n_chips]
-    out = np.empty((spec.length, spec.channels))
-    for c in range(spec.channels):
-        if c > 0:
-            state = _lfsr_jump(order, shift) @ state & 1
-        chips = spec.amplitude * (2.0 * (emit @ state & 1) - 1.0)
-        out[:, c] = np.repeat(chips, spec.hold)[:spec.length]
-    return out
+    bits = _lfsr_map(order, n_chips)[:n_chips] @ states.reshape(order, -1) & 1
+    chips = spec.amplitude * (2.0 * bits.reshape(n_chips, runs, spec.channels) - 1.0)
+    return np.repeat(chips.swapaxes(0, 1), spec.hold, axis=1)[:, :spec.length]
 
 
 def generate_signal(spec: SignalSpec) -> np.ndarray:
     """Generate a (length, channels) signal from its spec, deterministic per seed."""
     if spec.kind == "prbs":
-        return _prbs_channels(spec)
+        return _prbs_channels(spec, [spec.seed])[0]
     if spec.kind == "white-noise":
         rng = np.random.default_rng(spec.seed)
         return rng.normal(0.0, np.sqrt(spec.variance), size=(spec.length, spec.channels))
@@ -232,22 +234,24 @@ def _lti_run(A: np.ndarray, x0, *drives: np.ndarray, steps: Optional[int] = None
     """x(k+1) = A x(k) + d_1(k) + d_2(k) + ... from x(0) = x0, over leading batch axes.
 
     The drives are (..., T, n) series (``steps`` gives T when there are none)
-    and x0 broadcasts against their batch axes. Each step is a batched
-    matrix-vector product and the drives are added one at a time, so every
-    run is bit-for-bit the loop ``x[k+1] = A @ x[k] + d_1[k]; x[k+1] += d_2[k]``.
+    and x0 broadcasts against their batch axes. x is stored time major, so a
+    step touches one contiguous slab, and returned as a (..., T, n) view. Each
+    step is a batched matrix-vector product and the drives are added one at a
+    time, so every run is bit-for-bit ``x[k+1] = A @ x[k] + d_1[k]; x[k+1] += d_2[k]``.
     """
     T = drives[0].shape[-2] if drives else steps
     if T < 1:
         raise ValueError(f"a simulation needs at least one sample, got {T}")
     batch = np.broadcast_shapes(np.shape(x0)[:-1], *(d.shape[:-2] for d in drives))
-    x = np.empty(batch + (T, len(A)))
-    x[..., 0, :] = x0
+    x = np.empty((T,) + batch + (len(A),))
+    x[0] = x0
+    drives = [np.moveaxis(d, -2, 0) for d in drives]
     for k in range(T - 1):
-        nxt = x[..., k + 1, :]
-        np.matmul(A, x[..., k, :, None], out=nxt[..., None])
+        nxt = x[k + 1]
+        np.matmul(A, x[k][..., None], out=nxt[..., None])
         for d in drives:
-            nxt += d[..., k, :]
-    return x
+            nxt += d[k]
+    return np.moveaxis(x, 0, -2)
 
 
 def _apply(M: np.ndarray, series: np.ndarray) -> np.ndarray:
@@ -285,8 +289,9 @@ def _open_loop(model: StateSpaceModel, u, v=None, noise_mode: str = "process", x
     if v is not None and noise_mode == "process":
         drives.append(_apply(model.E, v))
     x = _lti_run(model.A, x0, *drives)
+    del drives
     if v is not None and noise_mode == "measurement":
-        x = x + v @ model.E.T
+        x += v @ model.E.T
     y = x @ model.C.T
     return x, y if w is None else y + w @ model.F.T
 

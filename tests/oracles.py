@@ -7,7 +7,9 @@ full Hankel matrices, with pseudo-inverses and full-width SVDs:
 * ``pinv`` is the SVD pseudo-inverse with a relative singular-value cut-off;
 * ``orthogonal_projector`` forms the width x width projector explicitly;
 * ``pinv_predictor``, ``pinv_obs_alg1`` and ``pinv_obs_alg2`` are the
-  pseudo-inverse estimators that the factor route replaced.
+  pseudo-inverse estimators that the factor route replaced;
+* ``true_markov`` gives the model's impulse-response blocks, which the
+  estimated Markov parameters are checked against.
 
 The library evaluates Gamma = (Q_N^-1 + S R_N^-1 S')^-1 through the
 matrix-inversion lemma; ``textbook_gamma`` inverts it as written, and
@@ -87,7 +89,7 @@ def pinv_predictor(dm, pinv_tol: float = PINV_TOL):
     blocks and the input rank of [u_past; u_future].
     """
     d, p, q = dm.depth, dm.n_inputs, dm.n_outputs
-    W = dm.y_future @ pinv(dm.regressor, tol=pinv_tol)
+    W = dm.y_future @ pinv(dm.stack[..., :dm.parts["u_future"].stop, :], tol=pinv_tol)
     raw = W[:, -p * d:]
     blocks = [
         np.mean([raw[(i + k + 1) * q:(i + k + 2) * q, i * p:(i + 1) * p]
@@ -95,6 +97,16 @@ def pinv_predictor(dm, pinv_tol: float = PINV_TOL):
         for k in range(d - 1)
     ]
     return raw, blocks, numerical_rank(np.vstack([dm.u_past, dm.u_future]))
+
+
+def true_markov(model, count: int) -> list:
+    """Model-based impulse-response blocks C A^(i-1) B for i = 1..count."""
+    blocks = []
+    power = np.eye(model.n_states)
+    for _ in range(count):
+        blocks.append(model.C @ power @ model.B)
+        power = model.A @ power
+    return blocks
 
 
 def pinv_obs_alg1(y_past, u_past, s_hat, x, tol: float = PINV_TOL) -> np.ndarray:

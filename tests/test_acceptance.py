@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import prbs_dataset, random_stable_system, scalar_model, two_output_model
-from oracles import orthogonal_projector, pinv
+from oracles import orthogonal_projector, pinv, true_markov
 from ddlqr import (
     LqrWeights,
     PipelineConfig,
@@ -30,7 +30,6 @@ from ddlqr import (
     model_lqr_gain,
     monte_carlo_obs,
     simulate,
-    true_markov,
     true_observability,
 )
 from ddlqr.config import RunConfig

@@ -49,7 +49,6 @@ PUBLIC = [
     "simulate",
     "synthesize",
     "tracking_loop_simulate",
-    "true_markov",
     "true_observability",
     "zoh_discretize",
 ]
@@ -65,7 +64,7 @@ def test_every_public_name_resolves():
 
 
 @pytest.mark.parametrize("module, name", [("matrix_kit", "pinv"), ("lqr", "dd_lqr_p"),
-                                          ("markov", "state_snapshot")])
+                                          ("markov", "state_snapshot"), ("markov", "true_markov")])
 def test_test_only_helpers_are_gone(module, name):
     assert not hasattr(ddlqr, name)
     assert not hasattr(importlib.import_module(f"ddlqr.{module}"), name)

@@ -266,34 +266,42 @@ class TestMonteCarlo:
             self.mc(noise_variance=-1.0)
 
     def test_chunks_match_per_run_loop(self, monkeypatch):
-        # a 2-state plant with two noise channels, one chunk and 3 runs more
+        # a 2-state plant with two noise channels, one simulation chunk and 3 runs more
         model = StateSpaceModel(A=[[0.5, 0.2], [-0.1, 0.3]], B=[[1.0], [0.4]],
                                 C=[[1.0, 0.0]], E=[[1.0, 0.0], [0.0, 0.5]])
         spec = SignalSpec(kind="prbs", length=1022, amplitude=1.0, hold=3)
         chunk = ddlqr.experiments.MC_CHUNK_SAMPLES // spec.length
-        runs = chunk + 3
-        kernel_calls = []
+        sim_chunk = ddlqr.experiments.MC_SIM_CHUNK_SAMPLES // spec.length
+        runs = sim_chunk + 3
+        kernel_calls, prbs_calls, predictor_calls = [], [], []
 
         def counted(*args, **kw):
             kernel_calls.append(None)
             return lti_run(*args, **kw)
+
+        def counted_prbs(spec, seeds):
+            prbs_calls.append(len(seeds))
+            return prbs_channels(spec, seeds)
 
         def counted_predictor(dm):
             predictor_calls.append(dm.stack.shape[0])
             return estimate_predictor(dm)
 
         lti_run, estimate_predictor = ddlqr.plant_sim._lti_run, ddlqr.experiments.estimate_predictor
-        predictor_calls = []
+        prbs_channels = ddlqr.experiments._prbs_channels
         monkeypatch.setattr(ddlqr.plant_sim, "_lti_run", counted)
+        monkeypatch.setattr(ddlqr.experiments, "_prbs_channels", counted_prbs)
         monkeypatch.setattr(ddlqr.experiments, "estimate_predictor", counted_predictor)
         for mode in ("measurement", "process"):
-            kernel_calls.clear()
-            predictor_calls.clear()
+            for calls in (kernel_calls, prbs_calls, predictor_calls):
+                calls.clear()
             args = dict(depth=3, runs=runs, noise_variance=0.1, base_seed=4, noise_mode=mode)
             reports = monte_carlo_obs(model, spec, **args)
-            assert len(kernel_calls) == -(-runs // chunk) == 2
-            # each chunk is estimated as one batch
-            assert predictor_calls == [chunk, 3]
+            # one kernel call and one register product per simulation chunk
+            assert len(kernel_calls) == -(-runs // sim_chunk) == 2
+            assert prbs_calls == [sim_chunk, 3]
+            # each estimation chunk is estimated as one batch
+            assert predictor_calls == [chunk, chunk, 3] and sim_chunk == 2 * chunk
             samples, failures = per_run_monte_carlo(model, spec, **args)
             for rep in reports:
                 stack = np.stack(samples[rep.algorithm])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_stable_system, scalar_model, two_output_model
-from oracles import dd_lqr_p, textbook_gain
+from oracles import dd_lqr_p, textbook_gain, true_markov
 from ddlqr import (
     LqrWeights,
     StateSpaceModel,
@@ -10,7 +10,6 @@ from ddlqr import (
     dare_solve,
     dd_lqr_gain,
     model_lqr_gain,
-    true_markov,
     true_observability,
 )
 

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import prbs_dataset, random_stable_system, scalar_model, two_output_model
-from ddlqr import (
-    Dataset,
-    StateSpaceModel,
-    build_data_matrices,
-    estimate_predictor,
-    true_markov,
-)
+from oracles import true_markov
+from ddlqr import Dataset, StateSpaceModel, build_data_matrices, estimate_predictor
+
+
+def regressor(dm):
+    """The [u_past; y_past; u_future] rows of the stack."""
+    return dm.stack[..., :dm.parts["u_future"].stop, :]
 
 
 class TestBuildDataMatrices:
@@ -20,19 +20,19 @@ class TestBuildDataMatrices:
         np.testing.assert_array_equal(dm.y_past, [[4, 5]])
         np.testing.assert_array_equal(dm.u_future, [[2, 3]])
         np.testing.assert_array_equal(dm.y_future, [[5, 6]])
-        assert dm.regressor.shape == (3, 2)
+        assert regressor(dm).shape == (3, 2)
         np.testing.assert_array_equal(dm.x_past, [[0, 0]])
 
     def test_regressor_shape(self):
         ds = prbs_dataset(two_output_model())
         dm = build_data_matrices(ds, depth=51, width=870)
-        assert dm.regressor.shape == (306, 870)
+        assert regressor(dm).shape == (306, 870)
         assert dm.y_future.shape == (102, 870)
 
     def test_zero_dataset_gives_zero_matrices(self):
         ds = Dataset(u=np.zeros((40, 1)), y=np.zeros((40, 1)), x=np.zeros((40, 1)))
         dm = build_data_matrices(ds, depth=2, width=10)
-        assert not dm.regressor.any() and not dm.y_future.any()
+        assert not regressor(dm).any() and not dm.y_future.any()
 
     def test_insufficient_length(self):
         ds = Dataset(u=np.zeros((10, 1)), y=np.zeros((10, 1)), x=np.zeros((10, 1)))

@@ -20,7 +20,7 @@ from ddlqr import (
     simulate,
     zoh_discretize,
 )
-from ddlqr.plant_sim import _lfsr_jump, _lfsr_map
+from ddlqr.plant_sim import _lfsr_jump, _lfsr_map, _prbs_channels
 
 GAIN_LONG_HORIZON = np.array([[4.6491, 7.5226], [1.4461, -1.9886]])
 
@@ -215,6 +215,20 @@ class TestMaxLenSeq:
             bits, final = out[:-order], out[-order:]
             np.testing.assert_array_equal(bits, max_len_seq(order)[0])
             np.testing.assert_array_equal(final, np.ones(order))
+
+
+    @pytest.mark.parametrize("order", [2, 10, 32])
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    @pytest.mark.parametrize("hold", [1, 3])
+    def test_batched_runs_match_each_seed_alone(self, order, channels, hold):
+        # 100 samples: 34 chips of 3, the last one cut short
+        spec = SignalSpec(kind="prbs", length=100, amplitude=0.7, register_order=order,
+                          channels=channels, hold=hold)
+        seeds = [0, 1, 5, 2 ** 31 - 1, 12345, 5]
+        batch = _prbs_channels(spec, seeds)
+        assert batch.shape == (len(seeds), 100, channels)
+        for seed, run in zip(seeds, batch):
+            assert np.array_equal(run, generate_signal(replace(spec, seed=seed)))
 
 
 class TestZohDiscretize:

@@ -112,6 +112,29 @@ def test_imc_filter_matches_per_sample_loop(system):
     np.testing.assert_array_equal(filter_imc_states(y, imc), loop_filter_imc_states(y, imc))
 
 
+@SETTINGS
+@given(st.integers(1, 4), st.integers(1, 40), st.sampled_from([(), (3,), (2, 3)]),
+       st.integers(0, 2 ** 32 - 1))
+def test_kernel_batch_entries_match_each_run_alone(n, T, batch, seed):
+    # the time-major kernel over batch shapes (), (k,) and (k, m), one drive
+    # batched and one shared, against each entry alone and the per-sample loop
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, n))
+    x0, d1 = rng.normal(size=batch + (n,)), rng.normal(size=batch + (T, n))
+    d2 = rng.normal(size=(T, n))
+    x = _lti_run(A, x0, d1, d2)
+    assert x.shape == batch + (T, n)
+    for idx in np.ndindex(batch):
+        alone = _lti_run(A, x0[idx], d1[idx], d2)
+        loop = np.empty((T, n))
+        loop[0] = x0[idx]
+        for k in range(T - 1):
+            loop[k + 1] = A @ loop[k] + d1[idx][k]
+            loop[k + 1] += d2[k]
+        assert np.array_equal(x[idx], alone)
+        assert np.array_equal(alone, loop)
+
+
 def test_kernel_batches_independent_runs():
     rng = np.random.default_rng(5)
     A = rng.normal(size=(3, 3))
