@@ -209,7 +209,7 @@ def estimate_predictor(dm: DataMatrices) -> MarkovEstimate:
     nulls = np.sum(s_yp < PINV_TOL * scale[..., None], axis=-1)
     raw = np.empty(F.shape[:-2] + (q * d, p * d))
     s_m = np.zeros(F.shape[:-2] + (p * d,))
-    for k in np.unique(nulls):
+    for k in sorted(set(np.ravel(nulls).tolist())):
         at = nulls == k  # the copy keeps each entry's factor laid out as when alone
         F_k, vt_k = (F, vt_yp) if at.all() else (
             F.swapaxes(-1, -2)[at].swapaxes(-1, -2), vt_yp[at])

@@ -11,6 +11,11 @@ loop (A driven by B u), the regulation loop (A - B K), the tracking loop
 (A_a - B_a K_a driven by the reference), ``imc.filter_imc_states`` (A_c
 driven by -B_c y per output) and a chunk of ``experiments.monte_carlo_obs``
 runs, whose PRBS inputs are one register product over their start states.
+
+``zoh_discretize`` takes its exponential from ``_expm``, numpy alone: keep scipy out of
+every command. Importing ``scipy.linalg`` added about 0.4 s to each command's start, and
+scipy bundles a second OpenBLAS whose thread pool, once its ``expm`` had run, took CPU
+from numpy on 2 CPUs: the tracking demo's QR took 0.21 s, not 0.15, and its loop 0.05 s, not 0.034.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .matrix_kit import as_series
 
@@ -375,6 +379,16 @@ def tracking_loop_simulate(model: StateSpaceModel, imc, K_a, r, x0=None, v=None,
     return _feedback(model, aug.A - aug.B @ K_a, K_a, x0_a, drives, w, len(r))
 
 
+def _expm(M: np.ndarray) -> np.ndarray:
+    """exp(M) by scaling and squaring (Higham 2005): M / 2^s has 1-norm at most 1/4, so its
+    Taylor series to degree 18 leaves a truncation below 1e-28; then square s times."""
+    s = max(int(np.frexp(4 * np.abs(M).sum(axis=0).max())[1]), 0)
+    X, E = M / 2.0 ** s, np.eye(len(M))
+    for k in range(18, 0, -1):  # the Taylor polynomial by Horner's rule
+        E = np.eye(len(M)) + X @ E / k
+    return np.linalg.matrix_power(E, 2 ** s)  # s squarings
+
+
 def zoh_discretize(Ac, Bc, C, Ts: float) -> StateSpaceModel:
     """Zero-order-hold discretization of a continuous-time (Ac, Bc, C) triple.
 
@@ -389,10 +403,7 @@ def zoh_discretize(Ac, Bc, C, Ts: float) -> StateSpaceModel:
     n, p = Bc.shape
     if Ac.shape != (n, n):
         raise ValueError(f"Ac must be square with {n} rows to match Bc, got {Ac.shape}")
-    M = np.zeros((n + p, n + p))
-    M[:n, :n] = Ac
-    M[:n, n:] = Bc
-    E = scipy.linalg.expm(M * Ts)
+    E = _expm(np.block([[Ac, Bc], [np.zeros((p, n + p))]]) * Ts)
     return StateSpaceModel(A=E[:n, :n], B=E[:n, n:], C=C, sample_time=Ts)
 
 

@@ -6,6 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import scalar_model, two_output_model
 from ddlqr import (
@@ -20,7 +23,8 @@ from ddlqr import (
     simulate,
     zoh_discretize,
 )
-from ddlqr.plant_sim import _lfsr_jump, _lfsr_map, _prbs_channels
+from ddlqr.config import RunConfig
+from ddlqr.plant_sim import _expm, _lfsr_jump, _lfsr_map, _prbs_channels
 
 GAIN_LONG_HORIZON = np.array([[4.6491, 7.5226], [1.4461, -1.9886]])
 
@@ -166,12 +170,29 @@ class TestGenerateSignal:
         with pytest.raises(ValueError, match="seed must be >= 0"):
             SignalSpec(kind="prbs", length=10, seed=-1)
 
-    def test_prbs_leaves_scipy_signal_unimported(self):
+    def test_prbs_leaves_scipy_signal_unimported(self, tmp_path):
+        # Every command runs on numpy alone: scipy costs import time and wakes a second
+        # OpenBLAS thread pool, and numpy.ma costs import time (np.unique loads it).
+        root = Path(__file__).resolve().parent.parent
+        tracking = ["--set", "signal.length=800", "--set", "estimation.depth=30",
+                    "--set", "estimation.width=400", "--set", "lqr.horizon=30",
+                    "--set", "eval.horizon=2500", "--set", f"io.gain={tmp_path}/gain.csv"]
+        commands = [[command, str(root / "configs" / config), "--output-dir", str(tmp_path)] + extra
+                    for command, config, extra in (
+                        ("design", "ups_tracking_demo.ini", tracking),
+                        ("eval", "ups_tracking_demo.ini", tracking),
+                        ("sweep", "regulation_demo.ini", []),
+                        ("montecarlo", "noisy_estimation_mc.ini", ["--set", "montecarlo.runs=20"]))]
         code = ("import sys, ddlqr.cli\n"
                 "from ddlqr import SignalSpec, generate_signal\n"
                 "generate_signal(SignalSpec(kind='prbs', length=100, channels=2))\n"
-                "assert 'scipy.signal' not in sys.modules, 'scipy.signal was imported'\n")
-        src = str(Path(__file__).resolve().parent.parent / "src")
+                "assert 'scipy.signal' not in sys.modules, 'scipy.signal was imported'\n"
+                f"for argv in {commands!r}:\n"
+                "    assert ddlqr.cli.main(argv) == 0, argv\n"
+                "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+                "          or m == 'numpy.ma' or m.startswith('numpy.ma.')]\n"
+                "assert not loaded, f'imported {loaded}'\n")
+        src = str(root / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
@@ -261,6 +282,37 @@ class TestZohDiscretize:
         Bc = [[1000.0], [0.0]]
         model = zoh_discretize(Ac, Bc, [[0.0, 1.0]], 1.0 / 15000.0)
         assert np.abs(np.linalg.eigvals(model.A)).max() < 1.0
+
+
+class TestExpm:
+    """The scaling-and-squaring exponential against ``scipy.linalg.expm`` as the oracle."""
+
+    def test_tracking_demo_block_matches_scipy(self):
+        from scipy.linalg import expm
+
+        cfg = RunConfig.load(Path(__file__).resolve().parent.parent / "configs" / "ups_tracking_demo.ini")
+        Ac, Bc = cfg.get_matrix("model", "a"), cfg.get_matrix("model", "b")
+        M = np.block([[Ac, Bc], [np.zeros((1, 3))]]) * cfg.get_float("model", "ts")
+        want = expm(M)
+        assert np.abs(_expm(M) - want).max() <= 1e-14 * np.abs(want).max()
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: arrays(np.float64, (n, n), elements=st.floats(-1, 1))),
+           st.floats(0, 20))
+    def test_small_matrices_match_scipy(self, M, norm):
+        from scipy.linalg import expm
+
+        size = np.abs(M).sum(axis=0).max()
+        M = M / size * norm if size > 0 else M  # entries of M / size stay within [-1, 1]
+        want = expm(M)
+        assert np.abs(_expm(M) - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_zero_and_nilpotent_are_exact(self):
+        for n in (1, 2, 5):
+            np.testing.assert_array_equal(_expm(np.zeros((n, n))), np.eye(n))
+        # N^3 = 0, so exp(N) = I + N + N^2 / 2; scaling by 2^-5 and squaring stay dyadic
+        N = np.array([[0.0, 1.0, 2.0], [0.0, 0.0, 3.0], [0.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(_expm(N), [[1.0, 1.0, 3.5], [0.0, 1.0, 3.0], [0.0, 0.0, 1.0]])
 
 
 class TestCost:
