@@ -20,6 +20,7 @@ import numpy as np
 from . import storage
 from .config import ConfigError, RunConfig
 from .experiments import (
+    THD_PERIODS,
     PipelineConfig,
     RegulationScenario,
     TrackingScenario,
@@ -27,6 +28,7 @@ from .experiments import (
     design_gain,
     evaluate_closed_loop,
     monte_carlo_obs,
+    samples_per_period,
 )
 from .plant_sim import NOISE_MODES, generate_signal, simulate
 
@@ -65,22 +67,12 @@ def _at_least(value, minimum, section: str, key: str):
     return value
 
 
-def _estimation(cfg: RunConfig):
-    """[estimation] depth and width, refusing the removed ``structure`` key."""
-    if cfg.has("estimation", "structure"):
-        raise ConfigError(
-            "[estimation] structure is no longer supported: the Markov blocks are "
-            "always sub-diagonal averages; remove the key"
-        )
-    return cfg.get_int("estimation", "depth", required=True), cfg.get_int("estimation", "width")
-
-
 def _load_or_simulate_dataset(cfg: RunConfig):
     """Dataset from [io] dataset path, or simulated from [model]+[signal]."""
     model = cfg.model()
     ts = model.sample_time if model.sample_time is not None else 1.0
     if cfg.has("io", "dataset") and Path(cfg.get_str("io", "dataset")).exists():
-        data = storage.read_dataset(cfg.get_str("io", "dataset"), sample_time=ts)
+        data = storage.read_dataset(cfg.get_str("io", "dataset"))
         return model, data
     spec = cfg.signal(default_channels=model.n_inputs, default_ts=ts)
     u = generate_signal(spec)
@@ -100,7 +92,7 @@ def _load_or_simulate_dataset(cfg: RunConfig):
 
 
 def _pipeline_config(cfg: RunConfig, model) -> PipelineConfig:
-    depth, width = _estimation(cfg)
+    depth, width = cfg.get_int("estimation", "depth", required=True), cfg.get_int("estimation", "width")
     horizon = cfg.get_int("lqr", "horizon", required=True)
     ts = model.sample_time if model.sample_time is not None else 1.0
     try:
@@ -168,7 +160,7 @@ def cmd_montecarlo(cfg: RunConfig, outdir: Path) -> int:
     model = cfg.model()
     ts = model.sample_time if model.sample_time is not None else 1.0
     spec = cfg.signal(default_channels=model.n_inputs, default_ts=ts)
-    depth, width = _estimation(cfg)
+    depth, width = cfg.get_int("estimation", "depth", required=True), cfg.get_int("estimation", "width")
     runs = cfg.get_int("montecarlo", "runs", required=True)
     reports = monte_carlo_obs(
         model, spec, _at_least(depth, 2, "estimation", "depth"), runs,
@@ -232,6 +224,9 @@ def cmd_eval(cfg: RunConfig, outdir: Path) -> int:
         if not cfg.has("reference", "length"):
             cfg.set_resolved("reference", "length", horizon)
         ref = cfg.signal(default_channels=model.n_outputs, default_ts=ts, section="reference")
+        spp = samples_per_period(ref)
+        if spp is not None:
+            _at_least(horizon, THD_PERIODS * spp, "eval", "horizon")
         scenario = TrackingScenario(imc=imc, reference=ref)
     else:
         raise ConfigError(f"[eval] scenario must be 'regulation' or 'tracking', got {kind!r}")

@@ -21,11 +21,16 @@ from .lqr import LqrWeights
 from .plant_sim import SignalSpec, StateSpaceModel, zoh_discretize
 
 
+# Keys of removed options: a config that still sets one is refused rather than run without it.
+REMOVED_KEYS = {("estimation", "structure"): "the Markov blocks are always sub-diagonal averages",
+                ("model", "f"): "the simulators have no output-noise channel, y = C x"}
+
+
 class ConfigError(Exception):
     """Invalid or missing configuration input (CLI exit code 2)."""
 
 
-def _parse_value(section: str, key: str, raw: str):
+def _parse_value(raw: str):
     try:
         return json.loads(raw)
     except json.JSONDecodeError:
@@ -76,8 +81,11 @@ class RunConfig:
         values: Dict[str, Dict[str, Any]] = {}
         for section in parser.sections():
             values[section] = {
-                key: _parse_value(section, key, raw) for key, raw in parser.items(section)
+                key: _parse_value(raw) for key, raw in parser.items(section)
             }
+        for (section, key), why in REMOVED_KEYS.items():
+            if key in values.get(section, {}):
+                raise ConfigError(f"[{section}] {key} is no longer supported: {why}; remove the key")
         return cls(values)
 
     # -- low-level accessors ------------------------------------------------
@@ -149,9 +157,8 @@ class RunConfig:
             else:
                 model = StateSpaceModel(A=A, B=B, C=C, sample_time=ts)
             E = self.get_matrix("model", "e")
-            F = self.get_matrix("model", "f")
-            if E is not None or F is not None:
-                model = StateSpaceModel(A=model.A, B=model.B, C=model.C, E=E, F=F,
+            if E is not None:
+                model = StateSpaceModel(A=model.A, B=model.B, C=model.C, E=E,
                                         sample_time=model.sample_time)
         except ValueError as exc:
             raise ConfigError(f"[model]: {exc}") from exc

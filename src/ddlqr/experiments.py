@@ -32,7 +32,6 @@ from .plant_sim import (
     Dataset,
     SignalSpec,
     StateSpaceModel,
-    _dataset,
     _open_loop,
     _prbs_channels,
     closed_loop_simulate,
@@ -45,6 +44,8 @@ from .plant_sim import (
 MC_CHUNK_SAMPLES = 2 ** 15
 # Runs simulated per kernel call: a whole number of estimation chunks within this.
 MC_SIM_CHUNK_SAMPLES = 2 ** 16
+# Reference periods at the end of a sinusoid tracking run that its amplitude and THD are read over.
+THD_PERIODS = 10
 
 
 @dataclass
@@ -297,7 +298,7 @@ def monte_carlo_obs(model: StateSpaceModel, signal: SignalSpec, depth: int, runs
         x, y = _open_loop(model, u, v, noise_mode)
         del v
         for a in range(0, len(rngs), chunk):
-            data = _dataset(model, u[a:a + chunk], y[a:a + chunk], x[a:a + chunk])
+            data = Dataset(u=u[a:a + chunk], y=y[a:a + chunk], x=x[a:a + chunk])
             try:
                 dm = _stage("data-matrices", build_data_matrices, data, depth, width)
             except ValueError as exc:
@@ -363,8 +364,8 @@ def _reduce_report(algorithm: str, estimates, reasons: Counter,
     )
 
 
-def harmonic_distortion(y, samples_per_period: int, periods: int = 10) -> float:
-    """Total harmonic distortion of a scalar signal's final ``periods`` cycles.
+def harmonic_distortion(y, samples_per_period: int) -> float:
+    """Total harmonic distortion of a scalar signal's final ``THD_PERIODS`` cycles.
 
     The window spans an integer number of fundamental periods, so the DFT
     bins of the fundamental and its harmonics are leakage-free. Harmonics are
@@ -372,16 +373,16 @@ def harmonic_distortion(y, samples_per_period: int, periods: int = 10) -> float:
     ratio.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
-    window = periods * samples_per_period
+    window = THD_PERIODS * samples_per_period
     if window < 2 or window > y.size:
         raise ValueError(
-            f"signal too short for {periods} periods of {samples_per_period} samples"
+            f"signal too short for {THD_PERIODS} periods of {samples_per_period} samples"
         )
     spectrum = np.fft.rfft(y[-window:])
-    fund = abs(spectrum[periods])
+    fund = abs(spectrum[THD_PERIODS])
     if fund == 0.0:
         raise ValueError("no fundamental component in the analysis window")
-    harmonics = spectrum[2 * periods::periods]
+    harmonics = spectrum[2 * THD_PERIODS::THD_PERIODS]
     return float(np.sqrt(np.sum(np.abs(harmonics) ** 2)) / fund)
 
 
@@ -394,7 +395,8 @@ def evaluate_closed_loop(
     """Simulate the closed loop and report cost, stability margin and tracking.
 
     An unstable loop is reported through the spectral radius (and infinite
-    cost when the trajectory overflows), never as an exception.
+    cost when the trajectory overflows), never as an exception. A horizon
+    shorter than ``THD_PERIODS`` periods of a sinusoid reference raises ValueError.
     """
     weights = design.weights
     if isinstance(scenario, RegulationScenario):
@@ -419,22 +421,30 @@ def evaluate_closed_loop(
     try:
         ds = tracking_loop_simulate(model, scenario.imc, design.K, r)
         cost = cost_J(ds, weights.Q, weights.R)
-        y = ds.y[:, :model.n_outputs]
-        if ref_spec.kind == "sinusoid" and ref_spec.frequency > 0:
-            spp = int(round(2.0 * np.pi / (ref_spec.frequency * ref_spec.sample_time)))
-            amp = _fundamental_amplitude(y[:, 0], ref_spec, spp)
-            sse = float(abs(amp - ref_spec.amplitude) / abs(ref_spec.amplitude))
-            thd = harmonic_distortion(y[:, 0], spp)
-        else:
-            sse = float(np.abs(y[-1] - r[-1]).max())
     except ValueError:
-        cost, sse = float("inf"), float("inf")
+        return ClosedLoopMetrics(cost=float("inf"), spectral_radius=rho,
+                                 steady_state_error=float("inf"))
+    y = ds.y[:, :model.n_outputs]
+    spp = samples_per_period(ref_spec)
+    if spp is None:
+        sse = float(np.abs(y[-1] - r[-1]).max())
+    else:
+        thd = harmonic_distortion(y[:, 0], spp)  # checks the run spans THD_PERIODS periods
+        amp = _fundamental_amplitude(y[:, 0], ref_spec, spp)
+        sse = float(abs(amp - ref_spec.amplitude) / abs(ref_spec.amplitude))
     return ClosedLoopMetrics(cost=cost, spectral_radius=rho, steady_state_error=sse, thd=thd)
 
 
-def _fundamental_amplitude(y: np.ndarray, ref: SignalSpec, spp: int, periods: int = 10) -> float:
-    """Amplitude of the reference-frequency component over the final ``periods`` cycles."""
-    window = min(periods * spp, y.size)
+def samples_per_period(reference: SignalSpec) -> Optional[int]:
+    """Samples per period of a sinusoid reference; None for a reference of any other kind."""
+    if reference.kind == "sinusoid" and reference.frequency > 0:
+        return int(round(2.0 * np.pi / (reference.frequency * reference.sample_time)))
+    return None
+
+
+def _fundamental_amplitude(y: np.ndarray, ref: SignalSpec, spp: int) -> float:
+    """Amplitude of the reference-frequency component over the final ``THD_PERIODS`` cycles."""
+    window = THD_PERIODS * spp
     t = np.arange(y.size - window, y.size) * ref.sample_time
     basis = np.column_stack([np.sin(ref.frequency * t), np.cos(ref.frequency * t)])
     coeff, *_ = np.linalg.lstsq(basis, y[-window:], rcond=None)

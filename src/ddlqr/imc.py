@@ -78,12 +78,7 @@ def filter_imc_states(y, imc: ImcRealization) -> np.ndarray:
 def augment_dataset(data: Dataset, imc: ImcRealization) -> Dataset:
     """Append filtered controller states to the outputs and states of a dataset."""
     xc = filter_imc_states(data.y, imc)
-    return Dataset(
-        u=data.u,
-        y=np.hstack([data.y, xc]),
-        x=np.hstack([data.x, xc]),
-        sample_time=data.sample_time,
-    )
+    return Dataset(u=data.u, y=np.hstack([data.y, xc]), x=np.hstack([data.x, xc]))
 
 
 def augment_model(model: StateSpaceModel, imc: ImcRealization) -> StateSpaceModel:
@@ -95,7 +90,7 @@ def augment_model(model: StateSpaceModel, imc: ImcRealization) -> StateSpaceMode
         C_a = [[C, 0], [0, I]],
 
     where (x) is the Kronecker product, so the controller block integrates
-    -y channel-wise. Noise channels E and F carry over on the plant block.
+    -y channel-wise.
     """
     n, p, q = model.n_states, model.n_inputs, model.n_outputs
     nc = imc.order
@@ -108,6 +103,4 @@ def augment_model(model: StateSpaceModel, imc: ImcRealization) -> StateSpaceMode
     C_a = np.zeros((q + nc * q, na))
     C_a[:q, :n] = model.C
     C_a[q:, n:] = np.eye(nc * q)
-    E_a = None if model.E is None else np.vstack([model.E, np.zeros((nc * q, model.E.shape[1]))])
-    F_a = None if model.F is None else np.vstack([model.F, np.zeros((nc * q, model.F.shape[1]))])
-    return StateSpaceModel(A=A_a, B=B_a, C=C_a, E=E_a, F=F_a, sample_time=model.sample_time)
+    return StateSpaceModel(A=A_a, B=B_a, C=C_a, sample_time=model.sample_time)

@@ -17,6 +17,8 @@ import numpy as np
 from .matrix_kit import block_diag_repeat
 from .plant_sim import StateSpaceModel
 
+DARE_TOL = 1e-12
+DARE_MAX_ITER = 100_000
 RIDGE_HINT = (
     "R must be symmetric positive definite; for a dead-beat design use a "
     "small ridge such as 1e-9 * I instead of R = 0"
@@ -116,20 +118,13 @@ def dd_lqr_gain(
     )
 
 
-def dare_solve(
-    model: StateSpaceModel,
-    weights: LqrWeights,
-    tol: float = 1e-12,
-    max_iter: int = 100_000,
-) -> np.ndarray:
+def dare_solve(model: StateSpaceModel, weights: LqrWeights) -> np.ndarray:
     """Stabilizing Riccati solution by fixed-point iteration.
 
     Iterates P <- A'PA - (A'PB)(R + B'PB)^-1(B'PA) + C'QC from P0 = C'QC
-    until the relative step falls below ``tol``, then verifies the fixed-point
-    residual of the returned P is below 10*tol.
+    until the relative step falls below ``DARE_TOL``, then verifies the
+    fixed-point residual of the returned P is below 10*DARE_TOL.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     A, B, C = model.A, model.B, model.C
     CQC = C.T @ weights.Q @ C
 
@@ -141,16 +136,16 @@ def dare_solve(
 
     P = CQC.copy()
     last_resid = np.inf
-    for _ in range(max_iter):
+    for _ in range(DARE_MAX_ITER):
         Pn = step(P)
         change = np.linalg.norm(Pn - P) / max(np.linalg.norm(Pn), np.finfo(float).tiny)
         P = Pn
-        if change < tol:
+        if change < DARE_TOL:
             last_resid = np.linalg.norm(step(P) - P) / max(np.linalg.norm(P), np.finfo(float).tiny)
-            if last_resid < 10 * tol:
+            if last_resid < 10 * DARE_TOL:
                 return P
     raise ValueError(
-        f"Riccati fixed-point iteration did not converge in {max_iter} iterations "
+        f"Riccati fixed-point iteration did not converge in {DARE_MAX_ITER} iterations "
         f"(last residual {last_resid:.3e})"
     )
 

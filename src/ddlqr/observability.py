@@ -45,7 +45,7 @@ class ObservabilityEstimate:
 
 
 def true_observability(model: StateSpaceModel, depth: int) -> np.ndarray:
-    """Model-based stack of C A^i for i = 0..depth-1 (test oracle)."""
+    """Model-based stack of C A^i for i = 0..depth-1; ``monte_carlo_obs`` scores against it."""
     rows = []
     power = np.eye(model.n_states)
     for _ in range(depth):

@@ -1,9 +1,9 @@
 """Discrete-time LTI simulation and excitation-signal generation.
 
 Produces the synchronized (input, output, state) batches the estimators
-consume. Models are plain (A, B, C) triples with optional process/measurement
-noise channels (E, F); continuous-time plants enter through zero-order-hold
-discretization.
+consume. Models are plain (A, B, C) triples with outputs y = C x and an
+optional state-noise channel E; continuous-time plants enter through
+zero-order-hold discretization.
 
 Every simulator is one call of the kernel ``_lti_run``, the recursion
 x(k+1) = A x(k) + d_1(k) + d_2(k) + ... over leading batch axes: the open
@@ -46,33 +46,31 @@ def _check_finite(name: str, arr: np.ndarray) -> np.ndarray:
 
 @dataclass
 class StateSpaceModel:
-    """Discrete-time model x(k+1) = A x + B u + E v, y(k) = C x + F w.
+    """Discrete-time model x(k+1) = A x + B u + E v, y(k) = C x.
 
-    E and F are optional noise-input channels; omitting them means the
-    corresponding noise is absent. ``sample_time`` is metadata only.
+    E is an optional state-noise channel; omitting it means the state noise
+    is absent. ``sample_time`` is metadata only.
     """
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
     E: Optional[np.ndarray] = None
-    F: Optional[np.ndarray] = None
     sample_time: Optional[float] = None
 
     def __post_init__(self):
-        for name in "ABCEF":
+        for name in "ABCE":
             if name in "ABC" or getattr(self, name) is not None:
                 m = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
                 setattr(self, name, _check_finite(name, m))
         n = self.A.shape[0]
         if self.A.shape != (n, n):
             raise ValueError(f"A must be square, got {self.A.shape}")
-        for name, axis, size, match in (("B", 0, n, "A"), ("C", 1, n, "A"), ("E", 0, n, "A"),
-                                        ("F", 0, self.C.shape[0], "C")):
+        for name, axis in (("B", 0), ("C", 1), ("E", 0)):
             m = getattr(self, name)
-            if m is not None and m.shape[axis] != size:
+            if m is not None and m.shape[axis] != n:
                 raise ValueError(f"{name} has {m.shape[axis]} {('rows', 'columns')[axis]}, "
-                                 f"expected {size} to match {match}")
+                                 f"expected {n} to match A")
 
     @property
     def n_states(self) -> int:
@@ -94,7 +92,6 @@ class Dataset:
     u: np.ndarray
     y: np.ndarray
     x: np.ndarray
-    sample_time: float = 1.0
 
     def __post_init__(self):
         for name in "uyx":
@@ -263,31 +260,16 @@ def _apply(M: np.ndarray, series: np.ndarray) -> np.ndarray:
     return (M @ series[..., None])[..., 0]
 
 
-def _checked(model: StateSpaceModel, x0, length: int, v, w):
-    """x0 (zeros when None), v and w checked against the model."""
+def _checked(model: StateSpaceModel, x0) -> np.ndarray:
+    """x0 (zeros when None) checked against the model."""
     n = model.n_states
     x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != n:
         raise ValueError(f"x0 has dimension {x0.shape[0]}, expected {n} to match A")
-    checked = [x0]
-    for name, series, label, channel in (("v", v, "E", model.E), ("w", w, "F", model.F)):
-        if series is not None:
-            if channel is None:
-                kind = "process" if name == "v" else "measurement"
-                raise ValueError(f"model has no {label} channel for {kind} noise {name}")
-            series = as_series(series)
-            if series.shape != (length, channel.shape[1]):
-                raise ValueError(f"{name} has shape {series.shape}, expected "
-                                 f"({length}, {channel.shape[1]}) to match the samples and {label}")
-        checked.append(series)
-    return checked
+    return x0
 
 
-def _dataset(model: StateSpaceModel, u, y, x) -> Dataset:
-    return Dataset(u=u, y=y, x=x, sample_time=1.0 if model.sample_time is None else model.sample_time)
-
-
-def _open_loop(model: StateSpaceModel, u, v=None, noise_mode: str = "process", x0=0.0, w=None):
+def _open_loop(model: StateSpaceModel, u, v=None, noise_mode: str = "process", x0=0.0):
     """States and outputs of the open loop; leading axes of the series batch runs."""
     drives = [_apply(model.B, u)]
     if v is not None and noise_mode == "process":
@@ -296,23 +278,19 @@ def _open_loop(model: StateSpaceModel, u, v=None, noise_mode: str = "process", x
     del drives
     if v is not None and noise_mode == "measurement":
         x += v @ model.E.T
-    y = x @ model.C.T
-    return x, y if w is None else y + w @ model.F.T
+    return x, x @ model.C.T
 
 
-def _feedback(model: StateSpaceModel, A_cl, K, x0, drives, w, steps: int) -> Dataset:
-    """Run x(k+1) = A_cl x(k) + drives with u = -K x; y = C x + F w on the plant states."""
+def _feedback(model: StateSpaceModel, A_cl, K, x0, *drives, steps: int) -> Dataset:
+    """Run x(k+1) = A_cl x(k) + drives with u = -K x; y = C x on the plant states."""
     with np.errstate(over="ignore", invalid="ignore"):
         x = _lti_run(A_cl, x0, *drives, steps=steps)
         u = -_apply(K, x)
         y = x[:, :model.n_states] @ model.C.T
-        if w is not None:
-            y = y + w @ model.F.T
-    return _dataset(model, u, np.hstack([y, x[:, model.n_states:]]), x)
+    return Dataset(u=u, y=np.hstack([y, x[:, model.n_states:]]), x=x)
 
 
-def simulate(model: StateSpaceModel, u, x0=None, v=None, w=None,
-             noise_mode: str = "process") -> Dataset:
+def simulate(model: StateSpaceModel, u, x0=None, v=None, noise_mode: str = "process") -> Dataset:
     """Run the model open loop over an input series.
 
     ``noise_mode`` selects how the state-noise series v enters:
@@ -322,43 +300,46 @@ def simulate(model: StateSpaceModel, u, x0=None, v=None, w=None,
       x(k) = x_clean(k) + E v(k), i.e. white noise sits directly on the state
       measurement.
 
-    In both modes the recorded output is y(k) = C x(k) + F w(k) with x the
-    recorded state.
+    In both modes the recorded output is y(k) = C x(k) with x the recorded
+    state.
     """
     if noise_mode not in NOISE_MODES:
         raise ValueError(f"noise_mode must be 'process' or 'measurement', got {noise_mode!r}")
     u = as_series(u)
     if u.shape[1] != model.n_inputs:
         raise ValueError(f"u has {u.shape[1]} channels, expected {model.n_inputs} to match B")
-    x0, v, w = _checked(model, x0, len(u), v, w)
-    x, y = _open_loop(model, u, v, noise_mode, x0, w)
-    return _dataset(model, u, y, x)
+    x0 = _checked(model, x0)
+    if v is not None:
+        if model.E is None:
+            raise ValueError("model has no E channel for process noise v")
+        v = as_series(v)
+        if v.shape != (len(u), model.E.shape[1]):
+            raise ValueError(f"v has shape {v.shape}, expected ({len(u)}, {model.E.shape[1]}) "
+                             f"to match the samples and E")
+    x, y = _open_loop(model, u, v, noise_mode, x0)
+    return Dataset(u=u, y=y, x=x)
 
 
-def closed_loop_simulate(model: StateSpaceModel, K, x0, horizon: int, v=None,
-                         w=None) -> Dataset:
-    """Simulate the regulation loop u(k) = -K x(k) for ``horizon`` steps.
+def closed_loop_simulate(model: StateSpaceModel, K, x0, horizon: int) -> Dataset:
+    """Simulate the noise-free regulation loop u(k) = -K x(k) for ``horizon`` steps.
 
-    The state runs under the closed-loop matrix A - B K, driven by E v.
+    The state runs under the closed-loop matrix A - B K.
     """
     K = np.atleast_2d(np.asarray(K, dtype=float))
     if K.shape != (model.n_inputs, model.n_states):
         raise ValueError(f"K has shape {K.shape}, expected ({model.n_inputs}, {model.n_states})")
-    x0, v, w = _checked(model, np.asarray(x0, dtype=float), horizon, v, w)
-    drives = [] if v is None else [_apply(model.E, v)]
-    return _feedback(model, model.A - model.B @ K, K, x0, drives, w, horizon)
+    return _feedback(model, model.A - model.B @ K, K, _checked(model, x0), steps=horizon)
 
 
-def tracking_loop_simulate(model: StateSpaceModel, imc, K_a, r, x0=None, v=None,
-                           w=None) -> Dataset:
-    """Close the loop of plant + internal-model controller on a reference.
+def tracking_loop_simulate(model: StateSpaceModel, imc, K_a, r) -> Dataset:
+    """Close the noise-free loop of plant + internal-model controller on a reference.
 
     Each output channel owns one controller copy driven by its tracking
     error, x_c(k+1) = A_c x_c(k) + B_c (r_j(k) - y_j(k)), and the input is
-    u(k) = -K_a [x(k); x_imc(k)]. So [x; x_imc] runs under A_a - B_a K_a of
-    ``imc.augment_model``, driven by G r with G = [0; I_q (x) B_c], by E v and
-    by -G F w. The returned dataset is the augmented one: y holds [y; x_imc]
-    and x holds [x; x_imc].
+    u(k) = -K_a [x(k); x_imc(k)]. So [x; x_imc] runs from rest under
+    A_a - B_a K_a of ``imc.augment_model``, driven by G r with
+    G = [0; I_q (x) B_c]. The returned dataset is the augmented one: y holds
+    [y; x_imc] and x holds [x; x_imc].
     """
     from .imc import augment_model
 
@@ -369,14 +350,10 @@ def tracking_loop_simulate(model: StateSpaceModel, imc, K_a, r, x0=None, v=None,
     K_a = np.atleast_2d(np.asarray(K_a, dtype=float))
     if K_a.shape != (p, n + imc.order * q):
         raise ValueError(f"K_a has shape {K_a.shape}, expected ({p}, {n + imc.order * q})")
-    x0, v, w = _checked(model, x0, len(r), v, w)
     aug = augment_model(model, imc)
     G = np.vstack([np.zeros((n, q)), np.kron(np.eye(q), imc.B_c)])
-    drives = [_apply(G, r)] + ([] if v is None else [_apply(aug.E, v)])
-    if w is not None:
-        drives.append(-_apply(G, _apply(model.F, w)))
-    x0_a = np.concatenate([x0, np.zeros(imc.order * q)])
-    return _feedback(model, aug.A - aug.B @ K_a, K_a, x0_a, drives, w, len(r))
+    return _feedback(model, aug.A - aug.B @ K_a, K_a, np.zeros(len(aug.A)), _apply(G, r),
+                     steps=len(r))
 
 
 def _expm(M: np.ndarray) -> np.ndarray:
@@ -407,8 +384,8 @@ def zoh_discretize(Ac, Bc, C, Ts: float) -> StateSpaceModel:
     return StateSpaceModel(A=E[:n, :n], B=E[:n, n:], C=C, sample_time=Ts)
 
 
-def cost_J(dataset: Dataset, Q, R, horizon: Optional[int] = None) -> float:
-    """Accumulated quadratic cost sum_k y'Qy + u'Ru over the first ``horizon`` samples."""
+def cost_J(dataset: Dataset, Q, R) -> float:
+    """Accumulated quadratic cost sum_k y'Qy + u'Ru over the samples of a dataset."""
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
     q, p = dataset.n_outputs, dataset.n_inputs
@@ -416,9 +393,5 @@ def cost_J(dataset: Dataset, Q, R, horizon: Optional[int] = None) -> float:
         raise ValueError(f"Q has shape {Q.shape}, expected ({q}, {q})")
     if R.shape != (p, p):
         raise ValueError(f"R has shape {R.shape}, expected ({p}, {p})")
-    horizon = dataset.n_samples if horizon is None else horizon
-    if horizon > dataset.n_samples:
-        raise ValueError(f"horizon {horizon} exceeds dataset length {dataset.n_samples}")
-    y = dataset.y[:horizon]
-    u = dataset.u[:horizon]
+    y, u = dataset.y, dataset.u
     return float(np.einsum("ki,ij,kj->", y, Q, y) + np.einsum("ki,ij,kj->", u, R, u))

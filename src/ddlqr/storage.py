@@ -49,7 +49,7 @@ def write_dataset(path: Union[str, Path], data: Dataset) -> None:
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def read_dataset(path: Union[str, Path], sample_time: float = 1.0) -> Dataset:
+def read_dataset(path: Union[str, Path]) -> Dataset:
     """Read a dataset CSV produced by :func:`write_dataset`."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -71,9 +71,7 @@ def read_dataset(path: Union[str, Path], sample_time: float = 1.0) -> Dataset:
     if not rows:
         raise ValueError(f"{path}: dataset is empty")
     arr = np.asarray(rows)
-    return Dataset(
-        u=arr[:, :p], y=arr[:, p:p + q], x=arr[:, p + q:], sample_time=sample_time
-    )
+    return Dataset(u=arr[:, :p], y=arr[:, p:p + q], x=arr[:, p + q:])
 
 
 def write_matrix(path: Union[str, Path], matrix) -> None:

@@ -148,8 +148,8 @@ def dd_lqr_p(O, S, weights, horizon: int) -> np.ndarray:
     return 0.5 * (P + P.T)
 
 
-def loop_simulate(model, u, x0=None, v=None, w=None, noise_mode="process"):
-    """x(k+1) = A x + B u (+ E v in process mode); y = C x (+ F w)."""
+def loop_simulate(model, u, x0=None, v=None, noise_mode="process"):
+    """x(k+1) = A x + B u (+ E v in process mode); y = C x."""
     u = np.asarray(u, dtype=float).reshape(len(u), -1)
     T, n = len(u), model.n_states
     x = np.empty((T, n))
@@ -160,14 +160,11 @@ def loop_simulate(model, u, x0=None, v=None, w=None, noise_mode="process"):
             x[k + 1] += model.E @ v[k]
     if v is not None and noise_mode == "measurement":
         x = x + v @ model.E.T
-    y = x @ model.C.T
-    if w is not None:
-        y = y + w @ model.F.T
-    return Dataset(u=u, y=y, x=x)
+    return Dataset(u=u, y=x @ model.C.T, x=x)
 
 
-def loop_closed_loop(model, K, x0, horizon, v=None, w=None):
-    """u(k) = -K x(k); x(k+1) = A x + B u (+ E v); y = C x (+ F w)."""
+def loop_closed_loop(model, K, x0, horizon):
+    """u(k) = -K x(k); x(k+1) = A x + B u; y = C x."""
     n, p = model.n_states, model.n_inputs
     x = np.empty((horizon, n))
     u = np.empty((horizon, p))
@@ -176,33 +173,23 @@ def loop_closed_loop(model, K, x0, horizon, v=None, w=None):
         u[k] = -K @ x[k]
         if k + 1 < horizon:
             x[k + 1] = model.A @ x[k] + model.B @ u[k]
-            if v is not None:
-                x[k + 1] += model.E @ v[k]
-    y = x @ model.C.T
-    if w is not None:
-        y = y + w @ model.F.T
-    return Dataset(u=u, y=y, x=x)
+    return Dataset(u=u, y=x @ model.C.T, x=x)
 
 
-def loop_tracking_loop(model, imc, K_a, r, x0=None, v=None, w=None):
-    """Plant plus one controller copy per output on the tracking error r - y."""
+def loop_tracking_loop(model, imc, K_a, r):
+    """Plant plus one controller copy per output on the tracking error r - y, from rest."""
     T = len(r)
     n, p, q = model.n_states, model.n_inputs, model.n_outputs
     nc = imc.order
-    x = np.empty((T, n))
+    x = np.zeros((T, n))
     xc = np.zeros((T, nc * q))
     u = np.empty((T, p))
     y = np.empty((T, q))
-    x[0] = np.zeros(n) if x0 is None else x0
     for k in range(T):
         u[k] = -K_a @ np.concatenate([x[k], xc[k]])
         y[k] = model.C @ x[k]
-        if w is not None:
-            y[k] += model.F @ w[k]
         if k + 1 < T:
             x[k + 1] = model.A @ x[k] + model.B @ u[k]
-            if v is not None:
-                x[k + 1] += model.E @ v[k]
             err = r[k] - y[k]
             for j in range(q):
                 blk = slice(j * nc, (j + 1) * nc)

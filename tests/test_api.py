@@ -1,6 +1,8 @@
 """The public API, pinned: a change to ``ddlqr.__all__`` shows up here as a diff."""
 
+import dataclasses
 import importlib
+import inspect
 
 import pytest
 
@@ -54,8 +56,37 @@ PUBLIC = [
 ]
 
 
+# Parameters of the simulators, the cost, the solvers and the dataset reader, and
+# the fields of the model and dataset: a keyword or field that only tests would
+# set shows up here as a diff.
+PARAMETERS = [
+    ("ddlqr", "simulate", ["model", "u", "x0", "v", "noise_mode"]),
+    ("ddlqr", "closed_loop_simulate", ["model", "K", "x0", "horizon"]),
+    ("ddlqr", "tracking_loop_simulate", ["model", "imc", "K_a", "r"]),
+    ("ddlqr", "cost_J", ["dataset", "Q", "R"]),
+    ("ddlqr", "dare_solve", ["model", "weights"]),
+    ("ddlqr", "harmonic_distortion", ["y", "samples_per_period"]),
+    ("ddlqr.storage", "read_dataset", ["path"]),
+]
+FIELDS = [
+    ("StateSpaceModel", ["A", "B", "C", "E", "sample_time"]),
+    ("Dataset", ["u", "y", "x"]),
+]
+
+
 def test_all_is_pinned():
     assert sorted(ddlqr.__all__) == PUBLIC
+
+
+@pytest.mark.parametrize("module, name, params", PARAMETERS, ids=[p[1] for p in PARAMETERS])
+def test_parameters_are_pinned(module, name, params):
+    function = getattr(importlib.import_module(module), name)
+    assert list(inspect.signature(function).parameters) == params
+
+
+@pytest.mark.parametrize("name, names", FIELDS, ids=[f[0] for f in FIELDS])
+def test_fields_are_pinned(name, names):
+    assert [f.name for f in dataclasses.fields(getattr(ddlqr, name))] == names
 
 
 def test_every_public_name_resolves():

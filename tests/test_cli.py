@@ -119,6 +119,15 @@ class TestDesign:
             assert code == 2
             assert "[estimation] structure" in capsys.readouterr().err
 
+    def test_removed_output_noise_key_exits_2(self, tmp_path, capsys):
+        for command, config, f in (("design", REGULATION, "[[1.0], [0.0]]"),
+                                   ("montecarlo", MC, "1.0")):
+            code = run(command, config, "--output-dir", str(tmp_path),
+                       "--set", f"model.f={f}", "--set", "montecarlo.runs=2")
+            assert code == 2, command
+            assert "[model] f is no longer supported" in capsys.readouterr().err
+            assert not list(tmp_path.iterdir()), command
+
     def test_negative_noise_variance_exits_2(self, tmp_path, capsys):
         for command, config in (("design", REGULATION), ("simulate", MC)):
             code = run(command, config, "--output-dir", str(tmp_path),
@@ -266,6 +275,24 @@ class TestEval:
                        "--set", f"eval.horizon={horizon}", "--set", f"io.gain={tmp_path}/gain.csv")
             assert code == 2, horizon
             assert f"[eval] horizon must be >= 1, got {horizon}" in capsys.readouterr().err
+
+    def test_tracking_horizon_shorter_than_thd_window_exits_2(self, tmp_path, capsys):
+        # the 60 Hz reference at 15 kHz has 250 samples per period; the metrics read 10 periods
+        small = ["--set", "signal.length=800", "--set", "estimation.depth=30",
+                 "--set", "estimation.width=400", "--set", "lqr.horizon=30"]
+        assert run("design", UPS, "--output-dir", str(tmp_path / "d"), *small) == 0
+        gain = ["--set", f"io.gain={tmp_path}/d/gain.csv"]
+        code = run("eval", UPS, "--output-dir", str(tmp_path / "short"), *small, *gain,
+                   "--set", "eval.horizon=300")
+        assert code == 2
+        assert "[eval] horizon must be >= 2500, got 300" in capsys.readouterr().err
+        assert not (tmp_path / "short" / "eval.csv").exists()
+        assert run("eval", UPS, "--output-dir", str(tmp_path / "full"), *small, *gain,
+                   "--set", "eval.horizon=2500") == 0
+        metrics = dict(r.split(",") for r in
+                       (tmp_path / "full" / "eval.csv").read_text().splitlines()[1:])
+        assert float(metrics["spectral_radius"]) < 1.0
+        assert np.isfinite(float(metrics["cost"])) and np.isfinite(float(metrics["thd"]))
 
     def test_tracking_metrics_schema(self, tmp_path):
         assert run("design", UPS, "--output-dir", str(tmp_path)) == 0

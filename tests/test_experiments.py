@@ -36,6 +36,7 @@ from ddlqr import (
     harmonic_distortion,
     integrator_imc,
     model_lqr_gain,
+    resonant_imc,
     monte_carlo_obs,
     simulate,
     synthesize,
@@ -405,6 +406,23 @@ class TestEvaluateClosedLoop:
         assert metrics.spectral_radius < 1.0
         assert metrics.steady_state_error < 1e-6
         assert metrics.thd is None
+
+    def test_sinusoid_tracking_needs_thd_window(self):
+        # 20 samples per reference period, so the amplitude and THD read the last 200
+        model = two_output_model()
+        imc = resonant_imc(2 * np.pi / 20, 1.0)
+        from ddlqr import augment_model
+        aug = augment_model(model, imc)
+        weights = LqrWeights(Q=np.eye(6), R=0.1 * np.eye(2))
+        design = LqrDesign(K=model_lqr_gain(aug, dare_solve(aug, weights), weights.R), horizon=0,
+                           weights=weights)
+        ref = SignalSpec(kind="sinusoid", length=1, amplitude=1.0, frequency=2 * np.pi / 20)
+        scenario = TrackingScenario(imc=imc, reference=ref)
+        with pytest.raises(ValueError, match="too short for 10 periods of 20 samples"):
+            evaluate_closed_loop(model, design, scenario, 199)
+        metrics = evaluate_closed_loop(model, design, scenario, 200)
+        assert metrics.spectral_radius < 1.0
+        assert np.isfinite(metrics.cost) and np.isfinite(metrics.thd)
 
     def test_local_optimality_sampling(self):
         model = two_output_model()

@@ -1,11 +1,11 @@
 """Property tests: the kernel-backed simulators against per-sample loops.
 
-Random systems of every small (n, p, q, T), with process noise v and output
-noise w, run through ``simulate`` (both noise modes), the regulation and
-tracking loops and the internal-model filter, and through the loops in
-``oracles``. The open loop and the filter add the same products in the same
-order, so they agree exactly; the closed loops run A - B K as one matrix and
-agree within RTOL. The input u = -K x and the output y = C x + F w are
+Random systems of every small (n, p, q, T) run through ``simulate`` (from a
+start state, with state noise v in both noise modes), the noise-free
+regulation and tracking loops and the internal-model filter, and through the
+loops in ``oracles``. The open loop and the filter add the same products in
+the same order, so they agree exactly; the closed loops run A - B K as one
+matrix and agree within RTOL. The input u = -K x and the output y = C x are
 products, which cancel when K or C is nearly orthogonal to a growing mode,
 so their errors are measured against the size of their terms.
 """
@@ -35,11 +35,11 @@ def _rel(got, expect, scale=None) -> float:
     return float(np.abs(got - expect).max() / max(scale, 1e-300))
 
 
-def _loop_errors(model, K, got, expect, w):
-    """Errors of x, of u = -K x and of y = C x + F w, each against its scale."""
+def _loop_errors(model, K, got, expect):
+    """Errors of x, of u = -K x and of y = C x, each against its scale."""
     top = lambda m: np.abs(m).max()
     n_y = model.n_outputs
-    y_scale = top(model.C) * top(expect.x[:, :model.n_states]) + top(model.F) * top(w)
+    y_scale = top(model.C) * top(expect.x[:, :model.n_states])
     return {
         "x": _rel(got.x, expect.x),
         "u": _rel(got.u, expect.u, top(K) * top(expect.x)),
@@ -55,7 +55,7 @@ def systems(draw):
     A = rng.normal(size=(n, n))
     A *= rng.uniform(0.2, 0.95) / max(np.abs(np.linalg.eigvals(A)).max(), 1e-12)
     model = StateSpaceModel(A=A, B=rng.normal(size=(n, p)), C=rng.normal(size=(q, n)),
-                            E=rng.normal(size=(n, 2)), F=rng.normal(size=(q, 1)))
+                            E=rng.normal(size=(n, 2)))
     nc = draw(st.integers(1, 2))
     imc = ImcRealization(A_c=rng.normal(size=(nc, nc)), B_c=rng.normal(size=nc))
     return model, imc, T, rng
@@ -70,9 +70,9 @@ SETTINGS = settings(derandomize=True, max_examples=60, deadline=None,
 def test_open_loop_matches_per_sample_loop(system, noise_mode):
     model, _, T, rng = system
     u, x0 = rng.normal(size=(T, model.n_inputs)), rng.normal(size=model.n_states)
-    v, w = rng.normal(size=(T, 2)), rng.normal(size=(T, 1))
-    got = simulate(model, u, x0, v=v, w=w, noise_mode=noise_mode)
-    expect = loop_simulate(model, u, x0, v=v, w=w, noise_mode=noise_mode)
+    v = rng.normal(size=(T, 2))
+    got = simulate(model, u, x0, v=v, noise_mode=noise_mode)
+    expect = loop_simulate(model, u, x0, v=v, noise_mode=noise_mode)
     np.testing.assert_array_equal(got.x, expect.x)
     np.testing.assert_array_equal(got.y, expect.y)
 
@@ -82,10 +82,10 @@ def test_open_loop_matches_per_sample_loop(system, noise_mode):
 def test_regulation_loop_matches_per_sample_loop(system):
     model, _, T, rng = system
     K = 0.3 * rng.normal(size=(model.n_inputs, model.n_states))
-    x0, v, w = rng.normal(size=model.n_states), rng.normal(size=(T, 2)), rng.normal(size=(T, 1))
-    got = closed_loop_simulate(model, K, x0, T, v=v, w=w)
-    expect = loop_closed_loop(model, K, x0, T, v=v, w=w)
-    for name, err in _loop_errors(model, K, got, expect, w).items():
+    x0 = rng.normal(size=model.n_states)
+    got = closed_loop_simulate(model, K, x0, T)
+    expect = loop_closed_loop(model, K, x0, T)
+    for name, err in _loop_errors(model, K, got, expect).items():
         assert err <= RTOL, name
 
 
@@ -95,11 +95,10 @@ def test_tracking_loop_matches_per_sample_loop(system):
     model, imc, T, rng = system
     n_a = model.n_states + imc.order * model.n_outputs
     K_a = 0.3 * rng.normal(size=(model.n_inputs, n_a))
-    r, x0 = rng.normal(size=(T, model.n_outputs)), rng.normal(size=model.n_states)
-    v, w = rng.normal(size=(T, 2)), rng.normal(size=(T, 1))
-    got = tracking_loop_simulate(model, imc, K_a, r, x0, v=v, w=w)
-    expect = loop_tracking_loop(model, imc, K_a, r, x0, v=v, w=w)
-    for name, err in _loop_errors(model, K_a, got, expect, w).items():
+    r = rng.normal(size=(T, model.n_outputs))
+    got = tracking_loop_simulate(model, imc, K_a, r)
+    expect = loop_tracking_loop(model, imc, K_a, r)
+    for name, err in _loop_errors(model, K_a, got, expect).items():
         assert err <= RTOL, name
     np.testing.assert_array_equal(got.y[:, model.n_outputs:], got.x[:, model.n_states:])
 
