@@ -10,7 +10,7 @@ from .imc import (
 )
 from .lqr import LqrDesign, LqrWeights, dare_solve, dd_lqr_gain, model_lqr_gain
 from .markov import DataMatrices, MarkovEstimate, build_data_matrices, estimate_predictor
-from .matrix_kit import block_diag_repeat, block_hankel, block_toeplitz_strict_lower
+from .matrix_kit import block_hankel, block_toeplitz_strict_lower
 from .observability import (
     ObservabilityEstimate,
     drop_first_block_row,
@@ -63,7 +63,6 @@ __all__ = [
     "TrackingScenario",
     "augment_dataset",
     "augment_model",
-    "block_diag_repeat",
     "block_hankel",
     "block_toeplitz_strict_lower",
     "build_data_matrices",

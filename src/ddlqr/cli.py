@@ -216,6 +216,8 @@ def cmd_eval(cfg: RunConfig, outdir: Path) -> int:
     design = LqrDesign(K=K, horizon=0, weights=weights)
     if kind == "regulation":
         x0 = cfg.get_matrix("eval", "x0", required=True).ravel()
+        if x0.size != model.n_states:
+            raise ConfigError(f"[eval] x0 has {x0.size} entries, expected {model.n_states} states")
         scenario = RegulationScenario(x0=x0)
     elif kind == "tracking":
         imc = cfg.imc(default_ts=ts)
@@ -224,6 +226,9 @@ def cmd_eval(cfg: RunConfig, outdir: Path) -> int:
         if not cfg.has("reference", "length"):
             cfg.set_resolved("reference", "length", horizon)
         ref = cfg.signal(default_channels=model.n_outputs, default_ts=ts, section="reference")
+        theta = ref.frequency * ref.sample_time
+        if ref.kind == "sinusoid" and not 0.0 < theta < np.pi:
+            raise ConfigError(f"[reference] frequency * ts = {theta:.6g} must lie inside (0, pi)")
         spp = samples_per_period(ref)
         if spp is not None:
             _at_least(horizon, THD_PERIODS * spp, "eval", "horizon")

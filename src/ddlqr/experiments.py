@@ -19,7 +19,6 @@ import numpy as np
 from .imc import ImcRealization, augment_dataset, augment_model
 from .lqr import LqrDesign, LqrWeights, dare_solve, dd_lqr_gain, model_lqr_gain
 from .markov import DataMatrices, MarkovEstimate, build_data_matrices, estimate_predictor
-from .matrix_kit import block_toeplitz_strict_lower
 from .observability import (
     ALGORITHMS,
     ObservabilityEstimate,
@@ -32,6 +31,7 @@ from .plant_sim import (
     Dataset,
     SignalSpec,
     StateSpaceModel,
+    _checked,
     _open_loop,
     _prbs_channels,
     closed_loop_simulate,
@@ -198,8 +198,9 @@ def synthesize(est: DataDrivenEstimate, weights: LqrWeights, horizon: int) -> Lq
             f"(dataset outputs{' after augmentation' if est.augmented else ''})"
         )
     order = horizon - 1
-    M = markov.stacked(order)
-    S = block_toeplitz_strict_lower(markov.blocks[:order - 1], order, block_shape=(q, p))
+    # the Toeplitz factor's first block column is [0; Markov blocks 1..depth-1]
+    M = markov.toeplitz[q:q * (order + 1), :p]
+    S = markov.toeplitz[:q * order, :p * order]
     O_plus = obs.shifted[:q * order, :]
     design = _stage("gain", dd_lqr_gain, M, S, O_plus, weights, order)
     diagnostics = dict(design.diagnostics)
@@ -373,8 +374,10 @@ def harmonic_distortion(y, samples_per_period: int) -> float:
     ratio.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
+    if samples_per_period < 2:
+        raise ValueError(f"need at least 2 samples per period, got {samples_per_period}")
     window = THD_PERIODS * samples_per_period
-    if window < 2 or window > y.size:
+    if window > y.size:
         raise ValueError(
             f"signal too short for {THD_PERIODS} periods of {samples_per_period} samples"
         )
@@ -395,14 +398,15 @@ def evaluate_closed_loop(
     """Simulate the closed loop and report cost, stability margin and tracking.
 
     An unstable loop is reported through the spectral radius (and infinite
-    cost when the trajectory overflows), never as an exception. A horizon
-    shorter than ``THD_PERIODS`` periods of a sinusoid reference raises ValueError.
+    cost when the trajectory overflows), never as an exception. A wrong-sized start state,
+    or a horizon under ``THD_PERIODS`` periods of a sinusoid reference, raises ValueError.
     """
     weights = design.weights
     if isinstance(scenario, RegulationScenario):
+        x0 = _checked(model, scenario.x0)
         rho = float(np.abs(np.linalg.eigvals(model.A - model.B @ design.K)).max())
-        try:
-            ds = closed_loop_simulate(model, design.K, scenario.x0, horizon)
+        try:  # x0 is checked above, so its error is not reported as an unstable run
+            ds = closed_loop_simulate(model, design.K, x0, horizon)
             cost = cost_J(ds, weights.Q, weights.R)
             sse = float(np.linalg.norm(ds.y[-1]))
         except ValueError:

@@ -2,9 +2,9 @@
 
 Two routes to the same gain: a closed-form expression built from Markov
 parameters and a shifted extended observability matrix (the data-driven
-path), and a fixed-point Riccati solver on a known model (the oracle path).
-The closed-form route converges to the Riccati gain as the horizon depth
-grows.
+path), applied block by block, and a Riccati solver by structure-preserving
+doubling on a known model (the oracle path). The closed-form route converges
+to the Riccati gain as the horizon depth grows.
 """
 
 from __future__ import annotations
@@ -14,11 +14,10 @@ from typing import Dict
 
 import numpy as np
 
-from .matrix_kit import block_diag_repeat
 from .plant_sim import StateSpaceModel
 
 DARE_TOL = 1e-12
-DARE_MAX_ITER = 100_000
+DARE_MAX_ITER = 64
 RIDGE_HINT = (
     "R must be symmetric positive definite; for a dead-beat design use a "
     "small ridge such as 1e-9 * I instead of R = 0"
@@ -75,10 +74,11 @@ def dd_lqr_gain(
         K = [R + M' Gamma M]^-1 M' Gamma O_plus,
         Gamma = (Q_N^-1 + S R_N^-1 S')^-1,
 
-    with Q_N, R_N the N-fold block-diagonal weight repeats. Gamma is evaluated
-    through the matrix-inversion lemma as Q_N - Q_N S (R_N + S' Q_N S)^-1 S' Q_N,
-    which avoids inverting the weight blocks themselves; ``cond_inner`` is the
-    condition number of the inverted matrix R_N + S' Q_N S.
+    with Q_N, R_N the N-fold block-diagonal weight repeats, applied block by
+    block and never formed. By the matrix-inversion lemma, with
+    mid = R_N + S' Q_N S, M' Gamma = M' Q_N - (mid^-1 S' Q_N M)' S' Q_N: one
+    solve with p right-hand sides and no qN x qN Gamma. ``cond_inner`` is the
+    condition number of mid, ``cond_bracket`` that of R + M' Gamma M.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     S = np.atleast_2d(np.asarray(S, dtype=float))
@@ -86,8 +86,7 @@ def dd_lqr_gain(
     N = horizon
     if N < 1:
         raise ValueError("horizon must be >= 1")
-    q = weights.Q.shape[0]
-    p = weights.R.shape[0]
+    q, p = weights.Q.shape[0], weights.R.shape[0]
     if M.shape != (q * N, p):
         raise ValueError(f"M has shape {M.shape}, expected ({q * N}, {p})")
     if S.shape != (q * N, p * N):
@@ -95,13 +94,12 @@ def dd_lqr_gain(
     if O_plus.shape[0] != q * N:
         raise ValueError(f"O_plus has {O_plus.shape[0]} rows, expected {q * N}")
 
-    QN = block_diag_repeat(weights.Q, N)
-    RN = block_diag_repeat(weights.R, N)
-    mid = RN + S.T @ QN @ S
+    QS = (weights.Q @ S.reshape(N, q, p * N)).reshape(q * N, p * N)  # Q_N S
+    QM = (weights.Q @ M.reshape(N, q, p)).reshape(q * N, p)  # Q_N M
+    mid = S.T @ QS
+    np.einsum("ipiq->ipq", mid.reshape(N, p, N, p))[...] += weights.R  # + R_N on the diagonal
     cond_inner = float(np.linalg.cond(mid))
-    QNS = QN @ S
-    gamma = QN - QNS @ np.linalg.solve(mid, QNS.T)
-    MtG = M.T @ gamma
+    MtG = QM.T - np.linalg.solve(mid, QS.T @ M).T @ QS.T
     bracket = weights.R + MtG @ M
     cond_bracket = float(np.linalg.cond(bracket))
     try:
@@ -110,44 +108,50 @@ def dd_lqr_gain(
         raise ValueError(
             f"singular gain bracket R + M' Gamma M (condition {cond_bracket:.3e})"
         ) from exc
-    return LqrDesign(
-        K=K,
-        horizon=N,
-        weights=weights,
-        diagnostics={"cond_inner": cond_inner, "cond_bracket": cond_bracket},
-    )
+    return LqrDesign(K=K, horizon=N, weights=weights,
+                     diagnostics={"cond_inner": cond_inner, "cond_bracket": cond_bracket})
 
 
 def dare_solve(model: StateSpaceModel, weights: LqrWeights) -> np.ndarray:
-    """Stabilizing Riccati solution by fixed-point iteration.
+    """Stabilizing Riccati solution by structure-preserving doubling.
 
-    Iterates P <- A'PA - (A'PB)(R + B'PB)^-1(B'PA) + C'QC from P0 = C'QC
-    until the relative step falls below ``DARE_TOL``, then verifies the
-    fixed-point residual of the returned P is below 10*DARE_TOL.
+    From A_0 = A, G_0 = B R^-1 B', H_0 = C'QC and W = I + G_k H_k, the steps
+    A_k+1 = A_k W^-1 A_k, G_k+1 = G_k + A_k W^-1 G_k A_k', H_k+1 = H_k + A_k' H_k W^-1 A_k
+    make H_k the 2^k-th fixed-point iterate P <- A'PA - (A'PB)(R + B'PB)^-1(B'PA) + C'QC
+    from P = 0. Doubling stops at a relative step of H below ``DARE_TOL``, then
+    fixed-point steps run until the relative residual is below 10*DARE_TOL.
+    ValueError means no stabilizing solution, or no convergence in
+    ``DARE_MAX_ITER`` steps of either kind.
     """
     A, B, C = model.A, model.B, model.C
     CQC = C.T @ weights.Q @ C
 
     def step(P):
-        BtP = B.T @ P
-        gain = np.linalg.solve(weights.R + BtP @ B, BtP @ A)
-        Pn = A.T @ P @ A - (A.T @ P @ B) @ gain + CQC
+        Pn = A.T @ P @ A - (A.T @ P @ B) @ model_lqr_gain(model, P, weights.R) + CQC
         return 0.5 * (Pn + Pn.T)
 
-    P = CQC.copy()
-    last_resid = np.inf
-    for _ in range(DARE_MAX_ITER):
-        Pn = step(P)
-        change = np.linalg.norm(Pn - P) / max(np.linalg.norm(Pn), np.finfo(float).tiny)
-        P = Pn
+    Ak, G, H = A, B @ np.linalg.solve(weights.R, B.T), CQC
+    for k in range(DARE_MAX_ITER):
+        with np.errstate(over="ignore", invalid="ignore"):
+            WiA, WiG = np.hsplit(np.linalg.solve(np.eye(len(A)) + G @ H, np.hstack([Ak, G])), 2)
+            Hn, G = H + Ak.T @ H @ WiA, G + Ak @ WiG @ Ak.T
+            Ak, G, Hn = Ak @ WiA, 0.5 * (G + G.T), 0.5 * (Hn + Hn.T)
+            change = np.linalg.norm(Hn - H) / max(np.linalg.norm(Hn), np.finfo(float).tiny)
+        if not all(np.isfinite(X).all() for X in (Ak, G, Hn)):
+            raise ValueError(f"Riccati doubling diverged at step {k + 1}: no stabilizing solution")
+        H = Hn
         if change < DARE_TOL:
-            last_resid = np.linalg.norm(step(P) - P) / max(np.linalg.norm(P), np.finfo(float).tiny)
-            if last_resid < 10 * DARE_TOL:
-                return P
-    raise ValueError(
-        f"Riccati fixed-point iteration did not converge in {DARE_MAX_ITER} iterations "
-        f"(last residual {last_resid:.3e})"
-    )
+            break
+    else:
+        raise ValueError("Riccati doubling did not converge: no stabilizing solution")
+    # the fixed-point map corrects the rounding that doubling leaves on badly conditioned plants
+    for _ in range(DARE_MAX_ITER):
+        P = step(H)
+        resid = np.linalg.norm(P - H) / max(np.linalg.norm(H), np.finfo(float).tiny)
+        if resid < 10 * DARE_TOL:
+            return H
+        H = P
+    raise ValueError(f"Riccati refinement did not converge: fixed-point residual {resid:.3e}")
 
 
 def model_lqr_gain(model: StateSpaceModel, P: np.ndarray, R) -> np.ndarray:

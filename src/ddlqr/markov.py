@@ -114,12 +114,6 @@ class MarkovEstimate:
     regressor_rank: int = 0
     input_rank_margin: float = 0.0
 
-    def stacked(self, count: int) -> np.ndarray:
-        """Column-stack the first ``count`` Markov blocks into a (q*count, p) matrix."""
-        if count > len(self.blocks):
-            raise ValueError(f"only {len(self.blocks)} blocks available, requested {count}")
-        return np.concatenate(self.blocks[:count], axis=-2)
-
 
 def build_data_matrices(data: Dataset, depth: int, width: Optional[int] = None) -> DataMatrices:
     """Split a dataset into past/future input/output Hankel matrices and states.

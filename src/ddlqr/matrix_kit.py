@@ -1,8 +1,7 @@
 """Dense-matrix building blocks shared by the estimation and design pipeline.
 
 Everything here is a pure function of its inputs: block-Hankel construction
-from multivariable time series, strictly-lower block-Toeplitz assembly, and
-block-diagonal repetition of a weight matrix.
+from multivariable time series and strictly-lower block-Toeplitz assembly.
 """
 
 from __future__ import annotations
@@ -94,13 +93,3 @@ def block_toeplitz_strict_lower(
         i, j = np.tril_indices(n_blocks, -1)
         out[..., i, :, j, :] = np.stack(blocks)[i - j - 1]
     return out.reshape(*batch, q * n_blocks, p * n_blocks)
-
-
-def block_diag_repeat(w, count: int) -> np.ndarray:
-    """Block-diagonal matrix holding ``count`` copies of the square matrix w."""
-    w = np.atleast_2d(np.asarray(w, dtype=float))
-    if w.shape[0] != w.shape[1]:
-        raise ValueError(f"w must be square, got shape {w.shape}")
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    return np.kron(np.eye(count), w)

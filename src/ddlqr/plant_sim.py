@@ -239,20 +239,24 @@ def _lti_run(A: np.ndarray, x0, *drives: np.ndarray, steps: Optional[int] = None
     step touches one contiguous slab, and returned as a (..., T, n) view. Each
     step is a batched matrix-vector product and the drives are added one at a
     time, so every run is bit-for-bit ``x[k+1] = A @ x[k] + d_1[k]; x[k+1] += d_2[k]``.
+    x is kept as (n, 1) columns. An unbatched step calls ``np.dot``, the gemv of
+    ``A @ x[k]`` at less call cost; a batched one calls ``np.matmul``, since one
+    gemm over the batch would round differently.
     """
     T = drives[0].shape[-2] if drives else steps
     if T < 1:
         raise ValueError(f"a simulation needs at least one sample, got {T}")
     batch = np.broadcast_shapes(np.shape(x0)[:-1], *(d.shape[:-2] for d in drives))
-    x = np.empty((T,) + batch + (len(A),))
-    x[0] = x0
-    drives = [np.moveaxis(d, -2, 0) for d in drives]
+    x = np.empty((T,) + batch + (len(A), 1))
+    x[0, ..., 0] = x0
+    drives = [np.moveaxis(d, -2, 0)[..., None] for d in drives]
+    step = np.matmul if batch else np.dot
     for k in range(T - 1):
         nxt = x[k + 1]
-        np.matmul(A, x[k][..., None], out=nxt[..., None])
+        step(A, x[k], out=nxt)
         for d in drives:
             nxt += d[k]
-    return np.moveaxis(x, 0, -2)
+    return np.moveaxis(x[..., 0], 0, -2)
 
 
 def _apply(M: np.ndarray, series: np.ndarray) -> np.ndarray:

@@ -11,10 +11,11 @@ full Hankel matrices, with pseudo-inverses and full-width SVDs:
 * ``true_markov`` gives the model's impulse-response blocks, which the
   estimated Markov parameters are checked against.
 
-The library evaluates Gamma = (Q_N^-1 + S R_N^-1 S')^-1 through the
-matrix-inversion lemma; ``textbook_gamma`` inverts it as written, and
+The library applies the N-fold block-diagonal weights Q_N and R_N block by
+block and never forms Gamma = (Q_N^-1 + S R_N^-1 S')^-1. ``block_diag_repeat``
+builds the weight repeats, ``textbook_gamma`` inverts Gamma as written, and
 ``textbook_gain`` and ``dd_lqr_p`` build the closed-form gain and Riccati
-solution on it.
+solution on it, and ``exact_gain_inputs`` gives the gain's inputs from a model.
 
 The simulators all run one batched LTI kernel. ``loop_simulate``,
 ``loop_closed_loop``, ``loop_tracking_loop`` and ``loop_filter_imc_states``
@@ -31,12 +32,13 @@ import numpy as np
 
 from ddlqr import (
     Dataset,
-    block_diag_repeat,
+    block_toeplitz_strict_lower,
     build_data_matrices,
     estimate_obs_alg1,
     estimate_obs_alg2,
     estimate_predictor,
     generate_signal,
+    true_observability,
 )
 from ddlqr.observability import ALGORITHMS
 
@@ -120,6 +122,26 @@ def pinv_obs_alg2(y_past, u_past, x, tol: float = PINV_TOL) -> np.ndarray:
     y_proj = y_past - (y_past @ u_pinv) @ u_past
     x_proj = x - (x @ u_pinv) @ u_past
     return y_proj @ np.linalg.pinv(x_proj, rcond=tol)
+
+
+def block_diag_repeat(w, count: int) -> np.ndarray:
+    """Block-diagonal matrix holding ``count`` copies of the square matrix w."""
+    w = np.atleast_2d(np.asarray(w, dtype=float))
+    if w.shape[0] != w.shape[1]:
+        raise ValueError(f"w must be square, got shape {w.shape}")
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    return np.kron(np.eye(count), w)
+
+
+def exact_gain_inputs(model, order):
+    """Model-derived Markov stack, Toeplitz factor and shifted observability."""
+    blocks = true_markov(model, order)
+    M = np.vstack(blocks)
+    S = block_toeplitz_strict_lower(blocks[:order - 1], order,
+                                    block_shape=blocks[0].shape)
+    O_plus = true_observability(model, order + 1)[model.n_outputs:, :]
+    return M, S, O_plus
 
 
 def textbook_gamma(S, QN, RN) -> np.ndarray:

@@ -25,7 +25,6 @@ PUBLIC = [
     "TrackingScenario",
     "augment_dataset",
     "augment_model",
-    "block_diag_repeat",
     "block_hankel",
     "block_toeplitz_strict_lower",
     "build_data_matrices",

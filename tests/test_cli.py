@@ -302,3 +302,25 @@ class TestEval:
         metrics = dict(r.split(",") for r in rows)
         assert {"cost", "spectral_radius", "steady_state_error", "thd"} <= set(metrics)
         assert float(metrics["spectral_radius"]) < 1.0
+
+    def test_wrong_start_state_dimension_exits_2(self, tmp_path, capsys):
+        run("design", REGULATION, "--output-dir", str(tmp_path))
+        code = run("eval", REGULATION, "--output-dir", str(tmp_path / "eval"),
+                   "--set", "eval.scenario=regulation", "--set", "eval.horizon=500",
+                   "--set", "eval.x0=[1.0]", "--set", f"io.gain={tmp_path}/gain.csv")
+        assert code == 2
+        assert "[eval] x0 has 1 entries, expected 2 states" in capsys.readouterr().err
+        assert not (tmp_path / "eval" / "eval.csv").exists()
+
+    def test_reference_at_or_above_nyquist_exits_2(self, tmp_path, capsys):
+        # 94000 rad/s at 15 kHz is 6.27 rad per sample: about 1 sample per period
+        small = ["--set", "signal.length=800", "--set", "estimation.depth=30",
+                 "--set", "estimation.width=400", "--set", "lqr.horizon=30"]
+        assert run("design", UPS, "--output-dir", str(tmp_path / "d"), *small) == 0
+        for frequency in (94000, 47123.9, 0):
+            code = run("eval", UPS, "--output-dir", str(tmp_path / "e"), *small,
+                       "--set", f"io.gain={tmp_path}/d/gain.csv",
+                       "--set", f"reference.frequency={frequency}")
+            assert code == 2, frequency
+            assert "[reference] frequency * ts" in capsys.readouterr().err
+            assert not (tmp_path / "e" / "eval.csv").exists()

@@ -372,6 +372,12 @@ class TestHarmonicDistortion:
         with pytest.raises(ValueError, match="too short"):
             harmonic_distortion(np.ones(50), samples_per_period=100)
 
+    def test_below_two_samples_per_period(self):
+        # one sample per period leaves the window no fundamental bin
+        with pytest.raises(ValueError, match="at least 2 samples per period"):
+            harmonic_distortion(np.ones(50), samples_per_period=1)
+        assert np.isfinite(harmonic_distortion(np.cos(np.pi * np.arange(50)), 2))
+
 
 class TestEvaluateClosedLoop:
     def test_regulation_metrics(self):
@@ -384,6 +390,14 @@ class TestEvaluateClosedLoop:
         assert metrics.steady_state_error < 1e-10
         expect = cost_J(closed_loop_simulate(model, K, [1.0, 1.0], 500), weights.Q, weights.R)
         assert metrics.cost == pytest.approx(expect)
+
+    def test_wrong_start_state_dimension_raises(self):
+        model = two_output_model()
+        weights = reference_weights()
+        K = model_lqr_gain(model, dare_solve(model, weights), weights.R)
+        design = LqrDesign(K=K, horizon=50, weights=weights)
+        with pytest.raises(ValueError, match="x0 has dimension 1, expected 2"):
+            evaluate_closed_loop(model, design, RegulationScenario(x0=[1.0]), 500)
 
     def test_unstable_loop_is_a_metric(self):
         model = StateSpaceModel(A=[[1.2]], B=[[1.0]], C=[[1.0]])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_stable_system, scalar_model, two_output_model
-from oracles import dd_lqr_p, textbook_gain, true_markov
+from oracles import dd_lqr_p, exact_gain_inputs, textbook_gain, true_markov
 from ddlqr import (
     LqrWeights,
     StateSpaceModel,
@@ -15,16 +15,6 @@ from ddlqr import (
 
 GAIN_SHORT = np.array([[4.2314, 7.644], [1.127, -1.8959]])
 GAIN_LONG = np.array([[4.6491, 7.5226], [1.4461, -1.9886]])
-
-
-def exact_gain_inputs(model, order):
-    """Model-derived Markov stack, Toeplitz factor and shifted observability."""
-    blocks = true_markov(model, order)
-    M = np.vstack(blocks)
-    S = block_toeplitz_strict_lower(blocks[:order - 1], order,
-                                    block_shape=blocks[0].shape)
-    O_plus = true_observability(model, order + 1)[model.n_outputs:, :]
-    return M, S, O_plus
 
 
 def scalar_dare_root(a, b, c, q, r):
@@ -153,6 +143,23 @@ class TestDareSolve:
             resid = A.T @ P @ A - (A.T @ P @ B) @ gain + C.T @ weights.Q @ C - P
             assert np.linalg.norm(resid) / np.linalg.norm(P) < 1e-11
             assert np.abs(np.linalg.eigvals(A - B @ gain)).max() < 1.0
+
+    def test_badly_conditioned_plant_meets_residual_contract(self):
+        # open-loop poles -1.47 and -1.20, one cheap input, ||P|| about 1e7: the
+        # doubling alone stops at a fixed-point residual of 1e-8
+        model = StateSpaceModel(
+            A=[[-0.5545510979239398, 1.1981281518350444, -0.13959508550015298],
+               [0.27247713121356004, -1.118933990967822, -0.03533064542641336],
+               [-0.3568375876630077, -0.7105017556416584, -1.1246270651876151]],
+            B=[[1.2136292020702117], [1.9369059309218568], [-0.48346888979821484]],
+            C=[[-0.7770309932063449, 0.15228605845536833, 1.1416213626565186]])
+        weights = LqrWeights(Q=[[0.6442535217749668]], R=[[0.00702991451769358]])
+        P = dare_solve(model, weights)
+        A, B, C = model.A, model.B, model.C
+        gain = np.linalg.solve(weights.R + B.T @ P @ B, B.T @ P @ A)
+        resid = A.T @ P @ A - (A.T @ P @ B) @ gain + C.T @ weights.Q @ C - P
+        assert np.linalg.norm(resid) / np.linalg.norm(P) < 1e-11
+        assert np.abs(np.linalg.eigvals(A - B @ gain)).max() < 1.0
 
 
 class TestModelGain:

@@ -126,19 +126,19 @@ class TestEstimatePredictor:
                     np.testing.assert_array_equal(blk, 0.0)
 
     def test_stacked_consistency(self):
+        """The gain's Markov stack M and Toeplitz factor S are views of the
+        estimate's Toeplitz factor, equal to building them from the blocks."""
         from ddlqr import block_toeplitz_strict_lower
 
         ds = prbs_dataset(two_output_model())
         est = estimate_predictor(build_data_matrices(ds, depth=6))
-        N = 5
         q, p = 2, 2
-        M = est.stacked(N)
-        S = block_toeplitz_strict_lower(est.blocks[:N - 1], N, block_shape=(q, p))
-        assert M.shape == (q * N, p) and S.shape == (q * N, p * N)
-        # the stack holds blocks 1..N, the Toeplitz first column 1..N-1 below
-        # its zero block, so they overlap on all but the stack's last block
-        np.testing.assert_array_equal(M[:q * (N - 1)], S[q:, :p])
-        np.testing.assert_array_equal(M[q * (N - 1):], est.blocks[N - 1])
+        for N in range(1, 6):
+            M = est.toeplitz[q:q * (N + 1), :p]
+            S = est.toeplitz[:q * N, :p * N]
+            np.testing.assert_array_equal(M, np.concatenate(est.blocks[:N]))
+            np.testing.assert_array_equal(
+                S, block_toeplitz_strict_lower(est.blocks[:N - 1], N, block_shape=(q, p)))
 
     def test_random_systems_noise_free_exactness(self):
         rng = np.random.default_rng(11)

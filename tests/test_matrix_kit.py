@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import pinv
+from oracles import block_diag_repeat, pinv
 from ddlqr import (
     SignalSpec,
-    block_diag_repeat,
     block_hankel,
     block_toeplitz_strict_lower,
     generate_signal,
