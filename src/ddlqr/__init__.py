@@ -10,10 +10,9 @@ from .imc import (
 )
 from .lqr import LqrDesign, LqrWeights, dare_solve, dd_lqr_gain, model_lqr_gain
 from .markov import DataMatrices, MarkovEstimate, build_data_matrices, estimate_predictor
-from .matrix_kit import block_hankel, block_toeplitz_strict_lower
+from .matrix_kit import block_hankel
 from .observability import (
     ObservabilityEstimate,
-    drop_first_block_row,
     estimate_obs_alg1,
     estimate_obs_alg2,
     true_observability,
@@ -64,7 +63,6 @@ __all__ = [
     "augment_dataset",
     "augment_model",
     "block_hankel",
-    "block_toeplitz_strict_lower",
     "build_data_matrices",
     "closed_loop_simulate",
     "convergence_sweep",
@@ -72,7 +70,6 @@ __all__ = [
     "dare_solve",
     "dd_lqr_gain",
     "design_gain",
-    "drop_first_block_row",
     "estimate",
     "estimate_obs_alg1",
     "estimate_obs_alg2",

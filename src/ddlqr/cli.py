@@ -27,6 +27,7 @@ from .experiments import (
     convergence_sweep,
     design_gain,
     evaluate_closed_loop,
+    gain_shape,
     monte_carlo_obs,
     samples_per_period,
 )
@@ -235,6 +236,9 @@ def cmd_eval(cfg: RunConfig, outdir: Path) -> int:
         scenario = TrackingScenario(imc=imc, reference=ref)
     else:
         raise ConfigError(f"[eval] scenario must be 'regulation' or 'tracking', got {kind!r}")
+    expected = gain_shape(model, scenario)
+    if K.shape != expected:
+        raise ConfigError(f"[io] gain {gain_path} has shape {K.shape}, expected {expected}")
     metrics = evaluate_closed_loop(model, design, scenario, horizon)
     rows = [
         ("cost", metrics.cost),

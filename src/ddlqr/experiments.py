@@ -1,11 +1,12 @@
 """End-to-end studies: full design pipeline, convergence sweeps, Monte Carlo
 statistics of the observability estimators, and closed-loop evaluation.
 
-The design pipeline has two halves. ``estimate`` turns a dataset into the
-Markov parameters and the shifted observability matrix at one Hankel depth;
-``synthesize`` turns those into a gain for given weights and any horizon up
-to that depth. The gain depends on the data only through the estimate, so a
-horizon sweep estimates once and synthesizes many times.
+The design pipeline has two halves. ``estimate`` turns a dataset into two
+matrices at one Hankel depth: the Toeplitz factor of the Markov parameters
+and the observability matrix. ``synthesize`` slices their block rows into a
+gain for given weights and any horizon up to that depth. The gain depends on
+the data only through the estimate, so a horizon sweep estimates once and
+synthesizes many times.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .markov import DataMatrices, MarkovEstimate, build_data_matrices, estimate_
 from .observability import (
     ALGORITHMS,
     ObservabilityEstimate,
-    drop_first_block_row,
     estimate_obs_alg1,
     estimate_obs_alg2,
     true_observability,
@@ -81,9 +81,9 @@ class PipelineConfig:
 class DataDrivenEstimate:
     """What the closed-form gain takes from the data, at one Hankel depth.
 
-    The Markov parameters and the shifted observability matrix do not depend
-    on the weights or on any horizon up to ``depth``, so one estimate serves
-    every ``synthesize`` call within that range. ``augmented`` records whether
+    The Toeplitz factor of the Markov parameters and the observability matrix
+    do not depend on the weights or on any horizon up to ``depth``, so one
+    estimate serves every ``synthesize`` call within that range. ``augmented`` records whether
     internal-model states were appended to the data before estimation.
     """
 
@@ -183,25 +183,26 @@ def synthesize(est: DataDrivenEstimate, weights: LqrWeights, horizon: int) -> Lq
     """Synthesis half of the pipeline: the closed-form gain at ``horizon``.
 
     Uses the first horizon - 1 Markov blocks and shifted observability blocks
-    of the estimate, so 2 <= horizon <= its depth. The estimation diagnostics
-    are merged into the returned design.
+    of the estimate, each a view of its matrix, so 2 <= horizon <= its depth.
+    The estimation diagnostics are merged into the returned design.
     """
     markov, obs = est.markov, est.observability
     if horizon < 2:
         raise ValueError("horizon must be >= 2 (the gain needs at least one Markov block)")
     if horizon > markov.depth:
         raise ValueError(f"depth {markov.depth} must be >= horizon {horizon}")
-    q, p = markov.blocks[0].shape
+    q, p = (size // markov.depth for size in markov.toeplitz.shape)
     if weights.Q.shape[0] != q:
         raise ValueError(
             f"Q has dimension {weights.Q.shape[0]}, expected {q} "
             f"(dataset outputs{' after augmentation' if est.augmented else ''})"
         )
     order = horizon - 1
-    # the Toeplitz factor's first block column is [0; Markov blocks 1..depth-1]
+    # the Toeplitz factor's first block column is [0; Markov blocks 1..depth-1],
+    # and O+ = [CA; ..; CA^order] starts one block row into the observability matrix
     M = markov.toeplitz[q:q * (order + 1), :p]
     S = markov.toeplitz[:q * order, :p * order]
-    O_plus = obs.shifted[:q * order, :]
+    O_plus = obs.matrix[q:q * (order + 1), :]
     design = _stage("gain", dd_lqr_gain, M, S, O_plus, weights, order)
     diagnostics = dict(design.diagnostics)
     diagnostics.update(
@@ -271,7 +272,7 @@ def monte_carlo_obs(model: StateSpaceModel, signal: SignalSpec, depth: int, runs
         raise ValueError(f"noise variance must be >= 0, got {noise_variance}")
     if model.E is None:
         raise ValueError("model must define a state-noise channel E")
-    truth = drop_first_block_row(true_observability(model, depth), model.n_outputs)
+    truth = true_observability(model, depth)[model.n_outputs:]
     n_v = model.E.shape[1]
     T = signal.length
     std = float(np.sqrt(noise_variance))
@@ -326,7 +327,7 @@ def _observe_runs(dm: DataMatrices, algorithm: str, reasons: Counter) -> Sequenc
     when it marks none) are counted in ``reasons``; the rest are estimated anew."""
     while len(dm.stack):
         try:
-            return _observe(dm, algorithm).shifted
+            return _observe(dm, algorithm).matrix[..., dm.n_outputs:, :]
         except ValueError as exc:
             failed = getattr(exc.__cause__, "failed", np.ones(len(dm.stack), bool))
             reasons[_reason(exc)] += int(failed.sum())
@@ -398,10 +399,14 @@ def evaluate_closed_loop(
     """Simulate the closed loop and report cost, stability margin and tracking.
 
     An unstable loop is reported through the spectral radius (and infinite
-    cost when the trajectory overflows), never as an exception. A wrong-sized start state,
-    or a horizon under ``THD_PERIODS`` periods of a sinusoid reference, raises ValueError.
+    cost when the trajectory overflows), never as an exception. A gain whose shape is not
+    ``gain_shape``, a wrong-sized start state, or a horizon under ``THD_PERIODS`` periods
+    of a sinusoid reference raises ValueError.
     """
     weights = design.weights
+    shape, expected = np.shape(design.K), gain_shape(model, scenario)
+    if shape != expected:
+        raise ValueError(f"gain has shape {shape}, expected {expected}")
     if isinstance(scenario, RegulationScenario):
         x0 = _checked(model, scenario.x0)
         rho = float(np.abs(np.linalg.eigvals(model.A - model.B @ design.K)).max())
@@ -413,8 +418,6 @@ def evaluate_closed_loop(
             cost, sse = float("inf"), float("inf")
         return ClosedLoopMetrics(cost=cost, spectral_radius=rho, steady_state_error=sse)
 
-    if not isinstance(scenario, TrackingScenario):
-        raise ValueError(f"unsupported scenario {scenario!r}")
     aug = augment_model(model, scenario.imc)
     rho = float(np.abs(np.linalg.eigvals(aug.A - aug.B @ design.K)).max())
     ref_spec = replace(scenario.reference, length=horizon)
@@ -437,6 +440,17 @@ def evaluate_closed_loop(
         amp = _fundamental_amplitude(y[:, 0], ref_spec, spp)
         sse = float(abs(amp - ref_spec.amplitude) / abs(ref_spec.amplitude))
     return ClosedLoopMetrics(cost=cost, spectral_radius=rho, steady_state_error=sse, thd=thd)
+
+
+def gain_shape(model: StateSpaceModel,
+               scenario: Union[RegulationScenario, TrackingScenario]) -> Tuple[int, int]:
+    """(inputs, states) of the gain a scenario's loop feeds back; tracking adds the
+    internal-model states, one controller copy per output."""
+    if isinstance(scenario, RegulationScenario):
+        return model.n_inputs, model.n_states
+    if isinstance(scenario, TrackingScenario):
+        return model.n_inputs, model.n_states + scenario.imc.order * model.n_outputs
+    raise ValueError(f"unsupported scenario {scenario!r}")
 
 
 def samples_per_period(reference: SignalSpec) -> Optional[int]:

@@ -3,7 +3,9 @@
 The data are arranged into past/future block-Hankel matrices; a least-squares
 predictor maps [past inputs; past outputs; future inputs] to future outputs,
 and the impulse-response (Markov parameter) blocks sit in the predictor's
-future-input columns as a strictly-lower block-Toeplitz factor.
+future-input columns as a strictly-lower block-Toeplitz factor. That factor
+is the whole estimate: its first block column is [0; Markov blocks
+1..depth-1], and synthesis slices its block rows and columns.
 
 Each dataset is factored once: one LQ factorization of the stacked Hankel data
 [U_p; Y_p; U_f; Y_f; X] (Verhaegen & Dewilde 1992, MOESP). The Toeplitz
@@ -22,11 +24,11 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .matrix_kit import block_hankel, block_toeplitz_strict_lower
+from .matrix_kit import block_hankel
 from .plant_sim import Dataset
 
 # Relative singular-value cut-offs: RANK_TOL decides the excitation ranks,
@@ -36,11 +38,6 @@ RANK_TOL = 1e-8
 PINV_TOL = 1e-12
 # Row partitions of ``DataMatrices.stack``, top to bottom.
 PARTS = ("u_past", "y_past", "u_future", "y_future", "x_past")
-
-
-def _partition(name: str) -> property:
-    return property(lambda self: self.stack[..., self.parts[name], :],
-                    doc=f"``{name}`` rows of ``stack``.")
 
 
 def _fail_entries(failed: np.ndarray, describe: Callable[[tuple], str]) -> None:
@@ -56,9 +53,9 @@ class DataMatrices:
     """Past/future Hankel partitions of a dataset at one depth, and their factor.
 
     ``stack`` (..., rows, width) holds [u_past; y_past; u_future; y_future;
-    x_past] and each partition is a view of its rows. ``u_past``/``y_past``
-    and the state snapshot ``x_past`` start at sample 0, ``u_future``/
-    ``y_future`` at sample ``depth``; all share ``width`` columns.
+    x_past], whose rows ``parts`` names. ``u_past``/``y_past`` and the state
+    snapshot ``x_past`` start at sample 0, ``u_future``/``y_future`` at sample
+    ``depth``; all share ``width`` columns.
     """
 
     stack: np.ndarray
@@ -66,8 +63,6 @@ class DataMatrices:
     width: int
     n_inputs: int
     n_outputs: int
-
-    u_past, y_past, u_future, y_future, x_past = map(_partition, PARTS)
 
     @cached_property
     def parts(self) -> Dict[str, slice]:
@@ -95,20 +90,17 @@ class DataMatrices:
 
 @dataclass
 class MarkovEstimate:
-    """Least-squares predictor and the Markov parameters extracted from it.
+    """Markov parameters held in their strictly-lower block-Toeplitz factor.
 
-    ``raw`` is the identifiable future-input block (q*depth x p*depth) of the
-    least-squares predictor; ``toeplitz`` is its structure-enforced
-    strictly-lower block-Toeplitz form built from the ``blocks`` (depth-1 of
-    them, each q x p). ``input_rank_margin`` is the smallest singular value of
-    [u_past; u_future] over ``RANK_TOL`` times the largest: above 1 the input
-    is persistently exciting. Arrays, ranks and the margin carry the batch
-    axes of the data.
+    ``toeplitz`` (q*depth x p*depth) has Markov block k (C A^(k-1) B, q x p)
+    on block sub-diagonal k, for k = 1..depth-1, and zeros on and above the
+    block diagonal; q and p are its shape over ``depth``. ``input_rank_margin``
+    is the smallest singular value of [u_past; u_future] over ``RANK_TOL``
+    times the largest: above 1 the input is persistently exciting. Arrays,
+    ranks and the margin carry the batch axes of the data.
     """
 
-    raw: np.ndarray
     toeplitz: np.ndarray
-    blocks: List[np.ndarray]
     depth: int
     input_rank: int = 0
     regressor_rank: int = 0
@@ -172,8 +164,9 @@ def estimate_predictor(dm: DataMatrices) -> MarkovEstimate:
     has full row rank given u_past (noisy data) the remainder is L_Uf,Uf, so
     raw = L_Yf,Uf L_Uf,Uf^-1; otherwise (noise-free data, or more outputs than
     states) it also holds the null directions of L_Yp,Yp, decided with
-    ``PINV_TOL`` as in the pseudo-inverse solution. Each Markov block is the
-    average of its block sub-diagonal of ``raw``, which reduces noise.
+    ``PINV_TOL`` as in the pseudo-inverse solution. Each block sub-diagonal of
+    the Toeplitz factor is the average of that sub-diagonal of ``raw``, which
+    reduces noise and enforces the structure.
 
     Excitation is checked with ``RANK_TOL`` relative to the largest singular
     value of [u_past; u_future]: that stack (a persistently exciting input)
@@ -221,13 +214,14 @@ def estimate_predictor(dm: DataMatrices) -> MarkovEstimate:
 
     # block sub-diagonal k holds the copies at block positions (i+k+1, i)
     grid = raw.reshape(raw.shape[:-2] + (d, q, d, p))
-    blocks = [np.ascontiguousarray(np.moveaxis(np.diagonal(grid, -k - 1, -4, -2), -1, -3))
-              .mean(axis=-3) for k in range(d - 1)]
-
-    S = block_toeplitz_strict_lower(blocks, d, block_shape=(q, p))
+    S = np.zeros_like(grid)
+    for k in range(d - 1):
+        i = np.arange(k + 1, d)
+        S[..., i, :, i - k - 1, :] = np.ascontiguousarray(
+            np.moveaxis(np.diagonal(grid, -k - 1, -4, -2), -1, -3)).mean(axis=-3)
     s_up = dm.past_input_singular_values
     return MarkovEstimate(
-        raw=raw, toeplitz=S, blocks=blocks, depth=d, input_rank=input_rank,
+        toeplitz=S.reshape(raw.shape), depth=d, input_rank=input_rank,
         regressor_rank=sum(_rank(sv, scale, RANK_TOL) for sv in (s_up, s_yp, s_m)),
         input_rank_margin=s_in[..., -1] / (RANK_TOL * s_in[..., 0]))
 

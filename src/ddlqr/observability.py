@@ -11,6 +11,10 @@ fit between the row blocks of L, because Q' has orthonormal rows. The
 past-input projection is then a column selection: u_past = L_Up,Up Q1', with
 Q1' the first p*depth rows of Q', so dropping those columns of L applies it.
 
+The estimate is the matrix alone. Its consumers read the shifted form
+O+ = [CA; ...; CA^(depth-1)], which the gain takes, as the slice
+``matrix[..., q:, :]`` that drops the first block row of q outputs.
+
 Batch axes of the factor carry over to the estimates, and a rank check that
 fails for some entries marks them as in ``markov``.
 """
@@ -29,18 +33,15 @@ ALGORITHMS = ("alg1", "alg2")
 
 @dataclass
 class ObservabilityEstimate:
-    """Estimated extended observability matrix and its one-block-shifted form.
+    """Estimated extended observability matrix.
 
-    ``matrix`` stacks the blocks C, CA, ..., CA^(depth-1); ``shifted`` drops
-    the first block row, so it stacks CA, ..., CA^(depth-1). ``residual`` is
-    the Frobenius fit residual of the defining matrix equation. All three
-    carry the batch axes of the data.
+    ``matrix`` stacks the blocks C, CA, ..., CA^(depth-1). ``residual`` is
+    the Frobenius fit residual of the defining matrix equation. Both carry
+    the batch axes of the data.
     """
 
     matrix: np.ndarray
-    shifted: np.ndarray
     algorithm: str
-    depth: int
     residual: float = 0.0
 
 
@@ -54,21 +55,7 @@ def true_observability(model: StateSpaceModel, depth: int) -> np.ndarray:
     return np.vstack(rows)
 
 
-def drop_first_block_row(obs: np.ndarray, q: int) -> np.ndarray:
-    """Remove the first q rows, shifting the observability stack by one power of A."""
-    obs = np.atleast_2d(np.asarray(obs, dtype=float))
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if obs.shape[-2] < 2 * q:
-        raise ValueError(
-            f"observability matrix has {obs.shape[-2]} rows; need at least {2 * q} "
-            f"to drop one block row of {q}"
-        )
-    return obs[..., q:, :]
-
-
-def _fit_states(dm: DataMatrices, algorithm: str, lhs: np.ndarray, x: np.ndarray,
-                what: str) -> ObservabilityEstimate:
+def _fit_states(algorithm: str, lhs: np.ndarray, x: np.ndarray, what: str) -> ObservabilityEstimate:
     """Least-squares O in lhs = O x for a wide x of full row rank, with its residual."""
     u, s, vt = np.linalg.svd(x, full_matrices=False)
     full = np.any((s[..., :1] > 0.0) & (s[..., -1:] >= PINV_TOL * s[..., :1]), axis=-1)
@@ -79,9 +66,7 @@ def _fit_states(dm: DataMatrices, algorithm: str, lhs: np.ndarray, x: np.ndarray
     misfit = (lhs - obs @ x).reshape(obs.shape[:-2] + (-1,))
     return ObservabilityEstimate(
         matrix=obs,
-        shifted=drop_first_block_row(obs, dm.n_outputs),
         algorithm=algorithm,
-        depth=dm.depth,
         residual=np.sqrt(np.vecdot(misfit, misfit)),
     )
 
@@ -101,7 +86,7 @@ def estimate_obs_alg1(dm: DataMatrices, s_hat: np.ndarray) -> ObservabilityEstim
         )
     F = dm.factor
     rhs = F[..., dm.parts["y_past"], :] - s_hat @ F[..., dm.parts["u_past"], :]
-    return _fit_states(dm, "alg1", rhs, F[..., dm.parts["x_past"], :], "state snapshot")
+    return _fit_states("alg1", rhs, F[..., dm.parts["x_past"], :], "state snapshot")
 
 
 def estimate_obs_alg2(dm: DataMatrices) -> ObservabilityEstimate:
@@ -119,5 +104,5 @@ def estimate_obs_alg2(dm: DataMatrices) -> ObservabilityEstimate:
     _fail_entries((s[..., 0] == 0.0) | (s[..., -1] < PINV_TOL * s[..., 0]), lambda i: (
         f"insufficient excitation: past-input Hankel has numerical row rank below {up.stop}"))
     cols = slice(up.stop, None)
-    return _fit_states(dm, "alg2", F[..., dm.parts["y_past"], cols],
+    return _fit_states("alg2", F[..., dm.parts["y_past"], cols],
                        F[..., dm.parts["x_past"], cols], "projected state snapshot (X U_po)")

@@ -34,6 +34,13 @@ def prbs_dataset(model: StateSpaceModel, length: int = 1022, seed: int = 7,
     return simulate(model, generate_signal(spec))
 
 
+def markov_blocks(est) -> list:
+    """Markov blocks 1..depth-1 of an estimate, read down the first block column
+    of its Toeplitz factor below the zero block (batch axes kept)."""
+    q, p = (size // est.depth for size in est.toeplitz.shape[-2:])
+    return [est.toeplitz[..., k * q:(k + 1) * q, :p] for k in range(1, est.depth)]
+
+
 def first_run_anticipates(monkeypatch) -> None:
     """Make the first Monte Carlo run unidentifiable.
 

@@ -9,7 +9,9 @@ full Hankel matrices, with pseudo-inverses and full-width SVDs:
 * ``pinv_predictor``, ``pinv_obs_alg1`` and ``pinv_obs_alg2`` are the
   pseudo-inverse estimators that the factor route replaced;
 * ``true_markov`` gives the model's impulse-response blocks, which the
-  estimated Markov parameters are checked against.
+  estimated Markov parameters are checked against;
+* ``block_toeplitz_strict_lower`` assembles the strictly-lower block-Toeplitz
+  factor from a list of blocks, which the estimate holds directly.
 
 The library applies the N-fold block-diagonal weights Q_N and R_N block by
 block and never forms Gamma = (Q_N^-1 + S R_N^-1 S')^-1. ``block_diag_repeat``
@@ -32,7 +34,6 @@ import numpy as np
 
 from ddlqr import (
     Dataset,
-    block_toeplitz_strict_lower,
     build_data_matrices,
     estimate_obs_alg1,
     estimate_obs_alg2,
@@ -91,14 +92,15 @@ def pinv_predictor(dm, pinv_tol: float = PINV_TOL):
     blocks and the input rank of [u_past; u_future].
     """
     d, p, q = dm.depth, dm.n_inputs, dm.n_outputs
-    W = dm.y_future @ pinv(dm.stack[..., :dm.parts["u_future"].stop, :], tol=pinv_tol)
+    rows = {name: dm.stack[part] for name, part in dm.parts.items()}
+    W = rows["y_future"] @ pinv(dm.stack[..., :dm.parts["u_future"].stop, :], tol=pinv_tol)
     raw = W[:, -p * d:]
     blocks = [
         np.mean([raw[(i + k + 1) * q:(i + k + 2) * q, i * p:(i + 1) * p]
                  for i in range(d - 1 - k)], axis=0)
         for k in range(d - 1)
     ]
-    return raw, blocks, numerical_rank(np.vstack([dm.u_past, dm.u_future]))
+    return raw, blocks, numerical_rank(np.vstack([rows["u_past"], rows["u_future"]]))
 
 
 def true_markov(model, count: int) -> list:
@@ -109,6 +111,22 @@ def true_markov(model, count: int) -> list:
         blocks.append(model.C @ power @ model.B)
         power = model.A @ power
     return blocks
+
+
+def block_toeplitz_strict_lower(blocks, n_blocks: int) -> np.ndarray:
+    """Strictly-lower block-Toeplitz matrix of ``n_blocks`` block rows and columns.
+
+    Block (i, j) is ``blocks[i - j - 1]`` for i > j and zero on and above the
+    block diagonal, so ``blocks`` lists the first block column from the first
+    sub-diagonal down: n_blocks - 1 >= 1 matrices of one shape (q, p).
+    """
+    if len(blocks) != n_blocks - 1:
+        raise ValueError(f"need {n_blocks - 1} blocks for {n_blocks} block rows, got {len(blocks)}")
+    q, p = np.shape(blocks[0])
+    out = np.zeros((n_blocks, q, n_blocks, p))
+    i, j = np.tril_indices(n_blocks, -1)
+    out[i, :, j, :] = np.asarray(blocks, dtype=float)[i - j - 1]
+    return out.reshape(q * n_blocks, p * n_blocks)
 
 
 def pinv_obs_alg1(y_past, u_past, s_hat, x, tol: float = PINV_TOL) -> np.ndarray:
@@ -138,8 +156,8 @@ def exact_gain_inputs(model, order):
     """Model-derived Markov stack, Toeplitz factor and shifted observability."""
     blocks = true_markov(model, order)
     M = np.vstack(blocks)
-    S = block_toeplitz_strict_lower(blocks[:order - 1], order,
-                                    block_shape=blocks[0].shape)
+    # the leading order x order block window of the Toeplitz factor of all the blocks
+    S = block_toeplitz_strict_lower(blocks, order + 1)[:len(M), :order * model.n_inputs]
     O_plus = true_observability(model, order + 1)[model.n_outputs:, :]
     return M, S, O_plus
 
@@ -253,7 +271,7 @@ def per_run_monte_carlo(model, signal, depth, runs, noise_variance, base_seed=0,
                     est = estimate_obs_alg1(dm, estimate_predictor(dm).toeplitz)
                 else:
                     est = estimate_obs_alg2(dm)
-                samples[alg].append(est.shifted)
+                samples[alg].append(est.matrix[model.n_outputs:])
             except ValueError:
                 failures[alg] += 1
     return samples, failures

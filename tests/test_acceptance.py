@@ -10,7 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import prbs_dataset, random_stable_system, scalar_model, two_output_model
+from conftest import (
+    markov_blocks,
+    prbs_dataset,
+    random_stable_system,
+    scalar_model,
+    two_output_model,
+)
 from oracles import orthogonal_projector, pinv, true_markov
 from ddlqr import (
     LqrWeights,
@@ -153,7 +159,7 @@ def test_criterion_5_noise_free_exactness():
             dm = build_data_matrices(data, depth)
             est = estimate_predictor(dm)
             truth_markov = true_markov(model, depth - 1)
-            for got, expect in zip(est.blocks, truth_markov):
+            for got, expect in zip(markov_blocks(est), truth_markov):
                 scale = max(np.linalg.norm(np.vstack(truth_markov)), 1e-12)
                 assert np.linalg.norm(got - expect) / scale < 1e-6
             truth_obs = true_observability(model, depth)

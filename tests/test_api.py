@@ -26,7 +26,6 @@ PUBLIC = [
     "augment_dataset",
     "augment_model",
     "block_hankel",
-    "block_toeplitz_strict_lower",
     "build_data_matrices",
     "closed_loop_simulate",
     "convergence_sweep",
@@ -34,7 +33,6 @@ PUBLIC = [
     "dare_solve",
     "dd_lqr_gain",
     "design_gain",
-    "drop_first_block_row",
     "estimate",
     "estimate_obs_alg1",
     "estimate_obs_alg2",
@@ -70,6 +68,9 @@ PARAMETERS = [
 FIELDS = [
     ("StateSpaceModel", ["A", "B", "C", "E", "sample_time"]),
     ("Dataset", ["u", "y", "x"]),
+    ("MarkovEstimate", ["toeplitz", "depth", "input_rank", "regressor_rank",
+                        "input_rank_margin"]),
+    ("ObservabilityEstimate", ["matrix", "algorithm", "residual"]),
 ]
 
 
@@ -93,8 +94,23 @@ def test_every_public_name_resolves():
         assert getattr(ddlqr, name) is not None, name
 
 
-@pytest.mark.parametrize("module, name", [("matrix_kit", "pinv"), ("lqr", "dd_lqr_p"),
-                                          ("markov", "state_snapshot"), ("markov", "true_markov")])
-def test_test_only_helpers_are_gone(module, name):
+PARTS = ["u_past", "y_past", "u_future", "y_future", "x_past"]
+
+
+# ``owner`` is a module of ddlqr, or a class in one; the DataMatrices partitions
+# are named by ``DataMatrices.parts`` only.
+@pytest.mark.parametrize("owner, name", [
+    ("matrix_kit", "pinv"), ("lqr", "dd_lqr_p"), ("markov", "state_snapshot"),
+    ("markov", "true_markov"), ("matrix_kit", "block_toeplitz_strict_lower"),
+    ("observability", "drop_first_block_row"),
+] + [("markov.DataMatrices", part) for part in PARTS])
+def test_test_only_helpers_are_gone(owner, name):
+    module, _, cls = owner.partition(".")
+    scope = importlib.import_module(f"ddlqr.{module}")
+    assert not hasattr(getattr(scope, cls) if cls else scope, name)
     assert not hasattr(ddlqr, name)
-    assert not hasattr(importlib.import_module(f"ddlqr.{module}"), name)
+
+
+def test_partitions_are_named_by_parts():
+    dm = ddlqr.build_data_matrices(ddlqr.Dataset(u=range(9), y=range(9), x=range(9)), 2, 6)
+    assert list(dm.parts) == PARTS

@@ -312,6 +312,36 @@ class TestEval:
         assert "[eval] x0 has 1 entries, expected 2 states" in capsys.readouterr().err
         assert not (tmp_path / "eval" / "eval.csv").exists()
 
+    def test_wrong_gain_shape_exits_2(self, tmp_path, capsys):
+        # a 1 x 1 gain on a 2-state, 1-input plant broadcasts against A - BK
+        from ddlqr.storage import write_matrix
+
+        write_matrix(tmp_path / "small.csv", np.zeros((1, 1)))
+        cfg = tmp_path / "two_state.ini"
+        cfg.write_text(
+            "[model]\na = [[0.9, 0.1], [0.0, 0.8]]\nb = [[0.0], [1.0]]\nc = [[1.0, 0.0]]\n"
+            "[lqr]\nq = 1.0\nr = 1.0\nhorizon = 2\n"
+            "[eval]\nscenario = regulation\nx0 = [1.0, 0.0]\nhorizon = 200\n"
+            f"[io]\ngain = {tmp_path}/small.csv\n"
+        )
+        assert run("eval", str(cfg), "--output-dir", str(tmp_path / "e")) == 2
+        err = capsys.readouterr().err
+        assert "[io] gain" in err and "has shape (1, 1), expected (1, 2)" in err
+        assert not (tmp_path / "e" / "eval.csv").exists()
+
+    def test_wrong_tracking_gain_shape_exits_2(self, tmp_path, capsys):
+        # the tracking loop feeds back the 2 plant and 2 resonant-controller states
+        from ddlqr.storage import write_matrix
+
+        for shape in ((1, 1), (1, 2)):
+            write_matrix(tmp_path / "plant_only.csv", np.ones(shape))
+            code = run("eval", UPS, "--output-dir", str(tmp_path / "e"),
+                       "--set", f"io.gain={tmp_path}/plant_only.csv")
+            assert code == 2, shape
+            err = capsys.readouterr().err
+            assert "[io] gain" in err and f"has shape {shape}, expected (1, 4)" in err
+            assert not (tmp_path / "e" / "eval.csv").exists()
+
     def test_reference_at_or_above_nyquist_exits_2(self, tmp_path, capsys):
         # 94000 rad/s at 15 kHz is 6.27 rad per sample: about 1 sample per period
         small = ["--set", "signal.length=800", "--set", "estimation.depth=30",

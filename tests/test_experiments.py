@@ -347,7 +347,7 @@ class TestMonteCarlo:
             for data in runs:
                 try:
                     alone.append(ddlqr.experiments._observe(
-                        build_data_matrices(data, depth, width), alg).shifted)
+                        build_data_matrices(data, depth, width), alg).matrix[1:])
                 except ValueError as err:
                     expect[ddlqr.experiments._reason(err)] += 1
             assert reasons == expect
@@ -398,6 +398,20 @@ class TestEvaluateClosedLoop:
         design = LqrDesign(K=K, horizon=50, weights=weights)
         with pytest.raises(ValueError, match="x0 has dimension 1, expected 2"):
             evaluate_closed_loop(model, design, RegulationScenario(x0=[1.0]), 500)
+
+    def test_wrong_gain_shape_raises(self):
+        # a 1 x 1 gain broadcasts against the 2-state, 1-input A - BK, so it must be
+        # refused before the spectral radius, not reported as an unstable run
+        model = StateSpaceModel(A=[[0.9, 0.1], [0.0, 0.8]], B=[[0.0], [1.0]], C=[[1.0, 0.0]])
+        weights = LqrWeights(Q=[[1.0]], R=[[1.0]])
+        design = LqrDesign(K=np.zeros((1, 1)), horizon=2, weights=weights)
+        with pytest.raises(ValueError, match=r"gain has shape \(1, 1\), expected \(1, 2\)"):
+            evaluate_closed_loop(model, design, RegulationScenario(x0=[1.0, 0.0]), 50)
+        ref = SignalSpec(kind="constant", length=1, amplitude=1.0)
+        scenario = TrackingScenario(imc=integrator_imc(), reference=ref)
+        for K in (np.zeros((1, 1)), np.zeros((1, 2))):  # plant states only: no IMC state
+            with pytest.raises(ValueError, match=r"expected \(1, 3\)"):
+                evaluate_closed_loop(model, replace(design, K=K), scenario, 50)
 
     def test_unstable_loop_is_a_metric(self):
         model = StateSpaceModel(A=[[1.2]], B=[[1.0]], C=[[1.0]])

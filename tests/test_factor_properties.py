@@ -13,7 +13,8 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import pinv_obs_alg1, pinv_obs_alg2, pinv_predictor
+from conftest import markov_blocks
+from oracles import block_toeplitz_strict_lower, pinv_obs_alg1, pinv_obs_alg2, pinv_predictor
 from ddlqr import (
     Dataset,
     StateSpaceModel,
@@ -65,15 +66,16 @@ def test_factor_route_matches_pinv_route(problem):
         dm = build_data_matrices(data, depth, width)
 
     est = estimate_predictor(dm)
-    raw, blocks, input_rank = pinv_predictor(dm)
+    _, blocks, input_rank = pinv_predictor(dm)
     assert est.input_rank == input_rank == 2 * p * depth
-    assert _rel(est.raw, raw) < RTOL
-    assert _rel(np.array(est.blocks), np.array(blocks)) < RTOL
+    assert _rel(est.toeplitz, block_toeplitz_strict_lower(blocks, depth)) < RTOL
+    assert _rel(np.array(markov_blocks(est)), np.array(blocks)) < RTOL
 
+    y_past, u_past, x_past = (dm.stack[dm.parts[k]] for k in ("y_past", "u_past", "x_past"))
     o1 = estimate_obs_alg1(dm, est.toeplitz)
-    assert _rel(o1.matrix, pinv_obs_alg1(dm.y_past, dm.u_past, est.toeplitz, dm.x_past)) < RTOL
+    assert _rel(o1.matrix, pinv_obs_alg1(y_past, u_past, est.toeplitz, x_past)) < RTOL
     o2 = estimate_obs_alg2(dm)
-    assert _rel(o2.matrix, pinv_obs_alg2(dm.y_past, dm.u_past, dm.x_past)) < RTOL
+    assert _rel(o2.matrix, pinv_obs_alg2(y_past, u_past, x_past)) < RTOL
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None,
@@ -102,19 +104,15 @@ def test_batch_entries_match_unbatched(problem):
     o2 = estimate_obs_alg2(dms[-1])
     for b, dm in enumerate(dms[:-1]):
         alone = estimate_predictor(dm)
-        # unbatched, the block averages and the residual are the plain formulas
-        d = depth
-        for k, blk in enumerate(alone.blocks):
-            assert np.array_equal(blk, np.mean([alone.raw[(i + k + 1) * q:(i + k + 2) * q,
-                                                         i * p:(i + 1) * p]
-                                                for i in range(d - 1 - k)], axis=0))
+        # unbatched, the factor is exactly block Toeplitz and the residual is the plain formula
+        assert np.array_equal(alone.toeplitz,
+                              block_toeplitz_strict_lower(markov_blocks(alone), depth))
         o = estimate_obs_alg1(dm, alone.toeplitz)
         F, parts = dm.factor, dm.parts
         lhs = F[parts["y_past"]] - alone.toeplitz @ F[parts["u_past"]]
         assert o.residual == float(np.linalg.norm(lhs - o.matrix @ F[parts["x_past"]]))
-        for name in ("raw", "toeplitz", "input_rank", "regressor_rank", "input_rank_margin"):
+        for name in ("toeplitz", "input_rank", "regressor_rank", "input_rank_margin"):
             assert np.array_equal(getattr(est, name)[b], getattr(alone, name)), name
-        assert np.array_equal(np.array(est.blocks)[:, b], np.array(alone.blocks))
         for got, want in ((o1, estimate_obs_alg1(dm, alone.toeplitz)), (o2, estimate_obs_alg2(dm))):
-            for name in ("matrix", "shifted", "residual"):
+            for name in ("matrix", "residual"):
                 assert np.array_equal(getattr(got, name)[b], getattr(want, name)), name

@@ -2,11 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import random_stable_system, scalar_model, two_output_model
-from oracles import dd_lqr_p, exact_gain_inputs, textbook_gain, true_markov
+from oracles import (
+    block_toeplitz_strict_lower,
+    dd_lqr_p,
+    exact_gain_inputs,
+    textbook_gain,
+    true_markov,
+)
 from ddlqr import (
     LqrWeights,
     StateSpaceModel,
-    block_toeplitz_strict_lower,
     dare_solve,
     dd_lqr_gain,
     model_lqr_gain,
@@ -85,7 +90,7 @@ class TestClosedFormP:
         weights = LqrWeights(Q=20 * np.eye(2), R=0.2 * np.eye(2))
         N = 50
         blocks = true_markov(model, N + 1)
-        S = block_toeplitz_strict_lower(blocks[:N], N + 1, block_shape=(2, 2))
+        S = block_toeplitz_strict_lower(blocks[:N], N + 1)
         O = true_observability(model, N + 1)
         P_cf = dd_lqr_p(O, S, weights, N)
         P_star = dare_solve(model, weights)
@@ -96,7 +101,7 @@ class TestClosedFormP:
         weights = LqrWeights(Q=[[7.5]], R=[[0.3]])
         for N in (1, 3, 8):
             blocks = true_markov(model, N + 1)
-            S = block_toeplitz_strict_lower(blocks[:N], N + 1, block_shape=(1, 1))
+            S = block_toeplitz_strict_lower(blocks[:N], N + 1)
             O = true_observability(model, N + 1)
             np.testing.assert_allclose(dd_lqr_p(O, S, weights, N), [[7.5]], atol=1e-10)
 
@@ -105,7 +110,7 @@ class TestClosedFormP:
         weights = LqrWeights(Q=[[1.0]], R=[[0.2]])
         N = 50
         blocks = true_markov(model, N + 1)
-        S = block_toeplitz_strict_lower(blocks[:N], N + 1, block_shape=(1, 1))
+        S = block_toeplitz_strict_lower(blocks[:N], N + 1)
         O = true_observability(model, N + 1)
         P_cf = dd_lqr_p(O, S, weights, N)
         expect = scalar_dare_root(0.14, 1.72, 1.0, 1.0, 0.2)

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import prbs_dataset, random_stable_system, scalar_model, two_output_model
-from oracles import true_markov
+from conftest import (
+    markov_blocks,
+    prbs_dataset,
+    random_stable_system,
+    scalar_model,
+    two_output_model,
+)
+from oracles import block_toeplitz_strict_lower, pinv_predictor, true_markov
 from ddlqr import Dataset, StateSpaceModel, build_data_matrices, estimate_predictor
 
 
@@ -11,28 +17,33 @@ def regressor(dm):
     return dm.stack[..., :dm.parts["u_future"].stop, :]
 
 
+def rows(dm, name):
+    """The rows of the stack that ``parts`` names."""
+    return dm.stack[..., dm.parts[name], :]
+
+
 class TestBuildDataMatrices:
     def test_depth_one_read_off(self):
         ds = Dataset(u=[[1.0], [2.0], [3.0]], y=[[4.0], [5.0], [6.0]], x=[[0.0], [0.0], [0.0]])
         with pytest.warns(UserWarning, match="guidance"):
             dm = build_data_matrices(ds, depth=1, width=2)
-        np.testing.assert_array_equal(dm.u_past, [[1, 2]])
-        np.testing.assert_array_equal(dm.y_past, [[4, 5]])
-        np.testing.assert_array_equal(dm.u_future, [[2, 3]])
-        np.testing.assert_array_equal(dm.y_future, [[5, 6]])
+        np.testing.assert_array_equal(rows(dm, "u_past"), [[1, 2]])
+        np.testing.assert_array_equal(rows(dm, "y_past"), [[4, 5]])
+        np.testing.assert_array_equal(rows(dm, "u_future"), [[2, 3]])
+        np.testing.assert_array_equal(rows(dm, "y_future"), [[5, 6]])
         assert regressor(dm).shape == (3, 2)
-        np.testing.assert_array_equal(dm.x_past, [[0, 0]])
+        np.testing.assert_array_equal(rows(dm, "x_past"), [[0, 0]])
 
     def test_regressor_shape(self):
         ds = prbs_dataset(two_output_model())
         dm = build_data_matrices(ds, depth=51, width=870)
         assert regressor(dm).shape == (306, 870)
-        assert dm.y_future.shape == (102, 870)
+        assert rows(dm, "y_future").shape == (102, 870)
 
     def test_zero_dataset_gives_zero_matrices(self):
         ds = Dataset(u=np.zeros((40, 1)), y=np.zeros((40, 1)), x=np.zeros((40, 1)))
         dm = build_data_matrices(ds, depth=2, width=10)
-        assert not regressor(dm).any() and not dm.y_future.any()
+        assert not regressor(dm).any() and not rows(dm, "y_future").any()
 
     def test_insufficient_length(self):
         ds = Dataset(u=np.zeros((10, 1)), y=np.zeros((10, 1)), x=np.zeros((10, 1)))
@@ -55,20 +66,23 @@ class TestEstimatePredictor:
     def test_scalar_markov_parameters(self):
         ds = prbs_dataset(scalar_model(), length=1022)
         est = estimate_predictor(build_data_matrices(ds, depth=3))
-        assert est.blocks[0][0, 0] == pytest.approx(1.72, abs=1e-8)
-        assert est.blocks[1][0, 0] == pytest.approx(0.2408, abs=1e-8)
+        blocks = markov_blocks(est)
+        assert blocks[0][0, 0] == pytest.approx(1.72, abs=1e-8)
+        assert blocks[1][0, 0] == pytest.approx(0.2408, abs=1e-8)
 
     def test_two_output_markov_parameters(self):
         ds = prbs_dataset(two_output_model())
         est = estimate_predictor(build_data_matrices(ds, depth=11))
-        np.testing.assert_allclose(est.blocks[0], [[0.08, -0.01], [0.02, -0.01]], atol=1e-8)
+        np.testing.assert_allclose(markov_blocks(est)[0], [[0.08, -0.01], [0.02, -0.01]],
+                                   atol=1e-8)
 
     def test_finite_impulse_response_truncates(self):
         model = StateSpaceModel(A=np.zeros((2, 2)), B=[[1.0], [0.5]], C=[[1.0, 1.0]])
         ds = prbs_dataset(model, length=400)
         est = estimate_predictor(build_data_matrices(ds, depth=5))
-        np.testing.assert_allclose(est.blocks[0], model.C @ model.B, atol=1e-10)
-        for blk in est.blocks[1:]:
+        blocks = markov_blocks(est)
+        np.testing.assert_allclose(blocks[0], model.C @ model.B, atol=1e-10)
+        for blk in blocks[1:]:
             np.testing.assert_allclose(blk, 0.0, atol=1e-10)
 
     def test_insufficient_excitation(self):
@@ -92,17 +106,20 @@ class TestEstimatePredictor:
     def test_input_rank_margin(self):
         dm = build_data_matrices(prbs_dataset(two_output_model()), depth=6)
         est = estimate_predictor(dm)
-        s = np.linalg.svd(np.vstack([dm.u_past, dm.u_future]), compute_uv=False)
+        s = np.linalg.svd(np.vstack([rows(dm, "u_past"), rows(dm, "u_future")]),
+                          compute_uv=False)
         assert est.input_rank == 24 and est.input_rank_margin > 1.0
         assert est.input_rank_margin == pytest.approx(s[-1] / (1e-8 * s[0]), rel=1e-9)
 
     def test_shift_structure_of_raw_solution(self):
+        """The least-squares future-input block has the shift structure on its
+        own, so on noise-free data the sub-diagonal averages reproduce it."""
         ds = prbs_dataset(two_output_model())
         dm = build_data_matrices(ds, depth=8)
         est = estimate_predictor(dm)
         q, p, d = 2, 2, 8
-        raw = est.raw
-        assert raw.shape == (q * d, p * d)
+        raw, _, _ = pinv_predictor(dm)
+        assert raw.shape == est.toeplitz.shape == (q * d, p * d)
         for i in range(d - 1):
             for j in range(d - 1):
                 if i > j:
@@ -111,34 +128,36 @@ class TestEstimatePredictor:
                         raw[(i + 1) * q:(i + 2) * q, (j + 1) * p:(j + 2) * p],
                         atol=1e-8,
                     )
+        np.testing.assert_allclose(est.toeplitz, raw, atol=1e-8)
 
     def test_toeplitz_matches_blocks(self):
+        """Every block sub-diagonal repeats the Markov block of the first block column."""
         ds = prbs_dataset(two_output_model())
         est = estimate_predictor(build_data_matrices(ds, depth=6))
         q, p, d = 2, 2, 6
         assert est.toeplitz.shape == (q * d, p * d)
+        blocks = markov_blocks(est)
         for i in range(d):
             for j in range(d):
                 blk = est.toeplitz[i * q:(i + 1) * q, j * p:(j + 1) * p]
                 if i > j:
-                    np.testing.assert_array_equal(blk, est.blocks[i - j - 1])
+                    np.testing.assert_array_equal(blk, blocks[i - j - 1])
                 else:
                     np.testing.assert_array_equal(blk, 0.0)
 
     def test_stacked_consistency(self):
         """The gain's Markov stack M and Toeplitz factor S are views of the
         estimate's Toeplitz factor, equal to building them from the blocks."""
-        from ddlqr import block_toeplitz_strict_lower
-
         ds = prbs_dataset(two_output_model())
         est = estimate_predictor(build_data_matrices(ds, depth=6))
         q, p = 2, 2
+        blocks = markov_blocks(est)
         for N in range(1, 6):
             M = est.toeplitz[q:q * (N + 1), :p]
             S = est.toeplitz[:q * N, :p * N]
-            np.testing.assert_array_equal(M, np.concatenate(est.blocks[:N]))
+            np.testing.assert_array_equal(M, np.concatenate(blocks[:N]))
             np.testing.assert_array_equal(
-                S, block_toeplitz_strict_lower(est.blocks[:N - 1], N, block_shape=(q, p)))
+                S, block_toeplitz_strict_lower(blocks[:N], N + 1)[:q * N, :p * N])
 
     def test_random_systems_noise_free_exactness(self):
         rng = np.random.default_rng(11)
@@ -147,7 +166,7 @@ class TestEstimatePredictor:
             ds = prbs_dataset(model, length=600, seed=500 + trial)
             est = estimate_predictor(build_data_matrices(ds, depth=12))
             truth = true_markov(model, 11)
-            for got, expect in zip(est.blocks, truth):
+            for got, expect in zip(markov_blocks(est), truth):
                 np.testing.assert_allclose(got, expect, atol=1e-8)
 
 

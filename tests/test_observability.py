@@ -5,13 +5,22 @@ from conftest import prbs_dataset, random_stable_system, scalar_model, two_outpu
 from oracles import orthogonal_projector
 from ddlqr import (
     Dataset,
+    LqrWeights,
+    PipelineConfig,
+    SignalSpec,
+    StateSpaceModel,
     build_data_matrices,
-    drop_first_block_row,
     estimate_obs_alg1,
     estimate_obs_alg2,
     estimate_predictor,
+    monte_carlo_obs,
     true_observability,
 )
+
+
+def rows(dm, name):
+    """The rows of the stack that ``parts`` names."""
+    return dm.stack[..., dm.parts[name], :]
 
 
 def _estimation_inputs(model, depth, length=1022, seed=7):
@@ -27,15 +36,15 @@ class TestStateSnapshot:
         ds = Dataset(u=np.zeros((3, 1)), y=np.zeros((3, 1)), x=[[1.0], [2.0], [3.0]])
         with pytest.warns(UserWarning, match="guidance"):
             dm = build_data_matrices(ds, depth=1, width=2)
-        np.testing.assert_array_equal(dm.x_past, [[1.0, 2.0]])
+        np.testing.assert_array_equal(rows(dm, "x_past"), [[1.0, 2.0]])
 
     def test_shape(self):
         ds = prbs_dataset(two_output_model())
-        assert build_data_matrices(ds, depth=51, width=870).x_past.shape == (2, 870)
+        assert rows(build_data_matrices(ds, depth=51, width=870), "x_past").shape == (2, 870)
 
     def test_zero(self):
         ds = Dataset(u=np.zeros((5, 1)), y=np.zeros((5, 1)), x=np.zeros((5, 2)))
-        assert not build_data_matrices(ds, depth=1, width=4).x_past.any()
+        assert not rows(build_data_matrices(ds, depth=1, width=4), "x_past").any()
 
     def test_too_wide(self):
         ds = Dataset(u=np.zeros((5, 1)), y=np.zeros((5, 1)), x=np.zeros((5, 2)))
@@ -48,8 +57,8 @@ class TestAlg1:
         dm, est = _estimation_inputs(scalar_model(), depth=3)
         obs = estimate_obs_alg1(dm, est.toeplitz)
         np.testing.assert_allclose(obs.matrix.ravel(), [1.0, 0.14, 0.0196], atol=1e-8)
-        np.testing.assert_allclose(obs.shifted.ravel(), [0.14, 0.0196], atol=1e-8)
-        assert obs.algorithm == "alg1" and obs.depth == 3
+        np.testing.assert_allclose(obs.matrix[1:].ravel(), [0.14, 0.0196], atol=1e-8)
+        assert obs.algorithm == "alg1" and obs.matrix.shape == (3, 1)
         assert obs.residual < 1e-8
 
     def test_two_output_noise_free(self):
@@ -103,8 +112,8 @@ class TestAlg2:
     def test_matches_explicit_projector_form(self):
         dm, _ = _estimation_inputs(two_output_model(), depth=4, length=400)
         o2 = estimate_obs_alg2(dm)
-        P = orthogonal_projector(dm.u_past)
-        expect = (dm.y_past @ P) @ np.linalg.pinv(dm.x_past @ P, rcond=1e-12)
+        P = orthogonal_projector(rows(dm, "u_past"))
+        expect = (rows(dm, "y_past") @ P) @ np.linalg.pinv(rows(dm, "x_past") @ P, rcond=1e-12)
         np.testing.assert_allclose(o2.matrix, expect, atol=1e-9)
 
     def test_rank_deficient_past_inputs(self):
@@ -131,14 +140,32 @@ class TestAlg2:
 
 
 class TestDropFirstBlockRow:
+    """The shifted observability matrix [CA; ...; CA^(depth-1)] is the estimate's
+    matrix less its first block row of q outputs; its consumers slice it."""
+
+    def mc(self, model, depth):
+        spec = SignalSpec(kind="prbs", length=400, amplitude=1.0)
+        return monte_carlo_obs(model, spec, depth, runs=2, noise_variance=0.0)
+
     def test_scalar(self):
-        got = drop_first_block_row(np.array([[1.0], [0.14], [0.0196]]), q=1)
-        np.testing.assert_array_equal(got, [[0.14], [0.0196]])
+        model = StateSpaceModel(A=[[0.14]], B=[[1.72]], C=[[1.0]], E=[[1.0]])
+        for rep in self.mc(model, depth=3):
+            np.testing.assert_array_equal(rep.truth, true_observability(model, 3)[1:])
+            np.testing.assert_allclose(rep.truth.ravel(), [0.14, 0.0196], rtol=1e-15)
+            np.testing.assert_allclose(rep.mean, rep.truth, atol=1e-8)
 
     def test_two_rows_per_block(self):
-        m = np.arange(12.0).reshape(6, 2)
-        np.testing.assert_array_equal(drop_first_block_row(m, q=2), m[2:])
+        model = two_output_model()
+        model = StateSpaceModel(A=model.A, B=model.B, C=model.C, E=np.eye(2))
+        for rep in self.mc(model, depth=4):
+            assert rep.mean.shape == rep.truth.shape == (6, 2)
+            np.testing.assert_array_equal(rep.truth, true_observability(model, 4)[2:])
+            np.testing.assert_allclose(rep.mean, rep.truth, atol=1e-8)
 
     def test_degenerate_depth(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            drop_first_block_row(np.ones((1, 3)), q=1)
+        # one block row leaves nothing to shift: both consumers refuse it upstream
+        model = StateSpaceModel(A=[[0.14]], B=[[1.72]], C=[[1.0]], E=[[1.0]])
+        with pytest.raises(ValueError, match="depth must be >= 2"):
+            self.mc(model, depth=1)
+        with pytest.raises(ValueError, match="horizon must be >= 2"):
+            PipelineConfig(weights=LqrWeights(Q=[[1.0]], R=[[1.0]]), horizon=1)
