@@ -31,20 +31,15 @@ from .experiments import (
     monte_carlo_obs,
     samples_per_period,
 )
-from .plant_sim import NOISE_MODES, generate_signal, simulate
+from .lqr import LqrDesign
+from .plant_sim import generate_signal, simulate
 
 OUTPUT_DIR_ENV = "DDLQR_OUTPUT_DIR"
 FMT = "%.17g"
 
 
 def _output_dir(args, cfg: RunConfig) -> Path:
-    if args.output_dir:
-        out = args.output_dir
-    elif cfg.has("io", "output_dir"):
-        out = cfg.get_str("io", "output_dir")
-    else:
-        out = os.environ.get(OUTPUT_DIR_ENV, ".")
-    path = Path(out)
+    path = Path(args.output_dir or cfg.get("io", "output_dir", os.environ.get(OUTPUT_DIR_ENV, ".")))
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -55,55 +50,40 @@ def _write_echo(cfg: RunConfig, outdir: Path) -> str:
     return echo
 
 
-def _noise_mode(cfg: RunConfig, section: str, key: str, default: str) -> str:
-    mode = cfg.get_str(section, key, default)
-    if mode not in NOISE_MODES:
-        raise ConfigError(f"[{section}] {key} must be one of {NOISE_MODES}, got {mode!r}")
-    return mode
-
-
-def _at_least(value, minimum, section: str, key: str):
-    if not value >= minimum:
-        raise ConfigError(f"[{section}] {key} must be >= {minimum}, got {value}")
-    return value
+def _read_input(read, key: str, path: str):
+    """Read the ``[io] key`` file; an unreadable or malformed file is a config error."""
+    try:
+        return read(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"[io] {key}: {exc}") from exc
 
 
 def _load_or_simulate_dataset(cfg: RunConfig):
     """Dataset from [io] dataset path, or simulated from [model]+[signal]."""
     model = cfg.model()
     ts = model.sample_time if model.sample_time is not None else 1.0
-    if cfg.has("io", "dataset") and Path(cfg.get_str("io", "dataset")).exists():
-        data = storage.read_dataset(cfg.get_str("io", "dataset"))
-        return model, data
+    dataset = cfg.get("io", "dataset")
+    if dataset is not None and Path(dataset).exists():
+        return model, _read_input(storage.read_dataset, "dataset", dataset)
     spec = cfg.signal(default_channels=model.n_inputs, default_ts=ts)
-    u = generate_signal(spec)
-    v = None
-    mode = "process"
-    if cfg.has("noise"):
-        variance = _at_least(cfg.get_float("noise", "variance", 0.0), 0, "noise", "variance")
-        seed = cfg.get_int("noise", "seed", 0)
-        mode = _noise_mode(cfg, "noise", "mode", "process")
-        if variance > 0:
-            if model.E is None:
-                raise ConfigError("[noise] requires the model to define E")
-            rng = np.random.default_rng(seed)
-            v = rng.normal(0.0, np.sqrt(variance), size=(spec.length, model.E.shape[1]))
-    data = simulate(model, u, v=v, noise_mode=mode)
-    return model, data
+    v, variance = None, cfg.get("noise", "variance", 0.0)
+    if variance > 0:
+        if model.E is None:
+            raise ConfigError("[noise] requires the model to define E")
+        rng = np.random.default_rng(cfg.get("noise", "seed", 0))
+        v = rng.normal(0.0, np.sqrt(variance), size=(spec.length, model.E.shape[1]))
+    return model, simulate(model, generate_signal(spec), v=v,
+                           noise_mode=cfg.get("noise", "mode", "process"))
 
 
 def _pipeline_config(cfg: RunConfig, model) -> PipelineConfig:
-    depth, width = cfg.get_int("estimation", "depth", required=True), cfg.get_int("estimation", "width")
-    horizon = cfg.get_int("lqr", "horizon", required=True)
     ts = model.sample_time if model.sample_time is not None else 1.0
     try:
         return PipelineConfig(
-            weights=cfg.weights(),
-            horizon=horizon,
-            depth=depth,
-            width=width,
-            algorithm=cfg.get_str("estimation", "algorithm", "alg1"),
-            imc=cfg.imc(default_ts=ts),
+            depth=cfg.get("estimation", "depth", required=True),
+            width=cfg.get("estimation", "width"),
+            horizon=cfg.get("lqr", "horizon", required=True), weights=cfg.weights(),
+            algorithm=cfg.get("estimation", "algorithm", "alg1"), imc=cfg.imc(default_ts=ts),
         )
     except ValueError as exc:
         raise ConfigError(f"pipeline configuration: {exc}") from exc
@@ -111,7 +91,7 @@ def _pipeline_config(cfg: RunConfig, model) -> PipelineConfig:
 
 def cmd_simulate(cfg: RunConfig, outdir: Path) -> int:
     model, data = _load_or_simulate_dataset(cfg)
-    target = cfg.get_str("io", "dataset", str(outdir / "dataset.csv"))
+    target = cfg.get("io", "dataset", str(outdir / "dataset.csv"))
     storage.write_dataset(target, data)
     cfg.set_resolved("io", "dataset", target)
     _write_echo(cfg, outdir)
@@ -139,10 +119,6 @@ def cmd_design(cfg: RunConfig, outdir: Path) -> int:
 def cmd_sweep(cfg: RunConfig, outdir: Path) -> int:
     model, data = _load_or_simulate_dataset(cfg)
     horizons = cfg.get("sweep", "horizons", required=True)
-    if not isinstance(horizons, list) or not horizons or not all(
-            type(h) is int and h >= 2 for h in horizons):
-        raise ConfigError(
-            f"[sweep] horizons must be a non-empty list of integers >= 2, got {horizons!r}")
     pipeline = _pipeline_config(cfg, model)
     rows = convergence_sweep(model, data, pipeline, horizons)
     lines = ["horizon,gain_error"] + [f"{n},{FMT % e}" for n, e in rows]
@@ -161,15 +137,15 @@ def cmd_montecarlo(cfg: RunConfig, outdir: Path) -> int:
     model = cfg.model()
     ts = model.sample_time if model.sample_time is not None else 1.0
     spec = cfg.signal(default_channels=model.n_inputs, default_ts=ts)
-    depth, width = cfg.get_int("estimation", "depth", required=True), cfg.get_int("estimation", "width")
-    runs = cfg.get_int("montecarlo", "runs", required=True)
+    # montecarlo keys left out take monte_carlo_obs's defaults
+    options = {name: cfg.get("montecarlo", key) for key, name in (
+        ("seed", "base_seed"), ("noise_mode", "noise_mode"), ("fixed_input", "fixed_input"))
+        if cfg.has("montecarlo", key)}
     reports = monte_carlo_obs(
-        model, spec, _at_least(depth, 2, "estimation", "depth"), runs,
-        noise_variance=_at_least(cfg.get_float("montecarlo", "variance", required=True), 0,
-                                 "montecarlo", "variance"),
-        base_seed=_at_least(cfg.get_int("montecarlo", "seed", 0), 0, "montecarlo", "seed"),
-        width=width, noise_mode=_noise_mode(cfg, "montecarlo", "noise_mode", "measurement"),
-        fixed_input=cfg.get_bool("montecarlo", "fixed_input", False),
+        model, spec, cfg.get("estimation", "depth", required=True),
+        cfg.get("montecarlo", "runs", required=True),
+        noise_variance=cfg.get("montecarlo", "variance", required=True),
+        width=cfg.get("estimation", "width"), **options,
     )
     eig_lines = ["algorithm,quantity," + ",".join(
         f"value{i + 1}" for i in range(len(reports[0].covariance_eigenvalues)))]
@@ -207,20 +183,19 @@ def cmd_montecarlo(cfg: RunConfig, outdir: Path) -> int:
 def cmd_eval(cfg: RunConfig, outdir: Path) -> int:
     model = cfg.model()
     ts = model.sample_time if model.sample_time is not None else 1.0
-    gain_path = cfg.get_str("io", "gain", required=True)
-    K = storage.read_matrix(gain_path)
+    gain_path = cfg.get("io", "gain", required=True)
+    K = _read_input(storage.read_matrix, "gain", gain_path)
+    if not np.all(np.isfinite(K)):
+        raise ConfigError(f"[io] gain {gain_path} has non-finite entries")
     weights = cfg.weights()
-    horizon = _at_least(cfg.get_int("eval", "horizon", required=True), 1, "eval", "horizon")
-    kind = cfg.get_str("eval", "scenario", required=True)
-    from .lqr import LqrDesign
-
+    horizon = cfg.get("eval", "horizon", required=True)
     design = LqrDesign(K=K, horizon=0, weights=weights)
-    if kind == "regulation":
-        x0 = cfg.get_matrix("eval", "x0", required=True).ravel()
+    if cfg.get("eval", "scenario", required=True) == "regulation":
+        x0 = cfg.get("eval", "x0", required=True).ravel()
         if x0.size != model.n_states:
             raise ConfigError(f"[eval] x0 has {x0.size} entries, expected {model.n_states} states")
         scenario = RegulationScenario(x0=x0)
-    elif kind == "tracking":
+    else:
         imc = cfg.imc(default_ts=ts)
         if imc is None:
             raise ConfigError("tracking scenario requires an [imc] section")
@@ -231,11 +206,9 @@ def cmd_eval(cfg: RunConfig, outdir: Path) -> int:
         if ref.kind == "sinusoid" and not 0.0 < theta < np.pi:
             raise ConfigError(f"[reference] frequency * ts = {theta:.6g} must lie inside (0, pi)")
         spp = samples_per_period(ref)
-        if spp is not None:
-            _at_least(horizon, THD_PERIODS * spp, "eval", "horizon")
+        if spp is not None and horizon < THD_PERIODS * spp:
+            raise ConfigError(f"[eval] horizon must be >= {THD_PERIODS * spp}, got {horizon}")
         scenario = TrackingScenario(imc=imc, reference=ref)
-    else:
-        raise ConfigError(f"[eval] scenario must be 'regulation' or 'tracking', got {kind!r}")
     expected = gain_shape(model, scenario)
     if K.shape != expected:
         raise ConfigError(f"[io] gain {gain_path} has shape {K.shape}, expected {expected}")

@@ -4,51 +4,90 @@ INI sections with JSON-parsed values: scalars are plain numbers or strings,
 matrices are bracketed row lists like ``[[1, 0.15], [-0.2, 0.6]]``. The same
 representation is written back as the resolved-config echo, so a run can be
 reproduced from its own echo.
+
+``KEYS`` lists every key that some command reads, with its kind and bound.
+Loading refuses any other key and any value that is not of its key's kind
+or is out of its bound, so the echo holds only keys that took effect.
 """
 
 from __future__ import annotations
 
 import configparser
 import json
-import math
+import sys
+from dataclasses import replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from .imc import ImcRealization, integrator_imc, resonant_imc
 from .lqr import LqrWeights
-from .plant_sim import SignalSpec, StateSpaceModel, zoh_discretize
-
-
-# Keys of removed options: a config that still sets one is refused rather than run without it.
-REMOVED_KEYS = {("estimation", "structure"): "the Markov blocks are always sub-diagonal averages",
-                ("model", "f"): "the simulators have no output-noise channel, y = C x"}
+from .plant_sim import NOISE_MODES, SignalSpec, StateSpaceModel, zoh_discretize
 
 
 class ConfigError(Exception):
     """Invalid or missing configuration input (CLI exit code 2)."""
 
 
+class Key(NamedTuple):
+    """A config key's kind: "int", "float", "bool", "str", "matrix" or "ints" (a
+    non-empty list of integers), with its bound (">= 2", "> 0") or allowed
+    strings where a reader relies on one; a removed key holds why instead."""
+
+    kind: str = ""
+    bound: str = ""
+    choices: Tuple[str, ...] = ()
+    removed: str = ""
+
+
+_MATRIX, _INT, _FLOAT, _STR = Key("matrix"), Key("int"), Key("float"), Key("str")
+_TS = Key("float", "> 0")
+_SIGNAL = {"kind": _STR, "length": _INT, "amplitude": _FLOAT, "variance": _FLOAT,
+           "frequency": _FLOAT, "seed": _INT, "register_order": _INT, "channels": _INT,
+           "ts": _TS, "hold": _INT}
+# Every key some command reads, by section; one file may serve several commands.
+KEYS: Dict[str, Dict[str, Key]] = {
+    "model": {"a": _MATRIX, "b": _MATRIX, "c": _MATRIX, "e": _MATRIX, "ts": _TS,
+              "continuous": Key("bool"),
+              "f": Key(removed="the simulators have no output-noise channel, y = C x")},
+    "signal": _SIGNAL,
+    "reference": _SIGNAL,
+    "estimation": {"depth": Key("int", ">= 2"), "width": Key("int", ">= 1"), "algorithm": _STR,
+                   "structure": Key(removed="the Markov blocks are always sub-diagonal averages")},
+    "lqr": {"q": _MATRIX, "r": _MATRIX, "horizon": _INT},
+    "sweep": {"horizons": Key("ints", ">= 2")},
+    "noise": {"variance": Key("float", ">= 0"), "seed": Key("int", ">= 0"),
+              "mode": Key("str", choices=NOISE_MODES)},
+    "montecarlo": {"runs": Key("int", ">= 2"), "variance": Key("float", ">= 0"),
+                   "seed": Key("int", ">= 0"), "noise_mode": Key("str", choices=NOISE_MODES),
+                   "fixed_input": Key("bool")},
+    "imc": {"kind": Key("str", choices=("integrator", "resonant")), "omega_n": _FLOAT,
+            "ts": _FLOAT},  # resonant_imc bounds omega_n * ts
+    "eval": {"scenario": Key("str", choices=("regulation", "tracking")),
+             "horizon": Key("int", ">= 1"), "x0": _MATRIX},
+    "io": {"output_dir": _STR, "dataset": _STR, "gain": _STR},
+}
+
+
 def _parse_value(raw: str):
     try:
         return json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or an integer too long to convert
         return raw.strip()
 
 
 def _as_matrix(section: str, key: str, value) -> np.ndarray:
-    if isinstance(value, (int, float)):
-        return np.array([[float(value)]])
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        value = [[value]]
     if not isinstance(value, list):
         raise ConfigError(f"[{section}] {key}: expected a number or bracketed row list")
     rows = value if value and isinstance(value[0], list) else [value]
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ConfigError(
-            f"[{section}] {key}: ragged matrix, row lengths {sorted(len(r) for r in rows)} "
-            f"do not match"
-        )
+    if not all(isinstance(r, list) and not any(isinstance(v, bool) for v in r) for r in rows):
+        raise ConfigError(f"[{section}] {key}: expected a number or bracketed row list")
+    if len({len(r) for r in rows}) != 1:
+        raise ConfigError(f"[{section}] {key}: ragged matrix, row lengths "
+                          f"{sorted(len(r) for r in rows)} do not match")
     try:
         arr = np.asarray(rows, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -56,6 +95,50 @@ def _as_matrix(section: str, key: str, value) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"[{section}] {key}: matrix entries must be finite")
     return arr
+
+
+def _in_bound(value, bound: str) -> bool:
+    op, limit = bound.split()
+    return value > float(limit) if op == ">" else value >= float(limit)
+
+
+def _typed(section: str, key: str, value):
+    """``value`` as the kind its ``KEYS`` entry declares, or a ConfigError."""
+    spec, name = KEYS.get(section, {}).get(key), f"[{section}] {key}"
+    if spec is None:
+        import difflib  # on this error path only: the import takes about 2 ms
+
+        known = [f"[{s}] {k}" for s, keys in KEYS.items() for k, e in keys.items() if not e.removed]
+        near = difflib.get_close_matches(name, known, n=1, cutoff=0.0)[0]
+        raise ConfigError(f"unknown key {name}; the nearest known key is {near}")
+    if spec.removed:
+        raise ConfigError(f"{name} is no longer supported: {spec.removed}; remove the key")
+    if spec.kind == "matrix":
+        return _as_matrix(section, key, value)
+    if spec.kind == "bool":
+        if str(value).lower() not in ("true", "false"):
+            raise ConfigError(f"{name}: expected true/false, got {value!r}")
+        return str(value).lower() == "true"
+    if spec.kind == "ints":
+        if not (isinstance(value, list) and value
+                and all(type(v) is int and _in_bound(v, spec.bound) for v in value)):
+            raise ConfigError(f"{name} must be a non-empty list of integers {spec.bound}, "
+                              f"got {value!r}")
+        return value
+    if spec.kind == "str":
+        if spec.choices and value not in spec.choices:
+            raise ConfigError(f"{name} must be one of {spec.choices}, got {value!r}")
+        if not isinstance(value, str):
+            raise ConfigError(f"{name}: expected a string, got {value!r}")
+        return value
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max or spec.kind == "int" and value != int(value)):
+        what = "an integer" if spec.kind == "int" else "a finite number"
+        raise ConfigError(f"{name}: expected {what}, got {value!r}")
+    value = int(value) if spec.kind == "int" else float(value)
+    if spec.bound and not _in_bound(value, spec.bound):
+        raise ConfigError(f"{name} must be {spec.bound}, got {value}")
+    return value
 
 
 class RunConfig:
@@ -66,170 +149,107 @@ class RunConfig:
 
     @classmethod
     def load(cls, path: Union[str, Path], overrides: Optional[List[str]] = None) -> "RunConfig":
-        parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-        read = parser.read(path)
-        if not read:
-            raise ConfigError(f"cannot read config file {path}")
-        for item in overrides or []:
-            if "=" not in item or "." not in item.split("=", 1)[0]:
-                raise ConfigError(f"override {item!r} must look like section.key=value")
-            target, raw = item.split("=", 1)
-            section, key = target.split(".", 1)
-            if not parser.has_section(section):
-                parser.add_section(section)
-            parser.set(section.strip(), key.strip(), raw.strip())
-        values: Dict[str, Dict[str, Any]] = {}
-        for section in parser.sections():
-            values[section] = {
-                key: _parse_value(raw) for key, raw in parser.items(section)
-            }
-        for (section, key), why in REMOVED_KEYS.items():
-            if key in values.get(section, {}):
-                raise ConfigError(f"[{section}] {key} is no longer supported: {why}; remove the key")
+        """Parse a file and its ``section.key=value`` overrides; any key that
+        is unknown, removed, or not of its kind and bound is a ConfigError."""
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
+        try:
+            if not parser.read(path):
+                raise ConfigError(f"cannot read config file {path}")
+            for item in overrides or []:
+                target, eq, raw = item.partition("=")
+                section, dot, key = target.partition(".")
+                if not (eq and dot):
+                    raise ConfigError(f"override {item!r} must look like section.key=value")
+                parser.read_dict({section.strip(): {key.strip(): raw.strip()}})
+        except configparser.Error as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+        values = {section: {key: _parse_value(raw) for key, raw in parser.items(section)}
+                  for section in parser.sections()}
+        for section, items in values.items():
+            for key, value in items.items():
+                _typed(section, key, value)
         return cls(values)
 
     # -- low-level accessors ------------------------------------------------
 
     def has(self, section: str, key: Optional[str] = None) -> bool:
-        if key is None:
-            return section in self.values
-        return section in self.values and key in self.values[section]
+        return section in self.values and (key is None or key in self.values[section])
 
     def get(self, section: str, key: str, default=None, required: bool = False):
+        """The key's value as its schema kind: int, float, bool, str, an
+        ndarray for a matrix, or a list of ints."""
         if not self.has(section, key):
             if required:
                 raise ConfigError(f"missing required key [{section}] {key}")
             return default
-        return self.values[section][key]
+        return _typed(section, key, self.values[section][key])
 
-    def get_int(self, section: str, key: str, default=None, required: bool = False) -> Optional[int]:
-        value = self.get(section, key, default, required)
-        if value is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
-            raise ConfigError(f"[{section}] {key}: expected an integer, got {value!r}")
-        return int(value)
-
-    def get_float(self, section: str, key: str, default=None, required: bool = False) -> Optional[float]:
-        value = self.get(section, key, default, required)
-        if value is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"[{section}] {key}: expected a number, got {value!r}")
-        return float(value)
-
-    def get_bool(self, section: str, key: str, default: bool = False) -> bool:
-        value = self.get(section, key, default)
-        if isinstance(value, bool):
-            return value
-        if isinstance(value, str) and value.lower() in ("true", "false"):
-            return value.lower() == "true"
-        raise ConfigError(f"[{section}] {key}: expected true/false, got {value!r}")
-
-    def get_str(self, section: str, key: str, default=None, required: bool = False) -> Optional[str]:
-        value = self.get(section, key, default, required)
-        if value is None:
-            return None
-        if not isinstance(value, str):
-            raise ConfigError(f"[{section}] {key}: expected a string, got {value!r}")
-        return value
-
-    def get_matrix(self, section: str, key: str, required: bool = False) -> Optional[np.ndarray]:
-        value = self.get(section, key, required=required)
-        if value is None:
-            return None
-        return _as_matrix(section, key, value)
+    get_int = get
 
     # -- domain objects -----------------------------------------------------
 
     def model(self) -> StateSpaceModel:
         if not self.has("model"):
             raise ConfigError("missing [model] section")
-        A = self.get_matrix("model", "a", required=True)
-        B = self.get_matrix("model", "b", required=True)
-        C = self.get_matrix("model", "c", required=True)
-        ts = self.get_float("model", "ts")
+        A, B, C = (self.get("model", key, required=True) for key in "abc")
+        ts = self.get("model", "ts")
         try:
-            if self.get_bool("model", "continuous", False):
+            if self.get("model", "continuous", False):
                 if ts is None:
                     raise ConfigError("[model] ts is required for a continuous-time model")
                 model = zoh_discretize(A, B, C, ts)
             else:
                 model = StateSpaceModel(A=A, B=B, C=C, sample_time=ts)
-            E = self.get_matrix("model", "e")
-            if E is not None:
-                model = StateSpaceModel(A=model.A, B=model.B, C=model.C, E=E,
-                                        sample_time=model.sample_time)
+            return replace(model, E=self.get("model", "e"))
         except ValueError as exc:
             raise ConfigError(f"[model]: {exc}") from exc
-        return model
 
     def signal(self, default_channels: int = 1, default_ts: float = 1.0,
                section: str = "signal") -> SignalSpec:
+        """The section's SignalSpec; keys it leaves out take SignalSpec's
+        defaults, except ``channels`` and ``ts``."""
         if not self.has(section):
             raise ConfigError(f"missing [{section}] section")
+        for key in ("kind", "length"):
+            self.get(section, key, required=True)
+        fields = {"channels": default_channels, "sample_time": default_ts}
+        fields.update(("sample_time" if key == "ts" else key, self.get(section, key))
+                      for key in self.values[section])
         try:
-            return SignalSpec(
-                kind=self.get_str(section, "kind", required=True),
-                length=self.get_int(section, "length", required=True),
-                amplitude=self.get_float(section, "amplitude", 1.0),
-                variance=self.get_float(section, "variance", 0.0),
-                frequency=self.get_float(section, "frequency", 0.0),
-                seed=self.get_int(section, "seed", 0),
-                register_order=self.get_int(section, "register_order", 10),
-                channels=self.get_int(section, "channels", default_channels),
-                sample_time=self.get_float(section, "ts", default_ts),
-                hold=self.get_int(section, "hold", 1),
-            )
+            return SignalSpec(**fields)
         except ValueError as exc:
             raise ConfigError(f"[{section}]: {exc}") from exc
 
     def weights(self) -> LqrWeights:
-        Q = self.get_matrix("lqr", "q", required=True)
-        R = self.get_matrix("lqr", "r", required=True)
         try:
-            return LqrWeights(Q=Q, R=R)
+            return LqrWeights(Q=self.get("lqr", "q", required=True),
+                              R=self.get("lqr", "r", required=True))
         except ValueError as exc:
             raise ConfigError(f"[lqr]: {exc}") from exc
 
     def imc(self, default_ts: Optional[float] = None) -> Optional[ImcRealization]:
         if not self.has("imc"):
             return None
-        kind = self.get_str("imc", "kind", required=True)
-        if kind == "integrator":
+        if self.get("imc", "kind", required=True) == "integrator":
             return integrator_imc()
-        if kind == "resonant":
-            omega = self.get_float("imc", "omega_n", required=True)
-            ts = self.get_float("imc", "ts", default_ts)
-            if ts is None:
-                raise ConfigError("[imc] ts is required (or set [model] ts)")
-            try:
-                return resonant_imc(omega, ts)
-            except ValueError as exc:
-                raise ConfigError(f"[imc]: {exc}") from exc
-        raise ConfigError(f"[imc] kind must be 'integrator' or 'resonant', got {kind!r}")
+        omega = self.get("imc", "omega_n", required=True)
+        ts = self.get("imc", "ts", default_ts)
+        if ts is None:
+            raise ConfigError("[imc] ts is required (or set [model] ts)")
+        try:
+            return resonant_imc(omega, ts)
+        except ValueError as exc:
+            raise ConfigError(f"[imc]: {exc}") from exc
 
     # -- echo ----------------------------------------------------------------
 
     def echo(self) -> str:
         """Serialize the resolved configuration back to INI text."""
-        parser = configparser.ConfigParser()
-        for section, items in self.values.items():
-            parser.add_section(section)
-            for key, value in items.items():
-                if isinstance(value, str):
-                    parser.set(section, key, value)
-                elif isinstance(value, bool):
-                    parser.set(section, key, "true" if value else "false")
-                elif isinstance(value, float) and (math.isnan(value) or math.isinf(value)):
-                    raise ConfigError(f"[{section}] {key}: cannot echo non-finite value")
-                else:
-                    parser.set(section, key, json.dumps(value))
         out: List[str] = []
-        for section in parser.sections():
+        for section, items in self.values.items():
             out.append(f"[{section}]")
-            for key, value in parser.items(section):
-                out.append(f"{key} = {value}")
+            out += [f"{key} = {value if isinstance(value, str) else json.dumps(value)}"
+                    for key, value in items.items()]
             out.append("")
         return "\n".join(out)
 

@@ -3,8 +3,10 @@
 Two routes to the same gain: a closed-form expression built from Markov
 parameters and a shifted extended observability matrix (the data-driven
 path), applied block by block, and a Riccati solver by structure-preserving
-doubling on a known model (the oracle path). The closed-form route converges
-to the Riccati gain as the horizon depth grows.
+doubling on a known model (the oracle path). The closed-form gain of order N
+is the Riccati gain (R + B'P_NB)^-1 B'P_NA of the N-th iterate of
+P_(k+1) = A'P_kA - A'P_kB (R + B'P_kB)^-1 B'P_kA + C'QC from P_0 = 0, so it
+converges to the stationary Riccati gain as N grows.
 """
 
 from __future__ import annotations

@@ -87,6 +87,8 @@ def read_matrix(path: Union[str, Path]) -> np.ndarray:
         rows = [[float(v) for v in row] for row in csv.reader(fh) if row]
     if not rows:
         raise ValueError(f"{path}: matrix file is empty")
+    if len({len(row) for row in rows}) != 1:
+        raise ValueError(f"{path}: ragged rows of lengths {[len(row) for row in rows]}")
     return np.asarray(rows)
 
 

@@ -1,8 +1,15 @@
-"""Shared test fixtures: the demo plants and random-system samplers."""
+"""Shared test fixtures: the demo plants and random-system samplers, and the
+Hypothesis profile of the whole suite: derandomized (the same examples on
+every run), no example database, no deadline. A property's own ``settings``
+give only its example count and health checks."""
 
 import numpy as np
+from hypothesis import settings
 
 from ddlqr import Dataset, SignalSpec, StateSpaceModel, generate_signal, simulate
+
+settings.register_profile("ddlqr", derandomize=True, database=None, deadline=None)
+settings.load_profile("ddlqr")
 
 
 def two_output_model() -> StateSpaceModel:

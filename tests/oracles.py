@@ -18,6 +18,8 @@ block and never forms Gamma = (Q_N^-1 + S R_N^-1 S')^-1. ``block_diag_repeat``
 builds the weight repeats, ``textbook_gamma`` inverts Gamma as written, and
 ``textbook_gain`` and ``dd_lqr_p`` build the closed-form gain and Riccati
 solution on it, and ``exact_gain_inputs`` gives the gain's inputs from a model.
+``riccati_iterate`` steps the Riccati difference equation from zero; the
+closed-form gain of order m is the Riccati gain of its m-th iterate.
 
 The simulators all run one batched LTI kernel. ``loop_simulate``,
 ``loop_closed_loop``, ``loop_tracking_loop`` and ``loop_filter_imc_states``
@@ -186,6 +188,17 @@ def dd_lqr_p(O, S, weights, horizon: int) -> np.ndarray:
     RN = block_diag_repeat(weights.R, blocks)
     P = O.T @ textbook_gamma(S, QN, RN) @ O
     return 0.5 * (P + P.T)
+
+
+def riccati_iterate(model, weights, steps: int) -> np.ndarray:
+    """P_m of P_(k+1) = A'P_kA - A'P_kB (R + B'P_kB)^-1 B'P_kA + C'QC from P_0 = 0."""
+    A, B, C = model.A, model.B, model.C
+    P = np.zeros((model.n_states, model.n_states))
+    for _ in range(steps):
+        BtPA = B.T @ P @ A
+        P = (A.T @ P @ A - BtPA.T @ np.linalg.solve(weights.R + B.T @ P @ B, BtPA)
+             + C.T @ weights.Q @ C)
+    return P
 
 
 def loop_simulate(model, u, x0=None, v=None, noise_mode="process"):

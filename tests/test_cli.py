@@ -1,6 +1,7 @@
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from conftest import first_run_anticipates
 from ddlqr import Dataset
@@ -145,6 +146,21 @@ class TestDesign:
             err = capsys.readouterr().err
             assert f"[signal]: {key} must be" in err, err
 
+    @pytest.mark.parametrize("text, message", [
+        ("k,u1,y1,x1\n0,1,2\n", "expected 4 fields, got 3"),
+        ("k,u1,y1,x1\n0,1,2,x\n", "could not convert string to float: 'x'"),
+        ("k,u1,y1,x1\n0,1,nan,2\n1,1,1,1\n", "y contains non-finite entries"),
+        ("u1,y1\n1,2\n", "expected a dataset CSV header"),
+    ], ids=["ragged", "non-numeric", "nan", "header"])
+    def test_malformed_dataset_file_exits_2(self, tmp_path, capsys, text, message):
+        (tmp_path / "data.csv").write_text(text)
+        code = run("design", REGULATION, "--output-dir", str(tmp_path / "out"),
+                   "--set", f"io.dataset={tmp_path}/data.csv")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [io] dataset") and message in err, err
+        assert not list((tmp_path / "out").iterdir())
+
     def test_design_from_dataset_file(self, tmp_path):
         run("simulate", REGULATION, "--output-dir", str(tmp_path),
             "--set", f"io.dataset={tmp_path}/dataset.csv")
@@ -230,8 +246,8 @@ class TestMonteCarlo:
     def test_single_run_rejected(self, tmp_path, capsys):
         code = run("montecarlo", MC, "--output-dir", str(tmp_path),
                    "--set", "montecarlo.runs=1")
-        assert code == 1
-        assert "at least 2 runs" in capsys.readouterr().err
+        assert code == 2
+        assert "[montecarlo] runs must be >= 2" in capsys.readouterr().err
 
 
 class TestEval:
@@ -327,6 +343,29 @@ class TestEval:
         assert run("eval", str(cfg), "--output-dir", str(tmp_path / "e")) == 2
         err = capsys.readouterr().err
         assert "[io] gain" in err and "has shape (1, 1), expected (1, 2)" in err
+        assert not (tmp_path / "e" / "eval.csv").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("1,2\n3\n", "ragged rows of lengths [2, 1]"),
+        ("1,nan\n", "has non-finite entries"),
+        ("1,x\n", "could not convert string to float: 'x'"),
+        (None, "No such file or directory"),
+    ], ids=["ragged", "nan", "non-numeric", "missing"])
+    def test_malformed_gain_file_exits_2(self, tmp_path, capsys, text, message):
+        # a 2-state, 1-input plant: the gain is 1 x 2
+        if text is not None:
+            (tmp_path / "gain.csv").write_text(text)
+        cfg = tmp_path / "two_state.ini"
+        cfg.write_text(
+            "[model]\na = [[0.9, 0.1], [0.0, 0.8]]\nb = [[0.0], [1.0]]\nc = [[1.0, 0.0]]\n"
+            "[lqr]\nq = 1.0\nr = 1.0\nhorizon = 2\n"
+            "[eval]\nscenario = regulation\nx0 = [1.0, 0.0]\nhorizon = 200\n"
+            f"[io]\ngain = {tmp_path}/gain.csv\n"
+        )
+        assert run("eval", str(cfg), "--output-dir", str(tmp_path / "e")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [io] gain") and message in err, err
+        assert "Traceback" not in err
         assert not (tmp_path / "e" / "eval.csv").exists()
 
     def test_wrong_tracking_gain_shape_exits_2(self, tmp_path, capsys):

@@ -48,8 +48,7 @@ def problems(draw):
     return n, p, q, depth, width, noisy, seed
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
 @given(problems())
 def test_factor_route_matches_pinv_route(problem):
     n, p, q, depth, width, noisy, seed = problem
@@ -78,8 +77,7 @@ def test_factor_route_matches_pinv_route(problem):
     assert _rel(o2.matrix, pinv_obs_alg2(y_past, u_past, x_past)) < RTOL
 
 
-@settings(derandomize=True, database=None, max_examples=40, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
 @given(problems())
 def test_batch_entries_match_unbatched(problem):
     # noise-free entries leave null directions in L_Yp,Yp when q*depth > n,

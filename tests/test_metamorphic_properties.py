@@ -52,8 +52,7 @@ def problems(draw):
     return data, T, depth
 
 
-@settings(derandomize=True, database=None, max_examples=40, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
 @given(problems())
 def test_state_coordinate_change(problem):
     data, T, depth = problem

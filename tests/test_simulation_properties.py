@@ -61,8 +61,7 @@ def systems(draw):
     return model, imc, T, rng
 
 
-SETTINGS = settings(derandomize=True, max_examples=60, deadline=None,
-                    suppress_health_check=[HealthCheck.too_slow])
+SETTINGS = settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
 
 
 @SETTINGS

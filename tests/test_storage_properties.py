@@ -18,7 +18,7 @@ EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014
          -2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
          0.1, 1 / 3, 2.0 ** -1074 * 3, 2.0 ** 1023, 9007199254740993.0]
 FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGES))
-SETTINGS = settings(derandomize=True, max_examples=60, deadline=None,
+SETTINGS = settings(max_examples=60,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
