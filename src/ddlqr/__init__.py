@@ -31,11 +31,9 @@ from .plant_sim import (
 from .experiments import (
     ClosedLoopMetrics,
     MonteCarloReport,
-    PipelineConfig,
     RegulationScenario,
     TrackingScenario,
     convergence_sweep,
-    design_gain,
     estimate,
     evaluate_closed_loop,
     harmonic_distortion,
@@ -55,7 +53,6 @@ __all__ = [
     "MarkovEstimate",
     "MonteCarloReport",
     "ObservabilityEstimate",
-    "PipelineConfig",
     "RegulationScenario",
     "SignalSpec",
     "StateSpaceModel",
@@ -69,7 +66,6 @@ __all__ = [
     "cost_J",
     "dare_solve",
     "dd_lqr_gain",
-    "design_gain",
     "estimate",
     "estimate_obs_alg1",
     "estimate_obs_alg2",

@@ -21,17 +21,17 @@ from . import storage
 from .config import ConfigError, RunConfig
 from .experiments import (
     THD_PERIODS,
-    PipelineConfig,
     RegulationScenario,
     TrackingScenario,
     convergence_sweep,
-    design_gain,
+    estimate,
     evaluate_closed_loop,
     gain_shape,
     monte_carlo_obs,
     samples_per_period,
+    synthesize,
 )
-from .lqr import LqrDesign
+from .imc import augment_model
 from .plant_sim import generate_signal, simulate
 
 OUTPUT_DIR_ENV = "DDLQR_OUTPUT_DIR"
@@ -39,9 +39,8 @@ FMT = "%.17g"
 
 
 def _output_dir(args, cfg: RunConfig) -> Path:
-    path = Path(args.output_dir or cfg.get("io", "output_dir", os.environ.get(OUTPUT_DIR_ENV, ".")))
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    """The output directory; the first file written into it creates it."""
+    return Path(args.output_dir or cfg.get("io", "output_dir", os.environ.get(OUTPUT_DIR_ENV, ".")))
 
 
 def _write_echo(cfg: RunConfig, outdir: Path) -> str:
@@ -76,17 +75,26 @@ def _load_or_simulate_dataset(cfg: RunConfig):
                            noise_mode=cfg.get("noise", "mode", "process"))
 
 
-def _pipeline_config(cfg: RunConfig, model) -> PipelineConfig:
-    ts = model.sample_time if model.sample_time is not None else 1.0
-    try:
-        return PipelineConfig(
-            depth=cfg.get("estimation", "depth", required=True),
-            width=cfg.get("estimation", "width"),
-            horizon=cfg.get("lqr", "horizon", required=True), weights=cfg.weights(),
-            algorithm=cfg.get("estimation", "algorithm", "alg1"), imc=cfg.imc(default_ts=ts),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"pipeline configuration: {exc}") from exc
+def _estimate(cfg: RunConfig, model, data, key: str, horizons):
+    """The one estimate that every horizon of ``key`` is synthesized from, with
+    the weights and the internal model it was made for.
+
+    Exits 2 before estimating unless each horizon is within [estimation] depth
+    and [lqr] q is sized for the outputs, internal-model states included.
+    """
+    depth = cfg.get("estimation", "depth", required=True)
+    if max(horizons) > depth:
+        raise ConfigError(f"{key} {max(horizons)} must be <= [estimation] depth {depth}")
+    weights = cfg.weights()
+    imc = cfg.imc(default_ts=model.sample_time if model.sample_time is not None else 1.0)
+    order = imc.order if imc is not None else 0
+    q = data.n_outputs * (1 + order)
+    if weights.Q.shape[0] != q:
+        raise ConfigError(f"[lqr] q has dimension {weights.Q.shape[0]}, expected {q} "
+                          f"(dataset outputs{' and internal-model states' if order else ''})")
+    est = estimate(data, depth, cfg.get("estimation", "width"),
+                   cfg.get("estimation", "algorithm", "alg1"), imc)
+    return est, weights, imc
 
 
 def cmd_simulate(cfg: RunConfig, outdir: Path) -> int:
@@ -101,11 +109,10 @@ def cmd_simulate(cfg: RunConfig, outdir: Path) -> int:
 
 def cmd_design(cfg: RunConfig, outdir: Path) -> int:
     model, data = _load_or_simulate_dataset(cfg)
-    pipeline = _pipeline_config(cfg, model)
-    if pipeline.width is None:
-        pipeline.width = data.n_samples - 2 * pipeline.depth + 1
-        cfg.set_resolved("estimation", "width", pipeline.width)
-    design = design_gain(data, pipeline)
+    horizon = cfg.get("lqr", "horizon", required=True)
+    est, weights, _ = _estimate(cfg, model, data, "[lqr] horizon", [horizon])
+    cfg.set_resolved("estimation", "width", est.width)
+    design = synthesize(est, weights, horizon)
     storage.write_matrix(outdir / "gain.csv", design.K)
     echo = _write_echo(cfg, outdir)
     lines = [f"gain horizon: {design.horizon}"]
@@ -119,8 +126,10 @@ def cmd_design(cfg: RunConfig, outdir: Path) -> int:
 def cmd_sweep(cfg: RunConfig, outdir: Path) -> int:
     model, data = _load_or_simulate_dataset(cfg)
     horizons = cfg.get("sweep", "horizons", required=True)
-    pipeline = _pipeline_config(cfg, model)
-    rows = convergence_sweep(model, data, pipeline, horizons)
+    est, weights, imc = _estimate(cfg, model, data, "[sweep] horizons", horizons)
+    # the Riccati reference is the plant the estimate saw, internal-model states included
+    rows = convergence_sweep(model if imc is None else augment_model(model, imc), est,
+                             weights, horizons)
     lines = ["horizon,gain_error"] + [f"{n},{FMT % e}" for n, e in rows]
     storage.write_text(outdir / "sweep.csv", "\n".join(lines) + "\n")
     echo = _write_echo(cfg, outdir)
@@ -189,7 +198,6 @@ def cmd_eval(cfg: RunConfig, outdir: Path) -> int:
         raise ConfigError(f"[io] gain {gain_path} has non-finite entries")
     weights = cfg.weights()
     horizon = cfg.get("eval", "horizon", required=True)
-    design = LqrDesign(K=K, horizon=0, weights=weights)
     if cfg.get("eval", "scenario", required=True) == "regulation":
         x0 = cfg.get("eval", "x0", required=True).ravel()
         if x0.size != model.n_states:
@@ -212,7 +220,7 @@ def cmd_eval(cfg: RunConfig, outdir: Path) -> int:
     expected = gain_shape(model, scenario)
     if K.shape != expected:
         raise ConfigError(f"[io] gain {gain_path} has shape {K.shape}, expected {expected}")
-    metrics = evaluate_closed_loop(model, design, scenario, horizon)
+    metrics = evaluate_closed_loop(model, K, weights, scenario, horizon)
     rows = [
         ("cost", metrics.cost),
         ("spectral_radius", metrics.spectral_radius),

@@ -23,6 +23,7 @@ import numpy as np
 
 from .imc import ImcRealization, integrator_imc, resonant_imc
 from .lqr import LqrWeights
+from .observability import ALGORITHMS
 from .plant_sim import NOISE_MODES, SignalSpec, StateSpaceModel, zoh_discretize
 
 
@@ -53,9 +54,10 @@ KEYS: Dict[str, Dict[str, Key]] = {
               "f": Key(removed="the simulators have no output-noise channel, y = C x")},
     "signal": _SIGNAL,
     "reference": _SIGNAL,
-    "estimation": {"depth": Key("int", ">= 2"), "width": Key("int", ">= 1"), "algorithm": _STR,
+    "estimation": {"depth": Key("int", ">= 2"), "width": Key("int", ">= 1"),
+                   "algorithm": Key("str", choices=ALGORITHMS),
                    "structure": Key(removed="the Markov blocks are always sub-diagonal averages")},
-    "lqr": {"q": _MATRIX, "r": _MATRIX, "horizon": _INT},
+    "lqr": {"q": _MATRIX, "r": _MATRIX, "horizon": Key("int", ">= 2")},
     "sweep": {"horizons": Key("ints", ">= 2")},
     "noise": {"variance": Key("float", ">= 0"), "seed": Key("int", ">= 0"),
               "mode": Key("str", choices=NOISE_MODES)},

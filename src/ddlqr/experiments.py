@@ -49,35 +49,6 @@ THD_PERIODS = 10
 
 
 @dataclass
-class PipelineConfig:
-    """Settings of one data-driven design pass.
-
-    ``horizon`` follows the convention of the reference experiments: it is
-    the block-row depth of the lifted experiment, and the closed-form gain is
-    evaluated at order horizon - 1 (the number of Markov parameters a
-    depth-``horizon`` data split actually pins down). ``depth`` is the
-    Hankel depth of the estimation stage and must be at least ``horizon``.
-    """
-
-    weights: LqrWeights
-    horizon: int
-    depth: Optional[int] = None
-    width: Optional[int] = None
-    algorithm: str = "alg1"
-    imc: Optional[ImcRealization] = None
-
-    def __post_init__(self):
-        if self.horizon < 2:
-            raise ValueError("horizon must be >= 2 (the gain needs at least one Markov block)")
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
-        if self.depth is None:
-            self.depth = self.horizon
-        if self.depth < self.horizon:
-            raise ValueError(f"depth {self.depth} must be >= horizon {self.horizon}")
-
-
-@dataclass
 class DataDrivenEstimate:
     """What the closed-form gain takes from the data, at one Hankel depth.
 
@@ -162,21 +133,23 @@ def _observe(dm: DataMatrices, algorithm: str,
     return _stage("observability", estimate_obs_alg1, dm, markov.toeplitz)
 
 
-def estimate(data: Dataset, config: PipelineConfig) -> DataDrivenEstimate:
-    """Estimation half of the pipeline, at ``config.depth``.
+def estimate(data: Dataset, depth: int, width: Optional[int] = None, algorithm: str = "alg1",
+             imc: Optional[ImcRealization] = None) -> DataDrivenEstimate:
+    """Estimation half of the pipeline, at Hankel depth ``depth``.
 
     Stages: optional internal-model augmentation, Hankel data matrices and
     their factor, Markov-parameter least squares, observability estimation
-    with the chosen algorithm. The weights and horizon of ``config`` are not
-    used.
+    with ``algorithm`` (one of ``ALGORITHMS``).
     """
-    if config.imc is not None:
-        data = _stage("imc-augmentation", augment_dataset, data, config.imc)
-    dm = _stage("data-matrices", build_data_matrices, data, config.depth, config.width)
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
+    if imc is not None:
+        data = _stage("imc-augmentation", augment_dataset, data, imc)
+    dm = _stage("data-matrices", build_data_matrices, data, depth, width)
     markov = _stage("markov-estimation", estimate_predictor, dm)
-    obs = _observe(dm, config.algorithm, markov)
+    obs = _observe(dm, algorithm, markov)
     return DataDrivenEstimate(markov=markov, observability=obs, width=dm.width,
-                              augmented=config.imc is not None)
+                              augmented=imc is not None)
 
 
 def synthesize(est: DataDrivenEstimate, weights: LqrWeights, horizon: int) -> LqrDesign:
@@ -215,37 +188,21 @@ def synthesize(est: DataDrivenEstimate, weights: LqrWeights, horizon: int) -> Lq
         obs_residual=float(obs.residual),
         algorithm=obs.algorithm,
     )
-    return LqrDesign(K=design.K, horizon=horizon, weights=weights, diagnostics=diagnostics)
-
-
-def design_gain(data: Dataset, config: PipelineConfig) -> LqrDesign:
-    """Run the full data-driven pipeline on a dataset: estimate, then synthesize."""
-    return synthesize(estimate(data, config), config.weights, config.horizon)
+    return LqrDesign(K=design.K, horizon=horizon, diagnostics=diagnostics)
 
 
 def convergence_sweep(
     model: StateSpaceModel,
-    data: Dataset,
-    config: PipelineConfig,
+    est: DataDrivenEstimate,
+    weights: LqrWeights,
     horizons: Sequence[int],
 ) -> List[Tuple[int, float]]:
-    """Design at each horizon and measure the max-entry gap to the Riccati gain.
-
-    A horizon up to ``config.depth`` reuses one estimate at that depth; a
-    longer horizon is estimated at a depth equal to itself, once per distinct
-    depth.
-    """
-    P = dare_solve(model, config.weights)
-    K_star = model_lqr_gain(model, P, config.weights.R)
-    estimates: Dict[int, DataDrivenEstimate] = {}
-    rows: List[Tuple[int, float]] = []
-    for N in horizons:
-        depth = max(config.depth, N)
-        if depth not in estimates:
-            estimates[depth] = estimate(data, replace(config, depth=depth))
-        design = synthesize(estimates[depth], config.weights, N)
-        rows.append((N, float(np.abs(design.K - K_star).max())))
-    return rows
+    """Max-entry gap of the gain synthesized from ``est`` at each horizon to the
+    Riccati gain of ``model``: the plant behind the estimate's data, with its
+    internal-model states when the estimate is augmented."""
+    P = dare_solve(model, weights)
+    K_star = model_lqr_gain(model, P, weights.R)
+    return [(N, float(np.abs(synthesize(est, weights, N).K - K_star).max())) for N in horizons]
 
 
 def monte_carlo_obs(model: StateSpaceModel, signal: SignalSpec, depth: int, runs: int,
@@ -392,26 +349,27 @@ def harmonic_distortion(y, samples_per_period: int) -> float:
 
 def evaluate_closed_loop(
     model: StateSpaceModel,
-    design: LqrDesign,
+    K: np.ndarray,
+    weights: LqrWeights,
     scenario: Union[RegulationScenario, TrackingScenario],
     horizon: int,
 ) -> ClosedLoopMetrics:
-    """Simulate the closed loop and report cost, stability margin and tracking.
+    """Close the loop with gain ``K`` and report cost under ``weights``, stability
+    margin and tracking.
 
     An unstable loop is reported through the spectral radius (and infinite
     cost when the trajectory overflows), never as an exception. A gain whose shape is not
     ``gain_shape``, a wrong-sized start state, or a horizon under ``THD_PERIODS`` periods
     of a sinusoid reference raises ValueError.
     """
-    weights = design.weights
-    shape, expected = np.shape(design.K), gain_shape(model, scenario)
+    shape, expected = np.shape(K), gain_shape(model, scenario)
     if shape != expected:
         raise ValueError(f"gain has shape {shape}, expected {expected}")
     if isinstance(scenario, RegulationScenario):
         x0 = _checked(model, scenario.x0)
-        rho = float(np.abs(np.linalg.eigvals(model.A - model.B @ design.K)).max())
+        rho = float(np.abs(np.linalg.eigvals(model.A - model.B @ K)).max())
         try:  # x0 is checked above, so its error is not reported as an unstable run
-            ds = closed_loop_simulate(model, design.K, x0, horizon)
+            ds = closed_loop_simulate(model, K, x0, horizon)
             cost = cost_J(ds, weights.Q, weights.R)
             sse = float(np.linalg.norm(ds.y[-1]))
         except ValueError:
@@ -419,14 +377,14 @@ def evaluate_closed_loop(
         return ClosedLoopMetrics(cost=cost, spectral_radius=rho, steady_state_error=sse)
 
     aug = augment_model(model, scenario.imc)
-    rho = float(np.abs(np.linalg.eigvals(aug.A - aug.B @ design.K)).max())
+    rho = float(np.abs(np.linalg.eigvals(aug.A - aug.B @ K)).max())
     ref_spec = replace(scenario.reference, length=horizon)
     r = generate_signal(ref_spec)
     if r.shape[1] != model.n_outputs:
         r = np.tile(r[:, :1], (1, model.n_outputs))
     thd = None
     try:
-        ds = tracking_loop_simulate(model, scenario.imc, design.K, r)
+        ds = tracking_loop_simulate(model, scenario.imc, K, r)
         cost = cost_J(ds, weights.Q, weights.R)
     except ValueError:
         return ClosedLoopMetrics(cost=float("inf"), spectral_radius=rho,

@@ -56,7 +56,6 @@ class LqrDesign:
 
     K: np.ndarray
     horizon: int
-    weights: LqrWeights
     diagnostics: Dict[str, float] = field(default_factory=dict)
 
 
@@ -110,7 +109,7 @@ def dd_lqr_gain(
         raise ValueError(
             f"singular gain bracket R + M' Gamma M (condition {cond_bracket:.3e})"
         ) from exc
-    return LqrDesign(K=K, horizon=N, weights=weights,
+    return LqrDesign(K=K, horizon=N,
                      diagnostics={"cond_inner": cond_inner, "cond_bracket": cond_bracket})
 
 

@@ -17,16 +17,22 @@ from conftest import (
     scalar_model,
     two_output_model,
 )
-from oracles import orthogonal_projector, pinv, true_markov
+from oracles import (
+    ITERATE_FLOOR,
+    ITERATE_PER_COND,
+    orthogonal_projector,
+    pinv,
+    riccati_iterate,
+    true_markov,
+)
 from ddlqr import (
     LqrWeights,
-    PipelineConfig,
     SignalSpec,
     TrackingScenario,
     block_hankel,
     convergence_sweep,
     dare_solve,
-    design_gain,
+    estimate,
     evaluate_closed_loop,
     estimate_obs_alg1,
     estimate_obs_alg2,
@@ -36,6 +42,7 @@ from ddlqr import (
     model_lqr_gain,
     monte_carlo_obs,
     simulate,
+    synthesize,
     true_observability,
 )
 from ddlqr.config import RunConfig
@@ -83,8 +90,7 @@ def regulation_weights():
 def test_criterion_1_long_horizon_gain(regulation_data, regulation_weights):
     with _Criterion(1, "two-output plant, horizon 50", budget_s=10.0):
         model = two_output_model()
-        config = PipelineConfig(weights=regulation_weights, horizon=50, depth=51)
-        design = design_gain(regulation_data, config)
+        design = synthesize(estimate(regulation_data, 51), regulation_weights, 50)
         assert np.abs(design.K - GAIN_LONG).max() < 1e-3
         K_star = model_lqr_gain(model, dare_solve(model, regulation_weights),
                                 regulation_weights.R)
@@ -93,8 +99,7 @@ def test_criterion_1_long_horizon_gain(regulation_data, regulation_weights):
 
 def test_criterion_2_short_horizon_gain(regulation_data, regulation_weights):
     with _Criterion(2, "two-output plant, horizon 10", budget_s=5.0):
-        config = PipelineConfig(weights=regulation_weights, horizon=10, depth=51)
-        design = design_gain(regulation_data, config)
+        design = synthesize(estimate(regulation_data, 51), regulation_weights, 10)
         assert np.abs(design.K - GAIN_SHORT).max() < 1e-3
 
 
@@ -177,13 +182,11 @@ def test_criterion_6_convergence(regulation_data, regulation_weights):
         scalar = scalar_model()
         deadbeat = LqrWeights(Q=[[1.0]], R=[[1e-9]])
         data = prbs_dataset(scalar, length=1022, seed=3)
-        rows = dict(convergence_sweep(
-            scalar, data, PipelineConfig(weights=deadbeat, horizon=3, depth=4), [2, 3]))
+        rows = dict(convergence_sweep(scalar, estimate(data, 4), deadbeat, [2, 3]))
         assert rows[3] < 1e-6
         model = two_output_model()
         sweep = dict(convergence_sweep(
-            model, regulation_data,
-            PipelineConfig(weights=regulation_weights, horizon=10, depth=51), [10, 50]))
+            model, estimate(regulation_data, 51), regulation_weights, [10, 50]))
         assert sweep[50] < sweep[10]
 
 
@@ -195,20 +198,16 @@ def test_criterion_7_tracking_demo():
         imc = cfg.imc(default_ts=ts)
         spec = cfg.signal(default_channels=model.n_inputs, default_ts=ts)
         data = simulate(model, generate_signal(spec))
-        pipeline = PipelineConfig(
-            weights=cfg.weights(),
-            horizon=cfg.get_int("lqr", "horizon"),
-            depth=cfg.get_int("estimation", "depth"),
-            width=cfg.get_int("estimation", "width"),
-            imc=imc,
-        )
-        design = design_gain(data, pipeline)
+        weights = cfg.weights()
+        est = estimate(data, cfg.get_int("estimation", "depth"),
+                       cfg.get_int("estimation", "width"), imc=imc)
+        design = synthesize(est, weights, cfg.get_int("lqr", "horizon"))
         assert design.K.shape == (1, 4)
         horizon = cfg.get_int("eval", "horizon")
         cfg.set_resolved("reference", "length", horizon)
         reference = cfg.signal(default_channels=1, default_ts=ts, section="reference")
         metrics = evaluate_closed_loop(
-            model, design, TrackingScenario(imc=imc, reference=reference), horizon,
+            model, design.K, weights, TrackingScenario(imc=imc, reference=reference), horizon,
         )
         assert metrics.spectral_radius < 1.0
         assert metrics.steady_state_error < 0.02
@@ -241,3 +240,25 @@ def test_criterion_8_matrix_kit_properties():
             assert np.abs(U @ P).max() < 1e-12
             assert np.abs(P @ P - P).max() < 1e-12
             assert np.abs(P - P.T).max() < 1e-12
+
+
+def test_criterion_9_sweep_rows_are_iterate_gaps(regulation_data, regulation_weights):
+    with _Criterion(9, "noise-free sweep rows equal the Riccati-iterate gaps", budget_s=10.0):
+        rng = np.random.default_rng(9)
+        cases = [(two_output_model(), regulation_data, regulation_weights, 51,
+                  [2, 3, 5, 10, 20, 30, 40, 50])]
+        for seed in range(3):
+            model = random_stable_system(rng, radius=(0.3, 0.9))
+            weights = LqrWeights(Q=np.eye(model.n_outputs), R=np.eye(model.n_inputs))
+            cases.append((model, prbs_dataset(model, length=600, seed=900 + seed), weights,
+                          12, [2, 3, 6, 12]))
+        for model, data, weights, depth, horizons in cases:
+            K_star = model_lqr_gain(model, dare_solve(model, weights), weights.R)
+            for algorithm in ("alg1", "alg2"):
+                est = estimate(data, depth, algorithm=algorithm)
+                for N, row in convergence_sweep(model, est, weights, horizons):
+                    K_iter = model_lqr_gain(model, riccati_iterate(model, weights, N - 1),
+                                            weights.R)
+                    cond = synthesize(est, weights, N).diagnostics["cond_inner"]
+                    bound = (ITERATE_FLOOR + ITERATE_PER_COND * cond) * np.abs(K_iter).max()
+                    assert abs(row - np.abs(K_iter - K_star).max()) <= bound, (algorithm, N)

@@ -18,7 +18,6 @@ PUBLIC = [
     "MarkovEstimate",
     "MonteCarloReport",
     "ObservabilityEstimate",
-    "PipelineConfig",
     "RegulationScenario",
     "SignalSpec",
     "StateSpaceModel",
@@ -32,7 +31,6 @@ PUBLIC = [
     "cost_J",
     "dare_solve",
     "dd_lqr_gain",
-    "design_gain",
     "estimate",
     "estimate_obs_alg1",
     "estimate_obs_alg2",
@@ -53,10 +51,14 @@ PUBLIC = [
 ]
 
 
-# Parameters of the simulators, the cost, the solvers and the dataset reader, and
-# the fields of the model and dataset: a keyword or field that only tests would
-# set shows up here as a diff.
+# Parameters of the pipeline, the simulators, the cost, the solvers and the dataset
+# reader, and the fields of the model, dataset, estimates and design: a keyword or
+# field that only tests would set shows up here as a diff.
 PARAMETERS = [
+    ("ddlqr", "estimate", ["data", "depth", "width", "algorithm", "imc"]),
+    ("ddlqr", "synthesize", ["est", "weights", "horizon"]),
+    ("ddlqr", "convergence_sweep", ["model", "est", "weights", "horizons"]),
+    ("ddlqr", "evaluate_closed_loop", ["model", "K", "weights", "scenario", "horizon"]),
     ("ddlqr", "simulate", ["model", "u", "x0", "v", "noise_mode"]),
     ("ddlqr", "closed_loop_simulate", ["model", "K", "x0", "horizon"]),
     ("ddlqr", "tracking_loop_simulate", ["model", "imc", "K_a", "r"]),
@@ -71,6 +73,7 @@ FIELDS = [
     ("MarkovEstimate", ["toeplitz", "depth", "input_rank", "regressor_rank",
                         "input_rank_margin"]),
     ("ObservabilityEstimate", ["matrix", "algorithm", "residual"]),
+    ("LqrDesign", ["K", "horizon", "diagnostics"]),
 ]
 
 
@@ -102,7 +105,8 @@ PARTS = ["u_past", "y_past", "u_future", "y_future", "x_past"]
 @pytest.mark.parametrize("owner, name", [
     ("matrix_kit", "pinv"), ("lqr", "dd_lqr_p"), ("markov", "state_snapshot"),
     ("markov", "true_markov"), ("matrix_kit", "block_toeplitz_strict_lower"),
-    ("observability", "drop_first_block_row"),
+    ("observability", "drop_first_block_row"), ("experiments", "PipelineConfig"),
+    ("experiments", "design_gain"),
 ] + [("markov.DataMatrices", part) for part in PARTS])
 def test_test_only_helpers_are_gone(owner, name):
     module, _, cls = owner.partition(".")

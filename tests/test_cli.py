@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import first_run_anticipates
-from ddlqr import Dataset
+import ddlqr.cli
+from ddlqr import Dataset, dare_solve, model_lqr_gain
 from ddlqr.cli import main
+from ddlqr.config import RunConfig
 from ddlqr.storage import read_dataset, read_matrix, write_dataset
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -14,6 +16,9 @@ UPS = str(CONFIGS / "ups_tracking_demo.ini")
 MC = str(CONFIGS / "noisy_estimation_mc.ini")
 
 GAIN_LONG = np.array([[4.6491, 7.5226], [1.4461, -1.9886]])
+# the tracking demo shrunk to a short record and depth
+UPS_SMALL = ["--set", "signal.length=800", "--set", "estimation.depth=30",
+             "--set", "estimation.width=400", "--set", "lqr.horizon=30"]
 
 
 def run(*argv):
@@ -159,7 +164,25 @@ class TestDesign:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: [io] dataset") and message in err, err
-        assert not list((tmp_path / "out").iterdir())
+        assert not (tmp_path / "out").exists()
+
+    def test_horizon_above_depth_exits_2(self, tmp_path, capsys):
+        code = run("design", REGULATION, "--output-dir", str(tmp_path / "out"),
+                   "--set", "lqr.horizon=60")
+        assert code == 2
+        assert ("config error: [lqr] horizon 60 must be <= [estimation] depth 51"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_weight_size_exits_2_before_estimation(self, tmp_path, capsys, monkeypatch):
+        # the integrator adds one state per output; the file's Q fits the resonant pair
+        monkeypatch.setattr(ddlqr.cli, "estimate", None)
+        code = run("design", UPS, "--output-dir", str(tmp_path / "out"),
+                   "--set", "imc.kind=integrator")
+        assert code == 2
+        assert ("config error: [lqr] q has dimension 3, expected 2 "
+                "(dataset outputs and internal-model states)") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_design_from_dataset_file(self, tmp_path):
         run("simulate", REGULATION, "--output-dir", str(tmp_path),
@@ -184,6 +207,41 @@ class TestSweep:
                        "--set", f"sweep.horizons={horizons}")
             assert code == 2, horizons
             assert "[sweep] horizons" in capsys.readouterr().err
+
+    def test_horizon_above_depth_exits_2(self, tmp_path, capsys):
+        # every row comes from the one estimate at [estimation] depth 51
+        code = run("sweep", REGULATION, "--output-dir", str(tmp_path / "out"),
+                   "--set", "sweep.horizons=[10,52]")
+        assert code == 2
+        assert ("config error: [sweep] horizons 52 must be <= [estimation] depth 51"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_reads_no_lqr_horizon(self, tmp_path):
+        assert run("sweep", REGULATION, "--output-dir", str(tmp_path / "a")) == 0
+        assert run("sweep", REGULATION, "--output-dir", str(tmp_path / "b"),
+                   "--set", "lqr.horizon=60") == 0
+        assert (tmp_path / "a/sweep.csv").read_bytes() == (tmp_path / "b/sweep.csv").read_bytes()
+
+    def test_rows_match_design_at_each_horizon(self, tmp_path):
+        assert run("sweep", REGULATION, "--output-dir", str(tmp_path)) == 0
+        cfg = RunConfig.load(REGULATION)
+        model, weights = cfg.model(), cfg.weights()
+        K_star = model_lqr_gain(model, dare_solve(model, weights), weights.R)
+        for line in (tmp_path / "sweep.csv").read_text().splitlines()[1:]:
+            horizon, error = line.split(",")
+            out = tmp_path / f"design-{horizon}"
+            assert run("design", REGULATION, "--output-dir", str(out),
+                       "--set", f"lqr.horizon={horizon}") == 0
+            assert float(error) == np.abs(read_matrix(out / "gain.csv") - K_star).max()
+
+    def test_tracking_sweep_against_augmented_riccati_gain(self, tmp_path):
+        # the Riccati reference has the plant's 2 and the resonant controller's 2 states
+        assert run("sweep", UPS, "--output-dir", str(tmp_path),
+                   "--set", "sweep.horizons=[50,150]") == 0
+        rows = dict(l.split(",") for l in (tmp_path / "sweep.csv").read_text().splitlines()[1:])
+        assert 1e-3 < float(rows["50"]) < 1e-2
+        assert float(rows["150"]) < 1e-9
 
 
 class TestMonteCarlo:
@@ -294,16 +352,14 @@ class TestEval:
 
     def test_tracking_horizon_shorter_than_thd_window_exits_2(self, tmp_path, capsys):
         # the 60 Hz reference at 15 kHz has 250 samples per period; the metrics read 10 periods
-        small = ["--set", "signal.length=800", "--set", "estimation.depth=30",
-                 "--set", "estimation.width=400", "--set", "lqr.horizon=30"]
-        assert run("design", UPS, "--output-dir", str(tmp_path / "d"), *small) == 0
+        assert run("design", UPS, "--output-dir", str(tmp_path / "d"), *UPS_SMALL) == 0
         gain = ["--set", f"io.gain={tmp_path}/d/gain.csv"]
-        code = run("eval", UPS, "--output-dir", str(tmp_path / "short"), *small, *gain,
+        code = run("eval", UPS, "--output-dir", str(tmp_path / "short"), *UPS_SMALL, *gain,
                    "--set", "eval.horizon=300")
         assert code == 2
         assert "[eval] horizon must be >= 2500, got 300" in capsys.readouterr().err
         assert not (tmp_path / "short" / "eval.csv").exists()
-        assert run("eval", UPS, "--output-dir", str(tmp_path / "full"), *small, *gain,
+        assert run("eval", UPS, "--output-dir", str(tmp_path / "full"), *UPS_SMALL, *gain,
                    "--set", "eval.horizon=2500") == 0
         metrics = dict(r.split(",") for r in
                        (tmp_path / "full" / "eval.csv").read_text().splitlines()[1:])
@@ -383,13 +439,58 @@ class TestEval:
 
     def test_reference_at_or_above_nyquist_exits_2(self, tmp_path, capsys):
         # 94000 rad/s at 15 kHz is 6.27 rad per sample: about 1 sample per period
-        small = ["--set", "signal.length=800", "--set", "estimation.depth=30",
-                 "--set", "estimation.width=400", "--set", "lqr.horizon=30"]
-        assert run("design", UPS, "--output-dir", str(tmp_path / "d"), *small) == 0
+        assert run("design", UPS, "--output-dir", str(tmp_path / "d"), *UPS_SMALL) == 0
         for frequency in (94000, 47123.9, 0):
-            code = run("eval", UPS, "--output-dir", str(tmp_path / "e"), *small,
+            code = run("eval", UPS, "--output-dir", str(tmp_path / "e"), *UPS_SMALL,
                        "--set", f"io.gain={tmp_path}/d/gain.csv",
                        "--set", f"reference.frequency={frequency}")
             assert code == 2, frequency
             assert "[reference] frequency * ts" in capsys.readouterr().err
             assert not (tmp_path / "e" / "eval.csv").exists()
+
+
+# An input error of each kind that is raised after the config file loads, with
+# the command and overrides that raise it and the start of its message.
+INPUT_ERRORS = {
+    "signal-spec": ("design", REGULATION, ["signal.kind=bogus"], "[signal]: unsupported"),
+    "lqr-weights": ("design", REGULATION, ["lqr.r=0"], "[lqr]: R must be positive definite"),
+    "resonant-imc": ("design", UPS, ["imc.omega_n=1e9"], "[imc]: "),
+    "missing-key": ("sweep", MC, [], "missing required key [sweep] horizons"),
+    "io-file": ("design", REGULATION, ["io.dataset={tmp}/bad.csv"], "[io] dataset"),
+}
+
+
+@pytest.mark.parametrize("kind", list(INPUT_ERRORS))
+def test_input_errors_leave_no_output_dir(tmp_path, capsys, kind):
+    command, config, sets, message = INPUT_ERRORS[kind]
+    (tmp_path / "bad.csv").write_text("u1,y1\n1,2\n")
+    argv = [command, config, "--output-dir", str(tmp_path / "out")]
+    for item in sets:
+        argv += ["--set", item.format(tmp=tmp_path)]
+    assert run(*argv) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not (tmp_path / "out").exists()
+
+
+# Each command with the overrides of a small run; eval reads a shrunk tracking design.
+ECHO_RUNS = {
+    "design": (REGULATION, []),
+    "sweep": (REGULATION, ["--set", "sweep.horizons=[10,30,50]"]),
+    "montecarlo": (MC, ["--set", "montecarlo.runs=20"]),
+    "eval": (UPS, UPS_SMALL + ["--set", "eval.horizon=2500"]),
+}
+
+
+@pytest.mark.parametrize("command", list(ECHO_RUNS))
+def test_echo_reproduces_run(tmp_path, command):
+    config, sets = ECHO_RUNS[command]
+    if command == "eval":
+        assert run("design", UPS, "--output-dir", str(tmp_path / "design"), *UPS_SMALL) == 0
+        sets = sets + ["--set", f"io.gain={tmp_path}/design/gain.csv"]
+    assert run(command, config, "--output-dir", str(tmp_path / "a"), *sets) == 0
+    assert run(command, str(tmp_path / "a" / "config_echo.ini"),
+               "--output-dir", str(tmp_path / "b")) == 0
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name

@@ -105,6 +105,9 @@ class TestKinds:
             load(tmp_path, "eval.scenario=track")
         with pytest.raises(ConfigError, match=r"\[imc\] kind must be one of"):
             load(tmp_path, "imc.kind=3")
+        with pytest.raises(ConfigError, match=r"\[estimation\] algorithm must be one of "
+                                              r"\('alg1', 'alg2'\), got 'alg3'"):
+            load(tmp_path, "estimation.algorithm=alg3")
 
     def test_matrix(self, tmp_path):
         cfg = load(tmp_path, "lqr.q=[[2, 0], [0, 3]]", "lqr.r=4", "eval.x0=[1, -1]")
@@ -132,6 +135,7 @@ class TestKinds:
         ("model.ts=0", "[model] ts must be > 0, got 0.0"),
         ("reference.ts=0", "[reference] ts must be > 0, got 0.0"),
         ("noise.seed=-1", "[noise] seed must be >= 0, got -1"),
+        ("lqr.horizon=1", "[lqr] horizon must be >= 2, got 1"),
     ])
     def test_bounds(self, tmp_path, override, message):
         with pytest.raises(ConfigError) as info:

@@ -1,5 +1,4 @@
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +15,7 @@ from conftest import (
 from oracles import per_run_monte_carlo
 from ddlqr import (
     Dataset,
-    LqrDesign,
     LqrWeights,
-    PipelineConfig,
     RegulationScenario,
     SignalSpec,
     StateSpaceModel,
@@ -28,7 +25,6 @@ from ddlqr import (
     convergence_sweep,
     cost_J,
     dare_solve,
-    design_gain,
     estimate,
     estimate_predictor,
     evaluate_closed_loop,
@@ -53,73 +49,63 @@ def reference_weights():
     return LqrWeights(Q=20 * np.eye(2), R=0.2 * np.eye(2))
 
 
-def sweep_counting(monkeypatch, model, data, config, horizons):
-    """Run a sweep; return its rows and the depth of every predictor estimate.
+def sweep_from_estimate(monkeypatch, model, est, weights, horizons):
+    """Run a sweep with estimation switched off and return its rows.
 
-    Also checks that the gain behind each row equals ``design_gain`` at that
-    horizon, bit for bit.
+    Also checks that each row is the max-entry gap of ``synthesize`` at that
+    horizon to the Riccati gain, bit for bit.
     """
-    depths, gains = [], []
-    predictor, synth = ddlqr.experiments.estimate_predictor, ddlqr.experiments.synthesize
-
-    def recording(est, weights, horizon):
-        design = synth(est, weights, horizon)
-        gains.append(design.K)
-        return design
-
-    monkeypatch.setattr(ddlqr.experiments, "estimate_predictor",
-                        lambda dm: depths.append(dm.depth) or predictor(dm))
-    monkeypatch.setattr(ddlqr.experiments, "synthesize", recording)
-    rows = convergence_sweep(model, data, config, horizons)
+    for stage in ("augment_dataset", "build_data_matrices", "estimate_predictor"):
+        monkeypatch.setattr(ddlqr.experiments, stage, None)
+    rows = convergence_sweep(model, est, weights, horizons)
     monkeypatch.undo()
-    assert len(gains) == len(horizons)
-    for N, K in zip(horizons, gains):
-        cfg = replace(config, horizon=N, depth=max(config.depth, N))
-        assert np.array_equal(K, design_gain(data, cfg).K)
-    return rows, depths
+    K_star = model_lqr_gain(model, dare_solve(model, weights), weights.R)
+    assert rows == [(N, float(np.abs(synthesize(est, weights, N).K - K_star).max()))
+                    for N in horizons]
+    return rows
 
 
 class TestDesignGain:
     def test_long_horizon_reproduction(self):
-        data = prbs_dataset(two_output_model())
-        config = PipelineConfig(weights=reference_weights(), horizon=50, depth=51)
-        design = design_gain(data, config)
+        est = estimate(prbs_dataset(two_output_model()), 51)
+        design = synthesize(est, reference_weights(), 50)
         np.testing.assert_allclose(design.K, GAIN_LONG, atol=1e-3)
 
     def test_short_horizon_reproduction(self):
-        data = prbs_dataset(two_output_model())
-        config = PipelineConfig(weights=reference_weights(), horizon=10, depth=51)
-        design = design_gain(data, config)
+        est = estimate(prbs_dataset(two_output_model()), 51)
+        design = synthesize(est, reference_weights(), 10)
         np.testing.assert_allclose(design.K, GAIN_SHORT, atol=1e-3)
 
     def test_zero_dynamics_zero_gain(self):
         model = StateSpaceModel(A=np.zeros((2, 2)), B=np.eye(2), C=np.eye(2))
-        data = prbs_dataset(model, length=600)
-        config = PipelineConfig(weights=LqrWeights(Q=np.eye(2), R=np.eye(2)),
-                                horizon=6, depth=8)
-        design = design_gain(data, config)
+        est = estimate(prbs_dataset(model, length=600), 8)
+        design = synthesize(est, LqrWeights(Q=np.eye(2), R=np.eye(2)), 6)
         np.testing.assert_allclose(design.K, 0.0, atol=1e-8)
 
     def test_algorithms_agree_noise_free(self):
         data = prbs_dataset(two_output_model())
-        base = dict(weights=reference_weights(), horizon=12, depth=13)
-        k1 = design_gain(data, PipelineConfig(algorithm="alg1", **base)).K
-        k2 = design_gain(data, PipelineConfig(algorithm="alg2", **base)).K
+        k1, k2 = (synthesize(estimate(data, 13, algorithm=alg), reference_weights(), 12).K
+                  for alg in ("alg1", "alg2"))
         np.testing.assert_allclose(k1, k2, atol=1e-6)
 
     def test_depth_must_cover_horizon(self):
-        with pytest.raises(ValueError, match="depth"):
-            PipelineConfig(weights=reference_weights(), horizon=10, depth=5)
+        est = estimate(prbs_dataset(two_output_model()), 5)
+        with pytest.raises(ValueError, match="depth 5 must be >= horizon 10"):
+            synthesize(est, reference_weights(), 10)
+
+    def test_unknown_algorithm_raises(self):
+        # an unchecked name would fall through to alg1
+        with pytest.raises(ValueError, match=r"algorithm must be one of \('alg1', 'alg2'\)"):
+            estimate(prbs_dataset(two_output_model()), 5, algorithm="alg3")
 
     def test_stage_errors_are_named(self):
         data = prbs_dataset(two_output_model(), length=40)
-        config = PipelineConfig(weights=reference_weights(), horizon=20, depth=25)
         with pytest.raises(ValueError, match="data-matrices"):
-            design_gain(data, config)
+            estimate(data, 25)
         longer = prbs_dataset(two_output_model(), length=60)
         with pytest.raises(ValueError, match="markov-estimation"):
             with pytest.warns(UserWarning):
-                design_gain(longer, config)
+                estimate(longer, 25)
 
     @pytest.mark.parametrize("name", ["regulation_demo", "ups_tracking_demo",
                                       "noisy_estimation_mc"])
@@ -132,9 +118,8 @@ class TestDesignGain:
         depth = cfg.get_int("estimation", "depth")
         width = cfg.get_int("estimation", "width")
         if cfg.has("lqr"):
-            config = PipelineConfig(weights=cfg.weights(), horizon=cfg.get_int("lqr", "horizon"),
-                                    depth=depth, width=width, imc=cfg.imc(default_ts=ts))
-            diagnostics = design_gain(data, config).diagnostics
+            est = estimate(data, depth, width, imc=cfg.imc(default_ts=ts))
+            diagnostics = synthesize(est, cfg.weights(), cfg.get_int("lqr", "horizon")).diagnostics
             margin = diagnostics["input_rank_margin"]
             # the design reports plain Python numbers, as a JSON encoder needs them
             assert [type(diagnostics[k]) for k in ("input_rank", "regressor_rank",
@@ -146,11 +131,10 @@ class TestDesignGain:
 
     def test_one_estimate_serves_weights_and_horizons(self):
         data = prbs_dataset(two_output_model())
-        config = PipelineConfig(weights=reference_weights(), horizon=12, depth=13)
-        est = estimate(data, config)
+        est = estimate(data, 13)
         other = LqrWeights(Q=np.diag([1.0, 3.0]), R=np.eye(2))
         for weights, horizon in ((reference_weights(), 12), (other, 12), (other, 5)):
-            expect = design_gain(data, replace(config, weights=weights, horizon=horizon))
+            expect = synthesize(estimate(data, 13), weights, horizon)
             got = synthesize(est, weights, horizon)
             assert np.array_equal(got.K, expect.K)
             assert got.diagnostics == expect.diagnostics
@@ -160,43 +144,27 @@ class TestDesignGain:
             synthesize(est, other, 1)
 
     def test_weight_dimension_checked_after_augmentation(self):
-        data = prbs_dataset(two_output_model())
-        config = PipelineConfig(weights=reference_weights(), horizon=10, depth=11,
-                                imc=integrator_imc())
+        est = estimate(prbs_dataset(two_output_model()), 11, imc=integrator_imc())
         with pytest.raises(ValueError, match="after augmentation"):
-            design_gain(data, config)
+            synthesize(est, reference_weights(), 10)
 
 
 class TestConvergenceSweep:
     def test_one_estimate_for_horizons_within_depth(self, monkeypatch):
         model = two_output_model()
-        config = PipelineConfig(weights=reference_weights(), horizon=10, depth=51)
-        _, depths = sweep_counting(monkeypatch, model, prbs_dataset(model), config,
-                                   [10, 20, 30, 40, 50])
-        assert depths == [51]
-
-    def test_one_estimate_per_distinct_deeper_horizon(self, monkeypatch):
-        model = two_output_model()
-        config = PipelineConfig(weights=reference_weights(), horizon=5, depth=8)
-        _, depths = sweep_counting(monkeypatch, model, prbs_dataset(model), config,
-                                   [5, 8, 10, 10, 6, 12])
-        assert depths == [8, 10, 12]
+        est = estimate(prbs_dataset(model), 51)
+        sweep_from_estimate(monkeypatch, model, est, reference_weights(), [10, 20, 30, 40, 50])
 
     def test_reference_plant_error_shrinks(self):
         model = two_output_model()
-        data = prbs_dataset(model)
-        config = PipelineConfig(weights=reference_weights(), horizon=10, depth=51)
-        rows = convergence_sweep(model, data, config, [10, 50])
-        errs = dict(rows)
+        est = estimate(prbs_dataset(model), 51)
+        errs = dict(convergence_sweep(model, est, reference_weights(), [10, 50]))
         assert errs[50] < errs[10]
 
     def test_scalar_deadbeat_converges_immediately(self):
         model = scalar_model()
-        data = prbs_dataset(model)
         weights = LqrWeights(Q=[[1.0]], R=[[1e-9]])
-        config = PipelineConfig(weights=weights, horizon=3, depth=4)
-        rows = convergence_sweep(model, data, config, [2, 3])
-        errs = dict(rows)
+        errs = dict(convergence_sweep(model, estimate(prbs_dataset(model), 4), weights, [2, 3]))
         assert errs[3] < 1e-6
 
     def test_random_plant_bounded_and_converged(self, monkeypatch):
@@ -206,9 +174,7 @@ class TestConvergenceSweep:
         weights = LqrWeights(Q=np.eye(model.n_outputs), R=np.eye(model.n_inputs))
         rho = np.abs(np.linalg.eigvals(model.A)).max()
         far = max(int(np.ceil(-10.0 / np.log(rho))), 6)
-        config = PipelineConfig(weights=weights, horizon=far, depth=far + 1)
-        rows, depths = sweep_counting(monkeypatch, model, data, config, [3, far])
-        assert depths == [far + 1]
+        rows = sweep_from_estimate(monkeypatch, model, estimate(data, far + 1), weights, [3, far])
         errs = [e for _, e in rows]
         assert all(np.isfinite(errs))
         assert errs[-1] < 1e-3
@@ -384,8 +350,7 @@ class TestEvaluateClosedLoop:
         model = two_output_model()
         weights = reference_weights()
         K = model_lqr_gain(model, dare_solve(model, weights), weights.R)
-        design = LqrDesign(K=K, horizon=50, weights=weights)
-        metrics = evaluate_closed_loop(model, design, RegulationScenario(x0=[1.0, 1.0]), 500)
+        metrics = evaluate_closed_loop(model, K, weights, RegulationScenario(x0=[1.0, 1.0]), 500)
         assert metrics.spectral_radius < 1.0
         assert metrics.steady_state_error < 1e-10
         expect = cost_J(closed_loop_simulate(model, K, [1.0, 1.0], 500), weights.Q, weights.R)
@@ -395,29 +360,28 @@ class TestEvaluateClosedLoop:
         model = two_output_model()
         weights = reference_weights()
         K = model_lqr_gain(model, dare_solve(model, weights), weights.R)
-        design = LqrDesign(K=K, horizon=50, weights=weights)
         with pytest.raises(ValueError, match="x0 has dimension 1, expected 2"):
-            evaluate_closed_loop(model, design, RegulationScenario(x0=[1.0]), 500)
+            evaluate_closed_loop(model, K, weights, RegulationScenario(x0=[1.0]), 500)
 
     def test_wrong_gain_shape_raises(self):
         # a 1 x 1 gain broadcasts against the 2-state, 1-input A - BK, so it must be
         # refused before the spectral radius, not reported as an unstable run
         model = StateSpaceModel(A=[[0.9, 0.1], [0.0, 0.8]], B=[[0.0], [1.0]], C=[[1.0, 0.0]])
         weights = LqrWeights(Q=[[1.0]], R=[[1.0]])
-        design = LqrDesign(K=np.zeros((1, 1)), horizon=2, weights=weights)
         with pytest.raises(ValueError, match=r"gain has shape \(1, 1\), expected \(1, 2\)"):
-            evaluate_closed_loop(model, design, RegulationScenario(x0=[1.0, 0.0]), 50)
+            evaluate_closed_loop(model, np.zeros((1, 1)), weights,
+                                 RegulationScenario(x0=[1.0, 0.0]), 50)
         ref = SignalSpec(kind="constant", length=1, amplitude=1.0)
         scenario = TrackingScenario(imc=integrator_imc(), reference=ref)
         for K in (np.zeros((1, 1)), np.zeros((1, 2))):  # plant states only: no IMC state
             with pytest.raises(ValueError, match=r"expected \(1, 3\)"):
-                evaluate_closed_loop(model, replace(design, K=K), scenario, 50)
+                evaluate_closed_loop(model, K, weights, scenario, 50)
 
     def test_unstable_loop_is_a_metric(self):
         model = StateSpaceModel(A=[[1.2]], B=[[1.0]], C=[[1.0]])
         weights = LqrWeights(Q=[[1.0]], R=[[1.0]])
-        design = LqrDesign(K=np.zeros((1, 1)), horizon=1, weights=weights)
-        metrics = evaluate_closed_loop(model, design, RegulationScenario(x0=[1.0]), 4000)
+        metrics = evaluate_closed_loop(model, np.zeros((1, 1)), weights,
+                                       RegulationScenario(x0=[1.0]), 4000)
         assert metrics.spectral_radius >= 1.0
         assert metrics.cost == np.inf or np.isfinite(metrics.cost)
 
@@ -428,9 +392,9 @@ class TestEvaluateClosedLoop:
         aug = augment_model(model, imc)
         weights = LqrWeights(Q=np.eye(4), R=0.1 * np.eye(2))
         K_a = model_lqr_gain(aug, dare_solve(aug, weights), weights.R)
-        design = LqrDesign(K=K_a, horizon=0, weights=weights)
         ref = SignalSpec(kind="constant", length=1, amplitude=1.0)
-        metrics = evaluate_closed_loop(model, design, TrackingScenario(imc=imc, reference=ref), 400)
+        metrics = evaluate_closed_loop(model, K_a, weights,
+                                       TrackingScenario(imc=imc, reference=ref), 400)
         assert metrics.spectral_radius < 1.0
         assert metrics.steady_state_error < 1e-6
         assert metrics.thd is None
@@ -442,13 +406,12 @@ class TestEvaluateClosedLoop:
         from ddlqr import augment_model
         aug = augment_model(model, imc)
         weights = LqrWeights(Q=np.eye(6), R=0.1 * np.eye(2))
-        design = LqrDesign(K=model_lqr_gain(aug, dare_solve(aug, weights), weights.R), horizon=0,
-                           weights=weights)
+        K_a = model_lqr_gain(aug, dare_solve(aug, weights), weights.R)
         ref = SignalSpec(kind="sinusoid", length=1, amplitude=1.0, frequency=2 * np.pi / 20)
         scenario = TrackingScenario(imc=imc, reference=ref)
         with pytest.raises(ValueError, match="too short for 10 periods of 20 samples"):
-            evaluate_closed_loop(model, design, scenario, 199)
-        metrics = evaluate_closed_loop(model, design, scenario, 200)
+            evaluate_closed_loop(model, K_a, weights, scenario, 199)
+        metrics = evaluate_closed_loop(model, K_a, weights, scenario, 200)
         assert metrics.spectral_radius < 1.0
         assert np.isfinite(metrics.cost) and np.isfinite(metrics.thd)
 

@@ -5,17 +5,17 @@ from conftest import prbs_dataset, two_output_model
 from ddlqr import (
     Dataset,
     LqrWeights,
-    PipelineConfig,
     StateSpaceModel,
     augment_dataset,
     augment_model,
     dare_solve,
-    design_gain,
+    estimate,
     filter_imc_states,
     integrator_imc,
     model_lqr_gain,
     resonant_imc,
     simulate,
+    synthesize,
     tracking_loop_simulate,
 )
 
@@ -148,11 +148,8 @@ class TestTracking:
         model = two_output_model()
         imc = integrator_imc()
         data = prbs_dataset(model, length=800, seed=13)
-        config = PipelineConfig(
-            weights=LqrWeights(Q=np.eye(4), R=0.1 * np.eye(2)),
-            horizon=40, depth=41, imc=imc,
-        )
-        design = design_gain(data, config)
+        weights = LqrWeights(Q=np.eye(4), R=0.1 * np.eye(2))
+        design = synthesize(estimate(data, 41, imc=imc), weights, 40)
         r = np.tile([0.7, 0.3], (500, 1))
         ds = tracking_loop_simulate(model, imc, design.K, r)
         assert np.abs(ds.y[-1, :2] - r[-1]).max() < 1e-6

@@ -30,10 +30,15 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_discrete_are
 
 from conftest import prbs_dataset, two_output_model
-from oracles import exact_gain_inputs, riccati_iterate, textbook_gain
+from oracles import (
+    ITERATE_FLOOR,
+    ITERATE_PER_COND,
+    exact_gain_inputs,
+    riccati_iterate,
+    textbook_gain,
+)
 from ddlqr import (
     LqrWeights,
-    PipelineConfig,
     StateSpaceModel,
     augment_model,
     dare_solve,
@@ -46,12 +51,6 @@ from ddlqr.experiments import estimate, synthesize
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DARE_RTOL = 1e-10
 GAIN_RTOL = 1e-9
-# The identity's gap on exact inputs is rounding that grows with the condition
-# number of the closed form's inner matrix (cond_inner). Over 1500 random
-# plants (n <= 4, p, q <= 3, rho(A) 0.3 to 1.6, orders 1 to 12) the largest gap
-# was a quarter of this bound: 2.9e-13 at cond_inner 18, and 3.1e-6 at 7.3e8
-# on an unstable plant at order 12.
-ITERATE_FLOOR, ITERATE_PER_COND = 1e-12, 1e-14
 # On the regulation demo's noise-free data the gap was at most 7.1e-16.
 DEMO_ITERATE_RTOL = 1e-14
 SETTINGS = settings(max_examples=80,
@@ -157,8 +156,7 @@ def test_gain_is_riccati_gain_of_the_iterate(n, p, q, order, radius, seed):
 def test_demo_gains_are_riccati_iterates(algorithm):
     model = two_output_model()
     weights = LqrWeights(Q=20.0 * np.eye(2), R=0.2 * np.eye(2))
-    est = estimate(prbs_dataset(model), PipelineConfig(weights=weights, horizon=20, depth=51,
-                                                       algorithm=algorithm))
+    est = estimate(prbs_dataset(model), 51, algorithm=algorithm)
     for horizon in range(2, 21):
         iterate = riccati_iterate(model, weights, horizon - 1)
         K = synthesize(est, weights, horizon).K

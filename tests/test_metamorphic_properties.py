@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from ddlqr import (
     Dataset,
     LqrWeights,
-    PipelineConfig,
     StateSpaceModel,
     estimate,
     simulate,
@@ -60,8 +59,7 @@ def test_state_coordinate_change(problem):
     T_inv = np.linalg.inv(T)
     weights = LqrWeights(Q=np.eye(data.n_outputs), R=np.eye(data.n_inputs))
     for algorithm in ALGORITHMS:
-        config = PipelineConfig(weights=weights, horizon=depth, algorithm=algorithm)
-        est, est_moved = estimate(data, config), estimate(moved, config)
+        est, est_moved = (estimate(d, depth, algorithm=algorithm) for d in (data, moved))
         assert np.array_equal(est_moved.markov.toeplitz, est.markov.toeplitz), algorithm
         O, O_moved = est.observability.matrix, est_moved.observability.matrix
         assert _rel(O_moved, O @ T_inv) < RTOL, algorithm

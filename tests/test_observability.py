@@ -6,14 +6,15 @@ from oracles import orthogonal_projector
 from ddlqr import (
     Dataset,
     LqrWeights,
-    PipelineConfig,
     SignalSpec,
     StateSpaceModel,
     build_data_matrices,
     estimate_obs_alg1,
     estimate_obs_alg2,
+    estimate,
     estimate_predictor,
     monte_carlo_obs,
+    synthesize,
     true_observability,
 )
 
@@ -167,5 +168,6 @@ class TestDropFirstBlockRow:
         model = StateSpaceModel(A=[[0.14]], B=[[1.72]], C=[[1.0]], E=[[1.0]])
         with pytest.raises(ValueError, match="depth must be >= 2"):
             self.mc(model, depth=1)
+        est = estimate(prbs_dataset(model, length=100), 2)
         with pytest.raises(ValueError, match="horizon must be >= 2"):
-            PipelineConfig(weights=LqrWeights(Q=[[1.0]], R=[[1.0]]), horizon=1)
+            synthesize(est, LqrWeights(Q=[[1.0]], R=[[1.0]]), 1)
