@@ -75,23 +75,54 @@ def _load_or_simulate_dataset(cfg: RunConfig):
                            noise_mode=cfg.get("noise", "mode", "process"))
 
 
+def _check_weights(weights, outputs: str, q: int, p: int, imc) -> int:
+    """Exit 2 unless [lqr] q fits q ``outputs`` and their internal-model states and
+    [lqr] r fits p inputs; returns the size of q."""
+    order = imc.order if imc is not None else 0
+    q *= 1 + order
+    if weights.Q.shape[0] != q:
+        raise ConfigError(f"[lqr] q has dimension {weights.Q.shape[0]}, expected {q} "
+                          f"({outputs}{' and internal-model states' if order else ''})")
+    if weights.R.shape[0] != p:
+        raise ConfigError(f"[lqr] r has dimension {weights.R.shape[0]}, expected {p} (inputs)")
+    return q
+
+
+def _check_record(cfg: RunConfig, T: int, p: int, q: int) -> None:
+    """Exit 2 unless a T-sample record of p inputs and q outputs (internal-model
+    states included) holds the Hankel data at [estimation] depth and width:
+    2*depth + width - 1 samples, and width >= (2p + q) * depth columns for the
+    predictor. An unset width is all that the record allows, T - 2*depth + 1.
+    """
+    depth, width = cfg.get("estimation", "depth", required=True), cfg.get("estimation", "width")
+    unset = width is None
+    if unset:
+        width = T - 2 * depth + 1
+    elif 2 * depth + width - 1 > T:
+        raise ConfigError(f"[estimation] depth {depth} and width {width} need 2*depth + width - 1"
+                          f" = {2 * depth + width - 1} samples, the record has {T}")
+    if width < (2 * p + q) * depth:
+        raise ConfigError(
+            f"[estimation] width {width}{f' (unset: T - 2*depth + 1 at T = {T})' if unset else ''}"
+            f" must be >= (2p + q) * depth = {(2 * p + q) * depth} at [estimation] depth {depth}"
+            f" (p = {p} inputs, q = {q} outputs)")
+
+
 def _estimate(cfg: RunConfig, model, data, key: str, horizons):
     """The one estimate that every horizon of ``key`` is synthesized from, with
     the weights and the internal model it was made for.
 
-    Exits 2 before estimating unless each horizon is within [estimation] depth
-    and [lqr] q is sized for the outputs, internal-model states included.
+    Exits 2 before estimating unless each horizon is within [estimation] depth,
+    [lqr] q is sized for the outputs, internal-model states included, and the
+    record holds the Hankel data (``_check_record``).
     """
     depth = cfg.get("estimation", "depth", required=True)
     if max(horizons) > depth:
         raise ConfigError(f"{key} {max(horizons)} must be <= [estimation] depth {depth}")
     weights = cfg.weights()
     imc = cfg.imc(default_ts=model.sample_time if model.sample_time is not None else 1.0)
-    order = imc.order if imc is not None else 0
-    q = data.n_outputs * (1 + order)
-    if weights.Q.shape[0] != q:
-        raise ConfigError(f"[lqr] q has dimension {weights.Q.shape[0]}, expected {q} "
-                          f"(dataset outputs{' and internal-model states' if order else ''})")
+    q = _check_weights(weights, "dataset outputs", data.n_outputs, data.n_inputs, imc)
+    _check_record(cfg, data.n_samples, data.n_inputs, q)
     est = estimate(data, depth, cfg.get("estimation", "width"),
                    cfg.get("estimation", "algorithm", "alg1"), imc)
     return est, weights, imc
@@ -146,6 +177,7 @@ def cmd_montecarlo(cfg: RunConfig, outdir: Path) -> int:
     model = cfg.model()
     ts = model.sample_time if model.sample_time is not None else 1.0
     spec = cfg.signal(default_channels=model.n_inputs, default_ts=ts)
+    _check_record(cfg, spec.length, model.n_inputs, model.n_outputs)
     # montecarlo keys left out take monte_carlo_obs's defaults
     options = {name: cfg.get("montecarlo", key) for key, name in (
         ("seed", "base_seed"), ("noise_mode", "noise_mode"), ("fixed_input", "fixed_input"))
@@ -202,7 +234,7 @@ def cmd_eval(cfg: RunConfig, outdir: Path) -> int:
         x0 = cfg.get("eval", "x0", required=True).ravel()
         if x0.size != model.n_states:
             raise ConfigError(f"[eval] x0 has {x0.size} entries, expected {model.n_states} states")
-        scenario = RegulationScenario(x0=x0)
+        scenario, imc = RegulationScenario(x0=x0), None
     else:
         imc = cfg.imc(default_ts=ts)
         if imc is None:
@@ -220,6 +252,7 @@ def cmd_eval(cfg: RunConfig, outdir: Path) -> int:
     expected = gain_shape(model, scenario)
     if K.shape != expected:
         raise ConfigError(f"[io] gain {gain_path} has shape {K.shape}, expected {expected}")
+    _check_weights(weights, "plant outputs", model.n_outputs, model.n_inputs, imc)
     metrics = evaluate_closed_loop(model, K, weights, scenario, horizon)
     rows = [
         ("cost", metrics.cost),

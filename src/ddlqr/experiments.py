@@ -40,9 +40,10 @@ from .plant_sim import (
     tracking_loop_simulate,
 )
 
-# Monte Carlo runs estimated together: runs x samples stays within this.
+# Monte Carlo runs estimated together: runs x record length stays within this.
 MC_CHUNK_SAMPLES = 2 ** 15
-# Runs simulated per kernel call: a whole number of estimation chunks within this.
+# Runs simulated per kernel call: a whole number of estimation chunks whose runs x samples
+# read by the Hankel data stays within this (128 runs of a 425-sample record).
 MC_SIM_CHUNK_SAMPLES = 2 ** 16
 # Reference periods at the end of a sinusoid tracking run that its amplitude and THD are read over.
 THD_PERIODS = 10
@@ -214,10 +215,14 @@ def monte_carlo_obs(model: StateSpaceModel, signal: SignalSpec, depth: int, runs
     Each run redraws the excitation signal and the state-noise sequence from
     a run-indexed seed (``fixed_input`` keeps one excitation realization
     across runs and redraws only the noise), simulates the model, and
-    estimates the shifted observability matrix with both algorithms. A kernel
-    call (and a PRBS register product) simulates up to
-    ``MC_SIM_CHUNK_SAMPLES // T`` runs; one stacked factorization estimates
-    ``MC_CHUNK_SAMPLES // T``. Failed runs are counted and excluded.
+    estimates the shifted observability matrix with both algorithms. Of each
+    record only the 2*depth + width - 1 samples that its Hankel matrices read
+    are drawn and simulated (all of them when ``width`` is None); every stage
+    is causal, so the estimates are those of the whole record. A kernel call
+    (and a PRBS register product) simulates whole estimation chunks of up to
+    ``MC_SIM_CHUNK_SAMPLES`` such samples; one stacked factorization estimates
+    ``MC_CHUNK_SAMPLES // signal.length`` runs (128 and 32 runs of the bundled
+    1022-sample record, read to sample 425). Failed runs are counted and excluded.
     """
     if runs < 2:
         raise ValueError("need at least 2 runs for covariance statistics")
@@ -225,18 +230,21 @@ def monte_carlo_obs(model: StateSpaceModel, signal: SignalSpec, depth: int, runs
         raise ValueError(f"depth must be >= 2 to shift the observability matrix, got {depth}")
     if base_seed < 0:
         raise ValueError(f"base seed must be >= 0, got {base_seed}")
+    if width is not None and width < 1:
+        raise ValueError(f"width must be >= 1, got {width}")
     if not noise_variance >= 0:
         raise ValueError(f"noise variance must be >= 0, got {noise_variance}")
     if model.E is None:
         raise ValueError("model must define a state-noise channel E")
     truth = true_observability(model, depth)[model.n_outputs:]
     n_v = model.E.shape[1]
-    T = signal.length
-    std = float(np.sqrt(noise_variance))
-    signal = replace(signal, channels=model.n_inputs)
-    fixed_u = generate_signal(signal) if fixed_input else None
-    chunk = max(1, MC_CHUNK_SAMPLES // T)
+    chunk = max(1, MC_CHUNK_SAMPLES // signal.length)
+    # the PRBS map, the noise draws and the recursion are causal: later samples move no earlier one
+    T = signal.length if width is None else min(signal.length, 2 * depth + width - 1)
     sim_chunk = chunk * max(1, MC_SIM_CHUNK_SAMPLES // (chunk * T))
+    std = float(np.sqrt(noise_variance))
+    signal = replace(signal, channels=model.n_inputs, length=T)
+    fixed_u = generate_signal(signal) if fixed_input else None
 
     samples: dict = {alg: [] for alg in ALGORITHMS}
     reasons = {alg: Counter() for alg in ALGORITHMS}
@@ -359,12 +367,17 @@ def evaluate_closed_loop(
 
     An unstable loop is reported through the spectral radius (and infinite
     cost when the trajectory overflows), never as an exception. A gain whose shape is not
-    ``gain_shape``, a wrong-sized start state, or a horizon under ``THD_PERIODS`` periods
-    of a sinusoid reference raises ValueError.
+    ``gain_shape``, weights that do not fit the loop's outputs (internal-model states
+    included) and inputs, a wrong-sized start state, or a horizon under ``THD_PERIODS``
+    periods of a sinusoid reference raises ValueError.
     """
     shape, expected = np.shape(K), gain_shape(model, scenario)
     if shape != expected:
         raise ValueError(f"gain has shape {shape}, expected {expected}")
+    q = model.n_outputs + expected[1] - model.n_states  # tracking weighs the internal-model states
+    if weights.Q.shape != (q, q) or weights.R.shape != (model.n_inputs,) * 2:
+        raise ValueError(f"weights Q {weights.Q.shape} and R {weights.R.shape} do not fit "
+                         f"{q} outputs and {model.n_inputs} inputs")
     if isinstance(scenario, RegulationScenario):
         x0 = _checked(model, scenario.x0)
         rho = float(np.abs(np.linalg.eigvals(model.A - model.B @ K)).max())

@@ -79,7 +79,8 @@ def dd_lqr_gain(
     block and never formed. By the matrix-inversion lemma, with
     mid = R_N + S' Q_N S, M' Gamma = M' Q_N - (mid^-1 S' Q_N M)' S' Q_N: one
     solve with p right-hand sides and no qN x qN Gamma. ``cond_inner`` is the
-    condition number of mid, ``cond_bracket`` that of R + M' Gamma M.
+    condition number of mid, max|lambda| / min|lambda| of its eigenvalues, and
+    ``cond_bracket`` that of R + M' Gamma M.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     S = np.atleast_2d(np.asarray(S, dtype=float))
@@ -99,7 +100,8 @@ def dd_lqr_gain(
     QM = (weights.Q @ M.reshape(N, q, p)).reshape(q * N, p)  # Q_N M
     mid = S.T @ QS
     np.einsum("ipiq->ipq", mid.reshape(N, p, N, p))[...] += weights.R  # + R_N on the diagonal
-    cond_inner = float(np.linalg.cond(mid))
+    ev = np.abs(np.linalg.eigvalsh(mid))  # mid is symmetric positive definite
+    cond_inner = float(ev.max() / ev.min())
     MtG = QM.T - np.linalg.solve(mid, QS.T @ M).T @ QS.T
     bracket = weights.R + MtG @ M
     cond_bracket = float(np.linalg.cond(bracket))

@@ -20,6 +20,9 @@ GAIN_LONG = np.array([[4.6491, 7.5226], [1.4461, -1.9886]])
 UPS_SMALL = ["--set", "signal.length=800", "--set", "estimation.depth=30",
              "--set", "estimation.width=400", "--set", "lqr.horizon=30"]
 
+# the regulation demo evaluated from a start state
+REGULATION_EVAL = ["eval.scenario=regulation", "eval.x0=[1,1]", "eval.horizon=100"]
+
 
 def run(*argv):
     return main(list(argv))
@@ -79,11 +82,31 @@ class TestDesign:
         margin = [l for l in report.splitlines() if l.startswith("input_rank_margin: ")]
         assert len(margin) == 1 and float(margin[0].split(": ")[1]) > 1.0
 
-    def test_insufficient_data_exits_1(self, tmp_path, capsys):
-        code = run("design", REGULATION, "--output-dir", str(tmp_path),
-                   "--set", "signal.length=80")
-        assert code == 1
-        assert "depth" in capsys.readouterr().err
+    def test_short_record_exits_2(self, tmp_path, capsys, monkeypatch):
+        # 2*depth + width - 1 samples and (2p + q) * depth = 306 columns at depth 51
+        monkeypatch.setattr(ddlqr.cli, "estimate", None)
+        for sets, message in (
+            (["signal.length=80"], "[estimation] width -21 (unset: T - 2*depth + 1 at T = 80)"
+             " must be >= (2p + q) * depth = 306 at [estimation] depth 51"
+             " (p = 2 inputs, q = 2 outputs)"),
+            (["estimation.width=2000"], "[estimation] depth 51 and width 2000 need"
+             " 2*depth + width - 1 = 2101 samples, the record has 1022"),
+            (["estimation.width=305"], "[estimation] width 305 must be >= (2p + q) * depth = 306"),
+        ):
+            code = run("design", REGULATION, "--output-dir", str(tmp_path / "out"),
+                       *(arg for item in sets for arg in ("--set", item)))
+            assert code == 2, sets
+            assert f"config error: {message}" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
+    def test_imc_states_count_toward_the_width(self, tmp_path, capsys, monkeypatch):
+        # one output and two resonant states: (2*1 + 3) * 30 = 150 columns
+        monkeypatch.setattr(ddlqr.cli, "estimate", None)
+        code = run("design", UPS, "--output-dir", str(tmp_path / "out"), *UPS_SMALL,
+                   "--set", "estimation.width=140")
+        assert code == 2
+        assert ("config error: [estimation] width 140 must be >= (2p + q) * depth = 150 at "
+                "[estimation] depth 30 (p = 1 inputs, q = 3 outputs)") in capsys.readouterr().err
 
     def test_algorithm_flag_agreement(self, tmp_path):
         run("design", REGULATION, "--output-dir", str(tmp_path / "a1"),
@@ -217,6 +240,15 @@ class TestSweep:
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
+    def test_short_record_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ddlqr.cli, "estimate", None)
+        code = run("sweep", REGULATION, "--output-dir", str(tmp_path / "out"),
+                   "--set", "estimation.width=2000")
+        assert code == 2
+        assert ("config error: [estimation] depth 51 and width 2000 need 2*depth + width - 1 = "
+                "2101 samples, the record has 1022") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_reads_no_lqr_horizon(self, tmp_path):
         assert run("sweep", REGULATION, "--output-dir", str(tmp_path / "a")) == 0
         assert run("sweep", REGULATION, "--output-dir", str(tmp_path / "b"),
@@ -282,11 +314,29 @@ class TestMonteCarlo:
         assert sum("failure reason" in line for line in report) == 1
 
     def test_too_few_successes_name_the_reason(self, tmp_path, capsys):
+        # an unexcited record fills the Hankel matrices, so every run fails in estimation
         code = run("montecarlo", MC, "--output-dir", str(tmp_path),
-                   "--set", "signal.length=6", "--set", "montecarlo.runs=5")
+                   "--set", "signal.kind=zero", "--set", "montecarlo.runs=5")
         assert code == 1
-        assert ("fewer than 2 successful runs (5 failures, most often data-matrices: "
-                "need T >= 2*depth + width - 1)") in capsys.readouterr().err
+        assert ("alg1: fewer than 2 successful runs (5 failures, most often markov-estimation: "
+                "insufficient excitation)") in capsys.readouterr().err
+
+    def test_short_record_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch):
+        # depth 3 of one input and one output: 2*3 + width - 1 samples, width >= 9
+        monkeypatch.setattr(ddlqr.cli, "monte_carlo_obs", None)
+        for sets, message in (
+            (["estimation.width=2000"], "[estimation] depth 3 and width 2000 need"
+             " 2*depth + width - 1 = 2005 samples, the record has 1022"),
+            (["signal.length=6"], "[estimation] depth 3 and width 420 need"
+             " 2*depth + width - 1 = 425 samples, the record has 6"),
+            (["estimation.width=8"], "[estimation] width 8 must be >= (2p + q) * depth = 9 at"
+             " [estimation] depth 3 (p = 1 inputs, q = 1 outputs)"),
+        ):
+            code = run("montecarlo", MC, "--output-dir", str(tmp_path / "out"),
+                       *(arg for item in sets for arg in ("--set", item)))
+            assert code == 2, sets
+            assert f"config error: {message}" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         code = run("montecarlo", MC, "--output-dir", str(tmp_path),
@@ -436,6 +486,29 @@ class TestEval:
             err = capsys.readouterr().err
             assert "[io] gain" in err and f"has shape {shape}, expected (1, 4)" in err
             assert not (tmp_path / "e" / "eval.csv").exists()
+
+    @pytest.mark.parametrize("config, gain, sets, message", [
+        (REGULATION, (2, 2), REGULATION_EVAL + ["lqr.q=[[1]]"],
+         "[lqr] q has dimension 1, expected 2 (plant outputs)"),
+        (REGULATION, (2, 2), REGULATION_EVAL + ["lqr.r=[[1]]"],
+         "[lqr] r has dimension 1, expected 2 (inputs)"),
+        (UPS, (1, 4), ["lqr.q=[[1]]"],
+         "[lqr] q has dimension 1, expected 3 (plant outputs and internal-model states)"),
+        (UPS, (1, 4), ["lqr.r=[[1,0],[0,1]]"], "[lqr] r has dimension 2, expected 1 (inputs)"),
+    ], ids=["regulation-q", "regulation-r", "tracking-q", "tracking-r"])
+    def test_weights_that_do_not_fit_exit_2(self, tmp_path, capsys, monkeypatch,
+                                            config, gain, sets, message):
+        # refused before simulating, not reported as an infinite cost
+        from ddlqr.storage import write_matrix
+
+        monkeypatch.setattr(ddlqr.cli, "evaluate_closed_loop", None)
+        write_matrix(tmp_path / "gain.csv", np.zeros(gain))
+        code = run("eval", config, "--output-dir", str(tmp_path / "e"),
+                   "--set", f"io.gain={tmp_path}/gain.csv",
+                   *(arg for item in sets for arg in ("--set", item)))
+        assert code == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
 
     def test_reference_at_or_above_nyquist_exits_2(self, tmp_path, capsys):
         # 94000 rad/s at 15 kHz is 6.27 rad per sample: about 1 sample per period

@@ -279,9 +279,67 @@ class TestMonteCarlo:
                 np.testing.assert_allclose(rep.covariance, cov, rtol=1e-12,
                                            atol=1e-12 * np.abs(cov).max())
 
+    def test_width_cut_matches_whole_record(self):
+        # width 420 at depth 3 reads samples 0..424 of the 1022-sample record; the
+        # oracle draws and simulates all 1022 of every run
+        spec = SignalSpec(kind="prbs", length=1022, amplitude=1.0, hold=3)
+        for mode in ("measurement", "process"):
+            args = dict(depth=3, runs=40, noise_variance=0.1, base_seed=2, width=420,
+                        noise_mode=mode)
+            reports = self.mc(signal=spec, **args)
+            samples, failures = per_run_monte_carlo(scalar_model(with_noise=True), spec, **args)
+            for rep in reports:
+                stack = np.stack(samples[rep.algorithm])
+                assert (rep.runs, rep.failures) == (len(stack), failures[rep.algorithm]) == (40, 0)
+                np.testing.assert_allclose(rep.mean, stack.mean(axis=0), rtol=1e-12, atol=0)
+                dev = stack - stack.mean(axis=0)
+                cov = sum(d @ d.T for d in dev) / len(stack)
+                np.testing.assert_allclose(rep.covariance, cov, rtol=1e-12,
+                                           atol=1e-12 * np.abs(cov).max())
+
+    def test_simulates_only_the_samples_read(self, monkeypatch):
+        # 2*3 + 420 - 1 = 425 samples a run; a kernel call holds 4 estimation chunks of 32
+        steps, records, draws, predictor_calls = [], [], [], []
+
+        def counted(A, x0, *drives, **kw):
+            steps.append(drives[0].shape[-2])
+            return lti_run(A, x0, *drives, **kw)
+
+        def counted_prbs(spec, seeds):
+            u = prbs_channels(spec, seeds)
+            records.append(u.shape[1])
+            return u
+
+        def counted_predictor(dm):
+            predictor_calls.append(dm.stack.shape[0])
+            return estimate_predictor(dm)
+
+        class Counted(np.random.Generator):
+            def normal(self, *args, size=None, **kw):
+                draws.append(size[0])
+                return super().normal(*args, size=size, **kw)
+
+        lti_run, estimate_predictor = ddlqr.plant_sim._lti_run, ddlqr.experiments.estimate_predictor
+        prbs_channels = ddlqr.experiments._prbs_channels
+        monkeypatch.setattr(ddlqr.plant_sim, "_lti_run", counted)
+        monkeypatch.setattr(ddlqr.experiments, "_prbs_channels", counted_prbs)
+        monkeypatch.setattr(ddlqr.experiments, "estimate_predictor", counted_predictor)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Counted(np.random.PCG64(seed)))
+        rep1, rep2 = self.mc(runs=500)
+        assert rep1.runs == rep2.runs == 500
+        assert steps == [425] * 4
+        assert records == [425] * 4
+        assert draws == [425] * 500
+        assert predictor_calls == [32] * 15 + [20]
+
     def test_rejects_single_run(self):
         with pytest.raises(ValueError, match="at least 2 runs"):
             self.mc(runs=1)
+
+    def test_rejects_nonpositive_width(self):
+        for width in (0, -3):
+            with pytest.raises(ValueError, match=f"width must be >= 1, got {width}"):
+                self.mc(width=width)
 
     def test_rejects_short_depth_and_negative_seed(self):
         for depth in (1, 0, -2):
@@ -376,6 +434,20 @@ class TestEvaluateClosedLoop:
         for K in (np.zeros((1, 1)), np.zeros((1, 2))):  # plant states only: no IMC state
             with pytest.raises(ValueError, match=r"expected \(1, 3\)"):
                 evaluate_closed_loop(model, K, weights, scenario, 50)
+
+    def test_weights_that_do_not_fit_raise(self):
+        # refused before simulating, not reported as an infinite cost
+        model = two_output_model()
+        K = np.zeros((2, 2))
+        for weights in (LqrWeights(Q=[[1.0]], R=np.eye(2)), LqrWeights(Q=np.eye(2), R=[[1.0]])):
+            with pytest.raises(ValueError, match=r"do not fit 2 outputs and 2 inputs"):
+                evaluate_closed_loop(model, K, weights, RegulationScenario(x0=[1.0, 1.0]), 50)
+        model = StateSpaceModel(A=[[0.9, 0.1], [0.0, 0.8]], B=[[0.0], [1.0]], C=[[1.0, 0.0]])
+        ref = SignalSpec(kind="constant", length=1, amplitude=1.0)
+        scenario = TrackingScenario(imc=integrator_imc(), reference=ref)
+        with pytest.raises(ValueError, match=r"Q \(1, 1\) .* do not fit 2 outputs and 1 inputs"):
+            evaluate_closed_loop(model, np.zeros((1, 3)), LqrWeights(Q=[[1.0]], R=[[1.0]]),
+                                 scenario, 50)
 
     def test_unstable_loop_is_a_metric(self):
         model = StateSpaceModel(A=[[1.2]], B=[[1.0]], C=[[1.0]])

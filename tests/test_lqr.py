@@ -3,6 +3,7 @@ import pytest
 
 from conftest import random_stable_system, scalar_model, two_output_model
 from oracles import (
+    block_diag_repeat,
     block_toeplitz_strict_lower,
     dd_lqr_p,
     exact_gain_inputs,
@@ -82,6 +83,17 @@ class TestClosedFormGain:
         lemma = dd_lqr_gain(*inputs, weights, 6)
         direct = textbook_gain(*inputs, weights, 6)
         np.testing.assert_allclose(lemma.K, direct, rtol=1e-8)
+
+    def test_cond_inner_is_the_condition_number_of_mid(self):
+        # mid = R_N + S' Q_N S, formed densely here; the gain takes it from eigenvalues
+        plants = ((two_output_model(), 20.0, 0.2),
+                  (random_stable_system(np.random.default_rng(3), 4, 2, 2), 1.0, 1e-3))
+        for model, q, r in plants:
+            weights = LqrWeights(Q=q * np.eye(model.n_outputs), R=r * np.eye(model.n_inputs))
+            M, S, O_plus = exact_gain_inputs(model, 20)
+            mid = block_diag_repeat(weights.R, 20) + S.T @ block_diag_repeat(weights.Q, 20) @ S
+            cond = dd_lqr_gain(M, S, O_plus, weights, 20).diagnostics["cond_inner"]
+            assert cond == pytest.approx(np.linalg.cond(mid), rel=1e-10)
 
 
 class TestClosedFormP:
