@@ -57,12 +57,12 @@ def _read_input(read, key: str, path: str):
         raise ConfigError(f"[io] {key}: {exc}") from exc
 
 
-def _load_or_simulate_dataset(cfg: RunConfig):
-    """Dataset from [io] dataset path, or simulated from [model]+[signal]."""
+def _load_or_simulate_dataset(cfg: RunConfig, missing_ok: bool = False):
+    """Dataset from the [io] dataset file, or simulated from [model]+[signal] if unset."""
     model = cfg.model()
     ts = model.sample_time if model.sample_time is not None else 1.0
     dataset = cfg.get("io", "dataset")
-    if dataset is not None and Path(dataset).exists():
+    if dataset is not None and (not missing_ok or Path(dataset).exists()):
         return model, _read_input(storage.read_dataset, "dataset", dataset)
     spec = cfg.signal(default_channels=model.n_inputs, default_ts=ts)
     v, variance = None, cfg.get("noise", "variance", 0.0)
@@ -129,7 +129,8 @@ def _estimate(cfg: RunConfig, model, data, key: str, horizons):
 
 
 def cmd_simulate(cfg: RunConfig, outdir: Path) -> int:
-    model, data = _load_or_simulate_dataset(cfg)
+    # simulate writes [io] dataset, so a file not there yet is simulated, not read
+    model, data = _load_or_simulate_dataset(cfg, missing_ok=True)
     target = cfg.get("io", "dataset", str(outdir / "dataset.csv"))
     storage.write_dataset(target, data)
     cfg.set_resolved("io", "dataset", target)

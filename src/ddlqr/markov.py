@@ -10,8 +10,9 @@ is the whole estimate: its first block column is [0; Markov blocks
 Each dataset is factored once: one LQ factorization of the stacked Hankel data
 [U_p; Y_p; U_f; Y_f; X] (Verhaegen & Dewilde 1992, MOESP). The Toeplitz
 factor, the excitation rank and both observability estimates are read off
-its blocks, whose sizes do not grow with the record length, so no full-width
-SVD or pseudo-inverse is taken.
+its blocks, whose sizes do not grow with the record length. Every SVD the
+predictor takes is square: of L_Up,Up, of L_Yp,Yp, of the 2pd x 2pd input
+triangle and of the pd x pd remainder triangle, the last two from small QRs.
 
 Data may carry leading batch axes (say, Monte Carlo runs); so do the stack,
 its factor and every estimate, and each entry is bit-for-bit its unbatched
@@ -28,7 +29,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .matrix_kit import block_hankel
+from .matrix_kit import hankel_window
 from .plant_sim import Dataset
 
 # Relative singular-value cut-offs: RANK_TOL decides the excitation ranks,
@@ -113,7 +114,8 @@ def build_data_matrices(data: Dataset, depth: int, width: Optional[int] = None) 
     ``width`` defaults to the largest value the record supports,
     T - 2*depth + 1. The generic solvability condition
     width >= (2p + q) * depth is enforced; the stricter single-output
-    guidance width >= 3*q*depth only warns.
+    guidance width >= 3*q*depth only warns, and so does q*depth below the
+    state count, where the past outputs cannot determine the state.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -131,21 +133,24 @@ def build_data_matrices(data: Dataset, depth: int, width: Optional[int] = None) 
             f"need T >= 2*depth + width - 1: T={T}, depth={depth} allows width "
             f"1..{max_width}, got {width}"
         )
-    p, q = data.n_inputs, data.n_outputs
+    p, q, n = data.n_inputs, data.n_outputs, data.n_states
     if width < 3 * q * depth:
         warnings.warn(
             f"width {width} is below the guidance 3*q*depth = {3 * q * depth}; "
             "estimates may be poorly conditioned",
             stacklevel=2,
         )
-    stack = np.concatenate([
-        block_hankel(data.u, 0, depth, width),
-        block_hankel(data.y, 0, depth, width),
-        block_hankel(data.u, depth, depth, width),
-        block_hankel(data.y, depth, depth, width),
-        data.x[..., :width, :].swapaxes(-1, -2),
-    ], axis=-2)
-    return DataMatrices(stack=stack, depth=depth, width=width, n_inputs=p, n_outputs=q)
+    if q * depth < n:
+        warnings.warn(f"q*depth = {q * depth} past outputs cannot determine the {n} states; "
+                      "the Markov parameters are biased", stacklevel=2)
+    dm = DataMatrices(stack=np.empty(data.u.shape[:-2] + (2 * (p + q) * depth + n, width)),
+                      depth=depth, width=width, n_inputs=p, n_outputs=q)
+    for name, sig, start in (("u_past", data.u, 0), ("y_past", data.y, 0),
+                             ("u_future", data.u, depth), ("y_future", data.y, depth)):
+        window = hankel_window(sig, start, depth, width)
+        dm.stack[..., dm.parts[name], :].reshape(window.shape)[...] = window
+    dm.stack[..., dm.parts["x_past"], :] = data.x[..., :width, :].swapaxes(-1, -2)
+    return dm
 
 
 def _rank(s: np.ndarray, reference, tol: float):
@@ -161,17 +166,19 @@ def estimate_predictor(dm: DataMatrices) -> MarkovEstimate:
     columns of L exactly, so the future-input block (the identifiable part of
     W, which carries the Toeplitz factor) fits the y_future rows on what is
     left of the u_future rows: ``raw = L_Yf,rest L_Uf,rest^+``. When y_past
-    has full row rank given u_past (noisy data) the remainder is L_Uf,Uf, so
-    raw = L_Yf,Uf L_Uf,Uf^-1; otherwise (noise-free data, or more outputs than
-    states) it also holds the null directions of L_Yp,Yp, decided with
-    ``PINV_TOL`` as in the pseudo-inverse solution. Each block sub-diagonal of
-    the Toeplitz factor is the average of that sub-diagonal of ``raw``, which
-    reduces noise and enforces the structure.
+    has full row rank given u_past (noisy data) the remainder is the triangle
+    L_Uf,Uf, so raw = L_Yf,Uf L_Uf,Uf^-1; otherwise (noise-free data, or more
+    outputs than states) it also holds the null directions of L_Yp,Yp, decided
+    with ``PINV_TOL`` as in the pseudo-inverse solution, and goes through its
+    QR, L_Uf,rest' = Q_m R_m, so raw = (L_Yf,rest Q_m) R_m'^-1. Each block
+    sub-diagonal of the Toeplitz factor is the average of that sub-diagonal of
+    ``raw``, which reduces noise and enforces the structure.
 
     Excitation is checked with ``RANK_TOL`` relative to the largest singular
     value of [u_past; u_future]: that stack (a persistently exciting input)
     and the u_future remainder (future inputs outside the row span of past
-    inputs and outputs) must both have full row rank. ``regressor_rank`` sums
+    inputs and outputs) must both have full row rank. Both spectra come from
+    square triangles with the same singular values. ``regressor_rank`` sums
     the ranks of L_Up,Up, L_Yp,Yp and the remainder.
     """
     d, L = dm.depth, dm.width
@@ -182,8 +189,11 @@ def estimate_predictor(dm: DataMatrices) -> MarkovEstimate:
                          f"the least-squares problem cannot determine the predictor")
     F = dm.factor
     up, yp, uf, yf = (dm.parts[k] for k in ("u_past", "y_past", "u_future", "y_future"))
-    cols = slice(0, uf.stop)
-    s_in = np.linalg.svd(F[..., np.r_[up, uf], cols], compute_uv=False)
+    # [L_Uf,Yp L_Uf,Uf] = R_f' Q_f' (orthonormal Q_f), so the input rows of L,
+    # [L_Up,Up 0 0; L_Uf,Up L_Uf,Yp L_Uf,Uf], have the singular values of a triangle
+    r_f = np.linalg.qr(F[..., uf, yp.start:uf.stop].swapaxes(-1, -2), mode="r")
+    s_in = np.linalg.svd(np.block([[F[..., up, up], np.zeros_like(r_f)],
+                                   [F[..., uf, up], r_f.swapaxes(-1, -2)]]), compute_uv=False)
     input_rank = _rank(s_in, s_in[..., 0], RANK_TOL)
     _fail_entries(input_rank < 2 * p * d, lambda i: (
         f"insufficient excitation: stacked input Hankel has numerical rank "
@@ -200,17 +210,21 @@ def estimate_predictor(dm: DataMatrices) -> MarkovEstimate:
         at = nulls == k  # the copy keeps each entry's factor laid out as when alone
         F_k, vt_k = (F, vt_yp) if at.all() else (
             F.swapaxes(-1, -2)[at].swapaxes(-1, -2), vt_yp[at])
-        null = vt_k[..., q * d - k:, :].swapaxes(-1, -2)
-        u_rest = np.concatenate([F_k[..., uf, uf], F_k[..., uf, yp] @ null], axis=-1)
-        y_rest = np.concatenate([F_k[..., yf, uf], F_k[..., yf, yp] @ null], axis=-1)
-        u_m, s_k, vt_m = np.linalg.svd(u_rest, full_matrices=False)
-        s_m[at] = s_k
+        # the remainder u_rest is R_m' Q_m', so raw = y_rest Q_m R_m'^-1; with no
+        # null directions it is the triangle L_Uf,Uf (Q_m = I)
+        r_m, y_m = F_k[..., uf, uf].swapaxes(-1, -2), F_k[..., yf, uf]
+        if k:
+            null = vt_k[..., q * d - k:, :].swapaxes(-1, -2)
+            q_m, r_m = np.linalg.qr(np.concatenate(
+                [F_k[..., uf, uf], F_k[..., uf, yp] @ null], axis=-1).swapaxes(-1, -2))
+            y_m = np.concatenate([y_m, F_k[..., yf, yp] @ null], axis=-1) @ q_m
+        s_m[at] = np.linalg.svd(r_m, compute_uv=False)
         _fail_entries(at & (s_m[..., -1] < RANK_TOL * s_in[..., 0]), lambda i: (
             f"insufficient excitation: future inputs lie numerically in the span of "
             f"past inputs and outputs (smallest singular value of their remainder "
             f"{s_m[i][-1]:.3e} < {RANK_TOL:g} x {s_in[i][0]:.3e}); the Toeplitz factor "
             f"is not identifiable"))
-        raw[at] = (y_rest @ vt_m.swapaxes(-1, -2) / s_k[..., None, :]) @ u_m.swapaxes(-1, -2)
+        raw[at] = np.linalg.solve(r_m, y_m.swapaxes(-1, -2)).swapaxes(-1, -2)
 
     # block sub-diagonal k holds the copies at block positions (i+k+1, i)
     grid = raw.reshape(raw.shape[:-2] + (d, q, d, p))

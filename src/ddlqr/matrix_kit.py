@@ -18,6 +18,21 @@ def as_series(signal) -> np.ndarray:
     return arr
 
 
+def hankel_window(signal, start: int, depth: int, width: int) -> np.ndarray:
+    """The window of ``block_hankel``: a (..., depth, d, width) view of ``signal``."""
+    sig = np.asarray(signal, dtype=float)
+    sig = sig if sig.ndim > 2 else as_series(sig)
+    if depth < 1 or width < 1:
+        raise ValueError(f"depth and width must be >= 1, got {depth}, {width}")
+    needed = start + depth + width - 1
+    if sig.shape[-2] < needed:
+        raise ValueError(
+            f"signal too short for block Hankel: need {needed} samples "
+            f"(start={start}, depth={depth}, width={width}), have {sig.shape[-2]}"
+        )
+    return np.lib.stride_tricks.sliding_window_view(sig[..., start:needed, :], width, axis=-2)
+
+
 def block_hankel(signal, start: int, depth: int, width: int) -> np.ndarray:
     """Build the block-Hankel matrix of a vector time series.
 
@@ -35,16 +50,5 @@ def block_hankel(signal, start: int, depth: int, width: int) -> np.ndarray:
     Returns:
         (..., depth * d, width) array.
     """
-    sig = np.asarray(signal, dtype=float)
-    sig = sig if sig.ndim > 2 else as_series(sig)
-    if depth < 1 or width < 1:
-        raise ValueError(f"depth and width must be >= 1, got {depth}, {width}")
-    needed = start + depth + width - 1
-    if sig.shape[-2] < needed:
-        raise ValueError(
-            f"signal too short for block Hankel: need {needed} samples "
-            f"(start={start}, depth={depth}, width={width}), have {sig.shape[-2]}"
-        )
-    # window[..., i, c, j] = sig[..., start + i + j, c]
-    window = np.lib.stride_tricks.sliding_window_view(sig[..., start:needed, :], width, axis=-2)
-    return window.reshape(sig.shape[:-2] + (depth * sig.shape[-1], width))
+    window = hankel_window(signal, start, depth, width)
+    return window.reshape(window.shape[:-3] + (depth * window.shape[-2], width))

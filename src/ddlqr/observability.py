@@ -62,12 +62,15 @@ def _fit_states(algorithm: str, lhs: np.ndarray, x: np.ndarray, what: str) -> Ob
     _fail_entries(~full, lambda i: (
         f"states not sufficiently excited: {what}: numerical row rank below {x.shape[-2]}"))
     obs = (lhs @ vt.swapaxes(-1, -2) / s[..., None, :]) @ u.swapaxes(-1, -2)
-    # per entry, the residual is np.linalg.norm's dot product of the raveled misfit
+    # per entry, the residual is np.linalg.norm's dot product of the raveled misfit, taken
+    # on it over 2^e > its largest magnitude: dnrm2's scaling, exact as a power of two
     misfit = (lhs - obs @ x).reshape(obs.shape[:-2] + (-1,))
+    e = np.frexp(np.abs(misfit).max(axis=-1, keepdims=True))[1]
+    misfit = np.ldexp(misfit, -e)
     return ObservabilityEstimate(
         matrix=obs,
         algorithm=algorithm,
-        residual=np.sqrt(np.vecdot(misfit, misfit)),
+        residual=np.ldexp(np.sqrt(np.vecdot(misfit, misfit)), e[..., 0]),
     )
 
 
@@ -85,7 +88,9 @@ def estimate_obs_alg1(dm: DataMatrices, s_hat: np.ndarray) -> ObservabilityEstim
             f"{qd} and u_past rows {pd}"
         )
     F = dm.factor
-    rhs = F[..., dm.parts["y_past"], :] - s_hat @ F[..., dm.parts["u_past"], :]
+    # L_Up is zero beyond its first pd columns, so s_hat L_Up is subtracted there only
+    rhs = F[..., dm.parts["y_past"], :].copy()
+    rhs[..., :pd] -= s_hat @ F[..., dm.parts["u_past"], :pd]
     return _fit_states("alg1", rhs, F[..., dm.parts["x_past"], :], "state snapshot")
 
 

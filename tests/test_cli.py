@@ -189,6 +189,16 @@ class TestDesign:
         assert err.startswith("config error: [io] dataset") and message in err, err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["design", "sweep"])
+    def test_missing_dataset_file_exits_2(self, tmp_path, capsys, command):
+        # only simulate writes [io] dataset; the others must not simulate in its place
+        code = run(command, REGULATION, "--output-dir", str(tmp_path / "out"),
+                   "--set", f"io.dataset={tmp_path}/no_such.csv")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [io] dataset") and "no_such.csv" in err, err
+        assert not (tmp_path / "out").exists()
+
     def test_horizon_above_depth_exits_2(self, tmp_path, capsys):
         code = run("design", REGULATION, "--output-dir", str(tmp_path / "out"),
                    "--set", "lqr.horizon=60")

@@ -8,6 +8,7 @@ stack, where the factor is wider than it is tall.
 """
 
 import warnings
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -24,6 +25,7 @@ from ddlqr import (
     estimate_predictor,
     simulate,
 )
+from ddlqr.markov import RANK_TOL
 
 RTOL = 1e-9
 
@@ -114,3 +116,38 @@ def test_batch_entries_match_unbatched(problem):
         for got, want in ((o1, estimate_obs_alg1(dm, alone.toeplitz)), (o2, estimate_obs_alg2(dm))):
             for name in ("matrix", "residual"):
                 assert np.array_equal(getattr(got, name)[b], getattr(want, name)), name
+
+
+@settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
+@given(problems())
+def test_input_spectrum_and_remainder_branch(problem):
+    # the excitation figures come from triangles of the factor; they must be
+    # those of the raw [u_past; u_future] rows. The remainder is factored
+    # (one QR per distinct null count) only when L_Yp,Yp has null directions:
+    # q*depth - n of them noise-free, (q - n)*depth under state-measurement noise.
+    n, p, q, depth, width, noisy, seed = problem
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, n))
+    A *= rng.uniform(0.3, 0.9) / max(np.abs(np.linalg.eigvals(A)).max(), 1e-12)
+    model = StateSpaceModel(A=A, B=rng.normal(size=(n, p)), C=rng.normal(size=(q, n)),
+                            E=np.eye(n))
+    T = width + 2 * depth - 1
+    u, v = rng.normal(size=(T, p)), 0.1 * rng.normal(size=(T, n))
+    runs = [simulate(model, u, v=v if noise else None, noise_mode="measurement")
+            for noise in (noisy, not noisy)]
+    nulls = [max(0, (q - n) * depth if noise else q * depth - n) for noise in (noisy, not noisy)]
+    batch = Dataset(*(np.stack([getattr(r, k) for r in runs]) for k in "uyx"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # narrow widths are below guidance
+        dms = [build_data_matrices(data, depth, width) for data in (runs[0], batch)]
+
+    for dm, counts in zip(dms, (nulls[:1], nulls)):
+        with mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:
+            est = estimate_predictor(dm)
+        assert qr.call_count == 2 + len({k for k in counts if k}), counts
+        inputs = np.concatenate([dm.stack[..., dm.parts[k], :] for k in ("u_past", "u_future")],
+                                axis=-2)
+        s = np.linalg.svd(inputs, compute_uv=False)
+        assert np.array_equal(est.input_rank, np.sum(s >= RANK_TOL * s[..., :1], axis=-1))
+        margin = s[..., -1] / (RANK_TOL * s[..., 0])
+        assert np.abs(est.input_rank_margin / margin - 1.0).max() < 1e-10

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,15 @@ from conftest import (
     two_output_model,
 )
 from oracles import block_toeplitz_strict_lower, pinv_predictor, true_markov
-from ddlqr import Dataset, StateSpaceModel, build_data_matrices, estimate_predictor
+from ddlqr import (
+    Dataset,
+    StateSpaceModel,
+    block_hankel,
+    build_data_matrices,
+    estimate,
+    estimate_predictor,
+)
+from ddlqr import markov
 
 
 def regressor(dm):
@@ -39,6 +49,22 @@ class TestBuildDataMatrices:
         dm = build_data_matrices(ds, depth=51, width=870)
         assert regressor(dm).shape == (306, 870)
         assert rows(dm, "y_future").shape == (102, 870)
+
+    def test_stack_is_the_hankel_blocks(self):
+        # three inputs, two outputs and three states, in a batch of two records
+        rng = np.random.default_rng(12)
+        ds = Dataset(u=rng.normal(size=(2, 40, 3)), y=rng.normal(size=(2, 40, 2)),
+                     x=rng.normal(size=(2, 40, 3)))
+        depth, width = 4, 30
+        dm = build_data_matrices(ds, depth, width)
+        expect = np.concatenate([
+            block_hankel(ds.u, 0, depth, width), block_hankel(ds.y, 0, depth, width),
+            block_hankel(ds.u, depth, depth, width), block_hankel(ds.y, depth, depth, width),
+            ds.x[..., :width, :].swapaxes(-1, -2)], axis=-2)
+        assert np.array_equal(dm.stack, expect)
+        for b in range(2):
+            alone = build_data_matrices(Dataset(u=ds.u[b], y=ds.y[b], x=ds.x[b]), depth, width)
+            assert np.array_equal(alone.stack, expect[b])
 
     def test_zero_dataset_gives_zero_matrices(self):
         ds = Dataset(u=np.zeros((40, 1)), y=np.zeros((40, 1)), x=np.zeros((40, 1)))
@@ -168,6 +194,28 @@ class TestEstimatePredictor:
             truth = true_markov(model, 11)
             for got, expect in zip(markov_blocks(est), truth):
                 np.testing.assert_allclose(got, expect, atol=1e-8)
+
+
+class TestLapackWork:
+    """The predictor's SVDs are all of square blocks or triangles of the factor,
+    whatever the record's width, and the width is factored once."""
+
+    @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
+    def test_square_svds_and_one_wide_qr(self, monkeypatch, algorithm):
+        calls = []
+        for name in ("svd", "qr"):
+            def wrapped(a, *args, _name=name, _call=getattr(markov.np.linalg, name), **kwargs):
+                calls.append((_name, sys._getframe(1).f_code.co_name, np.shape(a)))
+                return _call(a, *args, **kwargs)
+            monkeypatch.setattr(markov.np.linalg, name, wrapped)
+        # the regulation demo: p = q = 2 at depth 51, so p*depth = q*depth = 102
+        est = estimate(prbs_dataset(two_output_model()), 51, algorithm=algorithm)
+        svds = [shape for name, caller, shape in calls if name == "svd"
+                and caller in ("estimate_predictor", "past_input_singular_values")]
+        # L_Up,Up, L_Yp,Yp, the remainder triangle and the input triangle
+        assert sorted(svds) == [(102, 102)] * 3 + [(204, 204)]
+        wide = [shape for name, _, shape in calls if name == "qr" and shape[0] == est.width]
+        assert wide == [(est.width, 2 * (102 + 102) + 2)]
 
 
 class TestTrueMarkov:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,13 @@ from ddlqr import (
     estimate_obs_alg2,
     estimate,
     estimate_predictor,
+    generate_signal,
     monte_carlo_obs,
+    simulate,
     synthesize,
     true_observability,
 )
+from ddlqr.observability import ALGORITHMS, _fit_states
 
 
 def rows(dm, name):
@@ -138,6 +143,34 @@ class TestAlg2:
             scale = np.linalg.norm(truth)
             assert np.linalg.norm(o1.matrix - truth) / scale < 1e-6
             assert np.linalg.norm(o2.matrix - truth) / scale < 1e-6
+
+
+class TestResidual:
+    """The fit residual is a norm of the data's scale, computed without
+    overflow or underflow: dnrm2's scaling, by a power of two."""
+
+    @pytest.mark.parametrize("c", [1e-200, 1e-150, 1e150, 1e200])
+    def test_scales_with_the_data(self, c):
+        # noisy states, so the residual is a misfit well above rounding
+        model = two_output_model()
+        model = StateSpaceModel(A=model.A, B=model.B, C=model.C, E=np.eye(2))
+        u = generate_signal(SignalSpec(kind="prbs", length=400, amplitude=1.0, channels=2))
+        v = 0.1 * np.random.default_rng(8).normal(size=(400, 2))
+        data = simulate(model, u, v=v, noise_mode="measurement")
+        scaled = Dataset(u=c * data.u, y=c * data.y, x=c * data.x)
+        for algorithm in ALGORITHMS:
+            base = estimate(data, 8, algorithm=algorithm).observability.residual
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = estimate(scaled, 8, algorithm=algorithm).observability.residual
+            assert 0.0 < got == pytest.approx(c * base, rel=1e-12), algorithm
+
+    def test_exact_fit_is_zero(self):
+        x = np.random.default_rng(9).normal(size=(2, 30))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = _fit_states("alg1", np.zeros((3, 30)), x, "states")
+        assert fit.residual == 0.0 and not fit.matrix.any()
 
 
 class TestDropFirstBlockRow:
