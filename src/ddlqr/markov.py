@@ -11,8 +11,8 @@ Each dataset is factored once: one LQ factorization of the stacked Hankel data
 [U_p; Y_p; U_f; Y_f; X] (Verhaegen & Dewilde 1992, MOESP). The Toeplitz
 factor, the excitation rank and both observability estimates are read off
 its blocks, whose sizes do not grow with the record length. Every SVD the
-predictor takes is square: of L_Up,Up, of L_Yp,Yp, of the 2pd x 2pd input
-triangle and of the pd x pd remainder triangle, the last two from small QRs.
+predictor takes is square: of L_Up,Up, of L_Yp,Yp, of a 2pd x 2pd input
+triangle after a small QR, and of a pd x pd remainder triangle (L_Uf,Uf or R_m).
 
 Data may carry leading batch axes (say, Monte Carlo runs); so do the stack,
 its factor and every estimate, and each entry is bit-for-bit its unbatched
@@ -189,11 +189,11 @@ def estimate_predictor(dm: DataMatrices) -> MarkovEstimate:
                          f"the least-squares problem cannot determine the predictor")
     F = dm.factor
     up, yp, uf, yf = (dm.parts[k] for k in ("u_past", "y_past", "u_future", "y_future"))
-    # [L_Uf,Yp L_Uf,Uf] = R_f' Q_f' (orthonormal Q_f), so the input rows of L,
-    # [L_Up,Up 0 0; L_Uf,Up L_Uf,Yp L_Uf,Uf], have the singular values of a triangle
+    # [L_Uf,Yp L_Uf,Uf] = R_f' Q_f' (orthonormal Q_f), so the input rows of L have the
+    # singular values of the triangle [L_Up,Up 0; L_Uf,Up R_f'], L's zeros filling its corner
     r_f = np.linalg.qr(F[..., uf, yp.start:uf.stop].swapaxes(-1, -2), mode="r")
-    s_in = np.linalg.svd(np.block([[F[..., up, up], np.zeros_like(r_f)],
-                                   [F[..., uf, up], r_f.swapaxes(-1, -2)]]), compute_uv=False)
+    s_in = np.linalg.svd(np.concatenate([F[..., up, :2 * p * d], np.concatenate(
+        [F[..., uf, up], r_f.swapaxes(-1, -2)], axis=-1)], axis=-2), compute_uv=False)
     input_rank = _rank(s_in, s_in[..., 0], RANK_TOL)
     _fail_entries(input_rank < 2 * p * d, lambda i: (
         f"insufficient excitation: stacked input Hankel has numerical rank "

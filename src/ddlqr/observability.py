@@ -79,7 +79,7 @@ def estimate_obs_alg1(dm: DataMatrices, s_hat: np.ndarray) -> ObservabilityEstim
 
     Solves y_past = O x_past + s_hat u_past for O in least squares:
     O = (y_past - s_hat u_past) x_past^+, computed on the factor as
-    O = (L_Yp - s_hat L_Up) L_X^+.
+    O = (L_Yp - s_hat L_Up) L_X^+; L_Up is zero past its first p*depth columns.
     """
     qd, pd = dm.n_outputs * dm.depth, dm.n_inputs * dm.depth
     if s_hat.shape[-2:] != (qd, pd):
@@ -88,7 +88,6 @@ def estimate_obs_alg1(dm: DataMatrices, s_hat: np.ndarray) -> ObservabilityEstim
             f"{qd} and u_past rows {pd}"
         )
     F = dm.factor
-    # L_Up is zero beyond its first pd columns, so s_hat L_Up is subtracted there only
     rhs = F[..., dm.parts["y_past"], :].copy()
     rhs[..., :pd] -= s_hat @ F[..., dm.parts["u_past"], :pd]
     return _fit_states("alg1", rhs, F[..., dm.parts["x_past"], :], "state snapshot")
