@@ -11,7 +11,9 @@ Q' = D^-T Q D^-1 and R' = E^-T R E^-1, describe the same cost, so the gain
 acts on the same state and returns inputs in the new units: K' = E K.
 
 On noise-free data both observability estimators are exact, so alg1 and alg2
-agree, also with more outputs than states.
+agree, also with more outputs than states, once the q*depth past outputs can
+determine the n states. Below that the Toeplitz factor that alg1 subtracts is
+biased, and the data matrices warn.
 """
 
 import warnings
