@@ -21,11 +21,8 @@ from .plant_sim import (
     Dataset,
     SignalSpec,
     StateSpaceModel,
-    closed_loop_simulate,
-    cost_J,
     generate_signal,
     simulate,
-    tracking_loop_simulate,
     zoh_discretize,
 )
 from .experiments import (
@@ -61,9 +58,7 @@ __all__ = [
     "augment_model",
     "block_hankel",
     "build_data_matrices",
-    "closed_loop_simulate",
     "convergence_sweep",
-    "cost_J",
     "dare_solve",
     "dd_lqr_gain",
     "estimate",
@@ -80,7 +75,6 @@ __all__ = [
     "resonant_imc",
     "simulate",
     "synthesize",
-    "tracking_loop_simulate",
     "true_observability",
     "zoh_discretize",
 ]

@@ -57,13 +57,10 @@ def _read_input(read, key: str, path: str):
         raise ConfigError(f"[io] {key}: {exc}") from exc
 
 
-def _load_or_simulate_dataset(cfg: RunConfig, missing_ok: bool = False):
-    """Dataset from the [io] dataset file, or simulated from [model]+[signal] if unset."""
+def _simulate_dataset(cfg: RunConfig):
+    """The [model] plant and its record simulated under [signal] and [noise]."""
     model = cfg.model()
     ts = model.sample_time if model.sample_time is not None else 1.0
-    dataset = cfg.get("io", "dataset")
-    if dataset is not None and (not missing_ok or Path(dataset).exists()):
-        return model, _read_input(storage.read_dataset, "dataset", dataset)
     spec = cfg.signal(default_channels=model.n_inputs, default_ts=ts)
     v, variance = None, cfg.get("noise", "variance", 0.0)
     if variance > 0:
@@ -73,6 +70,14 @@ def _load_or_simulate_dataset(cfg: RunConfig, missing_ok: bool = False):
         v = rng.normal(0.0, np.sqrt(variance), size=(spec.length, model.E.shape[1]))
     return model, simulate(model, generate_signal(spec), v=v,
                            noise_mode=cfg.get("noise", "mode", "process"))
+
+
+def _load_or_simulate_dataset(cfg: RunConfig):
+    """Dataset from the [io] dataset file, or simulated from [model]+[signal] if unset."""
+    dataset = cfg.get("io", "dataset")
+    if dataset is None:
+        return _simulate_dataset(cfg)
+    return cfg.model(), _read_input(storage.read_dataset, "dataset", dataset)
 
 
 def _check_weights(weights, outputs: str, q: int, p: int, imc) -> int:
@@ -113,8 +118,9 @@ def _estimate(cfg: RunConfig, model, data, key: str, horizons):
     the weights and the internal model it was made for.
 
     Exits 2 before estimating unless each horizon is within [estimation] depth,
-    [lqr] q is sized for the outputs, internal-model states included, and the
-    record holds the Hankel data (``_check_record``).
+    [lqr] q is sized for the q outputs, the record holds the Hankel data
+    (``_check_record``) and q*depth >= n, so that the past outputs can determine
+    the n states; q and n count the internal-model states.
     """
     depth = cfg.get("estimation", "depth", required=True)
     if max(horizons) > depth:
@@ -123,14 +129,18 @@ def _estimate(cfg: RunConfig, model, data, key: str, horizons):
     imc = cfg.imc(default_ts=model.sample_time if model.sample_time is not None else 1.0)
     q = _check_weights(weights, "dataset outputs", data.n_outputs, data.n_inputs, imc)
     _check_record(cfg, data.n_samples, data.n_inputs, q)
+    n = data.n_states + q - data.n_outputs
+    if q * depth < n:
+        raise ConfigError(f"[estimation] depth {depth} gives q*depth = {q * depth} past outputs, "
+                          f"too few to determine the {n} states (q = {q} outputs)")
     est = estimate(data, depth, cfg.get("estimation", "width"),
                    cfg.get("estimation", "algorithm", "alg1"), imc)
     return est, weights, imc
 
 
 def cmd_simulate(cfg: RunConfig, outdir: Path) -> int:
-    # simulate writes [io] dataset, so a file not there yet is simulated, not read
-    model, data = _load_or_simulate_dataset(cfg, missing_ok=True)
+    # simulate writes [io] dataset: whatever is there is replaced, never read
+    _, data = _simulate_dataset(cfg)
     target = cfg.get("io", "dataset", str(outdir / "dataset.csv"))
     storage.write_dataset(target, data)
     cfg.set_resolved("io", "dataset", target)

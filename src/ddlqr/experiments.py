@@ -31,13 +31,12 @@ from .plant_sim import (
     Dataset,
     SignalSpec,
     StateSpaceModel,
+    _apply,
     _checked,
+    _lti_run,
     _open_loop,
     _prbs_channels,
-    closed_loop_simulate,
-    cost_J,
     generate_signal,
-    tracking_loop_simulate,
 )
 
 # Monte Carlo runs estimated together: runs x record length stays within this.
@@ -365,52 +364,56 @@ def evaluate_closed_loop(
     """Close the loop with gain ``K`` and report cost under ``weights``, stability
     margin and tracking.
 
-    An unstable loop is reported through the spectral radius (and infinite
-    cost when the trajectory overflows), never as an exception. A gain whose shape is not
-    ``gain_shape``, weights that do not fit the loop's outputs (internal-model states
-    included) and inputs, a wrong-sized start state, or a horizon under ``THD_PERIODS``
-    periods of a sinusoid reference raises ValueError.
+    Regulation runs the plant from the scenario's start state, tracking runs
+    ``augment_model`` from rest driven by G r, G = [0; I_q (x) B_c]. A run with a
+    non-finite state, input or output is unstable: its cost and steady-state error
+    are inf. Argument errors raise ValueError: a gain not of ``gain_shape``, weights
+    that do not fit the loop's outputs (internal-model states included) and inputs,
+    a wrong-sized start state, a horizon under one sample, or a finite run shorter
+    than ``THD_PERIODS`` periods of a sinusoid reference.
     """
-    shape, expected = np.shape(K), gain_shape(model, scenario)
-    if shape != expected:
-        raise ValueError(f"gain has shape {shape}, expected {expected}")
-    q = model.n_outputs + expected[1] - model.n_states  # tracking weighs the internal-model states
-    if weights.Q.shape != (q, q) or weights.R.shape != (model.n_inputs,) * 2:
+    K, expected = np.asarray(K, dtype=float), gain_shape(model, scenario)
+    n, q, p = model.n_states, model.n_outputs, model.n_inputs
+    if K.shape != expected:
+        raise ValueError(f"gain has shape {K.shape}, expected {expected}")
+    q_loop = q + expected[1] - n  # tracking weighs the internal-model states
+    if weights.Q.shape != (q_loop, q_loop) or weights.R.shape != (p, p):
         raise ValueError(f"weights Q {weights.Q.shape} and R {weights.R.shape} do not fit "
-                         f"{q} outputs and {model.n_inputs} inputs")
+                         f"{q_loop} outputs and {p} inputs")
     if isinstance(scenario, RegulationScenario):
-        x0 = _checked(model, scenario.x0)
-        rho = float(np.abs(np.linalg.eigvals(model.A - model.B @ K)).max())
-        try:  # x0 is checked above, so its error is not reported as an unstable run
-            ds = closed_loop_simulate(model, K, x0, horizon)
-            cost = cost_J(ds, weights.Q, weights.R)
-            sse = float(np.linalg.norm(ds.y[-1]))
-        except ValueError:
-            cost, sse = float("inf"), float("inf")
-        return ClosedLoopMetrics(cost=cost, spectral_radius=rho, steady_state_error=sse)
-
-    aug = augment_model(model, scenario.imc)
-    rho = float(np.abs(np.linalg.eigvals(aug.A - aug.B @ K)).max())
-    ref_spec = replace(scenario.reference, length=horizon)
-    r = generate_signal(ref_spec)
-    if r.shape[1] != model.n_outputs:
-        r = np.tile(r[:, :1], (1, model.n_outputs))
-    thd = None
-    try:
-        ds = tracking_loop_simulate(model, scenario.imc, K, r)
-        cost = cost_J(ds, weights.Q, weights.R)
-    except ValueError:
-        return ClosedLoopMetrics(cost=float("inf"), spectral_radius=rho,
-                                 steady_state_error=float("inf"))
-    y = ds.y[:, :model.n_outputs]
-    spp = samples_per_period(ref_spec)
-    if spp is None:
-        sse = float(np.abs(y[-1] - r[-1]).max())
+        loop, x0, drives = model, _checked(model, scenario.x0), ()
     else:
-        thd = harmonic_distortion(y[:, 0], spp)  # checks the run spans THD_PERIODS periods
-        amp = _fundamental_amplitude(y[:, 0], ref_spec, spp)
-        sse = float(abs(amp - ref_spec.amplitude) / abs(ref_spec.amplitude))
-    return ClosedLoopMetrics(cost=cost, spectral_radius=rho, steady_state_error=sse, thd=thd)
+        loop, x0 = augment_model(model, scenario.imc), np.zeros(expected[1])
+        ref = replace(scenario.reference, length=horizon)
+        r = generate_signal(ref)
+        r = r if r.shape[1] == q else np.tile(r[:, :1], (1, q))
+        G = np.vstack([np.zeros((n, q)), np.kron(np.eye(q), scenario.imc.B_c)])
+        drives = (_apply(G, r),)
+    A_cl = loop.A - loop.B @ K
+    rho = float(np.abs(np.linalg.eigvals(A_cl)).max())
+    x, u, y = _loop_run(model, K, A_cl, x0, *drives, steps=horizon)
+    if not (np.isfinite(x).all() and np.isfinite(u).all() and np.isfinite(y).all()):
+        return ClosedLoopMetrics(cost=np.inf, spectral_radius=rho, steady_state_error=np.inf)
+    cost = float(np.einsum("ki,ij,kj->", y, weights.Q, y)
+                 + np.einsum("ki,ij,kj->", u, weights.R, u))
+    if isinstance(scenario, RegulationScenario):
+        return ClosedLoopMetrics(cost, rho, float(np.linalg.norm(y[-1])))
+    y, spp = y[:, :q], samples_per_period(ref)
+    if spp is None:
+        return ClosedLoopMetrics(cost, rho, float(np.abs(y[-1] - r[-1]).max()))
+    thd = harmonic_distortion(y[:, 0], spp)  # checks the run spans THD_PERIODS periods
+    amp = _fundamental_amplitude(y[:, 0], ref, spp)
+    return ClosedLoopMetrics(cost, rho, float(abs(amp - ref.amplitude) / abs(ref.amplitude)), thd)
+
+
+def _loop_run(model: StateSpaceModel, K: np.ndarray, A_cl: np.ndarray, x0, *drives, steps: int):
+    """Raw x, u = -K x and y = [C x_plant; x_imc] of x(k+1) = A_cl x(k) + drives. It
+    checks nothing: an unstable loop runs on to inf or nan."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = _lti_run(A_cl, x0, *drives, steps=steps)
+        u = -_apply(K, x)
+        y = np.hstack([x[:, :model.n_states] @ model.C.T, x[:, model.n_states:]])
+    return x, u, y
 
 
 def gain_shape(model: StateSpaceModel,

@@ -7,10 +7,10 @@ zero-order-hold discretization.
 
 Every simulator is one call of the kernel ``_lti_run``, the recursion
 x(k+1) = A x(k) + d_1(k) + d_2(k) + ... over leading batch axes: the open
-loop (A driven by B u), the regulation loop (A - B K), the tracking loop
-(A_a - B_a K_a driven by the reference), ``imc.filter_imc_states`` (A_c
-driven by -B_c y per output) and a chunk of ``experiments.monte_carlo_obs``
-runs, whose PRBS inputs are one register product over their start states.
+loop (A driven by B u), ``imc.filter_imc_states`` (A_c driven by -B_c y per
+output), a chunk of ``experiments.monte_carlo_obs`` runs and the closed loops
+of ``experiments.evaluate_closed_loop``. The kernel does not check values: an
+unstable loop runs on to inf or nan, which is how ``evaluate_closed_loop`` sees it.
 
 ``zoh_discretize`` takes its exponential from ``_expm``, numpy alone: keep scipy out of
 every command. Importing ``scipy.linalg`` added about 0.4 s to each command's start, and
@@ -285,15 +285,6 @@ def _open_loop(model: StateSpaceModel, u, v=None, noise_mode: str = "process", x
     return x, x @ model.C.T
 
 
-def _feedback(model: StateSpaceModel, A_cl, K, x0, *drives, steps: int) -> Dataset:
-    """Run x(k+1) = A_cl x(k) + drives with u = -K x; y = C x on the plant states."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = _lti_run(A_cl, x0, *drives, steps=steps)
-        u = -_apply(K, x)
-        y = x[:, :model.n_states] @ model.C.T
-    return Dataset(u=u, y=np.hstack([y, x[:, model.n_states:]]), x=x)
-
-
 def simulate(model: StateSpaceModel, u, x0=None, v=None, noise_mode: str = "process") -> Dataset:
     """Run the model open loop over an input series.
 
@@ -324,42 +315,6 @@ def simulate(model: StateSpaceModel, u, x0=None, v=None, noise_mode: str = "proc
     return Dataset(u=u, y=y, x=x)
 
 
-def closed_loop_simulate(model: StateSpaceModel, K, x0, horizon: int) -> Dataset:
-    """Simulate the noise-free regulation loop u(k) = -K x(k) for ``horizon`` steps.
-
-    The state runs under the closed-loop matrix A - B K.
-    """
-    K = np.atleast_2d(np.asarray(K, dtype=float))
-    if K.shape != (model.n_inputs, model.n_states):
-        raise ValueError(f"K has shape {K.shape}, expected ({model.n_inputs}, {model.n_states})")
-    return _feedback(model, model.A - model.B @ K, K, _checked(model, x0), steps=horizon)
-
-
-def tracking_loop_simulate(model: StateSpaceModel, imc, K_a, r) -> Dataset:
-    """Close the noise-free loop of plant + internal-model controller on a reference.
-
-    Each output channel owns one controller copy driven by its tracking
-    error, x_c(k+1) = A_c x_c(k) + B_c (r_j(k) - y_j(k)), and the input is
-    u(k) = -K_a [x(k); x_imc(k)]. So [x; x_imc] runs from rest under
-    A_a - B_a K_a of ``imc.augment_model``, driven by G r with
-    G = [0; I_q (x) B_c]. The returned dataset is the augmented one: y holds
-    [y; x_imc] and x holds [x; x_imc].
-    """
-    from .imc import augment_model
-
-    r = as_series(r)
-    n, p, q = model.n_states, model.n_inputs, model.n_outputs
-    if r.shape[1] != q:
-        raise ValueError(f"reference has {r.shape[1]} channels, expected {q} outputs")
-    K_a = np.atleast_2d(np.asarray(K_a, dtype=float))
-    if K_a.shape != (p, n + imc.order * q):
-        raise ValueError(f"K_a has shape {K_a.shape}, expected ({p}, {n + imc.order * q})")
-    aug = augment_model(model, imc)
-    G = np.vstack([np.zeros((n, q)), np.kron(np.eye(q), imc.B_c)])
-    return _feedback(model, aug.A - aug.B @ K_a, K_a, np.zeros(len(aug.A)), _apply(G, r),
-                     steps=len(r))
-
-
 def _expm(M: np.ndarray) -> np.ndarray:
     """exp(M) by scaling and squaring (Higham 2005): M / 2^s has 1-norm at most 1/4, so its
     Taylor series to degree 18 leaves a truncation below 1e-28; then square s times."""
@@ -387,15 +342,3 @@ def zoh_discretize(Ac, Bc, C, Ts: float) -> StateSpaceModel:
     E = _expm(np.block([[Ac, Bc], [np.zeros((p, n + p))]]) * Ts)
     return StateSpaceModel(A=E[:n, :n], B=E[:n, n:], C=C, sample_time=Ts)
 
-
-def cost_J(dataset: Dataset, Q, R) -> float:
-    """Accumulated quadratic cost sum_k y'Qy + u'Ru over the samples of a dataset."""
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    R = np.atleast_2d(np.asarray(R, dtype=float))
-    q, p = dataset.n_outputs, dataset.n_inputs
-    if Q.shape != (q, q):
-        raise ValueError(f"Q has shape {Q.shape}, expected ({q}, {q})")
-    if R.shape != (p, p):
-        raise ValueError(f"R has shape {R.shape}, expected ({p}, {p})")
-    y, u = dataset.y, dataset.u
-    return float(np.einsum("ki,ij,kj->", y, Q, y) + np.einsum("ki,ij,kj->", u, R, u))

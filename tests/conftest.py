@@ -1,12 +1,14 @@
-"""Shared test fixtures: the demo plants and random-system samplers, and the
-Hypothesis profile of the whole suite: derandomized (the same examples on
+"""Shared test fixtures: the demo plants, random-system samplers and closed-loop
+runs, and the Hypothesis profile of the whole suite: derandomized (the same examples on
 every run), no example database, no deadline. A property's own ``settings``
 give only its example count and health checks."""
 
 import numpy as np
 from hypothesis import settings
 
-from ddlqr import Dataset, SignalSpec, StateSpaceModel, generate_signal, simulate
+from ddlqr import Dataset, SignalSpec, StateSpaceModel, augment_model, generate_signal, simulate
+from ddlqr.experiments import _loop_run
+from ddlqr.plant_sim import _apply
 
 settings.register_profile("ddlqr", derandomize=True, database=None, deadline=None)
 settings.load_profile("ddlqr")
@@ -39,6 +41,21 @@ def prbs_dataset(model: StateSpaceModel, length: int = 1022, seed: int = 7,
     spec = SignalSpec(kind="prbs", length=length, amplitude=amplitude, seed=seed,
                       channels=model.n_inputs)
     return simulate(model, generate_signal(spec))
+
+
+def regulation_run(model: StateSpaceModel, K, x0, horizon: int):
+    """Raw (x, u, y) of the regulation loop A - B K from x0, as ``evaluate_closed_loop`` runs it."""
+    K = np.asarray(K, dtype=float)
+    return _loop_run(model, K, model.A - model.B @ K, np.asarray(x0, dtype=float), steps=horizon)
+
+
+def tracking_run(model: StateSpaceModel, imc, K_a, r):
+    """Raw (x, u, y) of the tracking loop, as ``evaluate_closed_loop`` runs it: the closed
+    ``augment_model`` loop from rest, driven by G r with G = [0; I_q (x) B_c]."""
+    aug, q = augment_model(model, imc), model.n_outputs
+    G = np.vstack([np.zeros((model.n_states, q)), np.kron(np.eye(q), imc.B_c)])
+    return _loop_run(model, K_a, aug.A - aug.B @ K_a, np.zeros(len(aug.A)), _apply(G, r),
+                     steps=len(r))
 
 
 def markov_blocks(est) -> list:

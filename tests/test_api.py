@@ -26,9 +26,7 @@ PUBLIC = [
     "augment_model",
     "block_hankel",
     "build_data_matrices",
-    "closed_loop_simulate",
     "convergence_sweep",
-    "cost_J",
     "dare_solve",
     "dd_lqr_gain",
     "estimate",
@@ -45,24 +43,20 @@ PUBLIC = [
     "resonant_imc",
     "simulate",
     "synthesize",
-    "tracking_loop_simulate",
     "true_observability",
     "zoh_discretize",
 ]
 
 
-# Parameters of the pipeline, the simulators, the cost, the solvers and the dataset
-# reader, and the fields of the model, dataset, estimates and design: a keyword or
-# field that only tests would set shows up here as a diff.
+# Parameters of the pipeline, the simulator, the closed-loop evaluation, the solvers
+# and the dataset reader, and the fields of the model, dataset, estimates and design:
+# a keyword or field that only tests would set shows up here as a diff.
 PARAMETERS = [
     ("ddlqr", "estimate", ["data", "depth", "width", "algorithm", "imc"]),
     ("ddlqr", "synthesize", ["est", "weights", "horizon"]),
     ("ddlqr", "convergence_sweep", ["model", "est", "weights", "horizons"]),
     ("ddlqr", "evaluate_closed_loop", ["model", "K", "weights", "scenario", "horizon"]),
     ("ddlqr", "simulate", ["model", "u", "x0", "v", "noise_mode"]),
-    ("ddlqr", "closed_loop_simulate", ["model", "K", "x0", "horizon"]),
-    ("ddlqr", "tracking_loop_simulate", ["model", "imc", "K_a", "r"]),
-    ("ddlqr", "cost_J", ["dataset", "Q", "R"]),
     ("ddlqr", "dare_solve", ["model", "weights"]),
     ("ddlqr", "harmonic_distortion", ["y", "samples_per_period"]),
     ("ddlqr.storage", "read_dataset", ["path"]),
@@ -106,7 +100,8 @@ PARTS = ["u_past", "y_past", "u_future", "y_future", "x_past"]
     ("matrix_kit", "pinv"), ("lqr", "dd_lqr_p"), ("markov", "state_snapshot"),
     ("markov", "true_markov"), ("matrix_kit", "block_toeplitz_strict_lower"),
     ("observability", "drop_first_block_row"), ("experiments", "PipelineConfig"),
-    ("experiments", "design_gain"),
+    ("experiments", "design_gain"), ("plant_sim", "closed_loop_simulate"),
+    ("plant_sim", "tracking_loop_simulate"), ("plant_sim", "cost_J"),
 ] + [("markov.DataMatrices", part) for part in PARTS])
 def test_test_only_helpers_are_gone(owner, name):
     module, _, cls = owner.partition(".")

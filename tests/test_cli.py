@@ -20,6 +20,11 @@ GAIN_LONG = np.array([[4.6491, 7.5226], [1.4461, -1.9886]])
 UPS_SMALL = ["--set", "signal.length=800", "--set", "estimation.depth=30",
              "--set", "estimation.width=400", "--set", "lqr.horizon=30"]
 
+# a three-state, one-output plant on the regulation demo's signal, at depth 2
+THREE_STATES = ["model.a=[[0.5,0.1,0],[0,0.4,0.2],[0.1,0,0.3]]", "model.b=[[1],[0.5],[0.2]]",
+                "model.c=[[1,0.3,0.2]]", "signal.channels=1", "lqr.q=[[20]]", "lqr.r=[[0.2]]",
+                "estimation.depth=2", "lqr.horizon=2", "sweep.horizons=[2]"]
+
 # the regulation demo evaluated from a start state
 REGULATION_EVAL = ["eval.scenario=regulation", "eval.x0=[1,1]", "eval.horizon=100"]
 
@@ -71,6 +76,20 @@ class TestSimulate:
             "--set", f"io.dataset={tmp_path}/b/dataset.csv")
         assert (tmp_path / "a/dataset.csv").read_bytes() == (tmp_path / "b/dataset.csv").read_bytes()
 
+    def test_existing_dataset_is_simulated_anew(self, tmp_path):
+        # simulate writes [io] dataset: a file already there is replaced, never read
+        target = f"io.dataset={tmp_path}/d.csv"
+        assert run("simulate", REGULATION, "--output-dir", str(tmp_path / "a"),
+                   "--set", target) == 0
+        first = (tmp_path / "d.csv").read_bytes()
+        assert run("simulate", REGULATION, "--output-dir", str(tmp_path / "b"),
+                   "--set", target, "--set", "signal.seed=99") == 0
+        second = (tmp_path / "d.csv").read_bytes()
+        assert second != first
+        assert run("simulate", str(tmp_path / "b" / "config_echo.ini"), "--output-dir",
+                   str(tmp_path / "c"), "--set", f"io.dataset={tmp_path}/c.csv") == 0
+        assert (tmp_path / "c.csv").read_bytes() == second
+
 
 class TestDesign:
     def test_end_to_end_gain(self, tmp_path):
@@ -107,6 +126,24 @@ class TestDesign:
         assert code == 2
         assert ("config error: [estimation] width 140 must be >= (2p + q) * depth = 150 at "
                 "[estimation] depth 30 (p = 1 inputs, q = 3 outputs)") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["design", "sweep"])
+    def test_depth_below_state_count_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        # q*depth = 2 past outputs cannot determine 3 states: the gain would be biased
+        monkeypatch.setattr(ddlqr.cli, "estimate", None)
+        code = run(command, REGULATION, "--output-dir", str(tmp_path / "out"),
+                   *(arg for item in THREE_STATES for arg in ("--set", item)))
+        assert code == 2
+        assert ("config error: [estimation] depth 2 gives q*depth = 2 past outputs, too few to "
+                "determine the 3 states (q = 1 outputs)") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_depth_counts_imc_states_as_outputs_and_states(self, tmp_path):
+        # the integrator adds one output and one state: 2*2 rows for 4 states
+        sets = THREE_STATES + ["imc.kind=integrator", "lqr.q=[[20,0],[0,20]]"]
+        assert run("design", REGULATION, "--output-dir", str(tmp_path / "out"),
+                   *(arg for item in sets for arg in ("--set", item))) == 0
+        assert read_matrix(tmp_path / "out" / "gain.csv").shape == (1, 4)
 
     def test_algorithm_flag_agreement(self, tmp_path):
         run("design", REGULATION, "--output-dir", str(tmp_path / "a1"),

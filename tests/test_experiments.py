@@ -12,7 +12,7 @@ from conftest import (
     scalar_model,
     two_output_model,
 )
-from oracles import per_run_monte_carlo
+from oracles import loop_closed_loop, loop_tracking_loop, per_run_monte_carlo
 from ddlqr import (
     Dataset,
     LqrWeights,
@@ -21,9 +21,7 @@ from ddlqr import (
     StateSpaceModel,
     TrackingScenario,
     build_data_matrices,
-    closed_loop_simulate,
     convergence_sweep,
-    cost_J,
     dare_solve,
     estimate,
     estimate_predictor,
@@ -47,6 +45,12 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 def reference_weights():
     return LqrWeights(Q=20 * np.eye(2), R=0.2 * np.eye(2))
+
+
+def _cost(run: Dataset, weights: LqrWeights) -> float:
+    """sum_k y'Qy + u'Ru of a per-sample loop's run."""
+    return float(np.einsum("ki,ij,kj->", run.y, weights.Q, run.y)
+                 + np.einsum("ki,ij,kj->", run.u, weights.R, run.u))
 
 
 def sweep_from_estimate(monkeypatch, model, est, weights, horizons):
@@ -411,8 +415,8 @@ class TestEvaluateClosedLoop:
         metrics = evaluate_closed_loop(model, K, weights, RegulationScenario(x0=[1.0, 1.0]), 500)
         assert metrics.spectral_radius < 1.0
         assert metrics.steady_state_error < 1e-10
-        expect = cost_J(closed_loop_simulate(model, K, [1.0, 1.0], 500), weights.Q, weights.R)
-        assert metrics.cost == pytest.approx(expect)
+        assert metrics.cost == pytest.approx(_cost(loop_closed_loop(model, K, [1.0, 1.0], 500),
+                                                   weights))
 
     def test_wrong_start_state_dimension_raises(self):
         model = two_output_model()
@@ -449,13 +453,44 @@ class TestEvaluateClosedLoop:
             evaluate_closed_loop(model, np.zeros((1, 3)), LqrWeights(Q=[[1.0]], R=[[1.0]]),
                                  scenario, 50)
 
+    def test_tracking_cost_matches_per_sample_loop(self):
+        # pins the reference drive G r and the cost of the tracking branch
+        model = two_output_model()
+        imc = integrator_imc()
+        weights = LqrWeights(Q=np.eye(4), R=0.1 * np.eye(2))
+        K_a = 0.1 * np.arange(8.0).reshape(2, 4) - 0.3
+        ref = SignalSpec(kind="constant", length=1, amplitude=0.8, channels=2)
+        metrics = evaluate_closed_loop(model, K_a, weights,
+                                       TrackingScenario(imc=imc, reference=ref), 60)
+        expect = loop_tracking_loop(model, imc, K_a, np.full((60, 2), 0.8))
+        assert metrics.cost == pytest.approx(_cost(expect, weights), rel=1e-12)
+        assert metrics.steady_state_error == pytest.approx(np.abs(expect.y[-1, :2] - 0.8).max(),
+                                                           rel=1e-12)
+
+    def test_empty_horizon_raises(self):
+        # a run of no samples is an argument error, not an unstable run
+        model = two_output_model()
+        weights = reference_weights()
+        with pytest.raises(ValueError, match="at least one sample"):
+            evaluate_closed_loop(model, np.zeros((2, 2)), weights,
+                                 RegulationScenario(x0=[1.0, 1.0]), 0)
+
     def test_unstable_loop_is_a_metric(self):
         model = StateSpaceModel(A=[[1.2]], B=[[1.0]], C=[[1.0]])
         weights = LqrWeights(Q=[[1.0]], R=[[1.0]])
         metrics = evaluate_closed_loop(model, np.zeros((1, 1)), weights,
                                        RegulationScenario(x0=[1.0]), 4000)
         assert metrics.spectral_radius >= 1.0
-        assert metrics.cost == np.inf or np.isfinite(metrics.cost)
+        assert metrics.cost == np.inf and metrics.steady_state_error == np.inf
+        # one sample: x = y = 1e100 and |y| are finite, but u = -1e300 x overflows
+        metrics = evaluate_closed_loop(model, [[1e300]], weights, RegulationScenario(x0=[1e100]), 1)
+        assert metrics.cost == np.inf and metrics.steady_state_error == np.inf
+        # tracking: u = x_c drives the unstable plant away from rest
+        ref = SignalSpec(kind="constant", length=1, amplitude=1.0)
+        metrics = evaluate_closed_loop(model, [[0.0, -1.0]], LqrWeights(Q=np.eye(2), R=[[1.0]]),
+                                       TrackingScenario(imc=integrator_imc(), reference=ref), 4000)
+        assert metrics.spectral_radius >= 1.0
+        assert metrics.cost == np.inf and metrics.steady_state_error == np.inf
 
     def test_tracking_metrics_fields(self):
         model = two_output_model()
@@ -491,12 +526,12 @@ class TestEvaluateClosedLoop:
         model = two_output_model()
         weights = reference_weights()
         K_star = model_lqr_gain(model, dare_solve(model, weights), weights.R)
-        x0 = [1.0, 1.0]
-        J_star = cost_J(closed_loop_simulate(model, K_star, x0, 1000), weights.Q, weights.R)
+        scenario = RegulationScenario(x0=[1.0, 1.0])
+        J_star = evaluate_closed_loop(model, K_star, weights, scenario, 1000).cost
         rng = np.random.default_rng(99)
         for _ in range(20):
             delta = rng.normal(size=(2, 2))
             delta *= 0.05 / np.linalg.norm(delta)
             K_pert = K_star @ (np.eye(2) + delta)
-            J_pert = cost_J(closed_loop_simulate(model, K_pert, x0, 1000), weights.Q, weights.R)
+            J_pert = evaluate_closed_loop(model, K_pert, weights, scenario, 1000).cost
             assert J_star <= J_pert + 1e-12

@@ -1,22 +1,24 @@
 import numpy as np
 import pytest
 
-from conftest import prbs_dataset, two_output_model
+from conftest import prbs_dataset, tracking_run, two_output_model
 from ddlqr import (
     Dataset,
     LqrWeights,
+    SignalSpec,
     StateSpaceModel,
+    TrackingScenario,
     augment_dataset,
     augment_model,
     dare_solve,
     estimate,
+    evaluate_closed_loop,
     filter_imc_states,
     integrator_imc,
     model_lqr_gain,
     resonant_imc,
     simulate,
     synthesize,
-    tracking_loop_simulate,
 )
 
 
@@ -130,9 +132,12 @@ class TestTracking:
     def test_zero_reference_stays_zero(self):
         model = two_output_model()
         imc = integrator_imc()
-        K_a = np.zeros((2, 4))
-        ds = tracking_loop_simulate(model, imc, K_a, np.zeros((30, 2)))
-        assert not ds.x.any() and not ds.u.any()
+        weights = LqrWeights(Q=np.eye(4), R=np.eye(2))
+        scenario = TrackingScenario(imc=imc, reference=SignalSpec(kind="zero", length=1))
+        metrics = evaluate_closed_loop(model, np.zeros((2, 4)), weights, scenario, 30)
+        assert metrics.cost == 0.0 and metrics.steady_state_error == 0.0
+        x, u, _ = tracking_run(model, imc, np.zeros((2, 4)), np.zeros((30, 2)))
+        assert not x.any() and not u.any()
 
     def test_integrator_tracks_constant_reference(self):
         model = two_output_model()
@@ -141,8 +146,8 @@ class TestTracking:
         weights = LqrWeights(Q=np.eye(4), R=0.1 * np.eye(2))
         K_a = model_lqr_gain(aug, dare_solve(aug, weights), weights.R)
         r = np.tile([1.0, -0.5], (400, 1))
-        ds = tracking_loop_simulate(model, imc, K_a, r)
-        assert np.abs(ds.y[-1, :2] - r[-1]).max() < 1e-6
+        _, _, y = tracking_run(model, imc, K_a, r)
+        assert np.abs(y[-1, :2] - r[-1]).max() < 1e-6
 
     def test_data_driven_augmented_design_tracks(self):
         model = two_output_model()
@@ -151,8 +156,8 @@ class TestTracking:
         weights = LqrWeights(Q=np.eye(4), R=0.1 * np.eye(2))
         design = synthesize(estimate(data, 41, imc=imc), weights, 40)
         r = np.tile([0.7, 0.3], (500, 1))
-        ds = tracking_loop_simulate(model, imc, design.K, r)
-        assert np.abs(ds.y[-1, :2] - r[-1]).max() < 1e-6
+        _, _, y = tracking_run(model, imc, design.K, r)
+        assert np.abs(y[-1, :2] - r[-1]).max() < 1e-6
 
     def test_resonant_tracking_on_converter_plant(self):
         from ddlqr import zoh_discretize
@@ -167,12 +172,9 @@ class TestTracking:
         aug = augment_model(model, imc)
         weights = LqrWeights(Q=200 * np.eye(3), R=[[5000.0]])
         K_a = model_lqr_gain(aug, dare_solve(aug, weights), weights.R)
-        T = 7500
         amp = 127 * np.sqrt(2)
-        k = np.arange(T)
-        r = amp * np.sin(omega * k * Ts)
-        ds = tracking_loop_simulate(model, imc, K_a, r[:, None])
-        t = k[-2500:] * Ts
-        basis = np.column_stack([np.sin(omega * t), np.cos(omega * t)])
-        coeff, *_ = np.linalg.lstsq(basis, ds.y[-2500:, 0], rcond=None)
-        assert abs(np.hypot(*coeff) - amp) / amp < 0.01
+        ref = SignalSpec(kind="sinusoid", length=1, amplitude=amp, frequency=omega, sample_time=Ts)
+        # 250 samples per period: the amplitude is fitted over the last 2500 of 7500
+        scenario = TrackingScenario(imc=imc, reference=ref)
+        metrics = evaluate_closed_loop(model, K_a, weights, scenario, 7500)
+        assert metrics.steady_state_error < 0.01

@@ -50,7 +50,9 @@ class TestStateSnapshot:
 
     def test_zero(self):
         ds = Dataset(u=np.zeros((5, 1)), y=np.zeros((5, 1)), x=np.zeros((5, 2)))
-        assert not rows(build_data_matrices(ds, depth=1, width=4), "x_past").any()
+        with pytest.warns(UserWarning, match="cannot determine the 2 states"):
+            dm = build_data_matrices(ds, depth=1, width=4)
+        assert not rows(dm, "x_past").any()
 
     def test_too_wide(self):
         ds = Dataset(u=np.zeros((5, 1)), y=np.zeros((5, 1)), x=np.zeros((5, 2)))

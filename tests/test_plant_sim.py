@@ -10,13 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import scalar_model, two_output_model
+from conftest import regulation_run, scalar_model, two_output_model
 from ddlqr import (
-    Dataset,
+    RegulationScenario,
     SignalSpec,
-    closed_loop_simulate,
-    cost_J,
+    StateSpaceModel,
     dare_solve,
+    evaluate_closed_loop,
     generate_signal,
     LqrWeights,
     model_lqr_gain,
@@ -102,23 +102,24 @@ class TestClosedLoop:
     def test_zero_gain_matches_open_loop(self):
         model = two_output_model()
         x0 = np.array([1.0, -2.0])
-        cl = closed_loop_simulate(model, np.zeros((2, 2)), x0, 20)
+        x, u, y = regulation_run(model, np.zeros((2, 2)), x0, 20)
         ol = simulate(model, np.zeros((20, 2)), x0)
-        np.testing.assert_allclose(cl.x, ol.x, atol=1e-15)
-        assert not cl.u.any()
+        np.testing.assert_allclose(x, ol.x, atol=1e-15)
+        np.testing.assert_allclose(y, ol.y, atol=1e-15)
+        assert not u.any()
 
     def test_scalar_deadbeat(self):
         model = scalar_model()
         K = np.array([[0.14 / 1.72]])
-        ds = closed_loop_simulate(model, K, [1.0], 5)
-        np.testing.assert_allclose(ds.x.ravel(), [1.0, 0.0, 0.0, 0.0, 0.0], atol=1e-15)
+        x, _, _ = regulation_run(model, K, [1.0], 5)
+        np.testing.assert_allclose(x.ravel(), [1.0, 0.0, 0.0, 0.0, 0.0], atol=1e-15)
 
     def test_reference_gain_stabilizes(self):
         model = two_output_model()
         A_cl = model.A - model.B @ GAIN_LONG_HORIZON
         assert np.abs(np.linalg.eigvals(A_cl)).max() < 1.0
-        ds = closed_loop_simulate(model, GAIN_LONG_HORIZON, [1.0, 1.0], 300)
-        assert np.abs(ds.x[-1]).max() < 1e-8
+        x, _, _ = regulation_run(model, GAIN_LONG_HORIZON, [1.0, 1.0], 300)
+        assert np.abs(x[-1]).max() < 1e-8
 
 
 class TestGenerateSignal:
@@ -314,24 +315,34 @@ class TestExpm:
 
 
 class TestCost:
+    """The cost sum_k y'Qy + u'Ru that ``evaluate_closed_loop`` reports."""
+
     def test_zero_dataset(self):
-        ds = Dataset(u=np.zeros((5, 1)), y=np.zeros((5, 1)), x=np.zeros((5, 1)))
-        assert cost_J(ds, [[1.0]], [[1.0]]) == 0.0
+        # from x0 = 0 the run stays at zero, whatever the gain
+        weights = LqrWeights(Q=[[1.0]], R=[[1.0]])
+        metrics = evaluate_closed_loop(scalar_model(), [[0.5]], weights,
+                                       RegulationScenario(x0=[0.0]), 5)
+        assert metrics.cost == 0.0
 
     def test_single_step(self):
-        ds = Dataset(u=[[1.0]], y=[[1.0]], x=[[0.0]])
-        assert cost_J(ds, [[20.0]], [[0.2]]) == pytest.approx(20.2)
+        # one sample: y = x0 = 1 and u = -K x0 = 1
+        weights = LqrWeights(Q=[[20.0]], R=[[0.2]])
+        metrics = evaluate_closed_loop(scalar_model(), [[-1.0]], weights,
+                                       RegulationScenario(x0=[1.0]), 1)
+        assert metrics.cost == pytest.approx(20.2)
 
     def test_optimal_gain_beats_scaled_gain(self):
         model = two_output_model()
         weights = LqrWeights(Q=20 * np.eye(2), R=0.2 * np.eye(2))
         K = model_lqr_gain(model, dare_solve(model, weights), weights.R)
-        x0 = [1.0, 1.0]
-        J_opt = cost_J(closed_loop_simulate(model, K, x0, 500), weights.Q, weights.R)
-        J_scaled = cost_J(closed_loop_simulate(model, 1.1 * K, x0, 500), weights.Q, weights.R)
+        scenario = RegulationScenario(x0=[1.0, 1.0])
+        J_opt = evaluate_closed_loop(model, K, weights, scenario, 500).cost
+        J_scaled = evaluate_closed_loop(model, 1.1 * K, weights, scenario, 500).cost
         assert J_opt <= J_scaled
 
     def test_dimension_checks(self):
-        ds = Dataset(u=np.zeros((5, 2)), y=np.zeros((5, 1)), x=np.zeros((5, 1)))
-        with pytest.raises(ValueError, match="Q has shape"):
-            cost_J(ds, np.eye(2), np.eye(2))
+        # two inputs, one output: a Q sized for the inputs does not fit
+        model = StateSpaceModel(A=[[0.5]], B=[[1.0, 1.0]], C=[[1.0]])
+        with pytest.raises(ValueError, match=r"Q \(2, 2\) .* do not fit 1 outputs and 2 inputs"):
+            evaluate_closed_loop(model, np.zeros((2, 1)), LqrWeights(Q=np.eye(2), R=np.eye(2)),
+                                 RegulationScenario(x0=[1.0]), 5)

@@ -2,12 +2,13 @@
 
 Random systems of every small (n, p, q, T) run through ``simulate`` (from a
 start state, with state noise v in both noise modes), the noise-free
-regulation and tracking loops and the internal-model filter, and through the
-loops in ``oracles``. The open loop and the filter add the same products in
-the same order, so they agree exactly; the closed loops run A - B K as one
-matrix and agree within RTOL. The input u = -K x and the output y = C x are
-products, which cancel when K or C is nearly orthogonal to a growing mode,
-so their errors are measured against the size of their terms.
+regulation and tracking loops of ``evaluate_closed_loop``'s runner and the
+internal-model filter, and through the loops in ``oracles``. The open loop
+and the filter add the same products in the same order, so they agree
+exactly; the closed loops run A - B K as one matrix and agree within RTOL.
+The input u = -K x and the output y = C x are products, which cancel when K
+or C is nearly orthogonal to a growing mode, so their errors are measured
+against the size of their terms.
 """
 
 import numpy as np
@@ -15,15 +16,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import regulation_run, tracking_run
 from oracles import loop_closed_loop, loop_filter_imc_states, loop_simulate, loop_tracking_loop
-from ddlqr import (
-    ImcRealization,
-    StateSpaceModel,
-    closed_loop_simulate,
-    filter_imc_states,
-    simulate,
-    tracking_loop_simulate,
-)
+from ddlqr import ImcRealization, StateSpaceModel, filter_imc_states, simulate
 from ddlqr.plant_sim import _lti_run
 
 RTOL = 1e-12
@@ -36,14 +31,15 @@ def _rel(got, expect, scale=None) -> float:
 
 
 def _loop_errors(model, K, got, expect):
-    """Errors of x, of u = -K x and of y = C x, each against its scale."""
+    """Errors of the runner's x, u = -K x and y = C x, each against its scale."""
     top = lambda m: np.abs(m).max()
     n_y = model.n_outputs
     y_scale = top(model.C) * top(expect.x[:, :model.n_states])
+    x, u, y = got
     return {
-        "x": _rel(got.x, expect.x),
-        "u": _rel(got.u, expect.u, top(K) * top(expect.x)),
-        "y": _rel(got.y[:, :n_y], expect.y[:, :n_y], y_scale),
+        "x": _rel(x, expect.x),
+        "u": _rel(u, expect.u, top(K) * top(expect.x)),
+        "y": _rel(y[:, :n_y], expect.y[:, :n_y], y_scale),
     }
 
 
@@ -82,7 +78,7 @@ def test_regulation_loop_matches_per_sample_loop(system):
     model, _, T, rng = system
     K = 0.3 * rng.normal(size=(model.n_inputs, model.n_states))
     x0 = rng.normal(size=model.n_states)
-    got = closed_loop_simulate(model, K, x0, T)
+    got = regulation_run(model, K, x0, T)
     expect = loop_closed_loop(model, K, x0, T)
     for name, err in _loop_errors(model, K, got, expect).items():
         assert err <= RTOL, name
@@ -95,11 +91,11 @@ def test_tracking_loop_matches_per_sample_loop(system):
     n_a = model.n_states + imc.order * model.n_outputs
     K_a = 0.3 * rng.normal(size=(model.n_inputs, n_a))
     r = rng.normal(size=(T, model.n_outputs))
-    got = tracking_loop_simulate(model, imc, K_a, r)
+    got = tracking_run(model, imc, K_a, r)
     expect = loop_tracking_loop(model, imc, K_a, r)
     for name, err in _loop_errors(model, K_a, got, expect).items():
         assert err <= RTOL, name
-    np.testing.assert_array_equal(got.y[:, model.n_outputs:], got.x[:, model.n_states:])
+    np.testing.assert_array_equal(got[2][:, model.n_outputs:], got[0][:, model.n_states:])
 
 
 @SETTINGS
