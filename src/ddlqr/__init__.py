@@ -10,7 +10,6 @@ from .imc import (
 )
 from .lqr import LqrDesign, LqrWeights, dare_solve, dd_lqr_gain, model_lqr_gain
 from .markov import DataMatrices, MarkovEstimate, build_data_matrices, estimate_predictor
-from .matrix_kit import block_hankel
 from .observability import (
     ObservabilityEstimate,
     estimate_obs_alg1,
@@ -19,6 +18,7 @@ from .observability import (
 )
 from .plant_sim import (
     Dataset,
+    InputError,
     SignalSpec,
     StateSpaceModel,
     generate_signal,
@@ -45,6 +45,7 @@ __all__ = [
     "DataMatrices",
     "Dataset",
     "ImcRealization",
+    "InputError",
     "LqrDesign",
     "LqrWeights",
     "MarkovEstimate",
@@ -56,7 +57,6 @@ __all__ = [
     "TrackingScenario",
     "augment_dataset",
     "augment_model",
-    "block_hankel",
     "build_data_matrices",
     "convergence_sweep",
     "dare_solve",

@@ -5,7 +5,8 @@ config file (see config.py), writes its outputs atomically into the output
 directory, and drops a ``config_echo.ini`` with every resolved value so the
 run can be reproduced exactly from the echo.
 
-Exit codes: 0 success, 1 numerical-stage failure, 2 input/parse failure.
+Exit codes: 0 success, 1 numerical-stage failure, 2 input/parse failure, the
+library's InputErrors included, named by the config key in ``INPUT_KEYS``.
 """
 
 from __future__ import annotations
@@ -20,22 +21,25 @@ import numpy as np
 from . import storage
 from .config import ConfigError, RunConfig
 from .experiments import (
-    THD_PERIODS,
     RegulationScenario,
     TrackingScenario,
+    check_synthesis,
     convergence_sweep,
     estimate,
     evaluate_closed_loop,
-    gain_shape,
     monte_carlo_obs,
-    samples_per_period,
     synthesize,
 )
 from .imc import augment_model
-from .plant_sim import generate_signal, simulate
+from .plant_sim import InputError, generate_signal, simulate
 
 OUTPUT_DIR_ENV = "DDLQR_OUTPUT_DIR"
 FMT = "%.17g"
+# The config key that sets each parameter an InputError names, by command where it differs.
+INPUT_KEYS = {"Q": "[lqr] q", "R": "[lqr] r", "E": "[model] e", "K": "[io] gain",
+              "x0": "[eval] x0", "depth": "[estimation] depth", "width": "[estimation] width",
+              "horizon": {"design": "[lqr] horizon", "sweep": "[sweep] horizons",
+                          "eval": "[eval] horizon"}}
 
 
 def _output_dir(args, cfg: RunConfig) -> Path:
@@ -80,59 +84,15 @@ def _load_or_simulate_dataset(cfg: RunConfig):
     return cfg.model(), _read_input(storage.read_dataset, "dataset", dataset)
 
 
-def _check_weights(weights, outputs: str, q: int, p: int, imc) -> int:
-    """Exit 2 unless [lqr] q fits q ``outputs`` and their internal-model states and
-    [lqr] r fits p inputs; returns the size of q."""
-    order = imc.order if imc is not None else 0
-    q *= 1 + order
-    if weights.Q.shape[0] != q:
-        raise ConfigError(f"[lqr] q has dimension {weights.Q.shape[0]}, expected {q} "
-                          f"({outputs}{' and internal-model states' if order else ''})")
-    if weights.R.shape[0] != p:
-        raise ConfigError(f"[lqr] r has dimension {weights.R.shape[0]}, expected {p} (inputs)")
-    return q
-
-
-def _check_record(cfg: RunConfig, T: int, p: int, q: int) -> None:
-    """Exit 2 unless a T-sample record of p inputs and q outputs (internal-model
-    states included) holds the Hankel data at [estimation] depth and width:
-    2*depth + width - 1 samples, and width >= (2p + q) * depth columns for the
-    predictor. An unset width is all that the record allows, T - 2*depth + 1.
-    """
-    depth, width = cfg.get("estimation", "depth", required=True), cfg.get("estimation", "width")
-    unset = width is None
-    if unset:
-        width = T - 2 * depth + 1
-    elif 2 * depth + width - 1 > T:
-        raise ConfigError(f"[estimation] depth {depth} and width {width} need 2*depth + width - 1"
-                          f" = {2 * depth + width - 1} samples, the record has {T}")
-    if width < (2 * p + q) * depth:
-        raise ConfigError(
-            f"[estimation] width {width}{f' (unset: T - 2*depth + 1 at T = {T})' if unset else ''}"
-            f" must be >= (2p + q) * depth = {(2 * p + q) * depth} at [estimation] depth {depth}"
-            f" (p = {p} inputs, q = {q} outputs)")
-
-
-def _estimate(cfg: RunConfig, model, data, key: str, horizons):
-    """The one estimate that every horizon of ``key`` is synthesized from, with
-    the weights and the internal model it was made for.
-
-    Exits 2 before estimating unless each horizon is within [estimation] depth,
-    [lqr] q is sized for the q outputs, the record holds the Hankel data
-    (``_check_record``) and q*depth >= n, so that the past outputs can determine
-    the n states; q and n count the internal-model states.
-    """
+def _estimate(cfg: RunConfig, model, data, horizons):
+    """The one estimate that every horizon is synthesized from, with the weights and
+    the internal model it was made for. ``synthesize``'s rules are checked for the
+    longest horizon before estimating, with q counting the internal-model states."""
     depth = cfg.get("estimation", "depth", required=True)
-    if max(horizons) > depth:
-        raise ConfigError(f"{key} {max(horizons)} must be <= [estimation] depth {depth}")
     weights = cfg.weights()
     imc = cfg.imc(default_ts=model.sample_time if model.sample_time is not None else 1.0)
-    q = _check_weights(weights, "dataset outputs", data.n_outputs, data.n_inputs, imc)
-    _check_record(cfg, data.n_samples, data.n_inputs, q)
-    n = data.n_states + q - data.n_outputs
-    if q * depth < n:
-        raise ConfigError(f"[estimation] depth {depth} gives q*depth = {q * depth} past outputs, "
-                          f"too few to determine the {n} states (q = {q} outputs)")
+    q = data.n_outputs * (1 + (imc.order if imc is not None else 0))
+    check_synthesis(weights, max(horizons), depth, q, data.n_inputs, imc is not None)
     est = estimate(data, depth, cfg.get("estimation", "width"),
                    cfg.get("estimation", "algorithm", "alg1"), imc)
     return est, weights, imc
@@ -152,7 +112,7 @@ def cmd_simulate(cfg: RunConfig, outdir: Path) -> int:
 def cmd_design(cfg: RunConfig, outdir: Path) -> int:
     model, data = _load_or_simulate_dataset(cfg)
     horizon = cfg.get("lqr", "horizon", required=True)
-    est, weights, _ = _estimate(cfg, model, data, "[lqr] horizon", [horizon])
+    est, weights, _ = _estimate(cfg, model, data, [horizon])
     cfg.set_resolved("estimation", "width", est.width)
     design = synthesize(est, weights, horizon)
     storage.write_matrix(outdir / "gain.csv", design.K)
@@ -168,7 +128,7 @@ def cmd_design(cfg: RunConfig, outdir: Path) -> int:
 def cmd_sweep(cfg: RunConfig, outdir: Path) -> int:
     model, data = _load_or_simulate_dataset(cfg)
     horizons = cfg.get("sweep", "horizons", required=True)
-    est, weights, imc = _estimate(cfg, model, data, "[sweep] horizons", horizons)
+    est, weights, imc = _estimate(cfg, model, data, horizons)
     # the Riccati reference is the plant the estimate saw, internal-model states included
     rows = convergence_sweep(model if imc is None else augment_model(model, imc), est,
                              weights, horizons)
@@ -188,7 +148,6 @@ def cmd_montecarlo(cfg: RunConfig, outdir: Path) -> int:
     model = cfg.model()
     ts = model.sample_time if model.sample_time is not None else 1.0
     spec = cfg.signal(default_channels=model.n_inputs, default_ts=ts)
-    _check_record(cfg, spec.length, model.n_inputs, model.n_outputs)
     # montecarlo keys left out take monte_carlo_obs's defaults
     options = {name: cfg.get("montecarlo", key) for key, name in (
         ("seed", "base_seed"), ("noise_mode", "noise_mode"), ("fixed_input", "fixed_input"))
@@ -242,10 +201,7 @@ def cmd_eval(cfg: RunConfig, outdir: Path) -> int:
     weights = cfg.weights()
     horizon = cfg.get("eval", "horizon", required=True)
     if cfg.get("eval", "scenario", required=True) == "regulation":
-        x0 = cfg.get("eval", "x0", required=True).ravel()
-        if x0.size != model.n_states:
-            raise ConfigError(f"[eval] x0 has {x0.size} entries, expected {model.n_states} states")
-        scenario, imc = RegulationScenario(x0=x0), None
+        scenario = RegulationScenario(x0=cfg.get("eval", "x0", required=True))
     else:
         imc = cfg.imc(default_ts=ts)
         if imc is None:
@@ -256,14 +212,7 @@ def cmd_eval(cfg: RunConfig, outdir: Path) -> int:
         theta = ref.frequency * ref.sample_time
         if ref.kind == "sinusoid" and not 0.0 < theta < np.pi:
             raise ConfigError(f"[reference] frequency * ts = {theta:.6g} must lie inside (0, pi)")
-        spp = samples_per_period(ref)
-        if spp is not None and horizon < THD_PERIODS * spp:
-            raise ConfigError(f"[eval] horizon must be >= {THD_PERIODS * spp}, got {horizon}")
         scenario = TrackingScenario(imc=imc, reference=ref)
-    expected = gain_shape(model, scenario)
-    if K.shape != expected:
-        raise ConfigError(f"[io] gain {gain_path} has shape {K.shape}, expected {expected}")
-    _check_weights(weights, "plant outputs", model.n_outputs, model.n_inputs, imc)
     metrics = evaluate_closed_loop(model, K, weights, scenario, horizon)
     rows = [
         ("cost", metrics.cost),
@@ -320,6 +269,11 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](cfg, outdir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except InputError as exc:
+        key = INPUT_KEYS.get(exc.param, exc.param)
+        key = key.get(args.command, exc.param) if isinstance(key, dict) else key
+        print(f"config error: {key} {exc.detail}", file=sys.stderr)
         return 2
     except (ValueError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,8 @@ import numpy as np
 
 from .imc import ImcRealization, augment_dataset, augment_model
 from .lqr import LqrDesign, LqrWeights, dare_solve, dd_lqr_gain, model_lqr_gain
-from .markov import DataMatrices, MarkovEstimate, build_data_matrices, estimate_predictor
+from .markov import (DataMatrices, MarkovEstimate, build_data_matrices, check_regressor,
+                     estimate_predictor, hankel_width)
 from .observability import (
     ALGORITHMS,
     ObservabilityEstimate,
@@ -29,6 +30,7 @@ from .observability import (
 )
 from .plant_sim import (
     Dataset,
+    InputError,
     SignalSpec,
     StateSpaceModel,
     _apply,
@@ -113,8 +115,12 @@ class ClosedLoopMetrics:
 
 
 def _stage(name: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, its errors tagged with stage ``name``; an InputError is
+    about an argument, not the stage, and passes as raised."""
     try:
         return fn(*args, **kwargs)
+    except InputError:
+        raise
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from exc
 
@@ -145,31 +151,46 @@ def estimate(data: Dataset, depth: int, width: Optional[int] = None, algorithm: 
         raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
     if imc is not None:
         data = _stage("imc-augmentation", augment_dataset, data, imc)
-    dm = _stage("data-matrices", build_data_matrices, data, depth, width)
+    # the input rules first: the stack is not built, nor its width guidance warned of, in vain
+    check_regressor(data.n_inputs, data.n_outputs, depth,
+                    hankel_width(data.n_samples, data.n_outputs, data.n_states, depth, width))
+    dm = build_data_matrices(data, depth, width)
     markov = _stage("markov-estimation", estimate_predictor, dm)
     obs = _observe(dm, algorithm, markov)
     return DataDrivenEstimate(markov=markov, observability=obs, width=dm.width,
                               augmented=imc is not None)
 
 
+def check_weights(weights: LqrWeights, q: int, p: int, outputs: str) -> None:
+    """InputError unless Q weighs the q ``outputs`` and R the p inputs."""
+    for name, m, size, what in (("Q", weights.Q, q, outputs), ("R", weights.R, p, "inputs")):
+        if m.shape[0] != size:
+            raise InputError(name, f"has dimension {m.shape[0]}, expected {size} ({what})")
+
+
+def check_synthesis(weights: LqrWeights, horizon: int, depth: int, q: int, p: int,
+                    augmented: bool) -> None:
+    """InputError unless ``synthesize`` takes ``weights`` and ``horizon`` to an estimate at
+    ``depth`` of q outputs (internal-model states included when ``augmented``) and p
+    inputs: 2 <= horizon <= depth, and the weights fit. A caller can check before estimating."""
+    if horizon < 2:
+        raise InputError("horizon", "must be >= 2 (the gain needs at least one Markov block)")
+    if horizon > depth:
+        raise InputError("horizon", f"{horizon} must be <= depth {depth}")
+    check_weights(weights, q, p, "dataset outputs and internal-model states" if augmented
+                  else "dataset outputs")
+
+
 def synthesize(est: DataDrivenEstimate, weights: LqrWeights, horizon: int) -> LqrDesign:
     """Synthesis half of the pipeline: the closed-form gain at ``horizon``.
 
     Uses the first horizon - 1 Markov blocks and shifted observability blocks
-    of the estimate, each a view of its matrix, so 2 <= horizon <= its depth.
-    The estimation diagnostics are merged into the returned design.
+    of the estimate, each a view of its matrix, so 2 <= horizon <= its depth
+    (``check_synthesis``). The estimation diagnostics are merged into the returned design.
     """
     markov, obs = est.markov, est.observability
-    if horizon < 2:
-        raise ValueError("horizon must be >= 2 (the gain needs at least one Markov block)")
-    if horizon > markov.depth:
-        raise ValueError(f"depth {markov.depth} must be >= horizon {horizon}")
     q, p = (size // markov.depth for size in markov.toeplitz.shape)
-    if weights.Q.shape[0] != q:
-        raise ValueError(
-            f"Q has dimension {weights.Q.shape[0]}, expected {q} "
-            f"(dataset outputs{' after augmentation' if est.augmented else ''})"
-        )
+    check_synthesis(weights, horizon, markov.depth, q, p, est.augmented)
     order = horizon - 1
     # the Toeplitz factor's first block column is [0; Markov blocks 1..depth-1],
     # and O+ = [CA; ..; CA^order] starts one block row into the observability matrix
@@ -221,7 +242,8 @@ def monte_carlo_obs(model: StateSpaceModel, signal: SignalSpec, depth: int, runs
     (and a PRBS register product) simulates whole estimation chunks of up to
     ``MC_SIM_CHUNK_SAMPLES`` such samples; one stacked factorization estimates
     ``MC_CHUNK_SAMPLES // signal.length`` runs (128 and 32 runs of the bundled
-    1022-sample record, read to sample 425). Failed runs are counted and excluded.
+    1022-sample record, read to sample 425). Argument errors are raised before any
+    run is drawn; failed runs are counted and excluded.
     """
     if runs < 2:
         raise ValueError("need at least 2 runs for covariance statistics")
@@ -229,17 +251,17 @@ def monte_carlo_obs(model: StateSpaceModel, signal: SignalSpec, depth: int, runs
         raise ValueError(f"depth must be >= 2 to shift the observability matrix, got {depth}")
     if base_seed < 0:
         raise ValueError(f"base seed must be >= 0, got {base_seed}")
-    if width is not None and width < 1:
-        raise ValueError(f"width must be >= 1, got {width}")
     if not noise_variance >= 0:
         raise ValueError(f"noise variance must be >= 0, got {noise_variance}")
     if model.E is None:
-        raise ValueError("model must define a state-noise channel E")
+        raise InputError("E", "must be set: the state noise enters through it")
+    width = hankel_width(signal.length, model.n_outputs, model.n_states, depth, width)
+    check_regressor(model.n_inputs, model.n_outputs, depth, width)
     truth = true_observability(model, depth)[model.n_outputs:]
     n_v = model.E.shape[1]
     chunk = max(1, MC_CHUNK_SAMPLES // signal.length)
     # the PRBS map, the noise draws and the recursion are causal: later samples move no earlier one
-    T = signal.length if width is None else min(signal.length, 2 * depth + width - 1)
+    T = 2 * depth + width - 1
     sim_chunk = chunk * max(1, MC_SIM_CHUNK_SAMPLES // (chunk * T))
     std = float(np.sqrt(noise_variance))
     signal = replace(signal, channels=model.n_inputs, length=T)
@@ -264,16 +286,11 @@ def monte_carlo_obs(model: StateSpaceModel, signal: SignalSpec, depth: int, runs
         x, y = _open_loop(model, u, v, noise_mode)
         del v
         for a in range(0, len(rngs), chunk):
-            data = Dataset(u=u[a:a + chunk], y=y[a:a + chunk], x=x[a:a + chunk])
-            try:
-                dm = _stage("data-matrices", build_data_matrices, data, depth, width)
-            except ValueError as exc:
-                for alg in ALGORITHMS:
-                    reasons[alg][_reason(exc)] += len(data.u)
-                continue
+            dm = build_data_matrices(Dataset(u=u[a:a + chunk], y=y[a:a + chunk],
+                                             x=x[a:a + chunk]), depth, width)
             for alg in ALGORITHMS:
                 samples[alg].extend(_observe_runs(dm, alg, reasons[alg]))
-        u = x = y = data = None  # drop this chunk's records before the next is simulated
+        u = x = y = None  # drop this chunk's records before the next is simulated
 
     reports = []
     for alg in ALGORITHMS:
@@ -341,17 +358,23 @@ def harmonic_distortion(y, samples_per_period: int) -> float:
     y = np.asarray(y, dtype=float).reshape(-1)
     if samples_per_period < 2:
         raise ValueError(f"need at least 2 samples per period, got {samples_per_period}")
-    window = THD_PERIODS * samples_per_period
-    if window > y.size:
+    if THD_PERIODS * samples_per_period > y.size:
         raise ValueError(
             f"signal too short for {THD_PERIODS} periods of {samples_per_period} samples"
         )
-    spectrum = np.fft.rfft(y[-window:])
-    fund = abs(spectrum[THD_PERIODS])
-    if fund == 0.0:
+    thd = _distortion(y, samples_per_period)
+    if np.isnan(thd):
         raise ValueError("no fundamental component in the analysis window")
+    return thd
+
+
+def _distortion(y: np.ndarray, samples_per_period: int) -> float:
+    """The harmonic distortion of ``harmonic_distortion``, unchecked: nan when the
+    window's fundamental bin is zero."""
+    spectrum = np.fft.rfft(y[-THD_PERIODS * samples_per_period:])
+    fund = abs(spectrum[THD_PERIODS])
     harmonics = spectrum[2 * THD_PERIODS::THD_PERIODS]
-    return float(np.sqrt(np.sum(np.abs(harmonics) ** 2)) / fund)
+    return float(np.sqrt(np.sum(np.abs(harmonics) ** 2)) / fund) if fund else np.nan
 
 
 def evaluate_closed_loop(
@@ -367,24 +390,32 @@ def evaluate_closed_loop(
     Regulation runs the plant from the scenario's start state, tracking runs
     ``augment_model`` from rest driven by G r, G = [0; I_q (x) B_c]. A run with a
     non-finite state, input or output is unstable: its cost and steady-state error
-    are inf. Argument errors raise ValueError: a gain not of ``gain_shape``, weights
-    that do not fit the loop's outputs (internal-model states included) and inputs,
-    a wrong-sized start state, a horizon under one sample, or a finite run shorter
-    than ``THD_PERIODS`` periods of a sinusoid reference.
+    are inf. A sinusoid run whose output has no fundamental reports THD nan.
+    Argument errors are InputErrors, raised before the run: a gain ``K`` that is not
+    inputs x loop states (tracking adds one internal-model copy per output), weights
+    that do not fit the loop's outputs (internal-model states included) and inputs, a
+    wrong-sized start state ``x0``, a sinusoid reference under 2 samples per period,
+    or a ``horizon`` shorter than ``THD_PERIODS`` of its periods.
     """
-    K, expected = np.asarray(K, dtype=float), gain_shape(model, scenario)
+    K = np.asarray(K, dtype=float)
     n, q, p = model.n_states, model.n_outputs, model.n_inputs
-    if K.shape != expected:
-        raise ValueError(f"gain has shape {K.shape}, expected {expected}")
-    q_loop = q + expected[1] - n  # tracking weighs the internal-model states
-    if weights.Q.shape != (q_loop, q_loop) or weights.R.shape != (p, p):
-        raise ValueError(f"weights Q {weights.Q.shape} and R {weights.R.shape} do not fit "
-                         f"{q_loop} outputs and {p} inputs")
-    if isinstance(scenario, RegulationScenario):
+    tracking = isinstance(scenario, TrackingScenario)
+    n_loop = n + scenario.imc.order * q if tracking else n
+    if K.shape != (p, n_loop):
+        raise InputError("K", f"has shape {K.shape}, expected {(p, n_loop)}")
+    check_weights(weights, q + n_loop - n, p,
+                  "plant outputs and internal-model states" if tracking else "plant outputs")
+    if not tracking:
         loop, x0, drives = model, _checked(model, scenario.x0), ()
     else:
-        loop, x0 = augment_model(model, scenario.imc), np.zeros(expected[1])
         ref = replace(scenario.reference, length=horizon)
+        spp = (int(round(2.0 * np.pi / (ref.frequency * ref.sample_time)))
+               if ref.kind == "sinusoid" and ref.frequency > 0 else None)
+        if spp is not None and spp < 2:
+            raise InputError("scenario", f"reference has {spp} samples per period, fewer than 2")
+        if spp is not None and horizon < THD_PERIODS * spp:
+            raise InputError("horizon", f"must be >= {THD_PERIODS * spp}, got {horizon}")
+        loop, x0 = augment_model(model, scenario.imc), np.zeros(n_loop)
         r = generate_signal(ref)
         r = r if r.shape[1] == q else np.tile(r[:, :1], (1, q))
         G = np.vstack([np.zeros((n, q)), np.kron(np.eye(q), scenario.imc.B_c)])
@@ -396,14 +427,14 @@ def evaluate_closed_loop(
         return ClosedLoopMetrics(cost=np.inf, spectral_radius=rho, steady_state_error=np.inf)
     cost = float(np.einsum("ki,ij,kj->", y, weights.Q, y)
                  + np.einsum("ki,ij,kj->", u, weights.R, u))
-    if isinstance(scenario, RegulationScenario):
+    if not tracking:
         return ClosedLoopMetrics(cost, rho, float(np.linalg.norm(y[-1])))
-    y, spp = y[:, :q], samples_per_period(ref)
+    y = y[:, :q]
     if spp is None:
         return ClosedLoopMetrics(cost, rho, float(np.abs(y[-1] - r[-1]).max()))
-    thd = harmonic_distortion(y[:, 0], spp)  # checks the run spans THD_PERIODS periods
     amp = _fundamental_amplitude(y[:, 0], ref, spp)
-    return ClosedLoopMetrics(cost, rho, float(abs(amp - ref.amplitude) / abs(ref.amplitude)), thd)
+    return ClosedLoopMetrics(cost, rho, float(abs(amp - ref.amplitude) / abs(ref.amplitude)),
+                             _distortion(y[:, 0], spp))
 
 
 def _loop_run(model: StateSpaceModel, K: np.ndarray, A_cl: np.ndarray, x0, *drives, steps: int):
@@ -414,24 +445,6 @@ def _loop_run(model: StateSpaceModel, K: np.ndarray, A_cl: np.ndarray, x0, *driv
         u = -_apply(K, x)
         y = np.hstack([x[:, :model.n_states] @ model.C.T, x[:, model.n_states:]])
     return x, u, y
-
-
-def gain_shape(model: StateSpaceModel,
-               scenario: Union[RegulationScenario, TrackingScenario]) -> Tuple[int, int]:
-    """(inputs, states) of the gain a scenario's loop feeds back; tracking adds the
-    internal-model states, one controller copy per output."""
-    if isinstance(scenario, RegulationScenario):
-        return model.n_inputs, model.n_states
-    if isinstance(scenario, TrackingScenario):
-        return model.n_inputs, model.n_states + scenario.imc.order * model.n_outputs
-    raise ValueError(f"unsupported scenario {scenario!r}")
-
-
-def samples_per_period(reference: SignalSpec) -> Optional[int]:
-    """Samples per period of a sinusoid reference; None for a reference of any other kind."""
-    if reference.kind == "sinusoid" and reference.frequency > 0:
-        return int(round(2.0 * np.pi / (reference.frequency * reference.sample_time)))
-    return None
 
 
 def _fundamental_amplitude(y: np.ndarray, ref: SignalSpec, spp: int) -> float:

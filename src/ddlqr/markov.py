@@ -30,7 +30,7 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from .matrix_kit import hankel_window
-from .plant_sim import Dataset
+from .plant_sim import Dataset, InputError
 
 # Relative singular-value cut-offs: RANK_TOL decides the excitation ranks,
 # PINV_TOL the directions a least-squares solve treats as null (a
@@ -108,41 +108,53 @@ class MarkovEstimate:
     input_rank_margin: float = 0.0
 
 
+def hankel_width(T: int, q: int, n: int, depth: int, width: Optional[int]) -> int:
+    """Columns of the Hankel data at ``depth`` of a T-sample record of q outputs and n
+    states: ``width``, or all the record holds, T - 2*depth + 1, when it is None.
+    InputError unless the record holds the 2*depth + width - 1 samples they read (one
+    column at least) and q*depth >= n: fewer past outputs cannot determine the states,
+    and the Markov parameters would be biased."""
+    if depth < 1:
+        raise InputError("depth", f"must be >= 1, got {depth}")
+    if width is None:
+        if T < 2 * depth:
+            raise InputError("depth", f"{depth} needs 2*depth = {2 * depth} samples for one "
+                                      f"column, the record has {T}")
+        width = T - 2 * depth + 1
+    elif width < 1:
+        raise InputError("width", f"must be >= 1, got {width}")
+    elif 2 * depth + width - 1 > T:
+        raise InputError("width", f"{width} at depth {depth} needs 2*depth + width - 1 = "
+                                  f"{2 * depth + width - 1} samples, the record has {T}")
+    if q * depth < n:
+        raise InputError("depth", f"{depth} gives q*depth = {q * depth} past outputs, too few "
+                                  f"to determine the {n} states (q = {q} outputs)")
+    return width
+
+
+def check_regressor(p: int, q: int, depth: int, width: int) -> None:
+    """InputError unless ``width`` columns can determine the predictor of p inputs and q
+    outputs: one for each of its (2p + q) * depth regressor rows."""
+    if width < (2 * p + q) * depth:
+        raise InputError("width", f"{width} must be >= (2p + q) * depth = {(2 * p + q) * depth} "
+                                  f"at depth {depth} (p = {p} inputs, q = {q} outputs); a "
+                                  f"T-sample record holds T - 2*depth + 1 columns at most")
+
+
 def build_data_matrices(data: Dataset, depth: int, width: Optional[int] = None) -> DataMatrices:
     """Split a dataset into past/future input/output Hankel matrices and states.
 
-    ``width`` defaults to the largest value the record supports,
-    T - 2*depth + 1. The generic solvability condition
-    width >= (2p + q) * depth is enforced; the stricter single-output
-    guidance width >= 3*q*depth only warns, and so does q*depth below the
-    state count, where the past outputs cannot determine the state.
+    ``depth`` and ``width`` are held to ``hankel_width``; below the single-output
+    guidance width >= 3*q*depth the data only warn.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    T = data.n_samples
-    max_width = T - 2 * depth + 1
-    if max_width < 1:
-        raise ValueError(
-            f"need T >= 2*depth + width - 1: T={T} cannot support any columns "
-            f"at depth {depth} (need at least {2 * depth} samples)"
-        )
-    if width is None:
-        width = max_width
-    if width < 1 or width > max_width:
-        raise ValueError(
-            f"need T >= 2*depth + width - 1: T={T}, depth={depth} allows width "
-            f"1..{max_width}, got {width}"
-        )
     p, q, n = data.n_inputs, data.n_outputs, data.n_states
+    width = hankel_width(data.n_samples, q, n, depth, width)
     if width < 3 * q * depth:
         warnings.warn(
             f"width {width} is below the guidance 3*q*depth = {3 * q * depth}; "
             "estimates may be poorly conditioned",
             stacklevel=2,
         )
-    if q * depth < n:
-        warnings.warn(f"q*depth = {q * depth} past outputs cannot determine the {n} states; "
-                      "the Markov parameters are biased", stacklevel=2)
     dm = DataMatrices(stack=np.empty(data.u.shape[:-2] + (2 * (p + q) * depth + n, width)),
                       depth=depth, width=width, n_inputs=p, n_outputs=q)
     for name, sig, start in (("u_past", data.u, 0), ("y_past", data.y, 0),
@@ -183,10 +195,7 @@ def estimate_predictor(dm: DataMatrices) -> MarkovEstimate:
     """
     d, L = dm.depth, dm.width
     p, q = dm.n_inputs, dm.n_outputs
-    min_width = (2 * p + q) * d
-    if L < min_width:
-        raise ValueError(f"width {L} is below the regressor row count {min_width}; "
-                         f"the least-squares problem cannot determine the predictor")
+    check_regressor(p, q, d, L)
     F = dm.factor
     up, yp, uf, yf = (dm.parts[k] for k in ("u_past", "y_past", "u_future", "y_future"))
     # [L_Uf,Yp L_Uf,Uf] = R_f' Q_f' (orthonormal Q_f), so the input rows of L have the

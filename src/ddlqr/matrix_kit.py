@@ -19,36 +19,11 @@ def as_series(signal) -> np.ndarray:
 
 
 def hankel_window(signal, start: int, depth: int, width: int) -> np.ndarray:
-    """The window of ``block_hankel``: a (..., depth, d, width) view of ``signal``."""
+    """The block-Hankel window of a vector time series: a (..., depth, d, width) view
+    of ``signal`` (a (..., T, d) array, or a length-T 1-D one) whose block (i, j) is
+    sample ``signal[start + i + j]``. Leading axes batch series. The sizes are not
+    checked: ``markov.hankel_width`` holds a record to them."""
     sig = np.asarray(signal, dtype=float)
     sig = sig if sig.ndim > 2 else as_series(sig)
-    if depth < 1 or width < 1:
-        raise ValueError(f"depth and width must be >= 1, got {depth}, {width}")
-    needed = start + depth + width - 1
-    if sig.shape[-2] < needed:
-        raise ValueError(
-            f"signal too short for block Hankel: need {needed} samples "
-            f"(start={start}, depth={depth}, width={width}), have {sig.shape[-2]}"
-        )
-    return np.lib.stride_tricks.sliding_window_view(sig[..., start:needed, :], width, axis=-2)
-
-
-def block_hankel(signal, start: int, depth: int, width: int) -> np.ndarray:
-    """Build the block-Hankel matrix of a vector time series.
-
-    Block (i, j) of the result is sample ``signal[start + i + j]``, so each
-    column stacks ``depth`` consecutive samples and consecutive columns slide
-    the window one step.
-
-    Args:
-        signal: (..., T, d) array (or length-T 1-D array) of d-dimensional
-            samples; leading axes batch series.
-        start: index of the sample placed in the top-left block.
-        depth: number of block rows.
-        width: number of columns.
-
-    Returns:
-        (..., depth * d, width) array.
-    """
-    window = hankel_window(signal, start, depth, width)
-    return window.reshape(window.shape[:-3] + (depth * window.shape[-2], width))
+    return np.lib.stride_tricks.sliding_window_view(sig[..., start:start + depth + width - 1, :],
+                                                    width, axis=-2)

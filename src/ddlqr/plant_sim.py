@@ -38,6 +38,15 @@ MLS_TAPS = {2: [1], 3: [2], 4: [3], 5: [3], 6: [5], 7: [6], 8: [7, 6, 1], 9: [5]
             27: [26, 25, 22], 28: [25], 29: [27], 30: [29, 28, 7], 31: [28], 32: [31, 30, 10]}
 
 
+class InputError(ValueError):
+    """An argument ``param`` that breaks an input rule; the message is ``param`` then
+    ``detail``, so a caller can name the argument its own way."""
+
+    def __init__(self, param: str, detail: str):
+        super().__init__(f"{param} {detail}")
+        self.param, self.detail = param, detail
+
+
 def _check_finite(name: str, arr: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
@@ -269,7 +278,7 @@ def _checked(model: StateSpaceModel, x0) -> np.ndarray:
     n = model.n_states
     x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != n:
-        raise ValueError(f"x0 has dimension {x0.shape[0]}, expected {n} to match A")
+        raise InputError("x0", f"has {x0.shape[0]} entries, expected {n} states")
     return x0
 
 

@@ -10,6 +10,8 @@ full Hankel matrices, with pseudo-inverses and full-width SVDs:
   pseudo-inverse estimators that the factor route replaced;
 * ``true_markov`` gives the model's impulse-response blocks, which the
   estimated Markov parameters are checked against;
+* ``block_hankel`` lays out a block-Hankel matrix sample by sample, which the
+  library writes from a strided window straight into the stacked data;
 * ``block_toeplitz_strict_lower`` assembles the strictly-lower block-Toeplitz
   factor from a list of blocks, which the estimate holds directly.
 
@@ -113,6 +115,14 @@ def true_markov(model, count: int) -> list:
         blocks.append(model.C @ power @ model.B)
         power = model.A @ power
     return blocks
+
+
+def block_hankel(signal, start: int, depth: int, width: int) -> np.ndarray:
+    """The (..., depth * d, width) block-Hankel matrix of a (..., T, d) series: block
+    (i, j) is sample ``signal[..., start + i + j, :]``, copied one block row at a time."""
+    sig = np.asarray(signal, dtype=float)
+    return np.concatenate([sig[..., start + i:start + i + width, :].swapaxes(-1, -2)
+                           for i in range(depth)], axis=-2)
 
 
 def block_toeplitz_strict_lower(blocks, n_blocks: int) -> np.ndarray:

@@ -29,7 +29,6 @@ from ddlqr import (
     LqrWeights,
     SignalSpec,
     TrackingScenario,
-    block_hankel,
     convergence_sweep,
     dare_solve,
     estimate,
@@ -46,6 +45,7 @@ from ddlqr import (
     true_observability,
 )
 from ddlqr.config import RunConfig
+from ddlqr.matrix_kit import hankel_window
 
 GAIN_SHORT = np.array([[4.2314, 7.644], [1.127, -1.8959]])
 GAIN_LONG = np.array([[4.6491, 7.5226], [1.4461, -1.9886]])
@@ -230,10 +230,10 @@ def test_criterion_8_matrix_kit_properties():
             sig = rng.normal(size=(T, d))
             r = int(rng.integers(1, 5))
             L = T - r + 1
-            H = block_hankel(sig, 0, r, L)
+            H = hankel_window(sig, 0, r, L)
             for i in range(r):
                 for j in range(L):
-                    assert np.array_equal(H[i * d:(i + 1) * d, j], sig[i + j])
+                    assert np.array_equal(H[i, :, j], sig[i + j])
         for _ in range(10):
             U = rng.normal(size=(int(rng.integers(1, 5)), 40))
             P = orthogonal_projector(U)

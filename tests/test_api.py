@@ -13,6 +13,7 @@ PUBLIC = [
     "DataMatrices",
     "Dataset",
     "ImcRealization",
+    "InputError",
     "LqrDesign",
     "LqrWeights",
     "MarkovEstimate",
@@ -24,7 +25,6 @@ PUBLIC = [
     "TrackingScenario",
     "augment_dataset",
     "augment_model",
-    "block_hankel",
     "build_data_matrices",
     "convergence_sweep",
     "dare_solve",
@@ -102,6 +102,7 @@ PARTS = ["u_past", "y_past", "u_future", "y_future", "x_past"]
     ("observability", "drop_first_block_row"), ("experiments", "PipelineConfig"),
     ("experiments", "design_gain"), ("plant_sim", "closed_loop_simulate"),
     ("plant_sim", "tracking_loop_simulate"), ("plant_sim", "cost_J"),
+    ("matrix_kit", "block_hankel"),
 ] + [("markov.DataMatrices", part) for part in PARTS])
 def test_test_only_helpers_are_gone(owner, name):
     module, _, cls = owner.partition(".")

@@ -5,10 +5,25 @@ import pytest
 
 from conftest import first_run_anticipates
 import ddlqr.cli
-from ddlqr import Dataset, dare_solve, model_lqr_gain
-from ddlqr.cli import main
+import ddlqr.experiments
+from ddlqr import (
+    DataMatrices,
+    Dataset,
+    InputError,
+    RegulationScenario,
+    TrackingScenario,
+    dare_solve,
+    estimate,
+    evaluate_closed_loop,
+    generate_signal,
+    model_lqr_gain,
+    monte_carlo_obs,
+    simulate,
+    synthesize,
+)
+from ddlqr.cli import INPUT_KEYS, main
 from ddlqr.config import RunConfig
-from ddlqr.storage import read_dataset, read_matrix, write_dataset
+from ddlqr.storage import read_dataset, read_matrix, write_dataset, write_matrix
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 REGULATION = str(CONFIGS / "regulation_demo.ini")
@@ -28,9 +43,18 @@ THREE_STATES = ["model.a=[[0.5,0.1,0],[0,0.4,0.2],[0.1,0,0.3]]", "model.b=[[1],[
 # the regulation demo evaluated from a start state
 REGULATION_EVAL = ["eval.scenario=regulation", "eval.x0=[1,1]", "eval.horizon=100"]
 
+# the Monte Carlo study on the same three-state plant at depth 2
+THREE_STATES_MC = THREE_STATES[:3] + ["model.e=[[1],[0],[0]]", "estimation.depth=2",
+                                      "montecarlo.runs=5"]
+
 
 def run(*argv):
     return main(list(argv))
+
+
+def never_factored(monkeypatch):
+    """Fail the test if any Hankel data are factored, that is, once estimation starts."""
+    monkeypatch.setattr(DataMatrices, "factor", property(lambda dm: pytest.fail("factored")))
 
 
 class TestSimulate:
@@ -103,12 +127,11 @@ class TestDesign:
 
     def test_short_record_exits_2(self, tmp_path, capsys, monkeypatch):
         # 2*depth + width - 1 samples and (2p + q) * depth = 306 columns at depth 51
-        monkeypatch.setattr(ddlqr.cli, "estimate", None)
+        never_factored(monkeypatch)
         for sets, message in (
-            (["signal.length=80"], "[estimation] width -21 (unset: T - 2*depth + 1 at T = 80)"
-             " must be >= (2p + q) * depth = 306 at [estimation] depth 51"
-             " (p = 2 inputs, q = 2 outputs)"),
-            (["estimation.width=2000"], "[estimation] depth 51 and width 2000 need"
+            (["signal.length=80"], "[estimation] depth 51 needs 2*depth = 102 samples for one"
+             " column, the record has 80"),
+            (["estimation.width=2000"], "[estimation] width 2000 at depth 51 needs"
              " 2*depth + width - 1 = 2101 samples, the record has 1022"),
             (["estimation.width=305"], "[estimation] width 305 must be >= (2p + q) * depth = 306"),
         ):
@@ -120,17 +143,17 @@ class TestDesign:
 
     def test_imc_states_count_toward_the_width(self, tmp_path, capsys, monkeypatch):
         # one output and two resonant states: (2*1 + 3) * 30 = 150 columns
-        monkeypatch.setattr(ddlqr.cli, "estimate", None)
+        never_factored(monkeypatch)
         code = run("design", UPS, "--output-dir", str(tmp_path / "out"), *UPS_SMALL,
                    "--set", "estimation.width=140")
         assert code == 2
         assert ("config error: [estimation] width 140 must be >= (2p + q) * depth = 150 at "
-                "[estimation] depth 30 (p = 1 inputs, q = 3 outputs)") in capsys.readouterr().err
+                "depth 30 (p = 1 inputs, q = 3 outputs)") in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["design", "sweep"])
     def test_depth_below_state_count_exits_2(self, tmp_path, capsys, monkeypatch, command):
         # q*depth = 2 past outputs cannot determine 3 states: the gain would be biased
-        monkeypatch.setattr(ddlqr.cli, "estimate", None)
+        never_factored(monkeypatch)
         code = run(command, REGULATION, "--output-dir", str(tmp_path / "out"),
                    *(arg for item in THREE_STATES for arg in ("--set", item)))
         assert code == 2
@@ -240,7 +263,7 @@ class TestDesign:
         code = run("design", REGULATION, "--output-dir", str(tmp_path / "out"),
                    "--set", "lqr.horizon=60")
         assert code == 2
-        assert ("config error: [lqr] horizon 60 must be <= [estimation] depth 51"
+        assert ("config error: [lqr] horizon 60 must be <= depth 51"
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
@@ -283,16 +306,16 @@ class TestSweep:
         code = run("sweep", REGULATION, "--output-dir", str(tmp_path / "out"),
                    "--set", "sweep.horizons=[10,52]")
         assert code == 2
-        assert ("config error: [sweep] horizons 52 must be <= [estimation] depth 51"
+        assert ("config error: [sweep] horizons 52 must be <= depth 51"
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
     def test_short_record_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(ddlqr.cli, "estimate", None)
+        never_factored(monkeypatch)
         code = run("sweep", REGULATION, "--output-dir", str(tmp_path / "out"),
                    "--set", "estimation.width=2000")
         assert code == 2
-        assert ("config error: [estimation] depth 51 and width 2000 need 2*depth + width - 1 = "
+        assert ("config error: [estimation] width 2000 at depth 51 needs 2*depth + width - 1 = "
                 "2101 samples, the record has 1022") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -370,20 +393,34 @@ class TestMonteCarlo:
 
     def test_short_record_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch):
         # depth 3 of one input and one output: 2*3 + width - 1 samples, width >= 9
-        monkeypatch.setattr(ddlqr.cli, "monte_carlo_obs", None)
+        monkeypatch.setattr(ddlqr.experiments, "_open_loop",
+                            lambda *args: pytest.fail("a run was simulated"))
         for sets, message in (
-            (["estimation.width=2000"], "[estimation] depth 3 and width 2000 need"
+            (["estimation.width=2000"], "[estimation] width 2000 at depth 3 needs"
              " 2*depth + width - 1 = 2005 samples, the record has 1022"),
-            (["signal.length=6"], "[estimation] depth 3 and width 420 need"
+            (["signal.length=6"], "[estimation] width 420 at depth 3 needs"
              " 2*depth + width - 1 = 425 samples, the record has 6"),
             (["estimation.width=8"], "[estimation] width 8 must be >= (2p + q) * depth = 9 at"
-             " [estimation] depth 3 (p = 1 inputs, q = 1 outputs)"),
+             " depth 3 (p = 1 inputs, q = 1 outputs)"),
         ):
             code = run("montecarlo", MC, "--output-dir", str(tmp_path / "out"),
                        *(arg for item in sets for arg in ("--set", item)))
             assert code == 2, sets
             assert f"config error: {message}" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
+
+    def test_depth_below_state_count_exits_2_before_any_run(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # the reports would be biased, as a design on the same plant would be
+        monkeypatch.setattr(ddlqr.experiments, "_open_loop",
+                            lambda *args: pytest.fail("a run was simulated"))
+        code = run("montecarlo", MC, "--output-dir", str(tmp_path / "out"),
+                   *(arg for item in THREE_STATES_MC for arg in ("--set", item)))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: [estimation] depth 2 gives q*depth = 2 past outputs, too few to "
+            "determine the 3 states (q = 1 outputs)\n")
+        assert not (tmp_path / "out").exists()
 
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         code = run("montecarlo", MC, "--output-dir", str(tmp_path),
@@ -462,6 +499,19 @@ class TestEval:
                        (tmp_path / "full" / "eval.csv").read_text().splitlines()[1:])
         assert float(metrics["spectral_radius"]) < 1.0
         assert np.isfinite(float(metrics["cost"])) and np.isfinite(float(metrics["thd"]))
+
+    def test_zero_gain_tracking_writes_metrics(self, tmp_path):
+        # the plant output stays zero: no fundamental, so THD is 0/0, but the
+        # cost, the spectral radius and the 100% amplitude error are defined
+        write_matrix(tmp_path / "zero.csv", np.zeros((1, 4)))
+        assert run("eval", UPS, "--output-dir", str(tmp_path / "e"),
+                   "--set", f"io.gain={tmp_path}/zero.csv", "--set", "eval.horizon=2500") == 0
+        header, *rows = (tmp_path / "e" / "eval.csv").read_text().splitlines()
+        metrics = dict(r.split(",") for r in rows)
+        assert list(metrics) == ["cost", "spectral_radius", "steady_state_error", "thd"]
+        assert np.isfinite(float(metrics["cost"])) and float(metrics["steady_state_error"]) == 1.0
+        assert float(metrics["spectral_radius"]) == pytest.approx(1.0)
+        assert metrics["thd"] == "nan"
 
     def test_tracking_metrics_schema(self, tmp_path):
         assert run("design", UPS, "--output-dir", str(tmp_path)) == 0
@@ -548,7 +598,8 @@ class TestEval:
         # refused before simulating, not reported as an infinite cost
         from ddlqr.storage import write_matrix
 
-        monkeypatch.setattr(ddlqr.cli, "evaluate_closed_loop", None)
+        monkeypatch.setattr(ddlqr.experiments, "_loop_run",
+                            lambda *args, **kwargs: pytest.fail("the loop was run"))
         write_matrix(tmp_path / "gain.csv", np.zeros(gain))
         code = run("eval", config, "--output-dir", str(tmp_path / "e"),
                    "--set", f"io.gain={tmp_path}/gain.csv",
@@ -590,6 +641,85 @@ def test_input_errors_leave_no_output_dir(tmp_path, capsys, kind):
     assert run(*argv) == 2
     assert capsys.readouterr().err.startswith(f"config error: {message}")
     assert not (tmp_path / "out").exists()
+
+
+# One input that breaks each input rule of the library: the command, config and
+# overrides, the config key the CLI names and the parameter the library's InputError
+# names. Eval reads a zero gain of the given shape.
+INPUT_RULES = {
+    "q-fits": ("design", REGULATION, ["lqr.q=[[1]]"], "[lqr] q", "Q"),
+    "r-fits": ("design", REGULATION, ["lqr.r=[[1]]"], "[lqr] r", "R"),
+    "record-holds-width": ("design", REGULATION, ["estimation.width=2000"],
+                           "[estimation] width", "width"),
+    "record-holds-depth": ("sweep", REGULATION, ["signal.length=80"], "[estimation] depth",
+                           "depth"),
+    "width-holds-regressor": ("montecarlo", MC, ["estimation.width=8", "montecarlo.runs=5"],
+                              "[estimation] width", "width"),
+    "depth-determines-states": ("montecarlo", MC, THREE_STATES_MC, "[estimation] depth", "depth"),
+    "noise-channel": ("montecarlo", REGULATION, ["montecarlo.runs=5", "montecarlo.variance=0.1"],
+                      "[model] e", "E"),
+    "horizon-within-depth": ("design", REGULATION, ["lqr.horizon=60"], "[lqr] horizon",
+                             "horizon"),
+    "horizons-within-depth": ("sweep", REGULATION, ["sweep.horizons=[10,52]"],
+                              "[sweep] horizons", "horizon"),
+    "gain-shape": ("eval", REGULATION, REGULATION_EVAL + ["io.gain={tmp}/1x1.csv"], "[io] gain",
+                   "K"),
+    "x0-size": ("eval", REGULATION, REGULATION_EVAL + ["eval.x0=[1]", "io.gain={tmp}/2x2.csv"],
+                "[eval] x0", "x0"),
+    "thd-window": ("eval", UPS, ["eval.horizon=300", "io.gain={tmp}/1x4.csv"], "[eval] horizon",
+                   "horizon"),
+}
+
+
+def _library_run(command: str, cfg: RunConfig):
+    """The library calls behind ``command``, on the config's values and with no CLI check."""
+    model = cfg.model()
+    spec = cfg.signal(default_channels=model.n_inputs, default_ts=model.sample_time)
+    depth, width = cfg.get("estimation", "depth"), cfg.get("estimation", "width")
+    if command == "montecarlo":
+        return monte_carlo_obs(model, spec, depth, 2, 0.1, width=width)
+    if command == "eval":
+        horizon = cfg.get("eval", "horizon")
+        if cfg.get("eval", "scenario") == "regulation":
+            scenario = RegulationScenario(x0=cfg.get("eval", "x0"))
+        else:
+            cfg.set_resolved("reference", "length", horizon)
+            scenario = TrackingScenario(imc=cfg.imc(model.sample_time), reference=cfg.signal(
+                model.n_outputs, model.sample_time, section="reference"))
+        return evaluate_closed_loop(model, read_matrix(cfg.get("io", "gain")), cfg.weights(),
+                                    scenario, horizon)
+    est = estimate(simulate(model, generate_signal(spec)), depth, width,
+                   imc=cfg.imc(model.sample_time))
+    horizons = [cfg.get("lqr", "horizon")] if command == "design" else cfg.get("sweep", "horizons")
+    return [synthesize(est, cfg.weights(), horizon) for horizon in horizons]
+
+
+@pytest.mark.parametrize("rule", list(INPUT_RULES) + ["parameter-not-in-table"])
+def test_input_rules_exit_2_naming_their_key(tmp_path, capsys, monkeypatch, rule):
+    keys = {key for k in INPUT_KEYS.values()
+            for key in (k.values() if isinstance(k, dict) else [k])}
+    assert {case[3] for case in INPUT_RULES.values()} == keys  # every table entry is hit
+    if rule == "parameter-not-in-table":
+        def refuse(*args, **kwargs):
+            raise InputError("lag", "must be >= 0, got -1")
+
+        monkeypatch.setattr(ddlqr.cli, "estimate", refuse)
+        command, config, sets, key, param = "design", REGULATION, [], "lag", "lag"
+    else:
+        command, config, sets, key, param = INPUT_RULES[rule]
+    for shape in ((1, 1), (2, 2), (1, 4)):
+        write_matrix(tmp_path / f"{shape[0]}x{shape[1]}.csv", np.zeros(shape))
+    sets = [item.format(tmp=tmp_path) for item in sets]
+    assert run(command, config, "--output-dir", str(tmp_path / "out"),
+               *(arg for item in sets for arg in ("--set", item))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} ") and "Traceback" not in err, err
+    assert not (tmp_path / "out").exists()
+    if rule != "parameter-not-in-table":
+        with pytest.raises(InputError) as raised:
+            _library_run(command, RunConfig.load(config, sets))
+        assert raised.value.param == param
+        assert err == f"config error: {key} {raised.value.detail}\n"
 
 
 # Each command with the overrides of a small run; eval reads a shrunk tracking design.

@@ -15,6 +15,7 @@ from conftest import (
 from oracles import loop_closed_loop, loop_tracking_loop, per_run_monte_carlo
 from ddlqr import (
     Dataset,
+    InputError,
     LqrWeights,
     RegulationScenario,
     SignalSpec,
@@ -94,7 +95,7 @@ class TestDesignGain:
 
     def test_depth_must_cover_horizon(self):
         est = estimate(prbs_dataset(two_output_model()), 5)
-        with pytest.raises(ValueError, match="depth 5 must be >= horizon 10"):
+        with pytest.raises(InputError, match="horizon 10 must be <= depth 5"):
             synthesize(est, reference_weights(), 10)
 
     def test_unknown_algorithm_raises(self):
@@ -102,14 +103,27 @@ class TestDesignGain:
         with pytest.raises(ValueError, match=r"algorithm must be one of \('alg1', 'alg2'\)"):
             estimate(prbs_dataset(two_output_model()), 5, algorithm="alg3")
 
-    def test_stage_errors_are_named(self):
+    def test_stage_errors_are_named(self, monkeypatch):
+        # records too short for the Hankel data are input errors, raised as they are
         data = prbs_dataset(two_output_model(), length=40)
-        with pytest.raises(ValueError, match="data-matrices"):
+        with pytest.raises(InputError, match="^depth 25 needs 2\\*depth = 50 samples"):
             estimate(data, 25)
         longer = prbs_dataset(two_output_model(), length=60)
-        with pytest.raises(ValueError, match="markov-estimation"):
-            with pytest.warns(UserWarning):
-                estimate(longer, 25)
+        with pytest.raises(InputError, match="^width 11 must be >= \\(2p \\+ q\\) \\* depth"):
+            estimate(longer, 25)
+        # an input that excites nothing fails in its stage, which the error names
+        model = two_output_model()
+        idle = simulate(model, np.zeros((200, model.n_inputs)))
+        with pytest.raises(ValueError, match="^markov-estimation: insufficient excitation"):
+            estimate(idle, 5)
+        # an input error from within a stage is about an argument, not the stage
+
+        def refuse(dm):
+            raise InputError("width", "is refused")
+
+        monkeypatch.setattr(ddlqr.experiments, "estimate_predictor", refuse)
+        with pytest.raises(InputError, match="^width is refused$"):
+            estimate(prbs_dataset(two_output_model()), 5)
 
     @pytest.mark.parametrize("name", ["regulation_demo", "ups_tracking_demo",
                                       "noisy_estimation_mc"])
@@ -142,14 +156,15 @@ class TestDesignGain:
             got = synthesize(est, weights, horizon)
             assert np.array_equal(got.K, expect.K)
             assert got.diagnostics == expect.diagnostics
-        with pytest.raises(ValueError, match="depth 13 must be >= horizon 14"):
+        with pytest.raises(InputError, match="horizon 14 must be <= depth 13"):
             synthesize(est, other, 14)
         with pytest.raises(ValueError, match="horizon must be >= 2"):
             synthesize(est, other, 1)
 
     def test_weight_dimension_checked_after_augmentation(self):
         est = estimate(prbs_dataset(two_output_model()), 11, imc=integrator_imc())
-        with pytest.raises(ValueError, match="after augmentation"):
+        with pytest.raises(InputError, match="Q has dimension 2, expected 4 "
+                           "\\(dataset outputs and internal-model states\\)"):
             synthesize(est, reference_weights(), 10)
 
 
@@ -228,8 +243,16 @@ class TestMonteCarlo:
         assert rep2.failure_reasons == {}
 
     def test_too_few_successes_name_the_reason(self):
+        # an unexcited record fails every run in estimation
         with pytest.raises(ValueError, match=r"alg1: fewer than 2 successful runs \(3 failures, "
-                           r"most often data-matrices: need T >= 2\*depth \+ width - 1\)"):
+                           r"most often markov-estimation: insufficient excitation\)"):
+            self.mc(runs=3, signal=SignalSpec(kind="zero", length=1022))
+
+    def test_short_record_raises_before_any_run(self, monkeypatch):
+        monkeypatch.setattr(ddlqr.experiments, "_open_loop",
+                            lambda *args: pytest.fail("a run was simulated"))
+        with pytest.raises(InputError, match=r"^width 420 at depth 3 needs 2\*depth \+ width - 1"
+                           r" = 425 samples, the record has 6$"):
             self.mc(runs=3, signal=SignalSpec(kind="prbs", length=6))
 
     def test_rejects_negative_variance(self):
@@ -422,7 +445,7 @@ class TestEvaluateClosedLoop:
         model = two_output_model()
         weights = reference_weights()
         K = model_lqr_gain(model, dare_solve(model, weights), weights.R)
-        with pytest.raises(ValueError, match="x0 has dimension 1, expected 2"):
+        with pytest.raises(InputError, match="x0 has 1 entries, expected 2 states"):
             evaluate_closed_loop(model, K, weights, RegulationScenario(x0=[1.0]), 500)
 
     def test_wrong_gain_shape_raises(self):
@@ -430,7 +453,7 @@ class TestEvaluateClosedLoop:
         # refused before the spectral radius, not reported as an unstable run
         model = StateSpaceModel(A=[[0.9, 0.1], [0.0, 0.8]], B=[[0.0], [1.0]], C=[[1.0, 0.0]])
         weights = LqrWeights(Q=[[1.0]], R=[[1.0]])
-        with pytest.raises(ValueError, match=r"gain has shape \(1, 1\), expected \(1, 2\)"):
+        with pytest.raises(InputError, match=r"K has shape \(1, 1\), expected \(1, 2\)"):
             evaluate_closed_loop(model, np.zeros((1, 1)), weights,
                                  RegulationScenario(x0=[1.0, 0.0]), 50)
         ref = SignalSpec(kind="constant", length=1, amplitude=1.0)
@@ -443,13 +466,17 @@ class TestEvaluateClosedLoop:
         # refused before simulating, not reported as an infinite cost
         model = two_output_model()
         K = np.zeros((2, 2))
-        for weights in (LqrWeights(Q=[[1.0]], R=np.eye(2)), LqrWeights(Q=np.eye(2), R=[[1.0]])):
-            with pytest.raises(ValueError, match=r"do not fit 2 outputs and 2 inputs"):
+        for weights, message in ((LqrWeights(Q=[[1.0]], R=np.eye(2)), "Q has dimension 1, "
+                                  "expected 2 \\(plant outputs\\)"),
+                                 (LqrWeights(Q=np.eye(2), R=[[1.0]]), "R has dimension 1, "
+                                  "expected 2 \\(inputs\\)")):
+            with pytest.raises(InputError, match=message):
                 evaluate_closed_loop(model, K, weights, RegulationScenario(x0=[1.0, 1.0]), 50)
         model = StateSpaceModel(A=[[0.9, 0.1], [0.0, 0.8]], B=[[0.0], [1.0]], C=[[1.0, 0.0]])
         ref = SignalSpec(kind="constant", length=1, amplitude=1.0)
         scenario = TrackingScenario(imc=integrator_imc(), reference=ref)
-        with pytest.raises(ValueError, match=r"Q \(1, 1\) .* do not fit 2 outputs and 1 inputs"):
+        with pytest.raises(InputError, match=r"Q has dimension 1, expected 2 "
+                           r"\(plant outputs and internal-model states\)"):
             evaluate_closed_loop(model, np.zeros((1, 3)), LqrWeights(Q=[[1.0]], R=[[1.0]]),
                                  scenario, 50)
 
@@ -516,7 +543,7 @@ class TestEvaluateClosedLoop:
         K_a = model_lqr_gain(aug, dare_solve(aug, weights), weights.R)
         ref = SignalSpec(kind="sinusoid", length=1, amplitude=1.0, frequency=2 * np.pi / 20)
         scenario = TrackingScenario(imc=imc, reference=ref)
-        with pytest.raises(ValueError, match="too short for 10 periods of 20 samples"):
+        with pytest.raises(InputError, match="horizon must be >= 200, got 199"):
             evaluate_closed_loop(model, K_a, weights, scenario, 199)
         metrics = evaluate_closed_loop(model, K_a, weights, scenario, 200)
         assert metrics.spectral_radius < 1.0

@@ -10,11 +10,11 @@ from conftest import (
     scalar_model,
     two_output_model,
 )
-from oracles import block_toeplitz_strict_lower, pinv_predictor, true_markov
+from oracles import block_hankel, block_toeplitz_strict_lower, pinv_predictor, true_markov
 from ddlqr import (
     Dataset,
+    InputError,
     StateSpaceModel,
-    block_hankel,
     build_data_matrices,
     estimate,
     estimate_predictor,
@@ -73,12 +73,13 @@ class TestBuildDataMatrices:
 
     def test_insufficient_length(self):
         ds = Dataset(u=np.zeros((10, 1)), y=np.zeros((10, 1)), x=np.zeros((10, 1)))
-        with pytest.raises(ValueError, match="T >= 2\\*depth \\+ width - 1"):
+        with pytest.raises(InputError, match=r"width 12 at depth 4 needs 2\*depth \+ width - 1 = 19"
+                           r" samples, the record has 10"):
             build_data_matrices(ds, depth=4, width=12)
 
     def test_width_below_regressor_rows(self):
         ds = prbs_dataset(scalar_model(), length=200)
-        with pytest.raises(ValueError, match="below the regressor row count"):
+        with pytest.raises(InputError, match=r"width 20 must be >= \(2p \+ q\) \* depth = 30"):
             with pytest.warns(UserWarning):
                 estimate_predictor(build_data_matrices(ds, depth=10, width=20))
 

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from oracles import block_diag_repeat, block_toeplitz_strict_lower, pinv
-from ddlqr import SignalSpec, block_hankel, generate_signal
+from ddlqr import InputError, SignalSpec, generate_signal
+from ddlqr.markov import hankel_width
+from ddlqr.matrix_kit import hankel_window
+
+
+def block_hankel(signal, start, depth, width):
+    """The window as the (depth * d, width) block-Hankel matrix it views."""
+    return hankel_window(signal, start, depth, width).reshape(-1, width)
 
 
 class TestBlockHankel:
@@ -41,8 +48,11 @@ class TestBlockHankel:
                     np.testing.assert_array_equal(H[i * d:(i + 1) * d, j], sig[k0 + i + j])
 
     def test_insufficient_samples(self):
-        with pytest.raises(ValueError, match="need 6 samples.*have 4"):
-            block_hankel([1, 2, 3, 4], start=0, depth=3, width=4)
+        # the window does not check its sizes; the record rule does, for the past and
+        # future windows that start at samples 0 and depth
+        with pytest.raises(InputError, match="needs 2\\*depth \\+ width - 1 = 6 samples, "
+                           "the record has 4"):
+            hankel_width(4, 1, 1, depth=1, width=5)
 
 
 class TestPinv:

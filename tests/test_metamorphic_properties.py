@@ -12,12 +12,9 @@ acts on the same state and returns inputs in the new units: K' = E K.
 
 On noise-free data both observability estimators are exact, so alg1 and alg2
 agree, also with more outputs than states, once the q*depth past outputs can
-determine the n states. Below that the Toeplitz factor that alg1 subtracts is
-biased, and the data matrices warn.
+determine the n states. Below that the Toeplitz factor that alg1 subtracts
+would be biased, and the estimate refuses the data.
 """
-
-import contextlib
-import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +23,7 @@ from hypothesis import strategies as st
 
 from ddlqr import (
     Dataset,
+    InputError,
     LqrWeights,
     StateSpaceModel,
     estimate,
@@ -50,12 +48,15 @@ def _conditioned(rng, k: int) -> np.ndarray:
     return (U * COND_MAX ** rng.uniform(-0.5, 0.5, size=k)) @ V.T
 
 
-def _biased_warning(data: Dataset, depth: int):
-    """Where q*depth < n, a check that the data matrices warn of the biased Markov
-    parameters; elsewhere nothing."""
-    if data.n_outputs * depth < data.n_states:
-        return pytest.warns(UserWarning, match="cannot determine")
-    return contextlib.nullcontext()
+def _biased(data: Dataset, depth: int) -> bool:
+    """Whether q*depth < n, checking there that the estimate refuses the data, whose
+    Markov parameters would be biased."""
+    if data.n_outputs * depth >= data.n_states:
+        return False
+    for algorithm in ALGORITHMS:
+        with pytest.raises(InputError, match="too few to determine"):
+            estimate(data, depth, algorithm=algorithm)
+    return True
 
 
 @st.composite
@@ -83,9 +84,10 @@ def test_state_coordinate_change(problem):
     moved = Dataset(u=data.u, y=data.y, x=data.x @ T.T)
     T_inv = np.linalg.inv(T)
     weights = LqrWeights(Q=np.eye(data.n_outputs), R=np.eye(data.n_inputs))
+    if _biased(data, depth) and _biased(moved, depth):
+        return
     for algorithm in ALGORITHMS:
-        with _biased_warning(data, depth):
-            est, est_moved = (estimate(d, depth, algorithm=algorithm) for d in (data, moved))
+        est, est_moved = (estimate(d, depth, algorithm=algorithm) for d in (data, moved))
         assert np.array_equal(est_moved.markov.toeplitz, est.markov.toeplitz), algorithm
         O, O_moved = est.observability.matrix, est_moved.observability.matrix
         assert _rel(O_moved, O @ T_inv) < RTOL, algorithm
@@ -111,11 +113,11 @@ def test_output_and_input_scaling(problem):
     Q_moved, R_moved = D_inv.T @ Q @ D_inv, E_inv.T @ R @ E_inv
     weights = LqrWeights(Q=Q, R=R)
     weights_moved = LqrWeights(Q=(Q_moved + Q_moved.T) / 2, R=(R_moved + R_moved.T) / 2)
+    if _biased(data, depth) and _biased(moved, depth):
+        return
     for algorithm in ALGORITHMS:
-        with _biased_warning(data, depth):
-            K = synthesize(estimate(data, depth, algorithm=algorithm), weights, depth).K
-            K_moved = synthesize(estimate(moved, depth, algorithm=algorithm), weights_moved,
-                                 depth).K
+        K = synthesize(estimate(data, depth, algorithm=algorithm), weights, depth).K
+        K_moved = synthesize(estimate(moved, depth, algorithm=algorithm), weights_moved, depth).K
         assert _rel(K_moved, E @ K) < RTOL, algorithm
 
 
@@ -123,12 +125,9 @@ def test_output_and_input_scaling(problem):
 @given(problems(noisy=st.just(False), q_max=6))
 def test_alg1_matches_alg2_noise_free(problem):
     data, _, depth = problem
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        O1, O2 = (estimate(data, depth, algorithm=a).observability.matrix for a in ALGORITHMS)
-    if data.n_outputs * depth >= data.n_states:
-        assert _rel(O1, O2) < RTOL
-    else:
-        # the past outputs cannot determine the state, so the Toeplitz factor
-        # that alg1 subtracts is biased; the data matrices say so
-        assert any("cannot determine" in str(w.message) for w in caught)
+    # below q*depth = n the past outputs cannot determine the state, so the Toeplitz
+    # factor that alg1 subtracts would be biased; the estimate refuses the data
+    if _biased(data, depth):
+        return
+    O1, O2 = (estimate(data, depth, algorithm=a).observability.matrix for a in ALGORITHMS)
+    assert _rel(O1, O2) < RTOL

@@ -7,6 +7,7 @@ from conftest import prbs_dataset, random_stable_system, scalar_model, two_outpu
 from oracles import orthogonal_projector
 from ddlqr import (
     Dataset,
+    InputError,
     LqrWeights,
     SignalSpec,
     StateSpaceModel,
@@ -49,10 +50,12 @@ class TestStateSnapshot:
         assert rows(build_data_matrices(ds, depth=51, width=870), "x_past").shape == (2, 870)
 
     def test_zero(self):
+        ds = Dataset(u=np.zeros((5, 1)), y=np.zeros((5, 1)), x=np.zeros((5, 1)))
+        assert not rows(build_data_matrices(ds, depth=1, width=4), "x_past").any()
+        # one past output cannot determine two states
         ds = Dataset(u=np.zeros((5, 1)), y=np.zeros((5, 1)), x=np.zeros((5, 2)))
-        with pytest.warns(UserWarning, match="cannot determine the 2 states"):
-            dm = build_data_matrices(ds, depth=1, width=4)
-        assert not rows(dm, "x_past").any()
+        with pytest.raises(InputError, match="too few to determine the 2 states"):
+            build_data_matrices(ds, depth=1, width=4)
 
     def test_too_wide(self):
         ds = Dataset(u=np.zeros((5, 1)), y=np.zeros((5, 1)), x=np.zeros((5, 2)))
