@@ -38,6 +38,8 @@ FMT = "%.17g"
 # The config key that sets each parameter an InputError names, by command where it differs.
 INPUT_KEYS = {"Q": "[lqr] q", "R": "[lqr] r", "E": "[model] e", "K": "[io] gain",
               "x0": "[eval] x0", "depth": "[estimation] depth", "width": "[estimation] width",
+              "runs": "[montecarlo] runs", "base_seed": "[montecarlo] seed",
+              "noise_variance": "[montecarlo] variance",
               "horizon": {"design": "[lqr] horizon", "sweep": "[sweep] horizons",
                           "eval": "[eval] horizon"}}
 

@@ -41,9 +41,9 @@ from .plant_sim import (
     generate_signal,
 )
 
-# Monte Carlo runs estimated together: runs x record length stays within this.
+# Monte Carlo runs factored together: runs x record length stays within this.
 MC_CHUNK_SAMPLES = 2 ** 15
-# Runs simulated per kernel call: a whole number of estimation chunks whose runs x samples
+# Runs simulated per kernel call: a whole number of factoring chunks whose runs x samples
 # read by the Hankel data stays within this (128 runs of a 425-sample record).
 MC_SIM_CHUNK_SAMPLES = 2 ** 16
 # Reference periods at the end of a sinusoid tracking run that its amplitude and THD are read over.
@@ -239,20 +239,21 @@ def monte_carlo_obs(model: StateSpaceModel, signal: SignalSpec, depth: int, runs
     record only the 2*depth + width - 1 samples that its Hankel matrices read
     are drawn and simulated (all of them when ``width`` is None); every stage
     is causal, so the estimates are those of the whole record. A kernel call
-    (and a PRBS register product) simulates whole estimation chunks of up to
-    ``MC_SIM_CHUNK_SAMPLES`` such samples; one stacked factorization estimates
+    (and a PRBS register product) simulates whole factoring chunks of up to
+    ``MC_SIM_CHUNK_SAMPLES`` such samples; one ``build_data_matrices`` call factors
     ``MC_CHUNK_SAMPLES // signal.length`` runs (128 and 32 runs of the bundled
-    1022-sample record, read to sample 425). Argument errors are raised before any
-    run is drawn; failed runs are counted and excluded.
+    1022-sample record, read to sample 425); only their factors are kept, and the estimators
+    run once per pass of width // (factor columns) chunks, at most one chunk's stack in size
+    (1024 runs). InputErrors come before any run; failed runs are counted and excluded.
     """
-    if runs < 2:
-        raise ValueError("need at least 2 runs for covariance statistics")
+    if runs < 2:  # the covariance statistics need 2 runs
+        raise InputError("runs", f"must be >= 2, got {runs}")
     if depth < 2:
-        raise ValueError(f"depth must be >= 2 to shift the observability matrix, got {depth}")
+        raise InputError("depth", f"must be >= 2 to shift the observability matrix, got {depth}")
     if base_seed < 0:
-        raise ValueError(f"base seed must be >= 0, got {base_seed}")
+        raise InputError("base_seed", f"must be >= 0, got {base_seed}")
     if not noise_variance >= 0:
-        raise ValueError(f"noise variance must be >= 0, got {noise_variance}")
+        raise InputError("noise_variance", f"must be >= 0, got {noise_variance}")
     if model.E is None:
         raise InputError("E", "must be set: the state noise enters through it")
     width = hankel_width(signal.length, model.n_outputs, model.n_states, depth, width)
@@ -269,6 +270,7 @@ def monte_carlo_obs(model: StateSpaceModel, signal: SignalSpec, depth: int, runs
 
     samples: dict = {alg: [] for alg in ALGORITHMS}
     reasons = {alg: Counter() for alg in ALGORITHMS}
+    factors = []  # of the chunks of the pass, each in its QR layout (runs, columns, rows)
     for first in range(0, runs, sim_chunk):
         # each run's generator draws its excitation seed, then its noise
         rngs = [np.random.default_rng(base_seed + r)
@@ -288,8 +290,12 @@ def monte_carlo_obs(model: StateSpaceModel, signal: SignalSpec, depth: int, runs
         for a in range(0, len(rngs), chunk):
             dm = build_data_matrices(Dataset(u=u[a:a + chunk], y=y[a:a + chunk],
                                              x=x[a:a + chunk]), depth, width)
-            for alg in ALGORITHMS:
-                samples[alg].extend(_observe_runs(dm, alg, reasons[alg]))
+            factors.append(dm.factor.swapaxes(-1, -2))
+            if len(factors) == max(1, width // dm.factor.shape[-1]) or first + a + chunk >= runs:
+                dm = replace(dm, factor=np.concatenate(factors).swapaxes(-1, -2))
+                factors = []
+                for alg in ALGORITHMS:
+                    samples[alg].extend(_observe_runs(dm, alg, reasons[alg]))
         u = x = y = None  # drop this chunk's records before the next is simulated
 
     reports = []
@@ -306,13 +312,13 @@ def monte_carlo_obs(model: StateSpaceModel, signal: SignalSpec, depth: int, runs
 def _observe_runs(dm: DataMatrices, algorithm: str, reasons: Counter) -> Sequence[np.ndarray]:
     """Shifted estimates of a batch of runs. The runs a stage error marks (all
     when it marks none) are counted in ``reasons``; the rest are estimated anew."""
-    while len(dm.stack):
+    while len(dm.factor):
         try:
             return _observe(dm, algorithm).matrix[..., dm.n_outputs:, :]
         except ValueError as exc:
-            failed = getattr(exc.__cause__, "failed", np.ones(len(dm.stack), bool))
+            failed = getattr(exc.__cause__, "failed", np.ones(len(dm.factor), bool))
             reasons[_reason(exc)] += int(failed.sum())
-            dm = replace(dm, stack=dm.stack[~failed])
+            dm = replace(dm, factor=dm.factor.swapaxes(-1, -2)[~failed].swapaxes(-1, -2))
     return []
 
 

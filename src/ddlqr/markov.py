@@ -14,10 +14,10 @@ its blocks, whose sizes do not grow with the record length. Every SVD the
 predictor takes is square: of L_Up,Up, of L_Yp,Yp, of a 2pd x 2pd input
 triangle after a small QR, and of a pd x pd remainder triangle (L_Uf,Uf or R_m).
 
-Data may carry leading batch axes (say, Monte Carlo runs); so do the stack,
-its factor and every estimate, and each entry is bit-for-bit its unbatched
-result. A rank check that fails for some entries raises a ValueError about
-the first; its ``failed`` attribute marks them all.
+``DataMatrices`` keeps only the factor of the stack that ``hankel_stack`` writes. Data
+may carry leading batch axes (say, Monte Carlo runs); so do the factor and every estimate,
+each entry bit-for-bit its unbatched result. A rank check that fails for some entries
+raises a ValueError about the first; its ``failed`` attribute marks them all.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .plant_sim import Dataset, InputError
 # pseudo-inverse's rcond).
 RANK_TOL = 1e-8
 PINV_TOL = 1e-12
-# Row partitions of ``DataMatrices.stack``, top to bottom.
+# Row partitions of the Hankel stack and of its factor, top to bottom.
 PARTS = ("u_past", "y_past", "u_future", "y_future", "x_past")
 
 
@@ -51,15 +51,15 @@ def _fail_entries(failed: np.ndarray, describe: Callable[[tuple], str]) -> None:
 
 @dataclass
 class DataMatrices:
-    """Past/future Hankel partitions of a dataset at one depth, and their factor.
+    """The LQ factor of a dataset's past/future Hankel partitions at one depth.
 
-    ``stack`` (..., rows, width) holds [u_past; y_past; u_future; y_future;
-    x_past], whose rows ``parts`` names. ``u_past``/``y_past`` and the state
-    snapshot ``x_past`` start at sample 0, ``u_future``/``y_future`` at sample
-    ``depth``; all share ``width`` columns.
+    ``factor`` (..., rows, min(rows, width)) is the lower-trapezoidal L in stack = L Q'
+    (Q orthonormal, never formed) of the ``hankel_stack`` [u_past; y_past; u_future;
+    y_future; x_past], whose rows ``parts`` names. ``u_past``/``y_past`` and the state
+    snapshot ``x_past`` start at sample 0, ``u_future``/``y_future`` at ``depth``.
     """
 
-    stack: np.ndarray
+    factor: np.ndarray
     depth: int
     width: int
     n_inputs: int
@@ -67,20 +67,11 @@ class DataMatrices:
 
     @cached_property
     def parts(self) -> Dict[str, slice]:
-        """Row range of each partition in ``stack`` and ``factor``; those of the
-        first four also index the factor's columns."""
+        """Row range of each partition in the stack and in ``factor``; those of
+        the first four also index the factor's columns."""
         pd, qd = self.n_inputs * self.depth, self.n_outputs * self.depth
-        edges = [0, pd, pd + qd, 2 * pd + qd, 2 * (pd + qd), self.stack.shape[-2]]
+        edges = [0, pd, pd + qd, 2 * pd + qd, 2 * (pd + qd), self.factor.shape[-2]]
         return {name: slice(a, b) for name, a, b in zip(PARTS, edges, edges[1:])}
-
-    @cached_property
-    def factor(self) -> np.ndarray:
-        """Lower-trapezoidal L with ``stack = L Q'`` and orthonormal Q, never formed.
-
-        Computed once per object. L has min(rows, width) columns; any least
-        squares between row blocks of the stack can be solved on L alone.
-        """
-        return np.linalg.qr(self.stack.swapaxes(-1, -2), mode="r").swapaxes(-1, -2)
 
     @cached_property
     def past_input_singular_values(self) -> np.ndarray:
@@ -141,12 +132,25 @@ def check_regressor(p: int, q: int, depth: int, width: int) -> None:
                                   f"T-sample record holds T - 2*depth + 1 columns at most")
 
 
-def build_data_matrices(data: Dataset, depth: int, width: Optional[int] = None) -> DataMatrices:
-    """Split a dataset into past/future input/output Hankel matrices and states.
+def hankel_stack(data: Dataset, depth: int, width: int) -> np.ndarray:
+    """The (..., rows, width) stack [u_past; y_past; u_future; y_future; x_past] of
+    ``data`` at ``depth``, each block's sliding window written straight into its rows."""
+    p, q, n = data.n_inputs, data.n_outputs, data.n_states
+    stack = np.empty(data.u.shape[:-2] + (2 * (p + q) * depth + n, width))
+    row = 0
+    for sig, start in ((data.u, 0), (data.y, 0), (data.u, depth), (data.y, depth)):
+        window = hankel_window(sig, start, depth, width)
+        stack[..., row:row + depth * sig.shape[-1], :].reshape(window.shape)[...] = window
+        row += depth * sig.shape[-1]
+    stack[..., row:, :] = data.x[..., :width, :].swapaxes(-1, -2)
+    return stack
 
-    ``depth`` and ``width`` are held to ``hankel_width``; below the single-output
-    guidance width >= 3*q*depth the data only warn.
-    """
+
+def build_data_matrices(data: Dataset, depth: int, width: Optional[int] = None) -> DataMatrices:
+    """Factor a dataset's past/future input/output Hankel matrices and states: one
+    QR of their ``hankel_stack``, which is then dropped. ``depth`` and ``width`` are
+    held to ``hankel_width``; below the single-output guidance width >= 3*q*depth the
+    data only warn."""
     p, q, n = data.n_inputs, data.n_outputs, data.n_states
     width = hankel_width(data.n_samples, q, n, depth, width)
     if width < 3 * q * depth:
@@ -155,14 +159,12 @@ def build_data_matrices(data: Dataset, depth: int, width: Optional[int] = None) 
             "estimates may be poorly conditioned",
             stacklevel=2,
         )
-    dm = DataMatrices(stack=np.empty(data.u.shape[:-2] + (2 * (p + q) * depth + n, width)),
-                      depth=depth, width=width, n_inputs=p, n_outputs=q)
-    for name, sig, start in (("u_past", data.u, 0), ("y_past", data.y, 0),
-                             ("u_future", data.u, depth), ("y_future", data.y, depth)):
-        window = hankel_window(sig, start, depth, width)
-        dm.stack[..., dm.parts[name], :].reshape(window.shape)[...] = window
-    dm.stack[..., dm.parts["x_past"], :] = data.x[..., :width, :].swapaxes(-1, -2)
-    return dm
+    stack = hankel_stack(data, depth, width).swapaxes(-1, -2)
+    # numpy's QR copies its input, so a batch is factored half at a time: a whole stack freed
+    # with a whole copy went back to the OS, and the next batch faulted the memory back in
+    halves = np.array_split(stack, 2) if stack.ndim > 2 else [stack]
+    L = np.concatenate([np.linalg.qr(h, mode="r") for h in halves]).swapaxes(-1, -2)
+    return DataMatrices(factor=L, depth=depth, width=width, n_inputs=p, n_outputs=q)
 
 
 def _rank(s: np.ndarray, reference, tol: float):

@@ -10,7 +10,7 @@ x(k+1) = A x(k) + d_1(k) + d_2(k) + ... over leading batch axes: the open
 loop (A driven by B u), ``imc.filter_imc_states`` (A_c driven by -B_c y per
 output), a chunk of ``experiments.monte_carlo_obs`` runs and the closed loops
 of ``experiments.evaluate_closed_loop``. The kernel does not check values: an
-unstable loop runs on to inf or nan, which is how ``evaluate_closed_loop`` sees it.
+unstable loop runs on to inf or nan: ``evaluate_closed_loop`` reports it, ``_open_loop`` raises.
 
 ``zoh_discretize`` takes its exponential from ``_expm``, numpy alone: keep scipy out of
 every command. Importing ``scipy.linalg`` added about 0.4 s to each command's start, and
@@ -283,15 +283,20 @@ def _checked(model: StateSpaceModel, x0) -> np.ndarray:
 
 
 def _open_loop(model: StateSpaceModel, u, v=None, noise_mode: str = "process", x0=0.0):
-    """States and outputs of the open loop; leading axes of the series batch runs."""
+    """States and outputs of the open loop; leading axes of the series batch runs. A
+    record that overflows is a ``simulation:`` ValueError, with no numpy warning."""
     drives = [_apply(model.B, u)]
     if v is not None and noise_mode == "process":
         drives.append(_apply(model.E, v))
-    x = _lti_run(model.A, x0, *drives)
-    del drives
-    if v is not None and noise_mode == "measurement":
-        x += v @ model.E.T
-    return x, x @ model.C.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = _lti_run(model.A, x0, *drives)
+        del drives
+        if v is not None and noise_mode == "measurement":
+            x += v @ model.E.T
+        y = x @ model.C.T
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError(f"simulation: the open-loop record overflows in {x.shape[-2]} samples")
+    return x, y
 
 
 def simulate(model: StateSpaceModel, u, x0=None, v=None, noise_mode: str = "process") -> Dataset:

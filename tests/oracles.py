@@ -45,6 +45,7 @@ from ddlqr import (
     generate_signal,
     true_observability,
 )
+from ddlqr.markov import hankel_stack
 from ddlqr.observability import ALGORITHMS
 
 PINV_TOL = 1e-12
@@ -89,15 +90,17 @@ def numerical_rank(m: np.ndarray, tol: float = RANK_TOL) -> int:
     return int(np.sum(s >= tol * s[0]))
 
 
-def pinv_predictor(dm, pinv_tol: float = PINV_TOL):
-    """Min-norm least-squares predictor W = y_future [u_past; y_past; u_future]^+.
+def pinv_predictor(data, dm, pinv_tol: float = PINV_TOL):
+    """Min-norm least-squares predictor W = y_future [u_past; y_past; u_future]^+,
+    on the Hankel stack of ``data`` at the depth and width of ``dm``.
 
     Returns the future-input block of W, its sub-diagonal-averaged Markov
     blocks and the input rank of [u_past; u_future].
     """
     d, p, q = dm.depth, dm.n_inputs, dm.n_outputs
-    rows = {name: dm.stack[part] for name, part in dm.parts.items()}
-    W = rows["y_future"] @ pinv(dm.stack[..., :dm.parts["u_future"].stop, :], tol=pinv_tol)
+    stack = hankel_stack(data, d, dm.width)
+    rows = {name: stack[part] for name, part in dm.parts.items()}
+    W = rows["y_future"] @ pinv(stack[..., :dm.parts["u_future"].stop, :], tol=pinv_tol)
     raw = W[:, -p * d:]
     blocks = [
         np.mean([raw[(i + k + 1) * q:(i + k + 2) * q, i * p:(i + 1) * p]

@@ -64,6 +64,7 @@ PARAMETERS = [
 FIELDS = [
     ("StateSpaceModel", ["A", "B", "C", "E", "sample_time"]),
     ("Dataset", ["u", "y", "x"]),
+    ("DataMatrices", ["factor", "depth", "width", "n_inputs", "n_outputs"]),
     ("MarkovEstimate", ["toeplitz", "depth", "input_rank", "regressor_rank",
                         "input_rank_margin"]),
     ("ObservabilityEstimate", ["matrix", "algorithm", "residual"]),
@@ -102,7 +103,7 @@ PARTS = ["u_past", "y_past", "u_future", "y_future", "x_past"]
     ("observability", "drop_first_block_row"), ("experiments", "PipelineConfig"),
     ("experiments", "design_gain"), ("plant_sim", "closed_loop_simulate"),
     ("plant_sim", "tracking_loop_simulate"), ("plant_sim", "cost_J"),
-    ("matrix_kit", "block_hankel"),
+    ("matrix_kit", "block_hankel"), ("markov.DataMatrices", "stack"),
 ] + [("markov.DataMatrices", part) for part in PARTS])
 def test_test_only_helpers_are_gone(owner, name):
     module, _, cls = owner.partition(".")

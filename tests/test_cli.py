@@ -6,8 +6,8 @@ import pytest
 from conftest import first_run_anticipates
 import ddlqr.cli
 import ddlqr.experiments
+import ddlqr.markov
 from ddlqr import (
-    DataMatrices,
     Dataset,
     InputError,
     RegulationScenario,
@@ -53,8 +53,9 @@ def run(*argv):
 
 
 def never_factored(monkeypatch):
-    """Fail the test if any Hankel data are factored, that is, once estimation starts."""
-    monkeypatch.setattr(DataMatrices, "factor", property(lambda dm: pytest.fail("factored")))
+    """Fail the test if any Hankel data are stacked to be factored, that is, once
+    estimation starts."""
+    monkeypatch.setattr(ddlqr.markov, "hankel_stack", lambda *args: pytest.fail("factored"))
 
 
 class TestSimulate:
@@ -643,6 +644,20 @@ def test_input_errors_leave_no_output_dir(tmp_path, capsys, kind):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, config, sets", [
+    ("sweep", REGULATION, ["model.a=[[2.1,0.15],[-0.2,0.6]]"]),
+    ("montecarlo", MC, ["model.a=40.0", "montecarlo.runs=5"]),
+], ids=["sweep", "montecarlo"])
+def test_overflowing_record_exits_1_in_simulation(tmp_path, capsys, command, config, sets):
+    # the open loop overflows: a tagged error, no numpy warning and no output
+    argv = [command, config, "--output-dir", str(tmp_path / "out")]
+    assert run(*argv, *(arg for item in sets for arg in ("--set", item))) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: simulation: the open-loop record overflows in ")
+    assert err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
 # One input that breaks each input rule of the library: the command, config and
 # overrides, the config key the CLI names and the parameter the library's InputError
 # names. Eval reads a zero gain of the given shape.
@@ -658,6 +673,12 @@ INPUT_RULES = {
     "depth-determines-states": ("montecarlo", MC, THREE_STATES_MC, "[estimation] depth", "depth"),
     "noise-channel": ("montecarlo", REGULATION, ["montecarlo.runs=5", "montecarlo.variance=0.1"],
                       "[model] e", "E"),
+    # the key schema refuses these three first, in the library's words
+    "covariance-runs": ("montecarlo", MC, ["montecarlo.runs=1"], "[montecarlo] runs", "runs"),
+    "seed-nonnegative": ("montecarlo", MC, ["montecarlo.seed=-1", "montecarlo.runs=5"],
+                         "[montecarlo] seed", "base_seed"),
+    "variance-nonnegative": ("montecarlo", MC, ["montecarlo.variance=-1", "montecarlo.runs=5"],
+                             "[montecarlo] variance", "noise_variance"),
     "horizon-within-depth": ("design", REGULATION, ["lqr.horizon=60"], "[lqr] horizon",
                              "horizon"),
     "horizons-within-depth": ("sweep", REGULATION, ["sweep.horizons=[10,52]"],
@@ -671,13 +692,18 @@ INPUT_RULES = {
 }
 
 
-def _library_run(command: str, cfg: RunConfig):
-    """The library calls behind ``command``, on the config's values and with no CLI check."""
+def _library_run(command: str, config: str, sets):
+    """The library calls behind ``command``, on the config's values and with no CLI check;
+    the ``montecarlo.`` overrides reach ``monte_carlo_obs`` past the key schema."""
+    mc = dict(item.split("=", 1) for item in sets if item.startswith("montecarlo."))
+    cfg = RunConfig.load(config, [item for item in sets if item.split("=")[0] not in mc])
     model = cfg.model()
     spec = cfg.signal(default_channels=model.n_inputs, default_ts=model.sample_time)
     depth, width = cfg.get("estimation", "depth"), cfg.get("estimation", "width")
     if command == "montecarlo":
-        return monte_carlo_obs(model, spec, depth, 2, 0.1, width=width)
+        return monte_carlo_obs(model, spec, depth, int(mc.get("montecarlo.runs", 2)),
+                               float(mc.get("montecarlo.variance", 0.1)),
+                               int(mc.get("montecarlo.seed", 0)), width=width)
     if command == "eval":
         horizon = cfg.get("eval", "horizon")
         if cfg.get("eval", "scenario") == "regulation":
@@ -717,7 +743,7 @@ def test_input_rules_exit_2_naming_their_key(tmp_path, capsys, monkeypatch, rule
     assert not (tmp_path / "out").exists()
     if rule != "parameter-not-in-table":
         with pytest.raises(InputError) as raised:
-            _library_run(command, RunConfig.load(config, sets))
+            _library_run(command, config, sets)
         assert raised.value.param == param
         assert err == f"config error: {key} {raised.value.detail}\n"
 

@@ -256,8 +256,9 @@ class TestMonteCarlo:
             self.mc(runs=3, signal=SignalSpec(kind="prbs", length=6))
 
     def test_rejects_negative_variance(self):
-        with pytest.raises(ValueError, match="variance must be >= 0"):
+        with pytest.raises(InputError, match="variance must be >= 0") as exc:
             self.mc(noise_variance=-1.0)
+        assert exc.value.param == "noise_variance"
 
     def test_chunks_match_per_run_loop(self, monkeypatch):
         # a 2-state plant with two noise channels, one simulation chunk and 3 runs more
@@ -278,7 +279,7 @@ class TestMonteCarlo:
             return prbs_channels(spec, seeds)
 
         def counted_predictor(dm):
-            predictor_calls.append(dm.stack.shape[0])
+            predictor_calls.append(dm.factor.shape[0])
             return estimate_predictor(dm)
 
         lti_run, estimate_predictor = ddlqr.plant_sim._lti_run, ddlqr.experiments.estimate_predictor
@@ -294,8 +295,8 @@ class TestMonteCarlo:
             # one kernel call and one register product per simulation chunk
             assert len(kernel_calls) == -(-runs // sim_chunk) == 2
             assert prbs_calls == [sim_chunk, 3]
-            # each estimation chunk is estimated as one batch
-            assert predictor_calls == [chunk, chunk, 3] and sim_chunk == 2 * chunk
+            # the runs' factors, kept across simulation chunks, are estimated as one batch
+            assert predictor_calls == [runs] and sim_chunk == 2 * chunk
             samples, failures = per_run_monte_carlo(model, spec, **args)
             for rep in reports:
                 stack = np.stack(samples[rep.algorithm])
@@ -338,7 +339,7 @@ class TestMonteCarlo:
             return u
 
         def counted_predictor(dm):
-            predictor_calls.append(dm.stack.shape[0])
+            predictor_calls.append(dm.factor.shape[0])
             return estimate_predictor(dm)
 
         class Counted(np.random.Generator):
@@ -357,11 +358,70 @@ class TestMonteCarlo:
         assert steps == [425] * 4
         assert records == [425] * 4
         assert draws == [425] * 500
-        assert predictor_calls == [32] * 15 + [20]
+        assert predictor_calls == [500]
+
+    def test_passes_span_simulation_chunks(self, monkeypatch):
+        # factoring chunks of 2 runs, simulation chunks of 8 and passes of 6 (width 40 over
+        # the 13 factor columns is 3 chunks): 20 runs are 4 passes over 3 simulation chunks,
+        # and the first three passes end inside a simulation chunk
+        spec = SignalSpec(kind="prbs", length=1022, amplitude=1.0, hold=3)
+        monkeypatch.setattr(ddlqr.experiments, "MC_CHUNK_SAMPLES", 2 * spec.length)
+        monkeypatch.setattr(ddlqr.experiments, "MC_SIM_CHUNK_SAMPLES", 8 * 45)
+        kernel_calls, predictor_calls = [], []
+
+        def counted(A, x0, *drives, **kw):
+            kernel_calls.append(drives[0].shape[0])
+            return lti_run(A, x0, *drives, **kw)
+
+        def counted_predictor(dm):
+            predictor_calls.append(dm.factor.shape[0])
+            return estimate_predictor(dm)
+
+        lti_run, estimate_predictor = ddlqr.plant_sim._lti_run, ddlqr.experiments.estimate_predictor
+        monkeypatch.setattr(ddlqr.plant_sim, "_lti_run", counted)
+        monkeypatch.setattr(ddlqr.experiments, "estimate_predictor", counted_predictor)
+        for mode in ("measurement", "process"):
+            kernel_calls.clear()
+            predictor_calls.clear()
+            args = dict(depth=3, runs=20, noise_variance=0.1, base_seed=6, width=40,
+                        noise_mode=mode)
+            reports = self.mc(signal=spec, **args)
+            assert kernel_calls == [8, 8, 4]
+            assert predictor_calls == [6, 6, 6, 2]
+            samples, failures = per_run_monte_carlo(scalar_model(with_noise=True), spec, **args)
+            for rep in reports:
+                stack = np.stack(samples[rep.algorithm])
+                assert (rep.runs, rep.failures) == (len(stack), failures[rep.algorithm]) == (20, 0)
+                np.testing.assert_allclose(rep.mean, stack.mean(axis=0), rtol=1e-12, atol=0)
+                dev = stack - stack.mean(axis=0)
+                cov = sum(d @ d.T for d in dev) / len(stack)
+                np.testing.assert_allclose(rep.covariance, cov, rtol=1e-12,
+                                           atol=1e-12 * np.abs(cov).max())
+
+    @pytest.mark.parametrize("width, runs, calls", [(10, 5, 3), (40, 7, 2), (420, 65, 2)])
+    def test_pass_factors_fit_in_one_chunk_stack(self, monkeypatch, width, runs, calls):
+        # in factoring chunks of 2 runs, a pass holds 2 * (width // 13) factors of 13 x 13
+        # numbers (2 factors of 13 x width below 13 columns), one chunk's stack 2 of 13 x width
+        spec = SignalSpec(kind="prbs", length=1022, amplitude=1.0, hold=3)
+        monkeypatch.setattr(ddlqr.experiments, "MC_CHUNK_SAMPLES", 2 * spec.length)
+        factor_bytes = []
+
+        def counted_predictor(dm):
+            factor_bytes.append(dm.factor.nbytes)
+            return estimate_predictor(dm)
+
+        estimate_predictor = ddlqr.experiments.estimate_predictor
+        monkeypatch.setattr(ddlqr.experiments, "estimate_predictor", counted_predictor)
+        self.mc(runs=runs, signal=spec, width=width)
+        chunk_stack = 2 * 13 * width * np.dtype(float).itemsize
+        assert len(factor_bytes) == calls
+        assert max(factor_bytes) <= chunk_stack
+        assert factor_bytes[0] > 0.9 * chunk_stack  # the first pass is full
 
     def test_rejects_single_run(self):
-        with pytest.raises(ValueError, match="at least 2 runs"):
+        with pytest.raises(InputError, match="^runs must be >= 2, got 1$") as exc:
             self.mc(runs=1)
+        assert exc.value.param == "runs"
 
     def test_rejects_nonpositive_width(self):
         for width in (0, -3):
@@ -370,10 +430,12 @@ class TestMonteCarlo:
 
     def test_rejects_short_depth_and_negative_seed(self):
         for depth in (1, 0, -2):
-            with pytest.raises(ValueError, match="depth must be >= 2"):
+            with pytest.raises(InputError, match="depth must be >= 2") as exc:
                 self.mc(depth=depth)
-        with pytest.raises(ValueError, match="base seed must be >= 0"):
+            assert exc.value.param == "depth"
+        with pytest.raises(InputError, match="^base_seed must be >= 0, got -1$") as exc:
             self.mc(base_seed=-1)
+        assert exc.value.param == "base_seed"
 
     def test_mixed_batch_drops_failed_runs(self):
         # six runs: run 1 anticipates its input (y_t = u_(t+3)), runs 3 and 5

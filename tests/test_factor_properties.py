@@ -28,7 +28,7 @@ from ddlqr import (
     estimate_predictor,
     simulate,
 )
-from ddlqr.markov import RANK_TOL
+from ddlqr.markov import RANK_TOL, hankel_stack
 
 RTOL = 1e-9
 
@@ -81,12 +81,13 @@ def test_factor_route_matches_pinv_route(problem):
         dm = build_data_matrices(data, depth, width)
 
     est = estimate_predictor(dm)
-    _, blocks, input_rank = pinv_predictor(dm)
+    _, blocks, input_rank = pinv_predictor(data, dm)
     assert est.input_rank == input_rank == 2 * p * depth
     assert _rel(est.toeplitz, block_toeplitz_strict_lower(blocks, depth)) < RTOL
     assert _rel(np.array(markov_blocks(est)), np.array(blocks)) < RTOL
 
-    y_past, u_past, x_past = (dm.stack[dm.parts[k]] for k in ("y_past", "u_past", "x_past"))
+    stack = hankel_stack(data, depth, width)
+    y_past, u_past, x_past = (stack[dm.parts[k]] for k in ("y_past", "u_past", "x_past"))
     o1 = estimate_obs_alg1(dm, est.toeplitz)
     assert _rel(o1.matrix, pinv_obs_alg1(y_past, u_past, est.toeplitz, x_past)) < RTOL
     o2 = estimate_obs_alg2(dm)
@@ -155,15 +156,17 @@ def test_input_spectrum_and_remainder_branch(problem):
     batch = Dataset(*(np.stack([getattr(r, k) for r in runs]) for k in "uyx"))
     if _refused(batch, depth, width):
         return
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # narrow widths are below guidance
-        dms = [build_data_matrices(data, depth, width) for data in (runs[0], batch)]
-
-    for dm, counts in zip(dms, (nulls[:1], nulls)):
+    for data, counts in zip((runs[0], batch), (nulls[:1], nulls)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # narrow widths are below guidance
+            dm = build_data_matrices(data, depth, width)
+        # the stack's QR is build_data_matrices'; the predictor factors the future-input
+        # rows once and the remainder once for each nonzero null count
         with mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:
             est = estimate_predictor(dm)
-        assert qr.call_count == 2 + len({k for k in counts if k}), counts
-        inputs = np.concatenate([dm.stack[..., dm.parts[k], :] for k in ("u_past", "u_future")],
+        assert qr.call_count == 1 + len({k for k in counts if k}), counts
+        stack = hankel_stack(data, depth, width)
+        inputs = np.concatenate([stack[..., dm.parts[k], :] for k in ("u_past", "u_future")],
                                 axis=-2)
         s = np.linalg.svd(inputs, compute_uv=False)
         assert np.array_equal(est.input_rank, np.sum(s >= RANK_TOL * s[..., :1], axis=-1))

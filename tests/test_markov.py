@@ -22,14 +22,19 @@ from ddlqr import (
 from ddlqr import markov
 
 
-def regressor(dm):
+def stack(ds, dm):
+    """The Hankel stack of ``ds`` that ``dm`` factors."""
+    return markov.hankel_stack(ds, dm.depth, dm.width)
+
+
+def regressor(ds, dm):
     """The [u_past; y_past; u_future] rows of the stack."""
-    return dm.stack[..., :dm.parts["u_future"].stop, :]
+    return stack(ds, dm)[..., :dm.parts["u_future"].stop, :]
 
 
-def rows(dm, name):
+def rows(ds, dm, name):
     """The rows of the stack that ``parts`` names."""
-    return dm.stack[..., dm.parts[name], :]
+    return stack(ds, dm)[..., dm.parts[name], :]
 
 
 class TestBuildDataMatrices:
@@ -37,18 +42,18 @@ class TestBuildDataMatrices:
         ds = Dataset(u=[[1.0], [2.0], [3.0]], y=[[4.0], [5.0], [6.0]], x=[[0.0], [0.0], [0.0]])
         with pytest.warns(UserWarning, match="guidance"):
             dm = build_data_matrices(ds, depth=1, width=2)
-        np.testing.assert_array_equal(rows(dm, "u_past"), [[1, 2]])
-        np.testing.assert_array_equal(rows(dm, "y_past"), [[4, 5]])
-        np.testing.assert_array_equal(rows(dm, "u_future"), [[2, 3]])
-        np.testing.assert_array_equal(rows(dm, "y_future"), [[5, 6]])
-        assert regressor(dm).shape == (3, 2)
-        np.testing.assert_array_equal(rows(dm, "x_past"), [[0, 0]])
+        np.testing.assert_array_equal(rows(ds, dm, "u_past"), [[1, 2]])
+        np.testing.assert_array_equal(rows(ds, dm, "y_past"), [[4, 5]])
+        np.testing.assert_array_equal(rows(ds, dm, "u_future"), [[2, 3]])
+        np.testing.assert_array_equal(rows(ds, dm, "y_future"), [[5, 6]])
+        assert regressor(ds, dm).shape == (3, 2)
+        np.testing.assert_array_equal(rows(ds, dm, "x_past"), [[0, 0]])
 
     def test_regressor_shape(self):
         ds = prbs_dataset(two_output_model())
         dm = build_data_matrices(ds, depth=51, width=870)
-        assert regressor(dm).shape == (306, 870)
-        assert rows(dm, "y_future").shape == (102, 870)
+        assert regressor(ds, dm).shape == (306, 870)
+        assert rows(ds, dm, "y_future").shape == (102, 870)
 
     def test_stack_is_the_hankel_blocks(self):
         # three inputs, two outputs and three states, in a batch of two records
@@ -61,15 +66,21 @@ class TestBuildDataMatrices:
             block_hankel(ds.u, 0, depth, width), block_hankel(ds.y, 0, depth, width),
             block_hankel(ds.u, depth, depth, width), block_hankel(ds.y, depth, depth, width),
             ds.x[..., :width, :].swapaxes(-1, -2)], axis=-2)
-        assert np.array_equal(dm.stack, expect)
+        assert np.array_equal(stack(ds, dm), expect)
+        # the factor is the R' of the stack's one QR
+        assert np.array_equal(dm.factor, np.linalg.qr(expect.swapaxes(-1, -2), mode="r")
+                              .swapaxes(-1, -2))
+        assert dm.factor.shape == (2, 43, 30)  # 43 rows, narrower than tall
         for b in range(2):
-            alone = build_data_matrices(Dataset(u=ds.u[b], y=ds.y[b], x=ds.x[b]), depth, width)
-            assert np.array_equal(alone.stack, expect[b])
+            run = Dataset(u=ds.u[b], y=ds.y[b], x=ds.x[b])
+            alone = build_data_matrices(run, depth, width)
+            assert np.array_equal(stack(run, alone), expect[b])
+            assert np.array_equal(alone.factor, dm.factor[b])
 
     def test_zero_dataset_gives_zero_matrices(self):
         ds = Dataset(u=np.zeros((40, 1)), y=np.zeros((40, 1)), x=np.zeros((40, 1)))
         dm = build_data_matrices(ds, depth=2, width=10)
-        assert not regressor(dm).any() and not rows(dm, "y_future").any()
+        assert not regressor(ds, dm).any() and not rows(ds, dm, "y_future").any()
 
     def test_insufficient_length(self):
         ds = Dataset(u=np.zeros((10, 1)), y=np.zeros((10, 1)), x=np.zeros((10, 1)))
@@ -131,9 +142,10 @@ class TestEstimatePredictor:
             estimate_predictor(dm)
 
     def test_input_rank_margin(self):
-        dm = build_data_matrices(prbs_dataset(two_output_model()), depth=6)
+        ds = prbs_dataset(two_output_model())
+        dm = build_data_matrices(ds, depth=6)
         est = estimate_predictor(dm)
-        s = np.linalg.svd(np.vstack([rows(dm, "u_past"), rows(dm, "u_future")]),
+        s = np.linalg.svd(np.vstack([rows(ds, dm, "u_past"), rows(ds, dm, "u_future")]),
                           compute_uv=False)
         assert est.input_rank == 24 and est.input_rank_margin > 1.0
         assert est.input_rank_margin == pytest.approx(s[-1] / (1e-8 * s[0]), rel=1e-9)
@@ -145,7 +157,7 @@ class TestEstimatePredictor:
         dm = build_data_matrices(ds, depth=8)
         est = estimate_predictor(dm)
         q, p, d = 2, 2, 8
-        raw, _, _ = pinv_predictor(dm)
+        raw, _, _ = pinv_predictor(ds, dm)
         assert raw.shape == est.toeplitz.shape == (q * d, p * d)
         for i in range(d - 1):
             for j in range(d - 1):

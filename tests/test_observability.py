@@ -22,12 +22,13 @@ from ddlqr import (
     synthesize,
     true_observability,
 )
+from ddlqr.markov import hankel_stack
 from ddlqr.observability import ALGORITHMS, _fit_states
 
 
-def rows(dm, name):
-    """The rows of the stack that ``parts`` names."""
-    return dm.stack[..., dm.parts[name], :]
+def rows(ds, dm, name):
+    """The rows of the Hankel stack of ``ds`` that ``dm`` factors and ``parts`` names."""
+    return hankel_stack(ds, dm.depth, dm.width)[..., dm.parts[name], :]
 
 
 def _estimation_inputs(model, depth, length=1022, seed=7):
@@ -43,15 +44,15 @@ class TestStateSnapshot:
         ds = Dataset(u=np.zeros((3, 1)), y=np.zeros((3, 1)), x=[[1.0], [2.0], [3.0]])
         with pytest.warns(UserWarning, match="guidance"):
             dm = build_data_matrices(ds, depth=1, width=2)
-        np.testing.assert_array_equal(rows(dm, "x_past"), [[1.0, 2.0]])
+        np.testing.assert_array_equal(rows(ds, dm, "x_past"), [[1.0, 2.0]])
 
     def test_shape(self):
         ds = prbs_dataset(two_output_model())
-        assert rows(build_data_matrices(ds, depth=51, width=870), "x_past").shape == (2, 870)
+        assert rows(ds, build_data_matrices(ds, depth=51, width=870), "x_past").shape == (2, 870)
 
     def test_zero(self):
         ds = Dataset(u=np.zeros((5, 1)), y=np.zeros((5, 1)), x=np.zeros((5, 1)))
-        assert not rows(build_data_matrices(ds, depth=1, width=4), "x_past").any()
+        assert not rows(ds, build_data_matrices(ds, depth=1, width=4), "x_past").any()
         # one past output cannot determine two states
         ds = Dataset(u=np.zeros((5, 1)), y=np.zeros((5, 1)), x=np.zeros((5, 2)))
         with pytest.raises(InputError, match="too few to determine the 2 states"):
@@ -121,10 +122,12 @@ class TestAlg2:
             np.testing.assert_allclose(o1.matrix, o2.matrix, atol=1e-8)
 
     def test_matches_explicit_projector_form(self):
+        ds = prbs_dataset(two_output_model(), length=400, seed=7)
         dm, _ = _estimation_inputs(two_output_model(), depth=4, length=400)
         o2 = estimate_obs_alg2(dm)
-        P = orthogonal_projector(rows(dm, "u_past"))
-        expect = (rows(dm, "y_past") @ P) @ np.linalg.pinv(rows(dm, "x_past") @ P, rcond=1e-12)
+        P = orthogonal_projector(rows(ds, dm, "u_past"))
+        expect = (rows(ds, dm, "y_past") @ P) @ np.linalg.pinv(rows(ds, dm, "x_past") @ P,
+                                                               rcond=1e-12)
         np.testing.assert_allclose(o2.matrix, expect, atol=1e-9)
 
     def test_rank_deficient_past_inputs(self):

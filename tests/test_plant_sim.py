@@ -97,6 +97,15 @@ class TestSimulate:
         with pytest.raises(ValueError, match=r"v has shape \(4, 1\), expected \(5, 1\)"):
             simulate(noisy, np.zeros(5), v=np.zeros(4))
 
+    @pytest.mark.parametrize("mode", ["process", "measurement"])
+    def test_overflowing_record_is_a_simulation_error(self, mode):
+        # 40^192 > 1.8e308; the numpy warnings of the overflow are errors in this suite
+        model = StateSpaceModel(A=[[40.0]], B=[[1.0]], C=[[1.0]], E=[[1.0]])
+        simulate(model, np.ones(192), v=np.zeros(192), noise_mode=mode)
+        with pytest.raises(ValueError,
+                           match=r"^simulation: the open-loop record overflows in 250 samples$"):
+            simulate(model, np.ones(250), v=np.zeros(250), noise_mode=mode)
+
 
 class TestClosedLoop:
     def test_zero_gain_matches_open_loop(self):
