@@ -33,7 +33,6 @@ from .experiments import (
     convergence_sweep,
     estimate,
     evaluate_closed_loop,
-    harmonic_distortion,
     monte_carlo_obs,
     synthesize,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "evaluate_closed_loop",
     "filter_imc_states",
     "generate_signal",
-    "harmonic_distortion",
     "integrator_imc",
     "model_lqr_gain",
     "monte_carlo_obs",

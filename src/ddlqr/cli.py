@@ -39,7 +39,8 @@ FMT = "%.17g"
 INPUT_KEYS = {"Q": "[lqr] q", "R": "[lqr] r", "E": "[model] e", "K": "[io] gain",
               "x0": "[eval] x0", "depth": "[estimation] depth", "width": "[estimation] width",
               "runs": "[montecarlo] runs", "base_seed": "[montecarlo] seed",
-              "noise_variance": "[montecarlo] variance",
+              "noise_variance": "[montecarlo] variance", "u": "[signal] channels",
+              "frequency": "[reference] frequency",
               "horizon": {"design": "[lqr] horizon", "sweep": "[sweep] horizons",
                           "eval": "[eval] horizon"}}
 
@@ -66,8 +67,7 @@ def _read_input(read, key: str, path: str):
 def _simulate_dataset(cfg: RunConfig):
     """The [model] plant and its record simulated under [signal] and [noise]."""
     model = cfg.model()
-    ts = model.sample_time if model.sample_time is not None else 1.0
-    spec = cfg.signal(default_channels=model.n_inputs, default_ts=ts)
+    spec = cfg.signal(default_channels=model.n_inputs, default_ts=model.sample_time)
     v, variance = None, cfg.get("noise", "variance", 0.0)
     if variance > 0:
         if model.E is None:
@@ -92,7 +92,7 @@ def _estimate(cfg: RunConfig, model, data, horizons):
     longest horizon before estimating, with q counting the internal-model states."""
     depth = cfg.get("estimation", "depth", required=True)
     weights = cfg.weights()
-    imc = cfg.imc(default_ts=model.sample_time if model.sample_time is not None else 1.0)
+    imc = cfg.imc(default_ts=model.sample_time)
     q = data.n_outputs * (1 + (imc.order if imc is not None else 0))
     check_synthesis(weights, max(horizons), depth, q, data.n_inputs, imc is not None)
     est = estimate(data, depth, cfg.get("estimation", "width"),
@@ -148,8 +148,7 @@ def cmd_sweep(cfg: RunConfig, outdir: Path) -> int:
 
 def cmd_montecarlo(cfg: RunConfig, outdir: Path) -> int:
     model = cfg.model()
-    ts = model.sample_time if model.sample_time is not None else 1.0
-    spec = cfg.signal(default_channels=model.n_inputs, default_ts=ts)
+    spec = cfg.signal(default_channels=model.n_inputs, default_ts=model.sample_time)
     # montecarlo keys left out take monte_carlo_obs's defaults
     options = {name: cfg.get("montecarlo", key) for key, name in (
         ("seed", "base_seed"), ("noise_mode", "noise_mode"), ("fixed_input", "fixed_input"))
@@ -195,7 +194,6 @@ def cmd_montecarlo(cfg: RunConfig, outdir: Path) -> int:
 
 def cmd_eval(cfg: RunConfig, outdir: Path) -> int:
     model = cfg.model()
-    ts = model.sample_time if model.sample_time is not None else 1.0
     gain_path = cfg.get("io", "gain", required=True)
     K = _read_input(storage.read_matrix, "gain", gain_path)
     if not np.all(np.isfinite(K)):
@@ -205,15 +203,13 @@ def cmd_eval(cfg: RunConfig, outdir: Path) -> int:
     if cfg.get("eval", "scenario", required=True) == "regulation":
         scenario = RegulationScenario(x0=cfg.get("eval", "x0", required=True))
     else:
-        imc = cfg.imc(default_ts=ts)
+        imc = cfg.imc(default_ts=model.sample_time)
         if imc is None:
             raise ConfigError("tracking scenario requires an [imc] section")
         if not cfg.has("reference", "length"):
             cfg.set_resolved("reference", "length", horizon)
-        ref = cfg.signal(default_channels=model.n_outputs, default_ts=ts, section="reference")
-        theta = ref.frequency * ref.sample_time
-        if ref.kind == "sinusoid" and not 0.0 < theta < np.pi:
-            raise ConfigError(f"[reference] frequency * ts = {theta:.6g} must lie inside (0, pi)")
+        ref = cfg.signal(default_channels=model.n_outputs, default_ts=model.sample_time,
+                         section="reference")
         scenario = TrackingScenario(imc=imc, reference=ref)
     metrics = evaluate_closed_loop(model, K, weights, scenario, horizon)
     rows = [

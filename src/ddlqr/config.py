@@ -191,6 +191,7 @@ class RunConfig:
     # -- domain objects -----------------------------------------------------
 
     def model(self) -> StateSpaceModel:
+        """The [model] plant; its sample time is ``[model] ts``, or 1.0 for a discrete model."""
         if not self.has("model"):
             raise ConfigError("missing [model] section")
         A, B, C = (self.get("model", key, required=True) for key in "abc")
@@ -201,7 +202,7 @@ class RunConfig:
                     raise ConfigError("[model] ts is required for a continuous-time model")
                 model = zoh_discretize(A, B, C, ts)
             else:
-                model = StateSpaceModel(A=A, B=B, C=C, sample_time=ts)
+                model = StateSpaceModel(A=A, B=B, C=C, sample_time=1.0 if ts is None else ts)
             return replace(model, E=self.get("model", "e"))
         except ValueError as exc:
             raise ConfigError(f"[model]: {exc}") from exc
@@ -229,17 +230,16 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(f"[lqr]: {exc}") from exc
 
-    def imc(self, default_ts: Optional[float] = None) -> Optional[ImcRealization]:
+    def imc(self, default_ts: float) -> Optional[ImcRealization]:
+        """The [imc] controller, if any; a resonant one is tuned at ``[imc] ts``, by default
+        the model's sample time ``default_ts``."""
         if not self.has("imc"):
             return None
         if self.get("imc", "kind", required=True) == "integrator":
             return integrator_imc()
         omega = self.get("imc", "omega_n", required=True)
-        ts = self.get("imc", "ts", default_ts)
-        if ts is None:
-            raise ConfigError("[imc] ts is required (or set [model] ts)")
         try:
-            return resonant_imc(omega, ts)
+            return resonant_imc(omega, self.get("imc", "ts", default_ts))
         except ValueError as exc:
             raise ConfigError(f"[imc]: {exc}") from exc
 

@@ -34,11 +34,9 @@ from .plant_sim import (
     SignalSpec,
     StateSpaceModel,
     _apply,
-    _checked,
     _lti_run,
-    _open_loop,
-    _prbs_channels,
     generate_signal,
+    simulate,
 )
 
 # Monte Carlo runs factored together: runs x record length stays within this.
@@ -238,13 +236,14 @@ def monte_carlo_obs(model: StateSpaceModel, signal: SignalSpec, depth: int, runs
     estimates the shifted observability matrix with both algorithms. Of each
     record only the 2*depth + width - 1 samples that its Hankel matrices read
     are drawn and simulated (all of them when ``width`` is None); every stage
-    is causal, so the estimates are those of the whole record. A kernel call
-    (and a PRBS register product) simulates whole factoring chunks of up to
+    is causal, so the estimates are those of the whole record. One ``generate_signal``
+    and one ``simulate`` call draw and run whole factoring chunks of up to
     ``MC_SIM_CHUNK_SAMPLES`` such samples; one ``build_data_matrices`` call factors
     ``MC_CHUNK_SAMPLES // signal.length`` runs (128 and 32 runs of the bundled
     1022-sample record, read to sample 425); only their factors are kept, and the estimators
     run once per pass of width // (factor columns) chunks, at most one chunk's stack in size
-    (1024 runs). InputErrors come before any run; failed runs are counted and excluded.
+    (1024 runs). The rules of this function's own arguments come before any run, and
+    ``simulate``'s with the first chunk; failed runs are counted and excluded.
     """
     if runs < 2:  # the covariance statistics need 2 runs
         raise InputError("runs", f"must be >= 2, got {runs}")
@@ -265,8 +264,7 @@ def monte_carlo_obs(model: StateSpaceModel, signal: SignalSpec, depth: int, runs
     T = 2 * depth + width - 1
     sim_chunk = chunk * max(1, MC_SIM_CHUNK_SAMPLES // (chunk * T))
     std = float(np.sqrt(noise_variance))
-    signal = replace(signal, channels=model.n_inputs, length=T)
-    fixed_u = generate_signal(signal) if fixed_input else None
+    signal = replace(signal, length=T)
 
     samples: dict = {alg: [] for alg in ALGORITHMS}
     reasons = {alg: Counter() for alg in ALGORITHMS}
@@ -279,24 +277,20 @@ def monte_carlo_obs(model: StateSpaceModel, signal: SignalSpec, depth: int, runs
         v = np.empty((len(rngs), T, n_v))
         for rng, v_run in zip(rngs, v):
             v_run[...] = rng.normal(0.0, std, size=(T, n_v))
-        if fixed_input:
-            u = np.broadcast_to(fixed_u, (len(rngs),) + fixed_u.shape)
-        elif signal.kind == "prbs":
-            u = _prbs_channels(signal, u_seeds)
-        else:
-            u = np.stack([generate_signal(replace(signal, seed=s)) for s in u_seeds])
-        x, y = _open_loop(model, u, v, noise_mode)
-        del v
+        # a fixed input is one record, generated once and read by every run
+        u = generate_signal(signal, [signal.seed] if fixed_input else u_seeds)
+        data = simulate(model, np.broadcast_to(u, v.shape[:2] + u.shape[2:]), v, noise_mode)
+        del u, v
         for a in range(0, len(rngs), chunk):
-            dm = build_data_matrices(Dataset(u=u[a:a + chunk], y=y[a:a + chunk],
-                                             x=x[a:a + chunk]), depth, width)
+            dm = build_data_matrices(Dataset(u=data.u[a:a + chunk], y=data.y[a:a + chunk],
+                                             x=data.x[a:a + chunk]), depth, width)
             factors.append(dm.factor.swapaxes(-1, -2))
             if len(factors) == max(1, width // dm.factor.shape[-1]) or first + a + chunk >= runs:
                 dm = replace(dm, factor=np.concatenate(factors).swapaxes(-1, -2))
                 factors = []
                 for alg in ALGORITHMS:
                     samples[alg].extend(_observe_runs(dm, alg, reasons[alg]))
-        u = x = y = None  # drop this chunk's records before the next is simulated
+        data = None  # drop this chunk's records before the next is simulated
 
     reports = []
     for alg in ALGORITHMS:
@@ -353,30 +347,15 @@ def _reduce_report(algorithm: str, estimates, reasons: Counter,
     )
 
 
-def harmonic_distortion(y, samples_per_period: int) -> float:
+def _distortion(y: np.ndarray, samples_per_period: int) -> float:
     """Total harmonic distortion of a scalar signal's final ``THD_PERIODS`` cycles.
 
     The window spans an integer number of fundamental periods, so the DFT
     bins of the fundamental and its harmonics are leakage-free. Harmonics are
     counted up to Nyquist; the result is the RMS harmonic-to-fundamental
-    ratio.
+    ratio, nan when the window's fundamental bin is zero. Unchecked: the caller
+    gives at least 2 samples per period and ``THD_PERIODS`` periods of them.
     """
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if samples_per_period < 2:
-        raise ValueError(f"need at least 2 samples per period, got {samples_per_period}")
-    if THD_PERIODS * samples_per_period > y.size:
-        raise ValueError(
-            f"signal too short for {THD_PERIODS} periods of {samples_per_period} samples"
-        )
-    thd = _distortion(y, samples_per_period)
-    if np.isnan(thd):
-        raise ValueError("no fundamental component in the analysis window")
-    return thd
-
-
-def _distortion(y: np.ndarray, samples_per_period: int) -> float:
-    """The harmonic distortion of ``harmonic_distortion``, unchecked: nan when the
-    window's fundamental bin is zero."""
     spectrum = np.fft.rfft(y[-THD_PERIODS * samples_per_period:])
     fund = abs(spectrum[THD_PERIODS])
     harmonics = spectrum[2 * THD_PERIODS::THD_PERIODS]
@@ -400,8 +379,9 @@ def evaluate_closed_loop(
     Argument errors are InputErrors, raised before the run: a gain ``K`` that is not
     inputs x loop states (tracking adds one internal-model copy per output), weights
     that do not fit the loop's outputs (internal-model states included) and inputs, a
-    wrong-sized start state ``x0``, a sinusoid reference under 2 samples per period,
-    or a ``horizon`` shorter than ``THD_PERIODS`` of its periods.
+    wrong-sized start state ``x0``, a sinusoid reference whose ``frequency`` times its
+    sample time is outside (0, pi), or a ``horizon`` shorter than ``THD_PERIODS`` of its
+    periods.
     """
     K = np.asarray(K, dtype=float)
     n, q, p = model.n_states, model.n_outputs, model.n_inputs
@@ -412,15 +392,18 @@ def evaluate_closed_loop(
     check_weights(weights, q + n_loop - n, p,
                   "plant outputs and internal-model states" if tracking else "plant outputs")
     if not tracking:
-        loop, x0, drives = model, _checked(model, scenario.x0), ()
+        loop, x0, drives = model, np.asarray(scenario.x0, dtype=float).reshape(-1), ()
+        if x0.shape[0] != n:
+            raise InputError("x0", f"has {x0.shape[0]} entries, expected {n} states")
     else:
-        ref = replace(scenario.reference, length=horizon)
-        spp = (int(round(2.0 * np.pi / (ref.frequency * ref.sample_time)))
-               if ref.kind == "sinusoid" and ref.frequency > 0 else None)
-        if spp is not None and spp < 2:
-            raise InputError("scenario", f"reference has {spp} samples per period, fewer than 2")
-        if spp is not None and horizon < THD_PERIODS * spp:
-            raise InputError("horizon", f"must be >= {THD_PERIODS * spp}, got {horizon}")
+        ref, spp = replace(scenario.reference, length=horizon), None
+        if ref.kind == "sinusoid":
+            theta = ref.frequency * ref.sample_time
+            if not 0.0 < theta < np.pi:
+                raise InputError("frequency", f"* ts = {theta:.6g} must lie inside (0, pi)")
+            spp = int(round(2.0 * np.pi / theta))
+            if horizon < THD_PERIODS * spp:
+                raise InputError("horizon", f"must be >= {THD_PERIODS * spp}, got {horizon}")
         loop, x0 = augment_model(model, scenario.imc), np.zeros(n_loop)
         r = generate_signal(ref)
         r = r if r.shape[1] == q else np.tile(r[:, :1], (1, q))

@@ -7,10 +7,10 @@ zero-order-hold discretization.
 
 Every simulator is one call of the kernel ``_lti_run``, the recursion
 x(k+1) = A x(k) + d_1(k) + d_2(k) + ... over leading batch axes: the open
-loop (A driven by B u), ``imc.filter_imc_states`` (A_c driven by -B_c y per
-output), a chunk of ``experiments.monte_carlo_obs`` runs and the closed loops
-of ``experiments.evaluate_closed_loop``. The kernel does not check values: an
-unstable loop runs on to inf or nan: ``evaluate_closed_loop`` reports it, ``_open_loop`` raises.
+loop ``simulate`` (A driven by B u; a chunk of ``experiments.monte_carlo_obs`` runs
+is one call), ``imc.filter_imc_states`` (A_c driven by -B_c y per output) and the
+closed loops of ``experiments.evaluate_closed_loop``. The kernel does not check values: an
+unstable loop runs on to inf or nan: ``evaluate_closed_loop`` reports it, ``simulate`` raises.
 
 ``zoh_discretize`` takes its exponential from ``_expm``, numpy alone: keep scipy out of
 every command. Importing ``scipy.linalg`` added about 0.4 s to each command's start, and
@@ -222,22 +222,26 @@ def _prbs_channels(spec: SignalSpec, seeds) -> np.ndarray:
     return np.repeat(chips.swapaxes(0, 1), spec.hold, axis=1)[:, :spec.length]
 
 
-def generate_signal(spec: SignalSpec) -> np.ndarray:
-    """Generate a (length, channels) signal from its spec, deterministic per seed."""
+def generate_signal(spec: SignalSpec, seeds=None) -> np.ndarray:
+    """Generate a (length, channels) signal from its spec, deterministic per seed; given
+    ``seeds``, a (runs, length, channels) batch of the spec's signal at each seed."""
+    batch = [spec.seed] if seeds is None else seeds
     if spec.kind == "prbs":
-        return _prbs_channels(spec, [spec.seed])[0]
-    if spec.kind == "white-noise":
-        rng = np.random.default_rng(spec.seed)
-        return rng.normal(0.0, np.sqrt(spec.variance), size=(spec.length, spec.channels))
-    if spec.kind == "sinusoid":
+        signal = _prbs_channels(spec, batch)
+    elif spec.kind == "white-noise":
+        signal = np.stack([np.random.default_rng(seed).normal(
+            0.0, np.sqrt(spec.variance), size=(spec.length, spec.channels)) for seed in batch])
+    elif spec.kind == "sinusoid":
         k = np.arange(spec.length)
         wave = spec.amplitude * np.sin(spec.frequency * k * spec.sample_time)
-        return np.tile(wave[:, None], (1, spec.channels))
-    if spec.kind == "constant":
-        return np.full((spec.length, spec.channels), spec.amplitude)
-    if spec.kind == "zero":
-        return np.zeros((spec.length, spec.channels))
-    raise ValueError(f"unsupported signal kind {spec.kind!r}")
+        signal = np.tile(wave[:, None], (len(batch), 1, spec.channels))
+    elif spec.kind == "constant":
+        signal = np.full((len(batch), spec.length, spec.channels), spec.amplitude)
+    elif spec.kind == "zero":
+        signal = np.zeros((len(batch), spec.length, spec.channels))
+    else:
+        raise ValueError(f"unsupported signal kind {spec.kind!r}")
+    return signal if seeds is not None else signal[0]
 
 
 def _lti_run(A: np.ndarray, x0, *drives: np.ndarray, steps: Optional[int] = None) -> np.ndarray:
@@ -273,34 +277,9 @@ def _apply(M: np.ndarray, series: np.ndarray) -> np.ndarray:
     return (M @ series[..., None])[..., 0]
 
 
-def _checked(model: StateSpaceModel, x0) -> np.ndarray:
-    """x0 (zeros when None) checked against the model."""
-    n = model.n_states
-    x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape[0] != n:
-        raise InputError("x0", f"has {x0.shape[0]} entries, expected {n} states")
-    return x0
-
-
-def _open_loop(model: StateSpaceModel, u, v=None, noise_mode: str = "process", x0=0.0):
-    """States and outputs of the open loop; leading axes of the series batch runs. A
-    record that overflows is a ``simulation:`` ValueError, with no numpy warning."""
-    drives = [_apply(model.B, u)]
-    if v is not None and noise_mode == "process":
-        drives.append(_apply(model.E, v))
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = _lti_run(model.A, x0, *drives)
-        del drives
-        if v is not None and noise_mode == "measurement":
-            x += v @ model.E.T
-        y = x @ model.C.T
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError(f"simulation: the open-loop record overflows in {x.shape[-2]} samples")
-    return x, y
-
-
-def simulate(model: StateSpaceModel, u, x0=None, v=None, noise_mode: str = "process") -> Dataset:
-    """Run the model open loop over an input series.
+def simulate(model: StateSpaceModel, u, v=None, noise_mode: str = "process") -> Dataset:
+    """Run the model open loop from rest over an input series; leading axes of u and v
+    batch runs.
 
     ``noise_mode`` selects how the state-noise series v enters:
 
@@ -310,22 +289,33 @@ def simulate(model: StateSpaceModel, u, x0=None, v=None, noise_mode: str = "proc
       measurement.
 
     In both modes the recorded output is y(k) = C x(k) with x the recorded
-    state.
+    state. A record that overflows is a ``simulation:`` ValueError, with no numpy warning.
     """
     if noise_mode not in NOISE_MODES:
         raise ValueError(f"noise_mode must be 'process' or 'measurement', got {noise_mode!r}")
-    u = as_series(u)
-    if u.shape[1] != model.n_inputs:
-        raise ValueError(f"u has {u.shape[1]} channels, expected {model.n_inputs} to match B")
-    x0 = _checked(model, x0)
+    u = np.asarray(u, dtype=float)
+    u = u if u.ndim > 2 else as_series(u)
+    if u.shape[-1] != model.n_inputs:
+        raise InputError("u", f"has {u.shape[-1]} channels, expected {model.n_inputs} to match B")
+    drives = [_apply(model.B, u)]
     if v is not None:
         if model.E is None:
             raise ValueError("model has no E channel for process noise v")
-        v = as_series(v)
-        if v.shape != (len(u), model.E.shape[1]):
-            raise ValueError(f"v has shape {v.shape}, expected ({len(u)}, {model.E.shape[1]}) "
+        v = np.asarray(v, dtype=float)
+        v = v if v.ndim > 2 else as_series(v)
+        if v.shape != u.shape[:-1] + model.E.shape[1:]:
+            raise ValueError(f"v has shape {v.shape}, expected {u.shape[:-1] + model.E.shape[1:]} "
                              f"to match the samples and E")
-    x, y = _open_loop(model, u, v, noise_mode, x0)
+        if noise_mode == "process":
+            drives.append(_apply(model.E, v))
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = _lti_run(model.A, 0.0, *drives)
+        del drives
+        if v is not None and noise_mode == "measurement":
+            x += v @ model.E.T
+        y = x @ model.C.T
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError(f"simulation: the open-loop record overflows in {x.shape[-2]} samples")
     return Dataset(u=u, y=y, x=x)
 
 

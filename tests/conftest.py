@@ -74,16 +74,16 @@ def first_run_anticipates(monkeypatch) -> None:
     """
     import ddlqr.experiments
 
-    open_loop, calls = ddlqr.experiments._open_loop, []
+    calls = []
 
     def patched(model, u, *args):
-        x, y = open_loop(model, u, *args)
+        data = simulate(model, u, *args)
         calls.append(None)
         if len(calls) == 1:
-            y[0] = np.vstack([u[0, 3:], u[0, :3]])
-        return x, y
+            data.y[0] = np.vstack([u[0, 3:], u[0, :3]])
+        return data
 
-    monkeypatch.setattr(ddlqr.experiments, "_open_loop", patched)
+    monkeypatch.setattr(ddlqr.experiments, "simulate", patched)
 
 
 def random_stable_system(rng: np.random.Generator, n_max: int = 4, p_max: int = 2,

@@ -222,12 +222,12 @@ def riccati_iterate(model, weights, steps: int) -> np.ndarray:
     return P
 
 
-def loop_simulate(model, u, x0=None, v=None, noise_mode="process"):
-    """x(k+1) = A x + B u (+ E v in process mode); y = C x."""
+def loop_simulate(model, u, v=None, noise_mode="process"):
+    """x(k+1) = A x + B u (+ E v in process mode) from x(0) = 0; y = C x."""
     u = np.asarray(u, dtype=float).reshape(len(u), -1)
     T, n = len(u), model.n_states
     x = np.empty((T, n))
-    x[0] = np.zeros(n) if x0 is None else x0
+    x[0] = np.zeros(n)
     for k in range(T - 1):
         x[k + 1] = model.A @ x[k] + model.B @ u[k]
         if v is not None and noise_mode == "process":
@@ -295,7 +295,7 @@ def per_run_monte_carlo(model, signal, depth, runs, noise_variance, base_seed=0,
     for r in range(runs):
         rng = np.random.default_rng(base_seed + r)
         u_seed = int(rng.integers(0, 2 ** 31))
-        u = generate_signal(replace(signal, seed=u_seed, channels=model.n_inputs))
+        u = generate_signal(replace(signal, seed=u_seed))
         v = rng.normal(0.0, np.sqrt(noise_variance), size=(len(u), model.E.shape[1]))
         dm = build_data_matrices(loop_simulate(model, u, v=v, noise_mode=noise_mode),
                                  depth, width)

@@ -1,8 +1,10 @@
 """The public API, pinned: a change to ``ddlqr.__all__`` shows up here as a diff."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -36,7 +38,6 @@ PUBLIC = [
     "evaluate_closed_loop",
     "filter_imc_states",
     "generate_signal",
-    "harmonic_distortion",
     "integrator_imc",
     "model_lqr_gain",
     "monte_carlo_obs",
@@ -56,9 +57,9 @@ PARAMETERS = [
     ("ddlqr", "synthesize", ["est", "weights", "horizon"]),
     ("ddlqr", "convergence_sweep", ["model", "est", "weights", "horizons"]),
     ("ddlqr", "evaluate_closed_loop", ["model", "K", "weights", "scenario", "horizon"]),
-    ("ddlqr", "simulate", ["model", "u", "x0", "v", "noise_mode"]),
+    ("ddlqr", "simulate", ["model", "u", "v", "noise_mode"]),
+    ("ddlqr", "generate_signal", ["spec", "seeds"]),
     ("ddlqr", "dare_solve", ["model", "weights"]),
-    ("ddlqr", "harmonic_distortion", ["y", "samples_per_period"]),
     ("ddlqr.storage", "read_dataset", ["path"]),
 ]
 FIELDS = [
@@ -104,6 +105,7 @@ PARTS = ["u_past", "y_past", "u_future", "y_future", "x_past"]
     ("experiments", "design_gain"), ("plant_sim", "closed_loop_simulate"),
     ("plant_sim", "tracking_loop_simulate"), ("plant_sim", "cost_J"),
     ("matrix_kit", "block_hankel"), ("markov.DataMatrices", "stack"),
+    ("plant_sim", "_open_loop"), ("experiments", "harmonic_distortion"),
 ] + [("markov.DataMatrices", part) for part in PARTS])
 def test_test_only_helpers_are_gone(owner, name):
     module, _, cls = owner.partition(".")
@@ -115,3 +117,27 @@ def test_test_only_helpers_are_gone(owner, name):
 def test_partitions_are_named_by_parts():
     dm = ddlqr.build_data_matrices(ddlqr.Dataset(u=range(9), y=range(9), x=range(9)), 2, 6)
     assert list(dm.parts) == PARTS
+
+
+def _names_the_library_calls() -> set:
+    """Every name that a module of the package other than ``__init__`` calls, or hands
+    to ``experiments._stage`` to call: ``f(...)``, ``module.f(...)``, ``_stage(tag, f, ...)``."""
+    names = set()
+    for path in Path(ddlqr.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                called = node.func.attr if isinstance(node.func, ast.Attribute) else (
+                    getattr(node.func, "id", None))
+                names.add(called)
+                if called == "_stage":
+                    names.update(arg.id for arg in node.args if isinstance(arg, ast.Name))
+    return names
+
+
+def test_every_public_function_has_a_library_caller():
+    # a public function that only tests call is a path the commands never take
+    called = _names_the_library_calls()
+    functions = [name for name in ddlqr.__all__ if inspect.isfunction(getattr(ddlqr, name))]
+    assert [name for name in functions if name not in called] == []

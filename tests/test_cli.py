@@ -394,7 +394,7 @@ class TestMonteCarlo:
 
     def test_short_record_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch):
         # depth 3 of one input and one output: 2*3 + width - 1 samples, width >= 9
-        monkeypatch.setattr(ddlqr.experiments, "_open_loop",
+        monkeypatch.setattr(ddlqr.experiments, "simulate",
                             lambda *args: pytest.fail("a run was simulated"))
         for sets, message in (
             (["estimation.width=2000"], "[estimation] width 2000 at depth 3 needs"
@@ -413,7 +413,7 @@ class TestMonteCarlo:
     def test_depth_below_state_count_exits_2_before_any_run(self, tmp_path, capsys,
                                                             monkeypatch):
         # the reports would be biased, as a design on the same plant would be
-        monkeypatch.setattr(ddlqr.experiments, "_open_loop",
+        monkeypatch.setattr(ddlqr.experiments, "simulate",
                             lambda *args: pytest.fail("a run was simulated"))
         code = run("montecarlo", MC, "--output-dir", str(tmp_path / "out"),
                    *(arg for item in THREE_STATES_MC for arg in ("--set", item)))
@@ -689,6 +689,14 @@ INPUT_RULES = {
                 "[eval] x0", "x0"),
     "thd-window": ("eval", UPS, ["eval.horizon=300", "io.gain={tmp}/1x4.csv"], "[eval] horizon",
                    "horizon"),
+    "reference-below-nyquist": ("eval", UPS, ["reference.frequency=94000",
+                                              "io.gain={tmp}/1x4.csv"],
+                                "[reference] frequency", "frequency"),
+    # the inputs the signal gives must be those of B, in a design and in Monte Carlo alike
+    "signal-channels-design": ("design", REGULATION, ["signal.channels=3"], "[signal] channels",
+                               "u"),
+    "signal-channels-montecarlo": ("montecarlo", MC, ["signal.channels=2", "montecarlo.runs=5"],
+                                   "[signal] channels", "u"),
 }
 
 

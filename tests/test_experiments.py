@@ -28,7 +28,6 @@ from ddlqr import (
     estimate_predictor,
     evaluate_closed_loop,
     generate_signal,
-    harmonic_distortion,
     integrator_imc,
     model_lqr_gain,
     resonant_imc,
@@ -249,11 +248,18 @@ class TestMonteCarlo:
             self.mc(runs=3, signal=SignalSpec(kind="zero", length=1022))
 
     def test_short_record_raises_before_any_run(self, monkeypatch):
-        monkeypatch.setattr(ddlqr.experiments, "_open_loop",
+        monkeypatch.setattr(ddlqr.experiments, "simulate",
                             lambda *args: pytest.fail("a run was simulated"))
         with pytest.raises(InputError, match=r"^width 420 at depth 3 needs 2\*depth \+ width - 1"
                            r" = 425 samples, the record has 6$"):
             self.mc(runs=3, signal=SignalSpec(kind="prbs", length=6))
+
+    def test_misspelt_noise_mode_raises(self):
+        # it was taken for process noise that never entered the record: a noise-free
+        # study reported as a noisy one, covariance eigenvalues of 3e-32
+        with pytest.raises(ValueError, match="^noise_mode must be 'process' or 'measurement', "
+                                             "got 'measurment'$"):
+            self.mc(runs=50, noise_mode="measurment")
 
     def test_rejects_negative_variance(self):
         with pytest.raises(InputError, match="variance must be >= 0") as exc:
@@ -268,33 +274,32 @@ class TestMonteCarlo:
         chunk = ddlqr.experiments.MC_CHUNK_SAMPLES // spec.length
         sim_chunk = ddlqr.experiments.MC_SIM_CHUNK_SAMPLES // spec.length
         runs = sim_chunk + 3
-        kernel_calls, prbs_calls, predictor_calls = [], [], []
+        kernel_calls, signal_calls, predictor_calls = [], [], []
 
         def counted(*args, **kw):
             kernel_calls.append(None)
             return lti_run(*args, **kw)
 
-        def counted_prbs(spec, seeds):
-            prbs_calls.append(len(seeds))
-            return prbs_channels(spec, seeds)
+        def counted_signal(spec, seeds):
+            signal_calls.append(len(seeds))
+            return generate_signal(spec, seeds)
 
         def counted_predictor(dm):
             predictor_calls.append(dm.factor.shape[0])
             return estimate_predictor(dm)
 
         lti_run, estimate_predictor = ddlqr.plant_sim._lti_run, ddlqr.experiments.estimate_predictor
-        prbs_channels = ddlqr.experiments._prbs_channels
         monkeypatch.setattr(ddlqr.plant_sim, "_lti_run", counted)
-        monkeypatch.setattr(ddlqr.experiments, "_prbs_channels", counted_prbs)
+        monkeypatch.setattr(ddlqr.experiments, "generate_signal", counted_signal)
         monkeypatch.setattr(ddlqr.experiments, "estimate_predictor", counted_predictor)
         for mode in ("measurement", "process"):
-            for calls in (kernel_calls, prbs_calls, predictor_calls):
+            for calls in (kernel_calls, signal_calls, predictor_calls):
                 calls.clear()
             args = dict(depth=3, runs=runs, noise_variance=0.1, base_seed=4, noise_mode=mode)
             reports = monte_carlo_obs(model, spec, **args)
-            # one kernel call and one register product per simulation chunk
+            # one kernel call and one generate_signal call (a register product) per simulation chunk
             assert len(kernel_calls) == -(-runs // sim_chunk) == 2
-            assert prbs_calls == [sim_chunk, 3]
+            assert signal_calls == [sim_chunk, 3]
             # the runs' factors, kept across simulation chunks, are estimated as one batch
             assert predictor_calls == [runs] and sim_chunk == 2 * chunk
             samples, failures = per_run_monte_carlo(model, spec, **args)
@@ -333,8 +338,8 @@ class TestMonteCarlo:
             steps.append(drives[0].shape[-2])
             return lti_run(A, x0, *drives, **kw)
 
-        def counted_prbs(spec, seeds):
-            u = prbs_channels(spec, seeds)
+        def counted_signal(spec, seeds):
+            u = generate_signal(spec, seeds)
             records.append(u.shape[1])
             return u
 
@@ -348,9 +353,8 @@ class TestMonteCarlo:
                 return super().normal(*args, size=size, **kw)
 
         lti_run, estimate_predictor = ddlqr.plant_sim._lti_run, ddlqr.experiments.estimate_predictor
-        prbs_channels = ddlqr.experiments._prbs_channels
         monkeypatch.setattr(ddlqr.plant_sim, "_lti_run", counted)
-        monkeypatch.setattr(ddlqr.experiments, "_prbs_channels", counted_prbs)
+        monkeypatch.setattr(ddlqr.experiments, "generate_signal", counted_signal)
         monkeypatch.setattr(ddlqr.experiments, "estimate_predictor", counted_predictor)
         monkeypatch.setattr(np.random, "default_rng", lambda seed: Counted(np.random.PCG64(seed)))
         rep1, rep2 = self.mc(runs=500)
@@ -471,25 +475,42 @@ class TestMonteCarlo:
 
 
 class TestHarmonicDistortion:
+    """The THD that ``evaluate_closed_loop`` reports, and the rules it checks first."""
+
     def test_pure_sinusoid(self):
         k = np.arange(2000)
         y = np.sin(2 * np.pi * k / 100)
-        assert harmonic_distortion(y, samples_per_period=100) == pytest.approx(0.0, abs=1e-12)
+        assert ddlqr.experiments._distortion(y, 100) == pytest.approx(0.0, abs=1e-12)
 
     def test_equal_third_harmonic(self):
         k = np.arange(2000)
         y = np.sin(2 * np.pi * k / 100) + np.sin(6 * np.pi * k / 100)
-        assert harmonic_distortion(y, samples_per_period=100) == pytest.approx(1.0, rel=1e-9)
+        assert ddlqr.experiments._distortion(y, 100) == pytest.approx(1.0, rel=1e-9)
+
+    @staticmethod
+    def track(frequency: float, horizon: int):
+        """A zero-gain sinusoid tracking run of the scalar plant at ``frequency`` rad/sample."""
+        model, imc = scalar_model(), integrator_imc()
+        ref = SignalSpec(kind="sinusoid", length=1, amplitude=1.0, frequency=frequency)
+        return evaluate_closed_loop(model, np.zeros((1, 2)), LqrWeights(Q=np.eye(2), R=[[1.0]]),
+                                    TrackingScenario(imc=imc, reference=ref), horizon)
 
     def test_window_too_short(self):
-        with pytest.raises(ValueError, match="too short"):
-            harmonic_distortion(np.ones(50), samples_per_period=100)
+        # 100 samples a period: the THD window is 1000 samples
+        with pytest.raises(InputError, match="^horizon must be >= 1000, got 999$") as exc:
+            self.track(2 * np.pi / 100, 999)
+        assert exc.value.param == "horizon"
+        assert self.track(2 * np.pi / 100, 1000).thd is not None
 
     def test_below_two_samples_per_period(self):
-        # one sample per period leaves the window no fundamental bin
-        with pytest.raises(ValueError, match="at least 2 samples per period"):
-            harmonic_distortion(np.ones(50), samples_per_period=1)
-        assert np.isfinite(harmonic_distortion(np.cos(np.pi * np.arange(50)), 2))
+        # one sample per period leaves the window no fundamental bin: the frequency rule
+        # (0, pi) refuses it, and a frequency of 0 or below, before the run
+        for frequency in (2 * np.pi, np.pi, 0.0, -1.0):
+            with pytest.raises(InputError, match=r"^frequency \* ts = .* must lie inside "
+                                                 r"\(0, pi\)$") as exc:
+                self.track(frequency, 1000)
+            assert exc.value.param == "frequency"
+        assert np.isfinite(ddlqr.experiments._distortion(np.cos(np.pi * np.arange(50)), 2))
 
 
 class TestEvaluateClosedLoop:

@@ -186,7 +186,7 @@ class TestDropFirstBlockRow:
     matrix less its first block row of q outputs; its consumers slice it."""
 
     def mc(self, model, depth):
-        spec = SignalSpec(kind="prbs", length=400, amplitude=1.0)
+        spec = SignalSpec(kind="prbs", length=400, amplitude=1.0, channels=model.n_inputs)
         return monte_carlo_obs(model, spec, depth, runs=2, noise_variance=0.0)
 
     def test_scalar(self):

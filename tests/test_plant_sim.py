@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import regulation_run, scalar_model, two_output_model
+from oracles import loop_closed_loop
 from ddlqr import (
+    InputError,
     RegulationScenario,
     SignalSpec,
     StateSpaceModel,
@@ -24,7 +26,7 @@ from ddlqr import (
     zoh_discretize,
 )
 from ddlqr.config import RunConfig
-from ddlqr.plant_sim import _expm, _lfsr_jump, _lfsr_map, _prbs_channels
+from ddlqr.plant_sim import _expm, _lfsr_jump, _lfsr_map
 
 GAIN_LONG_HORIZON = np.array([[4.6491, 7.5226], [1.4461, -1.9886]])
 
@@ -51,14 +53,18 @@ class TestSimulate:
         np.testing.assert_allclose(CAB, [[0.051, -0.0075], [0.004, -0.008]], atol=1e-15)
 
     def test_linearity(self):
+        # in the input from rest, and in the start state through the zero-gain regulation loop
         model = two_output_model()
         rng = np.random.default_rng(0)
         u = rng.normal(size=(50, 2))
         x0 = rng.normal(size=2)
         a = 3.7
-        base = simulate(model, u, x0)
-        scaled = simulate(model, a * u, a * x0)
+        base = simulate(model, u)
+        scaled = simulate(model, a * u)
         np.testing.assert_allclose(scaled.x, a * base.x, rtol=1e-12)
+        free = regulation_run(model, np.zeros((2, 2)), x0, 50)[0]
+        np.testing.assert_allclose(regulation_run(model, np.zeros((2, 2)), a * x0, 50)[0],
+                                   a * free, rtol=1e-12)
 
     def test_superposition(self):
         model = two_output_model()
@@ -87,15 +93,25 @@ class TestSimulate:
 
     def test_dimension_errors(self):
         model = two_output_model()
-        with pytest.raises(ValueError, match="x0"):
-            simulate(model, np.zeros((5, 2)), x0=[1.0])
-        with pytest.raises(ValueError, match="channels"):
+        with pytest.raises(InputError, match="^u has 3 channels, expected 2 to match B$") as exc:
             simulate(model, np.zeros((5, 3)))
+        assert exc.value.param == "u"
+        with pytest.raises(InputError, match="^u has 1 channels, expected 2") as exc:
+            simulate(model, np.zeros((4, 5, 1)))
         with pytest.raises(ValueError, match="no E channel"):
             simulate(model, np.zeros((5, 2)), v=np.zeros(5))
         noisy = scalar_model(with_noise=True)
         with pytest.raises(ValueError, match=r"v has shape \(4, 1\), expected \(5, 1\)"):
             simulate(noisy, np.zeros(5), v=np.zeros(4))
+        with pytest.raises(ValueError, match=r"v has shape \(2, 5, 1\), expected \(3, 5, 1\)"):
+            simulate(noisy, np.zeros((3, 5, 1)), v=np.zeros((2, 5, 1)))
+
+    def test_misspelt_noise_mode_raises(self):
+        # a misspelt mode would otherwise leave the noise out of the record
+        model = scalar_model(with_noise=True)
+        with pytest.raises(ValueError, match="^noise_mode must be 'process' or 'measurement', "
+                                             "got 'measurment'$"):
+            simulate(model, np.zeros(5), v=np.ones(5), noise_mode="measurment")
 
     @pytest.mark.parametrize("mode", ["process", "measurement"])
     def test_overflowing_record_is_a_simulation_error(self, mode):
@@ -109,13 +125,14 @@ class TestSimulate:
 
 class TestClosedLoop:
     def test_zero_gain_matches_open_loop(self):
+        # the per-sample regulation loop under a zero gain is the open loop from x0
         model = two_output_model()
         x0 = np.array([1.0, -2.0])
         x, u, y = regulation_run(model, np.zeros((2, 2)), x0, 20)
-        ol = simulate(model, np.zeros((20, 2)), x0)
+        ol = loop_closed_loop(model, np.zeros((2, 2)), x0, 20)
         np.testing.assert_allclose(x, ol.x, atol=1e-15)
         np.testing.assert_allclose(y, ol.y, atol=1e-15)
-        assert not u.any()
+        assert not u.any() and not ol.u.any()
 
     def test_scalar_deadbeat(self):
         model = scalar_model()
@@ -154,6 +171,17 @@ class TestGenerateSignal:
         k = np.arange(100)
         np.testing.assert_allclose(
             sig, 127 * np.sqrt(2) * np.sin(120 * np.pi * k / 15000), atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["white-noise", "sinusoid", "constant", "zero"])
+    def test_every_kind_batches_one_run_per_seed(self, kind):
+        spec = SignalSpec(kind=kind, length=30, amplitude=0.7, variance=0.5, frequency=0.3,
+                          channels=2)
+        seeds = [4, 0, 4, 2 ** 31 - 1]
+        batch = generate_signal(spec, seeds)
+        assert batch.shape == (4, 30, 2)
+        for seed, run in zip(seeds, batch):
+            assert np.array_equal(run, generate_signal(replace(spec, seed=seed)))
+        assert (kind == "white-noise") == (not np.array_equal(batch[0], batch[1]))
 
     def test_determinism(self):
         spec = SignalSpec(kind="prbs", length=500, seed=9, channels=2)
@@ -254,7 +282,7 @@ class TestMaxLenSeq:
         spec = SignalSpec(kind="prbs", length=100, amplitude=0.7, register_order=order,
                           channels=channels, hold=hold)
         seeds = [0, 1, 5, 2 ** 31 - 1, 12345, 5]
-        batch = _prbs_channels(spec, seeds)
+        batch = generate_signal(spec, seeds)
         assert batch.shape == (len(seeds), 100, channels)
         for seed, run in zip(seeds, batch):
             assert np.array_equal(run, generate_signal(replace(spec, seed=seed)))

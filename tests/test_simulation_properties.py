@@ -1,9 +1,10 @@
 """Property tests: the kernel-backed simulators against per-sample loops.
 
-Random systems of every small (n, p, q, T) run through ``simulate`` (from a
-start state, with state noise v in both noise modes), the noise-free
-regulation and tracking loops of ``evaluate_closed_loop``'s runner and the
-internal-model filter, and through the loops in ``oracles``. The open loop
+Random systems of every small (n, p, q, T) run through ``simulate`` (from rest,
+one record and a batch of runs, with state noise v in both noise modes), the
+noise-free regulation loop (from a start state) and tracking loop of
+``evaluate_closed_loop``'s runner and the internal-model filter, and through
+the loops in ``oracles``. The open loop
 and the filter add the same products in the same order, so they agree
 exactly; the closed loops run A - B K as one matrix and agree within RTOL.
 The input u = -K x and the output y = C x are products, which cancel when K
@@ -61,15 +62,20 @@ SETTINGS = settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow
 
 
 @SETTINGS
-@given(systems(), st.sampled_from(["process", "measurement"]))
-def test_open_loop_matches_per_sample_loop(system, noise_mode):
+@given(systems(), st.sampled_from(["process", "measurement"]), st.integers(1, 3))
+def test_open_loop_matches_per_sample_loop(system, noise_mode, runs):
+    # one record, and a batch of 1 to 3 runs, each run bit for bit the loop
     model, _, T, rng = system
-    u, x0 = rng.normal(size=(T, model.n_inputs)), rng.normal(size=model.n_states)
-    v = rng.normal(size=(T, 2))
-    got = simulate(model, u, x0, v=v, noise_mode=noise_mode)
-    expect = loop_simulate(model, u, x0, v=v, noise_mode=noise_mode)
+    u, v = rng.normal(size=(runs, T, model.n_inputs)), rng.normal(size=(runs, T, 2))
+    got = simulate(model, u[0], v=v[0], noise_mode=noise_mode)
+    expect = loop_simulate(model, u[0], v=v[0], noise_mode=noise_mode)
     np.testing.assert_array_equal(got.x, expect.x)
     np.testing.assert_array_equal(got.y, expect.y)
+    batch = simulate(model, u, v=v, noise_mode=noise_mode)
+    for r in range(runs):
+        expect = loop_simulate(model, u[r], v=v[r], noise_mode=noise_mode)
+        np.testing.assert_array_equal(batch.x[r], expect.x)
+        np.testing.assert_array_equal(batch.y[r], expect.y)
 
 
 @SETTINGS
