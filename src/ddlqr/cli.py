@@ -40,7 +40,7 @@ INPUT_KEYS = {"Q": "[lqr] q", "R": "[lqr] r", "E": "[model] e", "K": "[io] gain"
               "x0": "[eval] x0", "depth": "[estimation] depth", "width": "[estimation] width",
               "runs": "[montecarlo] runs", "base_seed": "[montecarlo] seed",
               "noise_variance": "[montecarlo] variance", "u": "[signal] channels",
-              "frequency": "[reference] frequency",
+              "frequency": "[reference] frequency", "channels": "[reference] channels",
               "horizon": {"design": "[lqr] horizon", "sweep": "[sweep] horizons",
                           "eval": "[eval] horizon"}}
 
@@ -206,8 +206,13 @@ def cmd_eval(cfg: RunConfig, outdir: Path) -> int:
         imc = cfg.imc(default_ts=model.sample_time)
         if imc is None:
             raise ConfigError("tracking scenario requires an [imc] section")
-        if not cfg.has("reference", "length"):
+        # the reference runs for the horizon: a length set apart from it would be ignored
+        length = cfg.get("reference", "length")
+        if length is None:
             cfg.set_resolved("reference", "length", horizon)
+        elif length != horizon:
+            raise ConfigError(f"[reference] length {length} must equal [eval] horizon "
+                              f"{horizon}, which the reference runs for")
         ref = cfg.signal(default_channels=model.n_outputs, default_ts=model.sample_time,
                          section="reference")
         scenario = TrackingScenario(imc=imc, reference=ref)

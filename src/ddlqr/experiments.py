@@ -149,9 +149,6 @@ def estimate(data: Dataset, depth: int, width: Optional[int] = None, algorithm: 
         raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
     if imc is not None:
         data = _stage("imc-augmentation", augment_dataset, data, imc)
-    # the input rules first: the stack is not built, nor its width guidance warned of, in vain
-    check_regressor(data.n_inputs, data.n_outputs, depth,
-                    hankel_width(data.n_samples, data.n_outputs, data.n_states, depth, width))
     dm = build_data_matrices(data, depth, width)
     markov = _stage("markov-estimation", estimate_predictor, dm)
     obs = _observe(dm, algorithm, markov)
@@ -195,8 +192,7 @@ def synthesize(est: DataDrivenEstimate, weights: LqrWeights, horizon: int) -> Lq
     M = markov.toeplitz[q:q * (order + 1), :p]
     S = markov.toeplitz[:q * order, :p * order]
     O_plus = obs.matrix[q:q * (order + 1), :]
-    design = _stage("gain", dd_lqr_gain, M, S, O_plus, weights, order)
-    diagnostics = dict(design.diagnostics)
+    K, diagnostics = _stage("gain", dd_lqr_gain, M, S, O_plus, weights, order)
     diagnostics.update(
         gain_order=order,
         depth=markov.depth,
@@ -207,7 +203,7 @@ def synthesize(est: DataDrivenEstimate, weights: LqrWeights, horizon: int) -> Lq
         obs_residual=float(obs.residual),
         algorithm=obs.algorithm,
     )
-    return LqrDesign(K=design.K, horizon=horizon, diagnostics=diagnostics)
+    return LqrDesign(K=K, horizon=horizon, diagnostics=diagnostics)
 
 
 def convergence_sweep(
@@ -379,7 +375,8 @@ def evaluate_closed_loop(
     Argument errors are InputErrors, raised before the run: a gain ``K`` that is not
     inputs x loop states (tracking adds one internal-model copy per output), weights
     that do not fit the loop's outputs (internal-model states included) and inputs, a
-    wrong-sized start state ``x0``, a sinusoid reference whose ``frequency`` times its
+    wrong-sized start state ``x0``, a reference whose ``channels`` are neither 1 (one
+    signal for every output) nor q, a sinusoid reference whose ``frequency`` times its
     sample time is outside (0, pi), or a ``horizon`` shorter than ``THD_PERIODS`` of its
     periods.
     """
@@ -397,6 +394,9 @@ def evaluate_closed_loop(
             raise InputError("x0", f"has {x0.shape[0]} entries, expected {n} states")
     else:
         ref, spp = replace(scenario.reference, length=horizon), None
+        if ref.channels not in (1, q):
+            raise InputError("channels",
+                             f"must be 1 or the plant's {q} outputs, got {ref.channels}")
         if ref.kind == "sinusoid":
             theta = ref.frequency * ref.sample_time
             if not 0.0 < theta < np.pi:
@@ -406,7 +406,7 @@ def evaluate_closed_loop(
                 raise InputError("horizon", f"must be >= {THD_PERIODS * spp}, got {horizon}")
         loop, x0 = augment_model(model, scenario.imc), np.zeros(n_loop)
         r = generate_signal(ref)
-        r = r if r.shape[1] == q else np.tile(r[:, :1], (1, q))
+        r = r if r.shape[1] == q else np.tile(r, (1, q))
         G = np.vstack([np.zeros((n, q)), np.kron(np.eye(q), scenario.imc.B_c)])
         drives = (_apply(G, r),)
     A_cl = loop.A - loop.B @ K

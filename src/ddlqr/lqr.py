@@ -12,7 +12,7 @@ converges to the stationary Riccati gain as N grows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -65,8 +65,9 @@ def dd_lqr_gain(
     O_plus: np.ndarray,
     weights: LqrWeights,
     horizon: int,
-) -> LqrDesign:
-    """Closed-form LQR gain from Markov parameters and shifted observability.
+) -> Tuple[np.ndarray, Dict[str, float]]:
+    """Closed-form LQR gain from Markov parameters and shifted observability, with its
+    conditioning diagnostics.
 
     With N = ``horizon``, M stacks the first N Markov-parameter blocks
     (q*N x p), S is their strictly-lower block-Toeplitz matrix (q*N x p*N),
@@ -80,22 +81,11 @@ def dd_lqr_gain(
     mid = R_N + S' Q_N S, M' Gamma = M' Q_N - (mid^-1 S' Q_N M)' S' Q_N: one
     solve with p right-hand sides and no qN x qN Gamma. ``cond_inner`` is the
     condition number of mid, max|lambda| / min|lambda| of its eigenvalues, and
-    ``cond_bracket`` that of R + M' Gamma M.
+    ``cond_bracket`` that of R + M' Gamma M. Unchecked: ``experiments.synthesize``
+    slices the arrays to these shapes, N >= 1.
     """
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    S = np.atleast_2d(np.asarray(S, dtype=float))
-    O_plus = np.atleast_2d(np.asarray(O_plus, dtype=float))
     N = horizon
-    if N < 1:
-        raise ValueError("horizon must be >= 1")
     q, p = weights.Q.shape[0], weights.R.shape[0]
-    if M.shape != (q * N, p):
-        raise ValueError(f"M has shape {M.shape}, expected ({q * N}, {p})")
-    if S.shape != (q * N, p * N):
-        raise ValueError(f"S has shape {S.shape}, expected ({q * N}, {p * N})")
-    if O_plus.shape[0] != q * N:
-        raise ValueError(f"O_plus has {O_plus.shape[0]} rows, expected {q * N}")
-
     QS = (weights.Q @ S.reshape(N, q, p * N)).reshape(q * N, p * N)  # Q_N S
     QM = (weights.Q @ M.reshape(N, q, p)).reshape(q * N, p)  # Q_N M
     mid = S.T @ QS
@@ -111,8 +101,7 @@ def dd_lqr_gain(
         raise ValueError(
             f"singular gain bracket R + M' Gamma M (condition {cond_bracket:.3e})"
         ) from exc
-    return LqrDesign(K=K, horizon=N,
-                     diagnostics={"cond_inner": cond_inner, "cond_bracket": cond_bracket})
+    return K, {"cond_inner": cond_inner, "cond_bracket": cond_bracket}
 
 
 def dare_solve(model: StateSpaceModel, weights: LqrWeights) -> np.ndarray:

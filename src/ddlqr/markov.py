@@ -22,7 +22,6 @@ raises a ValueError about the first; its ``failed`` attribute marks them all.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, Optional
@@ -149,16 +148,11 @@ def hankel_stack(data: Dataset, depth: int, width: int) -> np.ndarray:
 def build_data_matrices(data: Dataset, depth: int, width: Optional[int] = None) -> DataMatrices:
     """Factor a dataset's past/future input/output Hankel matrices and states: one
     QR of their ``hankel_stack``, which is then dropped. ``depth`` and ``width`` are
-    held to ``hankel_width``; below the single-output guidance width >= 3*q*depth the
-    data only warn."""
+    held to ``hankel_width`` and ``check_regressor`` before the stack is written, so
+    every ``DataMatrices`` can determine the predictor."""
     p, q, n = data.n_inputs, data.n_outputs, data.n_states
     width = hankel_width(data.n_samples, q, n, depth, width)
-    if width < 3 * q * depth:
-        warnings.warn(
-            f"width {width} is below the guidance 3*q*depth = {3 * q * depth}; "
-            "estimates may be poorly conditioned",
-            stacklevel=2,
-        )
+    check_regressor(p, q, depth, width)
     stack = hankel_stack(data, depth, width).swapaxes(-1, -2)
     # numpy's QR copies its input, so a batch is factored half at a time: a whole stack freed
     # with a whole copy went back to the OS, and the next batch faulted the memory back in
@@ -195,9 +189,7 @@ def estimate_predictor(dm: DataMatrices) -> MarkovEstimate:
     square triangles with the same singular values. ``regressor_rank`` sums
     the ranks of L_Up,Up, L_Yp,Yp and the remainder.
     """
-    d, L = dm.depth, dm.width
-    p, q = dm.n_inputs, dm.n_outputs
-    check_regressor(p, q, d, L)
+    d, p, q = dm.depth, dm.n_inputs, dm.n_outputs
     F = dm.factor
     up, yp, uf, yf = (dm.parts[k] for k in ("u_past", "y_past", "u_future", "y_future"))
     # [L_Uf,Yp L_Uf,Uf] = R_f' Q_f' (orthonormal Q_f), so the input rows of L have the

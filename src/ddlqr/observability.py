@@ -81,12 +81,7 @@ def estimate_obs_alg1(dm: DataMatrices, s_hat: np.ndarray) -> ObservabilityEstim
     O = (y_past - s_hat u_past) x_past^+, computed on the factor as
     O = (L_Yp - s_hat L_Up) L_X^+; L_Up is zero past its first p*depth columns.
     """
-    qd, pd = dm.n_outputs * dm.depth, dm.n_inputs * dm.depth
-    if s_hat.shape[-2:] != (qd, pd):
-        raise ValueError(
-            f"Toeplitz factor shape {s_hat.shape} does not match y_past rows "
-            f"{qd} and u_past rows {pd}"
-        )
+    pd = dm.n_inputs * dm.depth
     F = dm.factor
     rhs = F[..., dm.parts["y_past"], :].copy()
     rhs[..., :pd] -= s_hat @ F[..., dm.parts["u_past"], :pd]

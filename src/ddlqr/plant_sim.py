@@ -289,7 +289,8 @@ def simulate(model: StateSpaceModel, u, v=None, noise_mode: str = "process") -> 
       measurement.
 
     In both modes the recorded output is y(k) = C x(k) with x the recorded
-    state. A record that overflows is a ``simulation:`` ValueError, with no numpy warning.
+    state. A record that overflows is a ``simulation:`` ValueError, with no numpy warning;
+    one that is not finite because u or v is not is a ValueError that names the input.
     """
     if noise_mode not in NOISE_MODES:
         raise ValueError(f"noise_mode must be 'process' or 'measurement', got {noise_mode!r}")
@@ -315,6 +316,9 @@ def simulate(model: StateSpaceModel, u, v=None, noise_mode: str = "process") -> 
             x += v @ model.E.T
         y = x @ model.C.T
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        for name, series in (("u", u), ("v", v)):
+            if series is not None:
+                _check_finite(name, series)
         raise ValueError(f"simulation: the open-loop record overflows in {x.shape[-2]} samples")
     return Dataset(u=u, y=y, x=x)
 

@@ -38,15 +38,11 @@ import numpy as np
 
 from ddlqr import (
     Dataset,
-    build_data_matrices,
-    estimate_obs_alg1,
-    estimate_obs_alg2,
-    estimate_predictor,
     generate_signal,
-    true_observability,
 )
-from ddlqr.markov import hankel_stack
-from ddlqr.observability import ALGORITHMS
+from ddlqr.markov import build_data_matrices, estimate_predictor, hankel_stack
+from ddlqr.observability import (ALGORITHMS, estimate_obs_alg1, estimate_obs_alg2,
+                                 true_observability)
 
 PINV_TOL = 1e-12
 RANK_TOL = 1e-8

@@ -33,19 +33,16 @@ from ddlqr import (
     dare_solve,
     estimate,
     evaluate_closed_loop,
-    estimate_obs_alg1,
-    estimate_obs_alg2,
-    estimate_predictor,
-    build_data_matrices,
     generate_signal,
     model_lqr_gain,
     monte_carlo_obs,
     simulate,
     synthesize,
-    true_observability,
 )
 from ddlqr.config import RunConfig
+from ddlqr.markov import build_data_matrices, estimate_predictor
 from ddlqr.matrix_kit import hankel_window
+from ddlqr.observability import estimate_obs_alg1, estimate_obs_alg2, true_observability
 
 GAIN_SHORT = np.array([[4.2314, 7.644], [1.127, -1.8959]])
 GAIN_LONG = np.array([[4.6491, 7.5226], [1.4461, -1.9886]])

@@ -620,6 +620,20 @@ class TestEval:
             assert "[reference] frequency * ts" in capsys.readouterr().err
             assert not (tmp_path / "e" / "eval.csv").exists()
 
+    def test_reference_length_other_than_the_horizon_exits_2(self, tmp_path, capsys):
+        # the reference runs for [eval] horizon, so a length set apart from it would be ignored
+        write_matrix(tmp_path / "zero.csv", np.zeros((1, 4)))
+        sets = ["--set", f"io.gain={tmp_path}/zero.csv", "--set", "eval.horizon=2500"]
+        assert run("eval", UPS, "--output-dir", str(tmp_path / "e"), *sets,
+                   "--set", "reference.length=100") == 2
+        assert capsys.readouterr().err == ("config error: [reference] length 100 must equal "
+                                           "[eval] horizon 2500, which the reference runs for\n")
+        assert not (tmp_path / "e").exists()
+        assert run("eval", UPS, "--output-dir", str(tmp_path / "same"), *sets,
+                   "--set", "reference.length=2500") == 0
+        echo = (tmp_path / "same" / "config_echo.ini").read_text()
+        assert "length = 2500" in echo
+
 
 # An input error of each kind that is raised after the config file loads, with
 # the command and overrides that raise it and the start of its message.
@@ -692,6 +706,9 @@ INPUT_RULES = {
     "reference-below-nyquist": ("eval", UPS, ["reference.frequency=94000",
                                               "io.gain={tmp}/1x4.csv"],
                                 "[reference] frequency", "frequency"),
+    # one reference signal for every plant output, or one each
+    "reference-channels": ("eval", UPS, ["reference.channels=3", "io.gain={tmp}/1x4.csv"],
+                           "[reference] channels", "channels"),
     # the inputs the signal gives must be those of B, in a design and in Monte Carlo alike
     "signal-channels-design": ("design", REGULATION, ["signal.channels=3"], "[signal] channels",
                                "u"),

@@ -21,11 +21,9 @@ from ddlqr import (
     SignalSpec,
     StateSpaceModel,
     TrackingScenario,
-    build_data_matrices,
     convergence_sweep,
     dare_solve,
     estimate,
-    estimate_predictor,
     evaluate_closed_loop,
     generate_signal,
     integrator_imc,
@@ -36,6 +34,7 @@ from ddlqr import (
     synthesize,
 )
 from ddlqr.config import RunConfig
+from ddlqr.markov import build_data_matrices, estimate_predictor
 from ddlqr.observability import ALGORITHMS
 
 GAIN_SHORT = np.array([[4.2314, 7.644], [1.127, -1.8959]])

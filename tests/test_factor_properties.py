@@ -8,7 +8,6 @@ stack, where the factor is wider than it is tall. Below q*depth = n the data
 matrices refuse the data, whose past outputs cannot determine the state.
 """
 
-import warnings
 from unittest import mock
 
 import numpy as np
@@ -22,13 +21,10 @@ from ddlqr import (
     Dataset,
     InputError,
     StateSpaceModel,
-    build_data_matrices,
-    estimate_obs_alg1,
-    estimate_obs_alg2,
-    estimate_predictor,
     simulate,
 )
-from ddlqr.markov import RANK_TOL, hankel_stack
+from ddlqr.markov import RANK_TOL, build_data_matrices, estimate_predictor, hankel_stack
+from ddlqr.observability import estimate_obs_alg1, estimate_obs_alg2
 
 RTOL = 1e-9
 
@@ -76,9 +72,7 @@ def test_factor_route_matches_pinv_route(problem):
     data = simulate(model, rng.normal(size=(T, p)), v=v, noise_mode="measurement")
     if _refused(data, depth, width):
         return
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # narrow widths are below guidance
-        dm = build_data_matrices(data, depth, width)
+    dm = build_data_matrices(data, depth, width)
 
     est = estimate_predictor(dm)
     _, blocks, input_rank = pinv_predictor(data, dm)
@@ -112,9 +106,7 @@ def test_batch_entries_match_unbatched(problem):
     batch = Dataset(*(np.stack([getattr(r, k) for r in runs]) for k in "uyx"))
     if _refused(batch, depth, width):
         return
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # narrow widths are below guidance
-        dms = [build_data_matrices(data, depth, width) for data in runs + [batch]]
+    dms = [build_data_matrices(data, depth, width) for data in runs + [batch]]
 
     est = estimate_predictor(dms[-1])
     o1 = estimate_obs_alg1(dms[-1], est.toeplitz)
@@ -157,9 +149,7 @@ def test_input_spectrum_and_remainder_branch(problem):
     if _refused(batch, depth, width):
         return
     for data, counts in zip((runs[0], batch), (nulls[:1], nulls)):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # narrow widths are below guidance
-            dm = build_data_matrices(data, depth, width)
+        dm = build_data_matrices(data, depth, width)
         # the stack's QR is build_data_matrices'; the predictor factors the future-input
         # rows once and the remainder once for each nonzero null count
         with mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:

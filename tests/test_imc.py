@@ -8,18 +8,17 @@ from ddlqr import (
     SignalSpec,
     StateSpaceModel,
     TrackingScenario,
-    augment_dataset,
     augment_model,
     dare_solve,
     estimate,
     evaluate_closed_loop,
-    filter_imc_states,
     integrator_imc,
     model_lqr_gain,
     resonant_imc,
     simulate,
     synthesize,
 )
+from ddlqr.imc import augment_dataset, filter_imc_states
 
 
 class TestRealizations:

@@ -42,11 +42,11 @@ from ddlqr import (
     StateSpaceModel,
     augment_model,
     dare_solve,
-    dd_lqr_gain,
     model_lqr_gain,
 )
 from ddlqr.config import RunConfig
 from ddlqr.experiments import estimate, synthesize
+from ddlqr.lqr import dd_lqr_gain
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DARE_RTOL = 1e-10
@@ -122,7 +122,7 @@ def test_blockwise_gain_matches_textbook(n, p, q, N, seed):
     model = StateSpaceModel(A=A, B=rng.normal(size=(n, p)), C=rng.normal(size=(q, n)))
     weights = LqrWeights(Q=_spd(rng, q, 1.0), R=_spd(rng, p, 10.0 ** rng.uniform(-2, 2)))
     inputs = exact_gain_inputs(model, N)
-    got = dd_lqr_gain(*inputs, weights, N).K
+    got, _ = dd_lqr_gain(*inputs, weights, N)
     assert _rel(got, textbook_gain(*inputs, weights, N)) < GAIN_RTOL
 
 
@@ -132,9 +132,9 @@ def test_blockwise_gain_on_tracking_demo():
     aug = augment_model(model, cfg.imc(default_ts=model.sample_time))
     weights, N = cfg.weights(), cfg.get_int("lqr", "horizon") - 1
     inputs = exact_gain_inputs(aug, N)
-    design = dd_lqr_gain(*inputs, weights, N)
-    assert 1e5 < design.diagnostics["cond_inner"] < 1e6
-    assert _rel(design.K, textbook_gain(*inputs, weights, N)) < GAIN_RTOL
+    K, diagnostics = dd_lqr_gain(*inputs, weights, N)
+    assert 1e5 < diagnostics["cond_inner"] < 1e6
+    assert _rel(K, textbook_gain(*inputs, weights, N)) < GAIN_RTOL
 
 
 @SETTINGS
@@ -146,10 +146,10 @@ def test_gain_is_riccati_gain_of_the_iterate(n, p, q, order, radius, seed):
     A *= radius / max(np.abs(np.linalg.eigvals(A)).max(), 1e-12)
     model = StateSpaceModel(A=A, B=rng.normal(size=(n, p)), C=rng.normal(size=(q, n)))
     weights = LqrWeights(Q=_spd(rng, q, 1.0), R=_spd(rng, p, 10.0 ** rng.uniform(-2, 2)))
-    design = dd_lqr_gain(*exact_gain_inputs(model, order), weights, order)
+    K, diagnostics = dd_lqr_gain(*exact_gain_inputs(model, order), weights, order)
     iterate = model_lqr_gain(model, riccati_iterate(model, weights, order), weights.R)
-    bound = ITERATE_FLOOR + ITERATE_PER_COND * design.diagnostics["cond_inner"]
-    assert _rel(design.K, iterate) < bound
+    bound = ITERATE_FLOOR + ITERATE_PER_COND * diagnostics["cond_inner"]
+    assert _rel(K, iterate) < bound
 
 
 @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])

@@ -15,11 +15,10 @@ from ddlqr import (
     Dataset,
     InputError,
     StateSpaceModel,
-    build_data_matrices,
     estimate,
-    estimate_predictor,
 )
 from ddlqr import markov
+from ddlqr.markov import build_data_matrices, estimate_predictor
 
 
 def stack(ds, dm):
@@ -39,15 +38,15 @@ def rows(ds, dm, name):
 
 class TestBuildDataMatrices:
     def test_depth_one_read_off(self):
-        ds = Dataset(u=[[1.0], [2.0], [3.0]], y=[[4.0], [5.0], [6.0]], x=[[0.0], [0.0], [0.0]])
-        with pytest.warns(UserWarning, match="guidance"):
-            dm = build_data_matrices(ds, depth=1, width=2)
-        np.testing.assert_array_equal(rows(ds, dm, "u_past"), [[1, 2]])
-        np.testing.assert_array_equal(rows(ds, dm, "y_past"), [[4, 5]])
-        np.testing.assert_array_equal(rows(ds, dm, "u_future"), [[2, 3]])
-        np.testing.assert_array_equal(rows(ds, dm, "y_future"), [[5, 6]])
-        assert regressor(ds, dm).shape == (3, 2)
-        np.testing.assert_array_equal(rows(ds, dm, "x_past"), [[0, 0]])
+        ds = Dataset(u=[[1.0], [2.0], [3.0], [4.0]], y=[[5.0], [6.0], [7.0], [8.0]],
+                     x=np.zeros((4, 1)))
+        dm = build_data_matrices(ds, depth=1, width=3)
+        np.testing.assert_array_equal(rows(ds, dm, "u_past"), [[1, 2, 3]])
+        np.testing.assert_array_equal(rows(ds, dm, "y_past"), [[5, 6, 7]])
+        np.testing.assert_array_equal(rows(ds, dm, "u_future"), [[2, 3, 4]])
+        np.testing.assert_array_equal(rows(ds, dm, "y_future"), [[6, 7, 8]])
+        assert regressor(ds, dm).shape == (3, 3)
+        np.testing.assert_array_equal(rows(ds, dm, "x_past"), [[0, 0, 0]])
 
     def test_regressor_shape(self):
         ds = prbs_dataset(two_output_model())
@@ -60,7 +59,7 @@ class TestBuildDataMatrices:
         rng = np.random.default_rng(12)
         ds = Dataset(u=rng.normal(size=(2, 40, 3)), y=rng.normal(size=(2, 40, 2)),
                      x=rng.normal(size=(2, 40, 3)))
-        depth, width = 4, 30
+        depth, width = 4, 32
         dm = build_data_matrices(ds, depth, width)
         expect = np.concatenate([
             block_hankel(ds.u, 0, depth, width), block_hankel(ds.y, 0, depth, width),
@@ -70,7 +69,7 @@ class TestBuildDataMatrices:
         # the factor is the R' of the stack's one QR
         assert np.array_equal(dm.factor, np.linalg.qr(expect.swapaxes(-1, -2), mode="r")
                               .swapaxes(-1, -2))
-        assert dm.factor.shape == (2, 43, 30)  # 43 rows, narrower than tall
+        assert dm.factor.shape == (2, 43, 32)  # 43 rows, narrower than tall
         for b in range(2):
             run = Dataset(u=ds.u[b], y=ds.y[b], x=ds.x[b])
             alone = build_data_matrices(run, depth, width)
@@ -91,13 +90,7 @@ class TestBuildDataMatrices:
     def test_width_below_regressor_rows(self):
         ds = prbs_dataset(scalar_model(), length=200)
         with pytest.raises(InputError, match=r"width 20 must be >= \(2p \+ q\) \* depth = 30"):
-            with pytest.warns(UserWarning):
-                estimate_predictor(build_data_matrices(ds, depth=10, width=20))
-
-    def test_width_guidance_warning(self):
-        ds = prbs_dataset(scalar_model(), length=200)
-        with pytest.warns(UserWarning, match="guidance"):
-            build_data_matrices(ds, depth=10, width=29)
+            build_data_matrices(ds, depth=10, width=20)
 
 
 class TestEstimatePredictor:

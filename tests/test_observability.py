@@ -11,19 +11,15 @@ from ddlqr import (
     LqrWeights,
     SignalSpec,
     StateSpaceModel,
-    build_data_matrices,
-    estimate_obs_alg1,
-    estimate_obs_alg2,
     estimate,
-    estimate_predictor,
     generate_signal,
     monte_carlo_obs,
     simulate,
     synthesize,
-    true_observability,
 )
-from ddlqr.markov import hankel_stack
-from ddlqr.observability import ALGORITHMS, _fit_states
+from ddlqr.markov import build_data_matrices, estimate_predictor, hankel_stack
+from ddlqr.observability import (ALGORITHMS, _fit_states, estimate_obs_alg1, estimate_obs_alg2,
+                                 true_observability)
 
 
 def rows(ds, dm, name):
@@ -41,10 +37,9 @@ class TestStateSnapshot:
     """The state snapshot is the ``x_past`` rows of the data matrices."""
 
     def test_read_off(self):
-        ds = Dataset(u=np.zeros((3, 1)), y=np.zeros((3, 1)), x=[[1.0], [2.0], [3.0]])
-        with pytest.warns(UserWarning, match="guidance"):
-            dm = build_data_matrices(ds, depth=1, width=2)
-        np.testing.assert_array_equal(rows(ds, dm, "x_past"), [[1.0, 2.0]])
+        ds = Dataset(u=np.zeros((4, 1)), y=np.zeros((4, 1)), x=[[1.0], [2.0], [3.0], [4.0]])
+        dm = build_data_matrices(ds, depth=1, width=3)
+        np.testing.assert_array_equal(rows(ds, dm, "x_past"), [[1.0, 2.0, 3.0]])
 
     def test_shape(self):
         ds = prbs_dataset(two_output_model())

@@ -122,6 +122,17 @@ class TestSimulate:
                            match=r"^simulation: the open-loop record overflows in 250 samples$"):
             simulate(model, np.ones(250), v=np.zeros(250), noise_mode=mode)
 
+    @pytest.mark.parametrize("mode", ["process", "measurement"])
+    def test_non_finite_input_is_named_not_called_an_overflow(self, mode):
+        # a plain ValueError: the InputError on u names [signal] channels in the CLI
+        model = StateSpaceModel(A=[[0.5]], B=[[1.0]], C=[[1.0]], E=[[1.0]])
+        for name, bad in (("u", np.nan), ("u", np.inf), ("v", np.nan), ("v", np.inf)):
+            series = {"u": np.ones(10), "v": np.zeros(10)}
+            series[name][3] = bad
+            with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$") as exc:
+                simulate(model, series["u"], v=series["v"], noise_mode=mode)
+            assert not isinstance(exc.value, InputError)
+
 
 class TestClosedLoop:
     def test_zero_gain_matches_open_loop(self):

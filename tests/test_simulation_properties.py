@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 
 from conftest import regulation_run, tracking_run
 from oracles import loop_closed_loop, loop_filter_imc_states, loop_simulate, loop_tracking_loop
-from ddlqr import ImcRealization, StateSpaceModel, filter_imc_states, simulate
+from ddlqr import ImcRealization, StateSpaceModel, simulate
 from ddlqr.plant_sim import _lti_run
+from ddlqr.imc import filter_imc_states
 
 RTOL = 1e-12
 
