@@ -30,17 +30,17 @@ from .experiments import (
     monte_carlo_obs,
     synthesize,
 )
-from .imc import augment_model
 from .plant_sim import InputError, generate_signal, simulate
 
 OUTPUT_DIR_ENV = "DDLQR_OUTPUT_DIR"
 FMT = "%.17g"
 # The config key that sets each parameter an InputError names, by command where it differs.
-INPUT_KEYS = {"Q": "[lqr] q", "R": "[lqr] r", "E": "[model] e", "K": "[io] gain",
-              "x0": "[eval] x0", "depth": "[estimation] depth", "width": "[estimation] width",
-              "runs": "[montecarlo] runs", "base_seed": "[montecarlo] seed",
-              "noise_variance": "[montecarlo] variance", "u": "[signal] channels",
-              "frequency": "[reference] frequency", "channels": "[reference] channels",
+INPUT_KEYS = {"Q": "[lqr] q", "R": "[lqr] r", "E": "[model] e", "model": "[model] a",
+              "K": "[io] gain", "x0": "[eval] x0", "depth": "[estimation] depth",
+              "width": "[estimation] width", "runs": "[montecarlo] runs",
+              "base_seed": "[montecarlo] seed", "noise_variance": "[montecarlo] variance",
+              "u": "[signal] channels", "frequency": "[reference] frequency",
+              "channels": "[reference] channels",
               "horizon": {"design": "[lqr] horizon", "sweep": "[sweep] horizons",
                           "eval": "[eval] horizon"}}
 
@@ -50,10 +50,12 @@ def _output_dir(args, cfg: RunConfig) -> Path:
     return Path(args.output_dir or cfg.get("io", "output_dir", os.environ.get(OUTPUT_DIR_ENV, ".")))
 
 
-def _write_echo(cfg: RunConfig, outdir: Path) -> str:
+def _write_report(cfg: RunConfig, path: Path, lines) -> None:
+    """Write ``config_echo.ini`` beside ``path``, then ``path``: the report ``lines``
+    followed by the same echo."""
     echo = cfg.echo()
-    storage.write_text(outdir / "config_echo.ini", echo)
-    return echo
+    storage.write_text(path.parent / "config_echo.ini", echo)
+    storage.write_text(path, "\n".join(lines) + "\n\n# resolved configuration\n" + echo)
 
 
 def _read_input(read, key: str, path: str):
@@ -87,17 +89,17 @@ def _load_or_simulate_dataset(cfg: RunConfig):
 
 
 def _estimate(cfg: RunConfig, model, data, horizons):
-    """The one estimate that every horizon is synthesized from, with the weights and
-    the internal model it was made for. ``synthesize``'s rules are checked for the
-    longest horizon before estimating, with q counting the internal-model states."""
+    """The one estimate that every horizon is synthesized from, with the weights it was
+    made for. ``synthesize``'s rules are checked for the longest horizon before
+    estimating, with q counting the internal-model states."""
     depth = cfg.get("estimation", "depth", required=True)
     weights = cfg.weights()
     imc = cfg.imc(default_ts=model.sample_time)
     q = data.n_outputs * (1 + (imc.order if imc is not None else 0))
-    check_synthesis(weights, max(horizons), depth, q, data.n_inputs, imc is not None)
+    check_synthesis(weights, max(horizons), depth, q, data.n_inputs)
     est = estimate(data, depth, cfg.get("estimation", "width"),
                    cfg.get("estimation", "algorithm", "alg1"), imc)
-    return est, weights, imc
+    return est, weights
 
 
 def cmd_simulate(cfg: RunConfig, outdir: Path) -> int:
@@ -106,7 +108,7 @@ def cmd_simulate(cfg: RunConfig, outdir: Path) -> int:
     target = cfg.get("io", "dataset", str(outdir / "dataset.csv"))
     storage.write_dataset(target, data)
     cfg.set_resolved("io", "dataset", target)
-    _write_echo(cfg, outdir)
+    storage.write_text(outdir / "config_echo.ini", cfg.echo())
     print(f"wrote {data.n_samples} samples to {target}")
     return 0
 
@@ -114,15 +116,12 @@ def cmd_simulate(cfg: RunConfig, outdir: Path) -> int:
 def cmd_design(cfg: RunConfig, outdir: Path) -> int:
     model, data = _load_or_simulate_dataset(cfg)
     horizon = cfg.get("lqr", "horizon", required=True)
-    est, weights, _ = _estimate(cfg, model, data, [horizon])
+    est, weights = _estimate(cfg, model, data, [horizon])
     cfg.set_resolved("estimation", "width", est.width)
     design = synthesize(est, weights, horizon)
     storage.write_matrix(outdir / "gain.csv", design.K)
-    echo = _write_echo(cfg, outdir)
-    lines = [f"gain horizon: {design.horizon}"]
-    lines += [f"{k}: {v}" for k, v in sorted(design.diagnostics.items())]
-    lines += ["", "# resolved configuration", echo]
-    storage.write_text(outdir / "design.txt", "\n".join(lines) + "\n")
+    _write_report(cfg, outdir / "design.txt", [f"gain horizon: {design.horizon}"] + [
+        f"{k}: {v}" for k, v in sorted(design.diagnostics.items())])
     print(f"wrote gain to {outdir / 'gain.csv'}")
     return 0
 
@@ -130,18 +129,12 @@ def cmd_design(cfg: RunConfig, outdir: Path) -> int:
 def cmd_sweep(cfg: RunConfig, outdir: Path) -> int:
     model, data = _load_or_simulate_dataset(cfg)
     horizons = cfg.get("sweep", "horizons", required=True)
-    est, weights, imc = _estimate(cfg, model, data, horizons)
-    # the Riccati reference is the plant the estimate saw, internal-model states included
-    rows = convergence_sweep(model if imc is None else augment_model(model, imc), est,
-                             weights, horizons)
+    est, weights = _estimate(cfg, model, data, horizons)
+    rows = convergence_sweep(model, est, weights, horizons)
     lines = ["horizon,gain_error"] + [f"{n},{FMT % e}" for n, e in rows]
     storage.write_text(outdir / "sweep.csv", "\n".join(lines) + "\n")
-    echo = _write_echo(cfg, outdir)
-    storage.write_text(
-        outdir / "sweep.txt",
-        "\n".join(f"horizon {n}: max-entry gain error {e:.6e}" for n, e in rows)
-        + "\n\n# resolved configuration\n" + echo,
-    )
+    _write_report(cfg, outdir / "sweep.txt",
+                  [f"horizon {n}: max-entry gain error {e:.6e}" for n, e in rows])
     print(f"wrote sweep table to {outdir / 'sweep.csv'}")
     return 0
 
@@ -183,11 +176,7 @@ def cmd_montecarlo(cfg: RunConfig, outdir: Path) -> int:
             f"  2nd-moment eigvals  {np.array2string(rep.second_moment_eigenvalues, precision=6)}",
         ]
     storage.write_text(outdir / "mc_eigenvalues.csv", "\n".join(eig_lines) + "\n")
-    echo = _write_echo(cfg, outdir)
-    storage.write_text(
-        outdir / "montecarlo.txt",
-        "\n".join(summary) + "\n\n# resolved configuration\n" + echo,
-    )
+    _write_report(cfg, outdir / "montecarlo.txt", summary)
     print(f"wrote Monte Carlo reports to {outdir}")
     return 0
 
@@ -200,12 +189,10 @@ def cmd_eval(cfg: RunConfig, outdir: Path) -> int:
         raise ConfigError(f"[io] gain {gain_path} has non-finite entries")
     weights = cfg.weights()
     horizon = cfg.get("eval", "horizon", required=True)
-    if cfg.get("eval", "scenario", required=True) == "regulation":
+    imc = cfg.imc(default_ts=model.sample_time)
+    if imc is None:
         scenario = RegulationScenario(x0=cfg.get("eval", "x0", required=True))
     else:
-        imc = cfg.imc(default_ts=model.sample_time)
-        if imc is None:
-            raise ConfigError("tracking scenario requires an [imc] section")
         # the reference runs for the horizon: a length set apart from it would be ignored
         length = cfg.get("reference", "length")
         if length is None:
@@ -228,11 +215,7 @@ def cmd_eval(cfg: RunConfig, outdir: Path) -> int:
         outdir / "eval.csv",
         "metric,value\n" + "\n".join(f"{k},{FMT % v}" for k, v in rows) + "\n",
     )
-    echo = _write_echo(cfg, outdir)
-    storage.write_text(
-        outdir / "eval.txt",
-        "\n".join(f"{k}: {v:.9g}" for k, v in rows) + "\n\n# resolved configuration\n" + echo,
-    )
+    _write_report(cfg, outdir / "eval.txt", [f"{k}: {v:.9g}" for k, v in rows])
     print(f"wrote metrics to {outdir / 'eval.csv'}")
     return 0
 

@@ -66,8 +66,8 @@ KEYS: Dict[str, Dict[str, Key]] = {
                    "fixed_input": Key("bool")},
     "imc": {"kind": Key("str", choices=("integrator", "resonant")), "omega_n": _FLOAT,
             "ts": _FLOAT},  # resonant_imc bounds omega_n * ts
-    "eval": {"scenario": Key("str", choices=("regulation", "tracking")),
-             "horizon": Key("int", ">= 1"), "x0": _MATRIX},
+    "eval": {"horizon": Key("int", ">= 1"), "x0": _MATRIX,
+             "scenario": Key(removed="eval tracks when there is an [imc] section, else regulates")},
     "io": {"output_dir": _STR, "dataset": _STR, "gain": _STR},
 }
 

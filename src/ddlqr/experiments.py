@@ -54,14 +54,14 @@ class DataDrivenEstimate:
 
     The Toeplitz factor of the Markov parameters and the observability matrix
     do not depend on the weights or on any horizon up to ``depth``, so one
-    estimate serves every ``synthesize`` call within that range. ``augmented`` records whether
-    internal-model states were appended to the data before estimation.
+    estimate serves every ``synthesize`` call within that range. ``imc`` is the internal
+    model whose states were appended to the data before estimation, if any.
     """
 
     markov: MarkovEstimate
     observability: ObservabilityEstimate
     width: int
-    augmented: bool = False
+    imc: Optional[ImcRealization] = None
 
 
 @dataclass
@@ -152,28 +152,27 @@ def estimate(data: Dataset, depth: int, width: Optional[int] = None, algorithm: 
     dm = build_data_matrices(data, depth, width)
     markov = _stage("markov-estimation", estimate_predictor, dm)
     obs = _observe(dm, algorithm, markov)
-    return DataDrivenEstimate(markov=markov, observability=obs, width=dm.width,
-                              augmented=imc is not None)
+    return DataDrivenEstimate(markov=markov, observability=obs, width=dm.width, imc=imc)
 
 
-def check_weights(weights: LqrWeights, q: int, p: int, outputs: str) -> None:
-    """InputError unless Q weighs the q ``outputs`` and R the p inputs."""
-    for name, m, size, what in (("Q", weights.Q, q, outputs), ("R", weights.R, p, "inputs")):
+def check_weights(weights: LqrWeights, q: int, p: int) -> None:
+    """InputError unless Q weighs the q outputs (internal-model states included) and R
+    the p inputs."""
+    for name, m, size, what in (("Q", weights.Q, q, "outputs, internal-model states included"),
+                                ("R", weights.R, p, "inputs")):
         if m.shape[0] != size:
             raise InputError(name, f"has dimension {m.shape[0]}, expected {size} ({what})")
 
 
-def check_synthesis(weights: LqrWeights, horizon: int, depth: int, q: int, p: int,
-                    augmented: bool) -> None:
+def check_synthesis(weights: LqrWeights, horizon: int, depth: int, q: int, p: int) -> None:
     """InputError unless ``synthesize`` takes ``weights`` and ``horizon`` to an estimate at
-    ``depth`` of q outputs (internal-model states included when ``augmented``) and p
-    inputs: 2 <= horizon <= depth, and the weights fit. A caller can check before estimating."""
+    ``depth`` of q outputs (internal-model states included) and p inputs:
+    2 <= horizon <= depth, and the weights fit. A caller can check before estimating."""
     if horizon < 2:
         raise InputError("horizon", "must be >= 2 (the gain needs at least one Markov block)")
     if horizon > depth:
         raise InputError("horizon", f"{horizon} must be <= depth {depth}")
-    check_weights(weights, q, p, "dataset outputs and internal-model states" if augmented
-                  else "dataset outputs")
+    check_weights(weights, q, p)
 
 
 def synthesize(est: DataDrivenEstimate, weights: LqrWeights, horizon: int) -> LqrDesign:
@@ -185,7 +184,7 @@ def synthesize(est: DataDrivenEstimate, weights: LqrWeights, horizon: int) -> Lq
     """
     markov, obs = est.markov, est.observability
     q, p = (size // markov.depth for size in markov.toeplitz.shape)
-    check_synthesis(weights, horizon, markov.depth, q, p, est.augmented)
+    check_synthesis(weights, horizon, markov.depth, q, p)
     order = horizon - 1
     # the Toeplitz factor's first block column is [0; Markov blocks 1..depth-1],
     # and O+ = [CA; ..; CA^order] starts one block row into the observability matrix
@@ -213,10 +212,14 @@ def convergence_sweep(
     horizons: Sequence[int],
 ) -> List[Tuple[int, float]]:
     """Max-entry gap of the gain synthesized from ``est`` at each horizon to the
-    Riccati gain of ``model``: the plant behind the estimate's data, with its
-    internal-model states when the estimate is augmented."""
-    P = dare_solve(model, weights)
-    K_star = model_lqr_gain(model, P, weights.R)
+    Riccati gain of ``model``, the plant behind the estimate's data, with the
+    estimate's internal model appended by ``augment_model`` if it has one.
+    InputError unless that loop has the estimate's state count."""
+    loop = model if est.imc is None else augment_model(model, est.imc)
+    n = est.observability.matrix.shape[-1]
+    if loop.n_states != n:
+        raise InputError("model", f"has {loop.n_states} states, the estimate's data {n}")
+    K_star = model_lqr_gain(loop, dare_solve(loop, weights), weights.R)
     return [(N, float(np.abs(synthesize(est, weights, N).K - K_star).max())) for N in horizons]
 
 
@@ -381,15 +384,14 @@ def evaluate_closed_loop(
     periods.
     """
     K = np.asarray(K, dtype=float)
-    n, q, p = model.n_states, model.n_outputs, model.n_inputs
+    n, q = model.n_states, model.n_outputs
     tracking = isinstance(scenario, TrackingScenario)
-    n_loop = n + scenario.imc.order * q if tracking else n
-    if K.shape != (p, n_loop):
-        raise InputError("K", f"has shape {K.shape}, expected {(p, n_loop)}")
-    check_weights(weights, q + n_loop - n, p,
-                  "plant outputs and internal-model states" if tracking else "plant outputs")
+    loop = augment_model(model, scenario.imc) if tracking else model
+    if K.shape != (loop.n_inputs, loop.n_states):
+        raise InputError("K", f"has shape {K.shape}, expected {(loop.n_inputs, loop.n_states)}")
+    check_weights(weights, loop.n_outputs, loop.n_inputs)
     if not tracking:
-        loop, x0, drives = model, np.asarray(scenario.x0, dtype=float).reshape(-1), ()
+        x0, drives = np.asarray(scenario.x0, dtype=float).reshape(-1), ()
         if x0.shape[0] != n:
             raise InputError("x0", f"has {x0.shape[0]} entries, expected {n} states")
     else:
@@ -404,14 +406,13 @@ def evaluate_closed_loop(
             spp = int(round(2.0 * np.pi / theta))
             if horizon < THD_PERIODS * spp:
                 raise InputError("horizon", f"must be >= {THD_PERIODS * spp}, got {horizon}")
-        loop, x0 = augment_model(model, scenario.imc), np.zeros(n_loop)
-        r = generate_signal(ref)
+        x0, r = np.zeros(loop.n_states), generate_signal(ref)
         r = r if r.shape[1] == q else np.tile(r, (1, q))
         G = np.vstack([np.zeros((n, q)), np.kron(np.eye(q), scenario.imc.B_c)])
         drives = (_apply(G, r),)
     A_cl = loop.A - loop.B @ K
     rho = float(np.abs(np.linalg.eigvals(A_cl)).max())
-    x, u, y = _loop_run(model, K, A_cl, x0, *drives, steps=horizon)
+    x, u, y = _loop_run(loop, K, A_cl, x0, *drives, steps=horizon)
     if not (np.isfinite(x).all() and np.isfinite(u).all() and np.isfinite(y).all()):
         return ClosedLoopMetrics(cost=np.inf, spectral_radius=rho, steady_state_error=np.inf)
     cost = float(np.einsum("ki,ij,kj->", y, weights.Q, y)
@@ -426,13 +427,13 @@ def evaluate_closed_loop(
                              _distortion(y[:, 0], spp))
 
 
-def _loop_run(model: StateSpaceModel, K: np.ndarray, A_cl: np.ndarray, x0, *drives, steps: int):
-    """Raw x, u = -K x and y = [C x_plant; x_imc] of x(k+1) = A_cl x(k) + drives. It
+def _loop_run(loop: StateSpaceModel, K: np.ndarray, A_cl: np.ndarray, x0, *drives, steps: int):
+    """Raw x, u = -K x and y = C x of ``loop``, run as x(k+1) = A_cl x(k) + drives. It
     checks nothing: an unstable loop runs on to inf or nan."""
     with np.errstate(over="ignore", invalid="ignore"):
         x = _lti_run(A_cl, x0, *drives, steps=steps)
         u = -_apply(K, x)
-        y = np.hstack([x[:, :model.n_states] @ model.C.T, x[:, model.n_states:]])
+        y = x @ loop.C.T
     return x, u, y
 
 

@@ -4,8 +4,9 @@ An internal-model controller replicates the reference's signal class inside
 the loop (an integrator for steps, a resonator for sinusoids). Filtering the
 plant outputs through the controller produces measurable controller states,
 and stacking them onto the plant data turns the tracking problem into a
-plain state-feedback design on an augmented system. The filter runs every
-output channel through the simulators' LTI kernel in one batched call.
+plain state-feedback design on the plant-plus-controller system. The filter
+runs every output channel through the simulators' LTI kernel in one batched
+call.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_kit import as_series
-from .plant_sim import Dataset, StateSpaceModel, _apply, _lti_run
+from .plant_sim import Dataset, StateSpaceModel, _apply, _lti_run, as_series
 
 
 @dataclass
@@ -82,9 +82,9 @@ def augment_dataset(data: Dataset, imc: ImcRealization) -> Dataset:
 
 
 def augment_model(model: StateSpaceModel, imc: ImcRealization) -> StateSpaceModel:
-    """Open-loop augmented model of plant plus one controller copy per output.
+    """Open-loop model of the plant plus one controller copy per output.
 
-    The augmented state is [x; x_c] with
+    Its state is [x; x_c] with
 
         A_a = [[A, 0], [-C (x) B_c, I_q (x) A_c]],   B_a = [B; 0],
         C_a = [[C, 0], [0, I]],

@@ -28,8 +28,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .matrix_kit import hankel_window
-from .plant_sim import Dataset, InputError
+from .plant_sim import Dataset, InputError, as_series
 
 # Relative singular-value cut-offs: RANK_TOL decides the excitation ranks,
 # PINV_TOL the directions a least-squares solve treats as null (a
@@ -129,6 +128,17 @@ def check_regressor(p: int, q: int, depth: int, width: int) -> None:
         raise InputError("width", f"{width} must be >= (2p + q) * depth = {(2 * p + q) * depth} "
                                   f"at depth {depth} (p = {p} inputs, q = {q} outputs); a "
                                   f"T-sample record holds T - 2*depth + 1 columns at most")
+
+
+def hankel_window(signal, start: int, depth: int, width: int) -> np.ndarray:
+    """The block-Hankel window of a vector time series: a (..., depth, d, width) view
+    of ``signal`` (a (..., T, d) array, or a length-T 1-D one) whose block (i, j) is
+    sample ``signal[start + i + j]``. Leading axes batch series. The sizes are not
+    checked: ``hankel_width`` holds a record to them."""
+    sig = np.asarray(signal, dtype=float)
+    sig = sig if sig.ndim > 2 else as_series(sig)
+    return np.lib.stride_tricks.sliding_window_view(sig[..., start:start + depth + width - 1, :],
+                                                    width, axis=-2)
 
 
 def hankel_stack(data: Dataset, depth: int, width: int) -> np.ndarray:

@@ -26,8 +26,6 @@ from typing import Optional
 
 import numpy as np
 
-from .matrix_kit import as_series
-
 SIGNAL_KINDS = ("prbs", "white-noise", "sinusoid", "constant", "zero")
 NOISE_MODES = ("process", "measurement")
 # Feedback taps of the maximal-length register of each order: scipy.signal.max_len_seq's table.
@@ -45,6 +43,16 @@ class InputError(ValueError):
     def __init__(self, param: str, detail: str):
         super().__init__(f"{param} {detail}")
         self.param, self.detail = param, detail
+
+
+def as_series(signal) -> np.ndarray:
+    """Return a (T, d) float array, promoting 1-D inputs to a single channel."""
+    arr = np.asarray(signal, dtype=float)
+    if arr.ndim == 1:
+        arr = arr[:, None]
+    if arr.ndim != 2:
+        raise ValueError(f"signal must be 1-D or 2-D, got shape {arr.shape}")
+    return arr
 
 
 def _check_finite(name: str, arr: np.ndarray) -> np.ndarray:
@@ -315,12 +323,14 @@ def simulate(model: StateSpaceModel, u, v=None, noise_mode: str = "process") -> 
         if v is not None and noise_mode == "measurement":
             x += v @ model.E.T
         y = x @ model.C.T
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+    try:
+        return Dataset(u=u, y=y, x=x)
+    except ValueError:  # a non-finite entry: name the input that has one, if any
         for name, series in (("u", u), ("v", v)):
             if series is not None:
                 _check_finite(name, series)
-        raise ValueError(f"simulation: the open-loop record overflows in {x.shape[-2]} samples")
-    return Dataset(u=u, y=y, x=x)
+        raise ValueError(f"simulation: the open-loop record overflows in {x.shape[-2]} "
+                         f"samples") from None
 
 
 def _expm(M: np.ndarray) -> np.ndarray:
@@ -336,7 +346,7 @@ def _expm(M: np.ndarray) -> np.ndarray:
 def zoh_discretize(Ac, Bc, C, Ts: float) -> StateSpaceModel:
     """Zero-order-hold discretization of a continuous-time (Ac, Bc, C) triple.
 
-    Uses the augmented matrix exponential expm([[Ac, Bc], [0, 0]] * Ts), whose
+    Uses the block matrix exponential expm([[Ac, Bc], [0, 0]] * Ts), whose
     top blocks are the discrete A and B.
     """
     if Ts <= 0:

@@ -10,6 +10,10 @@ from ddlqr import Dataset, SignalSpec, StateSpaceModel, augment_model, generate_
 from ddlqr.experiments import _loop_run
 from ddlqr.plant_sim import _apply
 
+# the tracking demo shrunk to a short record and depth, as config overrides
+UPS_SMALL_SETS = ["signal.length=800", "estimation.depth=30", "estimation.width=400",
+                  "lqr.horizon=30"]
+
 settings.register_profile("ddlqr", derandomize=True, database=None, deadline=None)
 settings.load_profile("ddlqr")
 
@@ -54,7 +58,7 @@ def tracking_run(model: StateSpaceModel, imc, K_a, r):
     ``augment_model`` loop from rest, driven by G r with G = [0; I_q (x) B_c]."""
     aug, q = augment_model(model, imc), model.n_outputs
     G = np.vstack([np.zeros((model.n_states, q)), np.kron(np.eye(q), imc.B_c)])
-    return _loop_run(model, K_a, aug.A - aug.B @ K_a, np.zeros(len(aug.A)), _apply(G, r),
+    return _loop_run(aug, K_a, aug.A - aug.B @ K_a, np.zeros(len(aug.A)), _apply(G, r),
                      steps=len(r))
 
 

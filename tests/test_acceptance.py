@@ -40,8 +40,7 @@ from ddlqr import (
     synthesize,
 )
 from ddlqr.config import RunConfig
-from ddlqr.markov import build_data_matrices, estimate_predictor
-from ddlqr.matrix_kit import hankel_window
+from ddlqr.markov import build_data_matrices, estimate_predictor, hankel_window
 from ddlqr.observability import estimate_obs_alg1, estimate_obs_alg2, true_observability
 
 GAIN_SHORT = np.array([[4.2314, 7.644], [1.127, -1.8959]])

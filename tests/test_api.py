@@ -69,6 +69,7 @@ FIELDS = [
                                   "input_rank_margin"]),
     ("observability", "ObservabilityEstimate", ["matrix", "algorithm", "residual"]),
     ("lqr", "LqrDesign", ["K", "horizon", "diagnostics"]),
+    ("experiments", "DataDrivenEstimate", ["markov", "observability", "width", "imc"]),
 ]
 
 
@@ -128,8 +129,12 @@ PARTS = ["u_past", "y_past", "u_future", "y_future", "x_past"]
 ] + [("markov.DataMatrices", part) for part in PARTS])
 def test_test_only_helpers_are_gone(owner, name):
     module, _, cls = owner.partition(".")
-    scope = importlib.import_module(f"ddlqr.{module}")
-    assert not hasattr(getattr(scope, cls) if cls else scope, name)
+    if module == "matrix_kit":  # folded into markov and plant_sim
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("ddlqr.matrix_kit")
+    else:
+        scope = importlib.import_module(f"ddlqr.{module}")
+        assert not hasattr(getattr(scope, cls) if cls else scope, name)
     assert not hasattr(ddlqr, name)
 
 

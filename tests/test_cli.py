@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import first_run_anticipates
+from conftest import UPS_SMALL_SETS, first_run_anticipates
 import ddlqr.cli
 import ddlqr.experiments
 import ddlqr.markov
@@ -11,7 +11,10 @@ from ddlqr import (
     Dataset,
     InputError,
     RegulationScenario,
+    SignalSpec,
+    StateSpaceModel,
     TrackingScenario,
+    convergence_sweep,
     dare_solve,
     estimate,
     evaluate_closed_loop,
@@ -31,9 +34,7 @@ UPS = str(CONFIGS / "ups_tracking_demo.ini")
 MC = str(CONFIGS / "noisy_estimation_mc.ini")
 
 GAIN_LONG = np.array([[4.6491, 7.5226], [1.4461, -1.9886]])
-# the tracking demo shrunk to a short record and depth
-UPS_SMALL = ["--set", "signal.length=800", "--set", "estimation.depth=30",
-             "--set", "estimation.width=400", "--set", "lqr.horizon=30"]
+UPS_SMALL = [arg for item in UPS_SMALL_SETS for arg in ("--set", item)]
 
 # a three-state, one-output plant on the regulation demo's signal, at depth 2
 THREE_STATES = ["model.a=[[0.5,0.1,0],[0,0.4,0.2],[0.1,0,0.3]]", "model.b=[[1],[0.5],[0.2]]",
@@ -41,7 +42,7 @@ THREE_STATES = ["model.a=[[0.5,0.1,0],[0,0.4,0.2],[0.1,0,0.3]]", "model.b=[[1],[
                 "estimation.depth=2", "lqr.horizon=2", "sweep.horizons=[2]"]
 
 # the regulation demo evaluated from a start state
-REGULATION_EVAL = ["eval.scenario=regulation", "eval.x0=[1,1]", "eval.horizon=100"]
+REGULATION_EVAL = ["eval.x0=[1,1]", "eval.horizon=100"]
 
 # the Monte Carlo study on the same three-state plant at depth 2
 THREE_STATES_MC = THREE_STATES[:3] + ["model.e=[[1],[0],[0]]", "estimation.depth=2",
@@ -50,6 +51,15 @@ THREE_STATES_MC = THREE_STATES[:3] + ["model.e=[[1],[0],[0]]", "estimation.depth
 
 def run(*argv):
     return main(list(argv))
+
+
+def three_state_record() -> Dataset:
+    """A record of a three-state plant with the regulation demo's two inputs and two
+    outputs, under the demo's signal."""
+    plant = StateSpaceModel(A=np.diag([0.5, 0.4, 0.3]), B=[[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]],
+                            C=[[1.0, 0.0, 0.5], [0.0, 1.0, 0.2]])
+    spec = SignalSpec(kind="prbs", length=1022, seed=7, channels=2)
+    return simulate(plant, generate_signal(spec))
 
 
 def never_factored(monkeypatch):
@@ -275,7 +285,7 @@ class TestDesign:
                    "--set", "imc.kind=integrator")
         assert code == 2
         assert ("config error: [lqr] q has dimension 3, expected 2 "
-                "(dataset outputs and internal-model states)") in capsys.readouterr().err
+                "(outputs, internal-model states included)") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_design_from_dataset_file(self, tmp_path):
@@ -449,7 +459,7 @@ class TestEval:
         cfg = tmp_path / "eval.ini"
         cfg.write_text(
             Path(REGULATION).read_text()
-            + f"\n[eval]\nscenario = regulation\nx0 = [1.0, 1.0]\nhorizon = 500\n"
+            + f"\n[eval]\nx0 = [1.0, 1.0]\nhorizon = 500\n"
             + f"[io]\ngain = {tmp_path}/gain.csv\n"
         )
         assert run("eval", str(cfg), "--output-dir", str(tmp_path)) == 0
@@ -467,7 +477,7 @@ class TestEval:
         cfg.write_text(
             "[model]\na = 1.2\nb = 1.0\nc = 1.0\n"
             "[lqr]\nq = 1.0\nr = 1.0\nhorizon = 2\n"
-            "[eval]\nscenario = regulation\nx0 = [1.0]\nhorizon = 200\n"
+            "[eval]\nx0 = [1.0]\nhorizon = 200\n"
             f"[io]\ngain = {tmp_path}/zero.csv\n"
         )
         assert run("eval", str(cfg), "--output-dir", str(tmp_path)) == 0
@@ -480,8 +490,8 @@ class TestEval:
         run("design", REGULATION, "--output-dir", str(tmp_path))
         for horizon in (0, -3):
             code = run("eval", REGULATION, "--output-dir", str(tmp_path),
-                       "--set", "eval.scenario=regulation", "--set", "eval.x0=[1.0,-1.0]",
-                       "--set", f"eval.horizon={horizon}", "--set", f"io.gain={tmp_path}/gain.csv")
+                       "--set", "eval.x0=[1.0,-1.0]", "--set", f"eval.horizon={horizon}",
+                       "--set", f"io.gain={tmp_path}/gain.csv")
             assert code == 2, horizon
             assert f"[eval] horizon must be >= 1, got {horizon}" in capsys.readouterr().err
 
@@ -526,8 +536,8 @@ class TestEval:
     def test_wrong_start_state_dimension_exits_2(self, tmp_path, capsys):
         run("design", REGULATION, "--output-dir", str(tmp_path))
         code = run("eval", REGULATION, "--output-dir", str(tmp_path / "eval"),
-                   "--set", "eval.scenario=regulation", "--set", "eval.horizon=500",
-                   "--set", "eval.x0=[1.0]", "--set", f"io.gain={tmp_path}/gain.csv")
+                   "--set", "eval.horizon=500", "--set", "eval.x0=[1.0]",
+                   "--set", f"io.gain={tmp_path}/gain.csv")
         assert code == 2
         assert "[eval] x0 has 1 entries, expected 2 states" in capsys.readouterr().err
         assert not (tmp_path / "eval" / "eval.csv").exists()
@@ -541,7 +551,7 @@ class TestEval:
         cfg.write_text(
             "[model]\na = [[0.9, 0.1], [0.0, 0.8]]\nb = [[0.0], [1.0]]\nc = [[1.0, 0.0]]\n"
             "[lqr]\nq = 1.0\nr = 1.0\nhorizon = 2\n"
-            "[eval]\nscenario = regulation\nx0 = [1.0, 0.0]\nhorizon = 200\n"
+            "[eval]\nx0 = [1.0, 0.0]\nhorizon = 200\n"
             f"[io]\ngain = {tmp_path}/small.csv\n"
         )
         assert run("eval", str(cfg), "--output-dir", str(tmp_path / "e")) == 2
@@ -563,7 +573,7 @@ class TestEval:
         cfg.write_text(
             "[model]\na = [[0.9, 0.1], [0.0, 0.8]]\nb = [[0.0], [1.0]]\nc = [[1.0, 0.0]]\n"
             "[lqr]\nq = 1.0\nr = 1.0\nhorizon = 2\n"
-            "[eval]\nscenario = regulation\nx0 = [1.0, 0.0]\nhorizon = 200\n"
+            "[eval]\nx0 = [1.0, 0.0]\nhorizon = 200\n"
             f"[io]\ngain = {tmp_path}/gain.csv\n"
         )
         assert run("eval", str(cfg), "--output-dir", str(tmp_path / "e")) == 2
@@ -587,11 +597,11 @@ class TestEval:
 
     @pytest.mark.parametrize("config, gain, sets, message", [
         (REGULATION, (2, 2), REGULATION_EVAL + ["lqr.q=[[1]]"],
-         "[lqr] q has dimension 1, expected 2 (plant outputs)"),
+         "[lqr] q has dimension 1, expected 2 (outputs, internal-model states included)"),
         (REGULATION, (2, 2), REGULATION_EVAL + ["lqr.r=[[1]]"],
          "[lqr] r has dimension 1, expected 2 (inputs)"),
         (UPS, (1, 4), ["lqr.q=[[1]]"],
-         "[lqr] q has dimension 1, expected 3 (plant outputs and internal-model states)"),
+         "[lqr] q has dimension 1, expected 3 (outputs, internal-model states included)"),
         (UPS, (1, 4), ["lqr.r=[[1,0],[0,1]]"], "[lqr] r has dimension 2, expected 1 (inputs)"),
     ], ids=["regulation-q", "regulation-r", "tracking-q", "tracking-r"])
     def test_weights_that_do_not_fit_exit_2(self, tmp_path, capsys, monkeypatch,
@@ -619,6 +629,14 @@ class TestEval:
             assert code == 2, frequency
             assert "[reference] frequency * ts" in capsys.readouterr().err
             assert not (tmp_path / "e" / "eval.csv").exists()
+
+    def test_scenario_key_is_removed(self, tmp_path, capsys):
+        # eval tracks exactly when the file has an [imc] section
+        assert run("eval", UPS, "--output-dir", str(tmp_path / "e"),
+                   "--set", "eval.scenario=tracking") == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: [eval] scenario is no longer supported: ")
+        assert not (tmp_path / "e").exists()
 
     def test_reference_length_other_than_the_horizon_exits_2(self, tmp_path, capsys):
         # the reference runs for [eval] horizon, so a length set apart from it would be ignored
@@ -697,6 +715,9 @@ INPUT_RULES = {
                              "horizon"),
     "horizons-within-depth": ("sweep", REGULATION, ["sweep.horizons=[10,52]"],
                               "[sweep] horizons", "horizon"),
+    # the sweep's Riccati reference is the plant behind the data: here 2 states, the data 3
+    "sweep-plant-states": ("sweep", REGULATION, ["io.dataset={tmp}/three_states.csv"],
+                           "[model] a", "model"),
     "gain-shape": ("eval", REGULATION, REGULATION_EVAL + ["io.gain={tmp}/1x1.csv"], "[io] gain",
                    "K"),
     "x0-size": ("eval", REGULATION, REGULATION_EVAL + ["eval.x0=[1]", "io.gain={tmp}/2x2.csv"],
@@ -729,20 +750,23 @@ def _library_run(command: str, config: str, sets):
         return monte_carlo_obs(model, spec, depth, int(mc.get("montecarlo.runs", 2)),
                                float(mc.get("montecarlo.variance", 0.1)),
                                int(mc.get("montecarlo.seed", 0)), width=width)
+    imc = cfg.imc(model.sample_time)
     if command == "eval":
         horizon = cfg.get("eval", "horizon")
-        if cfg.get("eval", "scenario") == "regulation":
+        if imc is None:
             scenario = RegulationScenario(x0=cfg.get("eval", "x0"))
         else:
             cfg.set_resolved("reference", "length", horizon)
-            scenario = TrackingScenario(imc=cfg.imc(model.sample_time), reference=cfg.signal(
+            scenario = TrackingScenario(imc=imc, reference=cfg.signal(
                 model.n_outputs, model.sample_time, section="reference"))
         return evaluate_closed_loop(model, read_matrix(cfg.get("io", "gain")), cfg.weights(),
                                     scenario, horizon)
-    est = estimate(simulate(model, generate_signal(spec)), depth, width,
-                   imc=cfg.imc(model.sample_time))
-    horizons = [cfg.get("lqr", "horizon")] if command == "design" else cfg.get("sweep", "horizons")
-    return [synthesize(est, cfg.weights(), horizon) for horizon in horizons]
+    dataset = cfg.get("io", "dataset")
+    data = simulate(model, generate_signal(spec)) if dataset is None else read_dataset(dataset)
+    est = estimate(data, depth, width, imc=imc)
+    if command == "sweep":
+        return convergence_sweep(model, est, cfg.weights(), cfg.get("sweep", "horizons"))
+    return synthesize(est, cfg.weights(), cfg.get("lqr", "horizon"))
 
 
 @pytest.mark.parametrize("rule", list(INPUT_RULES) + ["parameter-not-in-table"])
@@ -760,6 +784,7 @@ def test_input_rules_exit_2_naming_their_key(tmp_path, capsys, monkeypatch, rule
         command, config, sets, key, param = INPUT_RULES[rule]
     for shape in ((1, 1), (2, 2), (1, 4)):
         write_matrix(tmp_path / f"{shape[0]}x{shape[1]}.csv", np.zeros(shape))
+    write_dataset(tmp_path / "three_states.csv", three_state_record())
     sets = [item.format(tmp=tmp_path) for item in sets]
     assert run(command, config, "--output-dir", str(tmp_path / "out"),
                *(arg for item in sets for arg in ("--set", item))) == 2

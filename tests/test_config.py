@@ -94,15 +94,15 @@ class TestKinds:
                 load(tmp_path, f"model.continuous={raw}")
 
     def test_str(self, tmp_path):
-        cfg = load(tmp_path, "io.gain=out/gain.csv", "eval.scenario=tracking")
+        cfg = load(tmp_path, "io.gain=out/gain.csv", "noise.mode=measurement")
         assert cfg.get("io", "gain") == "out/gain.csv"
-        assert cfg.get("eval", "scenario") == "tracking"
+        assert cfg.get("noise", "mode") == "measurement"
         for raw in ("3", "true", "[1]"):
             with pytest.raises(ConfigError, match=r"\[io\] gain: expected a string"):
                 load(tmp_path, f"io.gain={raw}")
-        with pytest.raises(ConfigError, match=r"\[eval\] scenario must be one of "
-                                              r"\('regulation', 'tracking'\), got 'track'"):
-            load(tmp_path, "eval.scenario=track")
+        with pytest.raises(ConfigError, match=r"\[noise\] mode must be one of "
+                                              r"\('process', 'measurement'\), got 'proces'"):
+            load(tmp_path, "noise.mode=proces")
         with pytest.raises(ConfigError, match=r"\[imc\] kind must be one of"):
             load(tmp_path, "imc.kind=3")
         with pytest.raises(ConfigError, match=r"\[estimation\] algorithm must be one of "

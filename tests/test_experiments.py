@@ -6,6 +6,7 @@ import pytest
 
 import ddlqr.experiments
 from conftest import (
+    UPS_SMALL_SETS,
     first_run_anticipates,
     prbs_dataset,
     random_stable_system,
@@ -21,6 +22,7 @@ from ddlqr import (
     SignalSpec,
     StateSpaceModel,
     TrackingScenario,
+    augment_model,
     convergence_sweep,
     dare_solve,
     estimate,
@@ -162,7 +164,7 @@ class TestDesignGain:
     def test_weight_dimension_checked_after_augmentation(self):
         est = estimate(prbs_dataset(two_output_model()), 11, imc=integrator_imc())
         with pytest.raises(InputError, match="Q has dimension 2, expected 4 "
-                           "\\(dataset outputs and internal-model states\\)"):
+                           "\\(outputs, internal-model states included\\)"):
             synthesize(est, reference_weights(), 10)
 
 
@@ -195,6 +197,32 @@ class TestConvergenceSweep:
         errs = [e for _, e in rows]
         assert all(np.isfinite(errs))
         assert errs[-1] < 1e-3
+
+
+    @pytest.mark.parametrize("case", ["ups-small", "integrator"])
+    def test_tracking_rows_against_augmented_riccati_gain(self, case):
+        # the sweep takes the plant and augments it with the estimate's internal model
+        if case == "ups-small":
+            cfg = RunConfig.load(CONFIGS / "ups_tracking_demo.ini", UPS_SMALL_SETS)
+            model, weights = cfg.model(), cfg.weights()
+            imc = cfg.imc(default_ts=model.sample_time)
+            spec = cfg.signal(default_channels=model.n_inputs, default_ts=model.sample_time)
+            est = estimate(simulate(model, generate_signal(spec)), 30, 400, imc=imc)
+            horizons = [10, 30]
+        else:
+            model, imc = two_output_model(), integrator_imc()
+            est = estimate(prbs_dataset(model, length=2000), 40, imc=imc)
+            weights = LqrWeights(Q=20 * np.eye(4), R=0.2 * np.eye(2))
+            horizons = [10, 40]
+        aug = augment_model(model, imc)
+        K_star = model_lqr_gain(aug, dare_solve(aug, weights), weights.R)
+        assert convergence_sweep(model, est, weights, horizons) == [
+            (N, float(np.abs(synthesize(est, weights, N).K - K_star).max())) for N in horizons]
+        # a plant augmented already would be augmented twice
+        twice = augment_model(aug, imc).n_states
+        with pytest.raises(InputError, match=f"^model has {twice} states, the estimate's "
+                                             f"data {aug.n_states}$"):
+            convergence_sweep(aug, est, weights, horizons)
 
 
 class TestMonteCarlo:
@@ -549,7 +577,7 @@ class TestEvaluateClosedLoop:
         model = two_output_model()
         K = np.zeros((2, 2))
         for weights, message in ((LqrWeights(Q=[[1.0]], R=np.eye(2)), "Q has dimension 1, "
-                                  "expected 2 \\(plant outputs\\)"),
+                                  "expected 2 \\(outputs, internal-model states included\\)"),
                                  (LqrWeights(Q=np.eye(2), R=[[1.0]]), "R has dimension 1, "
                                   "expected 2 \\(inputs\\)")):
             with pytest.raises(InputError, match=message):
@@ -558,7 +586,7 @@ class TestEvaluateClosedLoop:
         ref = SignalSpec(kind="constant", length=1, amplitude=1.0)
         scenario = TrackingScenario(imc=integrator_imc(), reference=ref)
         with pytest.raises(InputError, match=r"Q has dimension 1, expected 2 "
-                           r"\(plant outputs and internal-model states\)"):
+                           r"\(outputs, internal-model states included\)"):
             evaluate_closed_loop(model, np.zeros((1, 3)), LqrWeights(Q=[[1.0]], R=[[1.0]]),
                                  scenario, 50)
 
@@ -604,7 +632,6 @@ class TestEvaluateClosedLoop:
     def test_tracking_metrics_fields(self):
         model = two_output_model()
         imc = integrator_imc()
-        from ddlqr import augment_model
         aug = augment_model(model, imc)
         weights = LqrWeights(Q=np.eye(4), R=0.1 * np.eye(2))
         K_a = model_lqr_gain(aug, dare_solve(aug, weights), weights.R)
@@ -619,7 +646,6 @@ class TestEvaluateClosedLoop:
         # 20 samples per reference period, so the amplitude and THD read the last 200
         model = two_output_model()
         imc = resonant_imc(2 * np.pi / 20, 1.0)
-        from ddlqr import augment_model
         aug = augment_model(model, imc)
         weights = LqrWeights(Q=np.eye(6), R=0.1 * np.eye(2))
         K_a = model_lqr_gain(aug, dare_solve(aug, weights), weights.R)

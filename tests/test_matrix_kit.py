@@ -3,8 +3,7 @@ import pytest
 
 from oracles import block_diag_repeat, block_toeplitz_strict_lower, pinv
 from ddlqr import InputError, SignalSpec, generate_signal
-from ddlqr.markov import hankel_width
-from ddlqr.matrix_kit import hankel_window
+from ddlqr.markov import hankel_width, hankel_window
 
 
 def block_hankel(signal, start, depth, width):

@@ -391,6 +391,7 @@ class TestCost:
     def test_dimension_checks(self):
         # two inputs, one output: a Q sized for the inputs does not fit
         model = StateSpaceModel(A=[[0.5]], B=[[1.0, 1.0]], C=[[1.0]])
-        with pytest.raises(ValueError, match=r"Q has dimension 2, expected 1 \(plant outputs\)"):
+        with pytest.raises(ValueError, match=r"Q has dimension 2, expected 1 "
+                           r"\(outputs, internal-model states included\)"):
             evaluate_closed_loop(model, np.zeros((2, 1)), LqrWeights(Q=np.eye(2), R=np.eye(2)),
                                  RegulationScenario(x0=[1.0]), 5)
