@@ -31,15 +31,15 @@ from .experiments import (
     synthesize,
 )
 from .plant_sim import InputError, generate_signal, simulate
+from .storage import FLOAT_FMT
 
 OUTPUT_DIR_ENV = "DDLQR_OUTPUT_DIR"
-FMT = "%.17g"
 # The config key that sets each parameter an InputError names, by command where it differs.
-INPUT_KEYS = {"Q": "[lqr] q", "R": "[lqr] r", "E": "[model] e", "model": "[model] a",
-              "K": "[io] gain", "x0": "[eval] x0", "depth": "[estimation] depth",
-              "width": "[estimation] width", "runs": "[montecarlo] runs",
-              "base_seed": "[montecarlo] seed", "noise_variance": "[montecarlo] variance",
-              "u": "[signal] channels", "frequency": "[reference] frequency",
+INPUT_KEYS = {"Q": "[lqr] q", "R": "[lqr] r", "A": "[model] a", "B": "[model] b",
+              "C": "[model] c", "E": "[model] e", "K": "[io] gain", "x0": "[eval] x0",
+              "depth": "[estimation] depth", "width": "[estimation] width",
+              "runs": "[montecarlo] runs", "base_seed": "[montecarlo] seed",
+              "noise_variance": "[montecarlo] variance", "frequency": "[reference] frequency",
               "channels": "[reference] channels",
               "horizon": {"design": "[lqr] horizon", "sweep": "[sweep] horizons",
                           "eval": "[eval] horizon"}}
@@ -69,13 +69,11 @@ def _read_input(read, key: str, path: str):
 def _simulate_dataset(cfg: RunConfig):
     """The [model] plant and its record simulated under [signal] and [noise]."""
     model = cfg.model()
-    spec = cfg.signal(default_channels=model.n_inputs, default_ts=model.sample_time)
+    spec = cfg.signal(model)
     v, variance = None, cfg.get("noise", "variance", 0.0)
-    if variance > 0:
-        if model.E is None:
-            raise ConfigError("[noise] requires the model to define E")
+    if variance > 0:  # one noise column per column of E; simulate refuses v without E
         rng = np.random.default_rng(cfg.get("noise", "seed", 0))
-        v = rng.normal(0.0, np.sqrt(variance), size=(spec.length, model.E.shape[1]))
+        v = rng.normal(0.0, np.sqrt(variance), size=(spec.length,) + np.shape(model.E)[1:])
     return model, simulate(model, generate_signal(spec), v=v,
                            noise_mode=cfg.get("noise", "mode", "process"))
 
@@ -131,7 +129,7 @@ def cmd_sweep(cfg: RunConfig, outdir: Path) -> int:
     horizons = cfg.get("sweep", "horizons", required=True)
     est, weights = _estimate(cfg, model, data, horizons)
     rows = convergence_sweep(model, est, weights, horizons)
-    lines = ["horizon,gain_error"] + [f"{n},{FMT % e}" for n, e in rows]
+    lines = ["horizon,gain_error"] + [f"{n},{FLOAT_FMT % e}" for n, e in rows]
     storage.write_text(outdir / "sweep.csv", "\n".join(lines) + "\n")
     _write_report(cfg, outdir / "sweep.txt",
                   [f"horizon {n}: max-entry gain error {e:.6e}" for n, e in rows])
@@ -141,7 +139,7 @@ def cmd_sweep(cfg: RunConfig, outdir: Path) -> int:
 
 def cmd_montecarlo(cfg: RunConfig, outdir: Path) -> int:
     model = cfg.model()
-    spec = cfg.signal(default_channels=model.n_inputs, default_ts=model.sample_time)
+    spec = cfg.signal(model)
     # montecarlo keys left out take monte_carlo_obs's defaults
     options = {name: cfg.get("montecarlo", key) for key, name in (
         ("seed", "base_seed"), ("noise_mode", "noise_mode"), ("fixed_input", "fixed_input"))
@@ -165,7 +163,7 @@ def cmd_montecarlo(cfg: RunConfig, outdir: Path) -> int:
             ("mse", rep.mse_eigenvalues),
             ("second_moment", rep.second_moment_eigenvalues),
         ):
-            eig_lines.append(f"{rep.algorithm},{name}," + ",".join(FMT % v for v in values))
+            eig_lines.append(f"{rep.algorithm},{name}," + ",".join(FLOAT_FMT % v for v in values))
         summary.append(f"{rep.algorithm}: runs {rep.runs}, failures {rep.failures}")
         summary += [f"  failure reason      {reason} ({count} runs)"
                     for reason, count in rep.failure_reasons.items()]
@@ -193,16 +191,7 @@ def cmd_eval(cfg: RunConfig, outdir: Path) -> int:
     if imc is None:
         scenario = RegulationScenario(x0=cfg.get("eval", "x0", required=True))
     else:
-        # the reference runs for the horizon: a length set apart from it would be ignored
-        length = cfg.get("reference", "length")
-        if length is None:
-            cfg.set_resolved("reference", "length", horizon)
-        elif length != horizon:
-            raise ConfigError(f"[reference] length {length} must equal [eval] horizon "
-                              f"{horizon}, which the reference runs for")
-        ref = cfg.signal(default_channels=model.n_outputs, default_ts=model.sample_time,
-                         section="reference")
-        scenario = TrackingScenario(imc=imc, reference=ref)
+        scenario = TrackingScenario(imc=imc, reference=cfg.signal(model, section="reference"))
     metrics = evaluate_closed_loop(model, K, weights, scenario, horizon)
     rows = [
         ("cost", metrics.cost),
@@ -213,7 +202,7 @@ def cmd_eval(cfg: RunConfig, outdir: Path) -> int:
         rows.append(("thd", metrics.thd))
     storage.write_text(
         outdir / "eval.csv",
-        "metric,value\n" + "\n".join(f"{k},{FMT % v}" for k, v in rows) + "\n",
+        "metric,value\n" + "\n".join(f"{k},{FLOAT_FMT % v}" for k, v in rows) + "\n",
     )
     _write_report(cfg, outdir / "eval.txt", [f"{k}: {v:.9g}" for k, v in rows])
     print(f"wrote metrics to {outdir / 'eval.csv'}")

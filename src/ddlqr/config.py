@@ -43,17 +43,18 @@ class Key(NamedTuple):
 
 
 _MATRIX, _INT, _FLOAT, _STR = Key("matrix"), Key("int"), Key("float"), Key("str")
-_TS = Key("float", "> 0")
-_SIGNAL = {"kind": _STR, "length": _INT, "amplitude": _FLOAT, "variance": _FLOAT,
-           "frequency": _FLOAT, "seed": _INT, "register_order": _INT, "channels": _INT,
-           "ts": _TS, "hold": _INT}
+_SIGNAL = {"kind": _STR, "amplitude": _FLOAT, "variance": _FLOAT, "frequency": _FLOAT,
+           "seed": _INT, "register_order": _INT, "hold": _INT,
+           "ts": Key(removed="signals run at the sample time [model] ts")}
 # Every key some command reads, by section; one file may serve several commands.
 KEYS: Dict[str, Dict[str, Key]] = {
-    "model": {"a": _MATRIX, "b": _MATRIX, "c": _MATRIX, "e": _MATRIX, "ts": _TS,
-              "continuous": Key("bool"),
+    "model": {"a": _MATRIX, "b": _MATRIX, "c": _MATRIX, "e": _MATRIX,
+              "ts": Key("float", "> 0"), "continuous": Key("bool"),
               "f": Key(removed="the simulators have no output-noise channel, y = C x")},
-    "signal": _SIGNAL,
-    "reference": _SIGNAL,
+    "signal": {**_SIGNAL, "length": _INT,
+               "channels": Key(removed="the signal has one channel per column of [model] b")},
+    "reference": {**_SIGNAL, "channels": _INT,
+                  "length": Key(removed="the reference runs for the [eval] horizon")},
     "estimation": {"depth": Key("int", ">= 2"), "width": Key("int", ">= 1"),
                    "algorithm": Key("str", choices=ALGORITHMS),
                    "structure": Key(removed="the Markov blocks are always sub-diagonal averages")},
@@ -65,7 +66,7 @@ KEYS: Dict[str, Dict[str, Key]] = {
                    "seed": Key("int", ">= 0"), "noise_mode": Key("str", choices=NOISE_MODES),
                    "fixed_input": Key("bool")},
     "imc": {"kind": Key("str", choices=("integrator", "resonant")), "omega_n": _FLOAT,
-            "ts": _FLOAT},  # resonant_imc bounds omega_n * ts
+            "ts": Key(removed="the internal model runs at the sample time [model] ts")},
     "eval": {"horizon": Key("int", ">= 1"), "x0": _MATRIX,
              "scenario": Key(removed="eval tracks when there is an [imc] section, else regulates")},
     "io": {"output_dir": _STR, "dataset": _STR, "gain": _STR},
@@ -207,19 +208,22 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(f"[model]: {exc}") from exc
 
-    def signal(self, default_channels: int = 1, default_ts: float = 1.0,
-               section: str = "signal") -> SignalSpec:
-        """The section's SignalSpec; keys it leaves out take SignalSpec's
-        defaults, except ``channels`` and ``ts``."""
+    def signal(self, model: StateSpaceModel, section: str = "signal") -> SignalSpec:
+        """The section's SignalSpec at the model's sample time: [signal] drives the model's
+        inputs for its ``length``, [reference] its outputs (``channels`` of them, by
+        default all) for the [eval] horizon. Keys it leaves out take SignalSpec's defaults."""
         if not self.has(section):
             raise ConfigError(f"missing [{section}] section")
-        for key in ("kind", "length"):
-            self.get(section, key, required=True)
-        fields = {"channels": default_channels, "sample_time": default_ts}
-        fields.update(("sample_time" if key == "ts" else key, self.get(section, key))
-                      for key in self.values[section])
+        self.get(section, "kind", required=True)
+        if section == "reference":
+            fields = {"channels": model.n_outputs,
+                      "length": self.get("eval", "horizon", required=True)}
+        else:
+            fields = {"channels": model.n_inputs,
+                      "length": self.get(section, "length", required=True)}
+        fields.update((key, self.get(section, key)) for key in self.values[section])
         try:
-            return SignalSpec(**fields)
+            return SignalSpec(sample_time=model.sample_time, **fields)
         except ValueError as exc:
             raise ConfigError(f"[{section}]: {exc}") from exc
 
@@ -231,15 +235,15 @@ class RunConfig:
             raise ConfigError(f"[lqr]: {exc}") from exc
 
     def imc(self, default_ts: float) -> Optional[ImcRealization]:
-        """The [imc] controller, if any; a resonant one is tuned at ``[imc] ts``, by default
-        the model's sample time ``default_ts``."""
+        """The [imc] controller, if any; a resonant one is tuned at the model's sample
+        time ``default_ts``."""
         if not self.has("imc"):
             return None
         if self.get("imc", "kind", required=True) == "integrator":
             return integrator_imc()
         omega = self.get("imc", "omega_n", required=True)
         try:
-            return resonant_imc(omega, self.get("imc", "ts", default_ts))
+            return resonant_imc(omega, default_ts)
         except ValueError as exc:
             raise ConfigError(f"[imc]: {exc}") from exc
 

@@ -214,11 +214,16 @@ def convergence_sweep(
     """Max-entry gap of the gain synthesized from ``est`` at each horizon to the
     Riccati gain of ``model``, the plant behind the estimate's data, with the
     estimate's internal model appended by ``augment_model`` if it has one.
-    InputError unless that loop has the estimate's state count."""
+    InputError on A, C or B unless that loop has the estimate's states, outputs and
+    inputs: n columns of the observability matrix, and q*depth x p*depth of the
+    Toeplitz factor."""
     loop = model if est.imc is None else augment_model(model, est.imc)
-    n = est.observability.matrix.shape[-1]
-    if loop.n_states != n:
-        raise InputError("model", f"has {loop.n_states} states, the estimate's data {n}")
+    q, p = (size // est.markov.depth for size in est.markov.toeplitz.shape)
+    for name, size, data, what in (
+            ("A", loop.n_states, est.observability.matrix.shape[-1], "states"),
+            ("C", loop.n_outputs, q, "outputs"), ("B", loop.n_inputs, p, "inputs")):
+        if size != data:
+            raise InputError(name, f"has {size} {what}, the estimate's data {data}")
     K_star = model_lqr_gain(loop, dare_solve(loop, weights), weights.R)
     return [(N, float(np.abs(synthesize(est, weights, N).K - K_star).max())) for N in horizons]
 
@@ -252,12 +257,9 @@ def monte_carlo_obs(model: StateSpaceModel, signal: SignalSpec, depth: int, runs
         raise InputError("base_seed", f"must be >= 0, got {base_seed}")
     if not noise_variance >= 0:
         raise InputError("noise_variance", f"must be >= 0, got {noise_variance}")
-    if model.E is None:
-        raise InputError("E", "must be set: the state noise enters through it")
     width = hankel_width(signal.length, model.n_outputs, model.n_states, depth, width)
     check_regressor(model.n_inputs, model.n_outputs, depth, width)
     truth = true_observability(model, depth)[model.n_outputs:]
-    n_v = model.E.shape[1]
     chunk = max(1, MC_CHUNK_SAMPLES // signal.length)
     # the PRBS map, the noise draws and the recursion are causal: later samples move no earlier one
     T = 2 * depth + width - 1
@@ -273,16 +275,16 @@ def monte_carlo_obs(model: StateSpaceModel, signal: SignalSpec, depth: int, runs
         rngs = [np.random.default_rng(base_seed + r)
                 for r in range(first, min(first + sim_chunk, runs))]
         u_seeds = [int(rng.integers(0, 2 ** 31)) for rng in rngs]
-        v = np.empty((len(rngs), T, n_v))
+        # one noise column per column of E; simulate refuses v when there is no E
+        v = np.empty((len(rngs), T) + np.shape(model.E)[1:])
         for rng, v_run in zip(rngs, v):
-            v_run[...] = rng.normal(0.0, std, size=(T, n_v))
+            v_run[...] = rng.normal(0.0, std, size=v_run.shape)
         # a fixed input is one record, generated once and read by every run
         u = generate_signal(signal, [signal.seed] if fixed_input else u_seeds)
         data = simulate(model, np.broadcast_to(u, v.shape[:2] + u.shape[2:]), v, noise_mode)
         del u, v
         for a in range(0, len(rngs), chunk):
-            dm = build_data_matrices(Dataset(u=data.u[a:a + chunk], y=data.y[a:a + chunk],
-                                             x=data.x[a:a + chunk]), depth, width)
+            dm = build_data_matrices(data, depth, width, runs=slice(a, a + chunk))
             factors.append(dm.factor.swapaxes(-1, -2))
             if len(factors) == max(1, width // dm.factor.shape[-1]) or first + a + chunk >= runs:
                 dm = replace(dm, factor=np.concatenate(factors).swapaxes(-1, -2))

@@ -141,29 +141,32 @@ def hankel_window(signal, start: int, depth: int, width: int) -> np.ndarray:
                                                     width, axis=-2)
 
 
-def hankel_stack(data: Dataset, depth: int, width: int) -> np.ndarray:
+def hankel_stack(data: Dataset, depth: int, width: int, runs: slice = slice(None)) -> np.ndarray:
     """The (..., rows, width) stack [u_past; y_past; u_future; y_future; x_past] of
-    ``data`` at ``depth``, each block's sliding window written straight into its rows."""
+    ``data`` at ``depth``, each block's sliding window written straight into its rows;
+    of a batched dataset, of the records ``runs`` of its leading axis."""
     p, q, n = data.n_inputs, data.n_outputs, data.n_states
-    stack = np.empty(data.u.shape[:-2] + (2 * (p + q) * depth + n, width))
+    u, y, x = data.u[runs], data.y[runs], data.x[runs]
+    stack = np.empty(u.shape[:-2] + (2 * (p + q) * depth + n, width))
     row = 0
-    for sig, start in ((data.u, 0), (data.y, 0), (data.u, depth), (data.y, depth)):
+    for sig, start in ((u, 0), (y, 0), (u, depth), (y, depth)):
         window = hankel_window(sig, start, depth, width)
         stack[..., row:row + depth * sig.shape[-1], :].reshape(window.shape)[...] = window
         row += depth * sig.shape[-1]
-    stack[..., row:, :] = data.x[..., :width, :].swapaxes(-1, -2)
+    stack[..., row:, :] = x[..., :width, :].swapaxes(-1, -2)
     return stack
 
 
-def build_data_matrices(data: Dataset, depth: int, width: Optional[int] = None) -> DataMatrices:
-    """Factor a dataset's past/future input/output Hankel matrices and states: one
-    QR of their ``hankel_stack``, which is then dropped. ``depth`` and ``width`` are
-    held to ``hankel_width`` and ``check_regressor`` before the stack is written, so
-    every ``DataMatrices`` can determine the predictor."""
+def build_data_matrices(data: Dataset, depth: int, width: Optional[int] = None,
+                        runs: slice = slice(None)) -> DataMatrices:
+    """Factor a dataset's past/future input/output Hankel matrices and states (of the
+    records ``runs`` of a batched one): one QR of their ``hankel_stack``, which is then
+    dropped. ``depth`` and ``width`` are held to ``hankel_width`` and ``check_regressor``
+    before the stack is written, so every ``DataMatrices`` can determine the predictor."""
     p, q, n = data.n_inputs, data.n_outputs, data.n_states
     width = hankel_width(data.n_samples, q, n, depth, width)
     check_regressor(p, q, depth, width)
-    stack = hankel_stack(data, depth, width).swapaxes(-1, -2)
+    stack = hankel_stack(data, depth, width, runs).swapaxes(-1, -2)
     # numpy's QR copies its input, so a batch is factored half at a time: a whole stack freed
     # with a whole copy went back to the OS, and the next batch faulted the memory back in
     halves = np.array_split(stack, 2) if stack.ndim > 2 else [stack]

@@ -299,6 +299,7 @@ def simulate(model: StateSpaceModel, u, v=None, noise_mode: str = "process") -> 
     In both modes the recorded output is y(k) = C x(k) with x the recorded
     state. A record that overflows is a ``simulation:`` ValueError, with no numpy warning;
     one that is not finite because u or v is not is a ValueError that names the input.
+    A v given to a model without E is an InputError on E, raised before the run.
     """
     if noise_mode not in NOISE_MODES:
         raise ValueError(f"noise_mode must be 'process' or 'measurement', got {noise_mode!r}")
@@ -309,7 +310,7 @@ def simulate(model: StateSpaceModel, u, v=None, noise_mode: str = "process") -> 
     drives = [_apply(model.B, u)]
     if v is not None:
         if model.E is None:
-            raise ValueError("model has no E channel for process noise v")
+            raise InputError("E", "must be set: the state noise enters through it")
         v = np.asarray(v, dtype=float)
         v = v if v.ndim > 2 else as_series(v)
         if v.shape != u.shape[:-1] + model.E.shape[1:]:

@@ -190,9 +190,8 @@ def test_criterion_7_tracking_demo():
     with _Criterion(7, "surrogate converter tracking demo", budget_s=60.0):
         cfg = RunConfig.load(CONFIGS / "ups_tracking_demo.ini")
         model = cfg.model()
-        ts = model.sample_time
-        imc = cfg.imc(default_ts=ts)
-        spec = cfg.signal(default_channels=model.n_inputs, default_ts=ts)
+        imc = cfg.imc(default_ts=model.sample_time)
+        spec = cfg.signal(model)
         data = simulate(model, generate_signal(spec))
         weights = cfg.weights()
         est = estimate(data, cfg.get_int("estimation", "depth"),
@@ -200,8 +199,7 @@ def test_criterion_7_tracking_demo():
         design = synthesize(est, weights, cfg.get_int("lqr", "horizon"))
         assert design.K.shape == (1, 4)
         horizon = cfg.get_int("eval", "horizon")
-        cfg.set_resolved("reference", "length", horizon)
-        reference = cfg.signal(default_channels=1, default_ts=ts, section="reference")
+        reference = cfg.signal(model, section="reference")
         metrics = evaluate_closed_loop(
             model, design.K, weights, TrackingScenario(imc=imc, reference=reference), horizon,
         )
@@ -209,8 +207,8 @@ def test_criterion_7_tracking_demo():
         assert metrics.steady_state_error < 0.02
 
 
-def test_criterion_8_matrix_kit_properties():
-    with _Criterion(8, "matrix-kit property suite"):
+def test_criterion_8_hankel_window_and_oracle_properties():
+    with _Criterion(8, "Hankel-window and oracle property suite"):
         rng = np.random.default_rng(7)
         for _ in range(100):
             M = rng.normal(size=(int(rng.integers(1, 10)), int(rng.integers(1, 10))))

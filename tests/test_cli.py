@@ -38,8 +38,8 @@ UPS_SMALL = [arg for item in UPS_SMALL_SETS for arg in ("--set", item)]
 
 # a three-state, one-output plant on the regulation demo's signal, at depth 2
 THREE_STATES = ["model.a=[[0.5,0.1,0],[0,0.4,0.2],[0.1,0,0.3]]", "model.b=[[1],[0.5],[0.2]]",
-                "model.c=[[1,0.3,0.2]]", "signal.channels=1", "lqr.q=[[20]]", "lqr.r=[[0.2]]",
-                "estimation.depth=2", "lqr.horizon=2", "sweep.horizons=[2]"]
+                "model.c=[[1,0.3,0.2]]", "lqr.q=[[20]]", "lqr.r=[[0.2]]", "estimation.depth=2",
+                "lqr.horizon=2", "sweep.horizons=[2]"]
 
 # the regulation demo evaluated from a start state
 REGULATION_EVAL = ["eval.x0=[1,1]", "eval.horizon=100"]
@@ -60,6 +60,13 @@ def three_state_record() -> Dataset:
                             C=[[1.0, 0.0, 0.5], [0.0, 1.0, 0.2]])
     spec = SignalSpec(kind="prbs", length=1022, seed=7, channels=2)
     return simulate(plant, generate_signal(spec))
+
+
+def regulation_record() -> Dataset:
+    """The regulation demo's own simulated record."""
+    cfg = RunConfig.load(REGULATION)
+    model = cfg.model()
+    return simulate(model, generate_signal(cfg.signal(model)))
 
 
 def never_factored(monkeypatch):
@@ -630,27 +637,18 @@ class TestEval:
             assert "[reference] frequency * ts" in capsys.readouterr().err
             assert not (tmp_path / "e" / "eval.csv").exists()
 
-    def test_scenario_key_is_removed(self, tmp_path, capsys):
-        # eval tracks exactly when the file has an [imc] section
-        assert run("eval", UPS, "--output-dir", str(tmp_path / "e"),
-                   "--set", "eval.scenario=tracking") == 2
+    # eval tracks exactly when the file has an [imc] section; the plant fixes the signal's
+    # channels and every sample time, and the horizon the reference's length
+    @pytest.mark.parametrize("override", [
+        "eval.scenario=tracking", "signal.channels=1", "signal.ts=6.666666666666667e-05",
+        "reference.ts=6.666666666666667e-05", "imc.ts=6.666666666666667e-05",
+        "reference.length=7500"])
+    def test_removed_key_exits_2(self, tmp_path, capsys, override):
+        assert run("eval", UPS, "--output-dir", str(tmp_path / "e"), "--set", override) == 2
+        section, key = override.split("=")[0].split(".")
         assert capsys.readouterr().err.startswith(
-            "config error: [eval] scenario is no longer supported: ")
+            f"config error: [{section}] {key} is no longer supported: ")
         assert not (tmp_path / "e").exists()
-
-    def test_reference_length_other_than_the_horizon_exits_2(self, tmp_path, capsys):
-        # the reference runs for [eval] horizon, so a length set apart from it would be ignored
-        write_matrix(tmp_path / "zero.csv", np.zeros((1, 4)))
-        sets = ["--set", f"io.gain={tmp_path}/zero.csv", "--set", "eval.horizon=2500"]
-        assert run("eval", UPS, "--output-dir", str(tmp_path / "e"), *sets,
-                   "--set", "reference.length=100") == 2
-        assert capsys.readouterr().err == ("config error: [reference] length 100 must equal "
-                                           "[eval] horizon 2500, which the reference runs for\n")
-        assert not (tmp_path / "e").exists()
-        assert run("eval", UPS, "--output-dir", str(tmp_path / "same"), *sets,
-                   "--set", "reference.length=2500") == 0
-        echo = (tmp_path / "same" / "config_echo.ini").read_text()
-        assert "length = 2500" in echo
 
 
 # An input error of each kind that is raised after the config file loads, with
@@ -703,8 +701,10 @@ INPUT_RULES = {
     "width-holds-regressor": ("montecarlo", MC, ["estimation.width=8", "montecarlo.runs=5"],
                               "[estimation] width", "width"),
     "depth-determines-states": ("montecarlo", MC, THREE_STATES_MC, "[estimation] depth", "depth"),
+    # state noise on a model without E: in Monte Carlo and in a simulated record
     "noise-channel": ("montecarlo", REGULATION, ["montecarlo.runs=5", "montecarlo.variance=0.1"],
                       "[model] e", "E"),
+    "noise-channel-simulate": ("simulate", REGULATION, ["noise.variance=0.1"], "[model] e", "E"),
     # the key schema refuses these three first, in the library's words
     "covariance-runs": ("montecarlo", MC, ["montecarlo.runs=1"], "[montecarlo] runs", "runs"),
     "seed-nonnegative": ("montecarlo", MC, ["montecarlo.seed=-1", "montecarlo.runs=5"],
@@ -715,9 +715,14 @@ INPUT_RULES = {
                              "horizon"),
     "horizons-within-depth": ("sweep", REGULATION, ["sweep.horizons=[10,52]"],
                               "[sweep] horizons", "horizon"),
-    # the sweep's Riccati reference is the plant behind the data: here 2 states, the data 3
+    # the sweep's Riccati reference is the plant behind the data: here 2 states, the data 3,
+    # then the demo's own record with one output, then with one input
     "sweep-plant-states": ("sweep", REGULATION, ["io.dataset={tmp}/three_states.csv"],
-                           "[model] a", "model"),
+                           "[model] a", "A"),
+    "sweep-plant-outputs": ("sweep", REGULATION, ["io.dataset={tmp}/regulation.csv",
+                                                  "model.c=[[1.0,2.0]]"], "[model] c", "C"),
+    "sweep-plant-inputs": ("sweep", REGULATION, ["io.dataset={tmp}/regulation.csv",
+                                                 "model.b=[[0.04],[0.02]]"], "[model] b", "B"),
     "gain-shape": ("eval", REGULATION, REGULATION_EVAL + ["io.gain={tmp}/1x1.csv"], "[io] gain",
                    "K"),
     "x0-size": ("eval", REGULATION, REGULATION_EVAL + ["eval.x0=[1]", "io.gain={tmp}/2x2.csv"],
@@ -730,11 +735,6 @@ INPUT_RULES = {
     # one reference signal for every plant output, or one each
     "reference-channels": ("eval", UPS, ["reference.channels=3", "io.gain={tmp}/1x4.csv"],
                            "[reference] channels", "channels"),
-    # the inputs the signal gives must be those of B, in a design and in Monte Carlo alike
-    "signal-channels-design": ("design", REGULATION, ["signal.channels=3"], "[signal] channels",
-                               "u"),
-    "signal-channels-montecarlo": ("montecarlo", MC, ["signal.channels=2", "montecarlo.runs=5"],
-                                   "[signal] channels", "u"),
 }
 
 
@@ -744,7 +744,9 @@ def _library_run(command: str, config: str, sets):
     mc = dict(item.split("=", 1) for item in sets if item.startswith("montecarlo."))
     cfg = RunConfig.load(config, [item for item in sets if item.split("=")[0] not in mc])
     model = cfg.model()
-    spec = cfg.signal(default_channels=model.n_inputs, default_ts=model.sample_time)
+    spec = cfg.signal(model)
+    if command == "simulate":
+        return simulate(model, generate_signal(spec), v=np.zeros(spec.length))
     depth, width = cfg.get("estimation", "depth"), cfg.get("estimation", "width")
     if command == "montecarlo":
         return monte_carlo_obs(model, spec, depth, int(mc.get("montecarlo.runs", 2)),
@@ -756,9 +758,7 @@ def _library_run(command: str, config: str, sets):
         if imc is None:
             scenario = RegulationScenario(x0=cfg.get("eval", "x0"))
         else:
-            cfg.set_resolved("reference", "length", horizon)
-            scenario = TrackingScenario(imc=imc, reference=cfg.signal(
-                model.n_outputs, model.sample_time, section="reference"))
+            scenario = TrackingScenario(imc=imc, reference=cfg.signal(model, "reference"))
         return evaluate_closed_loop(model, read_matrix(cfg.get("io", "gain")), cfg.weights(),
                                     scenario, horizon)
     dataset = cfg.get("io", "dataset")
@@ -785,6 +785,7 @@ def test_input_rules_exit_2_naming_their_key(tmp_path, capsys, monkeypatch, rule
     for shape in ((1, 1), (2, 2), (1, 4)):
         write_matrix(tmp_path / f"{shape[0]}x{shape[1]}.csv", np.zeros(shape))
     write_dataset(tmp_path / "three_states.csv", three_state_record())
+    write_dataset(tmp_path / "regulation.csv", regulation_record())
     sets = [item.format(tmp=tmp_path) for item in sets]
     assert run(command, config, "--output-dir", str(tmp_path / "out"),
                *(arg for item in sets for arg in ("--set", item))) == 2

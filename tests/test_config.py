@@ -133,7 +133,6 @@ class TestKinds:
         ("estimation.width=0", "[estimation] width must be >= 1, got 0"),
         ("estimation.depth=1", "[estimation] depth must be >= 2, got 1"),
         ("model.ts=0", "[model] ts must be > 0, got 0.0"),
-        ("reference.ts=0", "[reference] ts must be > 0, got 0.0"),
         ("noise.seed=-1", "[noise] seed must be >= 0, got -1"),
         ("lqr.horizon=1", "[lqr] horizon must be >= 2, got 1"),
     ])
@@ -145,7 +144,11 @@ class TestKinds:
     def test_every_key_has_a_kind_with_bad_values(self):
         for section, key in LIVE:
             assert bad_values(KEYS[section][key]), (section, key)
-        assert KEYS["reference"] is KEYS["signal"]
+        # both sections are SignalSpecs: the signal's length and the reference's channels
+        # are live, and the model and [eval] horizon set the other two
+        signal, reference = KEYS["signal"], KEYS["reference"]
+        assert signal.keys() == reference.keys()
+        assert {k for k in signal if signal[k] != reference[k]} == {"length", "channels"}
 
 
 class TestUnknownKeys:

@@ -130,13 +130,11 @@ class TestDesignGain:
     def test_bundled_configs_are_persistently_exciting(self, name):
         cfg = RunConfig.load(CONFIGS / f"{name}.ini")
         model = cfg.model()
-        ts = model.sample_time
-        data = simulate(model, generate_signal(
-            cfg.signal(default_channels=model.n_inputs, default_ts=ts)))
+        data = simulate(model, generate_signal(cfg.signal(model)))
         depth = cfg.get_int("estimation", "depth")
         width = cfg.get_int("estimation", "width")
         if cfg.has("lqr"):
-            est = estimate(data, depth, width, imc=cfg.imc(default_ts=ts))
+            est = estimate(data, depth, width, imc=cfg.imc(default_ts=model.sample_time))
             diagnostics = synthesize(est, cfg.weights(), cfg.get_int("lqr", "horizon")).diagnostics
             margin = diagnostics["input_rank_margin"]
             # the design reports plain Python numbers, as a JSON encoder needs them
@@ -206,7 +204,7 @@ class TestConvergenceSweep:
             cfg = RunConfig.load(CONFIGS / "ups_tracking_demo.ini", UPS_SMALL_SETS)
             model, weights = cfg.model(), cfg.weights()
             imc = cfg.imc(default_ts=model.sample_time)
-            spec = cfg.signal(default_channels=model.n_inputs, default_ts=model.sample_time)
+            spec = cfg.signal(model)
             est = estimate(simulate(model, generate_signal(spec)), 30, 400, imc=imc)
             horizons = [10, 30]
         else:
@@ -220,7 +218,7 @@ class TestConvergenceSweep:
             (N, float(np.abs(synthesize(est, weights, N).K - K_star).max())) for N in horizons]
         # a plant augmented already would be augmented twice
         twice = augment_model(aug, imc).n_states
-        with pytest.raises(InputError, match=f"^model has {twice} states, the estimate's "
+        with pytest.raises(InputError, match=f"^A has {twice} states, the estimate's "
                                              f"data {aug.n_states}$"):
             convergence_sweep(aug, est, weights, horizons)
 

@@ -98,8 +98,9 @@ class TestSimulate:
         assert exc.value.param == "u"
         with pytest.raises(InputError, match="^u has 1 channels, expected 2") as exc:
             simulate(model, np.zeros((4, 5, 1)))
-        with pytest.raises(ValueError, match="no E channel"):
+        with pytest.raises(InputError, match="^E must be set: the state noise enters") as exc:
             simulate(model, np.zeros((5, 2)), v=np.zeros(5))
+        assert exc.value.param == "E"
         noisy = scalar_model(with_noise=True)
         with pytest.raises(ValueError, match=r"v has shape \(4, 1\), expected \(5, 1\)"):
             simulate(noisy, np.zeros(5), v=np.zeros(4))
