@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .imc import ImcRealization, augment_dataset, augment_model
+from .imc import ImcRealization, augment_model
 from .lqr import LqrDesign, LqrWeights, dare_solve, dd_lqr_gain, model_lqr_gain
 from .markov import (DataMatrices, MarkovEstimate, build_data_matrices, check_regressor,
                      estimate_predictor, hankel_width)
@@ -55,7 +55,7 @@ class DataDrivenEstimate:
     The Toeplitz factor of the Markov parameters and the observability matrix
     do not depend on the weights or on any horizon up to ``depth``, so one
     estimate serves every ``synthesize`` call within that range. ``imc`` is the internal
-    model whose states were appended to the data before estimation, if any.
+    model whose states the estimate appends to the plant's, if any.
     """
 
     markov: MarkovEstimate
@@ -141,15 +141,14 @@ def estimate(data: Dataset, depth: int, width: Optional[int] = None, algorithm: 
              imc: Optional[ImcRealization] = None) -> DataDrivenEstimate:
     """Estimation half of the pipeline, at Hankel depth ``depth``.
 
-    Stages: optional internal-model augmentation, Hankel data matrices and
-    their factor, Markov-parameter least squares, observability estimation
-    with ``algorithm`` (one of ``ALGORITHMS``).
+    Stages: Hankel data matrices and their factor, Markov-parameter least squares,
+    observability estimation with ``algorithm`` (one of ``ALGORITHMS``). With an
+    internal model ``imc`` the estimate is that of the plant plus controller, whose
+    outputs and states append the controller states filtered from the plant outputs.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
-    if imc is not None:
-        data = _stage("imc-augmentation", augment_dataset, data, imc)
-    dm = build_data_matrices(data, depth, width)
+    dm = build_data_matrices(data, depth, width, imc=imc)
     markov = _stage("markov-estimation", estimate_predictor, dm)
     obs = _observe(dm, algorithm, markov)
     return DataDrivenEstimate(markov=markov, observability=obs, width=dm.width, imc=imc)

@@ -3,10 +3,11 @@
 An internal-model controller replicates the reference's signal class inside
 the loop (an integrator for steps, a resonator for sinusoids). Filtering the
 plant outputs through the controller produces measurable controller states,
-and stacking them onto the plant data turns the tracking problem into a
-plain state-feedback design on the plant-plus-controller system. The filter
-runs every output channel through the simulators' LTI kernel in one batched
-call.
+and appending them to the plant's outputs and states turns the tracking problem
+into a plain state-feedback design on the plant-plus-controller system. The
+estimators do not append them to the data: ``append_imc_states`` lifts Hankel rows
+of the plant outputs through the filter (see ``markov``). The filter runs every
+output channel through the simulators' LTI kernel in one batched call.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .plant_sim import Dataset, StateSpaceModel, _apply, _lti_run, as_series
+from .plant_sim import StateSpaceModel, _apply, _lti_run, as_series
 
 
 @dataclass
@@ -63,22 +64,33 @@ def resonant_imc(omega_n: float, Ts: float) -> ImcRealization:
     return ImcRealization(A_c=[[0.0, 1.0], [-1.0, 2.0 * math.cos(theta)]], B_c=[0.0, 1.0])
 
 
-def filter_imc_states(y, imc: ImcRealization) -> np.ndarray:
+def filter_imc_states(y, imc: ImcRealization, start=0.0) -> np.ndarray:
     """Open-loop controller states obtained by filtering plant outputs.
 
     Per output channel j the recursion x_c(k+1) = A_c x_c(k) - B_c y_j(k)
-    runs from zero initial state (zero reference); channel blocks are stacked
-    side by side, channel-major.
+    runs from ``start`` (zero, a zero reference, by default); channel blocks are
+    stacked side by side, channel-major. Leading axes of a (..., T, q) ``y`` and of a
+    (..., q * order) ``start`` batch series.
     """
-    y = as_series(y)
-    xc = _lti_run(imc.A_c, 0.0, -_apply(imc.B_c, y.T[:, :, None]))  # one run per channel
-    return xc.transpose(1, 0, 2).reshape(len(y), -1)
+    y = np.asarray(y, dtype=float)
+    y = y if y.ndim > 2 else as_series(y)
+    q, nc = y.shape[-1], imc.order
+    start = np.reshape(start, np.shape(start)[:-1] + (q, nc)) if np.ndim(start) else start
+    # one run per channel
+    xc = _lti_run(imc.A_c, start, -_apply(imc.B_c, np.moveaxis(y, -1, -2)[..., None]))
+    return np.moveaxis(xc, -3, -2).reshape(y.shape[:-1] + (q * nc,))
 
 
-def augment_dataset(data: Dataset, imc: ImcRealization) -> Dataset:
-    """Append filtered controller states to the outputs and states of a dataset."""
-    xc = filter_imc_states(data.y, imc)
-    return Dataset(u=data.u, y=np.hstack([data.y, xc]), x=np.hstack([data.x, xc]))
+def append_imc_states(rows: np.ndarray, q: int, imc: ImcRealization, start=0.0) -> np.ndarray:
+    """Rows [y(0); x_c(0); y(1); x_c(1); ...] from ``rows`` (..., depth * q, m), whose
+    block i of q rows is y(i), with x_c the ``filter_imc_states`` of y along the blocks
+    from ``start`` ((..., q * order, m); zero by default), each of the m columns apart.
+    Every row of the result is a linear combination of ``rows`` and ``start``, so a least
+    squares fit on the augmented rows is a lift of one on them."""
+    series = np.moveaxis(rows.reshape(rows.shape[:-2] + (-1, q, rows.shape[-1])), -1, -3)
+    xc = filter_imc_states(series, imc, np.swapaxes(start, -1, -2) if np.ndim(start) else start)
+    lifted = np.concatenate([series, xc], axis=-1)  # (..., m, depth, q * (1 + order))
+    return np.moveaxis(lifted, -3, -1).reshape(rows.shape[:-2] + (-1, rows.shape[-1]))
 
 
 def augment_model(model: StateSpaceModel, imc: ImcRealization) -> StateSpaceModel:

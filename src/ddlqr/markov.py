@@ -8,11 +8,20 @@ is the whole estimate: its first block column is [0; Markov blocks
 1..depth-1], and synthesis slices its block rows and columns.
 
 Each dataset is factored once: one LQ factorization of the stacked Hankel data
-[U_p; Y_p; U_f; Y_f; X] (Verhaegen & Dewilde 1992, MOESP). The Toeplitz
+[U_p; Y_p; Z; U_f; Y_f; X] (Verhaegen & Dewilde 1992, MOESP). The Toeplitz
 factor, the excitation rank and both observability estimates are read off
 its blocks, whose sizes do not grow with the record length. Every SVD the
-predictor takes is square: of L_Up,Up, of L_Yp,Yp, of a 2pd x 2pd input
-triangle after a small QR, and of a pd x pd remainder triangle (L_Uf,Uf or R_m).
+predictor takes is square: of L_Up,Up, of the past-output block L_Yp,Yp (of
+[Y_p; Z]), of a 2pd x 2pd input triangle after a small QR, and of a pd x pd
+remainder triangle (L_Uf,Uf or R_m).
+
+With an internal-model controller (``imc``) the estimate is that of the plant plus
+controller, whose outputs and states append the controller states x_c. These filter
+the plant outputs, so x_c(k+i) is a linear combination of x_c(k) and y(k..k+i-1):
+the stack holds the plant's rows and Z, x_c at each column's start sample, and the
+estimates lift their y rows through the filter (``imc.append_imc_states``). The
+augmented rows span nothing more, so the lifted least-squares solutions are theirs.
+Without a controller Z has no rows and nothing is lifted.
 
 ``DataMatrices`` keeps only the factor of the stack that ``hankel_stack`` writes. Data
 may carry leading batch axes (say, Monte Carlo runs); so do the factor and every estimate,
@@ -24,10 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from .imc import ImcRealization, append_imc_states, filter_imc_states
 from .plant_sim import Dataset, InputError, as_series
 
 # Relative singular-value cut-offs: RANK_TOL decides the excitation ranks,
@@ -36,7 +46,7 @@ from .plant_sim import Dataset, InputError, as_series
 RANK_TOL = 1e-8
 PINV_TOL = 1e-12
 # Row partitions of the Hankel stack and of its factor, top to bottom.
-PARTS = ("u_past", "y_past", "u_future", "y_future", "x_past")
+PARTS = ("u_past", "y_past", "z_past", "u_future", "y_future", "x_past")
 
 
 def _fail_entries(failed: np.ndarray, describe: Callable[[tuple], str]) -> None:
@@ -52,9 +62,10 @@ class DataMatrices:
     """The LQ factor of a dataset's past/future Hankel partitions at one depth.
 
     ``factor`` (..., rows, min(rows, width)) is the lower-trapezoidal L in stack = L Q'
-    (Q orthonormal, never formed) of the ``hankel_stack`` [u_past; y_past; u_future;
-    y_future; x_past], whose rows ``parts`` names. ``u_past``/``y_past`` and the state
-    snapshot ``x_past`` start at sample 0, ``u_future``/``y_future`` at ``depth``.
+    (Q orthonormal, never formed) of the ``hankel_stack`` [u_past; y_past; z_past;
+    u_future; y_future; x_past], whose rows ``parts`` names. ``u_past``/``y_past``, the
+    state snapshot ``x_past`` and the controller states ``z_past`` of ``imc`` (no rows
+    without one) start at sample 0, ``u_future``/``y_future`` at ``depth``.
     """
 
     factor: np.ndarray
@@ -62,14 +73,32 @@ class DataMatrices:
     width: int
     n_inputs: int
     n_outputs: int
+    imc: Optional[ImcRealization] = None
 
     @cached_property
     def parts(self) -> Dict[str, slice]:
         """Row range of each partition in the stack and in ``factor``; those of
-        the first four also index the factor's columns."""
+        the first five also index the factor's columns."""
         pd, qd = self.n_inputs * self.depth, self.n_outputs * self.depth
-        edges = [0, pd, pd + qd, 2 * pd + qd, 2 * (pd + qd), self.factor.shape[-2]]
+        z = self.n_outputs * self.imc.order if self.imc is not None else 0
+        edges = [0, pd, pd + qd, pd + qd + z, 2 * pd + qd + z, 2 * (pd + qd) + z,
+                 self.factor.shape[-2]]
         return {name: slice(a, b) for name, a, b in zip(PARTS, edges, edges[1:])}
+
+    def past_rows(self, first: int = 0) -> Tuple[np.ndarray, np.ndarray]:
+        """The factor's past-output and state rows from column ``first`` on, those of the
+        plant plus ``imc``: y_past with its controller states lifted from z_past, and
+        [x_past; z_past]."""
+        F, yp, zp, xp = (self.factor, *(self.parts[k] for k in ("y_past", "z_past", "x_past")))
+        if self.imc is None:
+            return F[..., yp, first:], F[..., xp, first:]
+        # L is lower trapezoidal: the y_past and z_past rows, and so their lifts, are zero
+        # from column zp.stop on
+        y = np.zeros(F.shape[:-2] + ((yp.stop - yp.start) * (1 + self.imc.order),
+                                     F.shape[-1] - first))
+        y[..., :zp.stop - first] = append_imc_states(
+            F[..., yp, first:zp.stop], self.n_outputs, self.imc, F[..., zp, first:zp.stop])
+        return y, np.concatenate([F[..., xp, first:], F[..., zp, first:]], axis=-2)
 
     @cached_property
     def past_input_singular_values(self) -> np.ndarray:
@@ -141,37 +170,44 @@ def hankel_window(signal, start: int, depth: int, width: int) -> np.ndarray:
                                                     width, axis=-2)
 
 
-def hankel_stack(data: Dataset, depth: int, width: int, runs: slice = slice(None)) -> np.ndarray:
-    """The (..., rows, width) stack [u_past; y_past; u_future; y_future; x_past] of
-    ``data`` at ``depth``, each block's sliding window written straight into its rows;
-    of a batched dataset, of the records ``runs`` of its leading axis."""
+def hankel_stack(data: Dataset, depth: int, width: int, runs: slice = slice(None),
+                 imc: Optional[ImcRealization] = None) -> np.ndarray:
+    """The (..., rows, width) stack [u_past; y_past; z_past; u_future; y_future; x_past]
+    of ``data`` at ``depth``, each block's sliding window written straight into its rows;
+    of a batched dataset, of the records ``runs`` of its leading axis. z_past holds the
+    ``filter_imc_states`` of ``imc`` at the first ``width`` samples, no rows without one."""
     p, q, n = data.n_inputs, data.n_outputs, data.n_states
     u, y, x = data.u[runs], data.y[runs], data.x[runs]
-    stack = np.empty(u.shape[:-2] + (2 * (p + q) * depth + n, width))
-    row = 0
-    for sig, start in ((u, 0), (y, 0), (u, depth), (y, depth)):
-        window = hankel_window(sig, start, depth, width)
-        stack[..., row:row + depth * sig.shape[-1], :].reshape(window.shape)[...] = window
-        row += depth * sig.shape[-1]
-    stack[..., row:, :] = x[..., :width, :].swapaxes(-1, -2)
+    z = filter_imc_states(y[..., :width, :], imc) if imc is not None else y[..., :0]
+    stack = np.empty(u.shape[:-2] + (2 * (p + q) * depth + n + z.shape[-1], width))
+    row = 0  # a snapshot at each column's start sample is a window of depth 1
+    for sig, start, blocks in ((u, 0, depth), (y, 0, depth), (z, 0, 1), (u, depth, depth),
+                               (y, depth, depth), (x, 0, 1)):
+        window = hankel_window(sig, start, blocks, width)
+        stack[..., row:row + blocks * sig.shape[-1], :].reshape(window.shape)[...] = window
+        row += blocks * sig.shape[-1]
     return stack
 
 
 def build_data_matrices(data: Dataset, depth: int, width: Optional[int] = None,
-                        runs: slice = slice(None)) -> DataMatrices:
+                        runs: slice = slice(None),
+                        imc: Optional[ImcRealization] = None) -> DataMatrices:
     """Factor a dataset's past/future input/output Hankel matrices and states (of the
-    records ``runs`` of a batched one): one QR of their ``hankel_stack``, which is then
-    dropped. ``depth`` and ``width`` are held to ``hankel_width`` and ``check_regressor``
-    before the stack is written, so every ``DataMatrices`` can determine the predictor."""
+    records ``runs`` of a batched one), with the controller states of ``imc``: one QR of
+    their ``hankel_stack``, which is then dropped. ``depth`` and ``width`` are held to
+    ``hankel_width`` and ``check_regressor`` before the stack is written, with the
+    controller states counted among the outputs and states, so every ``DataMatrices``
+    can determine the predictor of the plant plus controller."""
     p, q, n = data.n_inputs, data.n_outputs, data.n_states
-    width = hankel_width(data.n_samples, q, n, depth, width)
-    check_regressor(p, q, depth, width)
-    stack = hankel_stack(data, depth, width, runs).swapaxes(-1, -2)
+    z = q * imc.order if imc is not None else 0
+    width = hankel_width(data.n_samples, q + z, n + z, depth, width)
+    check_regressor(p, q + z, depth, width)
+    stack = hankel_stack(data, depth, width, runs, imc).swapaxes(-1, -2)
     # numpy's QR copies its input, so a batch is factored half at a time: a whole stack freed
     # with a whole copy went back to the OS, and the next batch faulted the memory back in
     halves = np.array_split(stack, 2) if stack.ndim > 2 else [stack]
     L = np.concatenate([np.linalg.qr(h, mode="r") for h in halves]).swapaxes(-1, -2)
-    return DataMatrices(factor=L, depth=depth, width=width, n_inputs=p, n_outputs=q)
+    return DataMatrices(factor=L, depth=depth, width=width, n_inputs=p, n_outputs=q, imc=imc)
 
 
 def _rank(s: np.ndarray, reference, tol: float):
@@ -191,9 +227,12 @@ def estimate_predictor(dm: DataMatrices) -> MarkovEstimate:
     L_Uf,Uf, so raw = L_Yf,Uf L_Uf,Uf^-1; otherwise (noise-free data, or more
     outputs than states) it also holds the null directions of L_Yp,Yp, decided
     with ``PINV_TOL`` as in the pseudo-inverse solution, and goes through its
-    QR, L_Uf,rest' = Q_m R_m, so raw = (L_Yf,rest Q_m) R_m'^-1. Each block
-    sub-diagonal of the Toeplitz factor is the average of that sub-diagonal of
-    ``raw``, which reduces noise and enforces the structure.
+    QR, L_Uf,rest' = Q_m R_m, so raw = (L_Yf,rest Q_m) R_m'^-1. With an internal
+    model, y_past is [y_past; z_past] and raw is lifted to the controller's rows:
+    their future-input coefficients are the controller's filter of those of the
+    y_future rows above them, from a zero start. Each block sub-diagonal of the
+    Toeplitz factor is the average of that sub-diagonal of the (lifted) ``raw``,
+    which reduces noise and enforces the structure.
 
     Excitation is checked with ``RANK_TOL`` relative to the largest singular
     value of [u_past; u_future]: that stack (a persistently exciting input)
@@ -204,7 +243,8 @@ def estimate_predictor(dm: DataMatrices) -> MarkovEstimate:
     """
     d, p, q = dm.depth, dm.n_inputs, dm.n_outputs
     F = dm.factor
-    up, yp, uf, yf = (dm.parts[k] for k in ("u_past", "y_past", "u_future", "y_future"))
+    up, uf, yf = (dm.parts[k] for k in ("u_past", "u_future", "y_future"))
+    yp = slice(dm.parts["y_past"].start, dm.parts["z_past"].stop)
     # [L_Uf,Yp L_Uf,Uf] = R_f' Q_f' (orthonormal Q_f), so the input rows of L have the
     # singular values of the triangle [L_Up,Up 0; L_Uf,Up R_f'], L's zeros filling its corner
     r_f = np.linalg.qr(F[..., uf, yp.start:uf.stop].swapaxes(-1, -2), mode="r")
@@ -230,7 +270,7 @@ def estimate_predictor(dm: DataMatrices) -> MarkovEstimate:
         # null directions it is the triangle L_Uf,Uf (Q_m = I)
         r_m, y_m = F_k[..., uf, uf].swapaxes(-1, -2), F_k[..., yf, uf]
         if k:
-            null = vt_k[..., q * d - k:, :].swapaxes(-1, -2)
+            null = vt_k[..., yp.stop - yp.start - k:, :].swapaxes(-1, -2)
             q_m, r_m = np.linalg.qr(np.concatenate(
                 [F_k[..., uf, uf], F_k[..., uf, yp] @ null], axis=-1).swapaxes(-1, -2))
             y_m = np.concatenate([y_m, F_k[..., yf, yp] @ null], axis=-1) @ q_m
@@ -242,6 +282,9 @@ def estimate_predictor(dm: DataMatrices) -> MarkovEstimate:
             f"is not identifiable"))
         raw[at] = np.linalg.solve(r_m, y_m.swapaxes(-1, -2)).swapaxes(-1, -2)
 
+    if dm.imc is not None:
+        raw = append_imc_states(raw, q, dm.imc)
+        q += q * dm.imc.order
     # block sub-diagonal k holds the copies at block positions (i+k+1, i)
     grid = raw.reshape(raw.shape[:-2] + (d, q, d, p))
     S = np.zeros_like(grid)

@@ -15,6 +15,10 @@ The estimate is the matrix alone. Its consumers read the shifted form
 O+ = [CA; ...; CA^(depth-1)], which the gain takes, as the slice
 ``matrix[..., q:, :]`` that drops the first block row of q outputs.
 
+With an internal model the fits are those of the plant plus controller: the
+past outputs are lifted with the controller states and the states are
+[x_past; z_past] (``DataMatrices.past_rows``), so the matrix has n + q*nc columns.
+
 Batch axes of the factor carry over to the estimates, and a rank check that
 fails for some entries marks them as in ``markov``.
 """
@@ -60,7 +64,9 @@ def _fit_states(algorithm: str, lhs: np.ndarray, x: np.ndarray, what: str) -> Ob
     u, s, vt = np.linalg.svd(x, full_matrices=False)
     full = np.any((s[..., :1] > 0.0) & (s[..., -1:] >= PINV_TOL * s[..., :1]), axis=-1)
     _fail_entries(~full, lambda i: (
-        f"states not sufficiently excited: {what}: numerical row rank below {x.shape[-2]}"))
+        f"states not sufficiently excited: {what}: numerical row rank below {x.shape[-2]} "
+        f"(smallest over largest singular value "
+        f"{s[i][-1] / s[i][0] if s[i][0] else 0.0:.3e} < {PINV_TOL:g})"))
     obs = (lhs @ vt.swapaxes(-1, -2) / s[..., None, :]) @ u.swapaxes(-1, -2)
     # per entry, the residual is np.linalg.norm's dot product of the raveled misfit, taken
     # on it over 2^e > its largest magnitude: dnrm2's scaling, exact as a power of two
@@ -82,10 +88,10 @@ def estimate_obs_alg1(dm: DataMatrices, s_hat: np.ndarray) -> ObservabilityEstim
     O = (L_Yp - s_hat L_Up) L_X^+; L_Up is zero past its first p*depth columns.
     """
     pd = dm.n_inputs * dm.depth
-    F = dm.factor
-    rhs = F[..., dm.parts["y_past"], :].copy()
-    rhs[..., :pd] -= s_hat @ F[..., dm.parts["u_past"], :pd]
-    return _fit_states("alg1", rhs, F[..., dm.parts["x_past"], :], "state snapshot")
+    rhs, x = dm.past_rows()
+    rhs = rhs.copy()
+    rhs[..., :pd] -= s_hat @ dm.factor[..., dm.parts["u_past"], :pd]
+    return _fit_states("alg1", rhs, x, "state snapshot")
 
 
 def estimate_obs_alg2(dm: DataMatrices) -> ObservabilityEstimate:
@@ -98,10 +104,8 @@ def estimate_obs_alg2(dm: DataMatrices) -> ObservabilityEstimate:
     That needs u_past to have full row rank, which is checked with ``PINV_TOL``.
     """
     up = dm.parts["u_past"]
-    F = dm.factor
     s = dm.past_input_singular_values
     _fail_entries((s[..., 0] == 0.0) | (s[..., -1] < PINV_TOL * s[..., 0]), lambda i: (
         f"insufficient excitation: past-input Hankel has numerical row rank below {up.stop}"))
-    cols = slice(up.stop, None)
-    return _fit_states("alg2", F[..., dm.parts["y_past"], cols],
-                       F[..., dm.parts["x_past"], cols], "projected state snapshot (X U_po)")
+    return _fit_states("alg2", *dm.past_rows(up.stop),
+                       "projected state snapshot (X U_po)")

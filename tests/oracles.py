@@ -29,6 +29,11 @@ step the plant, the regulation loop, the plant with its internal-model
 controllers, and the controller filter one sample at a time, as written in
 their docstrings; ``per_run_monte_carlo`` simulates and estimates one
 Monte Carlo run at a time with them.
+
+``augment_dataset`` appends the controller states to a record's outputs and states,
+the data of the plant plus controller. The library never forms them: an estimate with
+an internal model factors the plant's rows and the controller's start state and lifts
+its fits through the filter, and must equal the estimate of this dataset without one.
 """
 
 import warnings
@@ -277,6 +282,13 @@ def loop_filter_imc_states(y, imc) -> np.ndarray:
         for k in range(T - 1):
             out[k + 1, blk] = imc.A_c @ out[k, blk] - imc.B_c[:, 0] * y[k, j]
     return out
+
+
+def augment_dataset(data, imc):
+    """``data`` with the ``loop_filter_imc_states`` of its outputs appended to its
+    outputs and states."""
+    xc = loop_filter_imc_states(data.y, imc)
+    return Dataset(u=data.u, y=np.hstack([data.y, xc]), x=np.hstack([data.x, xc]))
 
 
 def per_run_monte_carlo(model, signal, depth, runs, noise_variance, base_seed=0,

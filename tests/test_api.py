@@ -44,7 +44,7 @@ STAGES = [
     ("markov", "DataMatrices"), ("markov", "MarkovEstimate"),
     ("observability", "estimate_obs_alg1"), ("observability", "estimate_obs_alg2"),
     ("observability", "true_observability"), ("observability", "ObservabilityEstimate"),
-    ("lqr", "dd_lqr_gain"), ("imc", "augment_dataset"), ("imc", "filter_imc_states"),
+    ("lqr", "dd_lqr_gain"), ("imc", "filter_imc_states"), ("imc", "append_imc_states"),
 ]
 
 
@@ -64,7 +64,7 @@ PARAMETERS = [
 FIELDS = [
     ("plant_sim", "StateSpaceModel", ["A", "B", "C", "E", "sample_time"]),
     ("plant_sim", "Dataset", ["u", "y", "x"]),
-    ("markov", "DataMatrices", ["factor", "depth", "width", "n_inputs", "n_outputs"]),
+    ("markov", "DataMatrices", ["factor", "depth", "width", "n_inputs", "n_outputs", "imc"]),
     ("markov", "MarkovEstimate", ["toeplitz", "depth", "input_rank", "regressor_rank",
                                   "input_rank_margin"]),
     ("observability", "ObservabilityEstimate", ["matrix", "algorithm", "residual"]),
@@ -113,7 +113,7 @@ def test_names_the_benchmark_imports_exist():
     assert cfg.get_int("estimation", "depth") == 150
 
 
-PARTS = ["u_past", "y_past", "u_future", "y_future", "x_past"]
+PARTS = ["u_past", "y_past", "z_past", "u_future", "y_future", "x_past"]
 
 
 # ``owner`` is a module of ddlqr, or a class in one; the DataMatrices partitions
@@ -126,6 +126,7 @@ PARTS = ["u_past", "y_past", "u_future", "y_future", "x_past"]
     ("plant_sim", "tracking_loop_simulate"), ("plant_sim", "cost_J"),
     ("matrix_kit", "block_hankel"), ("markov.DataMatrices", "stack"),
     ("plant_sim", "_open_loop"), ("experiments", "harmonic_distortion"),
+    ("imc", "augment_dataset"),
 ] + [("markov.DataMatrices", part) for part in PARTS])
 def test_test_only_helpers_are_gone(owner, name):
     module, _, cls = owner.partition(".")

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -318,6 +319,19 @@ class TestSweep:
                        "--set", f"sweep.horizons={horizons}")
             assert code == 2, horizons
             assert "[sweep] horizons" in capsys.readouterr().err
+
+    def test_unexcited_states_report_their_singular_value_ratio(self, tmp_path, capsys):
+        # rho(A) = 1.03: over the open-loop record the states grow so far that the
+        # snapshot's smallest singular value falls below PINV_TOL times its largest
+        code = run("sweep", REGULATION, "--output-dir", str(tmp_path / "out"),
+                   "--set", "model.a=[[1.1,0.15],[-0.2,0.6]]")
+        assert code == 1
+        err = capsys.readouterr().err
+        found = re.search(r"^error: observability: states not sufficiently excited: state "
+                          r"snapshot: numerical row rank below 2 \(smallest over largest "
+                          r"singular value (\S+) < 1e-12\)$", err, re.M)
+        assert found and 0.0 < float(found.group(1)) < 1e-12, err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
 
     def test_horizon_above_depth_exits_2(self, tmp_path, capsys):
         # every row comes from the one estimate at [estimation] depth 51

@@ -60,7 +60,7 @@ def sweep_from_estimate(monkeypatch, model, est, weights, horizons):
     Also checks that each row is the max-entry gap of ``synthesize`` at that
     horizon to the Riccati gain, bit for bit.
     """
-    for stage in ("augment_dataset", "build_data_matrices", "estimate_predictor"):
+    for stage in ("build_data_matrices", "estimate_predictor"):
         monkeypatch.setattr(ddlqr.experiments, stage, None)
     rows = convergence_sweep(model, est, weights, horizons)
     monkeypatch.undo()

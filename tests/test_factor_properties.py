@@ -6,8 +6,10 @@ noise on the state measurements, are estimated both ways: from the LQ factor
 (``oracles``). Widths include the range (2p+q)*depth <= width < rows of the
 stack, where the factor is wider than it is tall. Below q*depth = n the data
 matrices refuse the data, whose past outputs cannot determine the state.
+Batches, also with an internal model, hold each entry to its solo result bit for bit.
 """
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -21,6 +23,8 @@ from ddlqr import (
     Dataset,
     InputError,
     StateSpaceModel,
+    integrator_imc,
+    resonant_imc,
     simulate,
 )
 from ddlqr.markov import RANK_TOL, build_data_matrices, estimate_predictor, hankel_stack
@@ -29,12 +33,14 @@ from ddlqr.observability import estimate_obs_alg1, estimate_obs_alg2
 RTOL = 1e-9
 
 
-def _refused(data, depth: int, width: int) -> bool:
-    """Whether q*depth < n, checking there that the data matrices refuse the data."""
-    if data.n_outputs * depth >= data.n_states:
+def _refused(data, depth: int, width: int, imc=None) -> bool:
+    """Whether q*depth < n, checking there that the data matrices refuse the data; with
+    an internal model q and n count its states."""
+    z = data.n_outputs * imc.order if imc is not None else 0
+    if (data.n_outputs + z) * depth >= data.n_states + z:
         return False
     with pytest.raises(InputError, match="too few to determine"):
-        build_data_matrices(data, depth, width)
+        build_data_matrices(data, depth, width, imc=imc)
     return True
 
 
@@ -89,11 +95,14 @@ def test_factor_route_matches_pinv_route(problem):
 
 
 @settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
-@given(problems())
-def test_batch_entries_match_unbatched(problem):
+@given(problems(), st.sampled_from([None, integrator_imc(), resonant_imc(0.8, 1.0)]))
+def test_batch_entries_match_unbatched(problem, imc):
     # noise-free entries leave null directions in L_Yp,Yp when q*depth > n,
-    # noisy ones do not, so a batch mixes both counts of them
+    # noisy ones do not, so a batch mixes both counts of them. An internal model
+    # widens the data by its q*order*depth regressor rows, and its lifts run the
+    # filter batched over columns, alone as in a batch.
     n, p, q, depth, width, _, seed = problem
+    width += q * imc.order * depth if imc is not None else 0
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(n, n))
     A *= rng.uniform(0.3, 0.9) / max(np.abs(np.linalg.eigvals(A)).max(), 1e-12)
@@ -104,27 +113,53 @@ def test_batch_entries_match_unbatched(problem):
                      v=0.1 * rng.normal(size=(T, n)) if noisy else None)
             for noisy in (False, True, True, False)]
     batch = Dataset(*(np.stack([getattr(r, k) for r in runs]) for k in "uyx"))
-    if _refused(batch, depth, width):
+    if _refused(batch, depth, width, imc):
         return
-    dms = [build_data_matrices(data, depth, width) for data in runs + [batch]]
+    dms = [build_data_matrices(data, depth, width, imc=imc) for data in runs + [batch]]
 
     est = estimate_predictor(dms[-1])
-    o1 = estimate_obs_alg1(dms[-1], est.toeplitz)
-    o2 = estimate_obs_alg2(dms[-1])
-    for b, dm in enumerate(dms[:-1]):
-        alone = estimate_predictor(dm)
-        # unbatched, the factor is exactly block Toeplitz and the residual is the plain formula
+    alones = [estimate_predictor(dm) for dm in dms[:-1]]
+    for b, (dm, alone) in enumerate(zip(dms[:-1], alones)):
+        # unbatched, the factor is exactly block Toeplitz
         assert np.array_equal(alone.toeplitz,
                               block_toeplitz_strict_lower(markov_blocks(alone), depth))
-        o = estimate_obs_alg1(dm, alone.toeplitz)
-        F, parts = dm.factor, dm.parts
-        lhs = F[parts["y_past"]] - alone.toeplitz @ F[parts["u_past"]]
-        assert o.residual == float(np.linalg.norm(lhs - o.matrix @ F[parts["x_past"]]))
         for name in ("toeplitz", "input_rank", "regressor_rank", "input_rank_margin"):
             assert np.array_equal(getattr(est, name)[b], getattr(alone, name)), name
-        for got, want in ((o1, estimate_obs_alg1(dm, alone.toeplitz)), (o2, estimate_obs_alg2(dm))):
+    for stage, s_hat in ((estimate_obs_alg1, est.toeplitz), (estimate_obs_alg2, None)):
+        _check_batch_observability(stage, dms[-1], s_hat, dms[:-1], alones)
+
+
+def _check_batch_observability(stage, batch, s_hat, dms, alones) -> None:
+    """``stage`` on ``batch`` (with the batched Toeplitz factor ``s_hat`` for alg1): the
+    entries its errors mark, dropped as Monte Carlo drops them, are those that fail alone
+    (noise-free records under an internal model with q > n, whose controller states are
+    dependent), and the rest are bit for bit their solo estimates."""
+    run = (lambda dm, s: stage(dm)) if s_hat is None else stage
+    solo = []
+    for dm, alone in zip(dms, alones):
+        try:
+            solo.append(run(dm, alone.toeplitz))
+        except ValueError:
+            solo.append(None)
+            continue
+        if s_hat is not None:  # unbatched, the residual is the plain formula
+            y_past, x_past = dm.past_rows()
+            lhs = y_past - alone.toeplitz @ dm.factor[dm.parts["u_past"]]
+            assert solo[-1].residual == float(np.linalg.norm(lhs - solo[-1].matrix @ x_past))
+    marked = np.zeros(len(dms), bool)
+    while not marked.all():
+        keep = np.flatnonzero(~marked)
+        kept = replace(batch, factor=batch.factor.swapaxes(-1, -2)[keep].swapaxes(-1, -2))
+        try:
+            got = run(kept, None if s_hat is None else s_hat[keep])
+        except ValueError as exc:
+            marked[keep[exc.failed]] = True
+            continue
+        for i, b in enumerate(keep):
             for name in ("matrix", "residual"):
-                assert np.array_equal(getattr(got, name)[b], getattr(want, name)), name
+                assert np.array_equal(getattr(got, name)[i], getattr(solo[b], name)), name
+        break
+    assert [o is None for o in solo] == marked.tolist()
 
 
 @settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])

@@ -1,7 +1,12 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import prbs_dataset, tracking_run, two_output_model
+from oracles import augment_dataset
 from ddlqr import (
     Dataset,
     LqrWeights,
@@ -18,7 +23,7 @@ from ddlqr import (
     simulate,
     synthesize,
 )
-from ddlqr.imc import augment_dataset, filter_imc_states
+from ddlqr.imc import append_imc_states, filter_imc_states
 
 
 class TestRealizations:
@@ -62,6 +67,8 @@ class TestFiltering:
         np.testing.assert_array_equal(got.ravel(), -np.arange(6.0))
 
     def test_matches_augmented_simulation(self):
+        # the library's filter and the oracle's augmented record are the plant plus
+        # controller's simulation
         model = two_output_model()
         imc = integrator_imc()
         rng = np.random.default_rng(3)
@@ -73,9 +80,38 @@ class TestFiltering:
         np.testing.assert_allclose(xc, aug_sim.x[:, 2:], atol=1e-10)
         np.testing.assert_allclose(augment_dataset(plain, imc).x, aug_sim.x, atol=1e-10)
         np.testing.assert_allclose(augment_dataset(plain, imc).y, aug_sim.y, atol=1e-10)
+        np.testing.assert_array_equal(augment_dataset(plain, imc).x[:, 2:], xc)
+
+    def test_start_state_and_batch_axes(self):
+        # from a start state the filter adds the controller's free response, and a batch
+        # of records filters each record bit for bit as alone
+        imc = resonant_imc(0.4, 1.0)
+        rng = np.random.default_rng(5)
+        y, start = rng.normal(size=(3, 30, 2)), rng.normal(size=(3, 4))
+        got = filter_imc_states(y, imc, start)
+        free = np.zeros((30, 4))
+        free[0] = start[1]
+        for k in range(29):
+            free[k + 1] = np.kron(np.eye(2), imc.A_c) @ free[k]
+        np.testing.assert_allclose(got[1], filter_imc_states(y[1], imc) + free, atol=1e-12)
+        for b in range(3):
+            assert np.array_equal(got[b], filter_imc_states(y[b], imc, start[b]))
+
+    def test_appended_rows_are_the_augmented_hankel_rows(self):
+        # rows of depth blocks of y, with the filter's state at each column's start
+        # sample, lift to the blocks [y; x_c] of the augmented record
+        imc = resonant_imc(0.9, 1.0)
+        y = np.random.default_rng(2).normal(size=(40, 2))
+        aug = augment_dataset(Dataset(u=y[:, :1], y=y, x=y), imc).y
+        depth, width = 6, 30
+        rows = np.vstack([y[i:i + width].T for i in range(depth)])
+        want = np.vstack([aug[i:i + width].T for i in range(depth)])
+        got = append_imc_states(rows, 2, imc, aug[:width, 2:].T)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 class TestAugmentDataset:
+    # the test oracle the internal-model estimates are checked against
     def test_zero_dataset(self):
         ds = Dataset(u=np.zeros((4, 1)), y=np.zeros((4, 1)), x=np.zeros((4, 1)))
         out = augment_dataset(ds, integrator_imc())
@@ -177,3 +213,66 @@ class TestTracking:
         scenario = TrackingScenario(imc=imc, reference=ref)
         metrics = evaluate_closed_loop(model, K_a, weights, scenario, 7500)
         assert metrics.steady_state_error < 0.01
+
+
+# The internal-model estimate factors the plant's rows and the controller's start state
+# and lifts its fits through the controller's filter; the augmented record spans the
+# same rows, so both estimate the same least-squares problem and differ by rounding.
+EQUIVALENCE_RTOL = 1e-9
+
+
+def _rel(got, want) -> float:
+    """Max-entry error relative to the largest entry of ``want``."""
+    return float(np.abs(got - want).max() / max(np.abs(want).max(), 1e-300))
+
+
+def _outcome(fn):
+    """``fn()``, or the ValueError it raises with its figures masked."""
+    try:
+        return fn()
+    except ValueError as exc:
+        return type(exc), re.sub(r"\d[\d.e+-]*", "#", str(exc))
+
+
+@st.composite
+def imc_problems(draw):
+    n, p, q = draw(st.integers(1, 4)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    imc = draw(st.one_of(st.just(integrator_imc()),
+                         st.floats(0.2, 2.8).map(lambda theta: resonant_imc(theta, 1.0))))
+    depth = draw(st.integers(2, 6))
+    min_width = (2 * p + q * (1 + imc.order)) * depth
+    width = draw(st.integers(min_width, min_width + 150))
+    noisy, alg = draw(st.booleans()), draw(st.sampled_from(["alg1", "alg2"]))
+    return n, p, q, imc, depth, width, noisy, alg, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
+@given(imc_problems())
+def test_estimate_with_imc_matches_augmented_data(problem):
+    n, p, q, imc, depth, width, noisy, alg, seed = problem
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, n))
+    A *= rng.uniform(0.3, 0.9) / max(np.abs(np.linalg.eigvals(A)).max(), 1e-12)
+    model = StateSpaceModel(A=A, B=rng.normal(size=(n, p)), C=rng.normal(size=(q, n)),
+                            E=np.eye(n))
+    T = width + 2 * depth - 1
+    v = 0.1 * rng.normal(size=(T, n)) if noisy else None
+    data = simulate(model, rng.normal(size=(T, p)), v=v, noise_mode="measurement")
+    got = _outcome(lambda: estimate(data, depth, width, alg, imc=imc))
+    want = _outcome(lambda: estimate(augment_dataset(data, imc), depth, width, alg))
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert not isinstance(got, tuple), got
+    assert got.markov.toeplitz.shape == want.markov.toeplitz.shape
+    assert _rel(got.markov.toeplitz, want.markov.toeplitz) < EQUIVALENCE_RTOL
+    assert _rel(got.observability.matrix, want.observability.matrix) < EQUIVALENCE_RTOL
+    for name in ("input_rank", "regressor_rank"):
+        assert getattr(got.markov, name) == getattr(want.markov, name), name
+    weights = LqrWeights(Q=np.eye(q * (1 + imc.order)), R=np.eye(p))
+    K_got = _outcome(lambda: synthesize(got, weights, depth).K)
+    K_want = _outcome(lambda: synthesize(want, weights, depth).K)
+    if isinstance(K_want, tuple):
+        assert K_got == K_want
+    else:
+        assert _rel(K_got, K_want) < EQUIVALENCE_RTOL
