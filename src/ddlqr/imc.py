@@ -72,8 +72,7 @@ def filter_imc_states(y, imc: ImcRealization, start=0.0) -> np.ndarray:
     stacked side by side, channel-major. Leading axes of a (..., T, q) ``y`` and of a
     (..., q * order) ``start`` batch series.
     """
-    y = np.asarray(y, dtype=float)
-    y = y if y.ndim > 2 else as_series(y)
+    y = as_series(y)
     q, nc = y.shape[-1], imc.order
     start = np.reshape(start, np.shape(start)[:-1] + (q, nc)) if np.ndim(start) else start
     # one run per channel

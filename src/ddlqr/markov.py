@@ -13,7 +13,9 @@ factor, the excitation rank and both observability estimates are read off
 its blocks, whose sizes do not grow with the record length. Every SVD the
 predictor takes is square: of L_Up,Up, of the past-output block L_Yp,Yp (of
 [Y_p; Z]), of a 2pd x 2pd input triangle after a small QR, and of a pd x pd
-remainder triangle (L_Uf,Uf or R_m).
+remainder triangle R_m. One QR gives R_m for a whole batch: the directions of
+L_Yp,Yp that are not null are zeroed, not dropped, so every entry's remainder has
+one shape. With no null direction in the batch R_m is L_Uf,Uf' and the QR is skipped.
 
 With an internal-model controller (``imc``) the estimate is that of the plant plus
 controller, whose outputs and states append the controller states x_c. These filter
@@ -164,10 +166,8 @@ def hankel_window(signal, start: int, depth: int, width: int) -> np.ndarray:
     of ``signal`` (a (..., T, d) array, or a length-T 1-D one) whose block (i, j) is
     sample ``signal[start + i + j]``. Leading axes batch series. The sizes are not
     checked: ``hankel_width`` holds a record to them."""
-    sig = np.asarray(signal, dtype=float)
-    sig = sig if sig.ndim > 2 else as_series(sig)
-    return np.lib.stride_tricks.sliding_window_view(sig[..., start:start + depth + width - 1, :],
-                                                    width, axis=-2)
+    return np.lib.stride_tricks.sliding_window_view(
+        as_series(signal)[..., start:start + depth + width - 1, :], width, axis=-2)
 
 
 def hankel_stack(data: Dataset, depth: int, width: int, runs: slice = slice(None),
@@ -222,15 +222,17 @@ def estimate_predictor(dm: DataMatrices) -> MarkovEstimate:
     blocks of the data factor L. Its u_past and y_past blocks fit their own
     columns of L exactly, so the future-input block (the identifiable part of
     W, which carries the Toeplitz factor) fits the y_future rows on what is
-    left of the u_future rows: ``raw = L_Yf,rest L_Uf,rest^+``. When y_past
-    has full row rank given u_past (noisy data) the remainder is the triangle
-    L_Uf,Uf, so raw = L_Yf,Uf L_Uf,Uf^-1; otherwise (noise-free data, or more
-    outputs than states) it also holds the null directions of L_Yp,Yp, decided
-    with ``PINV_TOL`` as in the pseudo-inverse solution, and goes through its
-    QR, L_Uf,rest' = Q_m R_m, so raw = (L_Yf,rest Q_m) R_m'^-1. With an internal
-    model, y_past is [y_past; z_past] and raw is lifted to the controller's rows:
-    their future-input coefficients are the controller's filter of those of the
-    y_future rows above them, from a zero start. Each block sub-diagonal of the
+    left of the u_future rows: ``raw = L_Yf,rest L_Uf,rest^+``. The remainder
+    holds L_Uf,Uf and L_Uf,Yp on the null directions of L_Yp,Yp, decided with
+    ``PINV_TOL`` as in the pseudo-inverse solution (noise-free data, or more
+    outputs than states, has them); its other directions are zeroed, so one
+    batched QR, L_Uf,rest' = Q_m R_m, serves every entry and raw =
+    (L_Yf,rest Q_m) R_m'^-1. When no entry has a null direction (noisy data)
+    the QR, which would return the triangle, is skipped: raw = L_Yf,Uf
+    L_Uf,Uf^-1. With an internal model, y_past is [y_past; z_past] and raw is
+    lifted to the controller's rows: their future-input coefficients are the
+    controller's filter of those of the y_future rows above them, from a zero
+    start. Each block sub-diagonal of the
     Toeplitz factor is the average of that sub-diagonal of the (lifted) ``raw``,
     which reduces noise and enforces the structure.
 
@@ -254,33 +256,27 @@ def estimate_predictor(dm: DataMatrices) -> MarkovEstimate:
     _fail_entries(input_rank < 2 * p * d, lambda i: (
         f"insufficient excitation: stacked input Hankel has numerical rank "
         f"{input_rank[i]}, need {2 * p * d} (persistently exciting input of order {2 * d})"))
-    # L_Yp,Yp has a column for every y_past row; its null directions (trailing
-    # rows of vt_yp) lie outside the row space of y_past, so they stay in the
-    # u_future remainder. Each distinct count of them is solved for once.
+    # L_Yp,Yp has a column for every y_past row; its null directions (trailing rows of
+    # vt_yp) lie outside the row space of y_past, so they stay in the u_future remainder.
+    # The other directions are zeroed, not dropped, so every entry's remainder has one shape
     _, s_yp, vt_yp = np.linalg.svd(F[..., yp, yp])
     scale = np.maximum(s_in[..., 0], s_yp[..., 0])  # stands in for the norm of the regressor
-    nulls = np.sum(s_yp < PINV_TOL * scale[..., None], axis=-1)
-    raw = np.empty(F.shape[:-2] + (q * d, p * d))
-    s_m = np.zeros(F.shape[:-2] + (p * d,))
-    for k in sorted(set(np.ravel(nulls).tolist())):
-        at = nulls == k  # the copy keeps each entry's factor laid out as when alone
-        F_k, vt_k = (F, vt_yp) if at.all() else (
-            F.swapaxes(-1, -2)[at].swapaxes(-1, -2), vt_yp[at])
-        # the remainder u_rest is R_m' Q_m', so raw = y_rest Q_m R_m'^-1; with no
-        # null directions it is the triangle L_Uf,Uf (Q_m = I)
-        r_m, y_m = F_k[..., uf, uf].swapaxes(-1, -2), F_k[..., yf, uf]
-        if k:
-            null = vt_k[..., yp.stop - yp.start - k:, :].swapaxes(-1, -2)
-            q_m, r_m = np.linalg.qr(np.concatenate(
-                [F_k[..., uf, uf], F_k[..., uf, yp] @ null], axis=-1).swapaxes(-1, -2))
-            y_m = np.concatenate([y_m, F_k[..., yf, yp] @ null], axis=-1) @ q_m
-        s_m[at] = np.linalg.svd(r_m, compute_uv=False)
-        _fail_entries(at & (s_m[..., -1] < RANK_TOL * s_in[..., 0]), lambda i: (
-            f"insufficient excitation: future inputs lie numerically in the span of "
-            f"past inputs and outputs (smallest singular value of their remainder "
-            f"{s_m[i][-1]:.3e} < {RANK_TOL:g} x {s_in[i][0]:.3e}); the Toeplitz factor "
-            f"is not identifiable"))
-        raw[at] = np.linalg.solve(r_m, y_m.swapaxes(-1, -2)).swapaxes(-1, -2)
+    is_null = s_yp < PINV_TOL * scale[..., None]
+    # the remainder u_rest is R_m' Q_m', so raw = y_rest Q_m R_m'^-1; with no null direction
+    # it is the triangle L_Uf,Uf, which the QR returns as it is (Q_m = [I; 0])
+    r_m, y_m = F[..., uf, uf].swapaxes(-1, -2), F[..., yf, uf]
+    if is_null.any():
+        null = vt_yp.swapaxes(-1, -2) * is_null[..., None, :]
+        q_m, r_m = np.linalg.qr(np.concatenate(
+            [F[..., uf, uf], F[..., uf, yp] @ null], axis=-1).swapaxes(-1, -2))
+        y_m = np.concatenate([y_m, F[..., yf, yp] @ null], axis=-1) @ q_m
+    s_m = np.linalg.svd(r_m, compute_uv=False)
+    _fail_entries(s_m[..., -1] < RANK_TOL * s_in[..., 0], lambda i: (
+        f"insufficient excitation: future inputs lie numerically in the span of "
+        f"past inputs and outputs (smallest singular value of their remainder "
+        f"{s_m[i][-1]:.3e} < {RANK_TOL:g} x {s_in[i][0]:.3e}); the Toeplitz factor "
+        f"is not identifiable"))
+    raw = np.linalg.solve(r_m, y_m.swapaxes(-1, -2)).swapaxes(-1, -2)
 
     if dm.imc is not None:
         raw = append_imc_states(raw, q, dm.imc)

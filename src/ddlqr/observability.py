@@ -62,7 +62,7 @@ def true_observability(model: StateSpaceModel, depth: int) -> np.ndarray:
 def _fit_states(algorithm: str, lhs: np.ndarray, x: np.ndarray, what: str) -> ObservabilityEstimate:
     """Least-squares O in lhs = O x for a wide x of full row rank, with its residual."""
     u, s, vt = np.linalg.svd(x, full_matrices=False)
-    full = np.any((s[..., :1] > 0.0) & (s[..., -1:] >= PINV_TOL * s[..., :1]), axis=-1)
+    full = (s[..., 0] > 0.0) & (s[..., -1] >= PINV_TOL * s[..., 0])
     _fail_entries(~full, lambda i: (
         f"states not sufficiently excited: {what}: numerical row rank below {x.shape[-2]} "
         f"(smallest over largest singular value "

@@ -46,13 +46,12 @@ class InputError(ValueError):
 
 
 def as_series(signal) -> np.ndarray:
-    """Return a (T, d) float array, promoting 1-D inputs to a single channel."""
+    """Return a (..., T, d) float array, promoting a 1-D input to a single channel; leading
+    axes of an input with more dimensions batch series."""
     arr = np.asarray(signal, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.ndim != 2:
-        raise ValueError(f"signal must be 1-D or 2-D, got shape {arr.shape}")
-    return arr
+    if arr.ndim == 0:
+        raise ValueError("signal must be a series, got a scalar")
+    return arr[:, None] if arr.ndim == 1 else arr
 
 
 def _check_finite(name: str, arr: np.ndarray) -> np.ndarray:
@@ -112,8 +111,7 @@ class Dataset:
 
     def __post_init__(self):
         for name in "uyx":
-            series = np.asarray(getattr(self, name), dtype=float)
-            setattr(self, name, _check_finite(name, series if series.ndim > 2 else as_series(series)))
+            setattr(self, name, _check_finite(name, as_series(getattr(self, name))))
         if not (self.u.shape[:-1] == self.y.shape[:-1] == self.x.shape[:-1]):
             raise ValueError(
                 f"series lengths differ: u has {self.u.shape[-2]}, y has {self.y.shape[-2]}, "
@@ -303,16 +301,14 @@ def simulate(model: StateSpaceModel, u, v=None, noise_mode: str = "process") -> 
     """
     if noise_mode not in NOISE_MODES:
         raise ValueError(f"noise_mode must be 'process' or 'measurement', got {noise_mode!r}")
-    u = np.asarray(u, dtype=float)
-    u = u if u.ndim > 2 else as_series(u)
+    u = as_series(u)
     if u.shape[-1] != model.n_inputs:
         raise InputError("u", f"has {u.shape[-1]} channels, expected {model.n_inputs} to match B")
     drives = [_apply(model.B, u)]
     if v is not None:
         if model.E is None:
             raise InputError("E", "must be set: the state noise enters through it")
-        v = np.asarray(v, dtype=float)
-        v = v if v.ndim > 2 else as_series(v)
+        v = as_series(v)
         if v.shape != u.shape[:-1] + model.E.shape[1:]:
             raise ValueError(f"v has shape {v.shape}, expected {u.shape[:-1] + model.E.shape[1:]} "
                              f"to match the samples and E")

@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from ddlqr import (
     InputError,
     StateSpaceModel,
     estimate,
+    simulate,
 )
 from ddlqr import markov
 from ddlqr.markov import build_data_matrices, estimate_predictor
@@ -222,6 +224,39 @@ class TestLapackWork:
         assert sorted(svds) == [(102, 102)] * 3 + [(204, 204)]
         wide = [shape for name, _, shape in calls if name == "qr" and shape[0] == est.width]
         assert wide == [(est.width, 2 * (102 + 102) + 2)]
+
+    def test_three_null_counts_share_one_remainder_qr(self, monkeypatch):
+        # one plant at depth 4 recorded noise-free, with rank-one and with full
+        # state-measurement noise: L_Yp,Yp keeps q*depth - n, q*depth - n - depth and no
+        # null directions, and the batch's remainders are factored by one QR
+        d = 4
+        rng = np.random.default_rng(5)
+        u = rng.normal(size=(120, 2))
+        runs = [simulate(replace(two_output_model(), E=E), u, noise_mode="measurement",
+                         v=None if E is None else 0.1 * rng.normal(size=(120, E.shape[1])))
+                for E in (None, np.array([[1.0], [0.0]]), np.eye(2))]
+        batch = Dataset(*(np.stack([getattr(r, k) for r in runs]) for k in "uyx"))
+        dm = build_data_matrices(batch, d)
+        inputs = np.concatenate([rows(batch, dm, k) for k in ("u_past", "u_future")], axis=-2)
+        s_in = np.linalg.svd(inputs, compute_uv=False)
+        yp = dm.parts["y_past"]
+        s_yp = np.linalg.svd(dm.factor[..., yp, yp], compute_uv=False)
+        scale = np.maximum(s_in[:, :1], s_yp[:, :1])
+        nulls = np.sum(s_yp < markov.PINV_TOL * scale, axis=-1).tolist()
+        assert nulls == [6, 2, 0]
+        qrs = []
+        def qr(a, *args, _call=np.linalg.qr, **kwargs):
+            qrs.append(np.shape(a))
+            return _call(a, *args, **kwargs)
+        monkeypatch.setattr(markov.np.linalg, "qr", qr)
+        est = estimate_predictor(dm)
+        monkeypatch.undo()
+        # the future-input rows, then the remainder [L_Uf,Uf, L_Uf,Yp null]'
+        assert qrs == [(3, 16, 8), (3, 16, 8)]
+        for b, run in enumerate(runs):
+            alone = estimate_predictor(build_data_matrices(run, d))
+            for name in ("toeplitz", "input_rank", "regressor_rank", "input_rank_margin"):
+                assert np.array_equal(getattr(est, name)[b], getattr(alone, name)), name
 
 
 class TestTrueMarkov:

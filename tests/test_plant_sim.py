@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import regulation_run, scalar_model, two_output_model
 from oracles import loop_closed_loop
 from ddlqr import (
+    Dataset,
     InputError,
     RegulationScenario,
     SignalSpec,
@@ -106,6 +107,14 @@ class TestSimulate:
             simulate(noisy, np.zeros(5), v=np.zeros(4))
         with pytest.raises(ValueError, match=r"v has shape \(2, 5, 1\), expected \(3, 5, 1\)"):
             simulate(noisy, np.zeros((3, 5, 1)), v=np.zeros((2, 5, 1)))
+
+    def test_scalar_series_are_refused(self):
+        # 1-D series are one channel and arrays of more dimensions batch records, but a
+        # scalar is no series
+        with pytest.raises(ValueError, match="^signal must be a series, got a scalar$"):
+            simulate(scalar_model(), 1.0)
+        with pytest.raises(ValueError, match="^signal must be a series, got a scalar$"):
+            Dataset(u=np.zeros(5), y=0.0, x=np.zeros(5))
 
     def test_misspelt_noise_mode_raises(self):
         # a misspelt mode would otherwise leave the noise out of the record
