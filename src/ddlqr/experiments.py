@@ -19,8 +19,8 @@ import numpy as np
 
 from .imc import ImcRealization, augment_model
 from .lqr import LqrDesign, LqrWeights, dare_solve, dd_lqr_gain, model_lqr_gain
-from .markov import (DataMatrices, MarkovEstimate, build_data_matrices, check_regressor,
-                     estimate_predictor, hankel_width)
+from .markov import (DataMatrices, MarkovEstimate, build_data_matrices, estimate_predictor,
+                     hankel_width)
 from .observability import (
     ALGORITHMS,
     ObservabilityEstimate,
@@ -39,11 +39,10 @@ from .plant_sim import (
     simulate,
 )
 
-# Monte Carlo runs factored together: runs x record length stays within this.
-MC_CHUNK_SAMPLES = 2 ** 15
-# Runs simulated per kernel call: a whole number of factoring chunks whose runs x samples
-# read by the Hankel data stays within this (128 runs of a 425-sample record).
-MC_SIM_CHUNK_SAMPLES = 2 ** 16
+# Entries of a Monte Carlo batch: a factoring chunk's Hankel stacks and a simulation chunk's
+# records stay within this, or are one run or one factoring chunk. It is 32 runs of the
+# bundled study's 13 x 420 stack.
+MC_BATCH_ENTRIES = 175_000
 # Reference periods at the end of a sinusoid tracking run that its amplitude and THD are read over.
 THD_PERIODS = 10
 
@@ -239,14 +238,16 @@ def monte_carlo_obs(model: StateSpaceModel, signal: SignalSpec, depth: int, runs
     estimates the shifted observability matrix with both algorithms. Of each
     record only the 2*depth + width - 1 samples that its Hankel matrices read
     are drawn and simulated (all of them when ``width`` is None); every stage
-    is causal, so the estimates are those of the whole record. One ``generate_signal``
-    and one ``simulate`` call draw and run whole factoring chunks of up to
-    ``MC_SIM_CHUNK_SAMPLES`` such samples; one ``build_data_matrices`` call factors
-    ``MC_CHUNK_SAMPLES // signal.length`` runs (128 and 32 runs of the bundled
-    1022-sample record, read to sample 425); only their factors are kept, and the estimators
-    run once per pass of width // (factor columns) chunks, at most one chunk's stack in size
-    (1024 runs). The rules of this function's own arguments come before any run, and
-    ``simulate``'s with the first chunk; failed runs are counted and excluded.
+    is causal, so the estimates are those of the whole record. One ``build_data_matrices``
+    call factors a chunk of as many runs as keep their Hankel stacks, (2(p+q)*depth + n) x
+    width entries a run, within ``MC_BATCH_ENTRIES``, one run at least. One
+    ``generate_signal`` and one ``simulate`` call draw and run as many whole chunks as keep
+    their records, T*(p+q+n) entries a run of T samples, within it, one chunk at least (32
+    and 128 runs of the bundled study, which reads 425 samples). Only the factors are kept,
+    and the estimators run once per pass of width // (factor columns) chunks, at most one
+    chunk's stack in size (1024 runs). The rules of this function's own arguments come
+    before any run, and ``simulate``'s with the first chunk; failed runs are counted and
+    excluded.
     """
     if runs < 2:  # the covariance statistics need 2 runs
         raise InputError("runs", f"must be >= 2, got {runs}")
@@ -256,13 +257,13 @@ def monte_carlo_obs(model: StateSpaceModel, signal: SignalSpec, depth: int, runs
         raise InputError("base_seed", f"must be >= 0, got {base_seed}")
     if not noise_variance >= 0:
         raise InputError("noise_variance", f"must be >= 0, got {noise_variance}")
-    width = hankel_width(signal.length, model.n_outputs, model.n_states, depth, width)
-    check_regressor(model.n_inputs, model.n_outputs, depth, width)
-    truth = true_observability(model, depth)[model.n_outputs:]
-    chunk = max(1, MC_CHUNK_SAMPLES // signal.length)
+    p, q, n = model.n_inputs, model.n_outputs, model.n_states
+    width = hankel_width(signal.length, p, q, n, depth, width)
+    truth = true_observability(model, depth)[q:]
     # the PRBS map, the noise draws and the recursion are causal: later samples move no earlier one
     T = 2 * depth + width - 1
-    sim_chunk = chunk * max(1, MC_SIM_CHUNK_SAMPLES // (chunk * T))
+    chunk = max(1, MC_BATCH_ENTRIES // ((2 * (p + q) * depth + n) * width))
+    sim_chunk = chunk * max(1, MC_BATCH_ENTRIES // (chunk * T * (p + q + n)))
     std = float(np.sqrt(noise_variance))
     signal = replace(signal, length=T)
 
@@ -339,11 +340,11 @@ def _reduce_report(algorithm: str, estimates, reasons: Counter,
         truth=truth,
         mean=mean,
         covariance=covariance,
-        covariance_eigenvalues=np.sort(np.linalg.eigvalsh(covariance)),
+        covariance_eigenvalues=np.linalg.eigvalsh(covariance),
         mse=mse,
-        mse_eigenvalues=np.sort(np.linalg.eigvalsh(mse)),
+        mse_eigenvalues=np.linalg.eigvalsh(mse),
         second_moment=second,
-        second_moment_eigenvalues=np.sort(np.linalg.eigvalsh(second)),
+        second_moment_eigenvalues=np.linalg.eigvalsh(second),
     )
 
 

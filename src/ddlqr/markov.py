@@ -128,12 +128,13 @@ class MarkovEstimate:
     input_rank_margin: float = 0.0
 
 
-def hankel_width(T: int, q: int, n: int, depth: int, width: Optional[int]) -> int:
-    """Columns of the Hankel data at ``depth`` of a T-sample record of q outputs and n
-    states: ``width``, or all the record holds, T - 2*depth + 1, when it is None.
+def hankel_width(T: int, p: int, q: int, n: int, depth: int, width: Optional[int]) -> int:
+    """Columns of the Hankel data at ``depth`` of a T-sample record of p inputs, q outputs
+    and n states: ``width``, or all the record holds, T - 2*depth + 1, when it is None.
     InputError unless the record holds the 2*depth + width - 1 samples they read (one
-    column at least) and q*depth >= n: fewer past outputs cannot determine the states,
-    and the Markov parameters would be biased."""
+    column at least), q*depth >= n (fewer past outputs cannot determine the states, and
+    the Markov parameters would be biased) and the columns can determine the predictor:
+    one for each of its (2p + q) * depth regressor rows."""
     if depth < 1:
         raise InputError("depth", f"must be >= 1, got {depth}")
     if width is None:
@@ -149,16 +150,11 @@ def hankel_width(T: int, q: int, n: int, depth: int, width: Optional[int]) -> in
     if q * depth < n:
         raise InputError("depth", f"{depth} gives q*depth = {q * depth} past outputs, too few "
                                   f"to determine the {n} states (q = {q} outputs)")
-    return width
-
-
-def check_regressor(p: int, q: int, depth: int, width: int) -> None:
-    """InputError unless ``width`` columns can determine the predictor of p inputs and q
-    outputs: one for each of its (2p + q) * depth regressor rows."""
     if width < (2 * p + q) * depth:
         raise InputError("width", f"{width} must be >= (2p + q) * depth = {(2 * p + q) * depth} "
                                   f"at depth {depth} (p = {p} inputs, q = {q} outputs); a "
                                   f"T-sample record holds T - 2*depth + 1 columns at most")
+    return width
 
 
 def hankel_window(signal, start: int, depth: int, width: int) -> np.ndarray:
@@ -195,13 +191,12 @@ def build_data_matrices(data: Dataset, depth: int, width: Optional[int] = None,
     """Factor a dataset's past/future input/output Hankel matrices and states (of the
     records ``runs`` of a batched one), with the controller states of ``imc``: one QR of
     their ``hankel_stack``, which is then dropped. ``depth`` and ``width`` are held to
-    ``hankel_width`` and ``check_regressor`` before the stack is written, with the
-    controller states counted among the outputs and states, so every ``DataMatrices``
-    can determine the predictor of the plant plus controller."""
+    ``hankel_width`` before the stack is written, with the controller states counted
+    among the outputs and states, so every ``DataMatrices`` can determine the predictor
+    of the plant plus controller."""
     p, q, n = data.n_inputs, data.n_outputs, data.n_states
     z = q * imc.order if imc is not None else 0
-    width = hankel_width(data.n_samples, q + z, n + z, depth, width)
-    check_regressor(p, q + z, depth, width)
+    width = hankel_width(data.n_samples, p, q + z, n + z, depth, width)
     stack = hankel_stack(data, depth, width, runs, imc).swapaxes(-1, -2)
     # numpy's QR copies its input, so a batch is factored half at a time: a whole stack freed
     # with a whole copy went back to the OS, and the next batch faulted the memory back in

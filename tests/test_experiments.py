@@ -296,8 +296,10 @@ class TestMonteCarlo:
         model = StateSpaceModel(A=[[0.5, 0.2], [-0.1, 0.3]], B=[[1.0], [0.4]],
                                 C=[[1.0, 0.0]], E=[[1.0, 0.0], [0.0, 0.5]])
         spec = SignalSpec(kind="prbs", length=1022, amplitude=1.0, hold=3)
-        chunk = ddlqr.experiments.MC_CHUNK_SAMPLES // spec.length
-        sim_chunk = ddlqr.experiments.MC_SIM_CHUNK_SAMPLES // spec.length
+        # stacks of 14 rows x 1017 columns, records of 1022 samples x 4 channels a run
+        budget = ddlqr.experiments.MC_BATCH_ENTRIES
+        chunk = budget // (14 * 1017)
+        sim_chunk = chunk * (budget // (chunk * 1022 * 4))
         runs = sim_chunk + 3
         kernel_calls, signal_calls, predictor_calls = [], [], []
 
@@ -326,7 +328,7 @@ class TestMonteCarlo:
             assert len(kernel_calls) == -(-runs // sim_chunk) == 2
             assert signal_calls == [sim_chunk, 3]
             # the runs' factors, kept across simulation chunks, are estimated as one batch
-            assert predictor_calls == [runs] and sim_chunk == 2 * chunk
+            assert predictor_calls == [runs] and sim_chunk == 3 * chunk
             samples, failures = per_run_monte_carlo(model, spec, **args)
             for rep in reports:
                 stack = np.stack(samples[rep.algorithm])
@@ -394,8 +396,8 @@ class TestMonteCarlo:
         # the 13 factor columns is 3 chunks): 20 runs are 4 passes over 3 simulation chunks,
         # and the first three passes end inside a simulation chunk
         spec = SignalSpec(kind="prbs", length=1022, amplitude=1.0, hold=3)
-        monkeypatch.setattr(ddlqr.experiments, "MC_CHUNK_SAMPLES", 2 * spec.length)
-        monkeypatch.setattr(ddlqr.experiments, "MC_SIM_CHUNK_SAMPLES", 8 * 45)
+        # 1100 entries hold 2 stacks of 13 x 40 and 8 records of 45 samples x 3 channels
+        monkeypatch.setattr(ddlqr.experiments, "MC_BATCH_ENTRIES", 1100)
         kernel_calls, predictor_calls = [], []
 
         def counted(A, x0, *drives, **kw):
@@ -432,7 +434,7 @@ class TestMonteCarlo:
         # in factoring chunks of 2 runs, a pass holds 2 * (width // 13) factors of 13 x 13
         # numbers (2 factors of 13 x width below 13 columns), one chunk's stack 2 of 13 x width
         spec = SignalSpec(kind="prbs", length=1022, amplitude=1.0, hold=3)
-        monkeypatch.setattr(ddlqr.experiments, "MC_CHUNK_SAMPLES", 2 * spec.length)
+        monkeypatch.setattr(ddlqr.experiments, "MC_BATCH_ENTRIES", 2 * 13 * width)
         factor_bytes = []
 
         def counted_predictor(dm):
@@ -446,6 +448,64 @@ class TestMonteCarlo:
         assert len(factor_bytes) == calls
         assert max(factor_bytes) <= chunk_stack
         assert factor_bytes[0] > 0.9 * chunk_stack  # the first pass is full
+
+    def test_batches_do_not_follow_the_record_length(self, monkeypatch):
+        # width 420 at depth 3 reads 425 samples of a record of any length, in the same
+        # batches: chunks sized by the record length would be 1 run at 20000 samples
+
+        def counted_build(*args, **kw):
+            dm = build_data_matrices(*args, **kw)
+            factored.append(dm.factor.shape[0])
+            return dm
+
+        def counted_predictor(dm):
+            predictor_calls.append(dm.factor.shape[0])
+            return estimate_predictor(dm)
+
+        build_data_matrices, estimate_predictor = (ddlqr.experiments.build_data_matrices,
+                                                   ddlqr.experiments.estimate_predictor)
+        monkeypatch.setattr(ddlqr.experiments, "build_data_matrices", counted_build)
+        monkeypatch.setattr(ddlqr.experiments, "estimate_predictor", counted_predictor)
+        calls = []
+        for length in (1022, 20000):
+            factored, predictor_calls = [], []
+            self.mc(runs=70, signal=SignalSpec(kind="prbs", length=length, amplitude=1.0,
+                                               hold=3))
+            calls.append((factored, predictor_calls))
+        assert calls[0] == calls[1] == ([32, 32, 6], [70])
+
+    def test_stacks_fit_the_entry_budget(self, monkeypatch):
+        # depth 40 and width 400 stack 161 x 400 entries a run: 2 runs to a chunk
+        stacks = []
+
+        def counted(*args, **kw):
+            stack = hankel_stack(*args, **kw)
+            stacks.append(stack.shape)
+            return stack
+
+        hankel_stack = ddlqr.markov.hankel_stack
+        monkeypatch.setattr(ddlqr.markov, "hankel_stack", counted)
+        self.mc(runs=5, depth=40, width=400)
+        assert stacks == [(2, 161, 400), (2, 161, 400), (1, 161, 400)]
+        budget = ddlqr.experiments.MC_BATCH_ENTRIES
+        assert all(np.prod(shape) <= budget or shape[0] == 1 for shape in stacks)
+
+    @pytest.mark.parametrize("anticipates", [False, True])
+    def test_reports_do_not_depend_on_the_budget(self, monkeypatch, anticipates):
+        # a budget of 1 entry factors and simulates one run at a time
+        reports = []
+        for budget in (ddlqr.experiments.MC_BATCH_ENTRIES, 1):
+            monkeypatch.setattr(ddlqr.experiments, "MC_BATCH_ENTRIES", budget)
+            if anticipates:
+                first_run_anticipates(monkeypatch)
+            reports.append(self.mc(runs=40))
+        assert reports[0][0].failures == int(anticipates)
+        for a, b in zip(*reports):
+            assert (a.runs, a.failures, a.failure_reasons) == (b.runs, b.failures,
+                                                               b.failure_reasons)
+            for name in ("mean", "covariance", "covariance_eigenvalues", "mse",
+                         "mse_eigenvalues", "second_moment", "second_moment_eigenvalues"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name), strict=True)
 
     def test_rejects_single_run(self):
         with pytest.raises(InputError, match="^runs must be >= 2, got 1$") as exc:

@@ -51,7 +51,7 @@ class TestBlockHankel:
         # future windows that start at samples 0 and depth
         with pytest.raises(InputError, match="needs 2\\*depth \\+ width - 1 = 6 samples, "
                            "the record has 4"):
-            hankel_width(4, 1, 1, depth=1, width=5)
+            hankel_width(4, 1, 1, 1, depth=1, width=5)
 
 
 class TestPinv:
