@@ -154,16 +154,11 @@ def cmd_montecarlo(cfg: RunConfig, outdir: Path) -> int:
         f"value{i + 1}" for i in range(len(reports[0].covariance_eigenvalues)))]
     summary = []
     for rep in reports:
-        storage.write_matrix(outdir / f"mc_{rep.algorithm}_mean.csv", rep.mean)
-        storage.write_matrix(outdir / f"mc_{rep.algorithm}_covariance.csv", rep.covariance)
-        storage.write_matrix(outdir / f"mc_{rep.algorithm}_mse.csv", rep.mse)
-        storage.write_matrix(outdir / f"mc_{rep.algorithm}_second_moment.csv", rep.second_moment)
-        for name, values in (
-            ("covariance", rep.covariance_eigenvalues),
-            ("mse", rep.mse_eigenvalues),
-            ("second_moment", rep.second_moment_eigenvalues),
-        ):
-            eig_lines.append(f"{rep.algorithm},{name}," + ",".join(FLOAT_FMT % v for v in values))
+        for name in ("mean", "covariance", "mse", "second_moment"):
+            storage.write_matrix(outdir / f"mc_{rep.algorithm}_{name}.csv", getattr(rep, name))
+        for name in ("covariance", "mse", "second_moment"):
+            eig_lines.append(f"{rep.algorithm},{name}," + ",".join(
+                FLOAT_FMT % v for v in getattr(rep, f"{name}_eigenvalues")))
         summary.append(f"{rep.algorithm}: runs {rep.runs}, failures {rep.failures}")
         summary += [f"  failure reason      {reason} ({count} runs)"
                     for reason, count in rep.failure_reasons.items()]

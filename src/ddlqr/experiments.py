@@ -19,15 +19,8 @@ import numpy as np
 
 from .imc import ImcRealization, augment_model
 from .lqr import LqrDesign, LqrWeights, dare_solve, dd_lqr_gain, model_lqr_gain
-from .markov import (DataMatrices, MarkovEstimate, build_data_matrices, estimate_predictor,
-                     hankel_width)
-from .observability import (
-    ALGORITHMS,
-    ObservabilityEstimate,
-    estimate_obs_alg1,
-    estimate_obs_alg2,
-    true_observability,
-)
+from .markov import DataMatrices, build_data_matrices, estimate_predictor, hankel_width
+from .observability import ALGORITHMS, estimate_obs_alg1, estimate_obs_alg2, true_observability
 from .plant_sim import (
     Dataset,
     InputError,
@@ -51,16 +44,23 @@ THD_PERIODS = 10
 class DataDrivenEstimate:
     """What the closed-form gain takes from the data, at one Hankel depth.
 
-    The Toeplitz factor of the Markov parameters and the observability matrix
-    do not depend on the weights or on any horizon up to ``depth``, so one
-    estimate serves every ``synthesize`` call within that range. ``imc`` is the internal
-    model whose states the estimate appends to the plant's, if any.
+    ``toeplitz`` is the strictly-lower block-Toeplitz factor of the Markov parameters
+    (q*depth x p*depth, ``markov.estimate_predictor``) and ``observability`` the matrix
+    C; CA; ..; CA^(depth-1) (``observability.estimate_obs_alg1``/``alg2``). Neither
+    depends on the weights or on any horizon up to ``depth``, so one estimate serves
+    every ``synthesize`` call within that range. ``width`` is the Hankel data's column
+    count and ``imc`` the internal model whose states the estimate appends to the
+    plant's, if any. ``diagnostics`` holds both stages' figures as Python scalars:
+    ``input_rank``, ``input_rank_margin``, ``regressor_rank``, ``obs_residual`` and the
+    ``algorithm``.
     """
 
-    markov: MarkovEstimate
-    observability: ObservabilityEstimate
+    toeplitz: np.ndarray
+    observability: np.ndarray
+    depth: int
     width: int
-    imc: Optional[ImcRealization] = None
+    imc: Optional[ImcRealization]
+    diagnostics: Dict[str, Union[int, float, str]]
 
 
 @dataclass
@@ -123,17 +123,17 @@ def _stage(name: str, fn, *args, **kwargs):
 
 
 def _observe(dm: DataMatrices, algorithm: str,
-             markov: Optional[MarkovEstimate] = None) -> ObservabilityEstimate:
-    """Observability estimate with the named algorithm.
+             toeplitz: Optional[np.ndarray] = None) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
+    """Observability matrix and figures with the named algorithm.
 
     alg1 subtracts the predictor's Toeplitz factor, estimated here unless
-    ``markov`` is given; alg2 needs no predictor. Errors are stage-tagged.
+    ``toeplitz`` is given; alg2 needs no predictor. Errors are stage-tagged.
     """
     if algorithm == "alg2":
         return _stage("observability", estimate_obs_alg2, dm)
-    if markov is None:
-        markov = _stage("markov-estimation", estimate_predictor, dm)
-    return _stage("observability", estimate_obs_alg1, dm, markov.toeplitz)
+    if toeplitz is None:
+        toeplitz, _ = _stage("markov-estimation", estimate_predictor, dm)
+    return _stage("observability", estimate_obs_alg1, dm, toeplitz)
 
 
 def estimate(data: Dataset, depth: int, width: Optional[int] = None, algorithm: str = "alg1",
@@ -148,9 +148,11 @@ def estimate(data: Dataset, depth: int, width: Optional[int] = None, algorithm: 
     if algorithm not in ALGORITHMS:
         raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
     dm = build_data_matrices(data, depth, width, imc=imc)
-    markov = _stage("markov-estimation", estimate_predictor, dm)
-    obs = _observe(dm, algorithm, markov)
-    return DataDrivenEstimate(markov=markov, observability=obs, width=dm.width, imc=imc)
+    toeplitz, figures = _stage("markov-estimation", estimate_predictor, dm)
+    obs, obs_figures = _observe(dm, algorithm, toeplitz)
+    diagnostics = {k: v.item() for k, v in {**figures, **obs_figures}.items()}
+    return DataDrivenEstimate(toeplitz, obs, depth, dm.width, imc,
+                              {**diagnostics, "algorithm": algorithm})
 
 
 def check_weights(weights: LqrWeights, q: int, p: int) -> None:
@@ -178,29 +180,21 @@ def synthesize(est: DataDrivenEstimate, weights: LqrWeights, horizon: int) -> Lq
 
     Uses the first horizon - 1 Markov blocks and shifted observability blocks
     of the estimate, each a view of its matrix, so 2 <= horizon <= its depth
-    (``check_synthesis``). The estimation diagnostics are merged into the returned design.
+    (``check_synthesis``). The design's diagnostics are the estimate's, the gain's
+    conditioning figures, the ``gain_order`` horizon - 1, ``depth`` and ``width``.
     """
-    markov, obs = est.markov, est.observability
-    q, p = (size // markov.depth for size in markov.toeplitz.shape)
-    check_synthesis(weights, horizon, markov.depth, q, p)
+    q, p = (size // est.depth for size in est.toeplitz.shape)
+    check_synthesis(weights, horizon, est.depth, q, p)
     order = horizon - 1
     # the Toeplitz factor's first block column is [0; Markov blocks 1..depth-1],
     # and O+ = [CA; ..; CA^order] starts one block row into the observability matrix
-    M = markov.toeplitz[q:q * (order + 1), :p]
-    S = markov.toeplitz[:q * order, :p * order]
-    O_plus = obs.matrix[q:q * (order + 1), :]
-    K, diagnostics = _stage("gain", dd_lqr_gain, M, S, O_plus, weights, order)
-    diagnostics.update(
-        gain_order=order,
-        depth=markov.depth,
-        width=est.width,
-        input_rank=int(markov.input_rank),
-        input_rank_margin=float(markov.input_rank_margin),
-        regressor_rank=int(markov.regressor_rank),
-        obs_residual=float(obs.residual),
-        algorithm=obs.algorithm,
-    )
-    return LqrDesign(K=K, horizon=horizon, diagnostics=diagnostics)
+    M = est.toeplitz[q:q * (order + 1), :p]
+    S = est.toeplitz[:q * order, :p * order]
+    O_plus = est.observability[q:q * (order + 1), :]
+    K, figures = _stage("gain", dd_lqr_gain, M, S, O_plus, weights, order)
+    return LqrDesign(K=K, horizon=horizon, diagnostics={
+        **est.diagnostics, **figures, "gain_order": order, "depth": est.depth,
+        "width": est.width})
 
 
 def convergence_sweep(
@@ -216,9 +210,9 @@ def convergence_sweep(
     inputs: n columns of the observability matrix, and q*depth x p*depth of the
     Toeplitz factor."""
     loop = model if est.imc is None else augment_model(model, est.imc)
-    q, p = (size // est.markov.depth for size in est.markov.toeplitz.shape)
+    q, p = (size // est.depth for size in est.toeplitz.shape)
     for name, size, data, what in (
-            ("A", loop.n_states, est.observability.matrix.shape[-1], "states"),
+            ("A", loop.n_states, est.observability.shape[-1], "states"),
             ("C", loop.n_outputs, q, "outputs"), ("B", loop.n_inputs, p, "inputs")):
         if size != data:
             raise InputError(name, f"has {size} {what}, the estimate's data {data}")
@@ -309,7 +303,7 @@ def _observe_runs(dm: DataMatrices, algorithm: str, reasons: Counter) -> Sequenc
     when it marks none) are counted in ``reasons``; the rest are estimated anew."""
     while len(dm.factor):
         try:
-            return _observe(dm, algorithm).matrix[..., dm.n_outputs:, :]
+            return _observe(dm, algorithm)[0][..., dm.n_outputs:, :]
         except ValueError as exc:
             failed = getattr(exc.__cause__, "failed", np.ones(len(dm.factor), bool))
             reasons[_reason(exc)] += int(failed.sum())

@@ -109,25 +109,6 @@ class DataMatrices:
         return np.linalg.svd(self.factor[..., up, up], compute_uv=False)
 
 
-@dataclass
-class MarkovEstimate:
-    """Markov parameters held in their strictly-lower block-Toeplitz factor.
-
-    ``toeplitz`` (q*depth x p*depth) has Markov block k (C A^(k-1) B, q x p)
-    on block sub-diagonal k, for k = 1..depth-1, and zeros on and above the
-    block diagonal; q and p are its shape over ``depth``. ``input_rank_margin``
-    is the smallest singular value of [u_past; u_future] over ``RANK_TOL``
-    times the largest: above 1 the input is persistently exciting. Arrays,
-    ranks and the margin carry the batch axes of the data.
-    """
-
-    toeplitz: np.ndarray
-    depth: int
-    input_rank: int = 0
-    regressor_rank: int = 0
-    input_rank_margin: float = 0.0
-
-
 def hankel_width(T: int, p: int, q: int, n: int, depth: int, width: Optional[int]) -> int:
     """Columns of the Hankel data at ``depth`` of a T-sample record of p inputs, q outputs
     and n states: ``width``, or all the record holds, T - 2*depth + 1, when it is None.
@@ -210,8 +191,14 @@ def _rank(s: np.ndarray, reference, tol: float):
     return np.sum(s >= tol * np.expand_dims(reference, -1), axis=-1) * (reference > 0.0)
 
 
-def estimate_predictor(dm: DataMatrices) -> MarkovEstimate:
-    """Solve the lifted least-squares problem and extract Markov parameters.
+def estimate_predictor(dm: DataMatrices) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
+    """The Markov parameters, held in their strictly-lower block-Toeplitz factor, with the
+    excitation figures: ``(toeplitz, {"input_rank", "input_rank_margin", "regressor_rank"})``.
+
+    ``toeplitz`` (q*depth x p*depth) has Markov block k (C A^(k-1) B, q x p) on block
+    sub-diagonal k, for k = 1..depth-1, and zeros on and above the block diagonal; with an
+    internal model q counts the controller states. The array and the figures carry the
+    batch axes of the data.
 
     The predictor is y_future = W [u_past; y_past; u_future], solved on the
     blocks of the data factor L. Its u_past and y_past blocks fit their own
@@ -235,7 +222,9 @@ def estimate_predictor(dm: DataMatrices) -> MarkovEstimate:
     value of [u_past; u_future]: that stack (a persistently exciting input)
     and the u_future remainder (future inputs outside the row span of past
     inputs and outputs) must both have full row rank. Both spectra come from
-    square triangles with the same singular values. ``regressor_rank`` sums
+    square triangles with the same singular values. ``input_rank`` is the rank of the
+    stack and ``input_rank_margin`` its smallest singular value over ``RANK_TOL`` times
+    the largest: above 1 the input is persistently exciting. ``regressor_rank`` sums
     the ranks of L_Up,Up, L_Yp,Yp and the remainder.
     """
     d, p, q = dm.depth, dm.n_inputs, dm.n_outputs
@@ -284,8 +273,7 @@ def estimate_predictor(dm: DataMatrices) -> MarkovEstimate:
         S[..., i, :, i - k - 1, :] = np.ascontiguousarray(
             np.moveaxis(np.diagonal(grid, -k - 1, -4, -2), -1, -3)).mean(axis=-3)
     s_up = dm.past_input_singular_values
-    return MarkovEstimate(
-        toeplitz=S.reshape(raw.shape), depth=d, input_rank=input_rank,
-        regressor_rank=sum(_rank(sv, scale, RANK_TOL) for sv in (s_up, s_yp, s_m)),
-        input_rank_margin=s_in[..., -1] / (RANK_TOL * s_in[..., 0]))
+    return S.reshape(raw.shape), {
+        "input_rank": input_rank, "input_rank_margin": s_in[..., -1] / (RANK_TOL * s_in[..., 0]),
+        "regressor_rank": sum(_rank(sv, scale, RANK_TOL) for sv in (s_up, s_yp, s_m))}
 

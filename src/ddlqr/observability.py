@@ -11,7 +11,10 @@ fit between the row blocks of L, because Q' has orthonormal rows. The
 past-input projection is then a column selection: u_past = L_Up,Up Q1', with
 Q1' the first p*depth rows of Q', so dropping those columns of L applies it.
 
-The estimate is the matrix alone. Its consumers read the shifted form
+Each estimator returns ``(matrix, {"obs_residual"})``. The matrix stacks the blocks
+C, CA, ..., CA^(depth-1). ``obs_residual`` is the Frobenius norm of the misfit of the
+matrix equation that defines it: y_past - s_hat u_past - O x_past for alg1, its
+projection y_past P - O x_past P for alg2. Consumers read the shifted form
 O+ = [CA; ...; CA^(depth-1)], which the gain takes, as the slice
 ``matrix[..., q:, :]`` that drops the first block row of q outputs.
 
@@ -25,7 +28,7 @@ fails for some entries marks them as in ``markov``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -33,20 +36,6 @@ from .markov import PINV_TOL, DataMatrices, _fail_entries
 from .plant_sim import StateSpaceModel
 
 ALGORITHMS = ("alg1", "alg2")
-
-
-@dataclass
-class ObservabilityEstimate:
-    """Estimated extended observability matrix.
-
-    ``matrix`` stacks the blocks C, CA, ..., CA^(depth-1). ``residual`` is
-    the Frobenius fit residual of the defining matrix equation. Both carry
-    the batch axes of the data.
-    """
-
-    matrix: np.ndarray
-    algorithm: str
-    residual: float = 0.0
 
 
 def true_observability(model: StateSpaceModel, depth: int) -> np.ndarray:
@@ -59,8 +48,10 @@ def true_observability(model: StateSpaceModel, depth: int) -> np.ndarray:
     return np.vstack(rows)
 
 
-def _fit_states(algorithm: str, lhs: np.ndarray, x: np.ndarray, what: str) -> ObservabilityEstimate:
-    """Least-squares O in lhs = O x for a wide x of full row rank, with its residual."""
+def _fit_states(lhs: np.ndarray, x: np.ndarray,
+                what: str) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
+    """Least-squares O in lhs = O x for a wide x of full row rank, with its residual
+    ||lhs - O x||_F."""
     u, s, vt = np.linalg.svd(x, full_matrices=False)
     full = (s[..., 0] > 0.0) & (s[..., -1] >= PINV_TOL * s[..., 0])
     _fail_entries(~full, lambda i: (
@@ -73,14 +64,11 @@ def _fit_states(algorithm: str, lhs: np.ndarray, x: np.ndarray, what: str) -> Ob
     misfit = (lhs - obs @ x).reshape(obs.shape[:-2] + (-1,))
     e = np.frexp(np.abs(misfit).max(axis=-1, keepdims=True))[1]
     misfit = np.ldexp(misfit, -e)
-    return ObservabilityEstimate(
-        matrix=obs,
-        algorithm=algorithm,
-        residual=np.ldexp(np.sqrt(np.vecdot(misfit, misfit)), e[..., 0]),
-    )
+    return obs, {"obs_residual": np.ldexp(np.sqrt(np.vecdot(misfit, misfit)), e[..., 0])}
 
 
-def estimate_obs_alg1(dm: DataMatrices, s_hat: np.ndarray) -> ObservabilityEstimate:
+def estimate_obs_alg1(dm: DataMatrices,
+                      s_hat: np.ndarray) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
     """Estimate the observability matrix by Toeplitz subtraction.
 
     Solves y_past = O x_past + s_hat u_past for O in least squares:
@@ -91,10 +79,10 @@ def estimate_obs_alg1(dm: DataMatrices, s_hat: np.ndarray) -> ObservabilityEstim
     rhs, x = dm.past_rows()
     rhs = rhs.copy()
     rhs[..., :pd] -= s_hat @ dm.factor[..., dm.parts["u_past"], :pd]
-    return _fit_states("alg1", rhs, x, "state snapshot")
+    return _fit_states(rhs, x, "state snapshot")
 
 
-def estimate_obs_alg2(dm: DataMatrices) -> ObservabilityEstimate:
+def estimate_obs_alg2(dm: DataMatrices) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
     """Estimate the observability matrix by projecting the inputs away.
 
     Applies the orthogonal-complement projector P of the past-input rows to
@@ -107,5 +95,4 @@ def estimate_obs_alg2(dm: DataMatrices) -> ObservabilityEstimate:
     s = dm.past_input_singular_values
     _fail_entries((s[..., 0] == 0.0) | (s[..., -1] < PINV_TOL * s[..., 0]), lambda i: (
         f"insufficient excitation: past-input Hankel has numerical row rank below {up.stop}"))
-    return _fit_states("alg2", *dm.past_rows(up.stop),
-                       "projected state snapshot (X U_po)")
+    return _fit_states(*dm.past_rows(up.stop), "projected state snapshot (X U_po)")

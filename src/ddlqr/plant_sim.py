@@ -103,7 +103,8 @@ class StateSpaceModel:
 
 @dataclass
 class Dataset:
-    """Synchronized (..., T, channels) input/output/state series; leading axes batch records."""
+    """Synchronized (..., T, channels) input/output/state series, each of one channel at
+    least; leading axes batch records."""
 
     u: np.ndarray
     y: np.ndarray
@@ -112,6 +113,8 @@ class Dataset:
     def __post_init__(self):
         for name in "uyx":
             setattr(self, name, _check_finite(name, as_series(getattr(self, name))))
+            if getattr(self, name).shape[-1] < 1:
+                raise ValueError(f"series {name} has no channels")
         if not (self.u.shape[:-1] == self.y.shape[:-1] == self.x.shape[:-1]):
             raise ValueError(
                 f"series lengths differ: u has {self.u.shape[-2]}, y has {self.y.shape[-2]}, "

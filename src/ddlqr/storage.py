@@ -33,16 +33,14 @@ def _atomic_write_text(path: Union[str, Path], text: str) -> None:
         raise
 
 
+def _dataset_header(p: int, q: int, n: int) -> list:
+    """The header k,u1..up,y1..yq,x1..xn of a dataset CSV."""
+    return ["k"] + [f"{c}{i + 1}" for c, m in (("u", p), ("y", q), ("x", n)) for i in range(m)]
+
+
 def write_dataset(path: Union[str, Path], data: Dataset) -> None:
     """Write a dataset as CSV with header k,u1..,y1..,x1.. and one row per sample."""
-    p, q, n = data.n_inputs, data.n_outputs, data.n_states
-    header = (
-        ["k"]
-        + [f"u{i + 1}" for i in range(p)]
-        + [f"y{i + 1}" for i in range(q)]
-        + [f"x{i + 1}" for i in range(n)]
-    )
-    lines = [",".join(header)]
+    lines = [",".join(_dataset_header(data.n_inputs, data.n_outputs, data.n_states))]
     for k in range(data.n_samples):
         row = np.concatenate([data.u[k], data.y[k], data.x[k]])
         lines.append(str(k) + "," + ",".join(FLOAT_FMT % v for v in row))
@@ -50,17 +48,17 @@ def write_dataset(path: Union[str, Path], data: Dataset) -> None:
 
 
 def read_dataset(path: Union[str, Path]) -> Dataset:
-    """Read a dataset CSV produced by :func:`write_dataset`."""
+    """Read a dataset CSV produced by :func:`write_dataset`: its header must be exactly
+    k,u1..up,y1..yq,x1..xn, and the columns are read in that order."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[0] != "k":
             raise ValueError(f"{path}: expected a dataset CSV header starting with 'k'")
-        p = sum(1 for h in header if h.startswith("u"))
-        q = sum(1 for h in header if h.startswith("y"))
-        n = sum(1 for h in header if h.startswith("x"))
-        if 1 + p + q + n != len(header):
-            raise ValueError(f"{path}: unrecognized dataset header {header}")
+        p, q, n = (sum(1 for h in header if h.startswith(c)) for c in "uyx")
+        if header != _dataset_header(p, q, n):
+            raise ValueError(f"{path}: unrecognized dataset header {header}, expected "
+                             f"k,u1..up,y1..yq,x1..xn: {','.join(_dataset_header(p, q, n))}")
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row:

@@ -62,11 +62,11 @@ def tracking_run(model: StateSpaceModel, imc, K_a, r):
                      steps=len(r))
 
 
-def markov_blocks(est) -> list:
-    """Markov blocks 1..depth-1 of an estimate, read down the first block column
-    of its Toeplitz factor below the zero block (batch axes kept)."""
-    q, p = (size // est.depth for size in est.toeplitz.shape[-2:])
-    return [est.toeplitz[..., k * q:(k + 1) * q, :p] for k in range(1, est.depth)]
+def markov_blocks(toeplitz: np.ndarray, depth: int) -> list:
+    """Markov blocks 1..depth-1 of a Toeplitz factor at ``depth``, read down its first
+    block column below the zero block (batch axes kept)."""
+    q, p = (size // depth for size in toeplitz.shape[-2:])
+    return [toeplitz[..., k * q:(k + 1) * q, :p] for k in range(1, depth)]
 
 
 def first_run_anticipates(monkeypatch) -> None:

@@ -310,10 +310,10 @@ def per_run_monte_carlo(model, signal, depth, runs, noise_variance, base_seed=0,
         for alg in ALGORITHMS:
             try:
                 if alg == "alg1":
-                    est = estimate_obs_alg1(dm, estimate_predictor(dm).toeplitz)
+                    obs, _ = estimate_obs_alg1(dm, estimate_predictor(dm)[0])
                 else:
-                    est = estimate_obs_alg2(dm)
-                samples[alg].append(est.matrix[model.n_outputs:])
+                    obs, _ = estimate_obs_alg2(dm)
+                samples[alg].append(obs[model.n_outputs:])
             except ValueError:
                 failures[alg] += 1
     return samples, failures

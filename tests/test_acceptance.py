@@ -158,19 +158,19 @@ def test_criterion_5_noise_free_exactness():
             data = prbs_dataset(model, length=600, seed=1000 + trial)
             depth = 12
             dm = build_data_matrices(data, depth)
-            est = estimate_predictor(dm)
+            s_hat, _ = estimate_predictor(dm)
             truth_markov = true_markov(model, depth - 1)
-            for got, expect in zip(markov_blocks(est), truth_markov):
+            for got, expect in zip(markov_blocks(s_hat, depth), truth_markov):
                 scale = max(np.linalg.norm(np.vstack(truth_markov)), 1e-12)
                 assert np.linalg.norm(got - expect) / scale < 1e-6
             truth_obs = true_observability(model, depth)
-            o1 = estimate_obs_alg1(dm, est.toeplitz)
-            o2 = estimate_obs_alg2(dm)
+            o1, _ = estimate_obs_alg1(dm, s_hat)
+            o2, _ = estimate_obs_alg2(dm)
             scale = np.linalg.norm(truth_obs)
-            assert np.linalg.norm(o1.matrix - truth_obs) / scale < 1e-6
-            assert np.linalg.norm(o2.matrix - truth_obs) / scale < 1e-6
-            assert (np.linalg.norm(o1.matrix - o2.matrix)
-                    / max(np.linalg.norm(o1.matrix), 1e-12)) < 1e-8
+            assert np.linalg.norm(o1 - truth_obs) / scale < 1e-6
+            assert np.linalg.norm(o2 - truth_obs) / scale < 1e-6
+            assert (np.linalg.norm(o1 - o2)
+                    / max(np.linalg.norm(o1), 1e-12)) < 1e-8
 
 
 def test_criterion_6_convergence(regulation_data, regulation_weights):

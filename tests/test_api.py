@@ -6,10 +6,12 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conftest import prbs_dataset, two_output_model
 import ddlqr
-from ddlqr import markov
+from ddlqr import lqr, markov, observability
 
 PUBLIC = [
     "ClosedLoopMetrics",
@@ -41,9 +43,9 @@ PUBLIC = [
 # the benchmark's tracer patches it, and is not exported from the package.
 STAGES = [
     ("markov", "build_data_matrices"), ("markov", "estimate_predictor"),
-    ("markov", "DataMatrices"), ("markov", "MarkovEstimate"),
+    ("markov", "DataMatrices"),
     ("observability", "estimate_obs_alg1"), ("observability", "estimate_obs_alg2"),
-    ("observability", "true_observability"), ("observability", "ObservabilityEstimate"),
+    ("observability", "true_observability"),
     ("lqr", "dd_lqr_gain"), ("imc", "filter_imc_states"), ("imc", "append_imc_states"),
 ]
 
@@ -65,11 +67,9 @@ FIELDS = [
     ("plant_sim", "StateSpaceModel", ["A", "B", "C", "E", "sample_time"]),
     ("plant_sim", "Dataset", ["u", "y", "x"]),
     ("markov", "DataMatrices", ["factor", "depth", "width", "n_inputs", "n_outputs", "imc"]),
-    ("markov", "MarkovEstimate", ["toeplitz", "depth", "input_rank", "regressor_rank",
-                                  "input_rank_margin"]),
-    ("observability", "ObservabilityEstimate", ["matrix", "algorithm", "residual"]),
     ("lqr", "LqrDesign", ["K", "horizon", "diagnostics"]),
-    ("experiments", "DataDrivenEstimate", ["markov", "observability", "width", "imc"]),
+    ("experiments", "DataDrivenEstimate", ["toeplitz", "observability", "depth", "width", "imc",
+                                           "diagnostics"]),
 ]
 
 
@@ -87,6 +87,25 @@ def test_parameters_are_pinned(module, name, params):
 def test_fields_are_pinned(module, name, names):
     cls = getattr(importlib.import_module(f"ddlqr.{module}"), name)
     assert [f.name for f in dataclasses.fields(cls)] == names
+
+
+def test_stages_return_an_array_and_its_figures():
+    # every estimation stage hands over what the gain stage does: (array, figures)
+    dm = markov.build_data_matrices(prbs_dataset(two_output_model()), 6)
+    predictor, alg2 = markov.estimate_predictor(dm), observability.estimate_obs_alg2(dm)
+    toeplitz, obs = predictor[0], alg2[0]
+    weights = ddlqr.LqrWeights(Q=np.eye(2), R=np.eye(2))
+    pairs = {
+        "estimate_predictor": (predictor, ["input_rank", "input_rank_margin", "regressor_rank"]),
+        "estimate_obs_alg1": (observability.estimate_obs_alg1(dm, toeplitz), ["obs_residual"]),
+        "estimate_obs_alg2": (alg2, ["obs_residual"]),
+        "dd_lqr_gain": (lqr.dd_lqr_gain(toeplitz[2:12, :2], toeplitz[:10, :10], obs[2:12],
+                                        weights, 5), ["cond_bracket", "cond_inner"]),
+    }
+    for name, (pair, figures) in pairs.items():
+        assert type(pair) is tuple and len(pair) == 2, name
+        assert isinstance(pair[0], np.ndarray) and type(pair[1]) is dict, name
+        assert sorted(pair[1]) == figures, name
 
 
 def test_every_public_name_resolves():
@@ -126,7 +145,8 @@ PARTS = ["u_past", "y_past", "z_past", "u_future", "y_future", "x_past"]
     ("plant_sim", "tracking_loop_simulate"), ("plant_sim", "cost_J"),
     ("matrix_kit", "block_hankel"), ("markov.DataMatrices", "stack"),
     ("plant_sim", "_open_loop"), ("experiments", "harmonic_distortion"),
-    ("imc", "augment_dataset"),
+    ("imc", "augment_dataset"), ("markov", "MarkovEstimate"),
+    ("observability", "ObservabilityEstimate"),
 ] + [("markov.DataMatrices", part) for part in PARTS])
 def test_test_only_helpers_are_gone(owner, name):
     module, _, cls = owner.partition(".")

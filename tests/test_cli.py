@@ -45,6 +45,10 @@ THREE_STATES = ["model.a=[[0.5,0.1,0],[0,0.4,0.2],[0.1,0,0.3]]", "model.b=[[1],[
 # the regulation demo evaluated from a start state
 REGULATION_EVAL = ["eval.x0=[1,1]", "eval.horizon=100"]
 
+# the diagnostics that design.txt reports, in its sorted order
+DIAGNOSTIC_KEYS = ["algorithm", "cond_bracket", "cond_inner", "depth", "gain_order", "input_rank",
+                   "input_rank_margin", "obs_residual", "regressor_rank", "width"]
+
 # the Monte Carlo study on the same three-state plant at depth 2
 THREE_STATES_MC = THREE_STATES[:3] + ["model.e=[[1],[0],[0]]", "estimation.depth=2",
                                       "montecarlo.runs=5"]
@@ -143,6 +147,21 @@ class TestDesign:
         assert "algorithm" in report
         margin = [l for l in report.splitlines() if l.startswith("input_rank_margin: ")]
         assert len(margin) == 1 and float(margin[0].split(": ")[1]) > 1.0
+
+    @pytest.mark.parametrize("config, sets", [
+        (REGULATION, ["--set", "estimation.algorithm=alg1"]),
+        (REGULATION, ["--set", "estimation.algorithm=alg2"]), (UPS, UPS_SMALL),
+    ], ids=["alg1", "alg2", "tracking"])
+    def test_report_has_the_diagnostic_keys(self, tmp_path, monkeypatch, config, sets):
+        designs = []
+        monkeypatch.setattr(ddlqr.cli, "synthesize",
+                            lambda *args: designs.append(synthesize(*args)) or designs[-1])
+        assert run("design", config, "--output-dir", str(tmp_path), *sets) == 0
+        report = (tmp_path / "design.txt").read_text().split("\n\n")[0].splitlines()
+        assert [line.split(": ")[0] for line in report[1:]] == DIAGNOSTIC_KEYS
+        assert sorted(designs[0].diagnostics) == DIAGNOSTIC_KEYS
+        # plain Python scalars, as a JSON encoder needs them
+        assert {type(v) for v in designs[0].diagnostics.values()} <= {int, float, str}
 
     def test_short_record_exits_2(self, tmp_path, capsys, monkeypatch):
         # 2*depth + width - 1 samples and (2p + q) * depth = 306 columns at depth 51
@@ -258,7 +277,12 @@ class TestDesign:
         ("k,u1,y1,x1\n0,1,2,x\n", "could not convert string to float: 'x'"),
         ("k,u1,y1,x1\n0,1,nan,2\n1,1,1,1\n", "y contains non-finite entries"),
         ("u1,y1\n1,2\n", "expected a dataset CSV header"),
-    ], ids=["ragged", "non-numeric", "nan", "header"])
+        ("k,u1,u2,y1,y2\n0,1,2,3,4\n", "series x has no channels"),
+        # the columns are read by position, so any other names or order would misread them
+        ("k,y1,y2,u1,u2,x1,x2\n0,1,2,3,4,5,6\n",
+         "expected k,u1..up,y1..yq,x1..xn: k,u1,u2,y1,y2,x1,x2"),
+        ("k,u1,y1,x1,x_extra\n0,1,2,3,4\n", "expected k,u1..up,y1..yq,x1..xn: k,u1,y1,x1,x2"),
+    ], ids=["ragged", "non-numeric", "nan", "header", "no-states", "reordered", "misnamed-state"])
     def test_malformed_dataset_file_exits_2(self, tmp_path, capsys, text, message):
         (tmp_path / "data.csv").write_text(text)
         code = run("design", REGULATION, "--output-dir", str(tmp_path / "out"),

@@ -142,7 +142,8 @@ class TestDesignGain:
                                                    "input_rank_margin", "obs_residual")] == \
                 [int, int, float, float]
         else:
-            margin = estimate_predictor(build_data_matrices(data, depth, width)).input_rank_margin
+            _, figures = estimate_predictor(build_data_matrices(data, depth, width))
+            margin = figures["input_rank_margin"]
         assert margin > 1.0
 
     def test_one_estimate_serves_weights_and_horizons(self):
@@ -549,7 +550,7 @@ class TestMonteCarlo:
             for data in runs:
                 try:
                     alone.append(ddlqr.experiments._observe(
-                        build_data_matrices(data, depth, width), alg).matrix[1:])
+                        build_data_matrices(data, depth, width), alg)[0][1:])
                 except ValueError as err:
                     expect[ddlqr.experiments._reason(err)] += 1
             assert reasons == expect

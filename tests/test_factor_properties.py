@@ -80,18 +80,18 @@ def test_factor_route_matches_pinv_route(problem):
         return
     dm = build_data_matrices(data, depth, width)
 
-    est = estimate_predictor(dm)
+    toeplitz, figures = estimate_predictor(dm)
     _, blocks, input_rank = pinv_predictor(data, dm)
-    assert est.input_rank == input_rank == 2 * p * depth
-    assert _rel(est.toeplitz, block_toeplitz_strict_lower(blocks, depth)) < RTOL
-    assert _rel(np.array(markov_blocks(est)), np.array(blocks)) < RTOL
+    assert figures["input_rank"] == input_rank == 2 * p * depth
+    assert _rel(toeplitz, block_toeplitz_strict_lower(blocks, depth)) < RTOL
+    assert _rel(np.array(markov_blocks(toeplitz, depth)), np.array(blocks)) < RTOL
 
     stack = hankel_stack(data, depth, width)
     y_past, u_past, x_past = (stack[dm.parts[k]] for k in ("y_past", "u_past", "x_past"))
-    o1 = estimate_obs_alg1(dm, est.toeplitz)
-    assert _rel(o1.matrix, pinv_obs_alg1(y_past, u_past, est.toeplitz, x_past)) < RTOL
-    o2 = estimate_obs_alg2(dm)
-    assert _rel(o2.matrix, pinv_obs_alg2(y_past, u_past, x_past)) < RTOL
+    o1, _ = estimate_obs_alg1(dm, toeplitz)
+    assert _rel(o1, pinv_obs_alg1(y_past, u_past, toeplitz, x_past)) < RTOL
+    o2, _ = estimate_obs_alg2(dm)
+    assert _rel(o2, pinv_obs_alg2(y_past, u_past, x_past)) < RTOL
 
 
 @settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
@@ -117,16 +117,17 @@ def test_batch_entries_match_unbatched(problem, imc):
         return
     dms = [build_data_matrices(data, depth, width, imc=imc) for data in runs + [batch]]
 
-    est = estimate_predictor(dms[-1])
+    toeplitz, figures = estimate_predictor(dms[-1])
     alones = [estimate_predictor(dm) for dm in dms[:-1]]
-    for b, (dm, alone) in enumerate(zip(dms[:-1], alones)):
+    for b, (dm, (alone, alone_figures)) in enumerate(zip(dms[:-1], alones)):
         # unbatched, the factor is exactly block Toeplitz
-        assert np.array_equal(alone.toeplitz,
-                              block_toeplitz_strict_lower(markov_blocks(alone), depth))
-        for name in ("toeplitz", "input_rank", "regressor_rank", "input_rank_margin"):
-            assert np.array_equal(getattr(est, name)[b], getattr(alone, name)), name
-    for stage, s_hat in ((estimate_obs_alg1, est.toeplitz), (estimate_obs_alg2, None)):
-        _check_batch_observability(stage, dms[-1], s_hat, dms[:-1], alones)
+        assert np.array_equal(alone,
+                              block_toeplitz_strict_lower(markov_blocks(alone, depth), depth))
+        assert np.array_equal(toeplitz[b], alone)
+        for name in ("input_rank", "regressor_rank", "input_rank_margin"):
+            assert np.array_equal(figures[name][b], alone_figures[name]), name
+    for stage, s_hat in ((estimate_obs_alg1, toeplitz), (estimate_obs_alg2, None)):
+        _check_batch_observability(stage, dms[-1], s_hat, dms[:-1], [a for a, _ in alones])
 
 
 def _check_batch_observability(stage, batch, s_hat, dms, alones) -> None:
@@ -138,14 +139,15 @@ def _check_batch_observability(stage, batch, s_hat, dms, alones) -> None:
     solo = []
     for dm, alone in zip(dms, alones):
         try:
-            solo.append(run(dm, alone.toeplitz))
+            solo.append(run(dm, alone))
         except ValueError:
             solo.append(None)
             continue
         if s_hat is not None:  # unbatched, the residual is the plain formula
             y_past, x_past = dm.past_rows()
-            lhs = y_past - alone.toeplitz @ dm.factor[dm.parts["u_past"]]
-            assert solo[-1].residual == float(np.linalg.norm(lhs - solo[-1].matrix @ x_past))
+            lhs = y_past - alone @ dm.factor[dm.parts["u_past"]]
+            obs, figures = solo[-1]
+            assert figures["obs_residual"] == float(np.linalg.norm(lhs - obs @ x_past))
     marked = np.zeros(len(dms), bool)
     while not marked.all():
         keep = np.flatnonzero(~marked)
@@ -156,8 +158,8 @@ def _check_batch_observability(stage, batch, s_hat, dms, alones) -> None:
             marked[keep[exc.failed]] = True
             continue
         for i, b in enumerate(keep):
-            for name in ("matrix", "residual"):
-                assert np.array_equal(getattr(got, name)[i], getattr(solo[b], name)), name
+            assert np.array_equal(got[0][i], solo[b][0])
+            assert np.array_equal(got[1]["obs_residual"][i], solo[b][1]["obs_residual"])
         break
     assert [o is None for o in solo] == marked.tolist()
 
@@ -188,12 +190,13 @@ def test_input_spectrum_and_remainder_branch(problem):
         # the stack's QR is build_data_matrices'; the predictor factors the future-input
         # rows once and the remainder once if any entry has a null direction
         with mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:
-            est = estimate_predictor(dm)
+            _, figures = estimate_predictor(dm)
         assert qr.call_count == 1 + any(counts), counts
         stack = hankel_stack(data, depth, width)
         inputs = np.concatenate([stack[..., dm.parts[k], :] for k in ("u_past", "u_future")],
                                 axis=-2)
         s = np.linalg.svd(inputs, compute_uv=False)
-        assert np.array_equal(est.input_rank, np.sum(s >= RANK_TOL * s[..., :1], axis=-1))
+        assert np.array_equal(figures["input_rank"],
+                              np.sum(s >= RANK_TOL * s[..., :1], axis=-1))
         margin = s[..., -1] / (RANK_TOL * s[..., 0])
-        assert np.abs(est.input_rank_margin / margin - 1.0).max() < 1e-10
+        assert np.abs(figures["input_rank_margin"] / margin - 1.0).max() < 1e-10

@@ -264,11 +264,11 @@ def test_estimate_with_imc_matches_augmented_data(problem):
         assert got == want
         return
     assert not isinstance(got, tuple), got
-    assert got.markov.toeplitz.shape == want.markov.toeplitz.shape
-    assert _rel(got.markov.toeplitz, want.markov.toeplitz) < EQUIVALENCE_RTOL
-    assert _rel(got.observability.matrix, want.observability.matrix) < EQUIVALENCE_RTOL
+    assert got.toeplitz.shape == want.toeplitz.shape
+    assert _rel(got.toeplitz, want.toeplitz) < EQUIVALENCE_RTOL
+    assert _rel(got.observability, want.observability) < EQUIVALENCE_RTOL
     for name in ("input_rank", "regressor_rank"):
-        assert getattr(got.markov, name) == getattr(want.markov, name), name
+        assert got.diagnostics[name] == want.diagnostics[name], name
     weights = LqrWeights(Q=np.eye(q * (1 + imc.order)), R=np.eye(p))
     K_got = _outcome(lambda: synthesize(got, weights, depth).K)
     K_want = _outcome(lambda: synthesize(want, weights, depth).K)

@@ -98,22 +98,22 @@ class TestBuildDataMatrices:
 class TestEstimatePredictor:
     def test_scalar_markov_parameters(self):
         ds = prbs_dataset(scalar_model(), length=1022)
-        est = estimate_predictor(build_data_matrices(ds, depth=3))
-        blocks = markov_blocks(est)
+        toeplitz, _ = estimate_predictor(build_data_matrices(ds, depth=3))
+        blocks = markov_blocks(toeplitz, 3)
         assert blocks[0][0, 0] == pytest.approx(1.72, abs=1e-8)
         assert blocks[1][0, 0] == pytest.approx(0.2408, abs=1e-8)
 
     def test_two_output_markov_parameters(self):
         ds = prbs_dataset(two_output_model())
-        est = estimate_predictor(build_data_matrices(ds, depth=11))
-        np.testing.assert_allclose(markov_blocks(est)[0], [[0.08, -0.01], [0.02, -0.01]],
+        toeplitz, _ = estimate_predictor(build_data_matrices(ds, depth=11))
+        np.testing.assert_allclose(markov_blocks(toeplitz, 11)[0], [[0.08, -0.01], [0.02, -0.01]],
                                    atol=1e-8)
 
     def test_finite_impulse_response_truncates(self):
         model = StateSpaceModel(A=np.zeros((2, 2)), B=[[1.0], [0.5]], C=[[1.0, 1.0]])
         ds = prbs_dataset(model, length=400)
-        est = estimate_predictor(build_data_matrices(ds, depth=5))
-        blocks = markov_blocks(est)
+        toeplitz, _ = estimate_predictor(build_data_matrices(ds, depth=5))
+        blocks = markov_blocks(toeplitz, 5)
         np.testing.assert_allclose(blocks[0], model.C @ model.B, atol=1e-10)
         for blk in blocks[1:]:
             np.testing.assert_allclose(blk, 0.0, atol=1e-10)
@@ -139,21 +139,21 @@ class TestEstimatePredictor:
     def test_input_rank_margin(self):
         ds = prbs_dataset(two_output_model())
         dm = build_data_matrices(ds, depth=6)
-        est = estimate_predictor(dm)
+        _, figures = estimate_predictor(dm)
         s = np.linalg.svd(np.vstack([rows(ds, dm, "u_past"), rows(ds, dm, "u_future")]),
                           compute_uv=False)
-        assert est.input_rank == 24 and est.input_rank_margin > 1.0
-        assert est.input_rank_margin == pytest.approx(s[-1] / (1e-8 * s[0]), rel=1e-9)
+        assert figures["input_rank"] == 24 and figures["input_rank_margin"] > 1.0
+        assert figures["input_rank_margin"] == pytest.approx(s[-1] / (1e-8 * s[0]), rel=1e-9)
 
     def test_shift_structure_of_raw_solution(self):
         """The least-squares future-input block has the shift structure on its
         own, so on noise-free data the sub-diagonal averages reproduce it."""
         ds = prbs_dataset(two_output_model())
         dm = build_data_matrices(ds, depth=8)
-        est = estimate_predictor(dm)
+        toeplitz, _ = estimate_predictor(dm)
         q, p, d = 2, 2, 8
         raw, _, _ = pinv_predictor(ds, dm)
-        assert raw.shape == est.toeplitz.shape == (q * d, p * d)
+        assert raw.shape == toeplitz.shape == (q * d, p * d)
         for i in range(d - 1):
             for j in range(d - 1):
                 if i > j:
@@ -162,18 +162,18 @@ class TestEstimatePredictor:
                         raw[(i + 1) * q:(i + 2) * q, (j + 1) * p:(j + 2) * p],
                         atol=1e-8,
                     )
-        np.testing.assert_allclose(est.toeplitz, raw, atol=1e-8)
+        np.testing.assert_allclose(toeplitz, raw, atol=1e-8)
 
     def test_toeplitz_matches_blocks(self):
         """Every block sub-diagonal repeats the Markov block of the first block column."""
         ds = prbs_dataset(two_output_model())
-        est = estimate_predictor(build_data_matrices(ds, depth=6))
+        toeplitz, _ = estimate_predictor(build_data_matrices(ds, depth=6))
         q, p, d = 2, 2, 6
-        assert est.toeplitz.shape == (q * d, p * d)
-        blocks = markov_blocks(est)
+        assert toeplitz.shape == (q * d, p * d)
+        blocks = markov_blocks(toeplitz, d)
         for i in range(d):
             for j in range(d):
-                blk = est.toeplitz[i * q:(i + 1) * q, j * p:(j + 1) * p]
+                blk = toeplitz[i * q:(i + 1) * q, j * p:(j + 1) * p]
                 if i > j:
                     np.testing.assert_array_equal(blk, blocks[i - j - 1])
                 else:
@@ -183,12 +183,12 @@ class TestEstimatePredictor:
         """The gain's Markov stack M and Toeplitz factor S are views of the
         estimate's Toeplitz factor, equal to building them from the blocks."""
         ds = prbs_dataset(two_output_model())
-        est = estimate_predictor(build_data_matrices(ds, depth=6))
+        toeplitz, _ = estimate_predictor(build_data_matrices(ds, depth=6))
         q, p = 2, 2
-        blocks = markov_blocks(est)
+        blocks = markov_blocks(toeplitz, 6)
         for N in range(1, 6):
-            M = est.toeplitz[q:q * (N + 1), :p]
-            S = est.toeplitz[:q * N, :p * N]
+            M = toeplitz[q:q * (N + 1), :p]
+            S = toeplitz[:q * N, :p * N]
             np.testing.assert_array_equal(M, np.concatenate(blocks[:N]))
             np.testing.assert_array_equal(
                 S, block_toeplitz_strict_lower(blocks[:N], N + 1)[:q * N, :p * N])
@@ -198,9 +198,9 @@ class TestEstimatePredictor:
         for trial in range(8):
             model = random_stable_system(rng)
             ds = prbs_dataset(model, length=600, seed=500 + trial)
-            est = estimate_predictor(build_data_matrices(ds, depth=12))
+            toeplitz, _ = estimate_predictor(build_data_matrices(ds, depth=12))
             truth = true_markov(model, 11)
-            for got, expect in zip(markov_blocks(est), truth):
+            for got, expect in zip(markov_blocks(toeplitz, 12), truth):
                 np.testing.assert_allclose(got, expect, atol=1e-8)
 
 
@@ -249,14 +249,15 @@ class TestLapackWork:
             qrs.append(np.shape(a))
             return _call(a, *args, **kwargs)
         monkeypatch.setattr(markov.np.linalg, "qr", qr)
-        est = estimate_predictor(dm)
+        toeplitz, figures = estimate_predictor(dm)
         monkeypatch.undo()
         # the future-input rows, then the remainder [L_Uf,Uf, L_Uf,Yp null]'
         assert qrs == [(3, 16, 8), (3, 16, 8)]
         for b, run in enumerate(runs):
-            alone = estimate_predictor(build_data_matrices(run, d))
-            for name in ("toeplitz", "input_rank", "regressor_rank", "input_rank_margin"):
-                assert np.array_equal(getattr(est, name)[b], getattr(alone, name)), name
+            alone, alone_figures = estimate_predictor(build_data_matrices(run, d))
+            assert np.array_equal(toeplitz[b], alone)
+            for name in ("input_rank", "regressor_rank", "input_rank_margin"):
+                assert np.array_equal(figures[name][b], alone_figures[name]), name
 
 
 class TestTrueMarkov:

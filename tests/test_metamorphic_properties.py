@@ -88,8 +88,8 @@ def test_state_coordinate_change(problem):
         return
     for algorithm in ALGORITHMS:
         est, est_moved = (estimate(d, depth, algorithm=algorithm) for d in (data, moved))
-        assert np.array_equal(est_moved.markov.toeplitz, est.markov.toeplitz), algorithm
-        O, O_moved = est.observability.matrix, est_moved.observability.matrix
+        assert np.array_equal(est_moved.toeplitz, est.toeplitz), algorithm
+        O, O_moved = est.observability, est_moved.observability
         assert _rel(O_moved, O @ T_inv) < RTOL, algorithm
         K = synthesize(est, weights, depth).K
         K_moved = synthesize(est_moved, weights, depth).K
@@ -129,5 +129,5 @@ def test_alg1_matches_alg2_noise_free(problem):
     # factor that alg1 subtracts would be biased; the estimate refuses the data
     if _biased(data, depth):
         return
-    O1, O2 = (estimate(data, depth, algorithm=a).observability.matrix for a in ALGORITHMS)
+    O1, O2 = (estimate(data, depth, algorithm=a).observability for a in ALGORITHMS)
     assert _rel(O1, O2) < RTOL

@@ -30,7 +30,7 @@ def rows(ds, dm, name):
 def _estimation_inputs(model, depth, length=1022, seed=7):
     ds = prbs_dataset(model, length=length, seed=seed)
     dm = build_data_matrices(ds, depth=depth)
-    return dm, estimate_predictor(dm)
+    return dm, estimate_predictor(dm)[0]
 
 
 class TestStateSnapshot:
@@ -61,19 +61,19 @@ class TestStateSnapshot:
 
 class TestAlg1:
     def test_scalar_noise_free(self):
-        dm, est = _estimation_inputs(scalar_model(), depth=3)
-        obs = estimate_obs_alg1(dm, est.toeplitz)
-        np.testing.assert_allclose(obs.matrix.ravel(), [1.0, 0.14, 0.0196], atol=1e-8)
-        np.testing.assert_allclose(obs.matrix[1:].ravel(), [0.14, 0.0196], atol=1e-8)
-        assert obs.algorithm == "alg1" and obs.matrix.shape == (3, 1)
-        assert obs.residual < 1e-8
+        dm, s_hat = _estimation_inputs(scalar_model(), depth=3)
+        obs, figures = estimate_obs_alg1(dm, s_hat)
+        np.testing.assert_allclose(obs.ravel(), [1.0, 0.14, 0.0196], atol=1e-8)
+        np.testing.assert_allclose(obs[1:].ravel(), [0.14, 0.0196], atol=1e-8)
+        assert obs.shape == (3, 1)
+        assert figures["obs_residual"] < 1e-8
 
     def test_two_output_noise_free(self):
         model = two_output_model()
-        dm, est = _estimation_inputs(model, depth=11)
-        obs = estimate_obs_alg1(dm, est.toeplitz)
+        dm, s_hat = _estimation_inputs(model, depth=11)
+        obs, _ = estimate_obs_alg1(dm, s_hat)
         truth = true_observability(model, 11)
-        np.testing.assert_allclose(obs.matrix, truth, atol=1e-6)
+        np.testing.assert_allclose(obs, truth, atol=1e-6)
         np.testing.assert_allclose(truth[2:4], [[0.6, 1.35], [-0.2, 0.6]], atol=1e-15)
 
     def test_rank_deficient_states(self):
@@ -111,19 +111,19 @@ class TestProjector:
 class TestAlg2:
     def test_matches_alg1_noise_free(self):
         for model in (scalar_model(), two_output_model()):
-            dm, est = _estimation_inputs(model, depth=5)
-            o1 = estimate_obs_alg1(dm, est.toeplitz)
-            o2 = estimate_obs_alg2(dm)
-            np.testing.assert_allclose(o1.matrix, o2.matrix, atol=1e-8)
+            dm, s_hat = _estimation_inputs(model, depth=5)
+            o1, _ = estimate_obs_alg1(dm, s_hat)
+            o2, _ = estimate_obs_alg2(dm)
+            np.testing.assert_allclose(o1, o2, atol=1e-8)
 
     def test_matches_explicit_projector_form(self):
         ds = prbs_dataset(two_output_model(), length=400, seed=7)
         dm, _ = _estimation_inputs(two_output_model(), depth=4, length=400)
-        o2 = estimate_obs_alg2(dm)
+        o2, _ = estimate_obs_alg2(dm)
         P = orthogonal_projector(rows(ds, dm, "u_past"))
         expect = (rows(ds, dm, "y_past") @ P) @ np.linalg.pinv(rows(ds, dm, "x_past") @ P,
                                                                rcond=1e-12)
-        np.testing.assert_allclose(o2.matrix, expect, atol=1e-9)
+        np.testing.assert_allclose(o2, expect, atol=1e-9)
 
     def test_rank_deficient_past_inputs(self):
         # a constant input leaves one independent past-input row, so the
@@ -139,13 +139,13 @@ class TestAlg2:
         rng = np.random.default_rng(21)
         for trial in range(6):
             model = random_stable_system(rng)
-            dm, est = _estimation_inputs(model, depth=10, length=600, seed=900 + trial)
+            dm, s_hat = _estimation_inputs(model, depth=10, length=600, seed=900 + trial)
             truth = true_observability(model, 10)
-            o1 = estimate_obs_alg1(dm, est.toeplitz)
-            o2 = estimate_obs_alg2(dm)
+            o1, _ = estimate_obs_alg1(dm, s_hat)
+            o2, _ = estimate_obs_alg2(dm)
             scale = np.linalg.norm(truth)
-            assert np.linalg.norm(o1.matrix - truth) / scale < 1e-6
-            assert np.linalg.norm(o2.matrix - truth) / scale < 1e-6
+            assert np.linalg.norm(o1 - truth) / scale < 1e-6
+            assert np.linalg.norm(o2 - truth) / scale < 1e-6
 
 
 class TestResidual:
@@ -162,18 +162,18 @@ class TestResidual:
         data = simulate(model, u, v=v, noise_mode="measurement")
         scaled = Dataset(u=c * data.u, y=c * data.y, x=c * data.x)
         for algorithm in ALGORITHMS:
-            base = estimate(data, 8, algorithm=algorithm).observability.residual
+            base = estimate(data, 8, algorithm=algorithm).diagnostics["obs_residual"]
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = estimate(scaled, 8, algorithm=algorithm).observability.residual
+                got = estimate(scaled, 8, algorithm=algorithm).diagnostics["obs_residual"]
             assert 0.0 < got == pytest.approx(c * base, rel=1e-12), algorithm
 
     def test_exact_fit_is_zero(self):
         x = np.random.default_rng(9).normal(size=(2, 30))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fit = _fit_states("alg1", np.zeros((3, 30)), x, "states")
-        assert fit.residual == 0.0 and not fit.matrix.any()
+            fit, figures = _fit_states(np.zeros((3, 30)), x, "states")
+        assert figures["obs_residual"] == 0.0 and not fit.any()
 
 
 class TestDropFirstBlockRow:

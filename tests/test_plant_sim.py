@@ -116,6 +116,14 @@ class TestSimulate:
         with pytest.raises(ValueError, match="^signal must be a series, got a scalar$"):
             Dataset(u=np.zeros(5), y=0.0, x=np.zeros(5))
 
+    @pytest.mark.parametrize("name", ["u", "y", "x"])
+    def test_series_without_channels_are_refused(self, name):
+        # a dataset needs an input, an output and a state channel; the estimators would
+        # otherwise index into an empty series
+        series = {k: np.zeros((5, 0 if k == name else 1)) for k in "uyx"}
+        with pytest.raises(ValueError, match=f"^series {name} has no channels$"):
+            Dataset(**series)
+
     def test_misspelt_noise_mode_raises(self):
         # a misspelt mode would otherwise leave the noise out of the record
         model = scalar_model(with_noise=True)
