@@ -50,9 +50,9 @@ class DataDrivenEstimate:
     depends on the weights or on any horizon up to ``depth``, so one estimate serves
     every ``synthesize`` call within that range. ``width`` is the Hankel data's column
     count and ``imc`` the internal model whose states the estimate appends to the
-    plant's, if any. ``diagnostics`` holds both stages' figures as Python scalars:
-    ``input_rank``, ``input_rank_margin``, ``regressor_rank``, ``obs_residual`` and the
-    ``algorithm``.
+    plant's, if any. ``diagnostics`` holds both stages' figures as numpy arrays with the
+    data's batch axes: ``input_rank``, ``input_rank_margin``, ``regressor_rank``,
+    ``obs_residual``; and the ``algorithm``. The matrices carry the same batch axes.
     """
 
     toeplitz: np.ndarray
@@ -60,7 +60,7 @@ class DataDrivenEstimate:
     depth: int
     width: int
     imc: Optional[ImcRealization]
-    diagnostics: Dict[str, Union[int, float, str]]
+    diagnostics: Dict[str, Union[np.ndarray, str]]
 
 
 @dataclass
@@ -122,18 +122,14 @@ def _stage(name: str, fn, *args, **kwargs):
         raise ValueError(f"{name}: {exc}") from exc
 
 
-def _observe(dm: DataMatrices, algorithm: str,
-             toeplitz: Optional[np.ndarray] = None) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
-    """Observability matrix and figures with the named algorithm.
-
-    alg1 subtracts the predictor's Toeplitz factor, estimated here unless
-    ``toeplitz`` is given; alg2 needs no predictor. Errors are stage-tagged.
-    """
-    if algorithm == "alg2":
-        return _stage("observability", estimate_obs_alg2, dm)
-    if toeplitz is None:
-        toeplitz, _ = _stage("markov-estimation", estimate_predictor, dm)
-    return _stage("observability", estimate_obs_alg1, dm, toeplitz)
+def _estimate(dm: DataMatrices,
+              algorithm: str) -> Tuple[np.ndarray, np.ndarray, Dict[str, np.ndarray]]:
+    """Toeplitz factor, observability matrix (with ``algorithm``) and both stages' figures
+    of the factored data ``dm``, with its batch axes. Errors are stage-tagged."""
+    toeplitz, figures = _stage("markov-estimation", estimate_predictor, dm)
+    obs, obs_figures = (_stage("observability", estimate_obs_alg1, dm, toeplitz)
+                        if algorithm == "alg1" else _stage("observability", estimate_obs_alg2, dm))
+    return toeplitz, obs, {**figures, **obs_figures}
 
 
 def estimate(data: Dataset, depth: int, width: Optional[int] = None, algorithm: str = "alg1",
@@ -148,11 +144,9 @@ def estimate(data: Dataset, depth: int, width: Optional[int] = None, algorithm: 
     if algorithm not in ALGORITHMS:
         raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
     dm = build_data_matrices(data, depth, width, imc=imc)
-    toeplitz, figures = _stage("markov-estimation", estimate_predictor, dm)
-    obs, obs_figures = _observe(dm, algorithm, toeplitz)
-    diagnostics = {k: v.item() for k, v in {**figures, **obs_figures}.items()}
+    toeplitz, obs, figures = _estimate(dm, algorithm)
     return DataDrivenEstimate(toeplitz, obs, depth, dm.width, imc,
-                              {**diagnostics, "algorithm": algorithm})
+                              {**figures, "algorithm": algorithm})
 
 
 def check_weights(weights: LqrWeights, q: int, p: int) -> None:
@@ -180,21 +174,22 @@ def synthesize(est: DataDrivenEstimate, weights: LqrWeights, horizon: int) -> Lq
 
     Uses the first horizon - 1 Markov blocks and shifted observability blocks
     of the estimate, each a view of its matrix, so 2 <= horizon <= its depth
-    (``check_synthesis``). The design's diagnostics are the estimate's, the gain's
-    conditioning figures, the ``gain_order`` horizon - 1, ``depth`` and ``width``.
+    (``check_synthesis``), and the gain keeps the estimate's batch axes. The design's
+    diagnostics are the estimate's, the gain's conditioning figures, the ``gain_order``
+    horizon - 1, ``depth`` and ``width``, as Python values: lists over batch axes.
     """
-    q, p = (size // est.depth for size in est.toeplitz.shape)
+    q, p = (size // est.depth for size in est.toeplitz.shape[-2:])
     check_synthesis(weights, horizon, est.depth, q, p)
     order = horizon - 1
     # the Toeplitz factor's first block column is [0; Markov blocks 1..depth-1],
     # and O+ = [CA; ..; CA^order] starts one block row into the observability matrix
-    M = est.toeplitz[q:q * (order + 1), :p]
-    S = est.toeplitz[:q * order, :p * order]
-    O_plus = est.observability[q:q * (order + 1), :]
+    M = est.toeplitz[..., q:q * (order + 1), :p]
+    S = est.toeplitz[..., :q * order, :p * order]
+    O_plus = est.observability[..., q:q * (order + 1), :]
     K, figures = _stage("gain", dd_lqr_gain, M, S, O_plus, weights, order)
+    figures.update(gain_order=order, depth=est.depth, width=est.width)
     return LqrDesign(K=K, horizon=horizon, diagnostics={
-        **est.diagnostics, **figures, "gain_order": order, "depth": est.depth,
-        "width": est.width})
+        k: np.asarray(v).tolist() for k, v in {**est.diagnostics, **figures}.items()})
 
 
 def convergence_sweep(
@@ -203,14 +198,14 @@ def convergence_sweep(
     weights: LqrWeights,
     horizons: Sequence[int],
 ) -> List[Tuple[int, float]]:
-    """Max-entry gap of the gain synthesized from ``est`` at each horizon to the
-    Riccati gain of ``model``, the plant behind the estimate's data, with the
+    """Max-entry gap (over every batch entry) of the gain synthesized from ``est`` at each
+    horizon to the Riccati gain of ``model``, the plant behind the estimate's data, with the
     estimate's internal model appended by ``augment_model`` if it has one.
     InputError on A, C or B unless that loop has the estimate's states, outputs and
     inputs: n columns of the observability matrix, and q*depth x p*depth of the
     Toeplitz factor."""
     loop = model if est.imc is None else augment_model(model, est.imc)
-    q, p = (size // est.depth for size in est.toeplitz.shape)
+    q, p = (size // est.depth for size in est.toeplitz.shape[-2:])
     for name, size, data, what in (
             ("A", loop.n_states, est.observability.shape[-1], "states"),
             ("C", loop.n_outputs, q, "outputs"), ("B", loop.n_inputs, p, "inputs")):
@@ -299,11 +294,13 @@ def monte_carlo_obs(model: StateSpaceModel, signal: SignalSpec, depth: int, runs
 
 
 def _observe_runs(dm: DataMatrices, algorithm: str, reasons: Counter) -> Sequence[np.ndarray]:
-    """Shifted estimates of a batch of runs. The runs a stage error marks (all
-    when it marks none) are counted in ``reasons``; the rest are estimated anew."""
+    """Shifted estimates of a batch of runs, alg2's without a predictor. The runs a stage
+    error marks (all when it marks none) are counted in ``reasons``; the rest anew."""
     while len(dm.factor):
         try:
-            return _observe(dm, algorithm)[0][..., dm.n_outputs:, :]
+            obs = (_estimate(dm, algorithm)[1] if algorithm == "alg1"
+                   else _stage("observability", estimate_obs_alg2, dm)[0])
+            return obs[..., dm.n_outputs:, :]
         except ValueError as exc:
             failed = getattr(exc.__cause__, "failed", np.ones(len(dm.factor), bool))
             reasons[_reason(exc)] += int(failed.sum())

@@ -81,25 +81,27 @@ def dd_lqr_gain(
     mid = R_N + S' Q_N S, M' Gamma = M' Q_N - (mid^-1 S' Q_N M)' S' Q_N: one
     solve with p right-hand sides and no qN x qN Gamma. ``cond_inner`` is the
     condition number of mid, max|lambda| / min|lambda| of its eigenvalues, and
-    ``cond_bracket`` that of R + M' Gamma M. Unchecked: ``experiments.synthesize``
-    slices the arrays to these shapes, N >= 1.
+    ``cond_bracket`` that of R + M' Gamma M. Leading batch axes of the arrays carry over
+    to the gain and the figures. Unchecked: ``experiments.synthesize`` slices the arrays
+    to these shapes, N >= 1.
     """
     N = horizon
     q, p = weights.Q.shape[0], weights.R.shape[0]
-    QS = (weights.Q @ S.reshape(N, q, p * N)).reshape(q * N, p * N)  # Q_N S
-    QM = (weights.Q @ M.reshape(N, q, p)).reshape(q * N, p)  # Q_N M
-    mid = S.T @ QS
-    np.einsum("ipiq->ipq", mid.reshape(N, p, N, p))[...] += weights.R  # + R_N on the diagonal
+    QS = (weights.Q @ S.reshape(S.shape[:-2] + (N, q, p * N))).reshape(S.shape)  # Q_N S
+    QM = (weights.Q @ M.reshape(M.shape[:-2] + (N, q, p))).reshape(M.shape)  # Q_N M
+    SQ = QS.swapaxes(-1, -2)
+    mid = S.swapaxes(-1, -2) @ QS  # S' Q_N S, then R_N on its block diagonal
+    np.einsum("...ipiq->...ipq", mid.reshape(mid.shape[:-2] + (N, p, N, p)))[...] += weights.R
     ev = np.abs(np.linalg.eigvalsh(mid))  # mid is symmetric positive definite
-    cond_inner = float(ev.max() / ev.min())
-    MtG = QM.T - np.linalg.solve(mid, QS.T @ M).T @ QS.T
+    cond_inner = ev.max(axis=-1) / ev.min(axis=-1)
+    MtG = QM.swapaxes(-1, -2) - np.linalg.solve(mid, SQ @ M).swapaxes(-1, -2) @ SQ
     bracket = weights.R + MtG @ M
-    cond_bracket = float(np.linalg.cond(bracket))
+    cond_bracket = np.linalg.cond(bracket)
     try:
         K = np.linalg.solve(bracket, MtG @ O_plus)
     except np.linalg.LinAlgError as exc:
         raise ValueError(
-            f"singular gain bracket R + M' Gamma M (condition {cond_bracket:.3e})"
+            f"singular gain bracket R + M' Gamma M (condition {np.max(cond_bracket):.3e})"
         ) from exc
     return K, {"cond_inner": cond_inner, "cond_bracket": cond_bracket}
 

@@ -1,7 +1,8 @@
 """Shared test fixtures: the demo plants, random-system samplers and closed-loop
 runs, and the Hypothesis profile of the whole suite: derandomized (the same examples on
 every run), no example database, no deadline. A property's own ``settings``
-give only its example count and health checks."""
+give only its example count and health checks. The ``pytester`` plugin runs inner
+sessions under the suite's own pytest settings."""
 
 import numpy as np
 from hypothesis import settings
@@ -13,6 +14,8 @@ from ddlqr.plant_sim import _apply
 # the tracking demo shrunk to a short record and depth, as config overrides
 UPS_SMALL_SETS = ["signal.length=800", "estimation.depth=30", "estimation.width=400",
                   "lqr.horizon=30"]
+
+pytest_plugins = ["pytester"]
 
 settings.register_profile("ddlqr", derandomize=True, database=None, deadline=None)
 settings.load_profile("ddlqr")

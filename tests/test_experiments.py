@@ -37,11 +37,14 @@ from ddlqr import (
 )
 from ddlqr.config import RunConfig
 from ddlqr.markov import build_data_matrices, estimate_predictor
-from ddlqr.observability import ALGORITHMS
+from ddlqr.observability import ALGORITHMS, estimate_obs_alg2
 
 GAIN_SHORT = np.array([[4.2314, 7.644], [1.127, -1.8959]])
 GAIN_LONG = np.array([[4.6491, 7.5226], [1.4461, -1.9886]])
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# the design diagnostics that carry a batched estimate's run axis
+BATCHED_FIGURES = {"input_rank", "input_rank_margin", "regressor_rank", "obs_residual",
+                   "cond_inner", "cond_bracket"}
 
 
 def reference_weights():
@@ -159,6 +162,23 @@ class TestDesignGain:
             synthesize(est, other, 14)
         with pytest.raises(ValueError, match="horizon must be >= 2"):
             synthesize(est, other, 1)
+
+    def test_batched_records_design_as_each_alone(self):
+        # a 2-run stack of the regulation record once raised a bare ValueError from a
+        # scalar cast of the estimate's figures
+        runs = [prbs_dataset(two_output_model(), seed=seed) for seed in (7, 8)]
+        batch = Dataset(*(np.stack([getattr(r, k) for r in runs]) for k in "uyx"))
+        for algorithm in ALGORITHMS:
+            design = synthesize(estimate(batch, 5, algorithm=algorithm), reference_weights(), 5)
+            alone = [synthesize(estimate(r, 5, algorithm=algorithm), reference_weights(), 5)
+                     for r in runs]
+            assert design.K.shape == (2, 2, 2)
+            for b, solo in enumerate(alone):
+                assert np.array_equal(design.K[b], solo.K)
+            # the stages' figures become lists over the runs; the settings stay scalars
+            assert design.diagnostics == {
+                k: [a.diagnostics[k] for a in alone] if k in BATCHED_FIGURES else v
+                for k, v in alone[0].diagnostics.items()}
 
     def test_weight_dimension_checked_after_augmentation(self):
         est = estimate(prbs_dataset(two_output_model()), 11, imc=integrator_imc())
@@ -548,9 +568,11 @@ class TestMonteCarlo:
             got = ddlqr.experiments._observe_runs(dm, alg, reasons)
             alone = []
             for data in runs:
-                try:
-                    alone.append(ddlqr.experiments._observe(
-                        build_data_matrices(data, depth, width), alg)[0][1:])
+                solo = build_data_matrices(data, depth, width)
+                try:  # alg2 runs no predictor
+                    alone.append((ddlqr.experiments._estimate(solo, alg)[1] if alg == "alg1" else
+                                  ddlqr.experiments._stage("observability", estimate_obs_alg2,
+                                                           solo)[0])[1:])
                 except ValueError as err:
                     expect[ddlqr.experiments._reason(err)] += 1
             assert reasons == expect

@@ -6,7 +6,8 @@ noise on the state measurements, are estimated both ways: from the LQ factor
 (``oracles``). Widths include the range (2p+q)*depth <= width < rows of the
 stack, where the factor is wider than it is tall. Below q*depth = n the data
 matrices refuse the data, whose past outputs cannot determine the state.
-Batches, also with an internal model, hold each entry to its solo result bit for bit.
+Batches, also with an internal model, hold each entry to its solo result bit for bit,
+through ``estimate`` and ``synthesize`` to the gain.
 """
 
 from dataclasses import replace
@@ -22,13 +23,16 @@ from oracles import block_toeplitz_strict_lower, pinv_obs_alg1, pinv_obs_alg2, p
 from ddlqr import (
     Dataset,
     InputError,
+    LqrWeights,
     StateSpaceModel,
+    estimate,
     integrator_imc,
     resonant_imc,
     simulate,
+    synthesize,
 )
 from ddlqr.markov import RANK_TOL, build_data_matrices, estimate_predictor, hankel_stack
-from ddlqr.observability import estimate_obs_alg1, estimate_obs_alg2
+from ddlqr.observability import ALGORITHMS, estimate_obs_alg1, estimate_obs_alg2
 
 RTOL = 1e-9
 
@@ -128,6 +132,9 @@ def test_batch_entries_match_unbatched(problem, imc):
             assert np.array_equal(figures[name][b], alone_figures[name]), name
     for stage, s_hat in ((estimate_obs_alg1, toeplitz), (estimate_obs_alg2, None)):
         _check_batch_observability(stage, dms[-1], s_hat, dms[:-1], [a for a, _ in alones])
+    weights = LqrWeights(Q=np.eye(q * (1 + (imc.order if imc is not None else 0))), R=np.eye(p))
+    for algorithm in ALGORITHMS:
+        _check_batch_design(runs, depth, width, algorithm, imc, weights)
 
 
 def _check_batch_observability(stage, batch, s_hat, dms, alones) -> None:
@@ -162,6 +169,36 @@ def _check_batch_observability(stage, batch, s_hat, dms, alones) -> None:
             assert np.array_equal(got[1]["obs_residual"][i], solo[b][1]["obs_residual"])
         break
     assert [o is None for o in solo] == marked.tolist()
+
+
+def _check_batch_design(runs, depth: int, width: int, algorithm: str, imc, weights) -> None:
+    """``estimate`` and ``synthesize`` at ``depth`` on the stack of the ``runs`` whose solo
+    design succeeds: each entry's Toeplitz factor, observability matrix, gain and
+    diagnostics are bit for bit its solo result's. The stack of all runs fails when one
+    fails alone."""
+    solo = []
+    for data in runs:
+        try:
+            est = estimate(data, depth, width, algorithm, imc)
+            solo.append((data, est, synthesize(est, weights, depth)))
+        except ValueError:
+            pass
+    if len(solo) < len(runs):
+        with pytest.raises(ValueError):
+            estimate(Dataset(*(np.stack([getattr(r, k) for r in runs]) for k in "uyx")),
+                     depth, width, algorithm, imc)
+    if not solo:
+        return
+    batch = Dataset(*(np.stack([getattr(data, k) for data, _, _ in solo]) for k in "uyx"))
+    est = estimate(batch, depth, width, algorithm, imc)
+    design = synthesize(est, weights, depth)
+    for b, (_, alone, alone_design) in enumerate(solo):
+        assert np.array_equal(est.toeplitz[b], alone.toeplitz)
+        assert np.array_equal(est.observability[b], alone.observability)
+        assert np.array_equal(design.K[b], alone_design.K)
+        for name, value in design.diagnostics.items():
+            assert (value[b] if isinstance(value, list) else value) == \
+                alone_design.diagnostics[name], name
 
 
 @settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
