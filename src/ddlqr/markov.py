@@ -11,11 +11,15 @@ Each dataset is factored once: one LQ factorization of the stacked Hankel data
 [U_p; Y_p; Z; U_f; Y_f; X] (Verhaegen & Dewilde 1992, MOESP). The Toeplitz
 factor, the excitation rank and both observability estimates are read off
 its blocks, whose sizes do not grow with the record length. Every SVD the
-predictor takes is square: of L_Up,Up, of the past-output block L_Yp,Yp (of
-[Y_p; Z]), of a 2pd x 2pd input triangle after a small QR, and of a pd x pd
-remainder triangle R_m. One QR gives R_m for a whole batch: the directions of
-L_Yp,Yp that are not null are zeroed, not dropped, so every entry's remainder has
-one shape. With no null direction in the batch R_m is L_Uf,Uf' and the QR is skipped.
+predictor takes is square: of the past-output block L_Yp,Yp (of [Y_p; Z]), of a
+2pd x 2pd input triangle after a small QR, and of a pd x pd remainder triangle R_m.
+One QR gives R_m for a whole batch: the directions of L_Yp,Yp that are not null are
+zeroed, not dropped, so every entry's remainder has one shape. With no null direction
+in the batch R_m is L_Uf,Uf' and the QR is skipped.
+
+Every rank decision, here and in ``observability``, follows one rule, ``_rank``: it counts
+a block's singular values at least a tolerance times its own largest (the input stack's
+for the u_future remainder), so no decision depends on the units of u, y or x.
 
 With an internal-model controller (``imc``) the estimate is that of the plant plus
 controller, whose outputs and states append the controller states x_c. These filter
@@ -101,12 +105,6 @@ class DataMatrices:
         y[..., :zp.stop - first] = append_imc_states(
             F[..., yp, first:zp.stop], self.n_outputs, self.imc, F[..., zp, first:zp.stop])
         return y, np.concatenate([F[..., xp, first:], F[..., zp, first:]], axis=-2)
-
-    @cached_property
-    def past_input_singular_values(self) -> np.ndarray:
-        """Singular values of L_Up,Up, those of u_past, descending."""
-        up = self.parts["u_past"]
-        return np.linalg.svd(self.factor[..., up, up], compute_uv=False)
 
 
 def hankel_width(T: int, p: int, q: int, n: int, depth: int, width: Optional[int]) -> int:
@@ -205,8 +203,8 @@ def estimate_predictor(dm: DataMatrices) -> Tuple[np.ndarray, Dict[str, np.ndarr
     columns of L exactly, so the future-input block (the identifiable part of
     W, which carries the Toeplitz factor) fits the y_future rows on what is
     left of the u_future rows: ``raw = L_Yf,rest L_Uf,rest^+``. The remainder
-    holds L_Uf,Uf and L_Uf,Yp on the null directions of L_Yp,Yp, decided with
-    ``PINV_TOL`` as in the pseudo-inverse solution (noise-free data, or more
+    holds L_Uf,Uf and L_Uf,Yp on the null directions of L_Yp,Yp, those below
+    ``PINV_TOL`` times its largest singular value (noise-free data, or more
     outputs than states, has them); its other directions are zeroed, so one
     batched QR, L_Uf,rest' = Q_m R_m, serves every entry and raw =
     (L_Yf,rest Q_m) R_m'^-1. When no entry has a null direction (noisy data)
@@ -224,8 +222,9 @@ def estimate_predictor(dm: DataMatrices) -> Tuple[np.ndarray, Dict[str, np.ndarr
     inputs and outputs) must both have full row rank. Both spectra come from
     square triangles with the same singular values. ``input_rank`` is the rank of the
     stack and ``input_rank_margin`` its smallest singular value over ``RANK_TOL`` times
-    the largest: above 1 the input is persistently exciting. ``regressor_rank`` sums
-    the ranks of L_Up,Up, L_Yp,Yp and the remainder.
+    the largest: above 1 the input is persistently exciting. ``regressor_rank`` is that of
+    [u_past; y_past; u_future]: 2*p*depth for L_Up,Up and the remainder, which these
+    checks make full, plus the rank of L_Yp,Yp against its own largest singular value.
     """
     d, p, q = dm.depth, dm.n_inputs, dm.n_outputs
     F = dm.factor
@@ -244,8 +243,7 @@ def estimate_predictor(dm: DataMatrices) -> Tuple[np.ndarray, Dict[str, np.ndarr
     # vt_yp) lie outside the row space of y_past, so they stay in the u_future remainder.
     # The other directions are zeroed, not dropped, so every entry's remainder has one shape
     _, s_yp, vt_yp = np.linalg.svd(F[..., yp, yp])
-    scale = np.maximum(s_in[..., 0], s_yp[..., 0])  # stands in for the norm of the regressor
-    is_null = s_yp < PINV_TOL * scale[..., None]
+    is_null = np.arange(s_yp.shape[-1]) >= _rank(s_yp, s_yp[..., 0], PINV_TOL)[..., None]
     # the remainder u_rest is R_m' Q_m', so raw = y_rest Q_m R_m'^-1; with no null direction
     # it is the triangle L_Uf,Uf, which the QR returns as it is (Q_m = [I; 0])
     r_m, y_m = F[..., uf, uf].swapaxes(-1, -2), F[..., yf, uf]
@@ -255,7 +253,7 @@ def estimate_predictor(dm: DataMatrices) -> Tuple[np.ndarray, Dict[str, np.ndarr
             [F[..., uf, uf], F[..., uf, yp] @ null], axis=-1).swapaxes(-1, -2))
         y_m = np.concatenate([y_m, F[..., yf, yp] @ null], axis=-1) @ q_m
     s_m = np.linalg.svd(r_m, compute_uv=False)
-    _fail_entries(s_m[..., -1] < RANK_TOL * s_in[..., 0], lambda i: (
+    _fail_entries(_rank(s_m, s_in[..., 0], RANK_TOL) < p * d, lambda i: (
         f"insufficient excitation: future inputs lie numerically in the span of "
         f"past inputs and outputs (smallest singular value of their remainder "
         f"{s_m[i][-1]:.3e} < {RANK_TOL:g} x {s_in[i][0]:.3e}); the Toeplitz factor "
@@ -272,8 +270,7 @@ def estimate_predictor(dm: DataMatrices) -> Tuple[np.ndarray, Dict[str, np.ndarr
         i = np.arange(k + 1, d)
         S[..., i, :, i - k - 1, :] = np.ascontiguousarray(
             np.moveaxis(np.diagonal(grid, -k - 1, -4, -2), -1, -3)).mean(axis=-3)
-    s_up = dm.past_input_singular_values
     return S.reshape(raw.shape), {
         "input_rank": input_rank, "input_rank_margin": s_in[..., -1] / (RANK_TOL * s_in[..., 0]),
-        "regressor_rank": sum(_rank(sv, scale, RANK_TOL) for sv in (s_up, s_yp, s_m))}
+        "regressor_rank": 2 * p * d + _rank(s_yp, s_yp[..., 0], RANK_TOL)}
 

@@ -32,7 +32,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .markov import PINV_TOL, DataMatrices, _fail_entries
+from .markov import PINV_TOL, DataMatrices, _fail_entries, _rank
 from .plant_sim import StateSpaceModel
 
 ALGORITHMS = ("alg1", "alg2")
@@ -50,11 +50,10 @@ def true_observability(model: StateSpaceModel, depth: int) -> np.ndarray:
 
 def _fit_states(lhs: np.ndarray, x: np.ndarray,
                 what: str) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
-    """Least-squares O in lhs = O x for a wide x of full row rank, with its residual
-    ||lhs - O x||_F."""
+    """Least-squares O in lhs = O x for a wide x of full row rank by ``PINV_TOL``, with
+    its residual ||lhs - O x||_F."""
     u, s, vt = np.linalg.svd(x, full_matrices=False)
-    full = (s[..., 0] > 0.0) & (s[..., -1] >= PINV_TOL * s[..., 0])
-    _fail_entries(~full, lambda i: (
+    _fail_entries(_rank(s, s[..., 0], PINV_TOL) < x.shape[-2], lambda i: (
         f"states not sufficiently excited: {what}: numerical row rank below {x.shape[-2]} "
         f"(smallest over largest singular value "
         f"{s[i][-1] / s[i][0] if s[i][0] else 0.0:.3e} < {PINV_TOL:g})"))
@@ -89,10 +88,10 @@ def estimate_obs_alg2(dm: DataMatrices) -> Tuple[np.ndarray, Dict[str, np.ndarra
     both sides of y_past = O x_past + S u_past, annihilating the unknown
     Toeplitz term, then solves O = (y_past P) (x_past P)^+. On the factor the
     projection drops the u_past columns: O = L_Yp[:, pd:] (L_X[:, pd:])^+.
-    That needs u_past to have full row rank, which is checked with ``PINV_TOL``.
+    That needs u_past to have full row rank, checked on L_Up,Up with ``PINV_TOL``.
     """
     up = dm.parts["u_past"]
-    s = dm.past_input_singular_values
-    _fail_entries((s[..., 0] == 0.0) | (s[..., -1] < PINV_TOL * s[..., 0]), lambda i: (
+    s = np.linalg.svd(dm.factor[..., up, up], compute_uv=False)
+    _fail_entries(_rank(s, s[..., 0], PINV_TOL) < up.stop, lambda i: (
         f"insufficient excitation: past-input Hankel has numerical row rank below {up.stop}"))
     return _fit_states(*dm.past_rows(up.stop), "projected state snapshot (X U_po)")

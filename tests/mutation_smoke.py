@@ -6,7 +6,7 @@ directory and runs the suite there, first unmutated (it must pass), then once pe
 with that one source edit applied. It prints the tests that catch each mutant. The exit
 status is 1 when the unmutated copy fails, an edit no longer matches the source exactly
 once, or a mutant is caught by no test. Each run takes as long as the suite, so the whole
-smoke takes about six times that.
+smoke takes about eight times that.
 
 The technique is mutation testing: a check that no plausible fault can break shows
 nothing (Jia & Harman 2011, "An analysis and survey of the development of mutation
@@ -30,6 +30,12 @@ MUTANTS = [
      "markov.py", "-1, -3)).mean(axis=-3)", "-1, -3))[..., 0, :, :]"),
     ("excitation ranks cut at RANK_TOL 1e-5", "markov.py", "RANK_TOL = 1e-8", "RANK_TOL = 1e-5"),
     ("null directions cut at PINV_TOL 1e-9", "markov.py", "PINV_TOL = 1e-12", "PINV_TOL = 1e-9"),
+    ("null directions of L_Yp,Yp judged against max(s_in0, s_yp0), in mixed units", "markov.py",
+     "_rank(s_yp, s_yp[..., 0], PINV_TOL)",
+     "_rank(s_yp, np.maximum(s_in[..., 0], s_yp[..., 0]), PINV_TOL)"),
+    ("regressor_rank judged against max(s_in0, s_yp0), in mixed units", "markov.py",
+     "_rank(s_yp, s_yp[..., 0], RANK_TOL)",
+     "_rank(s_yp, np.maximum(s_in[..., 0], s_yp[..., 0]), RANK_TOL)"),
     ("R scaled by 1e-3 in the gain bracket R + M' Gamma M", "lqr.py",
      "bracket = weights.R + MtG @ M", "bracket = 1e-3 * weights.R + MtG @ M"),
     ("Monte Carlo alg2 runs the Markov predictor", "experiments.py",

@@ -17,10 +17,13 @@ The convergence claim holds as an identity: from P_0 = 0, the gain of order
 m equals (R + B'P_mB)^-1 B'P_mA, with P_m the m-th iterate of the Riccati
 difference equation (``oracles.riccati_iterate``). It is checked on exact
 model inputs over random plants, stable and unstable, and on the regulation
-demo's noise-free data through ``estimate`` and ``synthesize``.
+demo's noise-free data through ``estimate`` and ``synthesize``: from its
+record, and from a record of the demo made open-loop unstable, whose growing
+states are barely excited but still above ``PINV_TOL``.
 """
 
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +56,8 @@ DARE_RTOL = 1e-10
 GAIN_RTOL = 1e-9
 # On the regulation demo's noise-free data the gap was at most 7.1e-16.
 DEMO_ITERATE_RTOL = 1e-14
+# With a11 = 1.1 (rho(A) 1.03) over 800 samples it was 2.7e-8 to 3.9e-8 at horizons 10 to 50.
+UNSTABLE_ITERATE_RTOL = 1e-6
 SETTINGS = settings(max_examples=80,
                     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 
@@ -161,3 +166,17 @@ def test_demo_gains_are_riccati_iterates(algorithm):
         iterate = riccati_iterate(model, weights, horizon - 1)
         K = synthesize(est, weights, horizon).K
         assert _rel(K, model_lqr_gain(model, iterate, weights.R)) < DEMO_ITERATE_RTOL, horizon
+
+
+@pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
+def test_unstable_record_gains_are_riccati_iterates(algorithm):
+    # the demo with rho(A) = 1.03: over 800 samples the states grow until the snapshot's
+    # smallest singular value is 6.2e-10 times its largest, above PINV_TOL = 1e-12, so
+    # the fit keeps every state direction and the gain is still the Riccati iterate's
+    model = replace(two_output_model(), A=[[1.1, 0.15], [-0.2, 0.6]])
+    weights = LqrWeights(Q=20.0 * np.eye(2), R=0.2 * np.eye(2))
+    est = estimate(prbs_dataset(model, length=800), 51, algorithm=algorithm)
+    for horizon in (10, 30, 50):
+        iterate = riccati_iterate(model, weights, horizon - 1)
+        K = synthesize(est, weights, horizon).K
+        assert _rel(K, model_lqr_gain(model, iterate, weights.R)) < UNSTABLE_ITERATE_RTOL, horizon

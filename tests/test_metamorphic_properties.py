@@ -8,7 +8,11 @@ gain act on the state, so O' = O T^-1 and K' = K T^-1, for alg1 and for alg2.
 
 Output and input scalings y' = D y and u' = E u, with the weights moved to
 Q' = D^-T Q D^-1 and R' = E^-T R E^-1, describe the same cost, so the gain
-acts on the same state and returns inputs in the new units: K' = E K.
+acts on the same state and returns inputs in the new units: K' = E K. Units
+far apart, one of u, y or x taken a = 10^k times larger for k up to +-12, move
+no rank decision either, since each is judged against its own block's largest
+singular value: the ranks are equal and, with R' = R / a^2 for inputs and
+Q' = Q / a^2 for outputs, K' = a K, K or K / a.
 
 On noise-free data both observability estimators are exact, so alg1 and alg2
 agree, also with more outputs than states, once the q*depth past outputs can
@@ -16,17 +20,22 @@ determine the n states. Below that the Toeplitz factor that alg1 subtracts
 would be biased, and the estimate refuses the data.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import two_output_model
 from ddlqr import (
     Dataset,
     InputError,
     LqrWeights,
+    SignalSpec,
     StateSpaceModel,
     estimate,
+    generate_signal,
     simulate,
     synthesize,
 )
@@ -119,6 +128,44 @@ def test_output_and_input_scaling(problem):
         K = synthesize(estimate(data, depth, algorithm=algorithm), weights, depth).K
         K_moved = synthesize(estimate(moved, depth, algorithm=algorithm), weights_moved, depth).K
         assert _rel(K_moved, E @ K) < RTOL, algorithm
+
+
+@st.composite
+def unit_scalings(draw):
+    data, _, depth = draw(problems())
+    return data, depth, draw(st.sampled_from("uyx")), 10.0 ** draw(st.integers(-12, 12))
+
+
+def _process_noise_record() -> Dataset:
+    """120 samples of the regulation demo plant under PRBS input and process noise of std
+    1e-2. In inputs 1e12 times larger, a null cut-off on L_Yp,Yp taken against the input
+    stack's largest singular value, not the block's own, moved its depth-5 gain by 5.6%."""
+    model = replace(two_output_model(), E=np.eye(2))
+    u = generate_signal(SignalSpec(kind="prbs", length=120, amplitude=1.0, seed=7, channels=2))
+    return simulate(model, u, v=1e-2 * np.random.default_rng(0).normal(size=(120, 2)))
+
+
+@settings(max_examples=30, suppress_health_check=[HealthCheck.too_slow])
+@given(unit_scalings())
+@example((_process_noise_record(), 5, "u", 1e12))
+def test_unit_scaling(problem):
+    data, depth, channel, a = problem
+    moved = Dataset(**{k: getattr(data, k) * (a if k == channel else 1.0) for k in "uyx"})
+    Q, R = np.eye(data.n_outputs), np.eye(data.n_inputs)
+    weights = LqrWeights(Q=Q, R=R)
+    weights_moved = LqrWeights(Q=Q / a ** 2 if channel == "y" else Q,
+                               R=R / a ** 2 if channel == "u" else R)
+    # K' = a K in new input units, K in any output units, K / a in new state units
+    back = {"u": 1.0 / a, "y": 1.0, "x": a}[channel]
+    if _biased(data, depth) and _biased(moved, depth):
+        return
+    for algorithm in ALGORITHMS:
+        est, est_moved = (estimate(d, depth, algorithm=algorithm) for d in (data, moved))
+        for name in ("input_rank", "regressor_rank"):
+            assert est_moved.diagnostics[name] == est.diagnostics[name], (algorithm, name)
+        K = synthesize(est, weights, depth).K
+        K_moved = synthesize(est_moved, weights_moved, depth).K
+        assert _rel(back * K_moved, K) < RTOL, algorithm
 
 
 @settings(max_examples=30, suppress_health_check=[HealthCheck.too_slow])
