@@ -245,7 +245,7 @@ def main(argv=None) -> int:
         key = key.get(args.command, exc.param) if isinstance(key, dict) else key
         print(f"config error: {key} {exc.detail}", file=sys.stderr)
         return 2
-    except (ValueError, np.linalg.LinAlgError) as exc:
+    except ValueError as exc:  # numpy's LinAlgError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -36,7 +36,7 @@ from .plant_sim import (
 # records stay within this, or are one run or one factoring chunk. It is 32 runs of the
 # bundled study's 13 x 420 stack.
 MC_BATCH_ENTRIES = 175_000
-# Reference periods at the end of a sinusoid tracking run that its amplitude and THD are read over.
+# Fewest reference periods at a sinusoid tracking run's end that its amplitude and THD read.
 THD_PERIODS = 10
 
 
@@ -339,19 +339,21 @@ def _reduce_report(algorithm: str, estimates, reasons: Counter,
     )
 
 
-def _distortion(y: np.ndarray, samples_per_period: int) -> float:
-    """Total harmonic distortion of a scalar signal's final ``THD_PERIODS`` cycles.
+def _tone(y: np.ndarray, periods: int) -> Tuple[float, float]:
+    """Amplitude and total harmonic distortion of a scalar window ``y`` of ``periods``
+    whole fundamental periods, both from its one DFT.
 
-    The window spans an integer number of fundamental periods, so the DFT
-    bins of the fundamental and its harmonics are leakage-free. Harmonics are
-    counted up to Nyquist; the result is the RMS harmonic-to-fundamental
-    ratio, nan when the window's fundamental bin is zero. Unchecked: the caller
-    gives at least 2 samples per period and ``THD_PERIODS`` periods of them.
+    The fundamental and its harmonics fall on bins ``periods``, 2 ``periods``, ..,
+    so none leaks into another (coherent sampling). The amplitude is 2 |X_periods| / N;
+    the THD is the RMS harmonic-to-fundamental ratio, harmonics counted up to Nyquist,
+    nan when the fundamental bin is zero. Unchecked: the caller gives at least 2
+    samples a period.
     """
-    spectrum = np.fft.rfft(y[-THD_PERIODS * samples_per_period:])
-    fund = abs(spectrum[THD_PERIODS])
-    harmonics = spectrum[2 * THD_PERIODS::THD_PERIODS]
-    return float(np.sqrt(np.sum(np.abs(harmonics) ** 2)) / fund) if fund else np.nan
+    spectrum = np.fft.rfft(y)
+    fund = abs(spectrum[periods])
+    harmonics = spectrum[2 * periods::periods]
+    thd = float(np.sqrt(np.sum(np.abs(harmonics) ** 2)) / fund) if fund else np.nan
+    return 2.0 * fund / y.size, thd
 
 
 def evaluate_closed_loop(
@@ -373,8 +375,9 @@ def evaluate_closed_loop(
     that do not fit the loop's outputs (internal-model states included) and inputs, a
     wrong-sized start state ``x0``, a reference whose ``channels`` are neither 1 (one
     signal for every output) nor q, a sinusoid reference whose ``frequency`` times its
-    sample time is outside (0, pi), or a ``horizon`` shorter than ``THD_PERIODS`` of its
-    periods.
+    sample time is outside (0, pi) or whose period no 10 to 999 whole periods span in
+    whole samples (to 1e-9 relative), or a ``horizon`` shorter than the fewest such
+    periods, ``THD_PERIODS`` at least: the window whose DFT gives the amplitude and THD.
     """
     K = np.asarray(K, dtype=float)
     n, q = model.n_states, model.n_outputs
@@ -388,7 +391,7 @@ def evaluate_closed_loop(
         if x0.shape[0] != n:
             raise InputError("x0", f"has {x0.shape[0]} entries, expected {n} states")
     else:
-        ref, spp = replace(scenario.reference, length=horizon), None
+        ref, periods = replace(scenario.reference, length=horizon), None
         if ref.channels not in (1, q):
             raise InputError("channels",
                              f"must be 1 or the plant's {q} outputs, got {ref.channels}")
@@ -396,9 +399,16 @@ def evaluate_closed_loop(
             theta = ref.frequency * ref.sample_time
             if not 0.0 < theta < np.pi:
                 raise InputError("frequency", f"* ts = {theta:.6g} must lie inside (0, pi)")
-            spp = int(round(2.0 * np.pi / theta))
-            if horizon < THD_PERIODS * spp:
-                raise InputError("horizon", f"must be >= {THD_PERIODS * spp}, got {horizon}")
+            period = 2.0 * np.pi / theta
+            span = np.arange(THD_PERIODS, 1000) * period
+            whole = np.flatnonzero(np.abs(span - np.round(span)) <= 1e-9 * span)
+            if not whole.size:
+                raise InputError("frequency", f"* ts = {theta:.6g} gives a period of {period:.6g} "
+                                 f"samples, and no {THD_PERIODS} to 999 whole periods of it span "
+                                 f"a whole number of samples")
+            periods, window = THD_PERIODS + int(whole[0]), int(round(span[whole[0]]))
+            if horizon < window:
+                raise InputError("horizon", f"must be >= {window}, got {horizon}")
         x0, r = np.zeros(loop.n_states), generate_signal(ref)
         r = r if r.shape[1] == q else np.tile(r, (1, q))
         G = np.vstack([np.zeros((n, q)), np.kron(np.eye(q), scenario.imc.B_c)])
@@ -413,11 +423,10 @@ def evaluate_closed_loop(
     if not tracking:
         return ClosedLoopMetrics(cost, rho, float(np.linalg.norm(y[-1])))
     y = y[:, :q]
-    if spp is None:
+    if periods is None:
         return ClosedLoopMetrics(cost, rho, float(np.abs(y[-1] - r[-1]).max()))
-    amp = _fundamental_amplitude(y[:, 0], ref, spp)
-    return ClosedLoopMetrics(cost, rho, float(abs(amp - ref.amplitude) / abs(ref.amplitude)),
-                             _distortion(y[:, 0], spp))
+    amp, thd = _tone(y[-window:, 0], periods)
+    return ClosedLoopMetrics(cost, rho, float(abs(amp - ref.amplitude) / abs(ref.amplitude)), thd)
 
 
 def _loop_run(loop: StateSpaceModel, K: np.ndarray, A_cl: np.ndarray, x0, *drives, steps: int):
@@ -429,11 +438,3 @@ def _loop_run(loop: StateSpaceModel, K: np.ndarray, A_cl: np.ndarray, x0, *drive
         y = x @ loop.C.T
     return x, u, y
 
-
-def _fundamental_amplitude(y: np.ndarray, ref: SignalSpec, spp: int) -> float:
-    """Amplitude of the reference-frequency component over the final ``THD_PERIODS`` cycles."""
-    window = THD_PERIODS * spp
-    t = np.arange(y.size - window, y.size) * ref.sample_time
-    basis = np.column_stack([np.sin(ref.frequency * t), np.cos(ref.frequency * t)])
-    coeff, *_ = np.linalg.lstsq(basis, y[-window:], rcond=None)
-    return float(np.hypot(coeff[0], coeff[1]))

@@ -13,9 +13,9 @@ factor, the excitation rank and both observability estimates are read off
 its blocks, whose sizes do not grow with the record length. Every SVD the
 predictor takes is square: of the past-output block L_Yp,Yp (of [Y_p; Z]), of a
 2pd x 2pd input triangle after a small QR, and of a pd x pd remainder triangle R_m.
-One QR gives R_m for a whole batch: the directions of L_Yp,Yp that are not null are
-zeroed, not dropped, so every entry's remainder has one shape. With no null direction
-in the batch R_m is L_Uf,Uf' and the QR is skipped.
+One QR gives R_m for every batch: the directions of L_Yp,Yp that are not null are
+zeroed, not dropped, so every entry's remainder has one shape; an entry with no null
+direction (noisy data) gets L_Uf,Uf' back from it exactly.
 
 Every rank decision, here and in ``observability``, follows one rule, ``_rank``: it counts
 a block's singular values at least a tolerance times its own largest (the input stack's
@@ -207,19 +207,21 @@ def estimate_predictor(dm: DataMatrices) -> Tuple[np.ndarray, Dict[str, np.ndarr
     ``PINV_TOL`` times its largest singular value (noise-free data, or more
     outputs than states, has them); its other directions are zeroed, so one
     batched QR, L_Uf,rest' = Q_m R_m, serves every entry and raw =
-    (L_Yf,rest Q_m) R_m'^-1. When no entry has a null direction (noisy data)
-    the QR, which would return the triangle, is skipped: raw = L_Yf,Uf
-    L_Uf,Uf^-1. With an internal model, y_past is [y_past; z_past] and raw is
-    lifted to the controller's rows: their future-input coefficients are the
-    controller's filter of those of the y_future rows above them, from a zero
-    start. Each block sub-diagonal of the
+    (L_Yf,rest Q_m) R_m'^-1. An entry with no null direction (noisy data) has
+    the remainder [L_Uf,Uf 0], whose QR returns R_m = L_Uf,Uf' and Q_m = [I; 0]
+    bit for bit, so raw = L_Yf,Uf L_Uf,Uf^-1. With an internal model, y_past is
+    [y_past; z_past] and raw is lifted to the controller's rows: their
+    future-input coefficients are the controller's filter of those of the
+    y_future rows above them, from a zero start. Each block sub-diagonal of the
     Toeplitz factor is the average of that sub-diagonal of the (lifted) ``raw``,
-    which reduces noise and enforces the structure.
+    which enforces the structure; its copies sum one record shifted by a sample,
+    so averaging narrows their noise little.
 
     Excitation is checked with ``RANK_TOL`` relative to the largest singular
-    value of [u_past; u_future]: that stack (a persistently exciting input)
-    and the u_future remainder (future inputs outside the row span of past
-    inputs and outputs) must both have full row rank. Both spectra come from
+    value of [u_past; u_future]: that stack (a persistently exciting input, else
+    "insufficient excitation") and the u_future remainder (future inputs outside
+    the row span of past inputs and outputs, else "future inputs not identifiable")
+    must both have full row rank. Both spectra come from
     square triangles with the same singular values. ``input_rank`` is the rank of the
     stack and ``input_rank_margin`` its smallest singular value over ``RANK_TOL`` times
     the largest: above 1 the input is persistently exciting. ``regressor_rank`` is that of
@@ -245,19 +247,16 @@ def estimate_predictor(dm: DataMatrices) -> Tuple[np.ndarray, Dict[str, np.ndarr
     _, s_yp, vt_yp = np.linalg.svd(F[..., yp, yp])
     is_null = np.arange(s_yp.shape[-1]) >= _rank(s_yp, s_yp[..., 0], PINV_TOL)[..., None]
     # the remainder u_rest is R_m' Q_m', so raw = y_rest Q_m R_m'^-1; with no null direction
-    # it is the triangle L_Uf,Uf, which the QR returns as it is (Q_m = [I; 0])
-    r_m, y_m = F[..., uf, uf].swapaxes(-1, -2), F[..., yf, uf]
-    if is_null.any():
-        null = vt_yp.swapaxes(-1, -2) * is_null[..., None, :]
-        q_m, r_m = np.linalg.qr(np.concatenate(
-            [F[..., uf, uf], F[..., uf, yp] @ null], axis=-1).swapaxes(-1, -2))
-        y_m = np.concatenate([y_m, F[..., yf, yp] @ null], axis=-1) @ q_m
+    # it is [L_Uf,Uf 0], whose QR returns the triangle L_Uf,Uf' and Q_m = [I; 0] exactly
+    null = vt_yp.swapaxes(-1, -2) * is_null[..., None, :]
+    q_m, r_m = np.linalg.qr(np.concatenate(
+        [F[..., uf, uf], F[..., uf, yp] @ null], axis=-1).swapaxes(-1, -2))
+    y_m = np.concatenate([F[..., yf, uf], F[..., yf, yp] @ null], axis=-1) @ q_m
     s_m = np.linalg.svd(r_m, compute_uv=False)
     _fail_entries(_rank(s_m, s_in[..., 0], RANK_TOL) < p * d, lambda i: (
-        f"insufficient excitation: future inputs lie numerically in the span of "
-        f"past inputs and outputs (smallest singular value of their remainder "
-        f"{s_m[i][-1]:.3e} < {RANK_TOL:g} x {s_in[i][0]:.3e}); the Toeplitz factor "
-        f"is not identifiable"))
+        f"future inputs not identifiable: they lie numerically in the span of past inputs "
+        f"and outputs, so the Toeplitz factor is not determined (smallest singular value "
+        f"of their remainder {s_m[i][-1]:.3e} < {RANK_TOL:g} x {s_in[i][0]:.3e})"))
     raw = np.linalg.solve(r_m, y_m.swapaxes(-1, -2)).swapaxes(-1, -2)
 
     if dm.imc is not None:

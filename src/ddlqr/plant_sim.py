@@ -246,10 +246,8 @@ def generate_signal(spec: SignalSpec, seeds=None) -> np.ndarray:
         signal = np.tile(wave[:, None], (len(batch), 1, spec.channels))
     elif spec.kind == "constant":
         signal = np.full((len(batch), spec.length, spec.channels), spec.amplitude)
-    elif spec.kind == "zero":
+    else:  # "zero", the last of SIGNAL_KINDS, the only kinds SignalSpec admits
         signal = np.zeros((len(batch), spec.length, spec.channels))
-    else:
-        raise ValueError(f"unsupported signal kind {spec.kind!r}")
     return signal if seeds is not None else signal[0]
 
 

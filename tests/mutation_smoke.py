@@ -6,7 +6,7 @@ directory and runs the suite there, first unmutated (it must pass), then once pe
 with that one source edit applied. It prints the tests that catch each mutant. The exit
 status is 1 when the unmutated copy fails, an edit no longer matches the source exactly
 once, or a mutant is caught by no test. Each run takes as long as the suite, so the whole
-smoke takes about eight times that.
+smoke takes about nine times that.
 
 The technique is mutation testing: a check that no plausible fault can break shows
 nothing (Jia & Harman 2011, "An analysis and survey of the development of mutation
@@ -38,6 +38,9 @@ MUTANTS = [
      "_rank(s_yp, np.maximum(s_in[..., 0], s_yp[..., 0]), RANK_TOL)"),
     ("R scaled by 1e-3 in the gain bracket R + M' Gamma M", "lqr.py",
      "bracket = weights.R + MtG @ M", "bracket = 1e-3 * weights.R + MtG @ M"),
+    ("a sinusoid run's window is THD_PERIODS periods of round(period) samples", "experiments.py",
+     "span = np.arange(THD_PERIODS, 1000) * period",
+     "span = np.arange(THD_PERIODS, 1000) * round(period)"),
     ("Monte Carlo alg2 runs the Markov predictor", "experiments.py",
      """obs = (_estimate(dm, algorithm)[1] if algorithm == "alg1"
                    else _stage("observability", estimate_obs_alg2, dm)[0])""",

@@ -228,7 +228,7 @@ class TestDesign:
         )
         assert run("design", str(cfg), "--output-dir", str(tmp_path / "out")) == 1
         err = capsys.readouterr().err
-        assert "markov-estimation: insufficient excitation: future inputs" in err
+        assert "markov-estimation: future inputs not identifiable: they lie" in err
         assert "Traceback" not in err
 
     def test_bogus_noise_mode_exits_2(self, tmp_path, capsys):
@@ -434,7 +434,7 @@ class TestMonteCarlo:
         report = (tmp_path / "montecarlo.txt").read_text().splitlines()
         assert report[:2] == [
             "alg1: runs 4, failures 1",
-            "  failure reason      markov-estimation: insufficient excitation (1 runs)",
+            "  failure reason      markov-estimation: future inputs not identifiable (1 runs)",
         ]
         assert "alg2: runs 5, failures 0" in report
         assert sum("failure reason" in line for line in report) == 1
@@ -674,6 +674,33 @@ class TestEval:
             assert code == 2, frequency
             assert "[reference] frequency * ts" in capsys.readouterr().err
             assert not (tmp_path / "e" / "eval.csv").exists()
+
+    def test_reference_without_a_whole_sample_window_exits_2(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # 377 rad/s at 15 kHz has 249.994 samples a period, and no 10 to 999 whole periods
+        # of it span whole samples: no window reads its fundamental without leakage
+        monkeypatch.setattr(ddlqr.experiments, "_loop_run",
+                            lambda *args, **kwargs: pytest.fail("the loop was run"))
+        write_matrix(tmp_path / "gain.csv", np.zeros((1, 4)))
+        assert run("eval", UPS, "--output-dir", str(tmp_path / "e"),
+                   "--set", f"io.gain={tmp_path}/gain.csv",
+                   "--set", "reference.frequency=377") == 2
+        assert capsys.readouterr().err == (
+            "config error: [reference] frequency * ts = 0.0251333 gives a period of 249.994 "
+            "samples, and no 10 to 999 whole periods of it span a whole number of samples\n")
+        assert not (tmp_path / "e").exists()
+
+    def test_window_is_the_fewest_whole_sample_periods(self, tmp_path, capsys):
+        # 88.5 Hz at 15 kHz has 10000/59 samples a period: 59 periods span 10000 samples
+        write_matrix(tmp_path / "gain.csv", np.zeros((1, 4)))
+        sets = ["--set", f"io.gain={tmp_path}/gain.csv",
+                "--set", f"reference.frequency={2 * np.pi * 88.5!r}"]
+        assert run("eval", UPS, "--output-dir", str(tmp_path / "short"), *sets) == 2
+        assert "config error: [eval] horizon must be >= 10000, got 7500" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "short").exists()
+        assert run("eval", UPS, "--output-dir", str(tmp_path / "full"), *sets,
+                   "--set", "eval.horizon=10000") == 0
 
     # eval tracks exactly when the file has an [imc] section; the plant fixes the signal's
     # channels and every sample time, and the horizon the reference's length
