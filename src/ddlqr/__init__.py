@@ -6,7 +6,7 @@ internal stages stay importable from their modules (``ddlqr.markov`` and the lik
 """
 
 from .imc import ImcRealization, augment_model, integrator_imc, resonant_imc
-from .lqr import LqrDesign, LqrWeights, dare_solve, model_lqr_gain
+from .lqr import LqrWeights, dare_solve, model_lqr_gain
 from .plant_sim import (
     Dataset,
     InputError,
@@ -17,7 +17,6 @@ from .plant_sim import (
     zoh_discretize,
 )
 from .experiments import (
-    ClosedLoopMetrics,
     MonteCarloReport,
     RegulationScenario,
     TrackingScenario,
@@ -31,11 +30,9 @@ from .experiments import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClosedLoopMetrics",
     "Dataset",
     "ImcRealization",
     "InputError",
-    "LqrDesign",
     "LqrWeights",
     "MonteCarloReport",
     "RegulationScenario",

@@ -92,7 +92,7 @@ def _estimate(cfg: RunConfig, model, data, horizons):
     estimating, with q counting the internal-model states."""
     depth = cfg.get("estimation", "depth", required=True)
     weights = cfg.weights()
-    imc = cfg.imc(default_ts=model.sample_time)
+    imc = cfg.imc(model.sample_time)
     q = data.n_outputs * (1 + (imc.order if imc is not None else 0))
     check_synthesis(weights, max(horizons), depth, q, data.n_inputs)
     est = estimate(data, depth, cfg.get("estimation", "width"),
@@ -116,10 +116,10 @@ def cmd_design(cfg: RunConfig, outdir: Path) -> int:
     horizon = cfg.get("lqr", "horizon", required=True)
     est, weights = _estimate(cfg, model, data, [horizon])
     cfg.set_resolved("estimation", "width", est.width)
-    design = synthesize(est, weights, horizon)
-    storage.write_matrix(outdir / "gain.csv", design.K)
-    _write_report(cfg, outdir / "design.txt", [f"gain horizon: {design.horizon}"] + [
-        f"{k}: {v}" for k, v in sorted(design.diagnostics.items())])
+    K, figures = synthesize(est, weights, horizon)
+    storage.write_matrix(outdir / "gain.csv", K)
+    _write_report(cfg, outdir / "design.txt", [f"gain horizon: {horizon}"] + [
+        f"{k}: {v}" for k, v in sorted(figures.items())])
     print(f"wrote gain to {outdir / 'gain.csv'}")
     return 0
 
@@ -182,19 +182,12 @@ def cmd_eval(cfg: RunConfig, outdir: Path) -> int:
         raise ConfigError(f"[io] gain {gain_path} has non-finite entries")
     weights = cfg.weights()
     horizon = cfg.get("eval", "horizon", required=True)
-    imc = cfg.imc(default_ts=model.sample_time)
+    imc = cfg.imc(model.sample_time)
     if imc is None:
         scenario = RegulationScenario(x0=cfg.get("eval", "x0", required=True))
     else:
         scenario = TrackingScenario(imc=imc, reference=cfg.signal(model, section="reference"))
-    metrics = evaluate_closed_loop(model, K, weights, scenario, horizon)
-    rows = [
-        ("cost", metrics.cost),
-        ("spectral_radius", metrics.spectral_radius),
-        ("steady_state_error", metrics.steady_state_error),
-    ]
-    if metrics.thd is not None:
-        rows.append(("thd", metrics.thd))
+    rows = evaluate_closed_loop(model, K, weights, scenario, horizon).items()
     storage.write_text(
         outdir / "eval.csv",
         "metric,value\n" + "\n".join(f"{k},{FLOAT_FMT % v}" for k, v in rows) + "\n",

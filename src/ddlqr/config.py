@@ -187,7 +187,7 @@ class RunConfig:
             return default
         return _typed(section, key, self.values[section][key])
 
-    get_int = get
+    get_int = get  # perfbench/workloads.py alone calls this and imc(default_ts=...)
 
     # -- domain objects -----------------------------------------------------
 

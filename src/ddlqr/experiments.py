@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .imc import ImcRealization, augment_model
-from .lqr import LqrDesign, LqrWeights, dare_solve, dd_lqr_gain, model_lqr_gain
+from .lqr import LqrWeights, dare_solve, dd_lqr_gain, model_lqr_gain
 from .markov import DataMatrices, build_data_matrices, estimate_predictor, hankel_width
 from .observability import ALGORITHMS, estimate_obs_alg1, estimate_obs_alg2, true_observability
 from .plant_sim import (
@@ -103,14 +103,6 @@ class TrackingScenario:
     reference: SignalSpec
 
 
-@dataclass
-class ClosedLoopMetrics:
-    cost: float
-    spectral_radius: float
-    steady_state_error: float
-    thd: Optional[float] = None
-
-
 def _stage(name: str, fn, *args, **kwargs):
     """``fn(*args, **kwargs)``, its errors tagged with stage ``name``; an InputError is
     about an argument, not the stage, and passes as raised."""
@@ -169,13 +161,14 @@ def check_synthesis(weights: LqrWeights, horizon: int, depth: int, q: int, p: in
     check_weights(weights, q, p)
 
 
-def synthesize(est: DataDrivenEstimate, weights: LqrWeights, horizon: int) -> LqrDesign:
-    """Synthesis half of the pipeline: the closed-form gain at ``horizon``.
+def synthesize(est: DataDrivenEstimate, weights: LqrWeights,
+               horizon: int) -> Tuple[np.ndarray, Dict[str, object]]:
+    """Synthesis half of the pipeline: the closed-form gain K at ``horizon`` and its figures.
 
     Uses the first horizon - 1 Markov blocks and shifted observability blocks
     of the estimate, each a view of its matrix, so 2 <= horizon <= its depth
-    (``check_synthesis``), and the gain keeps the estimate's batch axes. The design's
-    diagnostics are the estimate's, the gain's conditioning figures, the ``gain_order``
+    (``check_synthesis``), and the gain keeps the estimate's batch axes. The figures
+    are the estimate's diagnostics, the gain's conditioning figures, the ``gain_order``
     horizon - 1, ``depth`` and ``width``, as Python values: lists over batch axes.
     """
     q, p = (size // est.depth for size in est.toeplitz.shape[-2:])
@@ -188,8 +181,7 @@ def synthesize(est: DataDrivenEstimate, weights: LqrWeights, horizon: int) -> Lq
     O_plus = est.observability[..., q:q * (order + 1), :]
     K, figures = _stage("gain", dd_lqr_gain, M, S, O_plus, weights, order)
     figures.update(gain_order=order, depth=est.depth, width=est.width)
-    return LqrDesign(K=K, horizon=horizon, diagnostics={
-        k: np.asarray(v).tolist() for k, v in {**est.diagnostics, **figures}.items()})
+    return K, {k: np.asarray(v).tolist() for k, v in {**est.diagnostics, **figures}.items()}
 
 
 def convergence_sweep(
@@ -198,9 +190,9 @@ def convergence_sweep(
     weights: LqrWeights,
     horizons: Sequence[int],
 ) -> List[Tuple[int, float]]:
-    """Max-entry gap (over every batch entry) of the gain synthesized from ``est`` at each
-    horizon to the Riccati gain of ``model``, the plant behind the estimate's data, with the
-    estimate's internal model appended by ``augment_model`` if it has one.
+    """Max-entry gap (over every batch entry) of the gain K of ``synthesize(est, weights, N)``
+    at each horizon N to the Riccati gain of ``model``, the plant behind the estimate's data,
+    with the estimate's internal model appended by ``augment_model`` if it has one.
     InputError on A, C or B unless that loop has the estimate's states, outputs and
     inputs: n columns of the observability matrix, and q*depth x p*depth of the
     Toeplitz factor."""
@@ -212,7 +204,7 @@ def convergence_sweep(
         if size != data:
             raise InputError(name, f"has {size} {what}, the estimate's data {data}")
     K_star = model_lqr_gain(loop, dare_solve(loop, weights), weights.R)
-    return [(N, float(np.abs(synthesize(est, weights, N).K - K_star).max())) for N in horizons]
+    return [(N, float(np.abs(synthesize(est, weights, N)[0] - K_star).max())) for N in horizons]
 
 
 def monte_carlo_obs(model: StateSpaceModel, signal: SignalSpec, depth: int, runs: int,
@@ -362,14 +354,18 @@ def evaluate_closed_loop(
     weights: LqrWeights,
     scenario: Union[RegulationScenario, TrackingScenario],
     horizon: int,
-) -> ClosedLoopMetrics:
-    """Close the loop with gain ``K`` and report cost under ``weights``, stability
-    margin and tracking.
+) -> Dict[str, float]:
+    """Close the loop with gain ``K`` and report its figures: ``cost`` under ``weights``,
+    ``spectral_radius`` of the closed loop, ``steady_state_error`` and, for a sinusoid
+    reference only, ``thd``, in that order.
 
-    Regulation runs the plant from the scenario's start state, tracking runs
-    ``augment_model`` from rest driven by G r, G = [0; I_q (x) B_c]. A run with a
-    non-finite state, input or output is unstable: its cost and steady-state error
-    are inf. A sinusoid run whose output has no fundamental reports THD nan.
+    Regulation runs the plant from the scenario's start state; its error is the norm
+    of the last output. Tracking runs ``augment_model`` from rest driven by G r,
+    G = [0; I_q (x) B_c]. A constant reference's error is the largest gap of the last
+    outputs to it; a sinusoid run reads each output's amplitude and THD (``_tone``) and
+    reports the largest relative amplitude error and the largest THD, nan when an
+    output has no fundamental. A run with a non-finite state, input or output is
+    unstable: its cost and steady-state error are inf, and it has no THD.
     Argument errors are InputErrors, raised before the run: a gain ``K`` that is not
     inputs x loop states (tracking adds one internal-model copy per output), weights
     that do not fit the loop's outputs (internal-model states included) and inputs, a
@@ -417,16 +413,19 @@ def evaluate_closed_loop(
     rho = float(np.abs(np.linalg.eigvals(A_cl)).max())
     x, u, y = _loop_run(loop, K, A_cl, x0, *drives, steps=horizon)
     if not (np.isfinite(x).all() and np.isfinite(u).all() and np.isfinite(y).all()):
-        return ClosedLoopMetrics(cost=np.inf, spectral_radius=rho, steady_state_error=np.inf)
-    cost = float(np.einsum("ki,ij,kj->", y, weights.Q, y)
-                 + np.einsum("ki,ij,kj->", u, weights.R, u))
+        return {"cost": np.inf, "spectral_radius": rho, "steady_state_error": np.inf}
+    metrics = {"cost": float(np.einsum("ki,ij,kj->", y, weights.Q, y)
+                             + np.einsum("ki,ij,kj->", u, weights.R, u)), "spectral_radius": rho}
     if not tracking:
-        return ClosedLoopMetrics(cost, rho, float(np.linalg.norm(y[-1])))
-    y = y[:, :q]
-    if periods is None:
-        return ClosedLoopMetrics(cost, rho, float(np.abs(y[-1] - r[-1]).max()))
-    amp, thd = _tone(y[-window:, 0], periods)
-    return ClosedLoopMetrics(cost, rho, float(abs(amp - ref.amplitude) / abs(ref.amplitude)), thd)
+        metrics["steady_state_error"] = float(np.linalg.norm(y[-1]))
+    elif periods is None:
+        metrics["steady_state_error"] = float(np.abs(y[-1, :q] - r[-1]).max())
+    else:
+        amp, thd = np.array([_tone(y[-window:, i], periods) for i in range(q)]).T
+        metrics["steady_state_error"] = float(np.abs(amp - ref.amplitude).max()
+                                              / abs(ref.amplitude))
+        metrics["thd"] = float(thd.max())
+    return metrics
 
 
 def _loop_run(loop: StateSpaceModel, K: np.ndarray, A_cl: np.ndarray, x0, *drives, steps: int):

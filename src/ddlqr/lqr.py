@@ -11,7 +11,7 @@ converges to the stationary Riccati gain as N grows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
@@ -48,15 +48,6 @@ class LqrWeights:
     def __post_init__(self):
         self.Q = _check_weight("Q", self.Q)
         self.R = _check_weight("R", self.R, hint=RIDGE_HINT)
-
-
-@dataclass
-class LqrDesign:
-    """A synthesized state-feedback gain with its conditioning diagnostics."""
-
-    K: np.ndarray
-    horizon: int
-    diagnostics: Dict[str, float] = field(default_factory=dict)
 
 
 def dd_lqr_gain(

@@ -11,10 +11,16 @@ change's, and ``diff`` the two listings.
 
 The commands: ``simulate`` and ``design`` on the regulation demo with alg1, with
 alg2 and with process noise (``noise.variance=1e-4``, ``model.e=[[1,0],[0,1]]``);
-``design`` on the tracking demo; ``sweep`` over horizons 10 to 50 with each
-algorithm; ``eval`` of the alg1 regulation gain from x0 = [1, 0] over 200 steps and
-of the tracking gain; and the bundled ``montecarlo`` study at 500 runs. They take
-a few seconds on 2 CPUs.
+``design`` on the tracking demo, and with an integrator internal model in place of
+its resonance (``imc.kind=integrator``, ``lqr.q=[[200,0],[0,200]]``); ``sweep`` over
+horizons 10 to 50 with each algorithm, and over horizons 50 and 150 on the tracking
+demo, which runs the sweep's internal-model branch (the plant augmented before the
+Riccati gain); ``eval`` of the alg1 regulation gain from x0 = [1, 0] over 200 steps,
+of the tracking gain (a sinusoid run, with a ``thd`` row), of the integrator gain
+under a constant reference (``reference.kind=constant``: the tracking branch with no
+``thd`` row), and of the alg1 gain on an unstable plant (``model.a=[[2,0],[0,2]]``
+over 5000 steps, which reads ``inf`` cost and error and has no ``thd`` row); and the
+bundled ``montecarlo`` study at 500 runs. They take a few seconds on 2 CPUs.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ import tempfile
 from pathlib import Path
 
 SWEEP = ["sweep.horizons=[10,20,30,40,50]"]
+INTEGRATOR = ["imc.kind=integrator", "lqr.q=[[200,0],[0,200]]"]
 # (output directory, command, config, --set overrides); "{out}" is the temporary directory
 COMMANDS = [
     ("simulate", "simulate", "regulation_demo.ini", []),
@@ -37,9 +44,16 @@ COMMANDS = [
     ("design-tracking", "design", "ups_tracking_demo.ini", []),
     ("sweep-alg1", "sweep", "regulation_demo.ini", SWEEP),
     ("sweep-alg2", "sweep", "regulation_demo.ini", SWEEP + ["estimation.algorithm=alg2"]),
+    ("sweep-tracking", "sweep", "ups_tracking_demo.ini", ["sweep.horizons=[50,150]"]),
+    ("design-integrator", "design", "ups_tracking_demo.ini", INTEGRATOR),
     ("eval-regulation", "eval", "regulation_demo.ini",
      ["io.gain={out}/design-alg1/gain.csv", "eval.x0=[1,0]", "eval.horizon=200"]),
     ("eval-tracking", "eval", "ups_tracking_demo.ini", ["io.gain={out}/design-tracking/gain.csv"]),
+    ("eval-integrator", "eval", "ups_tracking_demo.ini",
+     INTEGRATOR + ["reference.kind=constant", "io.gain={out}/design-integrator/gain.csv"]),
+    ("eval-unstable", "eval", "regulation_demo.ini",
+     ["io.gain={out}/design-alg1/gain.csv", "model.a=[[2,0],[0,2]]", "eval.x0=[1,0]",
+      "eval.horizon=5000"]),
     ("montecarlo", "montecarlo", "noisy_estimation_mc.ini", ["montecarlo.runs=500"]),
 ]
 

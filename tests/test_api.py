@@ -14,11 +14,9 @@ import ddlqr
 from ddlqr import lqr, markov, observability
 
 PUBLIC = [
-    "ClosedLoopMetrics",
     "Dataset",
     "ImcRealization",
     "InputError",
-    "LqrDesign",
     "LqrWeights",
     "MonteCarloReport",
     "RegulationScenario",
@@ -67,7 +65,6 @@ FIELDS = [
     ("plant_sim", "StateSpaceModel", ["A", "B", "C", "E", "sample_time"]),
     ("plant_sim", "Dataset", ["u", "y", "x"]),
     ("markov", "DataMatrices", ["factor", "depth", "width", "n_inputs", "n_outputs", "imc"]),
-    ("lqr", "LqrDesign", ["K", "horizon", "diagnostics"]),
     ("experiments", "DataDrivenEstimate", ["toeplitz", "observability", "depth", "width", "imc",
                                            "diagnostics"]),
 ]
@@ -127,9 +124,17 @@ def test_names_the_benchmark_imports_exist():
     cfg = RunConfig.load(str(Path(__file__).parent.parent / "configs" / "ups_tracking_demo.ini"),
                          [])
     model, weights = cfg.model(), cfg.weights()
-    aug = augment_model(model, cfg.imc(default_ts=model.sample_time))
+    aug = augment_model(model, cfg.imc(model.sample_time))
     assert model_lqr_gain(aug, dare_solve(aug, weights), weights.R).shape == (1, 4)
-    assert cfg.get_int("estimation", "depth") == 150
+    assert cfg.get("estimation", "depth") == 150
+
+
+def test_config_spellings_the_benchmark_calls_exist():
+    # perfbench/workloads.py alone still calls RunConfig.get_int and imc(default_ts=...)
+    from ddlqr.config import RunConfig
+
+    assert RunConfig.get_int is RunConfig.get
+    assert list(inspect.signature(RunConfig.imc).parameters) == ["self", "default_ts"]
 
 
 PARTS = ["u_past", "y_past", "z_past", "u_future", "y_future", "x_past"]

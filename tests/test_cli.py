@@ -159,9 +159,9 @@ class TestDesign:
         assert run("design", config, "--output-dir", str(tmp_path), *sets) == 0
         report = (tmp_path / "design.txt").read_text().split("\n\n")[0].splitlines()
         assert [line.split(": ")[0] for line in report[1:]] == DIAGNOSTIC_KEYS
-        assert sorted(designs[0].diagnostics) == DIAGNOSTIC_KEYS
+        assert sorted(designs[0][1]) == DIAGNOSTIC_KEYS
         # plain Python scalars, as a JSON encoder needs them
-        assert {type(v) for v in designs[0].diagnostics.values()} <= {int, float, str}
+        assert {type(v) for v in designs[0][1].values()} <= {int, float, str}
 
     def test_short_record_exits_2(self, tmp_path, capsys, monkeypatch):
         # 2*depth + width - 1 samples and (2p + q) * depth = 306 columns at depth 51

@@ -71,7 +71,7 @@ class TestKinds:
         cfg = load(tmp_path, "lqr.horizon=12", "signal.length=1e3")
         assert cfg.get("lqr", "horizon") == 12 and type(cfg.get("lqr", "horizon")) is int
         assert cfg.get("signal", "length") == 1000 and type(cfg.get("signal", "length")) is int
-        assert cfg.get_int("lqr", "horizon") == 12
+        assert cfg.get("lqr", "horizon") == 12
         for raw in ("12.5", "twelve", "true", "NaN", "Infinity", "1e400"):
             with pytest.raises(ConfigError, match=r"\[lqr\] horizon: expected an integer"):
                 load(tmp_path, f"lqr.horizon={raw}")

@@ -11,6 +11,7 @@ from conftest import (
     prbs_dataset,
     random_stable_system,
     scalar_model,
+    tracking_run,
     two_output_model,
 )
 from oracles import loop_closed_loop, loop_tracking_loop, per_run_monte_carlo
@@ -68,7 +69,7 @@ def sweep_from_estimate(monkeypatch, model, est, weights, horizons):
     rows = convergence_sweep(model, est, weights, horizons)
     monkeypatch.undo()
     K_star = model_lqr_gain(model, dare_solve(model, weights), weights.R)
-    assert rows == [(N, float(np.abs(synthesize(est, weights, N).K - K_star).max()))
+    assert rows == [(N, float(np.abs(synthesize(est, weights, N)[0] - K_star).max()))
                     for N in horizons]
     return rows
 
@@ -76,23 +77,23 @@ def sweep_from_estimate(monkeypatch, model, est, weights, horizons):
 class TestDesignGain:
     def test_long_horizon_reproduction(self):
         est = estimate(prbs_dataset(two_output_model()), 51)
-        design = synthesize(est, reference_weights(), 50)
-        np.testing.assert_allclose(design.K, GAIN_LONG, atol=1e-3)
+        K, _ = synthesize(est, reference_weights(), 50)
+        np.testing.assert_allclose(K, GAIN_LONG, atol=1e-3)
 
     def test_short_horizon_reproduction(self):
         est = estimate(prbs_dataset(two_output_model()), 51)
-        design = synthesize(est, reference_weights(), 10)
-        np.testing.assert_allclose(design.K, GAIN_SHORT, atol=1e-3)
+        K, _ = synthesize(est, reference_weights(), 10)
+        np.testing.assert_allclose(K, GAIN_SHORT, atol=1e-3)
 
     def test_zero_dynamics_zero_gain(self):
         model = StateSpaceModel(A=np.zeros((2, 2)), B=np.eye(2), C=np.eye(2))
         est = estimate(prbs_dataset(model, length=600), 8)
-        design = synthesize(est, LqrWeights(Q=np.eye(2), R=np.eye(2)), 6)
-        np.testing.assert_allclose(design.K, 0.0, atol=1e-8)
+        K, _ = synthesize(est, LqrWeights(Q=np.eye(2), R=np.eye(2)), 6)
+        np.testing.assert_allclose(K, 0.0, atol=1e-8)
 
     def test_algorithms_agree_noise_free(self):
         data = prbs_dataset(two_output_model())
-        k1, k2 = (synthesize(estimate(data, 13, algorithm=alg), reference_weights(), 12).K
+        k1, k2 = (synthesize(estimate(data, 13, algorithm=alg), reference_weights(), 12)[0]
                   for alg in ("alg1", "alg2"))
         np.testing.assert_allclose(k1, k2, atol=1e-6)
 
@@ -134,11 +135,11 @@ class TestDesignGain:
         cfg = RunConfig.load(CONFIGS / f"{name}.ini")
         model = cfg.model()
         data = simulate(model, generate_signal(cfg.signal(model)))
-        depth = cfg.get_int("estimation", "depth")
-        width = cfg.get_int("estimation", "width")
+        depth = cfg.get("estimation", "depth")
+        width = cfg.get("estimation", "width")
         if cfg.has("lqr"):
-            est = estimate(data, depth, width, imc=cfg.imc(default_ts=model.sample_time))
-            diagnostics = synthesize(est, cfg.weights(), cfg.get_int("lqr", "horizon")).diagnostics
+            est = estimate(data, depth, width, imc=cfg.imc(model.sample_time))
+            _, diagnostics = synthesize(est, cfg.weights(), cfg.get("lqr", "horizon"))
             margin = diagnostics["input_rank_margin"]
             # the design reports plain Python numbers, as a JSON encoder needs them
             assert [type(diagnostics[k]) for k in ("input_rank", "regressor_rank",
@@ -154,10 +155,10 @@ class TestDesignGain:
         est = estimate(data, 13)
         other = LqrWeights(Q=np.diag([1.0, 3.0]), R=np.eye(2))
         for weights, horizon in ((reference_weights(), 12), (other, 12), (other, 5)):
-            expect = synthesize(estimate(data, 13), weights, horizon)
-            got = synthesize(est, weights, horizon)
-            assert np.array_equal(got.K, expect.K)
-            assert got.diagnostics == expect.diagnostics
+            K_expect, expect = synthesize(estimate(data, 13), weights, horizon)
+            K_got, got = synthesize(est, weights, horizon)
+            assert np.array_equal(K_got, K_expect)
+            assert got == expect
         with pytest.raises(InputError, match="horizon 14 must be <= depth 13"):
             synthesize(est, other, 14)
         with pytest.raises(ValueError, match="horizon must be >= 2"):
@@ -169,16 +170,17 @@ class TestDesignGain:
         runs = [prbs_dataset(two_output_model(), seed=seed) for seed in (7, 8)]
         batch = Dataset(*(np.stack([getattr(r, k) for r in runs]) for k in "uyx"))
         for algorithm in ALGORITHMS:
-            design = synthesize(estimate(batch, 5, algorithm=algorithm), reference_weights(), 5)
+            K, figures = synthesize(estimate(batch, 5, algorithm=algorithm),
+                                    reference_weights(), 5)
             alone = [synthesize(estimate(r, 5, algorithm=algorithm), reference_weights(), 5)
                      for r in runs]
-            assert design.K.shape == (2, 2, 2)
-            for b, solo in enumerate(alone):
-                assert np.array_equal(design.K[b], solo.K)
+            assert K.shape == (2, 2, 2)
+            for b, (K_solo, _) in enumerate(alone):
+                assert np.array_equal(K[b], K_solo)
             # the stages' figures become lists over the runs; the settings stay scalars
-            assert design.diagnostics == {
-                k: [a.diagnostics[k] for a in alone] if k in BATCHED_FIGURES else v
-                for k, v in alone[0].diagnostics.items()}
+            assert figures == {
+                k: [a[k] for _, a in alone] if k in BATCHED_FIGURES else v
+                for k, v in alone[0][1].items()}
 
     def test_weight_dimension_checked_after_augmentation(self):
         est = estimate(prbs_dataset(two_output_model()), 11, imc=integrator_imc())
@@ -224,7 +226,7 @@ class TestConvergenceSweep:
         if case == "ups-small":
             cfg = RunConfig.load(CONFIGS / "ups_tracking_demo.ini", UPS_SMALL_SETS)
             model, weights = cfg.model(), cfg.weights()
-            imc = cfg.imc(default_ts=model.sample_time)
+            imc = cfg.imc(model.sample_time)
             spec = cfg.signal(model)
             est = estimate(simulate(model, generate_signal(spec)), 30, 400, imc=imc)
             horizons = [10, 30]
@@ -236,7 +238,7 @@ class TestConvergenceSweep:
         aug = augment_model(model, imc)
         K_star = model_lqr_gain(aug, dare_solve(aug, weights), weights.R)
         assert convergence_sweep(model, est, weights, horizons) == [
-            (N, float(np.abs(synthesize(est, weights, N).K - K_star).max())) for N in horizons]
+            (N, float(np.abs(synthesize(est, weights, N)[0] - K_star).max())) for N in horizons]
         # a plant augmented already would be augmented twice
         twice = augment_model(aug, imc).n_states
         with pytest.raises(InputError, match=f"^A has {twice} states, the estimate's "
@@ -608,7 +610,7 @@ class TestHarmonicDistortion:
         with pytest.raises(InputError, match="^horizon must be >= 1000, got 999$") as exc:
             self.track(2 * np.pi / 100, 999)
         assert exc.value.param == "horizon"
-        assert self.track(2 * np.pi / 100, 1000).thd is not None
+        assert "thd" in self.track(2 * np.pi / 100, 1000)
 
     def test_below_two_samples_per_period(self):
         # one sample per period leaves the window no fundamental bin: the frequency rule
@@ -630,13 +632,13 @@ class TestHarmonicDistortion:
         cfg = RunConfig.load(CONFIGS / "ups_tracking_demo.ini", [
             f"model.ts={ts!r}", f"imc.omega_n={frequency!r}", f"reference.frequency={frequency!r}"])
         model, weights = cfg.model(), cfg.weights()
-        imc = cfg.imc(default_ts=model.sample_time)
+        imc = cfg.imc(model.sample_time)
         loop = augment_model(model, imc)
         K = model_lqr_gain(loop, dare_solve(loop, weights), weights.R)
         metrics = evaluate_closed_loop(
             model, K, weights, TrackingScenario(imc, cfg.signal(model, section="reference")),
             cfg.get("eval", "horizon"))
-        assert metrics.thd < 1e-12 and metrics.steady_state_error < 1e-12
+        assert metrics["thd"] < 1e-12 and metrics["steady_state_error"] < 1e-12
 
 
 class TestEvaluateClosedLoop:
@@ -645,10 +647,10 @@ class TestEvaluateClosedLoop:
         weights = reference_weights()
         K = model_lqr_gain(model, dare_solve(model, weights), weights.R)
         metrics = evaluate_closed_loop(model, K, weights, RegulationScenario(x0=[1.0, 1.0]), 500)
-        assert metrics.spectral_radius < 1.0
-        assert metrics.steady_state_error < 1e-10
-        assert metrics.cost == pytest.approx(_cost(loop_closed_loop(model, K, [1.0, 1.0], 500),
-                                                   weights))
+        assert metrics["spectral_radius"] < 1.0
+        assert metrics["steady_state_error"] < 1e-10
+        assert metrics["cost"] == pytest.approx(
+            _cost(loop_closed_loop(model, K, [1.0, 1.0], 500), weights))
 
     def test_wrong_start_state_dimension_raises(self):
         model = two_output_model()
@@ -699,9 +701,9 @@ class TestEvaluateClosedLoop:
         metrics = evaluate_closed_loop(model, K_a, weights,
                                        TrackingScenario(imc=imc, reference=ref), 60)
         expect = loop_tracking_loop(model, imc, K_a, np.full((60, 2), 0.8))
-        assert metrics.cost == pytest.approx(_cost(expect, weights), rel=1e-12)
-        assert metrics.steady_state_error == pytest.approx(np.abs(expect.y[-1, :2] - 0.8).max(),
-                                                           rel=1e-12)
+        assert metrics["cost"] == pytest.approx(_cost(expect, weights), rel=1e-12)
+        assert metrics["steady_state_error"] == pytest.approx(
+            np.abs(expect.y[-1, :2] - 0.8).max(), rel=1e-12)
 
     def test_empty_horizon_raises(self):
         # a run of no samples is an argument error, not an unstable run
@@ -716,17 +718,17 @@ class TestEvaluateClosedLoop:
         weights = LqrWeights(Q=[[1.0]], R=[[1.0]])
         metrics = evaluate_closed_loop(model, np.zeros((1, 1)), weights,
                                        RegulationScenario(x0=[1.0]), 4000)
-        assert metrics.spectral_radius >= 1.0
-        assert metrics.cost == np.inf and metrics.steady_state_error == np.inf
+        assert metrics["spectral_radius"] >= 1.0
+        assert metrics["cost"] == np.inf and metrics["steady_state_error"] == np.inf
         # one sample: x = y = 1e100 and |y| are finite, but u = -1e300 x overflows
         metrics = evaluate_closed_loop(model, [[1e300]], weights, RegulationScenario(x0=[1e100]), 1)
-        assert metrics.cost == np.inf and metrics.steady_state_error == np.inf
+        assert metrics["cost"] == np.inf and metrics["steady_state_error"] == np.inf
         # tracking: u = x_c drives the unstable plant away from rest
         ref = SignalSpec(kind="constant", length=1, amplitude=1.0)
         metrics = evaluate_closed_loop(model, [[0.0, -1.0]], LqrWeights(Q=np.eye(2), R=[[1.0]]),
                                        TrackingScenario(imc=integrator_imc(), reference=ref), 4000)
-        assert metrics.spectral_radius >= 1.0
-        assert metrics.cost == np.inf and metrics.steady_state_error == np.inf
+        assert metrics["spectral_radius"] >= 1.0
+        assert metrics["cost"] == np.inf and metrics["steady_state_error"] == np.inf
 
     def test_tracking_metrics_fields(self):
         model = two_output_model()
@@ -737,9 +739,9 @@ class TestEvaluateClosedLoop:
         ref = SignalSpec(kind="constant", length=1, amplitude=1.0)
         metrics = evaluate_closed_loop(model, K_a, weights,
                                        TrackingScenario(imc=imc, reference=ref), 400)
-        assert metrics.spectral_radius < 1.0
-        assert metrics.steady_state_error < 1e-6
-        assert metrics.thd is None
+        assert metrics["spectral_radius"] < 1.0
+        assert metrics["steady_state_error"] < 1e-6
+        assert "thd" not in metrics
 
     def test_sinusoid_tracking_needs_thd_window(self):
         # 20 samples per reference period, so the amplitude and THD read the last 200
@@ -753,19 +755,44 @@ class TestEvaluateClosedLoop:
         with pytest.raises(InputError, match="horizon must be >= 200, got 199"):
             evaluate_closed_loop(model, K_a, weights, scenario, 199)
         metrics = evaluate_closed_loop(model, K_a, weights, scenario, 200)
-        assert metrics.spectral_radius < 1.0
-        assert np.isfinite(metrics.cost) and np.isfinite(metrics.thd)
+        assert metrics["spectral_radius"] < 1.0
+        assert np.isfinite(metrics["cost"]) and np.isfinite(metrics["thd"])
+        # every output is read, and the worst one reported: output 1's amplitude error
+        # (0.048) is over four times output 0's (0.010)
+        r = np.tile(generate_signal(SignalSpec(kind="sinusoid", length=200, amplitude=1.0,
+                                               frequency=2 * np.pi / 20)), (1, 2))
+        _, _, y = tracking_run(model, imc, K_a, r)
+        amp, thd = zip(*(ddlqr.experiments._tone(y[:, i], 10) for i in range(2)))
+        error = np.abs(np.array(amp) - 1.0)
+        assert error[1] > 4 * error[0]
+        assert metrics["steady_state_error"] == error.max()
+        assert metrics["thd"] == max(thd)
+
+    def test_metric_names_in_order(self):
+        # eval.csv writes these rows as they come; only a finite sinusoid run has a thd
+        names = ["cost", "spectral_radius", "steady_state_error"]
+        sine = SignalSpec(kind="sinusoid", length=1, amplitude=1.0, frequency=2 * np.pi / 100)
+        constant = SignalSpec(kind="constant", length=1, amplitude=1.0)
+        # the last run is unstable: u = x_c drives the plant away from rest
+        for a, K, scenario, expect in (
+                (0.5, [[0.0]], RegulationScenario(x0=[1.0]), names),
+                (0.5, [[0.0, 0.0]], TrackingScenario(integrator_imc(), constant), names),
+                (0.5, [[0.0, 0.0]], TrackingScenario(integrator_imc(), sine), names + ["thd"]),
+                (1.2, [[0.0, -1.0]], TrackingScenario(integrator_imc(), sine), names)):
+            model = StateSpaceModel(A=[[a]], B=[[1.0]], C=[[1.0]])
+            weights = LqrWeights(Q=np.eye(len(K[0])), R=[[1.0]])  # output, plus x_c if tracking
+            assert list(evaluate_closed_loop(model, K, weights, scenario, 4000)) == expect
 
     def test_local_optimality_sampling(self):
         model = two_output_model()
         weights = reference_weights()
         K_star = model_lqr_gain(model, dare_solve(model, weights), weights.R)
         scenario = RegulationScenario(x0=[1.0, 1.0])
-        J_star = evaluate_closed_loop(model, K_star, weights, scenario, 1000).cost
+        J_star = evaluate_closed_loop(model, K_star, weights, scenario, 1000)["cost"]
         rng = np.random.default_rng(99)
         for _ in range(20):
             delta = rng.normal(size=(2, 2))
             delta *= 0.05 / np.linalg.norm(delta)
             K_pert = K_star @ (np.eye(2) + delta)
-            J_pert = evaluate_closed_loop(model, K_pert, weights, scenario, 1000).cost
+            J_pert = evaluate_closed_loop(model, K_pert, weights, scenario, 1000)["cost"]
             assert J_star <= J_pert + 1e-12

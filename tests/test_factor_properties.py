@@ -191,14 +191,14 @@ def _check_batch_design(runs, depth: int, width: int, algorithm: str, imc, weigh
         return
     batch = Dataset(*(np.stack([getattr(data, k) for data, _, _ in solo]) for k in "uyx"))
     est = estimate(batch, depth, width, algorithm, imc)
-    design = synthesize(est, weights, depth)
-    for b, (_, alone, alone_design) in enumerate(solo):
+    K, figures = synthesize(est, weights, depth)
+    for b, (_, alone, (K_alone, alone_figures)) in enumerate(solo):
         assert np.array_equal(est.toeplitz[b], alone.toeplitz)
         assert np.array_equal(est.observability[b], alone.observability)
-        assert np.array_equal(design.K[b], alone_design.K)
-        for name, value in design.diagnostics.items():
+        assert np.array_equal(K[b], K_alone)
+        for name, value in figures.items():
             assert (value[b] if isinstance(value, list) else value) == \
-                alone_design.diagnostics[name], name
+                alone_figures[name], name
 
 
 @settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])

@@ -134,8 +134,8 @@ def test_blockwise_gain_matches_textbook(n, p, q, N, seed):
 def test_blockwise_gain_on_tracking_demo():
     cfg = RunConfig.load(str(CONFIGS / "ups_tracking_demo.ini"), [])
     model = cfg.model()
-    aug = augment_model(model, cfg.imc(default_ts=model.sample_time))
-    weights, N = cfg.weights(), cfg.get_int("lqr", "horizon") - 1
+    aug = augment_model(model, cfg.imc(model.sample_time))
+    weights, N = cfg.weights(), cfg.get("lqr", "horizon") - 1
     inputs = exact_gain_inputs(aug, N)
     K, diagnostics = dd_lqr_gain(*inputs, weights, N)
     assert 1e5 < diagnostics["cond_inner"] < 1e6
@@ -164,7 +164,7 @@ def test_demo_gains_are_riccati_iterates(algorithm):
     est = estimate(prbs_dataset(model), 51, algorithm=algorithm)
     for horizon in range(2, 21):
         iterate = riccati_iterate(model, weights, horizon - 1)
-        K = synthesize(est, weights, horizon).K
+        K = synthesize(est, weights, horizon)[0]
         assert _rel(K, model_lqr_gain(model, iterate, weights.R)) < DEMO_ITERATE_RTOL, horizon
 
 
@@ -178,5 +178,5 @@ def test_unstable_record_gains_are_riccati_iterates(algorithm):
     est = estimate(prbs_dataset(model, length=800), 51, algorithm=algorithm)
     for horizon in (10, 30, 50):
         iterate = riccati_iterate(model, weights, horizon - 1)
-        K = synthesize(est, weights, horizon).K
+        K = synthesize(est, weights, horizon)[0]
         assert _rel(K, model_lqr_gain(model, iterate, weights.R)) < UNSTABLE_ITERATE_RTOL, horizon

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import two_output_model
+from conftest import prbs_dataset, two_output_model
 from ddlqr import (
     Dataset,
     InputError,
@@ -100,8 +100,8 @@ def test_state_coordinate_change(problem):
         assert np.array_equal(est_moved.toeplitz, est.toeplitz), algorithm
         O, O_moved = est.observability, est_moved.observability
         assert _rel(O_moved, O @ T_inv) < RTOL, algorithm
-        K = synthesize(est, weights, depth).K
-        K_moved = synthesize(est_moved, weights, depth).K
+        K = synthesize(est, weights, depth)[0]
+        K_moved = synthesize(est_moved, weights, depth)[0]
         assert _rel(K_moved, K @ T_inv) < RTOL, algorithm
 
 
@@ -125,8 +125,8 @@ def test_output_and_input_scaling(problem):
     if _biased(data, depth) and _biased(moved, depth):
         return
     for algorithm in ALGORITHMS:
-        K = synthesize(estimate(data, depth, algorithm=algorithm), weights, depth).K
-        K_moved = synthesize(estimate(moved, depth, algorithm=algorithm), weights_moved, depth).K
+        K = synthesize(estimate(data, depth, algorithm=algorithm), weights, depth)[0]
+        K_moved = synthesize(estimate(moved, depth, algorithm=algorithm), weights_moved, depth)[0]
         assert _rel(K_moved, E @ K) < RTOL, algorithm
 
 
@@ -163,9 +163,24 @@ def test_unit_scaling(problem):
         est, est_moved = (estimate(d, depth, algorithm=algorithm) for d in (data, moved))
         for name in ("input_rank", "regressor_rank"):
             assert est_moved.diagnostics[name] == est.diagnostics[name], (algorithm, name)
-        K = synthesize(est, weights, depth).K
-        K_moved = synthesize(est_moved, weights_moved, depth).K
+        K = synthesize(est, weights, depth)[0]
+        K_moved = synthesize(est_moved, weights_moved, depth)[0]
         assert _rel(back * K_moved, K) < RTOL, algorithm
+
+
+def test_one_input_in_other_units():
+    # input 2 in units 1e-6 of its own, u' = D u with D = diag(1, 1e-6), and the weight moved
+    # to R' = D^-1 R D^-1: the same design, K' = D K. The input stack's smallest singular
+    # value then sits near 1e-6 of its largest, inside RANK_TOL's cut-off by a factor of 64
+    D, D_inv = np.diag([1.0, 1e-6]), np.diag([1.0, 1e6])
+    data = prbs_dataset(two_output_model(), length=300, seed=7)
+    moved = Dataset(u=data.u @ D, y=data.y, x=data.x)
+    Q, R = 20.0 * np.eye(2), 0.2 * np.eye(2)
+    weights, weights_moved = LqrWeights(Q=Q, R=R), LqrWeights(Q=Q, R=D_inv @ R @ D_inv)
+    for algorithm in ALGORITHMS:
+        K = synthesize(estimate(data, 10, algorithm=algorithm), weights, 10)[0]
+        K_moved = synthesize(estimate(moved, 10, algorithm=algorithm), weights_moved, 10)[0]
+        assert _rel(D_inv @ K_moved, K) < 1e-12, algorithm
 
 
 @settings(max_examples=30, suppress_health_check=[HealthCheck.too_slow])

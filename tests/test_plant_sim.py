@@ -388,22 +388,22 @@ class TestCost:
         weights = LqrWeights(Q=[[1.0]], R=[[1.0]])
         metrics = evaluate_closed_loop(scalar_model(), [[0.5]], weights,
                                        RegulationScenario(x0=[0.0]), 5)
-        assert metrics.cost == 0.0
+        assert metrics["cost"] == 0.0
 
     def test_single_step(self):
         # one sample: y = x0 = 1 and u = -K x0 = 1
         weights = LqrWeights(Q=[[20.0]], R=[[0.2]])
         metrics = evaluate_closed_loop(scalar_model(), [[-1.0]], weights,
                                        RegulationScenario(x0=[1.0]), 1)
-        assert metrics.cost == pytest.approx(20.2)
+        assert metrics["cost"] == pytest.approx(20.2)
 
     def test_optimal_gain_beats_scaled_gain(self):
         model = two_output_model()
         weights = LqrWeights(Q=20 * np.eye(2), R=0.2 * np.eye(2))
         K = model_lqr_gain(model, dare_solve(model, weights), weights.R)
         scenario = RegulationScenario(x0=[1.0, 1.0])
-        J_opt = evaluate_closed_loop(model, K, weights, scenario, 500).cost
-        J_scaled = evaluate_closed_loop(model, 1.1 * K, weights, scenario, 500).cost
+        J_opt = evaluate_closed_loop(model, K, weights, scenario, 500)["cost"]
+        J_scaled = evaluate_closed_loop(model, 1.1 * K, weights, scenario, 500)["cost"]
         assert J_opt <= J_scaled
 
     def test_dimension_checks(self):
