@@ -17,7 +17,6 @@ from .plant_sim import (
     zoh_discretize,
 )
 from .experiments import (
-    MonteCarloReport,
     RegulationScenario,
     TrackingScenario,
     convergence_sweep,
@@ -34,7 +33,6 @@ __all__ = [
     "ImcRealization",
     "InputError",
     "LqrWeights",
-    "MonteCarloReport",
     "RegulationScenario",
     "SignalSpec",
     "StateSpaceModel",

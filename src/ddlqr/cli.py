@@ -45,9 +45,9 @@ INPUT_KEYS = {"Q": "[lqr] q", "R": "[lqr] r", "A": "[model] a", "B": "[model] b"
                           "eval": "[eval] horizon"}}
 
 
-def _output_dir(args, cfg: RunConfig) -> Path:
-    """The output directory; the first file written into it creates it."""
-    return Path(args.output_dir or cfg.get("io", "output_dir", os.environ.get(OUTPUT_DIR_ENV, ".")))
+def _output_dir(args) -> Path:
+    """``--output-dir``, else ``$DDLQR_OUTPUT_DIR``, else ``.``; the first write creates it."""
+    return Path(args.output_dir or os.environ.get(OUTPUT_DIR_ENV, "."))
 
 
 def _write_report(cfg: RunConfig, path: Path, lines) -> None:
@@ -151,23 +151,22 @@ def cmd_montecarlo(cfg: RunConfig, outdir: Path) -> int:
         width=cfg.get("estimation", "width"), **options,
     )
     eig_lines = ["algorithm,quantity," + ",".join(
-        f"value{i + 1}" for i in range(len(reports[0].covariance_eigenvalues)))]
+        f"value{i + 1}" for i in range(len(reports[0].covariance)))]
     summary = []
     for rep in reports:
         for name in ("mean", "covariance", "mse", "second_moment"):
             storage.write_matrix(outdir / f"mc_{rep.algorithm}_{name}.csv", getattr(rep, name))
-        for name in ("covariance", "mse", "second_moment"):
-            eig_lines.append(f"{rep.algorithm},{name}," + ",".join(
-                FLOAT_FMT % v for v in getattr(rep, f"{name}_eigenvalues")))
-        summary.append(f"{rep.algorithm}: runs {rep.runs}, failures {rep.failures}")
+        spectra = {name: np.linalg.eigvalsh(getattr(rep, name))
+                   for name in ("covariance", "mse", "second_moment")}
+        eig_lines += [f"{rep.algorithm},{name}," + ",".join(FLOAT_FMT % v for v in eig)
+                      for name, eig in spectra.items()]
+        summary.append(f"{rep.algorithm}: runs {rep.runs}, "
+                       f"failures {sum(rep.failure_reasons.values())}")
         summary += [f"  failure reason      {reason} ({count} runs)"
                     for reason, count in rep.failure_reasons.items()]
-        summary += [
-            f"  mean                {np.array2string(rep.mean.ravel(), precision=6)}",
-            f"  cov eigenvalues     {np.array2string(rep.covariance_eigenvalues, precision=6)}",
-            f"  mse eigenvalues     {np.array2string(rep.mse_eigenvalues, precision=6)}",
-            f"  2nd-moment eigvals  {np.array2string(rep.second_moment_eigenvalues, precision=6)}",
-        ]
+        summary += [f"  {label:<20}{np.array2string(value, precision=6)}" for label, value in (
+            ("mean", rep.mean.ravel()), ("cov eigenvalues", spectra["covariance"]),
+            ("mse eigenvalues", spectra["mse"]), ("2nd-moment eigvals", spectra["second_moment"]))]
     storage.write_text(outdir / "mc_eigenvalues.csv", "\n".join(eig_lines) + "\n")
     _write_report(cfg, outdir / "montecarlo.txt", summary)
     print(f"wrote Monte Carlo reports to {outdir}")
@@ -228,7 +227,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = RunConfig.load(args.config, args.set)
-        outdir = _output_dir(args, cfg)
+        outdir = _output_dir(args)
         return COMMANDS[args.command](cfg, outdir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

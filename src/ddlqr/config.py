@@ -6,8 +6,9 @@ representation is written back as the resolved-config echo, so a run can be
 reproduced from its own echo.
 
 ``KEYS`` lists every key that some command reads, with its kind and bound.
-Loading refuses any other key and any value that is not of its key's kind
-or is out of its bound, so the echo holds only keys that took effect.
+Loading refuses any other key and any value that is not of its key's kind or
+out of its bound, so the echo holds only known keys of valid kind and bound;
+one may still go unread, as ``[imc] omega_n`` under ``kind = integrator``.
 """
 
 from __future__ import annotations
@@ -69,7 +70,8 @@ KEYS: Dict[str, Dict[str, Key]] = {
             "ts": Key(removed="the internal model runs at the sample time [model] ts")},
     "eval": {"horizon": Key("int", ">= 1"), "x0": _MATRIX,
              "scenario": Key(removed="eval tracks when there is an [imc] section, else regulates")},
-    "io": {"output_dir": _STR, "dataset": _STR, "gain": _STR},
+    "io": {"dataset": _STR, "gain": _STR,
+           "output_dir": Key(removed="the output directory is --output-dir or $DDLQR_OUTPUT_DIR")},
 }
 
 

@@ -67,25 +67,22 @@ class DataDrivenEstimate:
 class MonteCarloReport:
     """Empirical statistics of one observability estimator across runs.
 
-    ``mse`` is the error moment about the true matrix (covariance plus
-    bias bias'); ``second_moment`` is the moment about the origin
-    (covariance plus mean mean'), the raw-magnitude metric used when
-    comparing the reported estimator figures. Eigenvalues are ascending.
-    ``failure_reasons`` counts failed runs by stage and leading error clause.
+    ``runs`` counts the successful runs that the moments average and ``failure_reasons``
+    the failed ones by stage and leading error clause; their sum is the failure count.
+    ``mse`` is the error moment about the ``truth`` (covariance plus bias bias');
+    ``second_moment`` is the moment about the origin (covariance plus mean mean'), the
+    raw-magnitude metric used when comparing the reported estimator figures. Spectra are
+    not stored: ``np.linalg.eigvalsh`` of a moment gives its eigenvalues, ascending.
     """
 
     algorithm: str
     runs: int
-    failures: int
     failure_reasons: Dict[str, int]
     truth: np.ndarray
     mean: np.ndarray
     covariance: np.ndarray
-    covariance_eigenvalues: np.ndarray
     mse: np.ndarray
-    mse_eigenvalues: np.ndarray
     second_moment: np.ndarray
-    second_moment_eigenvalues: np.ndarray
 
 
 @dataclass
@@ -168,19 +165,17 @@ def synthesize(est: DataDrivenEstimate, weights: LqrWeights,
     Uses the first horizon - 1 Markov blocks and shifted observability blocks
     of the estimate, each a view of its matrix, so 2 <= horizon <= its depth
     (``check_synthesis``), and the gain keeps the estimate's batch axes. The figures
-    are the estimate's diagnostics, the gain's conditioning figures, the ``gain_order``
-    horizon - 1, ``depth`` and ``width``, as Python values: lists over batch axes.
+    are the estimate's diagnostics and the gain's ``cond_inner`` and ``cond_bracket``
+    (no horizon, depth or width), as Python values: lists over batch axes.
     """
     q, p = (size // est.depth for size in est.toeplitz.shape[-2:])
     check_synthesis(weights, horizon, est.depth, q, p)
-    order = horizon - 1
     # the Toeplitz factor's first block column is [0; Markov blocks 1..depth-1],
-    # and O+ = [CA; ..; CA^order] starts one block row into the observability matrix
-    M = est.toeplitz[..., q:q * (order + 1), :p]
-    S = est.toeplitz[..., :q * order, :p * order]
-    O_plus = est.observability[..., q:q * (order + 1), :]
-    K, figures = _stage("gain", dd_lqr_gain, M, S, O_plus, weights, order)
-    figures.update(gain_order=order, depth=est.depth, width=est.width)
+    # and O+ = [CA; ..; CA^(horizon-1)] starts one block row into the observability matrix
+    M = est.toeplitz[..., q:q * horizon, :p]
+    S = est.toeplitz[..., :q * (horizon - 1), :p * (horizon - 1)]
+    O_plus = est.observability[..., q:q * horizon, :]
+    K, figures = _stage("gain", dd_lqr_gain, M, S, O_plus, weights)
     return K, {k: np.asarray(v).tolist() for k, v in {**est.diagnostics, **figures}.items()}
 
 
@@ -211,7 +206,8 @@ def monte_carlo_obs(model: StateSpaceModel, signal: SignalSpec, depth: int, runs
                     noise_variance: float, base_seed: int = 0, width: Optional[int] = None,
                     noise_mode: str = "measurement",
                     fixed_input: bool = False) -> Tuple[MonteCarloReport, MonteCarloReport]:
-    """Monte Carlo statistics of both observability estimators under noise.
+    """Monte Carlo statistics of both observability estimators under noise, measurement
+    noise unless ``noise_mode`` says "process": one ``MonteCarloReport`` per algorithm.
 
     Each run redraws the excitation signal and the state-noise sequence from
     a run-indexed seed (``fixed_input`` keeps one excitation realization
@@ -227,8 +223,8 @@ def monte_carlo_obs(model: StateSpaceModel, signal: SignalSpec, depth: int, runs
     and 128 runs of the bundled study, which reads 425 samples). Only the factors are kept,
     and the estimators run once per pass of width // (factor columns) chunks, at most one
     chunk's stack in size (1024 runs). The rules of this function's own arguments come
-    before any run, and ``simulate``'s with the first chunk; failed runs are counted and
-    excluded.
+    before any run, and ``simulate``'s with the first chunk; failed runs are excluded and
+    counted by reason in each report's ``failure_reasons``.
     """
     if runs < 2:  # the covariance statistics need 2 runs
         raise InputError("runs", f"must be >= 2, got {runs}")
@@ -318,16 +314,12 @@ def _reduce_report(algorithm: str, estimates, reasons: Counter,
     return MonteCarloReport(
         algorithm=algorithm,
         runs=runs,
-        failures=sum(reasons.values()),
         failure_reasons=dict(reasons.most_common()),
         truth=truth,
         mean=mean,
         covariance=covariance,
-        covariance_eigenvalues=np.linalg.eigvalsh(covariance),
         mse=mse,
-        mse_eigenvalues=np.linalg.eigvalsh(mse),
         second_moment=second,
-        second_moment_eigenvalues=np.linalg.eigvalsh(second),
     )
 
 

@@ -55,14 +55,13 @@ def dd_lqr_gain(
     S: np.ndarray,
     O_plus: np.ndarray,
     weights: LqrWeights,
-    horizon: int,
 ) -> Tuple[np.ndarray, Dict[str, float]]:
     """Closed-form LQR gain from Markov parameters and shifted observability, with its
     conditioning diagnostics.
 
-    With N = ``horizon``, M stacks the first N Markov-parameter blocks
-    (q*N x p), S is their strictly-lower block-Toeplitz matrix (q*N x p*N),
-    and O_plus stacks CA .. CA^N (q*N x n). The gain is
+    M stacks the first N Markov-parameter blocks (q*N x p), S is their strictly-lower
+    block-Toeplitz matrix (q*N x p*N), and O_plus stacks CA .. CA^N (q*N x n); N is read
+    from M's rows, one less than ``experiments.synthesize``'s horizon. The gain is
 
         K = [R + M' Gamma M]^-1 M' Gamma O_plus,
         Gamma = (Q_N^-1 + S R_N^-1 S')^-1,
@@ -76,8 +75,8 @@ def dd_lqr_gain(
     to the gain and the figures. Unchecked: ``experiments.synthesize`` slices the arrays
     to these shapes, N >= 1.
     """
-    N = horizon
     q, p = weights.Q.shape[0], weights.R.shape[0]
+    N = M.shape[-2] // q
     QS = (weights.Q @ S.reshape(S.shape[:-2] + (N, q, p * N))).reshape(S.shape)  # Q_N S
     QM = (weights.Q @ M.reshape(M.shape[:-2] + (N, q, p))).reshape(M.shape)  # Q_N M
     SQ = QS.swapaxes(-1, -2)

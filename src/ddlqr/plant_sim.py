@@ -64,8 +64,8 @@ def _check_finite(name: str, arr: np.ndarray) -> np.ndarray:
 class StateSpaceModel:
     """Discrete-time model x(k+1) = A x + B u + E v, y(k) = C x.
 
-    E is an optional state-noise channel; omitting it means the state noise
-    is absent. ``sample_time`` is metadata only.
+    E is an optional state-noise channel: leaving it unset, never an empty E, means no
+    state noise. B and E need a column and C a row. ``sample_time`` is metadata only.
     """
 
     A: np.ndarray
@@ -84,6 +84,8 @@ class StateSpaceModel:
             raise ValueError(f"A must be square, got {self.A.shape}")
         for name, axis in (("B", 0), ("C", 1), ("E", 0)):
             m = getattr(self, name)
+            if m is not None and not m.shape[1 - axis]:
+                raise ValueError(f"{name} has no {('rows', 'columns')[1 - axis]}")
             if m is not None and m.shape[axis] != n:
                 raise ValueError(f"{name} has {m.shape[axis]} {('rows', 'columns')[axis]}, "
                                  f"expected {n} to match A")

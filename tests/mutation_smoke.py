@@ -6,7 +6,7 @@ directory and runs the suite there, first unmutated (it must pass), then once pe
 with that one source edit applied. It prints the tests that catch each mutant. The exit
 status is 1 when the unmutated copy fails, an edit no longer matches the source exactly
 once, or a mutant is caught by no test. Each run takes as long as the suite, so the whole
-smoke takes about ten times that.
+smoke takes about eleven times that.
 
 The technique is mutation testing: a check that no plausible fault can break shows
 nothing (Jia & Harman 2011, "An analysis and survey of the development of mutation
@@ -47,6 +47,10 @@ MUTANTS = [
      """obs = (_estimate(dm, algorithm)[1] if algorithm == "alg1"
                    else _stage("observability", estimate_obs_alg2, dm)[0])""",
      "obs = _estimate(dm, algorithm)[1]"),
+    ("a model matrix with no columns (B, E) or no rows (C) passes", "plant_sim.py",
+     """            if m is not None and not m.shape[1 - axis]:
+                raise ValueError(f"{name} has no {('rows', 'columns')[1 - axis]}")
+""", ""),
 ]
 
 

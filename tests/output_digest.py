@@ -20,7 +20,10 @@ of the tracking gain (a sinusoid run, with a ``thd`` row), of the integrator gai
 under a constant reference (``reference.kind=constant``: the tracking branch with no
 ``thd`` row), and of the alg1 gain on an unstable plant (``model.a=[[2,0],[0,2]]``
 over 5000 steps, which reads ``inf`` cost and error and has no ``thd`` row); and the
-bundled ``montecarlo`` study at 500 runs. They take a few seconds on 2 CPUs.
+bundled ``montecarlo`` study at 500 runs, once as bundled and once with one excitation
+record for every run under process noise (``montecarlo.fixed_input=true``,
+``montecarlo.noise_mode=process``), so the report writer runs both noise modes and the
+fixed-input branch. They take a few seconds on 2 CPUs.
 """
 
 from __future__ import annotations
@@ -55,6 +58,8 @@ COMMANDS = [
      ["io.gain={out}/design-alg1/gain.csv", "model.a=[[2,0],[0,2]]", "eval.x0=[1,0]",
       "eval.horizon=5000"]),
     ("montecarlo", "montecarlo", "noisy_estimation_mc.ini", ["montecarlo.runs=500"]),
+    ("montecarlo-fixed-process", "montecarlo", "noisy_estimation_mc.ini",
+     ["montecarlo.runs=500", "montecarlo.fixed_input=true", "montecarlo.noise_mode=process"]),
 ]
 
 

@@ -18,7 +18,6 @@ PUBLIC = [
     "ImcRealization",
     "InputError",
     "LqrWeights",
-    "MonteCarloReport",
     "RegulationScenario",
     "SignalSpec",
     "StateSpaceModel",
@@ -97,7 +96,7 @@ def test_stages_return_an_array_and_its_figures():
         "estimate_obs_alg1": (observability.estimate_obs_alg1(dm, toeplitz), ["obs_residual"]),
         "estimate_obs_alg2": (alg2, ["obs_residual"]),
         "dd_lqr_gain": (lqr.dd_lqr_gain(toeplitz[2:12, :2], toeplitz[:10, :10], obs[2:12],
-                                        weights, 5), ["cond_bracket", "cond_inner"]),
+                                        weights), ["cond_bracket", "cond_inner"]),
     }
     for name, (pair, figures) in pairs.items():
         assert type(pair) is tuple and len(pair) == 2, name

@@ -46,8 +46,8 @@ THREE_STATES = ["model.a=[[0.5,0.1,0],[0,0.4,0.2],[0.1,0,0.3]]", "model.b=[[1],[
 REGULATION_EVAL = ["eval.x0=[1,1]", "eval.horizon=100"]
 
 # the diagnostics that design.txt reports, in its sorted order
-DIAGNOSTIC_KEYS = ["algorithm", "cond_bracket", "cond_inner", "depth", "gain_order", "input_rank",
-                   "input_rank_margin", "obs_residual", "regressor_rank", "width"]
+DIAGNOSTIC_KEYS = ["algorithm", "cond_bracket", "cond_inner", "input_rank", "input_rank_margin",
+                   "obs_residual", "regressor_rank"]
 
 # the Monte Carlo study on the same three-state plant at depth 2
 THREE_STATES_MC = THREE_STATES[:3] + ["model.e=[[1],[0],[0]]", "estimation.depth=2",
@@ -707,7 +707,7 @@ class TestEval:
     @pytest.mark.parametrize("override", [
         "eval.scenario=tracking", "signal.channels=1", "signal.ts=6.666666666666667e-05",
         "reference.ts=6.666666666666667e-05", "imc.ts=6.666666666666667e-05",
-        "reference.length=7500"])
+        "reference.length=7500", "io.output_dir=out"])
     def test_removed_key_exits_2(self, tmp_path, capsys, override):
         assert run("eval", UPS, "--output-dir", str(tmp_path / "e"), "--set", override) == 2
         section, key = override.split("=")[0].split(".")
@@ -736,6 +736,20 @@ def test_input_errors_leave_no_output_dir(tmp_path, capsys, kind):
         argv += ["--set", item.format(tmp=tmp_path)]
     assert run(*argv) == 2
     assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not (tmp_path / "out").exists()
+
+
+# an empty E is no noise channel, so a noisy run would come out noise-free; an empty B is
+# the model's fault, not the signal's
+@pytest.mark.parametrize("command, sets, message", [
+    ("montecarlo", ["montecarlo.runs=20", "model.e=[]"], "E has no columns"),
+    ("simulate", ["model.e=[]", "noise.variance=0.5"], "E has no columns"),
+    ("montecarlo", ["montecarlo.runs=20", "model.b=[]"], "B has no columns"),
+], ids=["montecarlo-e", "simulate-e", "montecarlo-b"])
+def test_empty_model_matrix_exits_2(tmp_path, capsys, command, sets, message):
+    argv = [command, MC, "--output-dir", str(tmp_path / "out")]
+    assert run(*argv, *(arg for item in sets for arg in ("--set", item))) == 2
+    assert capsys.readouterr().err == f"config error: [model]: {message}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -51,27 +51,27 @@ class TestClosedFormGain:
     def test_reference_plant_short_horizon(self):
         model = two_output_model()
         weights = LqrWeights(Q=20 * np.eye(2), R=0.2 * np.eye(2))
-        K, _ = dd_lqr_gain(*exact_gain_inputs(model, 9), weights, 9)
+        K, _ = dd_lqr_gain(*exact_gain_inputs(model, 9), weights)
         np.testing.assert_allclose(K, GAIN_SHORT, atol=1e-4)
 
     def test_reference_plant_long_horizon(self):
         model = two_output_model()
         weights = LqrWeights(Q=20 * np.eye(2), R=0.2 * np.eye(2))
-        K, diagnostics = dd_lqr_gain(*exact_gain_inputs(model, 50), weights, 50)
+        K, diagnostics = dd_lqr_gain(*exact_gain_inputs(model, 50), weights)
         np.testing.assert_allclose(K, GAIN_LONG, atol=1e-4)
         assert diagnostics["cond_bracket"] > 0
 
     def test_zero_dynamics_zero_gain(self):
         model = StateSpaceModel(A=np.zeros((2, 2)), B=np.eye(2), C=np.eye(2))
         weights = LqrWeights(Q=np.eye(2), R=np.eye(2))
-        K, _ = dd_lqr_gain(*exact_gain_inputs(model, 5), weights, 5)
+        K, _ = dd_lqr_gain(*exact_gain_inputs(model, 5), weights)
         np.testing.assert_allclose(K, 0.0, atol=1e-14)
 
     def test_gamma_forms_agree(self):
         model = two_output_model()
         weights = LqrWeights(Q=20 * np.eye(2), R=0.2 * np.eye(2))
         inputs = exact_gain_inputs(model, 6)
-        lemma, _ = dd_lqr_gain(*inputs, weights, 6)
+        lemma, _ = dd_lqr_gain(*inputs, weights)
         direct = textbook_gain(*inputs, weights, 6)
         np.testing.assert_allclose(lemma, direct, rtol=1e-8)
 
@@ -83,7 +83,7 @@ class TestClosedFormGain:
             weights = LqrWeights(Q=q * np.eye(model.n_outputs), R=r * np.eye(model.n_inputs))
             M, S, O_plus = exact_gain_inputs(model, 20)
             mid = block_diag_repeat(weights.R, 20) + S.T @ block_diag_repeat(weights.Q, 20) @ S
-            cond = dd_lqr_gain(M, S, O_plus, weights, 20)[1]["cond_inner"]
+            cond = dd_lqr_gain(M, S, O_plus, weights)[1]["cond_inner"]
             assert cond == pytest.approx(np.linalg.cond(mid), rel=1e-10)
 
 
@@ -195,7 +195,7 @@ class TestOracleAgreement:
             N_far = max(int(np.ceil(-10.0 / np.log(max(rho, 0.1)))), 8)
             errs = []
             for N in (max(N_far // 4, 2), N_far):
-                K, _ = dd_lqr_gain(*exact_gain_inputs(model, N), weights, N)
+                K, _ = dd_lqr_gain(*exact_gain_inputs(model, N), weights)
                 errs.append(np.abs(K - K_star).max())
             assert errs[-1] <= errs[0] + 1e-12
             assert errs[-1] < 1e-4

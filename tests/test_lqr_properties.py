@@ -127,7 +127,7 @@ def test_blockwise_gain_matches_textbook(n, p, q, N, seed):
     model = StateSpaceModel(A=A, B=rng.normal(size=(n, p)), C=rng.normal(size=(q, n)))
     weights = LqrWeights(Q=_spd(rng, q, 1.0), R=_spd(rng, p, 10.0 ** rng.uniform(-2, 2)))
     inputs = exact_gain_inputs(model, N)
-    got, _ = dd_lqr_gain(*inputs, weights, N)
+    got, _ = dd_lqr_gain(*inputs, weights)
     assert _rel(got, textbook_gain(*inputs, weights, N)) < GAIN_RTOL
 
 
@@ -137,7 +137,7 @@ def test_blockwise_gain_on_tracking_demo():
     aug = augment_model(model, cfg.imc(model.sample_time))
     weights, N = cfg.weights(), cfg.get("lqr", "horizon") - 1
     inputs = exact_gain_inputs(aug, N)
-    K, diagnostics = dd_lqr_gain(*inputs, weights, N)
+    K, diagnostics = dd_lqr_gain(*inputs, weights)
     assert 1e5 < diagnostics["cond_inner"] < 1e6
     assert _rel(K, textbook_gain(*inputs, weights, N)) < GAIN_RTOL
 
@@ -151,7 +151,7 @@ def test_gain_is_riccati_gain_of_the_iterate(n, p, q, order, radius, seed):
     A *= radius / max(np.abs(np.linalg.eigvals(A)).max(), 1e-12)
     model = StateSpaceModel(A=A, B=rng.normal(size=(n, p)), C=rng.normal(size=(q, n)))
     weights = LqrWeights(Q=_spd(rng, q, 1.0), R=_spd(rng, p, 10.0 ** rng.uniform(-2, 2)))
-    K, diagnostics = dd_lqr_gain(*exact_gain_inputs(model, order), weights, order)
+    K, diagnostics = dd_lqr_gain(*exact_gain_inputs(model, order), weights)
     iterate = model_lqr_gain(model, riccati_iterate(model, weights, order), weights.R)
     bound = ITERATE_FLOOR + ITERATE_PER_COND * diagnostics["cond_inner"]
     assert _rel(K, iterate) < bound

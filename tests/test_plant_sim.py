@@ -124,6 +124,16 @@ class TestSimulate:
         with pytest.raises(ValueError, match=f"^series {name} has no channels$"):
             Dataset(**series)
 
+    @pytest.mark.parametrize("name, empty, what", [
+        ("B", [], "columns"), ("E", [], "columns"), ("C", np.zeros((0, 1)), "rows")],
+        ids=["B", "E", "C"])
+    def test_matrices_without_channels_are_refused(self, name, empty, what):
+        # a model needs an input and an output, and an E that is set carries noise: an empty
+        # E would make a noise-free record of a noisy one
+        matrices = {"A": [[0.5]], "B": [[1.0]], "C": [[1.0]], name: empty}
+        with pytest.raises(ValueError, match=f"^{name} has no {what}$"):
+            StateSpaceModel(**matrices)
+
     def test_misspelt_noise_mode_raises(self):
         # a misspelt mode would otherwise leave the noise out of the record
         model = scalar_model(with_noise=True)
