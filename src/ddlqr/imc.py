@@ -57,9 +57,9 @@ def resonant_imc(omega_n: float, Ts: float) -> ImcRealization:
         raise ValueError("Ts must be positive")
     theta = omega_n * Ts
     if not 0.0 < theta < math.pi:
+        side = "at or below zero" if theta <= 0.0 else "at or above Nyquist"
         raise ValueError(
-            f"omega_n * Ts = {theta:.6g} must lie strictly inside (0, pi); "
-            f"the frequency is at or above Nyquist"
+            f"omega_n * Ts = {theta:.6g} must lie strictly inside (0, pi); the frequency is {side}"
         )
     return ImcRealization(A_c=[[0.0, 1.0], [-1.0, 2.0 * math.cos(theta)]], B_c=[0.0, 1.0])
 

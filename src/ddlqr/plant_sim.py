@@ -347,16 +347,13 @@ def zoh_discretize(Ac, Bc, C, Ts: float) -> StateSpaceModel:
     """Zero-order-hold discretization of a continuous-time (Ac, Bc, C) triple.
 
     Uses the block matrix exponential expm([[Ac, Bc], [0, 0]] * Ts), whose
-    top blocks are the discrete A and B.
+    top blocks are the discrete A and B. The triple is held to ``StateSpaceModel``'s
+    rules first, so a fault is named as it would be in a discrete model.
     """
     if Ts <= 0:
         raise ValueError("Ts must be positive")
-    Ac = np.atleast_2d(np.asarray(Ac, dtype=float))
-    Bc = np.atleast_2d(np.asarray(Bc, dtype=float))
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    n, p = Bc.shape
-    if Ac.shape != (n, n):
-        raise ValueError(f"Ac must be square with {n} rows to match Bc, got {Ac.shape}")
-    E = _expm(np.block([[Ac, Bc], [np.zeros((p, n + p))]]) * Ts)
-    return StateSpaceModel(A=E[:n, :n], B=E[:n, n:], C=C, sample_time=Ts)
+    ct = StateSpaceModel(A=Ac, B=Bc, C=C)
+    n, p = ct.B.shape
+    E = _expm(np.block([[ct.A, ct.B], [np.zeros((p, n + p))]]) * Ts)
+    return StateSpaceModel(A=E[:n, :n], B=E[:n, n:], C=ct.C, sample_time=Ts)
 

@@ -1,12 +1,13 @@
 """Mutation smoke: each mutant in ``MUTANTS`` must make the tier-1 suite fail.
 
 Run as ``python tests/mutation_smoke.py``; pytest does not collect it. The script copies
-the repository's ``src/``, ``tests/``, ``configs/`` and ``pyproject.toml`` to a temporary
-directory and runs the suite there, first unmutated (it must pass), then once per mutant
-with that one source edit applied. It prints the tests that catch each mutant. The exit
-status is 1 when the unmutated copy fails, an edit no longer matches the source exactly
-once, or a mutant is caught by no test. Each run takes as long as the suite, so the whole
-smoke takes about eleven times that.
+the repository's ``src/``, ``tests/``, ``configs/``, ``pyproject.toml`` and ``README.md``
+(whose key table a test reads) to a temporary directory and runs the suite there, first
+unmutated (it must pass), then once per mutant with that one source edit applied. It
+prints the tests that catch each mutant. The exit status is 1 when the unmutated copy
+fails, an edit no longer matches the source exactly once, or a mutant is caught by no
+test. Each run takes as long as the suite, so the whole smoke takes about twelve times
+that.
 
 The technique is mutation testing: a check that no plausible fault can break shows
 nothing (Jia & Harman 2011, "An analysis and survey of the development of mutation
@@ -23,7 +24,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-COPIED = ("src", "tests", "configs", "pyproject.toml")
+COPIED = ("src", "tests", "configs", "pyproject.toml", "README.md")
 # (what the mutant breaks, module under src/ddlqr, source text, its replacement)
 MUTANTS = [
     ("each block sub-diagonal of the Toeplitz factor takes its first copy, not the mean",
@@ -51,6 +52,8 @@ MUTANTS = [
      """            if m is not None and not m.shape[1 - axis]:
                 raise ValueError(f"{name} has no {('rows', 'columns')[1 - axis]}")
 """, ""),
+    ("[estimation] depth accepts 1", "config.py",
+     '"depth": Key("int", ">= 2")', '"depth": Key("int", ">= 1")'),
 ]
 
 

@@ -2,8 +2,12 @@
 
 Run as ``python tests/output_digest.py [TREE]``; pytest does not collect it. TREE is a
 checkout of this repository (default: the one holding this script), whose ``src/`` and
-``configs/`` the commands run. Each command runs in its own process, and all write
-under one temporary directory. Every output file, and each command's stdout and
+``configs/`` the commands run. Each command runs in its own process, with
+``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` set to ``THREADS``, and all write under
+one temporary directory. The thread count is fixed because the wide QR of a design rounds
+differently under different BLAS thread counts, which moves the last digits of gains and
+figures. The listing's first line names that setting, numpy's version and its BLAS, so two
+listings compare like with like. Every output file, and each command's stdout and
 stderr, is hashed after that directory's path is replaced by ``<out>``, so a line that
 differs only in the output path hashes the same and every other byte counts. To check
 that a change keeps its outputs byte for byte, digest the parent's tree and the
@@ -35,6 +39,9 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
+THREADS = "1"
 SWEEP = ["sweep.horizons=[10,20,30,40,50]"]
 INTEGRATOR = ["imc.kind=integrator", "lqr.q=[[200,0],[0,200]]"]
 # (output directory, command, config, --set overrides); "{out}" is the temporary directory
@@ -65,7 +72,8 @@ COMMANDS = [
 
 def digest(tree: Path) -> list[str]:
     """``sha256  name`` of every output of ``COMMANDS`` run on ``tree``, sorted by name."""
-    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": THREADS,
+           "OMP_NUM_THREADS": THREADS}
     lines = []
     with tempfile.TemporaryDirectory(prefix="ddlqr-digest-") as tmp:
         out = Path(tmp)
@@ -87,6 +95,13 @@ def digest(tree: Path) -> list[str]:
     return lines
 
 
+def header() -> str:
+    """The thread setting the commands run under, numpy's version and its BLAS."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (f"# OPENBLAS_NUM_THREADS={THREADS} OMP_NUM_THREADS={THREADS} "
+            f"numpy {np.__version__} {blas['name']} {blas['version']}")
+
+
 if __name__ == "__main__":
     root = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parents[1]
-    print("\n".join(digest(root.resolve())))
+    print("\n".join([header()] + digest(root.resolve())))

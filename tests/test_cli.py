@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -722,6 +725,11 @@ INPUT_ERRORS = {
     "signal-spec": ("design", REGULATION, ["signal.kind=bogus"], "[signal]: unsupported"),
     "lqr-weights": ("design", REGULATION, ["lqr.r=0"], "[lqr]: R must be positive definite"),
     "resonant-imc": ("design", UPS, ["imc.omega_n=1e9"], "[imc]: "),
+    "resonant-imc-zero": ("design", UPS, ["imc.omega_n=0"], "[imc]: omega_n * Ts = 0 must lie "
+                          "strictly inside (0, pi); the frequency is at or below zero\n"),
+    "resonant-imc-negative": ("design", UPS, ["imc.omega_n=-5"], "[imc]: omega_n * Ts = "
+                              "-0.000333333 must lie strictly inside (0, pi); the frequency is "
+                              "at or below zero\n"),
     "missing-key": ("sweep", MC, [], "missing required key [sweep] horizons"),
     "io-file": ("design", REGULATION, ["io.dataset={tmp}/bad.csv"], "[io] dataset"),
 }
@@ -740,14 +748,15 @@ def test_input_errors_leave_no_output_dir(tmp_path, capsys, kind):
 
 
 # an empty E is no noise channel, so a noisy run would come out noise-free; an empty B is
-# the model's fault, not the signal's
-@pytest.mark.parametrize("command, sets, message", [
-    ("montecarlo", ["montecarlo.runs=20", "model.e=[]"], "E has no columns"),
-    ("simulate", ["model.e=[]", "noise.variance=0.5"], "E has no columns"),
-    ("montecarlo", ["montecarlo.runs=20", "model.b=[]"], "B has no columns"),
-], ids=["montecarlo-e", "simulate-e", "montecarlo-b"])
-def test_empty_model_matrix_exits_2(tmp_path, capsys, command, sets, message):
-    argv = [command, MC, "--output-dir", str(tmp_path / "out")]
+# the model's fault, not the signal's, nor A's in a continuous model
+@pytest.mark.parametrize("command, config, sets, message", [
+    ("montecarlo", MC, ["montecarlo.runs=20", "model.e=[]"], "E has no columns"),
+    ("simulate", MC, ["model.e=[]", "noise.variance=0.5"], "E has no columns"),
+    ("montecarlo", MC, ["montecarlo.runs=20", "model.b=[]"], "B has no columns"),
+    ("design", UPS, ["model.b=[]"], "B has no columns"),
+], ids=["montecarlo-e", "simulate-e", "montecarlo-b", "continuous-b"])
+def test_empty_model_matrix_exits_2(tmp_path, capsys, command, config, sets, message):
+    argv = [command, config, "--output-dir", str(tmp_path / "out")]
     assert run(*argv, *(arg for item in sets for arg in ("--set", item))) == 2
     assert capsys.readouterr().err == f"config error: [model]: {message}\n"
     assert not (tmp_path / "out").exists()
@@ -900,3 +909,36 @@ def test_echo_reproduces_run(tmp_path, command):
     assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
     for name in names:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+
+# The ups-track benchmark's small tracking design, whose factorizations OpenBLAS splits
+# over threads: with scipy-openblas 0.3.31 its gains at 1 and 2 threads are 1.6e-12 apart.
+THREAD_SETS = ["signal.length=880", "estimation.depth=80", "estimation.width=720",
+               "lqr.horizon=80"]
+# Relative max-entry gap allowed between the two gains, fixed before the first run: a
+# rounding difference amplified by the loop's conditioning (2.9e-12 on the full demo).
+THREAD_GAIN_RTOL = 1e-10
+
+
+def test_design_agrees_across_blas_thread_counts(tmp_path):
+    procs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(CONFIGS.parent / "src"),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        argv = [sys.executable, "-m", "ddlqr.cli", "design", UPS,
+                "--output-dir", str(tmp_path / threads)]
+        procs[threads] = subprocess.Popen(
+            argv + [arg for item in THREAD_SETS for arg in ("--set", item)], env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    for proc in procs.values():
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+    figures = {}
+    for threads in procs:
+        report = (tmp_path / threads / "design.txt").read_text().split("\n\n")[0]
+        figures[threads] = dict(line.split(": ") for line in report.splitlines())
+    for name in ("input_rank", "regressor_rank"):
+        assert figures["1"][name] == figures["2"][name], name
+    K1, K2 = (read_matrix(tmp_path / threads / "gain.csv") for threads in procs)
+    assert K1.shape == K2.shape == (1, 4)
+    assert np.abs(K1 - K2).max() <= THREAD_GAIN_RTOL * np.abs(K1).max()

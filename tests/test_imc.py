@@ -53,6 +53,11 @@ class TestRealizations:
         with pytest.raises(ValueError, match="Nyquist"):
             resonant_imc(np.pi, 1.0)
 
+    @pytest.mark.parametrize("omega_n", [0.0, -5.0])
+    def test_resonant_zero_or_negative_frequency_names_the_lower_side(self, omega_n):
+        with pytest.raises(ValueError, match="the frequency is at or below zero$"):
+            resonant_imc(omega_n, 1.0)
+
 
 class TestFiltering:
     def test_zero_output(self):

@@ -358,6 +358,11 @@ class TestZohDiscretize:
         model = zoh_discretize(Ac, Bc, [[0.0, 1.0]], 1.0 / 15000.0)
         assert np.abs(np.linalg.eigvals(model.A)).max() < 1.0
 
+    def test_empty_b_is_blamed_on_b(self):
+        # the config's "[]" is a 1 x 0 matrix, whose one row no longer sets the state count
+        with pytest.raises(ValueError, match="^B has no columns$"):
+            zoh_discretize(np.zeros((2, 2)), np.empty((1, 0)), [[0.0, 1.0]], 1.0)
+
 
 class TestExpm:
     """The scaling-and-squaring exponential against ``scipy.linalg.expm`` as the oracle."""
