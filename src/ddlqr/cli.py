@@ -39,8 +39,7 @@ INPUT_KEYS = {"Q": "[lqr] q", "R": "[lqr] r", "A": "[model] a", "B": "[model] b"
               "C": "[model] c", "E": "[model] e", "K": "[io] gain", "x0": "[eval] x0",
               "depth": "[estimation] depth", "width": "[estimation] width",
               "runs": "[montecarlo] runs", "base_seed": "[montecarlo] seed",
-              "noise_variance": "[montecarlo] variance", "frequency": "[reference] frequency",
-              "channels": "[reference] channels",
+              "noise_variance": "[noise] variance", "frequency": "[reference] frequency",
               "horizon": {"design": "[lqr] horizon", "sweep": "[sweep] horizons",
                           "eval": "[eval] horizon"}}
 
@@ -139,17 +138,12 @@ def cmd_sweep(cfg: RunConfig, outdir: Path) -> int:
 
 def cmd_montecarlo(cfg: RunConfig, outdir: Path) -> int:
     model = cfg.model()
-    spec = cfg.signal(model)
-    # montecarlo keys left out take monte_carlo_obs's defaults
-    options = {name: cfg.get("montecarlo", key) for key, name in (
-        ("seed", "base_seed"), ("noise_mode", "noise_mode"), ("fixed_input", "fixed_input"))
-        if cfg.has("montecarlo", key)}
     reports = monte_carlo_obs(
-        model, spec, cfg.get("estimation", "depth", required=True),
-        cfg.get("montecarlo", "runs", required=True),
-        noise_variance=cfg.get("montecarlo", "variance", required=True),
-        width=cfg.get("estimation", "width"), **options,
-    )
+        model, cfg.signal(model), cfg.get("estimation", "depth", required=True),
+        cfg.get("montecarlo", "runs", required=True), cfg.get("noise", "variance", required=True),
+        cfg.get("montecarlo", "seed", 0), cfg.get("estimation", "width"),
+        noise_mode=cfg.get("noise", "mode", "process"),
+        fixed_input=cfg.get("montecarlo", "fixed_input", False))
     eig_lines = ["algorithm,quantity," + ",".join(
         f"value{i + 1}" for i in range(len(reports[0].covariance)))]
     summary = []

@@ -8,7 +8,7 @@ reproduced from its own echo.
 ``KEYS`` lists every key that some command reads, with its kind and bound.
 Loading refuses any other key and any value that is not of its key's kind or
 out of its bound, so the echo holds only known keys of valid kind and bound;
-one may still go unread, as ``[imc] omega_n`` under ``kind = integrator``.
+one may still go unread, as ``[signal] frequency`` under ``kind = prbs``.
 """
 
 from __future__ import annotations
@@ -44,17 +44,21 @@ class Key(NamedTuple):
 
 
 _MATRIX, _INT, _FLOAT, _STR = Key("matrix"), Key("int"), Key("float"), Key("str")
-_SIGNAL = {"kind": _STR, "amplitude": _FLOAT, "variance": _FLOAT, "frequency": _FLOAT,
-           "seed": _INT, "register_order": _INT, "hold": _INT,
-           "ts": Key(removed="signals run at the sample time [model] ts")}
+_TS = Key(removed="signals run at the sample time [model] ts")
+_RANDOM = Key(removed="a reference is a constant or a sinusoid, which this key does not shape")
+_NOISE = Key(removed="the runs take their noise from [noise] variance and mode")
 # Every key some command reads, by section; one file may serve several commands.
 KEYS: Dict[str, Dict[str, Key]] = {
     "model": {"a": _MATRIX, "b": _MATRIX, "c": _MATRIX, "e": _MATRIX,
               "ts": Key("float", "> 0"), "continuous": Key("bool"),
               "f": Key(removed="the simulators have no output-noise channel, y = C x")},
-    "signal": {**_SIGNAL, "length": _INT,
+    "signal": {"kind": _STR, "amplitude": _FLOAT, "variance": _FLOAT, "frequency": _FLOAT,
+               "seed": _INT, "register_order": _INT, "hold": _INT, "ts": _TS, "length": _INT,
                "channels": Key(removed="the signal has one channel per column of [model] b")},
-    "reference": {**_SIGNAL, "channels": _INT,
+    "reference": {"kind": Key("str", choices=("constant", "sinusoid")), "amplitude": _FLOAT,
+                  "variance": _RANDOM, "frequency": _FLOAT, "seed": _RANDOM,
+                  "register_order": _RANDOM, "hold": _RANDOM, "ts": _TS,
+                  "channels": Key(removed="the reference has one channel per row of [model] c"),
                   "length": Key(removed="the reference runs for the [eval] horizon")},
     "estimation": {"depth": Key("int", ">= 2"), "width": Key("int", ">= 1"),
                    "algorithm": Key("str", choices=ALGORITHMS),
@@ -63,9 +67,8 @@ KEYS: Dict[str, Dict[str, Key]] = {
     "sweep": {"horizons": Key("ints", ">= 2")},
     "noise": {"variance": Key("float", ">= 0"), "seed": Key("int", ">= 0"),
               "mode": Key("str", choices=NOISE_MODES)},
-    "montecarlo": {"runs": Key("int", ">= 2"), "variance": Key("float", ">= 0"),
-                   "seed": Key("int", ">= 0"), "noise_mode": Key("str", choices=NOISE_MODES),
-                   "fixed_input": Key("bool")},
+    "montecarlo": {"runs": Key("int", ">= 2"), "variance": _NOISE, "seed": Key("int", ">= 0"),
+                   "noise_mode": _NOISE, "fixed_input": Key("bool")},
     "imc": {"kind": Key("str", choices=("integrator", "resonant")), "omega_n": _FLOAT,
             "ts": Key(removed="the internal model runs at the sample time [model] ts")},
     "eval": {"horizon": Key("int", ">= 1"), "x0": _MATRIX,
@@ -212,8 +215,8 @@ class RunConfig:
 
     def signal(self, model: StateSpaceModel, section: str = "signal") -> SignalSpec:
         """The section's SignalSpec at the model's sample time: [signal] drives the model's
-        inputs for its ``length``, [reference] its outputs (``channels`` of them, by
-        default all) for the [eval] horizon. Keys it leaves out take SignalSpec's defaults."""
+        inputs for its ``length``, [reference] each output for the [eval] horizon. Keys it
+        leaves out take SignalSpec's defaults."""
         if not self.has(section):
             raise ConfigError(f"missing [{section}] section")
         self.get(section, "kind", required=True)
@@ -242,6 +245,8 @@ class RunConfig:
         if not self.has("imc"):
             return None
         if self.get("imc", "kind", required=True) == "integrator":
+            if self.has("imc", "omega_n"):
+                raise ConfigError("[imc] omega_n is not read by kind = integrator; remove the key")
             return integrator_imc()
         omega = self.get("imc", "omega_n", required=True)
         try:

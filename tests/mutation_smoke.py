@@ -6,7 +6,7 @@ the repository's ``src/``, ``tests/``, ``configs/``, ``pyproject.toml`` and ``RE
 unmutated (it must pass), then once per mutant with that one source edit applied. It
 prints the tests that catch each mutant. The exit status is 1 when the unmutated copy
 fails, an edit no longer matches the source exactly once, or a mutant is caught by no
-test. Each run takes as long as the suite, so the whole smoke takes about twelve times
+test. Each run takes as long as the suite, so the whole smoke takes about thirteen times
 that.
 
 The technique is mutation testing: a check that no plausible fault can break shows
@@ -54,6 +54,8 @@ MUTANTS = [
 """, ""),
     ("[estimation] depth accepts 1", "config.py",
      '"depth": Key("int", ">= 2")', '"depth": Key("int", ">= 1")'),
+    ("montecarlo leaves [noise] mode unread, so its runs take the library's default",
+     "cli.py", '\n        noise_mode=cfg.get("noise", "mode", "process"),', ""),
 ]
 
 

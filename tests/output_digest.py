@@ -26,8 +26,11 @@ under a constant reference (``reference.kind=constant``: the tracking branch wit
 over 5000 steps, which reads ``inf`` cost and error and has no ``thd`` row); and the
 bundled ``montecarlo`` study at 500 runs, once as bundled and once with one excitation
 record for every run under process noise (``montecarlo.fixed_input=true``,
-``montecarlo.noise_mode=process``), so the report writer runs both noise modes and the
-fixed-input branch. They take a few seconds on 2 CPUs.
+``noise.mode=process``), so the report writer runs both noise modes and the
+fixed-input branch. The two integrator commands read a copy of the tracking demo's
+config without its ``omega_n`` line (``DERIVED``), since an integrator refuses that
+key; the copy is written beside the output directory, so it is not hashed.
+They take a few seconds on 2 CPUs.
 """
 
 from __future__ import annotations
@@ -44,6 +47,8 @@ import numpy as np
 THREADS = "1"
 SWEEP = ["sweep.horizons=[10,20,30,40,50]"]
 INTEGRATOR = ["imc.kind=integrator", "lqr.q=[[200,0],[0,200]]"]
+# configs made from a bundled one by dropping one key's line: (bundled config, key)
+DERIVED = {"ups_integrator.ini": ("ups_tracking_demo.ini", "omega_n")}
 # (output directory, command, config, --set overrides); "{out}" is the temporary directory
 COMMANDS = [
     ("simulate", "simulate", "regulation_demo.ini", []),
@@ -55,18 +60,18 @@ COMMANDS = [
     ("sweep-alg1", "sweep", "regulation_demo.ini", SWEEP),
     ("sweep-alg2", "sweep", "regulation_demo.ini", SWEEP + ["estimation.algorithm=alg2"]),
     ("sweep-tracking", "sweep", "ups_tracking_demo.ini", ["sweep.horizons=[50,150]"]),
-    ("design-integrator", "design", "ups_tracking_demo.ini", INTEGRATOR),
+    ("design-integrator", "design", "ups_integrator.ini", INTEGRATOR),
     ("eval-regulation", "eval", "regulation_demo.ini",
      ["io.gain={out}/design-alg1/gain.csv", "eval.x0=[1,0]", "eval.horizon=200"]),
     ("eval-tracking", "eval", "ups_tracking_demo.ini", ["io.gain={out}/design-tracking/gain.csv"]),
-    ("eval-integrator", "eval", "ups_tracking_demo.ini",
+    ("eval-integrator", "eval", "ups_integrator.ini",
      INTEGRATOR + ["reference.kind=constant", "io.gain={out}/design-integrator/gain.csv"]),
     ("eval-unstable", "eval", "regulation_demo.ini",
      ["io.gain={out}/design-alg1/gain.csv", "model.a=[[2,0],[0,2]]", "eval.x0=[1,0]",
       "eval.horizon=5000"]),
     ("montecarlo", "montecarlo", "noisy_estimation_mc.ini", ["montecarlo.runs=500"]),
     ("montecarlo-fixed-process", "montecarlo", "noisy_estimation_mc.ini",
-     ["montecarlo.runs=500", "montecarlo.fixed_input=true", "montecarlo.noise_mode=process"]),
+     ["montecarlo.runs=500", "montecarlo.fixed_input=true", "noise.mode=process"]),
 ]
 
 
@@ -76,10 +81,15 @@ def digest(tree: Path) -> list[str]:
            "OMP_NUM_THREADS": THREADS}
     lines = []
     with tempfile.TemporaryDirectory(prefix="ddlqr-digest-") as tmp:
-        out = Path(tmp)
+        configs, out = Path(tmp), Path(tmp) / "out"
+        for derived, (bundled, key) in DERIVED.items():
+            source = (tree / "configs" / bundled).read_text().splitlines(keepends=True)
+            (configs / derived).write_text(
+                "".join(line for line in source if line.partition("=")[0].strip() != key))
         outputs = {}
         for name, command, config, sets in COMMANDS:
-            argv = [sys.executable, "-m", "ddlqr.cli", command, str(tree / "configs" / config),
+            path = configs / config if config in DERIVED else tree / "configs" / config
+            argv = [sys.executable, "-m", "ddlqr.cli", command, str(path),
                     "--output-dir", str(out / name)]
             for item in sets:
                 argv += ["--set", item.format(out=out)]

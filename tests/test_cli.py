@@ -316,12 +316,29 @@ class TestDesign:
     def test_weight_size_exits_2_before_estimation(self, tmp_path, capsys, monkeypatch):
         # the integrator adds one state per output; the file's Q fits the resonant pair
         monkeypatch.setattr(ddlqr.cli, "estimate", None)
-        code = run("design", UPS, "--output-dir", str(tmp_path / "out"),
+        config = tmp_path / "ups_integrator.ini"  # an integrator refuses omega_n
+        config.write_text("".join(line for line in Path(UPS).read_text().splitlines(True)
+                                  if not line.startswith("omega_n")))
+        code = run("design", str(config), "--output-dir", str(tmp_path / "out"),
                    "--set", "imc.kind=integrator")
         assert code == 2
         assert ("config error: [lqr] q has dimension 3, expected 2 "
                 "(outputs, internal-model states included)") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_integrator_with_omega_n_exits_2(self, tmp_path, capsys, monkeypatch):
+        # an integrator has no frequency, so a stale omega_n would look as if it took effect
+        monkeypatch.setattr(ddlqr.cli, "estimate", None)
+        write_matrix(tmp_path / "gain.csv", np.zeros((1, 3)))
+        sets = ["imc.kind=integrator", "lqr.q=[[200,0],[0,200]]", "sweep.horizons=[50]",
+                f"io.gain={tmp_path}/gain.csv"]
+        for command in ("design", "sweep", "eval"):
+            code = run(command, UPS, "--output-dir", str(tmp_path / "out"),
+                       *(arg for item in sets for arg in ("--set", item)))
+            assert code == 2, command
+            assert capsys.readouterr().err == ("config error: [imc] omega_n is not read by "
+                                               "kind = integrator; remove the key\n"), command
+            assert not (tmp_path / "out").exists(), command
 
     def test_design_from_dataset_file(self, tmp_path):
         run("simulate", REGULATION, "--output-dir", str(tmp_path),
@@ -419,16 +436,29 @@ class TestMonteCarlo:
 
     def test_bogus_noise_mode_exits_2(self, tmp_path, capsys):
         code = run("montecarlo", MC, "--output-dir", str(tmp_path),
-                   "--set", "montecarlo.noise_mode=bogus", "--set", "montecarlo.runs=2")
+                   "--set", "noise.mode=bogus", "--set", "montecarlo.runs=2")
         assert code == 2
-        assert "[montecarlo] noise_mode" in capsys.readouterr().err
+        assert "[noise] mode" in capsys.readouterr().err
 
     def test_negative_variance_exits_2(self, tmp_path, capsys):
         code = run("montecarlo", MC, "--output-dir", str(tmp_path),
-                   "--set", "montecarlo.variance=-1", "--set", "montecarlo.runs=5")
+                   "--set", "noise.variance=-1", "--set", "montecarlo.runs=5")
         assert code == 2
         err = capsys.readouterr().err
-        assert "[montecarlo] variance must be >= 0" in err and "non-finite" not in err
+        assert "[noise] variance must be >= 0" in err and "non-finite" not in err
+
+    def test_noise_mode_reaches_the_runs(self, tmp_path):
+        # the bundled study measures its noise; [noise] mode = process drives the state with it
+        assert run("montecarlo", MC, "--output-dir", str(tmp_path),
+                   "--set", "montecarlo.runs=20", "--set", "noise.mode=process") == 0
+        cfg = RunConfig.load(MC)
+        model = cfg.model()
+        reports = monte_carlo_obs(model, cfg.signal(model), cfg.get("estimation", "depth"), 20,
+                                  cfg.get("noise", "variance"), noise_mode="process",
+                                  width=cfg.get("estimation", "width"))
+        write_matrix(tmp_path / "expect.csv", reports[0].mean)
+        assert (tmp_path / "mc_alg1_mean.csv").read_bytes() == \
+            (tmp_path / "expect.csv").read_bytes()
 
     def test_failure_reasons_listed(self, tmp_path, monkeypatch):
         first_run_anticipates(monkeypatch)
@@ -705,12 +735,15 @@ class TestEval:
         assert run("eval", UPS, "--output-dir", str(tmp_path / "full"), *sets,
                    "--set", "eval.horizon=10000") == 0
 
-    # eval tracks exactly when the file has an [imc] section; the plant fixes the signal's
-    # channels and every sample time, and the horizon the reference's length
+    # eval tracks exactly when the file has an [imc] section; the plant fixes the signals'
+    # channels and every sample time, and the horizon the reference's length; a reference is
+    # a constant or a sinusoid, and Monte Carlo takes its noise from [noise]
     @pytest.mark.parametrize("override", [
         "eval.scenario=tracking", "signal.channels=1", "signal.ts=6.666666666666667e-05",
         "reference.ts=6.666666666666667e-05", "imc.ts=6.666666666666667e-05",
-        "reference.length=7500", "io.output_dir=out"])
+        "reference.length=7500", "io.output_dir=out", "montecarlo.variance=0.1",
+        "montecarlo.noise_mode=process", "reference.variance=1", "reference.seed=3",
+        "reference.register_order=10", "reference.hold=2", "reference.channels=1"])
     def test_removed_key_exits_2(self, tmp_path, capsys, override):
         assert run("eval", UPS, "--output-dir", str(tmp_path / "e"), "--set", override) == 2
         section, key = override.split("=")[0].split(".")
@@ -790,15 +823,15 @@ INPUT_RULES = {
                               "[estimation] width", "width"),
     "depth-determines-states": ("montecarlo", MC, THREE_STATES_MC, "[estimation] depth", "depth"),
     # state noise on a model without E: in Monte Carlo and in a simulated record
-    "noise-channel": ("montecarlo", REGULATION, ["montecarlo.runs=5", "montecarlo.variance=0.1"],
+    "noise-channel": ("montecarlo", REGULATION, ["montecarlo.runs=5", "noise.variance=0.1"],
                       "[model] e", "E"),
     "noise-channel-simulate": ("simulate", REGULATION, ["noise.variance=0.1"], "[model] e", "E"),
     # the key schema refuses these three first, in the library's words
     "covariance-runs": ("montecarlo", MC, ["montecarlo.runs=1"], "[montecarlo] runs", "runs"),
     "seed-nonnegative": ("montecarlo", MC, ["montecarlo.seed=-1", "montecarlo.runs=5"],
                          "[montecarlo] seed", "base_seed"),
-    "variance-nonnegative": ("montecarlo", MC, ["montecarlo.variance=-1", "montecarlo.runs=5"],
-                             "[montecarlo] variance", "noise_variance"),
+    "variance-nonnegative": ("montecarlo", MC, ["noise.variance=-1", "montecarlo.runs=5"],
+                             "[noise] variance", "noise_variance"),
     "horizon-within-depth": ("design", REGULATION, ["lqr.horizon=60"], "[lqr] horizon",
                              "horizon"),
     "horizons-within-depth": ("sweep", REGULATION, ["sweep.horizons=[10,52]"],
@@ -820,26 +853,23 @@ INPUT_RULES = {
     "reference-below-nyquist": ("eval", UPS, ["reference.frequency=94000",
                                               "io.gain={tmp}/1x4.csv"],
                                 "[reference] frequency", "frequency"),
-    # one reference signal for every plant output, or one each
-    "reference-channels": ("eval", UPS, ["reference.channels=3", "io.gain={tmp}/1x4.csv"],
-                           "[reference] channels", "channels"),
 }
 
 
 def _library_run(command: str, config: str, sets):
     """The library calls behind ``command``, on the config's values and with no CLI check;
-    the ``montecarlo.`` overrides reach ``monte_carlo_obs`` past the key schema."""
-    mc = dict(item.split("=", 1) for item in sets if item.startswith("montecarlo."))
-    cfg = RunConfig.load(config, [item for item in sets if item.split("=")[0] not in mc])
+    the ``montecarlo.`` and ``noise.`` overrides reach ``monte_carlo_obs`` past the key schema."""
+    past = dict(item.split("=", 1) for item in sets if item.startswith(("montecarlo.", "noise.")))
+    cfg = RunConfig.load(config, [item for item in sets if item.split("=")[0] not in past])
     model = cfg.model()
     spec = cfg.signal(model)
     if command == "simulate":
         return simulate(model, generate_signal(spec), v=np.zeros(spec.length))
     depth, width = cfg.get("estimation", "depth"), cfg.get("estimation", "width")
     if command == "montecarlo":
-        return monte_carlo_obs(model, spec, depth, int(mc.get("montecarlo.runs", 2)),
-                               float(mc.get("montecarlo.variance", 0.1)),
-                               int(mc.get("montecarlo.seed", 0)), width=width)
+        return monte_carlo_obs(model, spec, depth, int(past.get("montecarlo.runs", 2)),
+                               float(past.get("noise.variance", 0.1)),
+                               int(past.get("montecarlo.seed", 0)), width=width)
     imc = cfg.imc(model.sample_time)
     if command == "eval":
         horizon = cfg.get("eval", "horizon")

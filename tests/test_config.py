@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from ddlqr.cli import main
 from ddlqr.config import KEYS, ConfigError, RunConfig
+from ddlqr.plant_sim import SIGNAL_KINDS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # each bundled config with a command that reads it
@@ -105,6 +106,9 @@ class TestKinds:
             load(tmp_path, "noise.mode=proces")
         with pytest.raises(ConfigError, match=r"\[imc\] kind must be one of"):
             load(tmp_path, "imc.kind=3")
+        with pytest.raises(ConfigError, match=r"\[reference\] kind must be one of "
+                                              r"\('constant', 'sinusoid'\), got 'prbs'"):
+            load(tmp_path, "reference.kind=prbs")
         with pytest.raises(ConfigError, match=r"\[estimation\] algorithm must be one of "
                                               r"\('alg1', 'alg2'\), got 'alg3'"):
             load(tmp_path, "estimation.algorithm=alg3")
@@ -144,11 +148,15 @@ class TestKinds:
     def test_every_key_has_a_kind_with_bad_values(self):
         for section, key in LIVE:
             assert bad_values(KEYS[section][key]), (section, key)
-        # both sections are SignalSpecs: the signal's length and the reference's channels
-        # are live, and the model and [eval] horizon set the other two
+        # both sections are SignalSpecs: a reference is a constant or a sinusoid on every
+        # output, so of the signal's keys it keeps the three that shape those and refuses the
+        # rest, each by name; the model and [eval] horizon set its channels and length
         signal, reference = KEYS["signal"], KEYS["reference"]
         assert signal.keys() == reference.keys()
-        assert {k for k in signal if signal[k] != reference[k]} == {"length", "channels"}
+        live = {k for k, spec in reference.items() if not spec.removed}
+        assert live == {"kind", "amplitude", "frequency"}
+        assert set(reference["kind"].choices) <= set(SIGNAL_KINDS)
+        assert all(reference[k] == signal[k] for k in live - {"kind"})
 
 
 class TestUnknownKeys:

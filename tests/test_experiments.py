@@ -673,6 +673,17 @@ class TestEvaluateClosedLoop:
             with pytest.raises(ValueError, match=r"expected \(1, 3\)"):
                 evaluate_closed_loop(model, K, weights, scenario, 50)
 
+    def test_reference_channels_other_than_one_or_q_raise(self):
+        # one reference for every output, or one each: a 1-output plant takes no 3-channel one
+        model = StateSpaceModel(A=[[0.9, 0.1], [0.0, 0.8]], B=[[0.0], [1.0]], C=[[1.0, 0.0]])
+        ref = SignalSpec(kind="constant", length=1, amplitude=1.0, channels=3)
+        scenario = TrackingScenario(imc=integrator_imc(), reference=ref)
+        with pytest.raises(InputError, match=r"^channels must be 1 or the plant's 1 outputs, "
+                                             r"got 3$") as raised:
+            evaluate_closed_loop(model, np.zeros((1, 3)), LqrWeights(Q=np.eye(2), R=[[1.0]]),
+                                 scenario, 50)
+        assert raised.value.param == "channels"
+
     def test_weights_that_do_not_fit_raise(self):
         # refused before simulating, not reported as an infinite cost
         model = two_output_model()
