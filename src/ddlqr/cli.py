@@ -40,6 +40,7 @@ INPUT_KEYS = {"Q": "[lqr] q", "R": "[lqr] r", "A": "[model] a", "B": "[model] b"
               "depth": "[estimation] depth", "width": "[estimation] width",
               "runs": "[montecarlo] runs", "base_seed": "[montecarlo] seed",
               "noise_variance": "[noise] variance", "frequency": "[reference] frequency",
+              "amplitude": "[reference] amplitude",
               "horizon": {"design": "[lqr] horizon", "sweep": "[sweep] horizons",
                           "eval": "[eval] horizon"}}
 
@@ -179,7 +180,9 @@ def cmd_eval(cfg: RunConfig, outdir: Path) -> int:
     if imc is None:
         scenario = RegulationScenario(x0=cfg.get("eval", "x0", required=True))
     else:
-        scenario = TrackingScenario(imc=imc, reference=cfg.signal(model, section="reference"))
+        sinusoid = cfg.get("reference", "kind", required=True) == "sinusoid"
+        frequency = cfg.get("reference", "frequency", required=True) if sinusoid else None
+        scenario = TrackingScenario(imc, cfg.get("reference", "amplitude", 1.0), frequency)
     rows = evaluate_closed_loop(model, K, weights, scenario, horizon).items()
     storage.write_text(
         outdir / "eval.csv",

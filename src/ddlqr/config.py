@@ -8,7 +8,7 @@ reproduced from its own echo.
 ``KEYS`` lists every key that some command reads, with its kind and bound.
 Loading refuses any other key and any value that is not of its key's kind or
 out of its bound, so the echo holds only known keys of valid kind and bound;
-one may still go unread, as ``[signal] frequency`` under ``kind = prbs``.
+one may still go unread, as ``[signal] variance`` under ``kind = prbs``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from .imc import ImcRealization, integrator_imc, resonant_imc
 from .lqr import LqrWeights
 from .observability import ALGORITHMS
-from .plant_sim import NOISE_MODES, SignalSpec, StateSpaceModel, zoh_discretize
+from .plant_sim import NOISE_MODES, SIGNAL_KINDS, SignalSpec, StateSpaceModel, zoh_discretize
 
 
 class ConfigError(Exception):
@@ -52,8 +52,9 @@ KEYS: Dict[str, Dict[str, Key]] = {
     "model": {"a": _MATRIX, "b": _MATRIX, "c": _MATRIX, "e": _MATRIX,
               "ts": Key("float", "> 0"), "continuous": Key("bool"),
               "f": Key(removed="the simulators have no output-noise channel, y = C x")},
-    "signal": {"kind": _STR, "amplitude": _FLOAT, "variance": _FLOAT, "frequency": _FLOAT,
-               "seed": _INT, "register_order": _INT, "hold": _INT, "ts": _TS, "length": _INT,
+    "signal": {"kind": Key("str", choices=SIGNAL_KINDS), "amplitude": _FLOAT, "variance": _FLOAT,
+               "frequency": Key(removed="an excitation is a PRBS or white noise"), "seed": _INT,
+               "register_order": _INT, "hold": _INT, "ts": _TS, "length": _INT,
                "channels": Key(removed="the signal has one channel per column of [model] b")},
     "reference": {"kind": Key("str", choices=("constant", "sinusoid")), "amplitude": _FLOAT,
                   "variance": _RANDOM, "frequency": _FLOAT, "seed": _RANDOM,
@@ -213,24 +214,18 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(f"[model]: {exc}") from exc
 
-    def signal(self, model: StateSpaceModel, section: str = "signal") -> SignalSpec:
-        """The section's SignalSpec at the model's sample time: [signal] drives the model's
-        inputs for its ``length``, [reference] each output for the [eval] horizon. Keys it
-        leaves out take SignalSpec's defaults."""
-        if not self.has(section):
-            raise ConfigError(f"missing [{section}] section")
-        self.get(section, "kind", required=True)
-        if section == "reference":
-            fields = {"channels": model.n_outputs,
-                      "length": self.get("eval", "horizon", required=True)}
-        else:
-            fields = {"channels": model.n_inputs,
-                      "length": self.get(section, "length", required=True)}
-        fields.update((key, self.get(section, key)) for key in self.values[section])
+    def signal(self, model: StateSpaceModel) -> SignalSpec:
+        """The [signal] excitation of the model's inputs, one channel each, for its
+        ``length``. Keys it leaves out take SignalSpec's defaults."""
+        if not self.has("signal"):
+            raise ConfigError("missing [signal] section")
+        self.get("signal", "kind", required=True)
+        fields = {"channels": model.n_inputs, "length": self.get("signal", "length", required=True)}
+        fields.update((key, self.get("signal", key)) for key in self.values["signal"])
         try:
-            return SignalSpec(sample_time=model.sample_time, **fields)
+            return SignalSpec(**fields)
         except ValueError as exc:
-            raise ConfigError(f"[{section}]: {exc}") from exc
+            raise ConfigError(f"[signal]: {exc}") from exc
 
     def weights(self) -> LqrWeights:
         try:

@@ -94,10 +94,13 @@ class RegulationScenario:
 
 @dataclass
 class TrackingScenario:
-    """Close the loop with an internal-model controller on a reference signal."""
+    """Close the loop with an internal-model controller on a reference of every output:
+    a step to ``amplitude`` when ``frequency`` is None, else amplitude sin(frequency k ts)
+    at sample k and the model's sample time ts."""
 
     imc: ImcRealization
-    reference: SignalSpec
+    amplitude: float = 1.0
+    frequency: Optional[float] = None
 
 
 def _stage(name: str, fn, *args, **kwargs):
@@ -204,10 +207,10 @@ def convergence_sweep(
 
 def monte_carlo_obs(model: StateSpaceModel, signal: SignalSpec, depth: int, runs: int,
                     noise_variance: float, base_seed: int = 0, width: Optional[int] = None,
-                    noise_mode: str = "measurement",
+                    noise_mode: str = "process",
                     fixed_input: bool = False) -> Tuple[MonteCarloReport, MonteCarloReport]:
-    """Monte Carlo statistics of both observability estimators under noise, measurement
-    noise unless ``noise_mode`` says "process": one ``MonteCarloReport`` per algorithm.
+    """Monte Carlo statistics of both observability estimators under noise, process
+    noise unless ``noise_mode`` says "measurement": one ``MonteCarloReport`` per algorithm.
 
     Each run redraws the excitation signal and the state-noise sequence from
     a run-indexed seed (``fixed_input`` keeps one excitation realization
@@ -353,19 +356,20 @@ def evaluate_closed_loop(
 
     Regulation runs the plant from the scenario's start state; its error is the norm
     of the last output. Tracking runs ``augment_model`` from rest driven by G r,
-    G = [0; I_q (x) B_c]. A constant reference's error is the largest gap of the last
-    outputs to it; a sinusoid run reads each output's amplitude and THD (``_tone``) and
-    reports the largest relative amplitude error and the largest THD, nan when an
-    output has no fundamental. A run with a non-finite state, input or output is
-    unstable: its cost and steady-state error are inf, and it has no THD.
+    G = [0; I_q (x) B_c], with the scenario's reference r on every output. A step's
+    error is the largest gap of the last outputs to it; a sinusoid run reads each
+    output's amplitude and THD (``_tone``) and reports the largest amplitude error
+    relative to |amplitude| and the largest THD, nan when an output has no fundamental.
+    A run with a non-finite state, input or output is unstable: its cost and
+    steady-state error are inf, and it has no THD.
     Argument errors are InputErrors, raised before the run: a gain ``K`` that is not
     inputs x loop states (tracking adds one internal-model copy per output), weights
     that do not fit the loop's outputs (internal-model states included) and inputs, a
-    wrong-sized start state ``x0``, a reference whose ``channels`` are neither 1 (one
-    signal for every output) nor q, a sinusoid reference whose ``frequency`` times its
-    sample time is outside (0, pi) or whose period no 10 to 999 whole periods span in
-    whole samples (to 1e-9 relative), or a ``horizon`` shorter than the fewest such
-    periods, ``THD_PERIODS`` at least: the window whose DFT gives the amplitude and THD.
+    wrong-sized start state ``x0``, a sinusoid of ``amplitude`` 0, or whose
+    ``frequency`` times the model's sample time is outside (0, pi) or whose period no 10
+    to 999 whole periods span in whole samples (to 1e-9 relative), or a ``horizon``
+    shorter than the fewest such periods, ``THD_PERIODS`` at least: the window whose
+    DFT gives the amplitude and THD.
     """
     K = np.asarray(K, dtype=float)
     n, q = model.n_states, model.n_outputs
@@ -379,12 +383,11 @@ def evaluate_closed_loop(
         if x0.shape[0] != n:
             raise InputError("x0", f"has {x0.shape[0]} entries, expected {n} states")
     else:
-        ref, periods = replace(scenario.reference, length=horizon), None
-        if ref.channels not in (1, q):
-            raise InputError("channels",
-                             f"must be 1 or the plant's {q} outputs, got {ref.channels}")
-        if ref.kind == "sinusoid":
-            theta = ref.frequency * ref.sample_time
+        amplitude, frequency, periods = scenario.amplitude, scenario.frequency, None
+        if frequency is not None:
+            if amplitude == 0:
+                raise InputError("amplitude", "must be nonzero: the error is relative to it")
+            theta = frequency * model.sample_time
             if not 0.0 < theta < np.pi:
                 raise InputError("frequency", f"* ts = {theta:.6g} must lie inside (0, pi)")
             period = 2.0 * np.pi / theta
@@ -397,8 +400,10 @@ def evaluate_closed_loop(
             periods, window = THD_PERIODS + int(whole[0]), int(round(span[whole[0]]))
             if horizon < window:
                 raise InputError("horizon", f"must be >= {window}, got {horizon}")
-        x0, r = np.zeros(loop.n_states), generate_signal(ref)
-        r = r if r.shape[1] == q else np.tile(r, (1, q))
+        k = np.arange(horizon)
+        wave = (np.full(k.shape, amplitude) if frequency is None
+                else amplitude * np.sin(frequency * k * model.sample_time))
+        x0, r = np.zeros(loop.n_states), np.tile(wave[:, None], (1, q))
         G = np.vstack([np.zeros((n, q)), np.kron(np.eye(q), scenario.imc.B_c)])
         drives = (_apply(G, r),)
     A_cl = loop.A - loop.B @ K
@@ -414,8 +419,8 @@ def evaluate_closed_loop(
         metrics["steady_state_error"] = float(np.abs(y[-1, :q] - r[-1]).max())
     else:
         amp, thd = np.array([_tone(y[-window:, i], periods) for i in range(q)]).T
-        metrics["steady_state_error"] = float(np.abs(amp - ref.amplitude).max()
-                                              / abs(ref.amplitude))
+        metrics["steady_state_error"] = float(np.abs(amp - abs(amplitude)).max()
+                                              / abs(amplitude))
         metrics["thd"] = float(thd.max())
     return metrics
 

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-SIGNAL_KINDS = ("prbs", "white-noise", "sinusoid", "constant", "zero")
+SIGNAL_KINDS = ("prbs", "white-noise")
 NOISE_MODES = ("process", "measurement")
 # Feedback taps of the maximal-length register of each order: scipy.signal.max_len_seq's table.
 MLS_TAPS = {2: [1], 3: [2], 4: [3], 5: [3], 6: [5], 7: [6], 8: [7, 6, 1], 9: [5], 10: [7],
@@ -65,14 +65,15 @@ class StateSpaceModel:
     """Discrete-time model x(k+1) = A x + B u + E v, y(k) = C x.
 
     E is an optional state-noise channel: leaving it unset, never an empty E, means no
-    state noise. B and E need a column and C a row. ``sample_time`` is metadata only.
+    state noise. B and E need a column and C a row. ``sample_time`` is the time base
+    of a sinusoid reference and of a resonant internal model.
     """
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
     E: Optional[np.ndarray] = None
-    sample_time: Optional[float] = None
+    sample_time: float = 1.0
 
     def __post_init__(self):
         for name in "ABCE":
@@ -144,7 +145,8 @@ class Dataset:
 
 @dataclass
 class SignalSpec:
-    """Recipe for a deterministic excitation or reference signal.
+    """Recipe for an excitation, deterministic per seed: a PRBS of levels +/-``amplitude``
+    or white noise of ``variance``.
 
     ``hold`` stretches each PRBS register step over that many samples
     (1 keeps the usual chip-per-sample sequence); ``channels`` generates that
@@ -156,11 +158,9 @@ class SignalSpec:
     length: int
     amplitude: float = 1.0
     variance: float = 0.0
-    frequency: float = 0.0
     seed: int = 0
     register_order: int = 10
     channels: int = 1
-    sample_time: float = 1.0
     hold: int = 1
 
     def __post_init__(self):
@@ -239,17 +239,9 @@ def generate_signal(spec: SignalSpec, seeds=None) -> np.ndarray:
     batch = [spec.seed] if seeds is None else seeds
     if spec.kind == "prbs":
         signal = _prbs_channels(spec, batch)
-    elif spec.kind == "white-noise":
+    else:  # "white-noise", the other of SIGNAL_KINDS, the only kinds SignalSpec admits
         signal = np.stack([np.random.default_rng(seed).normal(
             0.0, np.sqrt(spec.variance), size=(spec.length, spec.channels)) for seed in batch])
-    elif spec.kind == "sinusoid":
-        k = np.arange(spec.length)
-        wave = spec.amplitude * np.sin(spec.frequency * k * spec.sample_time)
-        signal = np.tile(wave[:, None], (len(batch), 1, spec.channels))
-    elif spec.kind == "constant":
-        signal = np.full((len(batch), spec.length, spec.channels), spec.amplitude)
-    else:  # "zero", the last of SIGNAL_KINDS, the only kinds SignalSpec admits
-        signal = np.zeros((len(batch), spec.length, spec.channels))
     return signal if seeds is not None else signal[0]
 
 

@@ -6,7 +6,7 @@ the repository's ``src/``, ``tests/``, ``configs/``, ``pyproject.toml`` and ``RE
 unmutated (it must pass), then once per mutant with that one source edit applied. It
 prints the tests that catch each mutant. The exit status is 1 when the unmutated copy
 fails, an edit no longer matches the source exactly once, or a mutant is caught by no
-test. Each run takes as long as the suite, so the whole smoke takes about thirteen times
+test. Each run takes as long as the suite, so the whole smoke takes about fifteen times
 that.
 
 The technique is mutation testing: a check that no plausible fault can break shows
@@ -44,6 +44,10 @@ MUTANTS = [
      "span = np.arange(THD_PERIODS, 1000) * round(period)"),
     ("a sinusoid tracking run reads its first output only", "experiments.py",
      "periods) for i in range(q)]", "periods) for i in range(1)]"),
+    ("a sinusoid run's amplitude is compared with the signed amplitude", "experiments.py",
+     "np.abs(amp - abs(amplitude))", "np.abs(amp - amplitude)"),
+    ("the sinusoid reference runs at sample time 1, not the model's", "experiments.py",
+     "np.sin(frequency * k * model.sample_time)", "np.sin(frequency * k)"),
     ("Monte Carlo alg2 runs the Markov predictor", "experiments.py",
      """obs = (_estimate(dm, algorithm)[1] if algorithm == "alg1"
                    else _stage("observability", estimate_obs_alg2, dm)[0])""",

@@ -292,7 +292,7 @@ def augment_dataset(data, imc):
 
 
 def per_run_monte_carlo(model, signal, depth, runs, noise_variance, base_seed=0,
-                        width=None, noise_mode="measurement"):
+                        width=None, noise_mode="process"):
     """Shifted-observability samples and failure counts, one run at a time.
 
     Draws each run as ``monte_carlo_obs`` does: ``default_rng(base_seed + r)``,

@@ -200,10 +200,9 @@ def test_criterion_7_tracking_demo():
         K, _ = synthesize(est, weights, cfg.get("lqr", "horizon"))
         assert K.shape == (1, 4)
         horizon = cfg.get("eval", "horizon")
-        reference = cfg.signal(model, section="reference")
-        metrics = evaluate_closed_loop(
-            model, K, weights, TrackingScenario(imc=imc, reference=reference), horizon,
-        )
+        scenario = TrackingScenario(imc, cfg.get("reference", "amplitude"),
+                                    cfg.get("reference", "frequency"))
+        metrics = evaluate_closed_loop(model, K, weights, scenario, horizon)
         assert metrics["spectral_radius"] < 1.0
         assert metrics["steady_state_error"] < 0.02
 

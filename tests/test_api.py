@@ -48,7 +48,8 @@ STAGES = [
 
 
 # Parameters of the pipeline, the simulator, the closed-loop evaluation, the solvers
-# and the dataset reader, and the fields of the model, dataset, estimates and design:
+# and the dataset reader, and the fields of the model, dataset, excitation, tracking
+# scenario and estimates:
 # a keyword or field that only tests would set shows up here as a diff.
 PARAMETERS = [
     ("ddlqr", "estimate", ["data", "depth", "width", "algorithm", "imc"]),
@@ -63,6 +64,9 @@ PARAMETERS = [
 FIELDS = [
     ("plant_sim", "StateSpaceModel", ["A", "B", "C", "E", "sample_time"]),
     ("plant_sim", "Dataset", ["u", "y", "x"]),
+    ("plant_sim", "SignalSpec", ["kind", "length", "amplitude", "variance", "seed",
+                                 "register_order", "channels", "hold"]),
+    ("experiments", "TrackingScenario", ["imc", "amplitude", "frequency"]),
     ("markov", "DataMatrices", ["factor", "depth", "width", "n_inputs", "n_outputs", "imc"]),
     ("experiments", "DataDrivenEstimate", ["toeplitz", "observability", "depth", "width", "imc",
                                            "diagnostics"]),

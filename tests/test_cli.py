@@ -448,17 +448,19 @@ class TestMonteCarlo:
         assert "[noise] variance must be >= 0" in err and "non-finite" not in err
 
     def test_noise_mode_reaches_the_runs(self, tmp_path):
-        # the bundled study measures its noise; [noise] mode = process drives the state with it
-        assert run("montecarlo", MC, "--output-dir", str(tmp_path),
-                   "--set", "montecarlo.runs=20", "--set", "noise.mode=process") == 0
+        # the bundled study measures its noise; [noise] mode = process drives the state
+        # with it. Neither mode may fall to the library's default unread
         cfg = RunConfig.load(MC)
         model = cfg.model()
-        reports = monte_carlo_obs(model, cfg.signal(model), cfg.get("estimation", "depth"), 20,
-                                  cfg.get("noise", "variance"), noise_mode="process",
-                                  width=cfg.get("estimation", "width"))
-        write_matrix(tmp_path / "expect.csv", reports[0].mean)
-        assert (tmp_path / "mc_alg1_mean.csv").read_bytes() == \
-            (tmp_path / "expect.csv").read_bytes()
+        for mode in ("measurement", "process"):
+            assert run("montecarlo", MC, "--output-dir", str(tmp_path / mode),
+                       "--set", "montecarlo.runs=20", "--set", f"noise.mode={mode}") == 0
+            reports = monte_carlo_obs(model, cfg.signal(model), cfg.get("estimation", "depth"),
+                                      20, cfg.get("noise", "variance"), noise_mode=mode,
+                                      width=cfg.get("estimation", "width"))
+            write_matrix(tmp_path / "expect.csv", reports[0].mean)
+            assert (tmp_path / mode / "mc_alg1_mean.csv").read_bytes() == \
+                (tmp_path / "expect.csv").read_bytes()
 
     def test_failure_reasons_listed(self, tmp_path, monkeypatch):
         first_run_anticipates(monkeypatch)
@@ -475,7 +477,7 @@ class TestMonteCarlo:
     def test_too_few_successes_name_the_reason(self, tmp_path, capsys):
         # an unexcited record fills the Hankel matrices, so every run fails in estimation
         code = run("montecarlo", MC, "--output-dir", str(tmp_path),
-                   "--set", "signal.kind=zero", "--set", "montecarlo.runs=5")
+                   "--set", "signal.amplitude=0", "--set", "montecarlo.runs=5")
         assert code == 1
         assert ("alg1: fewer than 2 successful runs (5 failures, most often markov-estimation: "
                 "insufficient excitation)") in capsys.readouterr().err
@@ -588,6 +590,19 @@ class TestEval:
                        (tmp_path / "full" / "eval.csv").read_text().splitlines()[1:])
         assert float(metrics["spectral_radius"]) < 1.0
         assert np.isfinite(float(metrics["cost"])) and np.isfinite(float(metrics["thd"]))
+
+    def test_negative_amplitude_reads_as_its_magnitude(self, tmp_path):
+        # a reference of the other sign runs the loop exactly negated: the amplitude read
+        # from the DFT is a magnitude, so the error is the same, not 2 (200%)
+        assert run("design", UPS, "--output-dir", str(tmp_path / "d"), *UPS_SMALL) == 0
+        tables = []
+        for amplitude in ("179.60512242138307", "-179.60512242138307"):
+            assert run("eval", UPS, "--output-dir", str(tmp_path / amplitude), *UPS_SMALL,
+                       "--set", f"io.gain={tmp_path}/d/gain.csv", "--set", "eval.horizon=2500",
+                       "--set", f"reference.amplitude={amplitude}") == 0
+            tables.append((tmp_path / amplitude / "eval.csv").read_text())
+        assert tables[0] == tables[1]
+        assert float(tables[0].split("steady_state_error,")[1].split()[0]) < 0.02
 
     def test_zero_gain_tracking_writes_metrics(self, tmp_path):
         # the plant output stays zero: no fundamental, so THD is 0/0, but the
@@ -737,13 +752,15 @@ class TestEval:
 
     # eval tracks exactly when the file has an [imc] section; the plant fixes the signals'
     # channels and every sample time, and the horizon the reference's length; a reference is
-    # a constant or a sinusoid, and Monte Carlo takes its noise from [noise]
+    # a constant or a sinusoid, an excitation a PRBS or white noise, and Monte Carlo takes
+    # its noise from [noise]
     @pytest.mark.parametrize("override", [
         "eval.scenario=tracking", "signal.channels=1", "signal.ts=6.666666666666667e-05",
         "reference.ts=6.666666666666667e-05", "imc.ts=6.666666666666667e-05",
         "reference.length=7500", "io.output_dir=out", "montecarlo.variance=0.1",
         "montecarlo.noise_mode=process", "reference.variance=1", "reference.seed=3",
-        "reference.register_order=10", "reference.hold=2", "reference.channels=1"])
+        "reference.register_order=10", "reference.hold=2", "reference.channels=1",
+        "signal.frequency=0.3"])
     def test_removed_key_exits_2(self, tmp_path, capsys, override):
         assert run("eval", UPS, "--output-dir", str(tmp_path / "e"), "--set", override) == 2
         section, key = override.split("=")[0].split(".")
@@ -755,7 +772,8 @@ class TestEval:
 # An input error of each kind that is raised after the config file loads, with
 # the command and overrides that raise it and the start of its message.
 INPUT_ERRORS = {
-    "signal-spec": ("design", REGULATION, ["signal.kind=bogus"], "[signal]: unsupported"),
+    "signal-spec": ("design", REGULATION, ["signal.register_order=40"],
+                    "[signal]: register_order must be between 2 and 32"),
     "lqr-weights": ("design", REGULATION, ["lqr.r=0"], "[lqr]: R must be positive definite"),
     "resonant-imc": ("design", UPS, ["imc.omega_n=1e9"], "[imc]: "),
     "resonant-imc-zero": ("design", UPS, ["imc.omega_n=0"], "[imc]: omega_n * Ts = 0 must lie "
@@ -853,6 +871,8 @@ INPUT_RULES = {
     "reference-below-nyquist": ("eval", UPS, ["reference.frequency=94000",
                                               "io.gain={tmp}/1x4.csv"],
                                 "[reference] frequency", "frequency"),
+    "sinusoid-amplitude": ("eval", UPS, ["reference.amplitude=0", "io.gain={tmp}/1x4.csv"],
+                           "[reference] amplitude", "amplitude"),
 }
 
 
@@ -876,7 +896,8 @@ def _library_run(command: str, config: str, sets):
         if imc is None:
             scenario = RegulationScenario(x0=cfg.get("eval", "x0"))
         else:
-            scenario = TrackingScenario(imc=imc, reference=cfg.signal(model, "reference"))
+            scenario = TrackingScenario(imc, cfg.get("reference", "amplitude"),
+                                        cfg.get("reference", "frequency"))
         return evaluate_closed_loop(model, read_matrix(cfg.get("io", "gain")), cfg.weights(),
                                     scenario, horizon)
     dataset = cfg.get("io", "dataset")

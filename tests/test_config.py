@@ -109,6 +109,9 @@ class TestKinds:
         with pytest.raises(ConfigError, match=r"\[reference\] kind must be one of "
                                               r"\('constant', 'sinusoid'\), got 'prbs'"):
             load(tmp_path, "reference.kind=prbs")
+        with pytest.raises(ConfigError, match=r"\[signal\] kind must be one of "
+                                              r"\('prbs', 'white-noise'\), got 'sinusoid'"):
+            load(tmp_path, "signal.kind=sinusoid")
         with pytest.raises(ConfigError, match=r"\[estimation\] algorithm must be one of "
                                               r"\('alg1', 'alg2'\), got 'alg3'"):
             load(tmp_path, "estimation.algorithm=alg3")
@@ -148,15 +151,15 @@ class TestKinds:
     def test_every_key_has_a_kind_with_bad_values(self):
         for section, key in LIVE:
             assert bad_values(KEYS[section][key]), (section, key)
-        # both sections are SignalSpecs: a reference is a constant or a sinusoid on every
-        # output, so of the signal's keys it keeps the three that shape those and refuses the
-        # rest, each by name; the model and [eval] horizon set its channels and length
+        # an excitation is a PRBS or white noise, and a reference a step or a sinusoid on
+        # every output: each section refuses by name the keys that shape only the other
         signal, reference = KEYS["signal"], KEYS["reference"]
         assert signal.keys() == reference.keys()
+        assert signal["kind"].choices == SIGNAL_KINDS
+        assert signal["frequency"].removed and not reference["frequency"].removed
         live = {k for k, spec in reference.items() if not spec.removed}
         assert live == {"kind", "amplitude", "frequency"}
-        assert set(reference["kind"].choices) <= set(SIGNAL_KINDS)
-        assert all(reference[k] == signal[k] for k in live - {"kind"})
+        assert not set(reference["kind"].choices) & set(SIGNAL_KINDS)
 
 
 class TestUnknownKeys:

@@ -250,7 +250,8 @@ class TestMonteCarlo:
     def mc(self, runs=60, signal=None, **kw):
         model = scalar_model(with_noise=True)
         spec = signal or SignalSpec(kind="prbs", length=1022, amplitude=1.0, hold=3)
-        args = dict(depth=3, runs=runs, noise_variance=0.1, base_seed=0, width=420)
+        args = dict(depth=3, runs=runs, noise_variance=0.1, base_seed=0, width=420,
+                    noise_mode="measurement")
         args.update(kw)
         return monte_carlo_obs(model, spec, **args)
 
@@ -292,7 +293,7 @@ class TestMonteCarlo:
         # an unexcited record fails every run in estimation
         with pytest.raises(ValueError, match=r"alg1: fewer than 2 successful runs \(3 failures, "
                            r"most often markov-estimation: insufficient excitation\)"):
-            self.mc(runs=3, signal=SignalSpec(kind="zero", length=1022))
+            self.mc(runs=3, signal=SignalSpec(kind="prbs", length=1022, amplitude=0.0))
 
     def test_short_record_raises_before_any_run(self, monkeypatch):
         monkeypatch.setattr(ddlqr.experiments, "simulate",
@@ -300,6 +301,18 @@ class TestMonteCarlo:
         with pytest.raises(InputError, match=r"^width 420 at depth 3 needs 2\*depth \+ width - 1"
                            r" = 425 samples, the record has 6$"):
             self.mc(runs=3, signal=SignalSpec(kind="prbs", length=6))
+
+    def test_noise_mode_defaults_to_process(self):
+        # one default for one setting, as in simulate and [noise] mode: the noise drives
+        # the state unless the study says it is measured
+        spec = SignalSpec(kind="prbs", length=1022, amplitude=1.0, hold=3)
+        args = dict(depth=3, runs=20, noise_variance=0.1, width=420)
+        model = scalar_model(with_noise=True)
+        default = monte_carlo_obs(model, spec, **args)
+        for mode, same in (("process", True), ("measurement", False)):
+            reports = monte_carlo_obs(model, spec, **args, noise_mode=mode)
+            for a, b in zip(default, reports):
+                assert np.array_equal(a.mean, b.mean) == same, mode
 
     def test_misspelt_noise_mode_raises(self):
         # it was taken for process noise that never entered the record: a noise-free
@@ -600,10 +613,9 @@ class TestHarmonicDistortion:
     @staticmethod
     def track(frequency: float, horizon: int):
         """A zero-gain sinusoid tracking run of the scalar plant at ``frequency`` rad/sample."""
-        model, imc = scalar_model(), integrator_imc()
-        ref = SignalSpec(kind="sinusoid", length=1, amplitude=1.0, frequency=frequency)
-        return evaluate_closed_loop(model, np.zeros((1, 2)), LqrWeights(Q=np.eye(2), R=[[1.0]]),
-                                    TrackingScenario(imc=imc, reference=ref), horizon)
+        return evaluate_closed_loop(scalar_model(), np.zeros((1, 2)),
+                                    LqrWeights(Q=np.eye(2), R=[[1.0]]),
+                                    TrackingScenario(integrator_imc(), 1.0, frequency), horizon)
 
     def test_window_too_short(self):
         # 100 samples a period: the THD window is 1000 samples
@@ -635,9 +647,8 @@ class TestHarmonicDistortion:
         imc = cfg.imc(model.sample_time)
         loop = augment_model(model, imc)
         K = model_lqr_gain(loop, dare_solve(loop, weights), weights.R)
-        metrics = evaluate_closed_loop(
-            model, K, weights, TrackingScenario(imc, cfg.signal(model, section="reference")),
-            cfg.get("eval", "horizon"))
+        scenario = TrackingScenario(imc, cfg.get("reference", "amplitude"), frequency)
+        metrics = evaluate_closed_loop(model, K, weights, scenario, cfg.get("eval", "horizon"))
         assert metrics["thd"] < 1e-12 and metrics["steady_state_error"] < 1e-12
 
 
@@ -667,22 +678,10 @@ class TestEvaluateClosedLoop:
         with pytest.raises(InputError, match=r"K has shape \(1, 1\), expected \(1, 2\)"):
             evaluate_closed_loop(model, np.zeros((1, 1)), weights,
                                  RegulationScenario(x0=[1.0, 0.0]), 50)
-        ref = SignalSpec(kind="constant", length=1, amplitude=1.0)
-        scenario = TrackingScenario(imc=integrator_imc(), reference=ref)
+        scenario = TrackingScenario(integrator_imc())
         for K in (np.zeros((1, 1)), np.zeros((1, 2))):  # plant states only: no IMC state
             with pytest.raises(ValueError, match=r"expected \(1, 3\)"):
                 evaluate_closed_loop(model, K, weights, scenario, 50)
-
-    def test_reference_channels_other_than_one_or_q_raise(self):
-        # one reference for every output, or one each: a 1-output plant takes no 3-channel one
-        model = StateSpaceModel(A=[[0.9, 0.1], [0.0, 0.8]], B=[[0.0], [1.0]], C=[[1.0, 0.0]])
-        ref = SignalSpec(kind="constant", length=1, amplitude=1.0, channels=3)
-        scenario = TrackingScenario(imc=integrator_imc(), reference=ref)
-        with pytest.raises(InputError, match=r"^channels must be 1 or the plant's 1 outputs, "
-                                             r"got 3$") as raised:
-            evaluate_closed_loop(model, np.zeros((1, 3)), LqrWeights(Q=np.eye(2), R=[[1.0]]),
-                                 scenario, 50)
-        assert raised.value.param == "channels"
 
     def test_weights_that_do_not_fit_raise(self):
         # refused before simulating, not reported as an infinite cost
@@ -695,8 +694,7 @@ class TestEvaluateClosedLoop:
             with pytest.raises(InputError, match=message):
                 evaluate_closed_loop(model, K, weights, RegulationScenario(x0=[1.0, 1.0]), 50)
         model = StateSpaceModel(A=[[0.9, 0.1], [0.0, 0.8]], B=[[0.0], [1.0]], C=[[1.0, 0.0]])
-        ref = SignalSpec(kind="constant", length=1, amplitude=1.0)
-        scenario = TrackingScenario(imc=integrator_imc(), reference=ref)
+        scenario = TrackingScenario(integrator_imc())
         with pytest.raises(InputError, match=r"Q has dimension 1, expected 2 "
                            r"\(outputs, internal-model states included\)"):
             evaluate_closed_loop(model, np.zeros((1, 3)), LqrWeights(Q=[[1.0]], R=[[1.0]]),
@@ -708,9 +706,7 @@ class TestEvaluateClosedLoop:
         imc = integrator_imc()
         weights = LqrWeights(Q=np.eye(4), R=0.1 * np.eye(2))
         K_a = 0.1 * np.arange(8.0).reshape(2, 4) - 0.3
-        ref = SignalSpec(kind="constant", length=1, amplitude=0.8, channels=2)
-        metrics = evaluate_closed_loop(model, K_a, weights,
-                                       TrackingScenario(imc=imc, reference=ref), 60)
+        metrics = evaluate_closed_loop(model, K_a, weights, TrackingScenario(imc, 0.8), 60)
         expect = loop_tracking_loop(model, imc, K_a, np.full((60, 2), 0.8))
         assert metrics["cost"] == pytest.approx(_cost(expect, weights), rel=1e-12)
         assert metrics["steady_state_error"] == pytest.approx(
@@ -735,9 +731,8 @@ class TestEvaluateClosedLoop:
         metrics = evaluate_closed_loop(model, [[1e300]], weights, RegulationScenario(x0=[1e100]), 1)
         assert metrics["cost"] == np.inf and metrics["steady_state_error"] == np.inf
         # tracking: u = x_c drives the unstable plant away from rest
-        ref = SignalSpec(kind="constant", length=1, amplitude=1.0)
         metrics = evaluate_closed_loop(model, [[0.0, -1.0]], LqrWeights(Q=np.eye(2), R=[[1.0]]),
-                                       TrackingScenario(imc=integrator_imc(), reference=ref), 4000)
+                                       TrackingScenario(integrator_imc()), 4000)
         assert metrics["spectral_radius"] >= 1.0
         assert metrics["cost"] == np.inf and metrics["steady_state_error"] == np.inf
 
@@ -747,9 +742,7 @@ class TestEvaluateClosedLoop:
         aug = augment_model(model, imc)
         weights = LqrWeights(Q=np.eye(4), R=0.1 * np.eye(2))
         K_a = model_lqr_gain(aug, dare_solve(aug, weights), weights.R)
-        ref = SignalSpec(kind="constant", length=1, amplitude=1.0)
-        metrics = evaluate_closed_loop(model, K_a, weights,
-                                       TrackingScenario(imc=imc, reference=ref), 400)
+        metrics = evaluate_closed_loop(model, K_a, weights, TrackingScenario(imc), 400)
         assert metrics["spectral_radius"] < 1.0
         assert metrics["steady_state_error"] < 1e-6
         assert "thd" not in metrics
@@ -761,8 +754,7 @@ class TestEvaluateClosedLoop:
         aug = augment_model(model, imc)
         weights = LqrWeights(Q=np.eye(6), R=0.1 * np.eye(2))
         K_a = model_lqr_gain(aug, dare_solve(aug, weights), weights.R)
-        ref = SignalSpec(kind="sinusoid", length=1, amplitude=1.0, frequency=2 * np.pi / 20)
-        scenario = TrackingScenario(imc=imc, reference=ref)
+        scenario = TrackingScenario(imc, 1.0, 2 * np.pi / 20)
         with pytest.raises(InputError, match="horizon must be >= 200, got 199"):
             evaluate_closed_loop(model, K_a, weights, scenario, 199)
         metrics = evaluate_closed_loop(model, K_a, weights, scenario, 200)
@@ -770,8 +762,7 @@ class TestEvaluateClosedLoop:
         assert np.isfinite(metrics["cost"]) and np.isfinite(metrics["thd"])
         # every output is read, and the worst one reported: output 1's amplitude error
         # (0.048) is over four times output 0's (0.010)
-        r = np.tile(generate_signal(SignalSpec(kind="sinusoid", length=200, amplitude=1.0,
-                                               frequency=2 * np.pi / 20)), (1, 2))
+        r = np.tile(np.sin(2 * np.pi / 20 * np.arange(200))[:, None], (1, 2))
         _, _, y = tracking_run(model, imc, K_a, r)
         amp, thd = zip(*(ddlqr.experiments._tone(y[:, i], 10) for i in range(2)))
         error = np.abs(np.array(amp) - 1.0)
@@ -782,14 +773,14 @@ class TestEvaluateClosedLoop:
     def test_metric_names_in_order(self):
         # eval.csv writes these rows as they come; only a finite sinusoid run has a thd
         names = ["cost", "spectral_radius", "steady_state_error"]
-        sine = SignalSpec(kind="sinusoid", length=1, amplitude=1.0, frequency=2 * np.pi / 100)
-        constant = SignalSpec(kind="constant", length=1, amplitude=1.0)
+        step = TrackingScenario(integrator_imc())
+        sine = TrackingScenario(integrator_imc(), 1.0, 2 * np.pi / 100)
         # the last run is unstable: u = x_c drives the plant away from rest
         for a, K, scenario, expect in (
                 (0.5, [[0.0]], RegulationScenario(x0=[1.0]), names),
-                (0.5, [[0.0, 0.0]], TrackingScenario(integrator_imc(), constant), names),
-                (0.5, [[0.0, 0.0]], TrackingScenario(integrator_imc(), sine), names + ["thd"]),
-                (1.2, [[0.0, -1.0]], TrackingScenario(integrator_imc(), sine), names)):
+                (0.5, [[0.0, 0.0]], step, names),
+                (0.5, [[0.0, 0.0]], sine, names + ["thd"]),
+                (1.2, [[0.0, -1.0]], sine, names)):
             model = StateSpaceModel(A=[[a]], B=[[1.0]], C=[[1.0]])
             weights = LqrWeights(Q=np.eye(len(K[0])), R=[[1.0]])  # output, plus x_c if tracking
             assert list(evaluate_closed_loop(model, K, weights, scenario, 4000)) == expect

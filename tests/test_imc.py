@@ -10,7 +10,6 @@ from oracles import augment_dataset
 from ddlqr import (
     Dataset,
     LqrWeights,
-    SignalSpec,
     StateSpaceModel,
     TrackingScenario,
     augment_model,
@@ -173,7 +172,7 @@ class TestTracking:
         model = two_output_model()
         imc = integrator_imc()
         weights = LqrWeights(Q=np.eye(4), R=np.eye(2))
-        scenario = TrackingScenario(imc=imc, reference=SignalSpec(kind="zero", length=1))
+        scenario = TrackingScenario(imc, amplitude=0.0)
         metrics = evaluate_closed_loop(model, np.zeros((2, 4)), weights, scenario, 30)
         assert metrics["cost"] == 0.0 and metrics["steady_state_error"] == 0.0
         x, u, _ = tracking_run(model, imc, np.zeros((2, 4)), np.zeros((30, 2)))
@@ -213,9 +212,9 @@ class TestTracking:
         weights = LqrWeights(Q=200 * np.eye(3), R=[[5000.0]])
         K_a = model_lqr_gain(aug, dare_solve(aug, weights), weights.R)
         amp = 127 * np.sqrt(2)
-        ref = SignalSpec(kind="sinusoid", length=1, amplitude=amp, frequency=omega, sample_time=Ts)
-        # 250 samples per period: the amplitude is fitted over the last 2500 of 7500
-        scenario = TrackingScenario(imc=imc, reference=ref)
+        # 250 samples per period at the model's Ts: the amplitude is read over the last
+        # 2500 of 7500
+        scenario = TrackingScenario(imc, amp, omega)
         metrics = evaluate_closed_loop(model, K_a, weights, scenario, 7500)
         assert metrics["steady_state_error"] < 0.01
 

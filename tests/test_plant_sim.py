@@ -12,15 +12,18 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import regulation_run, scalar_model, two_output_model
 from oracles import loop_closed_loop
+import ddlqr.experiments
 from ddlqr import (
     Dataset,
     InputError,
     RegulationScenario,
     SignalSpec,
     StateSpaceModel,
+    TrackingScenario,
     dare_solve,
     evaluate_closed_loop,
     generate_signal,
+    integrator_imc,
     LqrWeights,
     model_lqr_gain,
     simulate,
@@ -203,24 +206,36 @@ class TestGenerateSignal:
         sig = generate_signal(spec)
         assert 0.08 <= sig.var() <= 0.12
 
-    def test_sinusoid_formula(self):
-        spec = SignalSpec(kind="sinusoid", length=100, amplitude=127 * np.sqrt(2),
-                          frequency=120 * np.pi, sample_time=1 / 15000)
-        sig = generate_signal(spec)[:, 0]
-        k = np.arange(100)
-        np.testing.assert_allclose(
-            sig, 127 * np.sqrt(2) * np.sin(120 * np.pi * k / 15000), atol=1e-12)
+    def test_sinusoid_formula(self, monkeypatch):
+        # a sinusoid is a tracking reference, not an excitation: evaluate_closed_loop drives
+        # the integrator state with amplitude sin(frequency k ts) at the model's sample time
+        drives = []
 
-    @pytest.mark.parametrize("kind", ["white-noise", "sinusoid", "constant", "zero"])
+        def recorded(loop, K, A_cl, x0, *drive, steps):
+            drives.append(drive[0])
+            return loop_run(loop, K, A_cl, x0, *drive, steps=steps)
+
+        loop_run = ddlqr.experiments._loop_run
+        monkeypatch.setattr(ddlqr.experiments, "_loop_run", recorded)
+        model = StateSpaceModel(A=[[0.5]], B=[[1.0]], C=[[1.0]], sample_time=1 / 15000)
+        scenario = TrackingScenario(integrator_imc(), amplitude=127 * np.sqrt(2),
+                                    frequency=120 * np.pi)
+        evaluate_closed_loop(model, np.zeros((1, 2)), LqrWeights(Q=np.eye(2), R=[[1.0]]),
+                             scenario, 2500)
+        k = np.arange(2500)
+        assert not drives[0][:, 0].any()  # the plant state takes no reference
+        np.testing.assert_allclose(  # k * ts and k / 15000 round apart by 1e-12 at k ~ 2000
+            drives[0][:, 1], 127 * np.sqrt(2) * np.sin(120 * np.pi * k / 15000), atol=1e-10)
+
+    @pytest.mark.parametrize("kind", ["prbs", "white-noise"])
     def test_every_kind_batches_one_run_per_seed(self, kind):
-        spec = SignalSpec(kind=kind, length=30, amplitude=0.7, variance=0.5, frequency=0.3,
-                          channels=2)
+        spec = SignalSpec(kind=kind, length=30, amplitude=0.7, variance=0.5, channels=2)
         seeds = [4, 0, 4, 2 ** 31 - 1]
         batch = generate_signal(spec, seeds)
         assert batch.shape == (4, 30, 2)
         for seed, run in zip(seeds, batch):
             assert np.array_equal(run, generate_signal(replace(spec, seed=seed)))
-        assert (kind == "white-noise") == (not np.array_equal(batch[0], batch[1]))
+        assert not np.array_equal(batch[0], batch[1])
 
     def test_determinism(self):
         spec = SignalSpec(kind="prbs", length=500, seed=9, channels=2)
@@ -235,8 +250,10 @@ class TestGenerateSignal:
             assert len(set(sig[start:start + 4])) == 1
 
     def test_unsupported_kind(self):
-        with pytest.raises(ValueError, match="unsupported signal kind"):
-            SignalSpec(kind="sawtooth", length=10)
+        # an excitation is a PRBS or white noise: a step or a sinusoid excites no depth >= 2
+        for kind in ("sawtooth", "sinusoid", "constant", "zero"):
+            with pytest.raises(ValueError, match="unsupported signal kind"):
+                SignalSpec(kind=kind, length=10)
 
     def test_rejects_register_order_and_seed_out_of_range(self):
         for order in (1, 33, 40):
