@@ -28,6 +28,7 @@ from .plant_sim import (
     StateSpaceModel,
     _apply,
     _lti_run,
+    _pcg64_states,
     generate_signal,
     simulate,
 )
@@ -212,9 +213,9 @@ def monte_carlo_obs(model: StateSpaceModel, signal: SignalSpec, depth: int, runs
     """Monte Carlo statistics of both observability estimators under noise, process
     noise unless ``noise_mode`` says "measurement": one ``MonteCarloReport`` per algorithm.
 
-    Each run redraws the excitation signal and the state-noise sequence from
-    a run-indexed seed (``fixed_input`` keeps one excitation realization
-    across runs and redraws only the noise), simulates the model, and
+    Each run's ``default_rng(base_seed + r)`` draws its excitation seed, then its state
+    noise (``fixed_input`` keeps one excitation across runs and redraws only the noise); runs
+    are seeded in bulk, their draws those generators'. Each run simulates the model and
     estimates the shifted observability matrix with both algorithms. Of each
     record only the 2*depth + width - 1 samples that its Hankel matrices read
     are drawn and simulated (all of them when ``width`` is None); every stage
@@ -250,20 +251,21 @@ def monte_carlo_obs(model: StateSpaceModel, signal: SignalSpec, depth: int, runs
     samples: dict = {alg: [] for alg in ALGORITHMS}
     reasons = {alg: Counter() for alg in ALGORITHMS}
     factors = []  # of the chunks of the pass, each in its QR layout (runs, columns, rows)
+    rng = np.random.Generator(np.random.PCG64(0))  # re-seeded to each run's default_rng
     for first in range(0, runs, sim_chunk):
         # each run's generator draws its excitation seed, then its noise
-        rngs = [np.random.default_rng(base_seed + r)
-                for r in range(first, min(first + sim_chunk, runs))]
-        u_seeds = [int(rng.integers(0, 2 ** 31)) for rng in rngs]
+        seeds, u_seeds = range(base_seed + first, base_seed + min(first + sim_chunk, runs)), []
         # one noise column per column of E; simulate refuses v when there is no E
-        v = np.empty((len(rngs), T) + np.shape(model.E)[1:])
-        for rng, v_run in zip(rngs, v):
+        v = np.empty((len(seeds), T) + np.shape(model.E)[1:])
+        for state, v_run in zip(_pcg64_states(seeds), v):
+            rng.bit_generator.state = state
+            u_seeds.append((rng.bit_generator.random_raw() & 0xFFFFFFFF) >> 1)  # integers(0, 2**31)
             v_run[...] = rng.normal(0.0, std, size=v_run.shape)
         # a fixed input is one record, generated once and read by every run
         u = generate_signal(signal, [signal.seed] if fixed_input else u_seeds)
         data = simulate(model, np.broadcast_to(u, v.shape[:2] + u.shape[2:]), v, noise_mode)
         del u, v
-        for a in range(0, len(rngs), chunk):
+        for a in range(0, len(seeds), chunk):
             dm = build_data_matrices(data, depth, width, runs=slice(a, a + chunk))
             factors.append(dm.factor.swapaxes(-1, -2))
             if len(factors) == max(1, width // dm.factor.shape[-1]) or first + a + chunk >= runs:

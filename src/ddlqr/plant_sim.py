@@ -3,7 +3,8 @@
 Produces the synchronized (input, output, state) batches the estimators
 consume. Models are plain (A, B, C) triples with outputs y = C x and an
 optional state-noise channel E; continuous-time plants enter through
-zero-order-hold discretization.
+zero-order-hold discretization. A batch of runs is seeded in bulk (``_pcg64_states``): one
+generator, re-seeded run by run, draws what ``np.random.default_rng(seed)`` would.
 
 Every simulator is one call of the kernel ``_lti_run``, the recursion
 x(k+1) = A x(k) + d_1(k) + d_2(k) + ... over leading batch axes: the open
@@ -28,6 +29,7 @@ import numpy as np
 
 SIGNAL_KINDS = ("prbs", "white-noise")
 NOISE_MODES = ("process", "measurement")
+_MASK128, _PCG64_MULT = (1 << 128) - 1, 0x2360ED051FC65DA44385DF649FCCF645
 # Feedback taps of the maximal-length register of each order: scipy.signal.max_len_seq's table.
 MLS_TAPS = {2: [1], 3: [2], 4: [3], 5: [3], 6: [5], 7: [6], 8: [7, 6, 1], 9: [5], 10: [7],
             11: [9], 12: [11, 10, 4], 13: [12, 11, 8], 14: [13, 12, 2], 15: [14],
@@ -208,22 +210,60 @@ def _lfsr_jump(order: int, steps: int) -> np.ndarray:
     return jump
 
 
+def _pcg64_states(seeds) -> list:
+    """The PCG64 state dict ``np.random.default_rng(seed)`` starts from, for each integer seed:
+    SeedSequence's hash (O'Neill 2014, HMC-CS-2014-0905; NumPy NEP 19 keeps it stable) over
+    every seed at once, a seed's words padded to four with zeros, then PCG64's two steps from
+    0. A seed outside [0, 2**128) takes numpy's own constructor, which refuses a negative one."""
+    words = b"".join((int(s) & _MASK128).to_bytes(16, "little") for s in seeds)
+    mults = np.cumprod([0x43B0D7E5] + [0x931E8875] * 16, dtype=np.uint32)
+
+    def hashmix(value, chain):  # the k-th value xor chain[k], times chain[k + 1]
+        value = (value ^ chain[:-1, None]) * chain[1:, None]
+        return value ^ value >> 16
+
+    pool = hashmix(np.frombuffer(words, "<u4").reshape(-1, 4).T, mults[:5])
+    for src in range(4):  # each word mixes into the other three, one hash call each
+        dst = [d for d in range(4) if d != src]
+        mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(pool[src], mults[4 + 3 * src:][:4])
+        pool[dst] = mixed ^ mixed >> 16
+    halves = hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]],  # generate_state(4, np.uint64), low first
+                     np.cumprod([0x8B51F9DD] + [0x58F38DED] * 8, dtype=np.uint32)).tolist()
+    states = []
+    for seed, *h in zip(seeds, *halves):
+        init, inc = ((h[i] | h[i + 1] << 32) << 64 | h[i + 2] | h[i + 3] << 32 for i in (0, 4))
+        inc = inc << 1 & _MASK128 | 1
+        states.append({"bit_generator": "PCG64", "state": {
+            "state": ((inc + init) * _PCG64_MULT + inc) & _MASK128, "inc": inc},
+            "has_uint32": 0, "uinteger": 0} if 0 <= seed <= _MASK128
+            else np.random.default_rng(seed).bit_generator.state)
+    return states
+
+
 def _prbs_channels(spec: SignalSpec, seeds) -> np.ndarray:
     """Maximal-length +/-amplitude sequences, (runs, length, channels), one run per seed.
 
-    Each run's LFSR start state is drawn from its seed; extra channels restart
-    the register at phases spaced period/channels steps apart so their shifted
-    copies stay jointly exciting. Every run and channel is emitted by one
-    product with the register map.
+    Each run's LFSR start state is ``default_rng(seed).integers(0, 2, size=order)`` (with
+    numpy's fix-up draw when all zero), read off raw draws of runs seeded in bulk. Extra
+    channels restart the register at phases spaced period/channels steps apart so their
+    shifted copies stay jointly exciting. Every run and channel is emitted by one product
+    with the register map.
     """
     order, runs = spec.register_order, len(seeds)
+    rng = np.random.Generator(np.random.PCG64(0))
+    raw = np.empty((runs, -(-order // 2)), dtype=np.uint64)
+    for state, draws in zip(_pcg64_states(seeds), raw):
+        rng.bit_generator.state = state
+        draws[:] = rng.bit_generator.random_raw(len(draws))
+    # integers(0, 2) is bit 31 of each 32-bit half of a raw draw, the low half first
+    bits = raw[..., None] >> np.array([31, 63], np.uint64) & 1
+    bits = bits.reshape(runs, 2 * raw.shape[1])[:, :order]
+    for r in np.flatnonzero(~bits.any(axis=1)):  # numpy's own draws, with its fix-up
+        rng = np.random.default_rng(seeds[r])
+        bits[r] = rng.integers(0, 2, size=order)
+        bits[r, int(rng.integers(order))] = 1
     states = np.empty((order, runs, spec.channels), dtype=np.int64)
-    for r, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        state = rng.integers(0, 2, size=order)
-        if not state.any():
-            state[int(rng.integers(order))] = 1
-        states[:, r, 0] = state
+    states[..., 0] = bits.T
     shift = max((2 ** order - 1) // spec.channels, 1)
     for c in range(1, spec.channels):
         states[..., c] = _lfsr_jump(order, shift) @ states[..., c - 1] & 1
@@ -240,8 +280,11 @@ def generate_signal(spec: SignalSpec, seeds=None) -> np.ndarray:
     if spec.kind == "prbs":
         signal = _prbs_channels(spec, batch)
     else:  # "white-noise", the other of SIGNAL_KINDS, the only kinds SignalSpec admits
-        signal = np.stack([np.random.default_rng(seed).normal(
-            0.0, np.sqrt(spec.variance), size=(spec.length, spec.channels)) for seed in batch])
+        rng = np.random.Generator(np.random.PCG64(0))
+        signal = np.empty((len(batch), spec.length, spec.channels))
+        for state, run in zip(_pcg64_states(batch), signal):
+            rng.bit_generator.state = state
+            run[...] = rng.normal(0.0, np.sqrt(spec.variance), size=run.shape)
     return signal if seeds is not None else signal[0]
 
 

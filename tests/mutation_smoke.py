@@ -6,7 +6,7 @@ the repository's ``src/``, ``tests/``, ``configs/``, ``pyproject.toml`` and ``RE
 unmutated (it must pass), then once per mutant with that one source edit applied. It
 prints the tests that catch each mutant. The exit status is 1 when the unmutated copy
 fails, an edit no longer matches the source exactly once, or a mutant is caught by no
-test. Each run takes as long as the suite, so the whole smoke takes about fifteen times
+test. Each run takes as long as the suite, so the whole smoke takes about seventeen times
 that.
 
 The technique is mutation testing: a check that no plausible fault can break shows
@@ -60,6 +60,10 @@ MUTANTS = [
      '"depth": Key("int", ">= 2")', '"depth": Key("int", ">= 1")'),
     ("montecarlo leaves [noise] mode unread, so its runs take the library's default",
      "cli.py", '\n        noise_mode=cfg.get("noise", "mode", "process"),', ""),
+    ("the bulk seeding swaps PCG64's seed and increment words", "plant_sim.py",
+     "h[i + 3] << 32 for i in (0, 4))", "h[i + 3] << 32 for i in (4, 0))"),
+    ("a register start bit is bit 0 of a 32-bit half, not bit 31", "plant_sim.py",
+     "np.array([31, 63], np.uint64)", "np.array([0, 32], np.uint64)"),
 ]
 
 

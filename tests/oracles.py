@@ -28,7 +28,9 @@ The simulators all run one batched LTI kernel. ``loop_simulate``,
 step the plant, the regulation loop, the plant with its internal-model
 controllers, and the controller filter one sample at a time, as written in
 their docstrings; ``per_run_monte_carlo`` simulates and estimates one
-Monte Carlo run at a time with them.
+Monte Carlo run at a time with them. ``default_rng_prbs`` draws a PRBS run as numpy's
+own ``default_rng`` and ``scipy.signal.max_len_seq`` give it, where the library seeds
+its runs in bulk and emits them with one register product.
 
 ``augment_dataset`` appends the controller states to a record's outputs and states,
 the data of the plant plus controller. The library never forms them: an estimate with
@@ -37,14 +39,10 @@ its fits through the filter, and must equal the estimate of this dataset without
 """
 
 import warnings
-from dataclasses import replace
 
 import numpy as np
 
-from ddlqr import (
-    Dataset,
-    generate_signal,
-)
+from ddlqr import Dataset
 from ddlqr.markov import build_data_matrices, estimate_predictor, hankel_stack
 from ddlqr.observability import (ALGORITHMS, estimate_obs_alg1, estimate_obs_alg2,
                                  true_observability)
@@ -291,19 +289,38 @@ def augment_dataset(data, imc):
     return Dataset(u=data.u, y=np.hstack([data.y, xc]), x=np.hstack([data.x, xc]))
 
 
+def default_rng_prbs(signal, seed):
+    """The (length, channels) PRBS of ``signal`` at ``seed``: the register starts at
+    ``default_rng(seed).integers(0, 2, size=order)``, one bit set by a further draw when that
+    is all zero, and channel c reads the sequence c * (period // channels) chips on."""
+    from scipy.signal import max_len_seq
+
+    order = signal.register_order
+    rng = np.random.default_rng(seed)
+    start = rng.integers(0, 2, size=order)
+    if not start.any():
+        start[int(rng.integers(order))] = 1
+    shift, chips = max((2 ** order - 1) // signal.channels, 1), -(-signal.length // signal.hold)
+    bits = max_len_seq(order, state=start, length=(signal.channels - 1) * shift + chips)[0]
+    sequences = np.stack([bits[c * shift:c * shift + chips] for c in range(signal.channels)], 1)
+    chip_levels = signal.amplitude * (2.0 * sequences - 1.0)
+    return np.repeat(chip_levels, signal.hold, axis=0)[:signal.length]
+
+
 def per_run_monte_carlo(model, signal, depth, runs, noise_variance, base_seed=0,
                         width=None, noise_mode="process"):
     """Shifted-observability samples and failure counts, one run at a time.
 
     Draws each run as ``monte_carlo_obs`` does: ``default_rng(base_seed + r)``,
-    then the excitation seed, then the state noise.
+    then the excitation seed, then the state noise; the PRBS excitation is
+    ``default_rng_prbs`` at that seed.
     """
     samples = {alg: [] for alg in ALGORITHMS}
     failures = dict.fromkeys(ALGORITHMS, 0)
     for r in range(runs):
         rng = np.random.default_rng(base_seed + r)
         u_seed = int(rng.integers(0, 2 ** 31))
-        u = generate_signal(replace(signal, seed=u_seed))
+        u = default_rng_prbs(signal, u_seed)
         v = rng.normal(0.0, np.sqrt(noise_variance), size=(len(u), model.E.shape[1]))
         dm = build_data_matrices(loop_simulate(model, u, v=v, noise_mode=noise_mode),
                                  depth, width)

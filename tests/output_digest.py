@@ -14,7 +14,9 @@ that a change keeps its outputs byte for byte, digest the parent's tree and the
 change's, and ``diff`` the two listings.
 
 The commands: ``simulate`` and ``design`` on the regulation demo with alg1, with
-alg2 and with process noise (``noise.variance=1e-4``, ``model.e=[[1,0],[0,1]]``);
+alg2 and with process noise (``noise.variance=1e-4``, ``model.e=[[1,0],[0,1]]``), and
+``simulate`` under a white-noise excitation (``signal.kind=white-noise``,
+``signal.variance=1``);
 ``design`` on the tracking demo, and with an integrator internal model in place of
 its resonance (``imc.kind=integrator``, ``lqr.q=[[200,0],[0,200]]``); ``sweep`` over
 horizons 10 to 50 with each algorithm, and over horizons 50 and 150 on the tracking
@@ -27,8 +29,10 @@ over 5000 steps, which reads ``inf`` cost and error and has no ``thd`` row); and
 bundled ``montecarlo`` study at 500 runs, once as bundled and once with one excitation
 record for every run under process noise (``montecarlo.fixed_input=true``,
 ``noise.mode=process``), so the report writer runs both noise modes and the
-fixed-input branch. The two integrator commands read a copy of the tracking demo's
-config without its ``omega_n`` line (``DERIVED``), since an integrator refuses that
+fixed-input branch, and once from a base seed of two 32-bit words
+(``montecarlo.seed=4294967296``). With the white-noise ``simulate``, every path of the
+runs' bulk seeding is hashed. The two integrator commands read a copy of the tracking
+demo's config without its ``omega_n`` line (``DERIVED``), since an integrator refuses that
 key; the copy is written beside the output directory, so it is not hashed.
 They take a few seconds on 2 CPUs.
 """
@@ -52,6 +56,8 @@ DERIVED = {"ups_integrator.ini": ("ups_tracking_demo.ini", "omega_n")}
 # (output directory, command, config, --set overrides); "{out}" is the temporary directory
 COMMANDS = [
     ("simulate", "simulate", "regulation_demo.ini", []),
+    ("simulate-white-noise", "simulate", "regulation_demo.ini",
+     ["signal.kind=white-noise", "signal.variance=1"]),
     ("design-alg1", "design", "regulation_demo.ini", []),
     ("design-alg2", "design", "regulation_demo.ini", ["estimation.algorithm=alg2"]),
     ("design-noisy", "design", "regulation_demo.ini",
@@ -72,6 +78,8 @@ COMMANDS = [
     ("montecarlo", "montecarlo", "noisy_estimation_mc.ini", ["montecarlo.runs=500"]),
     ("montecarlo-fixed-process", "montecarlo", "noisy_estimation_mc.ini",
      ["montecarlo.runs=500", "montecarlo.fixed_input=true", "noise.mode=process"]),
+    ("montecarlo-wide-seed", "montecarlo", "noisy_estimation_mc.ini",
+     ["montecarlo.runs=500", "montecarlo.seed=4294967296"]),
 ]
 
 

@@ -30,7 +30,7 @@ from ddlqr import (
     zoh_discretize,
 )
 from ddlqr.config import RunConfig
-from ddlqr.plant_sim import _expm, _lfsr_jump, _lfsr_map
+from ddlqr.plant_sim import _expm, _lfsr_jump, _lfsr_map, _pcg64_states, _prbs_channels
 
 GAIN_LONG_HORIZON = np.array([[4.6491, 7.5226], [1.4461, -1.9886]])
 
@@ -342,6 +342,52 @@ class TestMaxLenSeq:
         assert batch.shape == (len(seeds), 100, channels)
         for seed, run in zip(seeds, batch):
             assert np.array_equal(run, generate_signal(replace(spec, seed=seed)))
+
+
+class TestSeeding:
+    """Runs seeded in bulk against numpy's own ``default_rng``, one generator a seed."""
+
+    def test_states_equal_default_rng(self):
+        # one to four 32-bit words, the widest seed the hash pads, and one it does not
+        seeds = list(range(2048)) + [2 ** 31 - 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5,
+                                     2 ** 128 - 1, 2 ** 128 + 3]
+        for seed, state in zip(seeds, _pcg64_states(seeds), strict=True):
+            assert state == np.random.default_rng(seed).bit_generator.state, seed
+
+    def test_negative_seed_raises_numpys_error(self):
+        with pytest.raises(ValueError) as numpys:
+            np.random.default_rng(-1)
+        with pytest.raises(ValueError) as ours:
+            _pcg64_states([3, -1])
+        assert str(ours.value) == str(numpys.value)
+
+    def test_empty_seed_list(self):
+        assert _pcg64_states([]) == []
+        spec = SignalSpec(kind="prbs", length=10)
+        assert _prbs_channels(spec, []).shape == (0, 10, 1)
+
+    def test_register_start_states_equal_default_rng(self):
+        # integers(0, 2, size=order), and a fix-up draw where that is all zero: of
+        # 256 seeds a start is all zero for every order up to 7
+        fixed = set()
+        for order in range(2, 33):
+            spec = SignalSpec(kind="prbs", length=order, register_order=order)
+            starts = _prbs_channels(spec, range(256))[..., 0] > 0
+            for seed, start in enumerate(starts):
+                rng = np.random.default_rng(seed)
+                want = rng.integers(0, 2, size=order)
+                if not want.any():
+                    want[int(rng.integers(order))] = 1
+                    fixed.add(order)
+                np.testing.assert_array_equal(start, want, err_msg=f"{order} {seed}")
+        assert fixed >= set(range(2, 8))
+
+    def test_white_noise_equals_default_rng(self):
+        spec = SignalSpec(kind="white-noise", length=30, variance=0.5, channels=2)
+        seeds = [0, 7, 2 ** 32, 2 ** 130]
+        for seed, run in zip(seeds, generate_signal(spec, seeds)):
+            want = np.random.default_rng(seed).normal(0.0, np.sqrt(0.5), size=(30, 2))
+            np.testing.assert_array_equal(run, want)
 
 
 class TestZohDiscretize:
