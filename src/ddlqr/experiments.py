@@ -27,8 +27,8 @@ from .plant_sim import (
     SignalSpec,
     StateSpaceModel,
     _apply,
+    _default_rngs,
     _lti_run,
-    _pcg64_states,
     generate_signal,
     simulate,
 )
@@ -251,15 +251,13 @@ def monte_carlo_obs(model: StateSpaceModel, signal: SignalSpec, depth: int, runs
     samples: dict = {alg: [] for alg in ALGORITHMS}
     reasons = {alg: Counter() for alg in ALGORITHMS}
     factors = []  # of the chunks of the pass, each in its QR layout (runs, columns, rows)
-    rng = np.random.Generator(np.random.PCG64(0))  # re-seeded to each run's default_rng
     for first in range(0, runs, sim_chunk):
         # each run's generator draws its excitation seed, then its noise
         seeds, u_seeds = range(base_seed + first, base_seed + min(first + sim_chunk, runs)), []
         # one noise column per column of E; simulate refuses v when there is no E
         v = np.empty((len(seeds), T) + np.shape(model.E)[1:])
-        for state, v_run in zip(_pcg64_states(seeds), v):
-            rng.bit_generator.state = state
-            u_seeds.append((rng.bit_generator.random_raw() & 0xFFFFFFFF) >> 1)  # integers(0, 2**31)
+        for rng, v_run in zip(_default_rngs(seeds), v):
+            u_seeds.append(int(rng.integers(0, 2 ** 31)))
             v_run[...] = rng.normal(0.0, std, size=v_run.shape)
         # a fixed input is one record, generated once and read by every run
         u = generate_signal(signal, [signal.seed] if fixed_input else u_seeds)

@@ -3,8 +3,9 @@
 Produces the synchronized (input, output, state) batches the estimators
 consume. Models are plain (A, B, C) triples with outputs y = C x and an
 optional state-noise channel E; continuous-time plants enter through
-zero-order-hold discretization. A batch of runs is seeded in bulk (``_pcg64_states``): one
-generator, re-seeded run by run, draws what ``np.random.default_rng(seed)`` would.
+zero-order-hold discretization. The PRBS registers of a batch, and the runs of
+``experiments.monte_carlo_obs``, are seeded in bulk (``_default_rngs``): one generator,
+re-seeded run by run, draws what ``np.random.default_rng(seed)`` would.
 
 Every simulator is one call of the kernel ``_lti_run``, the recursion
 x(k+1) = A x(k) + d_1(k) + d_2(k) + ... over leading batch axes: the open
@@ -21,6 +22,7 @@ from numpy on 2 CPUs: the tracking demo's QR took 0.21 s, not 0.15, and its loop
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -210,12 +212,14 @@ def _lfsr_jump(order: int, steps: int) -> np.ndarray:
     return jump
 
 
-def _pcg64_states(seeds) -> list:
-    """The PCG64 state dict ``np.random.default_rng(seed)`` starts from, for each integer seed:
-    SeedSequence's hash (O'Neill 2014, HMC-CS-2014-0905; NumPy NEP 19 keeps it stable) over
-    every seed at once, a seed's words padded to four with zeros, then PCG64's two steps from
-    0. A seed outside [0, 2**128) takes numpy's own constructor, which refuses a negative one."""
-    words = b"".join((int(s) & _MASK128).to_bytes(16, "little") for s in seeds)
+def _default_rngs(seeds):
+    """Yield one generator for each integer seed, re-seeded in place to the PCG64 state
+    ``np.random.default_rng(seed)`` starts from, so that its draws are that generator's. It is
+    one object throughout: draw from it before the next seed. SeedSequence's hash (O'Neill 2014,
+    HMC-CS-2014-0905; NumPy NEP 19 keeps it stable) runs over every seed at once, a seed's words
+    padded to four with zeros, then PCG64's two steps from 0. A seed outside [0, 2**128) takes
+    numpy's own constructor, which refuses a negative one; a non-integer seed raises TypeError."""
+    words = b"".join((operator.index(s) & _MASK128).to_bytes(16, "little") for s in seeds)
     mults = np.cumprod([0x43B0D7E5] + [0x931E8875] * 16, dtype=np.uint32)
 
     def hashmix(value, chain):  # the k-th value xor chain[k], times chain[k + 1]
@@ -229,15 +233,15 @@ def _pcg64_states(seeds) -> list:
         pool[dst] = mixed ^ mixed >> 16
     halves = hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]],  # generate_state(4, np.uint64), low first
                      np.cumprod([0x8B51F9DD] + [0x58F38DED] * 8, dtype=np.uint32)).tolist()
-    states = []
+    rng = np.random.Generator(np.random.PCG64(0))
     for seed, *h in zip(seeds, *halves):
         init, inc = ((h[i] | h[i + 1] << 32) << 64 | h[i + 2] | h[i + 3] << 32 for i in (0, 4))
         inc = inc << 1 & _MASK128 | 1
-        states.append({"bit_generator": "PCG64", "state": {
+        rng.bit_generator.state = ({"bit_generator": "PCG64", "state": {
             "state": ((inc + init) * _PCG64_MULT + inc) & _MASK128, "inc": inc},
             "has_uint32": 0, "uinteger": 0} if 0 <= seed <= _MASK128
             else np.random.default_rng(seed).bit_generator.state)
-    return states
+        yield rng
 
 
 def _prbs_channels(spec: SignalSpec, seeds) -> np.ndarray:
@@ -250,10 +254,8 @@ def _prbs_channels(spec: SignalSpec, seeds) -> np.ndarray:
     with the register map.
     """
     order, runs = spec.register_order, len(seeds)
-    rng = np.random.Generator(np.random.PCG64(0))
     raw = np.empty((runs, -(-order // 2)), dtype=np.uint64)
-    for state, draws in zip(_pcg64_states(seeds), raw):
-        rng.bit_generator.state = state
+    for rng, draws in zip(_default_rngs(seeds), raw):
         draws[:] = rng.bit_generator.random_raw(len(draws))
     # integers(0, 2) is bit 31 of each 32-bit half of a raw draw, the low half first
     bits = raw[..., None] >> np.array([31, 63], np.uint64) & 1
@@ -280,11 +282,8 @@ def generate_signal(spec: SignalSpec, seeds=None) -> np.ndarray:
     if spec.kind == "prbs":
         signal = _prbs_channels(spec, batch)
     else:  # "white-noise", the other of SIGNAL_KINDS, the only kinds SignalSpec admits
-        rng = np.random.Generator(np.random.PCG64(0))
-        signal = np.empty((len(batch), spec.length, spec.channels))
-        for state, run in zip(_pcg64_states(batch), signal):
-            rng.bit_generator.state = state
-            run[...] = rng.normal(0.0, np.sqrt(spec.variance), size=run.shape)
+        signal = np.stack([np.random.default_rng(seed).normal(
+            0.0, np.sqrt(spec.variance), size=(spec.length, spec.channels)) for seed in batch])
     return signal if seeds is not None else signal[0]
 
 
