@@ -40,7 +40,10 @@ INPUT_KEYS = {"Q": "[lqr] q", "R": "[lqr] r", "A": "[model] a", "B": "[model] b"
               "depth": "[estimation] depth", "width": "[estimation] width",
               "runs": "[montecarlo] runs", "base_seed": "[montecarlo] seed",
               "noise_variance": "[noise] variance", "frequency": "[reference] frequency",
-              "amplitude": "[reference] amplitude",
+              "amplitude": "[reference] amplitude", "omega_n": "[imc] omega_n",
+              "length": "[signal] length", "variance": "[signal] variance",
+              "seed": "[signal] seed", "register_order": "[signal] register_order",
+              "hold": "[signal] hold",
               "horizon": {"design": "[lqr] horizon", "sweep": "[sweep] horizons",
                           "eval": "[eval] horizon"}}
 
@@ -170,17 +173,18 @@ def cmd_montecarlo(cfg: RunConfig, outdir: Path) -> int:
 
 def cmd_eval(cfg: RunConfig, outdir: Path) -> int:
     model = cfg.model()
-    gain_path = cfg.get("io", "gain", required=True)
-    K = _read_input(storage.read_matrix, "gain", gain_path)
-    if not np.all(np.isfinite(K)):
-        raise ConfigError(f"[io] gain {gain_path} has non-finite entries")
+    K = _read_input(storage.read_matrix, "gain", cfg.get("io", "gain", required=True))
     weights = cfg.weights()
     horizon = cfg.get("eval", "horizon", required=True)
     imc = cfg.imc(model.sample_time)
     if imc is None:
+        cfg.refuse("reference", None, "without an [imc] section")
         scenario = RegulationScenario(x0=cfg.get("eval", "x0", required=True))
     else:
+        cfg.refuse("eval", "x0", "beside an [imc] section, whose tracking run starts at rest")
         sinusoid = cfg.get("reference", "kind", required=True) == "sinusoid"
+        if not sinusoid:
+            cfg.refuse("reference", "frequency", "by kind = constant")
         frequency = cfg.get("reference", "frequency", required=True) if sinusoid else None
         scenario = TrackingScenario(imc, cfg.get("reference", "amplitude", 1.0), frequency)
     rows = evaluate_closed_loop(model, K, weights, scenario, horizon).items()

@@ -8,7 +8,9 @@ reproduced from its own echo.
 ``KEYS`` lists every key that some command reads, with its kind and bound.
 Loading refuses any other key and any value that is not of its key's kind or
 out of its bound, so the echo holds only known keys of valid kind and bound;
-one may still go unread, as ``[signal] variance`` under ``kind = prbs``.
+one may still go unread, as ``[signal] variance`` under ``kind = prbs``. The
+library's constructors check the domain objects' values, and ``cli.INPUT_KEYS``
+names the key of an ``InputError`` they raise.
 """
 
 from __future__ import annotations
@@ -199,40 +201,26 @@ class RunConfig:
 
     def model(self) -> StateSpaceModel:
         """The [model] plant; its sample time is ``[model] ts``, or 1.0 for a discrete model."""
-        if not self.has("model"):
-            raise ConfigError("missing [model] section")
         A, B, C = (self.get("model", key, required=True) for key in "abc")
         ts = self.get("model", "ts")
-        try:
-            if self.get("model", "continuous", False):
-                if ts is None:
-                    raise ConfigError("[model] ts is required for a continuous-time model")
-                model = zoh_discretize(A, B, C, ts)
-            else:
-                model = StateSpaceModel(A=A, B=B, C=C, sample_time=1.0 if ts is None else ts)
-            return replace(model, E=self.get("model", "e"))
-        except ValueError as exc:
-            raise ConfigError(f"[model]: {exc}") from exc
+        if self.get("model", "continuous", False):
+            if ts is None:
+                raise ConfigError("[model] ts is required for a continuous-time model")
+            model = zoh_discretize(A, B, C, ts)
+        else:
+            model = StateSpaceModel(A=A, B=B, C=C, sample_time=1.0 if ts is None else ts)
+        return replace(model, E=self.get("model", "e"))
 
     def signal(self, model: StateSpaceModel) -> SignalSpec:
         """The [signal] excitation of the model's inputs, one channel each, for its
         ``length``. Keys it leaves out take SignalSpec's defaults."""
-        if not self.has("signal"):
-            raise ConfigError("missing [signal] section")
         self.get("signal", "kind", required=True)
         fields = {"channels": model.n_inputs, "length": self.get("signal", "length", required=True)}
         fields.update((key, self.get("signal", key)) for key in self.values["signal"])
-        try:
-            return SignalSpec(**fields)
-        except ValueError as exc:
-            raise ConfigError(f"[signal]: {exc}") from exc
+        return SignalSpec(**fields)
 
     def weights(self) -> LqrWeights:
-        try:
-            return LqrWeights(Q=self.get("lqr", "q", required=True),
-                              R=self.get("lqr", "r", required=True))
-        except ValueError as exc:
-            raise ConfigError(f"[lqr]: {exc}") from exc
+        return LqrWeights(*(self.get("lqr", key, required=True) for key in "qr"))
 
     def imc(self, default_ts: float) -> Optional[ImcRealization]:
         """The [imc] controller, if any; a resonant one is tuned at the model's sample
@@ -240,14 +228,16 @@ class RunConfig:
         if not self.has("imc"):
             return None
         if self.get("imc", "kind", required=True) == "integrator":
-            if self.has("imc", "omega_n"):
-                raise ConfigError("[imc] omega_n is not read by kind = integrator; remove the key")
+            self.refuse("imc", "omega_n", "by kind = integrator")
             return integrator_imc()
-        omega = self.get("imc", "omega_n", required=True)
-        try:
-            return resonant_imc(omega, default_ts)
-        except ValueError as exc:
-            raise ConfigError(f"[imc]: {exc}") from exc
+        return resonant_imc(self.get("imc", "omega_n", required=True), default_ts)
+
+    def refuse(self, section: str, key: Optional[str], why: str) -> None:
+        """ConfigError if the file has ``[section] key`` (the section, when key is None),
+        which the command leaves unread ``why``."""
+        if self.has(section, key):
+            name, what = (f"[{section}] {key}", "key") if key else (f"[{section}]", "section")
+            raise ConfigError(f"{name} is not read {why}; remove the {what}")
 
     # -- echo ----------------------------------------------------------------
 

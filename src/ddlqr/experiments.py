@@ -27,6 +27,7 @@ from .plant_sim import (
     SignalSpec,
     StateSpaceModel,
     _apply,
+    _check_finite,
     _default_rngs,
     _lti_run,
     generate_signal,
@@ -135,7 +136,7 @@ def estimate(data: Dataset, depth: int, width: Optional[int] = None, algorithm: 
     outputs and states append the controller states filtered from the plant outputs.
     """
     if algorithm not in ALGORITHMS:
-        raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
+        raise InputError("algorithm", f"must be one of {ALGORITHMS}, got {algorithm!r}")
     dm = build_data_matrices(data, depth, width, imc=imc)
     toeplitz, obs, figures = _estimate(dm, algorithm)
     return DataDrivenEstimate(toeplitz, obs, depth, dm.width, imc,
@@ -362,16 +363,17 @@ def evaluate_closed_loop(
     relative to |amplitude| and the largest THD, nan when an output has no fundamental.
     A run with a non-finite state, input or output is unstable: its cost and
     steady-state error are inf, and it has no THD.
-    Argument errors are InputErrors, raised before the run: a gain ``K`` that is not
-    inputs x loop states (tracking adds one internal-model copy per output), weights
-    that do not fit the loop's outputs (internal-model states included) and inputs, a
-    wrong-sized start state ``x0``, a sinusoid of ``amplitude`` 0, or whose
+    Argument errors are InputErrors, raised before the run: a gain ``K`` with a non-finite
+    entry (which would read as an unstable loop) or that is not inputs x loop states
+    (tracking adds one internal-model copy per output), weights that do not fit the loop's
+    outputs (internal-model states included) and inputs, a wrong-sized start state
+    ``x0``, a sinusoid of ``amplitude`` 0, or whose
     ``frequency`` times the model's sample time is outside (0, pi) or whose period no 10
     to 999 whole periods span in whole samples (to 1e-9 relative), or a ``horizon``
     shorter than the fewest such periods, ``THD_PERIODS`` at least: the window whose
     DFT gives the amplitude and THD.
     """
-    K = np.asarray(K, dtype=float)
+    K = _check_finite("K", np.asarray(K, dtype=float))
     n, q = model.n_states, model.n_outputs
     tracking = isinstance(scenario, TrackingScenario)
     loop = augment_model(model, scenario.imc) if tracking else model

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .plant_sim import StateSpaceModel, _apply, _lti_run, as_series
+from .plant_sim import InputError, StateSpaceModel, _apply, _lti_run, as_series
 
 
 @dataclass
@@ -31,10 +31,10 @@ class ImcRealization:
         self.A_c = np.atleast_2d(np.asarray(self.A_c, dtype=float))
         self.B_c = np.asarray(self.B_c, dtype=float).reshape(-1, 1)
         nc = self.A_c.shape[0]
-        if self.A_c.shape != (nc, nc) or self.B_c.shape != (nc, 1):
-            raise ValueError(
-                f"inconsistent controller dimensions: A_c {self.A_c.shape}, B_c {self.B_c.shape}"
-            )
+        if self.A_c.shape != (nc, nc):
+            raise InputError("A_c", f"must be square, got {self.A_c.shape}")
+        if len(self.B_c) != nc:
+            raise InputError("B_c", f"has {len(self.B_c)} entries, expected {nc} to match A_c")
 
     @property
     def order(self) -> int:
@@ -54,13 +54,12 @@ def resonant_imc(omega_n: float, Ts: float) -> ImcRealization:
     the reference frequency.
     """
     if Ts <= 0:
-        raise ValueError("Ts must be positive")
+        raise InputError("Ts", "must be positive")
     theta = omega_n * Ts
     if not 0.0 < theta < math.pi:
         side = "at or below zero" if theta <= 0.0 else "at or above Nyquist"
-        raise ValueError(
-            f"omega_n * Ts = {theta:.6g} must lie strictly inside (0, pi); the frequency is {side}"
-        )
+        raise InputError("omega_n", f"* Ts = {theta:.6g} must lie strictly inside (0, pi); the "
+                         f"frequency is {side}")
     return ImcRealization(A_c=[[0.0, 1.0], [-1.0, 2.0 * math.cos(theta)]], B_c=[0.0, 1.0])
 
 

@@ -16,7 +16,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .plant_sim import StateSpaceModel
+from .plant_sim import InputError, StateSpaceModel
 
 DARE_TOL = 1e-12
 DARE_MAX_ITER = 64
@@ -29,12 +29,12 @@ RIDGE_HINT = (
 def _check_weight(name: str, m, hint: str = "") -> np.ndarray:
     m = np.atleast_2d(np.asarray(m, dtype=float))
     if m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be square, got {m.shape}")
+        raise InputError(name, f"must be square, got {m.shape}")
     scale = max(np.abs(m).max(), 1.0)
     if np.abs(m - m.T).max() > 1e-12 * scale:
-        raise ValueError(f"{name} must be symmetric within 1e-12")
+        raise InputError(name, "must be symmetric within 1e-12")
     if np.linalg.eigvalsh(m).min() <= 0.0:
-        raise ValueError(f"{name} must be positive definite. {hint}".strip())
+        raise InputError(name, f"must be positive definite. {hint}".strip())
     return m
 
 

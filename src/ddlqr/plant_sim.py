@@ -60,7 +60,7 @@ def as_series(signal) -> np.ndarray:
 
 def _check_finite(name: str, arr: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise InputError(name, "contains non-finite entries")
     return arr
 
 
@@ -86,13 +86,13 @@ class StateSpaceModel:
                 setattr(self, name, _check_finite(name, m))
         n = self.A.shape[0]
         if self.A.shape != (n, n):
-            raise ValueError(f"A must be square, got {self.A.shape}")
+            raise InputError("A", f"must be square, got {self.A.shape}")
         for name, axis in (("B", 0), ("C", 1), ("E", 0)):
             m = getattr(self, name)
             if m is not None and not m.shape[1 - axis]:
-                raise ValueError(f"{name} has no {('rows', 'columns')[1 - axis]}")
+                raise InputError(name, f"has no {('rows', 'columns')[1 - axis]}")
             if m is not None and m.shape[axis] != n:
-                raise ValueError(f"{name} has {m.shape[axis]} {('rows', 'columns')[axis]}, "
+                raise InputError(name, f"has {m.shape[axis]} {('rows', 'columns')[axis]}, "
                                  f"expected {n} to match A")
 
     @property
@@ -168,20 +168,18 @@ class SignalSpec:
     hold: int = 1
 
     def __post_init__(self):
-        if self.kind not in SIGNAL_KINDS:
-            raise ValueError(f"unsupported signal kind {self.kind!r}, expected one of {SIGNAL_KINDS}")
-        if self.length < 1:
-            raise ValueError("signal length must be >= 1")
-        if self.variance < 0:
-            raise ValueError("variance must be >= 0")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.register_order not in MLS_TAPS:
-            raise ValueError(f"register_order must be between 2 and 32, got {self.register_order}")
-        if self.channels < 1:
-            raise ValueError("channels must be >= 1")
-        if self.hold < 1:
-            raise ValueError("hold must be >= 1")
+        for param, failed, detail in (
+                ("kind", self.kind not in SIGNAL_KINDS,
+                 f"must be one of {SIGNAL_KINDS}, got {self.kind!r}"),
+                ("length", self.length < 1, f"must be >= 1, got {self.length}"),
+                ("variance", not self.variance >= 0, "must be >= 0"),
+                ("seed", self.seed < 0, f"must be >= 0, got {self.seed}"),
+                ("register_order", self.register_order not in MLS_TAPS,
+                 f"must be between 2 and 32, got {self.register_order}"),
+                ("channels", self.channels < 1, "must be >= 1"),
+                ("hold", self.hold < 1, "must be >= 1")):
+            if failed:
+                raise InputError(param, detail)
 
 
 @lru_cache(maxsize=8)
@@ -333,11 +331,12 @@ def simulate(model: StateSpaceModel, u, v=None, noise_mode: str = "process") -> 
 
     In both modes the recorded output is y(k) = C x(k) with x the recorded
     state. A record that overflows is a ``simulation:`` ValueError, with no numpy warning;
-    one that is not finite because u or v is not is a ValueError that names the input.
-    A v given to a model without E is an InputError on E, raised before the run.
+    one that is not finite because u or v is not is a ValueError that names the input. A
+    bad ``noise_mode``, u's channel count, a v without E and v's shape are InputErrors,
+    raised before the run.
     """
     if noise_mode not in NOISE_MODES:
-        raise ValueError(f"noise_mode must be 'process' or 'measurement', got {noise_mode!r}")
+        raise InputError("noise_mode", f"must be 'process' or 'measurement', got {noise_mode!r}")
     u = as_series(u)
     if u.shape[-1] != model.n_inputs:
         raise InputError("u", f"has {u.shape[-1]} channels, expected {model.n_inputs} to match B")
@@ -347,8 +346,8 @@ def simulate(model: StateSpaceModel, u, v=None, noise_mode: str = "process") -> 
             raise InputError("E", "must be set: the state noise enters through it")
         v = as_series(v)
         if v.shape != u.shape[:-1] + model.E.shape[1:]:
-            raise ValueError(f"v has shape {v.shape}, expected {u.shape[:-1] + model.E.shape[1:]} "
-                             f"to match the samples and E")
+            raise InputError("v", f"has shape {v.shape}, expected "
+                             f"{u.shape[:-1] + model.E.shape[1:]} to match the samples and E")
         if noise_mode == "process":
             drives.append(_apply(model.E, v))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -361,8 +360,8 @@ def simulate(model: StateSpaceModel, u, v=None, noise_mode: str = "process") -> 
         return Dataset(u=u, y=y, x=x)
     except ValueError:  # a non-finite entry: name the input that has one, if any
         for name, series in (("u", u), ("v", v)):
-            if series is not None:
-                _check_finite(name, series)
+            if series is not None and not np.all(np.isfinite(series)):
+                raise ValueError(f"{name} contains non-finite entries")
         raise ValueError(f"simulation: the open-loop record overflows in {x.shape[-2]} "
                          f"samples") from None
 
@@ -382,12 +381,16 @@ def zoh_discretize(Ac, Bc, C, Ts: float) -> StateSpaceModel:
 
     Uses the block matrix exponential expm([[Ac, Bc], [0, 0]] * Ts), whose
     top blocks are the discrete A and B. The triple is held to ``StateSpaceModel``'s
-    rules first, so a fault is named as it would be in a discrete model.
+    rules first, so a fault is named as it would be in a discrete model, and an exp(Ac Ts)
+    that overflows is an InputError on A, with no numpy warning.
     """
     if Ts <= 0:
-        raise ValueError("Ts must be positive")
+        raise InputError("Ts", "must be positive")
     ct = StateSpaceModel(A=Ac, B=Bc, C=C)
     n, p = ct.B.shape
-    E = _expm(np.block([[ct.A, ct.B], [np.zeros((p, n + p))]]) * Ts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = _expm(np.block([[ct.A, ct.B], [np.zeros((p, n + p))]]) * Ts)
+    if not np.isfinite(E[:n, :n]).all():  # the squarings never carry the B block into A's
+        raise InputError("A", f"overflows in exp(A * Ts) at Ts = {Ts:g}")
     return StateSpaceModel(A=E[:n, :n], B=E[:n, n:], C=ct.C, sample_time=Ts)
 

@@ -1,8 +1,8 @@
 """Output digest: one sha256 per output of a fixed set of ``ddlqr`` commands.
 
-Run as ``python tests/output_digest.py [TREE]``; pytest does not collect it. TREE is a
-checkout of this repository (default: the one holding this script), whose ``src/`` and
-``configs/`` the commands run. Each command runs in its own process, with
+Run as ``python tests/output_digest.py [TREE] [--against REV]``; pytest does not collect
+it. TREE is a checkout of this repository (default: the one holding this script), whose
+``src/`` and ``configs/`` the commands run. Each command runs in its own process, with
 ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` set to ``THREADS``, and all write under
 one temporary directory. The thread count is fixed because the wide QR of a design rounds
 differently under different BLAS thread counts, which moves the last digits of gains and
@@ -10,8 +10,10 @@ figures. The listing's first line names that setting, numpy's version and its BL
 listings compare like with like. Every output file, and each command's stdout and
 stderr, is hashed after that directory's path is replaced by ``<out>``, so a line that
 differs only in the output path hashes the same and every other byte counts. To check
-that a change keeps its outputs byte for byte, digest the parent's tree and the
-change's, and ``diff`` the two listings.
+that a change keeps its outputs byte for byte, pass ``--against`` the parent's revision:
+its committed tree is exported with ``git archive`` into a temporary directory, both
+trees are digested, and the lines that differ are printed, ``-`` for REV and ``+`` for
+TREE; the exit status is 1 if any line differs.
 
 The commands: ``simulate`` and ``design`` on the regulation demo with alg1, with
 alg2 and with process noise (``noise.variance=1e-4``, ``model.e=[[1,0],[0,1]]``), and
@@ -32,17 +34,21 @@ record for every run under process noise (``montecarlo.fixed_input=true``,
 fixed-input branch, and once from a base seed of two 32-bit words
 (``montecarlo.seed=4294967296``). With the white-noise ``simulate``, every path of the
 runs' bulk seeding is hashed. The two integrator commands read a copy of the tracking
-demo's config without its ``omega_n`` line (``DERIVED``), since an integrator refuses that
-key; the copy is written beside the output directory, so it is not hashed.
+demo's config without its ``omega_n`` and ``frequency`` lines (``DERIVED``), since an
+integrator refuses the first and a constant reference the second; the copy is written
+beside the output directory, so it is not hashed.
 They take a few seconds on 2 CPUs.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import io
 import os
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -51,8 +57,8 @@ import numpy as np
 THREADS = "1"
 SWEEP = ["sweep.horizons=[10,20,30,40,50]"]
 INTEGRATOR = ["imc.kind=integrator", "lqr.q=[[200,0],[0,200]]"]
-# configs made from a bundled one by dropping one key's line: (bundled config, key)
-DERIVED = {"ups_integrator.ini": ("ups_tracking_demo.ini", "omega_n")}
+# configs made from a bundled one by dropping the lines of some keys: (bundled config, keys)
+DERIVED = {"ups_integrator.ini": ("ups_tracking_demo.ini", ("omega_n", "frequency"))}
 # (output directory, command, config, --set overrides); "{out}" is the temporary directory
 COMMANDS = [
     ("simulate", "simulate", "regulation_demo.ini", []),
@@ -90,10 +96,10 @@ def digest(tree: Path) -> list[str]:
     lines = []
     with tempfile.TemporaryDirectory(prefix="ddlqr-digest-") as tmp:
         configs, out = Path(tmp), Path(tmp) / "out"
-        for derived, (bundled, key) in DERIVED.items():
+        for derived, (bundled, keys) in DERIVED.items():
             source = (tree / "configs" / bundled).read_text().splitlines(keepends=True)
             (configs / derived).write_text(
-                "".join(line for line in source if line.partition("=")[0].strip() != key))
+                "".join(line for line in source if line.partition("=")[0].strip() not in keys))
         outputs = {}
         for name, command, config, sets in COMMANDS:
             path = configs / config if config in DERIVED else tree / "configs" / config
@@ -120,6 +126,35 @@ def header() -> str:
             f"numpy {np.__version__} {blas['name']} {blas['version']}")
 
 
+def digest_revision(tree: Path, rev: str) -> list[str]:
+    """The ``digest`` of revision ``rev``'s committed tree, exported from ``tree``'s git."""
+    archive = subprocess.run(["git", "-C", str(tree), "archive", "--format=tar", rev],
+                             stdout=subprocess.PIPE, check=True).stdout
+    with tempfile.TemporaryDirectory(prefix="ddlqr-rev-") as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        return digest(Path(tmp))
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description="Hash every output of a fixed set of ddlqr "
+                                                 "commands.")
+    parser.add_argument("tree", nargs="?", type=Path, default=Path(__file__).resolve().parents[1],
+                        help="checkout to digest (default: the one holding this script)")
+    parser.add_argument("--against", metavar="REV",
+                        help="also digest git revision REV and print the lines that differ")
+    args = parser.parse_args()
+    tree = args.tree.resolve()
+    if args.against is None:
+        print("\n".join([header()] + digest(tree)))
+        return 0
+    old, new = digest_revision(tree, args.against), digest(tree)
+    print(header())
+    changed = [f"- {line}" for line in old if line not in new]
+    changed += [f"+ {line}" for line in new if line not in old]
+    print("\n".join(changed) if changed else f"no output differs from {args.against}")
+    return 1 if changed else 0
+
+
 if __name__ == "__main__":
-    root = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parents[1]
-    print("\n".join([header()] + digest(root.resolve())))
+    sys.exit(main())

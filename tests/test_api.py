@@ -73,6 +73,77 @@ FIELDS = [
 ]
 
 
+
+def _model(**fields) -> ddlqr.StateSpaceModel:
+    return ddlqr.StateSpaceModel(**{"A": [[0.5]], "B": [[1.0]], "C": [[1.0]], **fields})
+
+
+def _signal(**fields) -> ddlqr.SignalSpec:
+    return ddlqr.SignalSpec(**{"kind": "prbs", "length": 10, **fields})
+
+
+# One argument that breaks each rule of a public constructor or entry point, the parameter
+# its InputError names and its message, the parameter then the detail the CLI prints after
+# the parameter's config key.
+CONSTRUCTOR_RULES = {
+    "model-finite": (lambda: _model(A=[[np.nan]]), "A", "A contains non-finite entries"),
+    "model-square": (lambda: _model(A=[[1.0, 2.0]]), "A", "A must be square, got (1, 2)"),
+    "model-b-columns": (lambda: _model(B=np.zeros((1, 0))), "B", "B has no columns"),
+    "model-b-rows": (lambda: _model(B=[[1.0], [1.0]]), "B", "B has 2 rows, expected 1 to match A"),
+    "model-c-rows": (lambda: _model(C=np.zeros((0, 1))), "C", "C has no rows"),
+    "model-c-columns": (lambda: _model(C=[[1.0, 1.0]]), "C",
+                        "C has 2 columns, expected 1 to match A"),
+    "model-e-rows": (lambda: _model(E=[[1.0], [2.0]]), "E", "E has 2 rows, expected 1 to match A"),
+    "signal-kind": (lambda: _signal(kind="sinusoid"), "kind",
+                    "kind must be one of ('prbs', 'white-noise'), got 'sinusoid'"),
+    "signal-length": (lambda: _signal(length=0), "length", "length must be >= 1, got 0"),
+    "signal-variance": (lambda: _signal(variance=-1.0), "variance", "variance must be >= 0"),
+    "signal-variance-nan": (lambda: _signal(variance=np.nan), "variance", "variance must be >= 0"),
+    "signal-seed": (lambda: _signal(seed=-1), "seed", "seed must be >= 0, got -1"),
+    "signal-register-order": (lambda: _signal(register_order=33), "register_order",
+                              "register_order must be between 2 and 32, got 33"),
+    "signal-channels": (lambda: _signal(channels=0), "channels", "channels must be >= 1"),
+    "signal-hold": (lambda: _signal(hold=0), "hold", "hold must be >= 1"),
+    "imc-square": (lambda: ddlqr.ImcRealization(A_c=[[1.0, 2.0]], B_c=[1.0]), "A_c",
+                   "A_c must be square, got (1, 2)"),
+    "imc-input": (lambda: ddlqr.ImcRealization(A_c=np.eye(2), B_c=[1.0]), "B_c",
+                  "B_c has 1 entries, expected 2 to match A_c"),
+    "resonant-ts": (lambda: ddlqr.resonant_imc(100.0, 0.0), "Ts", "Ts must be positive"),
+    "resonant-frequency": (lambda: ddlqr.resonant_imc(0.0, 1e-3), "omega_n",
+                           "omega_n * Ts = 0 must lie strictly inside (0, pi); the frequency is "
+                           "at or below zero"),
+    "weight-square": (lambda: ddlqr.LqrWeights(Q=[[1.0, 2.0]], R=1.0), "Q",
+                      "Q must be square, got (1, 2)"),
+    "weight-symmetric": (lambda: ddlqr.LqrWeights(Q=[[1.0, 2.0], [3.0, 4.0]], R=1.0), "Q",
+                         "Q must be symmetric within 1e-12"),
+    "weight-definite": (lambda: ddlqr.LqrWeights(Q=1.0, R=0.0), "R",
+                        f"R must be positive definite. {lqr.RIDGE_HINT}"),
+    "zoh-ts": (lambda: ddlqr.zoh_discretize([[0.0]], [[1.0]], [[1.0]], 0.0), "Ts",
+               "Ts must be positive"),
+    # a finite A whose exponential overflows in the squarings, with no numpy warning
+    "zoh-overflow": (lambda: ddlqr.zoh_discretize([[1e300, 0.0], [0.0, 1.0]], [[1.0], [0.0]],
+                                                  [[0.0, 1.0]], 1e-3), "A",
+                     "A overflows in exp(A * Ts) at Ts = 0.001"),
+    "estimate-algorithm": (lambda: ddlqr.estimate(prbs_dataset(_model()), 2, algorithm="alg3"),
+                           "algorithm", "algorithm must be one of ('alg1', 'alg2'), got 'alg3'"),
+    "simulate-noise-mode": (lambda: ddlqr.simulate(_model(), np.zeros(4), noise_mode="both"),
+                            "noise_mode",
+                            "noise_mode must be 'process' or 'measurement', got 'both'"),
+    "simulate-v-shape": (lambda: ddlqr.simulate(_model(E=[[1.0]]), np.zeros(4), v=np.zeros(3)),
+                         "v", "v has shape (3, 1), expected (4, 1) to match the samples and E"),
+    "eval-gain-finite": (lambda: ddlqr.evaluate_closed_loop(
+        _model(), [[np.nan]], ddlqr.LqrWeights(Q=1.0, R=1.0),
+        ddlqr.RegulationScenario(x0=[1.0]), 10), "K", "K contains non-finite entries"),
+}
+
+
+@pytest.mark.parametrize("rule", list(CONSTRUCTOR_RULES))
+def test_constructor_rules_raise_input_errors(rule):
+    call, param, message = CONSTRUCTOR_RULES[rule]
+    with pytest.raises(ddlqr.InputError) as raised:
+        call()
+    assert raised.value.param == param and str(raised.value) == message
+
 def test_all_is_pinned():
     assert sorted(ddlqr.__all__) == PUBLIC
 

@@ -273,7 +273,7 @@ class TestDesign:
             code = run("design", REGULATION, "--output-dir", str(tmp_path), "--set", setting)
             assert code == 2, setting
             err = capsys.readouterr().err
-            assert f"[signal]: {key} must be" in err, err
+            assert err.startswith(f"config error: [signal] {key} must be"), err
 
     @pytest.mark.parametrize("text, message", [
         ("k,u1,y1,x1\n0,1,2\n", "expected 4 fields, got 3"),
@@ -654,7 +654,7 @@ class TestEval:
 
     @pytest.mark.parametrize("text, message", [
         ("1,2\n3\n", "ragged rows of lengths [2, 1]"),
-        ("1,nan\n", "has non-finite entries"),
+        ("1,nan\n", "contains non-finite entries"),
         ("1,x\n", "could not convert string to float: 'x'"),
         (None, "No such file or directory"),
     ], ids=["ragged", "nan", "non-numeric", "missing"])
@@ -768,17 +768,35 @@ class TestEval:
             f"config error: [{section}] {key} is no longer supported: ")
         assert not (tmp_path / "e").exists()
 
+    # eval never reads these, so an echo that held them would not describe the run
+    @pytest.mark.parametrize("config, gain, sets, message", [
+        (UPS, (1, 4), ["reference.kind=constant"],
+         "[reference] frequency is not read by kind = constant; remove the key"),
+        (REGULATION, (2, 2), REGULATION_EVAL + ["reference.kind=constant"],
+         "[reference] is not read without an [imc] section; remove the section"),
+        (UPS, (1, 4), ["eval.x0=[0,0]"], "[eval] x0 is not read beside an [imc] section, "
+         "whose tracking run starts at rest; remove the key"),
+    ], ids=["constant-frequency", "regulation-reference", "tracking-x0"])
+    def test_unread_key_exits_2(self, tmp_path, capsys, config, gain, sets, message):
+        write_matrix(tmp_path / "gain.csv", np.zeros(gain))
+        code = run("eval", config, "--output-dir", str(tmp_path / "e"),
+                   "--set", f"io.gain={tmp_path}/gain.csv",
+                   *(arg for item in sets for arg in ("--set", item)))
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "e").exists()
+
 
 # An input error of each kind that is raised after the config file loads, with
 # the command and overrides that raise it and the start of its message.
 INPUT_ERRORS = {
     "signal-spec": ("design", REGULATION, ["signal.register_order=40"],
-                    "[signal]: register_order must be between 2 and 32"),
-    "lqr-weights": ("design", REGULATION, ["lqr.r=0"], "[lqr]: R must be positive definite"),
-    "resonant-imc": ("design", UPS, ["imc.omega_n=1e9"], "[imc]: "),
-    "resonant-imc-zero": ("design", UPS, ["imc.omega_n=0"], "[imc]: omega_n * Ts = 0 must lie "
+                    "[signal] register_order must be between 2 and 32"),
+    "lqr-weights": ("design", REGULATION, ["lqr.r=0"], "[lqr] r must be positive definite"),
+    "resonant-imc": ("design", UPS, ["imc.omega_n=1e9"], "[imc] omega_n "),
+    "resonant-imc-zero": ("design", UPS, ["imc.omega_n=0"], "[imc] omega_n * Ts = 0 must lie "
                           "strictly inside (0, pi); the frequency is at or below zero\n"),
-    "resonant-imc-negative": ("design", UPS, ["imc.omega_n=-5"], "[imc]: omega_n * Ts = "
+    "resonant-imc-negative": ("design", UPS, ["imc.omega_n=-5"], "[imc] omega_n * Ts = "
                               "-0.000333333 must lie strictly inside (0, pi); the frequency is "
                               "at or below zero\n"),
     "missing-key": ("sweep", MC, [], "missing required key [sweep] horizons"),
@@ -801,15 +819,56 @@ def test_input_errors_leave_no_output_dir(tmp_path, capsys, kind):
 # an empty E is no noise channel, so a noisy run would come out noise-free; an empty B is
 # the model's fault, not the signal's, nor A's in a continuous model
 @pytest.mark.parametrize("command, config, sets, message", [
-    ("montecarlo", MC, ["montecarlo.runs=20", "model.e=[]"], "E has no columns"),
-    ("simulate", MC, ["model.e=[]", "noise.variance=0.5"], "E has no columns"),
-    ("montecarlo", MC, ["montecarlo.runs=20", "model.b=[]"], "B has no columns"),
-    ("design", UPS, ["model.b=[]"], "B has no columns"),
+    ("montecarlo", MC, ["montecarlo.runs=20", "model.e=[]"], "[model] e has no columns"),
+    ("simulate", MC, ["model.e=[]", "noise.variance=0.5"], "[model] e has no columns"),
+    ("montecarlo", MC, ["montecarlo.runs=20", "model.b=[]"], "[model] b has no columns"),
+    ("design", UPS, ["model.b=[]"], "[model] b has no columns"),
 ], ids=["montecarlo-e", "simulate-e", "montecarlo-b", "continuous-b"])
 def test_empty_model_matrix_exits_2(tmp_path, capsys, command, config, sets, message):
     argv = [command, config, "--output-dir", str(tmp_path / "out")]
     assert run(*argv, *(arg for item in sets for arg in ("--set", item))) == 2
-    assert capsys.readouterr().err == f"config error: [model]: {message}\n"
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+# One fault that a config value brings to each rule of a library constructor, and the one
+# line it prints: the config key, then the constructor's detail (a continuous model's empty
+# B is test_empty_model_matrix_exits_2's). Eval reads a gain of nans. A numpy warning would
+# fail the run, since the suite turns a RuntimeWarning into an error.
+CONSTRUCTOR_FAULTS = {
+    "model-square": ("design", REGULATION, ["model.a=[[1,2]]"],
+                     "[model] a must be square, got (1, 2)"),
+    "model-e-rows": ("design", REGULATION, ["model.e=[[1,2,3]]"],
+                     "[model] e has 1 rows, expected 2 to match A"),
+    "continuous-overflow": ("design", UPS, ["model.a=[[1e300,0],[0,1]]"],
+                            "[model] a overflows in exp(A * Ts) at Ts = 6.66667e-05"),
+    "signal-length": ("design", REGULATION, ["signal.length=0"],
+                      "[signal] length must be >= 1, got 0"),
+    "signal-hold": ("design", REGULATION, ["signal.hold=0"], "[signal] hold must be >= 1"),
+    "signal-seed": ("design", REGULATION, ["signal.seed=-1"],
+                    "[signal] seed must be >= 0, got -1"),
+    "signal-register-order": ("design", REGULATION, ["signal.register_order=40"],
+                              "[signal] register_order must be between 2 and 32, got 40"),
+    "lqr-q-symmetric": ("design", REGULATION, ["lqr.q=[[1,2],[3,4]]"],
+                        "[lqr] q must be symmetric within 1e-12"),
+    "lqr-r-definite": ("design", REGULATION, ["lqr.r=0"],
+                       "[lqr] r must be positive definite. R must be symmetric positive "
+                       "definite; for a dead-beat design use a small ridge such as 1e-9 * I "
+                       "instead of R = 0"),
+    "imc-omega-n": ("design", UPS, ["imc.omega_n=1e9"], "[imc] omega_n * Ts = 66666.7 must lie "
+                    "strictly inside (0, pi); the frequency is at or above Nyquist"),
+    "gain-finite": ("eval", REGULATION, REGULATION_EVAL + ["io.gain={tmp}/nan.csv"],
+                    "[io] gain contains non-finite entries"),
+}
+
+
+@pytest.mark.parametrize("fault", list(CONSTRUCTOR_FAULTS))
+def test_constructor_faults_exit_2_with_their_key(tmp_path, capsys, fault):
+    command, config, sets, line = CONSTRUCTOR_FAULTS[fault]
+    write_matrix(tmp_path / "nan.csv", np.full((2, 2), np.nan))
+    argv = [command, config, "--output-dir", str(tmp_path / "out")]
+    assert run(*argv, *(arg for item in sets for arg in ("--set", item.format(tmp=tmp_path)))) == 2
+    assert capsys.readouterr().err == f"config error: {line}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -873,6 +932,15 @@ INPUT_RULES = {
                                 "[reference] frequency", "frequency"),
     "sinusoid-amplitude": ("eval", UPS, ["reference.amplitude=0", "io.gain={tmp}/1x4.csv"],
                            "[reference] amplitude", "amplitude"),
+    # the constructors' rules that a config value reaches past the key schema
+    "resonance-below-nyquist": ("design", UPS, ["imc.omega_n=1e9"], "[imc] omega_n", "omega_n"),
+    "signal-length": ("design", REGULATION, ["signal.length=0"], "[signal] length", "length"),
+    "signal-variance": ("simulate", REGULATION, ["signal.variance=-1"], "[signal] variance",
+                        "variance"),
+    "signal-seed": ("sweep", REGULATION, ["signal.seed=-1"], "[signal] seed", "seed"),
+    "signal-register-order": ("montecarlo", MC, ["signal.register_order=1"],
+                              "[signal] register_order", "register_order"),
+    "signal-hold": ("design", REGULATION, ["signal.hold=0"], "[signal] hold", "hold"),
 }
 
 

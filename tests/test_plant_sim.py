@@ -252,7 +252,7 @@ class TestGenerateSignal:
     def test_unsupported_kind(self):
         # an excitation is a PRBS or white noise: a step or a sinusoid excites no depth >= 2
         for kind in ("sawtooth", "sinusoid", "constant", "zero"):
-            with pytest.raises(ValueError, match="unsupported signal kind"):
+            with pytest.raises(InputError, match="^kind must be one of"):
                 SignalSpec(kind=kind, length=10)
 
     def test_rejects_register_order_and_seed_out_of_range(self):
