@@ -92,19 +92,19 @@ def _as_matrix(section: str, key: str, value) -> np.ndarray:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         value = [[value]]
     if not isinstance(value, list):
-        raise ConfigError(f"[{section}] {key}: expected a number or bracketed row list")
+        raise ConfigError(f"[{section}] {key} must be a number or a bracketed row list")
     rows = value if value and isinstance(value[0], list) else [value]
     if not all(isinstance(r, list) and not any(isinstance(v, bool) for v in r) for r in rows):
-        raise ConfigError(f"[{section}] {key}: expected a number or bracketed row list")
+        raise ConfigError(f"[{section}] {key} must be a number or a bracketed row list")
     if len({len(r) for r in rows}) != 1:
-        raise ConfigError(f"[{section}] {key}: ragged matrix, row lengths "
-                          f"{sorted(len(r) for r in rows)} do not match")
+        raise ConfigError(f"[{section}] {key} has ragged rows of lengths "
+                          f"{sorted(len(r) for r in rows)}")
     try:
         arr = np.asarray(rows, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"[{section}] {key}: non-numeric matrix entry ({exc})") from exc
+        raise ConfigError(f"[{section}] {key} has a non-numeric entry ({exc})") from exc
     if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"[{section}] {key}: matrix entries must be finite")
+        raise ConfigError(f"[{section}] {key} entries must be finite")
     return arr
 
 
@@ -128,7 +128,7 @@ def _typed(section: str, key: str, value):
         return _as_matrix(section, key, value)
     if spec.kind == "bool":
         if str(value).lower() not in ("true", "false"):
-            raise ConfigError(f"{name}: expected true/false, got {value!r}")
+            raise ConfigError(f"{name} must be true or false, got {value!r}")
         return str(value).lower() == "true"
     if spec.kind == "ints":
         if not (isinstance(value, list) and value
@@ -140,12 +140,12 @@ def _typed(section: str, key: str, value):
         if spec.choices and value not in spec.choices:
             raise ConfigError(f"{name} must be one of {spec.choices}, got {value!r}")
         if not isinstance(value, str):
-            raise ConfigError(f"{name}: expected a string, got {value!r}")
+            raise ConfigError(f"{name} must be a string, got {value!r}")
         return value
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or not abs(value) <= sys.float_info.max or spec.kind == "int" and value != int(value)):
         what = "an integer" if spec.kind == "int" else "a finite number"
-        raise ConfigError(f"{name}: expected {what}, got {value!r}")
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
     value = int(value) if spec.kind == "int" else float(value)
     if spec.bound and not _in_bound(value, spec.bound):
         raise ConfigError(f"{name} must be {spec.bound}, got {value}")

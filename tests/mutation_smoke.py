@@ -6,7 +6,7 @@ the repository's ``src/``, ``tests/``, ``configs/``, ``pyproject.toml`` and ``RE
 unmutated (it must pass), then once per mutant with that one source edit applied. It
 prints the tests that catch each mutant. The exit status is 1 when the unmutated copy
 fails, an edit no longer matches the source exactly once, or a mutant is caught by no
-test. Each run takes as long as the suite, so the whole smoke takes about seventeen times
+test. Each run takes as long as the suite, so the whole smoke takes about eighteen times
 that.
 
 The technique is mutation testing: a check that no plausible fault can break shows
@@ -54,7 +54,7 @@ MUTANTS = [
      "obs = _estimate(dm, algorithm)[1]"),
     ("a model matrix with no columns (B, E) or no rows (C) passes", "plant_sim.py",
      """            if m is not None and not m.shape[1 - axis]:
-                raise ValueError(f"{name} has no {('rows', 'columns')[1 - axis]}")
+                raise InputError(name, f"has no {('rows', 'columns')[1 - axis]}")
 """, ""),
     ("[estimation] depth accepts 1", "config.py",
      '"depth": Key("int", ">= 2")', '"depth": Key("int", ">= 1")'),
@@ -64,6 +64,8 @@ MUTANTS = [
      "h[i + 3] << 32 for i in (0, 4))", "h[i + 3] << 32 for i in (4, 0))"),
     ("a register start bit is bit 0 of a 32-bit half, not bit 31", "plant_sim.py",
      "np.array([31, 63], np.uint64)", "np.array([0, 32], np.uint64)"),
+    ("commands run on the caller's BLAS thread count, not on one thread", "cli.py",
+     "    blas = _numpy_openblas()\n", "    blas = None\n"),
 ]
 
 

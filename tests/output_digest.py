@@ -4,12 +4,14 @@ Run as ``python tests/output_digest.py [TREE] [--against REV]``; pytest does not
 it. TREE is a checkout of this repository (default: the one holding this script), whose
 ``src/`` and ``configs/`` the commands run. Each command runs in its own process, with
 ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` set to ``THREADS``, and all write under
-one temporary directory. The thread count is fixed because the wide QR of a design rounds
-differently under different BLAS thread counts, which moves the last digits of gains and
-figures. The listing's first line names that setting, numpy's version and its BLAS, so two
-listings compare like with like. Every output file, and each command's stdout and
-stderr, is hashed after that directory's path is replaced by ``<out>``, so a line that
-differs only in the output path hashes the same and every other byte counts. To check
+one temporary directory. The wide QR of a design rounds differently under different BLAS
+thread counts, which moves the last digits of gains and figures. ``cli.main`` runs every
+command on one OpenBLAS thread itself; the digest still sets one thread, so that a revision
+from before that setting lists the same hashes. The listing's first line names that
+setting, numpy's version and its BLAS, so two listings compare like with like. Every
+output file, and each command's stdout and stderr, is hashed after that directory's path
+is replaced by ``<out>``, so a line that differs only in the output path hashes the same
+and every other byte counts. To check
 that a change keeps its outputs byte for byte, pass ``--against`` the parent's revision:
 its committed tree is exported with ``git archive`` into a temporary directory, both
 trees are digested, and the lines that differ are printed, ``-`` for REV and ``+`` for

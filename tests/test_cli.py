@@ -104,7 +104,7 @@ class TestSimulate:
         )
         assert run("simulate", str(bad), "--output-dir", str(tmp_path)) == 2
         err = capsys.readouterr().err
-        assert "[model] a" in err and "ragged" in err
+        assert err == "config error: [model] a has ragged rows of lengths [1, 2]\n"
 
     def test_round_trip_identity(self, tmp_path):
         run("simulate", REGULATION, "--output-dir", str(tmp_path))
@@ -1030,15 +1030,17 @@ def test_echo_reproduces_run(tmp_path, command):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
 
-# The ups-track benchmark's small tracking design, whose factorizations OpenBLAS splits
-# over threads: with scipy-openblas 0.3.31 its gains at 1 and 2 threads are 1.6e-12 apart.
+# The ups-track benchmark's small tracking design, whose wide QR OpenBLAS splits over
+# threads: run on the caller's thread count, its gain.csv and design.txt differ between
+# 1 and 2 threads with scipy-openblas 0.3.31.
 THREAD_SETS = ["signal.length=880", "estimation.depth=80", "estimation.width=720",
                "lqr.horizon=80"]
-# Relative max-entry gap allowed between the two gains, fixed before the first run: a
-# rounding difference amplified by the loop's conditioning (2.9e-12 on the full demo).
-THREAD_GAIN_RTOL = 1e-10
+OPENBLAS = ddlqr.cli._numpy_openblas()
+needs_blas_setter = pytest.mark.skipif(
+    OPENBLAS is None, reason="numpy's BLAS has no openblas_set_num_threads_local")
 
 
+@needs_blas_setter
 def test_design_agrees_across_blas_thread_counts(tmp_path):
     procs = {}
     for threads in ("1", "2"):
@@ -1052,12 +1054,40 @@ def test_design_agrees_across_blas_thread_counts(tmp_path):
     for proc in procs.values():
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 0, err
-    figures = {}
-    for threads in procs:
-        report = (tmp_path / threads / "design.txt").read_text().split("\n\n")[0]
-        figures[threads] = dict(line.split(": ") for line in report.splitlines())
-    for name in ("input_rank", "regressor_rank"):
-        assert figures["1"][name] == figures["2"][name], name
-    K1, K2 = (read_matrix(tmp_path / threads / "gain.csv") for threads in procs)
-    assert K1.shape == K2.shape == (1, 4)
-    assert np.abs(K1 - K2).max() <= THREAD_GAIN_RTOL * np.abs(K1).max()
+    names = sorted(path.name for path in (tmp_path / "1").iterdir())
+    assert names == ["config_echo.ini", "design.txt", "gain.csv"]
+    assert names == sorted(path.name for path in (tmp_path / "2").iterdir())
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+
+
+@needs_blas_setter
+def test_main_runs_on_one_blas_thread_and_restores_the_callers(tmp_path, monkeypatch):
+    import scipy.linalg  # noqa: F401  maps scipy's OpenBLAS, which exports the same setter
+
+    ddlqr.cli._numpy_openblas.cache_clear()
+    path = Path(ddlqr.cli._numpy_openblas()._name).resolve()
+    numpy_dir, scipy_dir = (Path(m.__file__).resolve().parent for m in (np, scipy))
+    assert path.parent in (numpy_dir.parent / "numpy.libs", numpy_dir / ".dylibs"), path
+    assert scipy_dir.parent / "scipy.libs" != path.parent and scipy_dir not in path.parents
+    setter = ddlqr.cli._numpy_openblas().openblas_set_num_threads_local
+    seen = []
+
+    def probe(cfg, outdir):  # the count a command runs on, read by setting the same count
+        seen.append(setter(1))
+        raise RuntimeError("not a ValueError: no exit code")
+
+    out = ["--output-dir", str(tmp_path / "out")]
+    runs = [(0, "design", []), (2, "design", ["--set", "lqr.horizon=1.5"]),
+            (1, "sweep", ["--set", "model.a=[[2.1,0.15],[-0.2,0.6]]"])]
+    caller = setter(2)
+    try:
+        for code, command, sets in runs:
+            assert run(command, REGULATION, *out, *sets) == code
+            assert setter(2) == 2, code
+        monkeypatch.setitem(ddlqr.cli.COMMANDS, "design", probe)
+        with pytest.raises(RuntimeError):
+            run("design", REGULATION, *out)
+        assert setter(2) == 2 and seen == [1]
+    finally:
+        setter(caller)
