@@ -48,9 +48,8 @@ INPUT_KEYS = {"Q": "[lqr] q", "R": "[lqr] r", "A": "[model] a", "B": "[model] b"
               "runs": "[montecarlo] runs", "base_seed": "[montecarlo] seed",
               "noise_variance": "[noise] variance", "frequency": "[reference] frequency",
               "amplitude": "[reference] amplitude", "omega_n": "[imc] omega_n",
-              "length": "[signal] length", "variance": "[signal] variance",
-              "seed": "[signal] seed", "register_order": "[signal] register_order",
-              "hold": "[signal] hold",
+              "length": "[signal] length", "seed": "[signal] seed",
+              "register_order": "[signal] register_order", "hold": "[signal] hold",
               "horizon": {"design": "[lqr] horizon", "sweep": "[sweep] horizons",
                           "eval": "[eval] horizon"}}
 
@@ -86,7 +85,7 @@ def _read_input(read, key: str, path: str):
     try:
         return read(path)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"[io] {key}: {exc}") from exc
+        raise ConfigError(f"[io] {key} cannot be read: {exc}") from exc
 
 
 def _simulate_dataset(cfg: RunConfig):

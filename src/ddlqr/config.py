@@ -8,9 +8,9 @@ reproduced from its own echo.
 ``KEYS`` lists every key that some command reads, with its kind and bound.
 Loading refuses any other key and any value that is not of its key's kind or
 out of its bound, so the echo holds only known keys of valid kind and bound;
-one may still go unread, as ``[signal] variance`` under ``kind = prbs``. The
-library's constructors check the domain objects' values, and ``cli.INPUT_KEYS``
-names the key of an ``InputError`` they raise.
+one may still go unread, as ``[signal] register_order`` or ``hold`` under
+``kind = white-noise``. The library's constructors check the domain objects'
+values, and ``cli.INPUT_KEYS`` names the key of an ``InputError`` they raise.
 """
 
 from __future__ import annotations
@@ -54,7 +54,8 @@ KEYS: Dict[str, Dict[str, Key]] = {
     "model": {"a": _MATRIX, "b": _MATRIX, "c": _MATRIX, "e": _MATRIX,
               "ts": Key("float", "> 0"), "continuous": Key("bool"),
               "f": Key(removed="the simulators have no output-noise channel, y = C x")},
-    "signal": {"kind": Key("str", choices=SIGNAL_KINDS), "amplitude": _FLOAT, "variance": _FLOAT,
+    "signal": {"kind": Key("str", choices=SIGNAL_KINDS), "amplitude": _FLOAT,
+               "variance": Key(removed="white noise has std [signal] amplitude"),
                "frequency": Key(removed="an excitation is a PRBS or white noise"), "seed": _INT,
                "register_order": _INT, "hold": _INT, "ts": _TS, "length": _INT,
                "channels": Key(removed="the signal has one channel per column of [model] b")},

@@ -121,14 +121,13 @@ class Dataset:
         for name in "uyx":
             setattr(self, name, _check_finite(name, as_series(getattr(self, name))))
             if getattr(self, name).shape[-1] < 1:
-                raise ValueError(f"series {name} has no channels")
-        if not (self.u.shape[:-1] == self.y.shape[:-1] == self.x.shape[:-1]):
-            raise ValueError(
-                f"series lengths differ: u has {self.u.shape[-2]}, y has {self.y.shape[-2]}, "
-                f"x has {self.x.shape[-2]}"
-            )
+                raise InputError(name, "has no channels")
+        for name in "yx":
+            if getattr(self, name).shape[:-1] != self.u.shape[:-1]:
+                raise InputError(name, f"has leading shape {getattr(self, name).shape[:-1]}, "
+                                 f"expected {self.u.shape[:-1]} to match u")
         if self.n_samples < 1:
-            raise ValueError("dataset must contain at least one sample")
+            raise InputError("u", "has no samples")
 
     @property
     def n_samples(self) -> int:
@@ -150,7 +149,7 @@ class Dataset:
 @dataclass
 class SignalSpec:
     """Recipe for an excitation, deterministic per seed: a PRBS of levels +/-``amplitude``
-    or white noise of ``variance``.
+    or white noise of standard deviation ``|amplitude|``, its one scale, which must be finite.
 
     ``hold`` stretches each PRBS register step over that many samples
     (1 keeps the usual chip-per-sample sequence); ``channels`` generates that
@@ -161,7 +160,6 @@ class SignalSpec:
     kind: str
     length: int
     amplitude: float = 1.0
-    variance: float = 0.0
     seed: int = 0
     register_order: int = 10
     channels: int = 1
@@ -172,7 +170,7 @@ class SignalSpec:
                 ("kind", self.kind not in SIGNAL_KINDS,
                  f"must be one of {SIGNAL_KINDS}, got {self.kind!r}"),
                 ("length", self.length < 1, f"must be >= 1, got {self.length}"),
-                ("variance", not self.variance >= 0, "must be >= 0"),
+                ("amplitude", not np.isfinite(self.amplitude), "must be finite"),
                 ("seed", self.seed < 0, f"must be >= 0, got {self.seed}"),
                 ("register_order", self.register_order not in MLS_TAPS,
                  f"must be between 2 and 32, got {self.register_order}"),
@@ -281,7 +279,7 @@ def generate_signal(spec: SignalSpec, seeds=None) -> np.ndarray:
         signal = _prbs_channels(spec, batch)
     else:  # "white-noise", the other of SIGNAL_KINDS, the only kinds SignalSpec admits
         signal = np.stack([np.random.default_rng(seed).normal(
-            0.0, np.sqrt(spec.variance), size=(spec.length, spec.channels)) for seed in batch])
+            0.0, abs(spec.amplitude), size=(spec.length, spec.channels)) for seed in batch])
     return signal if seeds is not None else signal[0]
 
 
@@ -330,21 +328,20 @@ def simulate(model: StateSpaceModel, u, v=None, noise_mode: str = "process") -> 
       measurement.
 
     In both modes the recorded output is y(k) = C x(k) with x the recorded
-    state. A record that overflows is a ``simulation:`` ValueError, with no numpy warning;
-    one that is not finite because u or v is not is a ValueError that names the input. A
-    bad ``noise_mode``, u's channel count, a v without E and v's shape are InputErrors,
-    raised before the run.
+    state. A record that overflows is a ``simulation:`` ValueError, with no numpy warning.
+    A bad ``noise_mode``, a non-finite u or v, u's channel count, a v without E and v's
+    shape are InputErrors, raised before the run.
     """
     if noise_mode not in NOISE_MODES:
         raise InputError("noise_mode", f"must be 'process' or 'measurement', got {noise_mode!r}")
-    u = as_series(u)
+    u = _check_finite("u", as_series(u))
     if u.shape[-1] != model.n_inputs:
         raise InputError("u", f"has {u.shape[-1]} channels, expected {model.n_inputs} to match B")
     drives = [_apply(model.B, u)]
     if v is not None:
         if model.E is None:
             raise InputError("E", "must be set: the state noise enters through it")
-        v = as_series(v)
+        v = _check_finite("v", as_series(v))
         if v.shape != u.shape[:-1] + model.E.shape[1:]:
             raise InputError("v", f"has shape {v.shape}, expected "
                              f"{u.shape[:-1] + model.E.shape[1:]} to match the samples and E")
@@ -358,10 +355,7 @@ def simulate(model: StateSpaceModel, u, v=None, noise_mode: str = "process") -> 
         y = x @ model.C.T
     try:
         return Dataset(u=u, y=y, x=x)
-    except ValueError:  # a non-finite entry: name the input that has one, if any
-        for name, series in (("u", u), ("v", v)):
-            if series is not None and not np.all(np.isfinite(series)):
-                raise ValueError(f"{name} contains non-finite entries")
+    except InputError:  # u and v are finite, so x or y overflowed
         raise ValueError(f"simulation: the open-loop record overflows in {x.shape[-2]} "
                          f"samples") from None
 

@@ -6,7 +6,7 @@ the repository's ``src/``, ``tests/``, ``configs/``, ``pyproject.toml`` and ``RE
 unmutated (it must pass), then once per mutant with that one source edit applied. It
 prints the tests that catch each mutant. The exit status is 1 when the unmutated copy
 fails, an edit no longer matches the source exactly once, or a mutant is caught by no
-test. Each run takes as long as the suite, so the whole smoke takes about eighteen times
+test. Each run takes as long as the suite, so the whole smoke takes about nineteen times
 that.
 
 The technique is mutation testing: a check that no plausible fault can break shows
@@ -66,6 +66,9 @@ MUTANTS = [
      "np.array([31, 63], np.uint64)", "np.array([0, 32], np.uint64)"),
     ("commands run on the caller's BLAS thread count, not on one thread", "cli.py",
      "    blas = _numpy_openblas()\n", "    blas = None\n"),
+    ("a signal's amplitude may be inf or nan", "plant_sim.py",
+     """                ("amplitude", not np.isfinite(self.amplitude), "must be finite"),
+""", ""),
 ]
 
 

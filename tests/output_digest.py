@@ -19,8 +19,8 @@ TREE; the exit status is 1 if any line differs.
 
 The commands: ``simulate`` and ``design`` on the regulation demo with alg1, with
 alg2 and with process noise (``noise.variance=1e-4``, ``model.e=[[1,0],[0,1]]``), and
-``simulate`` under a white-noise excitation (``signal.kind=white-noise``,
-``signal.variance=1``);
+``simulate`` under a white-noise excitation (``signal.kind=white-noise``, whose standard
+deviation is the demo's ``[signal] amplitude`` of 1);
 ``design`` on the tracking demo, and with an integrator internal model in place of
 its resonance (``imc.kind=integrator``, ``lqr.q=[[200,0],[0,200]]``); ``sweep`` over
 horizons 10 to 50 with each algorithm, and over horizons 50 and 150 on the tracking
@@ -65,7 +65,7 @@ DERIVED = {"ups_integrator.ini": ("ups_tracking_demo.ini", ("omega_n", "frequenc
 COMMANDS = [
     ("simulate", "simulate", "regulation_demo.ini", []),
     ("simulate-white-noise", "simulate", "regulation_demo.ini",
-     ["signal.kind=white-noise", "signal.variance=1"]),
+     ["signal.kind=white-noise"]),
     ("design-alg1", "design", "regulation_demo.ini", []),
     ("design-alg2", "design", "regulation_demo.ini", ["estimation.algorithm=alg2"]),
     ("design-noisy", "design", "regulation_demo.ini",

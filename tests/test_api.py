@@ -64,8 +64,8 @@ PARAMETERS = [
 FIELDS = [
     ("plant_sim", "StateSpaceModel", ["A", "B", "C", "E", "sample_time"]),
     ("plant_sim", "Dataset", ["u", "y", "x"]),
-    ("plant_sim", "SignalSpec", ["kind", "length", "amplitude", "variance", "seed",
-                                 "register_order", "channels", "hold"]),
+    ("plant_sim", "SignalSpec", ["kind", "length", "amplitude", "seed", "register_order",
+                                 "channels", "hold"]),
     ("experiments", "TrackingScenario", ["imc", "amplitude", "frequency"]),
     ("markov", "DataMatrices", ["factor", "depth", "width", "n_inputs", "n_outputs", "imc"]),
     ("experiments", "DataDrivenEstimate", ["toeplitz", "observability", "depth", "width", "imc",
@@ -97,8 +97,10 @@ CONSTRUCTOR_RULES = {
     "signal-kind": (lambda: _signal(kind="sinusoid"), "kind",
                     "kind must be one of ('prbs', 'white-noise'), got 'sinusoid'"),
     "signal-length": (lambda: _signal(length=0), "length", "length must be >= 1, got 0"),
-    "signal-variance": (lambda: _signal(variance=-1.0), "variance", "variance must be >= 0"),
-    "signal-variance-nan": (lambda: _signal(variance=np.nan), "variance", "variance must be >= 0"),
+    "signal-amplitude-inf": (lambda: _signal(amplitude=np.inf), "amplitude",
+                             "amplitude must be finite"),
+    "signal-amplitude-nan": (lambda: _signal(amplitude=np.nan, kind="white-noise"), "amplitude",
+                             "amplitude must be finite"),
     "signal-seed": (lambda: _signal(seed=-1), "seed", "seed must be >= 0, got -1"),
     "signal-register-order": (lambda: _signal(register_order=33), "register_order",
                               "register_order must be between 2 and 32, got 33"),
@@ -126,6 +128,17 @@ CONSTRUCTOR_RULES = {
                      "A overflows in exp(A * Ts) at Ts = 0.001"),
     "estimate-algorithm": (lambda: ddlqr.estimate(prbs_dataset(_model()), 2, algorithm="alg3"),
                            "algorithm", "algorithm must be one of ('alg1', 'alg2'), got 'alg3'"),
+    "dataset-channels": (lambda: ddlqr.Dataset(u=np.zeros((4, 1)), y=np.zeros((4, 0)),
+                                               x=np.zeros((4, 1))), "y", "y has no channels"),
+    "dataset-lengths": (lambda: ddlqr.Dataset(u=np.zeros(4), y=np.zeros(4), x=np.zeros(3)), "x",
+                        "x has leading shape (3,), expected (4,) to match u"),
+    "dataset-samples": (lambda: ddlqr.Dataset(u=np.zeros(0), y=np.zeros(0), x=np.zeros(0)), "u",
+                        "u has no samples"),
+    "simulate-u-finite": (lambda: ddlqr.simulate(_model(), [1.0, np.nan, 0.0]), "u",
+                          "u contains non-finite entries"),
+    "simulate-v-finite": (lambda: ddlqr.simulate(_model(E=[[1.0]]), np.zeros(3),
+                                                 v=[0.0, np.inf, 0.0]), "v",
+                          "v contains non-finite entries"),
     "simulate-noise-mode": (lambda: ddlqr.simulate(_model(), np.zeros(4), noise_mode="both"),
                             "noise_mode",
                             "noise_mode must be 'process' or 'measurement', got 'both'"),

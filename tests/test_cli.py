@@ -126,6 +126,15 @@ class TestSimulate:
             "--set", f"io.dataset={tmp_path}/b/dataset.csv")
         assert (tmp_path / "a/dataset.csv").read_bytes() == (tmp_path / "b/dataset.csv").read_bytes()
 
+    def test_white_noise_has_std_amplitude(self, tmp_path):
+        # the demo's amplitude = 1.0 is the white noise's standard deviation: a record of
+        # zeros would excite nothing
+        assert run("simulate", REGULATION, "--output-dir", str(tmp_path),
+                   "--set", "signal.kind=white-noise") == 0
+        data = read_dataset(tmp_path / "dataset.csv")
+        assert data.n_samples == 1022 and data.x.any(axis=0).all()
+        np.testing.assert_allclose(data.u.std(axis=0), [1.0, 1.0], atol=0.1)
+
     def test_existing_dataset_is_simulated_anew(self, tmp_path):
         # simulate writes [io] dataset: a file already there is replaced, never read
         target = f"io.dataset={tmp_path}/d.csv"
@@ -280,7 +289,7 @@ class TestDesign:
         ("k,u1,y1,x1\n0,1,2,x\n", "could not convert string to float: 'x'"),
         ("k,u1,y1,x1\n0,1,nan,2\n1,1,1,1\n", "y contains non-finite entries"),
         ("u1,y1\n1,2\n", "expected a dataset CSV header"),
-        ("k,u1,u2,y1,y2\n0,1,2,3,4\n", "series x has no channels"),
+        ("k,u1,u2,y1,y2\n0,1,2,3,4\n", "x has no channels"),
         # the columns are read by position, so any other names or order would misread them
         ("k,y1,y2,u1,u2,x1,x2\n0,1,2,3,4,5,6\n",
          "expected k,u1..up,y1..yq,x1..xn: k,u1,u2,y1,y2,x1,x2"),
@@ -760,7 +769,7 @@ class TestEval:
         "reference.length=7500", "io.output_dir=out", "montecarlo.variance=0.1",
         "montecarlo.noise_mode=process", "reference.variance=1", "reference.seed=3",
         "reference.register_order=10", "reference.hold=2", "reference.channels=1",
-        "signal.frequency=0.3"])
+        "signal.frequency=0.3", "signal.variance=1"])
     def test_removed_key_exits_2(self, tmp_path, capsys, override):
         assert run("eval", UPS, "--output-dir", str(tmp_path / "e"), "--set", override) == 2
         section, key = override.split("=")[0].split(".")
@@ -813,6 +822,19 @@ def test_input_errors_leave_no_output_dir(tmp_path, capsys, kind):
         argv += ["--set", item.format(tmp=tmp_path)]
     assert run(*argv) == 2
     assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not (tmp_path / "out").exists()
+
+
+# an [io] file that cannot be read: the key, then the reader's own message
+@pytest.mark.parametrize("command, key, sets", [
+    ("design", "dataset", []), ("eval", "gain", REGULATION_EVAL)], ids=["dataset", "gain"])
+def test_unreadable_io_file_exits_2_after_its_key(tmp_path, capsys, command, key, sets):
+    missing = tmp_path / "missing.csv"
+    argv = [command, REGULATION, "--output-dir", str(tmp_path / "out"),
+            "--set", f"io.{key}={missing}"]
+    assert run(*argv, *(arg for item in sets for arg in ("--set", item))) == 2
+    assert capsys.readouterr().err == (f"config error: [io] {key} cannot be read: [Errno 2] "
+                                       f"No such file or directory: '{missing}'\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -935,8 +957,6 @@ INPUT_RULES = {
     # the constructors' rules that a config value reaches past the key schema
     "resonance-below-nyquist": ("design", UPS, ["imc.omega_n=1e9"], "[imc] omega_n", "omega_n"),
     "signal-length": ("design", REGULATION, ["signal.length=0"], "[signal] length", "length"),
-    "signal-variance": ("simulate", REGULATION, ["signal.variance=-1"], "[signal] variance",
-                        "variance"),
     "signal-seed": ("sweep", REGULATION, ["signal.seed=-1"], "[signal] seed", "seed"),
     "signal-register-order": ("montecarlo", MC, ["signal.register_order=1"],
                               "[signal] register_order", "register_order"),

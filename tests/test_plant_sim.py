@@ -124,7 +124,7 @@ class TestSimulate:
         # a dataset needs an input, an output and a state channel; the estimators would
         # otherwise index into an empty series
         series = {k: np.zeros((5, 0 if k == name else 1)) for k in "uyx"}
-        with pytest.raises(ValueError, match=f"^series {name} has no channels$"):
+        with pytest.raises(InputError, match=f"^{name} has no channels$"):
             Dataset(**series)
 
     @pytest.mark.parametrize("name, empty, what", [
@@ -155,14 +155,14 @@ class TestSimulate:
 
     @pytest.mark.parametrize("mode", ["process", "measurement"])
     def test_non_finite_input_is_named_not_called_an_overflow(self, mode):
-        # a plain ValueError: the InputError on u names [signal] channels in the CLI
+        # an InputError on the input, raised before the run
         model = StateSpaceModel(A=[[0.5]], B=[[1.0]], C=[[1.0]], E=[[1.0]])
         for name, bad in (("u", np.nan), ("u", np.inf), ("v", np.nan), ("v", np.inf)):
             series = {"u": np.ones(10), "v": np.zeros(10)}
             series[name][3] = bad
-            with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$") as exc:
+            with pytest.raises(InputError, match=f"^{name} contains non-finite entries$") as exc:
                 simulate(model, series["u"], v=series["v"], noise_mode=mode)
-            assert not isinstance(exc.value, InputError)
+            assert exc.value.param == name
 
 
 class TestClosedLoop:
@@ -202,9 +202,17 @@ class TestGenerateSignal:
         assert np.abs(corr[1:]).max() < 2.0 / 1023
 
     def test_white_noise_variance_band(self):
-        spec = SignalSpec(kind="white-noise", length=1022, variance=0.1, seed=1)
+        spec = SignalSpec(kind="white-noise", length=1022, amplitude=np.sqrt(0.1), seed=1)
         sig = generate_signal(spec)
         assert 0.08 <= sig.var() <= 0.12
+
+    @pytest.mark.parametrize("amplitude", [0.0, 0.3, 1.0, -2.5])
+    def test_white_noise_is_numpys_normal_of_std_amplitude(self, amplitude):
+        # bit for bit, signs of zero included: an amplitude of 0 gives +0, never -0
+        spec = SignalSpec(kind="white-noise", length=200, amplitude=amplitude, seed=7, channels=2)
+        expect = np.random.default_rng(7).normal(0.0, abs(amplitude), size=(200, 2))
+        assert generate_signal(spec).tobytes() == expect.tobytes()
+        assert not np.signbit(generate_signal(replace(spec, amplitude=0.0))).any()
 
     def test_sinusoid_formula(self, monkeypatch):
         # a sinusoid is a tracking reference, not an excitation: evaluate_closed_loop drives
@@ -229,7 +237,7 @@ class TestGenerateSignal:
 
     @pytest.mark.parametrize("kind", ["prbs", "white-noise"])
     def test_every_kind_batches_one_run_per_seed(self, kind):
-        spec = SignalSpec(kind=kind, length=30, amplitude=0.7, variance=0.5, channels=2)
+        spec = SignalSpec(kind=kind, length=30, amplitude=0.7, channels=2)
         seeds = [4, 0, 4, 2 ** 31 - 1]
         batch = generate_signal(spec, seeds)
         assert batch.shape == (4, 30, 2)
@@ -240,7 +248,7 @@ class TestGenerateSignal:
     def test_determinism(self):
         spec = SignalSpec(kind="prbs", length=500, seed=9, channels=2)
         np.testing.assert_array_equal(generate_signal(spec), generate_signal(spec))
-        noise = SignalSpec(kind="white-noise", length=500, variance=1.0, seed=9)
+        noise = SignalSpec(kind="white-noise", length=500, amplitude=1.0, seed=9)
         np.testing.assert_array_equal(generate_signal(noise), generate_signal(noise))
 
     def test_hold_stretches_chips(self):
