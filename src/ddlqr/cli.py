@@ -11,14 +11,13 @@ library's InputErrors included, named by the config key in ``INPUT_KEYS``.
 Each command runs on one OpenBLAS thread, and ``main`` restores the caller's count on
 every exit: thread counts split a design's wide QR differently, which moves the outputs'
 last digits, and one thread is also the faster path at these sizes. OPENBLAS_NUM_THREADS
-cannot do this once numpy is imported. Without numpy's OpenBLAS setter, commands run as set.
+cannot do this once numpy is imported. The setter comes from numpy's own OpenBLAS, whose
+dgeqrf ``markov`` factors with; without it, commands run as set.
 """
 
 from __future__ import annotations
 
 import argparse
-import ctypes
-import functools
 import os
 import sys
 from pathlib import Path
@@ -37,6 +36,7 @@ from .experiments import (
     monte_carlo_obs,
     synthesize,
 )
+from .markov import _numpy_openblas
 from .plant_sim import InputError, generate_signal, simulate
 from .storage import FLOAT_FMT
 
@@ -52,19 +52,6 @@ INPUT_KEYS = {"Q": "[lqr] q", "R": "[lqr] r", "A": "[model] a", "B": "[model] b"
               "register_order": "[signal] register_order", "hold": "[signal] hold",
               "horizon": {"design": "[lqr] horizon", "sweep": "[sweep] horizons",
                           "eval": "[eval] horizon"}}
-
-
-@functools.cache
-def _numpy_openblas():
-    """numpy's bundled OpenBLAS if it has the thread setter, else None. scipy's OpenBLAS
-    exports the same name, so only numpy's directories are searched."""
-    here = Path(np.__file__).parent
-    libs = [*here.parent.glob("numpy.libs/*openblas*"), *here.glob(".dylibs/*openblas*")]
-    for path in sorted(libs):
-        lib = ctypes.CDLL(str(path))
-        if hasattr(lib, "openblas_set_num_threads_local"):
-            return lib
-    return None
 
 
 def _output_dir(args) -> Path:
@@ -246,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     blas = _numpy_openblas()
-    threads = blas.openblas_set_num_threads_local(1) if blas else None  # returns the old count
+    set_threads = getattr(blas, "openblas_set_num_threads_local", None)
+    threads = set_threads(1) if set_threads else None  # returns the old count
     try:
         cfg = RunConfig.load(args.config, args.set)
         outdir = _output_dir(args)
@@ -263,8 +251,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        if blas:
-            blas.openblas_set_num_threads_local(threads)
+        if set_threads:
+            set_threads(threads)
 
 
 if __name__ == "__main__":

@@ -365,15 +365,17 @@ def evaluate_closed_loop(
     steady-state error are inf, and it has no THD.
     Argument errors are InputErrors, raised before the run: a gain ``K`` with a non-finite
     entry (which would read as an unstable loop) or that is not inputs x loop states
-    (tracking adds one internal-model copy per output), weights that do not fit the loop's
-    outputs (internal-model states included) and inputs, a wrong-sized start state
-    ``x0``, a sinusoid of ``amplitude`` 0, or whose
-    ``frequency`` times the model's sample time is outside (0, pi) or whose period no 10
-    to 999 whole periods span in whole samples (to 1e-9 relative), or a ``horizon``
-    shorter than the fewest such periods, ``THD_PERIODS`` at least: the window whose
-    DFT gives the amplitude and THD.
+    (tracking adds one internal-model copy per output), a ``horizon`` below 1, weights
+    that do not fit the loop's outputs (internal-model states included) and inputs, a
+    wrong-sized start state ``x0``, a sinusoid of ``amplitude`` 0, or whose ``frequency``
+    times the model's sample time is outside (0, pi) or whose period no 10 to 999 whole
+    periods span in whole samples (to 1e-9 relative), or a ``horizon`` shorter than the
+    fewest such periods, ``THD_PERIODS`` at least: the window whose DFT gives the
+    amplitude and THD.
     """
     K = _check_finite("K", np.asarray(K, dtype=float))
+    if horizon < 1:
+        raise InputError("horizon", f"must be >= 1, got {horizon}")
     n, q = model.n_states, model.n_outputs
     tracking = isinstance(scenario, TrackingScenario)
     loop = augment_model(model, scenario.imc) if tracking else model

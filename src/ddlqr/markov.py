@@ -29,16 +29,22 @@ estimates lift their y rows through the filter (``imc.append_imc_states``). The
 augmented rows span nothing more, so the lifted least-squares solutions are theirs.
 Without a controller Z has no rows and nothing is lifted.
 
-``DataMatrices`` keeps only the factor of the stack that ``hankel_stack`` writes. Data
-may carry leading batch axes (say, Monte Carlo runs); so do the factor and every estimate,
-each entry bit-for-bit its unbatched result. A rank check that fails for some entries
-raises a ValueError about the first; its ``failed`` attribute marks them all.
+``DataMatrices`` keeps only the factor of the stack that ``hankel_stack`` writes, which
+the dgeqrf of numpy's own OpenBLAS factors in place: the C-ordered (rows x width) stack
+is the Fortran (width x rows) matrix it takes. With numpy's workspace the factor has the
+bytes of ``np.linalg.qr``, the fallback, which copies the stack twice. Data may carry
+leading batch axes (say, Monte Carlo runs); so do the factor and every estimate, each
+entry bit-for-bit its unbatched result. A rank check that fails for some entries raises
+a ValueError about the first; its ``failed`` attribute marks them all.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -53,6 +59,20 @@ RANK_TOL = 1e-8
 PINV_TOL = 1e-12
 # Row partitions of the Hankel stack and of its factor, top to bottom.
 PARTS = ("u_past", "y_past", "z_past", "u_future", "y_future", "x_past")
+
+
+@functools.cache
+def _numpy_openblas():
+    """numpy's bundled OpenBLAS, else None; the ILP64 dgeqrf that numpy's QR calls gets its
+    argument types. scipy's OpenBLAS exports the same names: only numpy's folders count."""
+    here = Path(np.__file__).parent
+    libs = [*here.parent.glob("numpy.libs/*openblas*"), *here.glob(".dylibs/*openblas*")]
+    blas = ctypes.CDLL(str(min(libs))) if libs else None
+    if hasattr(blas, "scipy_dgeqrf_64_"):
+        int_p, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+        blas.scipy_dgeqrf_64_.argtypes = [int_p, int_p, ptr, int_p, ptr, ptr, int_p, int_p]
+        blas.scipy_dgeqrf_64_.restype = None
+    return blas
 
 
 def _fail_entries(failed: np.ndarray, describe: Callable[[tuple], str]) -> None:
@@ -169,19 +189,43 @@ def build_data_matrices(data: Dataset, depth: int, width: Optional[int] = None,
                         imc: Optional[ImcRealization] = None) -> DataMatrices:
     """Factor a dataset's past/future input/output Hankel matrices and states (of the
     records ``runs`` of a batched one), with the controller states of ``imc``: one QR of
-    their ``hankel_stack``, which is then dropped. ``depth`` and ``width`` are held to
-    ``hankel_width`` before the stack is written, with the controller states counted
-    among the outputs and states, so every ``DataMatrices`` can determine the predictor
-    of the plant plus controller."""
+    their ``hankel_stack`` in place (``np.linalg.qr`` of a copy without numpy's dgeqrf).
+    ``depth`` and ``width`` are held to ``hankel_width`` before the stack is written, with
+    the controller states counted among the outputs and states, so every ``DataMatrices``
+    can determine the predictor of the plant plus controller."""
     p, q, n = data.n_inputs, data.n_outputs, data.n_states
     z = q * imc.order if imc is not None else 0
     width = hankel_width(data.n_samples, p, q + z, n + z, depth, width)
-    stack = hankel_stack(data, depth, width, runs, imc).swapaxes(-1, -2)
-    # numpy's QR copies its input, so a batch is factored half at a time: a whole stack freed
-    # with a whole copy went back to the OS, and the next batch faulted the memory back in
-    halves = np.array_split(stack, 2) if stack.ndim > 2 else [stack]
-    L = np.concatenate([np.linalg.qr(h, mode="r") for h in halves]).swapaxes(-1, -2)
+    L = _lq_factor(hankel_stack(data, depth, width, runs, imc))
     return DataMatrices(factor=L, depth=depth, width=width, n_inputs=p, n_outputs=q, imc=imc)
+
+
+def _lq_factor(stack: np.ndarray) -> np.ndarray:
+    """L of stack = L Q', (..., rows, min(rows, width)), as
+    ``np.linalg.qr(stack.swapaxes(-1, -2), mode="r").swapaxes(-1, -2)`` returns it, bytes and
+    strides; a C-ordered float ``stack`` is overwritten with the reflectors."""
+    geqrf = getattr(_numpy_openblas(), "scipy_dgeqrf_64_", None)
+    if geqrf is None or stack.dtype != np.float64 or not stack.flags.c_contiguous:
+        return np.linalg.qr(stack.swapaxes(-1, -2), mode="r").swapaxes(-1, -2)
+    (rows, width), k = stack.shape[-2:], min(stack.shape[-2:])
+    # numpy's workspace, max(1, rows, LAPACK's optimum): with less, dgeqrf takes smaller
+    # blocks or none, which rounds differently
+    m, n, lwork, info = (ctypes.c_int64(v) for v in (width, rows, -1, 0))
+    a, tau, work = stack.ctypes.data, np.empty(k), np.empty(1)
+    geqrf(m, n, a, m, tau.ctypes.data, work.ctypes.data, lwork, info)
+    lwork.value = max(1, rows, int(work[0]))
+    work = np.empty(lwork.value)
+    tau_p, work_p = tau.ctypes.data, work.ctypes.data
+    for entry in range(a, a + stack.nbytes, rows * width * stack.itemsize):
+        geqrf(m, n, entry, m, tau_p, work_p, lwork, info)
+        if info.value:
+            raise np.linalg.LinAlgError(f"dgeqrf: argument {-info.value} is illegal")
+    # R' is each entry's first k columns, the reflectors above its diagonal; R is C-ordered
+    # as numpy's QR returns it, since later BLAS calls round by operand layout
+    R = np.empty(stack.shape[:-2] + (k, rows))
+    R[...] = stack[..., :k].swapaxes(-1, -2)
+    np.copyto(R, 0.0, where=np.tri(k, rows, -1, dtype=bool))
+    return R.swapaxes(-1, -2)
 
 
 def _rank(s: np.ndarray, reference, tol: float):

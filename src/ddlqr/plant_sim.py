@@ -329,12 +329,14 @@ def simulate(model: StateSpaceModel, u, v=None, noise_mode: str = "process") -> 
 
     In both modes the recorded output is y(k) = C x(k) with x the recorded
     state. A record that overflows is a ``simulation:`` ValueError, with no numpy warning.
-    A bad ``noise_mode``, a non-finite u or v, u's channel count, a v without E and v's
-    shape are InputErrors, raised before the run.
+    A bad ``noise_mode``, a non-finite u or v, a u with no samples or the wrong channel
+    count, a v without E and v's shape are InputErrors, raised before the run.
     """
     if noise_mode not in NOISE_MODES:
         raise InputError("noise_mode", f"must be 'process' or 'measurement', got {noise_mode!r}")
     u = _check_finite("u", as_series(u))
+    if not u.shape[-2]:
+        raise InputError("u", "has no samples")
     if u.shape[-1] != model.n_inputs:
         raise InputError("u", f"has {u.shape[-1]} channels, expected {model.n_inputs} to match B")
     drives = [_apply(model.B, u)]

@@ -6,7 +6,7 @@ the repository's ``src/``, ``tests/``, ``configs/``, ``pyproject.toml`` and ``RE
 unmutated (it must pass), then once per mutant with that one source edit applied. It
 prints the tests that catch each mutant. The exit status is 1 when the unmutated copy
 fails, an edit no longer matches the source exactly once, or a mutant is caught by no
-test. Each run takes as long as the suite, so the whole smoke takes about nineteen times
+test. Each run takes as long as the suite, so the whole smoke takes about twenty times
 that.
 
 The technique is mutation testing: a check that no plausible fault can break shows
@@ -69,6 +69,8 @@ MUTANTS = [
     ("a signal's amplitude may be inf or nan", "plant_sim.py",
      """                ("amplitude", not np.isfinite(self.amplitude), "must be finite"),
 """, ""),
+    ("the in-place dgeqrf gets the minimal workspace, rows, and factors unblocked", "markov.py",
+     "lwork.value = max(1, rows, int(work[0]))", "lwork.value = rows"),
 ]
 
 

@@ -139,6 +139,8 @@ CONSTRUCTOR_RULES = {
     "simulate-v-finite": (lambda: ddlqr.simulate(_model(E=[[1.0]]), np.zeros(3),
                                                  v=[0.0, np.inf, 0.0]), "v",
                           "v contains non-finite entries"),
+    "simulate-u-samples": (lambda: ddlqr.simulate(_model(), np.zeros((0, 1))), "u",
+                           "u has no samples"),
     "simulate-noise-mode": (lambda: ddlqr.simulate(_model(), np.zeros(4), noise_mode="both"),
                             "noise_mode",
                             "noise_mode must be 'process' or 'measurement', got 'both'"),
@@ -147,6 +149,9 @@ CONSTRUCTOR_RULES = {
     "eval-gain-finite": (lambda: ddlqr.evaluate_closed_loop(
         _model(), [[np.nan]], ddlqr.LqrWeights(Q=1.0, R=1.0),
         ddlqr.RegulationScenario(x0=[1.0]), 10), "K", "K contains non-finite entries"),
+    "eval-horizon": (lambda: ddlqr.evaluate_closed_loop(
+        _model(), [[0.0]], ddlqr.LqrWeights(Q=1.0, R=1.0), ddlqr.RegulationScenario(x0=[1.0]),
+        0), "horizon", "horizon must be >= 1, got 0"),
 }
 
 

@@ -1057,7 +1057,8 @@ THREAD_SETS = ["signal.length=880", "estimation.depth=80", "estimation.width=720
                "lqr.horizon=80"]
 OPENBLAS = ddlqr.cli._numpy_openblas()
 needs_blas_setter = pytest.mark.skipif(
-    OPENBLAS is None, reason="numpy's BLAS has no openblas_set_num_threads_local")
+    not hasattr(OPENBLAS, "openblas_set_num_threads_local"),
+    reason="numpy's BLAS has no openblas_set_num_threads_local")
 
 
 @needs_blas_setter

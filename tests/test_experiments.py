@@ -719,7 +719,7 @@ class TestEvaluateClosedLoop:
         # a run of no samples is an argument error, not an unstable run
         model = two_output_model()
         weights = reference_weights()
-        with pytest.raises(ValueError, match="at least one sample"):
+        with pytest.raises(InputError, match="^horizon must be >= 1, got 0$"):
             evaluate_closed_loop(model, np.zeros((2, 2)), weights,
                                  RegulationScenario(x0=[1.0, 1.0]), 0)
 

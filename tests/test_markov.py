@@ -1,5 +1,8 @@
+import functools
 import sys
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +22,15 @@ from ddlqr import (
     estimate,
     simulate,
 )
+import ddlqr.cli
 from ddlqr import markov
+from ddlqr.config import RunConfig
+from ddlqr.experiments import monte_carlo_obs
 from ddlqr.markov import build_data_matrices, estimate_predictor
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+needs_dgeqrf = pytest.mark.skipif(not hasattr(markov._numpy_openblas(), "scipy_dgeqrf_64_"),
+                                  reason="numpy's OpenBLAS has no scipy_dgeqrf_64_")
 
 
 def stack(ds, dm):
@@ -238,6 +248,11 @@ class TestLapackWork:
                 calls.append((_name, sys._getframe(1).f_code.co_name, np.shape(a)))
                 return _call(a, *args, **kwargs)
             monkeypatch.setattr(markov.np.linalg, name, wrapped)
+
+        def lq_factor(stack, _call=markov._lq_factor):  # the stack's QR is of its transpose
+            calls.append(("qr", "build_data_matrices", stack.shape[:-2] + stack.shape[:-3:-1]))
+            return _call(stack)
+        monkeypatch.setattr(markov, "_lq_factor", lq_factor)
         # the regulation demo: p = q = 2 at depth 51, so p*depth = q*depth = 102
         est = estimate(prbs_dataset(two_output_model()), 51, algorithm=algorithm)
         svds = {}
@@ -247,7 +262,9 @@ class TestLapackWork:
         # the input triangle, L_Yp,Yp and the remainder triangle; alg2 checks L_Up,Up
         assert sorted(svds["estimate_predictor"]) == [(102, 102)] * 2 + [(204, 204)]
         assert svds.get("estimate_obs_alg2") == ([(102, 102)] if algorithm == "alg2" else None)
-        wide = [shape for name, _, shape in calls if name == "qr" and shape[0] == est.width]
+        # the seam counts the factorization, not the fallback QR inside it
+        wide = [shape for name, caller, shape in calls
+                if name == "qr" and shape[0] == est.width and caller != "_lq_factor"]
         assert wide == [(est.width, 2 * (102 + 102) + 2)]
 
     def test_three_null_counts_share_one_remainder_qr(self, monkeypatch):
@@ -280,6 +297,99 @@ class TestLapackWork:
             assert np.array_equal(toeplitz[b], alone)
             for name in ("input_rank", "regressor_rank", "input_rank_margin"):
                 assert np.array_equal(figures[name][b], alone_figures[name]), name
+
+
+@functools.cache
+def demo(name):
+    """A bundled config's simulated record and its ``build_data_matrices`` arguments."""
+    cfg = RunConfig.load(CONFIGS / name)
+    model, data = ddlqr.cli._simulate_dataset(cfg)
+    return data, (cfg.get("estimation", "depth"), cfg.get("estimation", "width"),
+                  cfg.imc(model.sample_time))
+
+
+def factored(monkeypatch, call):
+    """(stack before, factor) of every ``_lq_factor`` call that ``call()`` makes."""
+    seen = []
+
+    def spy(stack, _call=markov._lq_factor):
+        before = stack.copy()
+        seen.append((before, _call(stack)))
+        return seen[-1][1]
+    monkeypatch.setattr(markov, "_lq_factor", spy)
+    call()
+    monkeypatch.undo()
+    return seen
+
+
+def mc_chunk():
+    """The bundled Monte Carlo study at 32 runs: one factoring chunk."""
+    cfg = RunConfig.load(CONFIGS / "noisy_estimation_mc.ini")
+    model = cfg.model()
+    monte_carlo_obs(model, cfg.signal(model), cfg.get("estimation", "depth"), 32,
+                    cfg.get("noise", "variance"), cfg.get("montecarlo", "seed"),
+                    cfg.get("estimation", "width"), noise_mode=cfg.get("noise", "mode"))
+
+
+def build_demo(config):
+    data, (depth, width, imc) = demo(config)
+    return build_data_matrices(data, depth, width, imc=imc)
+
+
+FACTORED = {
+    "regulation": lambda: build_demo("regulation_demo.ini"),
+    "tracking": lambda: build_demo("ups_tracking_demo.ini"),
+    "mc-chunk": mc_chunk,
+    # (2p + q) * depth = 36 columns, narrower than the 2(p + q) * depth + n = 50 rows
+    "narrowest": lambda: build_data_matrices(prbs_dataset(two_output_model()), 6, 36),
+}
+
+
+@needs_dgeqrf
+class TestInPlaceFactor:
+    """The stack is factored in place by numpy's own dgeqrf, with the bytes and strides of
+    ``np.linalg.qr``, which it replaces."""
+
+    @pytest.mark.parametrize("case", list(FACTORED))
+    def test_factor_is_numpys_qr_byte_for_byte(self, monkeypatch, case):
+        seen = factored(monkeypatch, FACTORED[case])
+        assert seen
+        for stack, L in seen:
+            expect = np.linalg.qr(stack.swapaxes(-1, -2), mode="r").swapaxes(-1, -2)
+            assert L.shape == expect.shape and L.strides == expect.strides
+            assert L.tobytes() == expect.tobytes()
+        if case == "mc-chunk":
+            assert [stack.shape[0] for stack, _ in seen] == [32]
+        if case == "narrowest":
+            assert [(stack.shape, L.shape) for stack, L in seen] == [((50, 36), (50, 36))]
+
+    @pytest.mark.parametrize("command, config", [
+        ("design", "regulation_demo.ini"), ("design", "ups_tracking_demo.ini"),
+        ("montecarlo", "noisy_estimation_mc.ini")])
+    def test_outputs_match_the_numpy_fallback(self, tmp_path, monkeypatch, command, config):
+        argv = [command, str(CONFIGS / config), "--output-dir"]
+        assert ddlqr.cli.main(argv + [str(tmp_path / "in-place")]) == 0
+        monkeypatch.setattr(markov, "_numpy_openblas", lambda: None)
+        assert ddlqr.cli.main(argv + [str(tmp_path / "fallback")]) == 0
+        names = sorted(path.name for path in (tmp_path / "in-place").iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "fallback").iterdir())
+        for name in names:
+            assert ((tmp_path / "in-place" / name).read_bytes()
+                    == (tmp_path / "fallback" / name).read_bytes()), name
+
+    @pytest.mark.parametrize("config", ["regulation_demo.ini", "ups_tracking_demo.ini"])
+    def test_peak_memory_is_the_stack_and_its_factor(self, config):
+        # numpy's QR held two more copies of the stack: peaks of 7.27 and 17.95 MiB on
+        # these demos, 4.46 and 10.69 MiB in place
+        demo(config)
+        tracemalloc.start()
+        try:
+            dm = build_demo(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stack_bytes = dm.factor.shape[-2] * dm.width * 8
+        assert peak <= stack_bytes + dm.factor.nbytes + 2 ** 20
 
 
 class TestTrueMarkov:
