@@ -29,6 +29,7 @@ from .config import ConfigError, RunConfig
 from .experiments import (
     RegulationScenario,
     TrackingScenario,
+    check_plant,
     check_synthesis,
     convergence_sweep,
     estimate,
@@ -88,11 +89,14 @@ def _simulate_dataset(cfg: RunConfig):
 
 
 def _load_or_simulate_dataset(cfg: RunConfig):
-    """Dataset from the [io] dataset file, or simulated from [model]+[signal] if unset."""
+    """Dataset from the [io] dataset file, or simulated from [model]+[signal] if unset. A
+    [model] beside a file is held to its record's states, outputs and inputs."""
     dataset = cfg.get("io", "dataset")
     if dataset is None:
         return _simulate_dataset(cfg)
-    return cfg.model(), _read_input(storage.read_dataset, "dataset", dataset)
+    model, data = cfg.model(), _read_input(storage.read_dataset, "dataset", dataset)
+    check_plant(model, data.n_states, data.n_outputs, data.n_inputs)
+    return model, data
 
 
 def _estimate(cfg: RunConfig, model, data, horizons):

@@ -198,13 +198,19 @@ def convergence_sweep(
     Toeplitz factor."""
     loop = model if est.imc is None else augment_model(model, est.imc)
     q, p = (size // est.depth for size in est.toeplitz.shape[-2:])
-    for name, size, data, what in (
-            ("A", loop.n_states, est.observability.shape[-1], "states"),
-            ("C", loop.n_outputs, q, "outputs"), ("B", loop.n_inputs, p, "inputs")):
-        if size != data:
-            raise InputError(name, f"has {size} {what}, the estimate's data {data}")
+    check_plant(loop, est.observability.shape[-1], q, p)
     K_star = model_lqr_gain(loop, dare_solve(loop, weights), weights.R)
     return [(N, float(np.abs(synthesize(est, weights, N)[0] - K_star).max())) for N in horizons]
+
+
+def check_plant(model: StateSpaceModel, n: int, q: int, p: int) -> None:
+    """InputError on A, C or B unless ``model`` has the n states, q outputs and p inputs
+    of the estimate's data."""
+    for name, size, data, what in (("A", model.n_states, n, "states"),
+                                   ("C", model.n_outputs, q, "outputs"),
+                                   ("B", model.n_inputs, p, "inputs")):
+        if size != data:
+            raise InputError(name, f"has {size} {what}, the estimate's data {data}")
 
 
 def monte_carlo_obs(model: StateSpaceModel, signal: SignalSpec, depth: int, runs: int,

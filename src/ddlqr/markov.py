@@ -306,13 +306,22 @@ def estimate_predictor(dm: DataMatrices) -> Tuple[np.ndarray, Dict[str, np.ndarr
     if dm.imc is not None:
         raw = append_imc_states(raw, q, dm.imc)
         q += q * dm.imc.order
-    # block sub-diagonal k holds the copies at block positions (i+k+1, i)
+    # block sub-diagonal s holds copies (j+s, j), j < d - s: block column j holds copy j of
+    # every sub-diagonal. sums[s - 1] adds them column by column from zero, then divides:
+    # np.mean's own order and division for blocks of two entries or more. np.mean sums the
+    # copies of 1 x 1 blocks pairwise, so a scalar sub-diagonal takes its mean
     grid = raw.reshape(raw.shape[:-2] + (d, q, d, p))
+    sums = np.zeros(raw.shape[:-2] + (d - 1, q, p))
+    if p * q > 1:
+        for j in range(d - 1):
+            sums[..., :d - 1 - j, :, :] += grid[..., j + 1:, :, j, :]
+        sums /= np.arange(d - 1, 0, -1)[:, None, None]
+    else:
+        for s in range(1, d):
+            sums[..., s - 1, 0, 0] = np.diagonal(grid[..., :, 0, :, 0], -s, -2, -1).mean(-1)
     S = np.zeros_like(grid)
-    for k in range(d - 1):
-        i = np.arange(k + 1, d)
-        S[..., i, :, i - k - 1, :] = np.ascontiguousarray(
-            np.moveaxis(np.diagonal(grid, -k - 1, -4, -2), -1, -3)).mean(axis=-3)
+    for j in range(d - 1):
+        S[..., j + 1:, :, j, :] = sums[..., :d - 1 - j, :, :]
     return S.reshape(raw.shape), {
         "input_rank": input_rank, "input_rank_margin": s_in[..., -1] / (RANK_TOL * s_in[..., 0]),
         "regressor_rank": 2 * p * d + _rank(s_yp, s_yp[..., 0], RANK_TOL)}

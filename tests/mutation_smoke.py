@@ -28,7 +28,11 @@ COPIED = ("src", "tests", "configs", "pyproject.toml", "README.md")
 # (what the mutant breaks, module under src/ddlqr, source text, its replacement)
 MUTANTS = [
     ("each block sub-diagonal of the Toeplitz factor takes its first copy, not the mean",
-     "markov.py", "-1, -3)).mean(axis=-3)", "-1, -3))[..., 0, :, :]"),
+     "markov.py", """        for j in range(d - 1):
+            sums[..., :d - 1 - j, :, :] += grid[..., j + 1:, :, j, :]
+        sums /= np.arange(d - 1, 0, -1)[:, None, None]
+""", """        sums[...] = grid[..., 1:, :, 0, :]
+"""),
     ("excitation ranks cut at RANK_TOL 1e-5", "markov.py", "RANK_TOL = 1e-8", "RANK_TOL = 1e-5"),
     ("null directions cut at PINV_TOL 1e-9", "markov.py", "PINV_TOL = 1e-12", "PINV_TOL = 1e-9"),
     ("null directions of L_Yp,Yp judged against max(s_in0, s_yp0), in mixed units", "markov.py",
@@ -71,6 +75,10 @@ MUTANTS = [
 """, ""),
     ("the in-place dgeqrf gets the minimal workspace, rows, and factors unblocked", "markov.py",
      "lwork.value = max(1, rows, int(work[0]))", "lwork.value = rows"),
+    ("1 x 1 Toeplitz blocks are averaged copy by copy, not pairwise as np.mean sums them",
+     "markov.py", "    if p * q > 1:\n", "    if True:\n"),
+    ("a one-record run with one drive adds the next sample's drive", "plant_sim.py",
+     "zip(xs, xs[1:], drives[0])", "zip(xs, xs[1:], drives[0][1:])"),
 ]
 
 

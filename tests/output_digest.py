@@ -13,9 +13,10 @@ output file, and each command's stdout and stderr, is hashed after that director
 is replaced by ``<out>``, so a line that differs only in the output path hashes the same
 and every other byte counts. To check
 that a change keeps its outputs byte for byte, pass ``--against`` the parent's revision:
-its committed tree is exported with ``git archive`` into a temporary directory, both
-trees are digested, and the lines that differ are printed, ``-`` for REV and ``+`` for
-TREE; the exit status is 1 if any line differs.
+its committed tree is exported with ``git archive`` from the repository that holds this
+script (so TREE may be a plain copy, with no git of its own) into a temporary directory,
+both trees are digested, and the lines that differ are printed, ``-`` for REV and ``+``
+for TREE; the exit status is 1 if any line differs.
 
 The commands: ``simulate`` and ``design`` on the regulation demo with alg1, with
 alg2 and with process noise (``noise.variance=1e-4``, ``model.e=[[1,0],[0,1]]``), and
@@ -56,6 +57,7 @@ from pathlib import Path
 
 import numpy as np
 
+REPO = Path(__file__).resolve().parents[1]  # the repository holding this script
 THREADS = "1"
 SWEEP = ["sweep.horizons=[10,20,30,40,50]"]
 INTEGRATOR = ["imc.kind=integrator", "lqr.q=[[200,0],[0,200]]"]
@@ -128,9 +130,9 @@ def header() -> str:
             f"numpy {np.__version__} {blas['name']} {blas['version']}")
 
 
-def digest_revision(tree: Path, rev: str) -> list[str]:
-    """The ``digest`` of revision ``rev``'s committed tree, exported from ``tree``'s git."""
-    archive = subprocess.run(["git", "-C", str(tree), "archive", "--format=tar", rev],
+def digest_revision(rev: str) -> list[str]:
+    """The ``digest`` of revision ``rev``'s committed tree, exported from ``REPO``'s git."""
+    archive = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar", rev],
                              stdout=subprocess.PIPE, check=True).stdout
     with tempfile.TemporaryDirectory(prefix="ddlqr-rev-") as tmp:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
@@ -141,7 +143,7 @@ def digest_revision(tree: Path, rev: str) -> list[str]:
 def main() -> int:
     parser = argparse.ArgumentParser(description="Hash every output of a fixed set of ddlqr "
                                                  "commands.")
-    parser.add_argument("tree", nargs="?", type=Path, default=Path(__file__).resolve().parents[1],
+    parser.add_argument("tree", nargs="?", type=Path, default=REPO,
                         help="checkout to digest (default: the one holding this script)")
     parser.add_argument("--against", metavar="REV",
                         help="also digest git revision REV and print the lines that differ")
@@ -150,7 +152,7 @@ def main() -> int:
     if args.against is None:
         print("\n".join([header()] + digest(tree)))
         return 0
-    old, new = digest_revision(tree, args.against), digest(tree)
+    old, new = digest_revision(args.against), digest(tree)
     print(header())
     changed = [f"- {line}" for line in old if line not in new]
     changed += [f"+ {line}" for line in new if line not in old]

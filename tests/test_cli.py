@@ -357,6 +357,23 @@ class TestDesign:
         assert code == 0
         np.testing.assert_allclose(read_matrix(tmp_path / "d/gain.csv"), GAIN_LONG, atol=1e-3)
 
+    @pytest.mark.parametrize("command", ["design", "sweep"])
+    @pytest.mark.parametrize("sets, message", [
+        (["model.a=[[0.5]]", "model.b=[[1,1]]", "model.c=[[1],[1]]"],
+         "[model] a has 1 states, the estimate's data 2"),
+        (["model.c=[[1.0,2.0]]"], "[model] c has 1 outputs, the estimate's data 2"),
+        (["model.b=[[0.04],[0.02]]"], "[model] b has 1 inputs, the estimate's data 2"),
+    ], ids=["states", "outputs", "inputs"])
+    def test_model_beside_a_dataset_fits_its_record(self, tmp_path, capsys, command, sets,
+                                                    message):
+        # a [model] beside [io] dataset is held to the record's counts before any output
+        write_dataset(tmp_path / "regulation.csv", regulation_record())
+        sets = [f"io.dataset={tmp_path}/regulation.csv"] + sets
+        assert run(command, REGULATION, "--output-dir", str(tmp_path / "out"),
+                   *(arg for item in sets for arg in ("--set", item))) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestSweep:
     def test_sweep_table(self, tmp_path):

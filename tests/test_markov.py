@@ -26,6 +26,7 @@ import ddlqr.cli
 from ddlqr import markov
 from ddlqr.config import RunConfig
 from ddlqr.experiments import monte_carlo_obs
+from ddlqr.imc import append_imc_states, resonant_imc
 from ddlqr.markov import build_data_matrices, estimate_predictor
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -234,6 +235,49 @@ class TestEstimatePredictor:
             truth = true_markov(model, 11)
             for got, expect in zip(markov_blocks(toeplitz, 12), truth):
                 np.testing.assert_allclose(got, expect, atol=1e-8)
+
+
+def subdiagonal_means(raw, d, q, p):
+    """The Toeplitz factor as each block sub-diagonal's ``np.mean``, one sub-diagonal at
+    a time: the averaging's own formula before it became one running sum."""
+    grid = raw.reshape(raw.shape[:-2] + (d, q, d, p))
+    S = np.zeros_like(grid)
+    for k in range(d - 1):
+        i = np.arange(k + 1, d)
+        S[..., i, :, i - k - 1, :] = np.ascontiguousarray(
+            np.moveaxis(np.diagonal(grid, -k - 1, -4, -2), -1, -3)).mean(axis=-3)
+    return S.reshape(raw.shape)
+
+
+class TestSubdiagonalMeans:
+    """The averaged Toeplitz factor has the bytes of each sub-diagonal's ``np.mean``,
+    which sums blocks of several entries copy by copy and 1 x 1 blocks pairwise."""
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 51, 150])
+    @pytest.mark.parametrize("batch", [(), (2,)], ids=["one", "batch"])
+    @pytest.mark.parametrize("p, q, imc", [(1, 1, None), (2, 1, None),
+                                           (1, 1, resonant_imc(2.0, 0.1))],
+                             ids=["scalar", "two-input", "resonant"])
+    def test_factor_is_the_mean_formula_byte_for_byte(self, monkeypatch, depth, batch,
+                                                      p, q, imc):
+        z = q * imc.order if imc is not None else 0
+        rng = np.random.default_rng(depth)
+        T = 2 * depth + (2 * p + q + z) * depth + 4
+        data = Dataset(u=rng.normal(size=batch + (T, p)), y=rng.normal(size=batch + (T, q)),
+                       x=rng.normal(size=batch + (T, 1)))
+        solved = []
+
+        def spy(*args, _solve=np.linalg.solve):
+            solved.append(_solve(*args))
+            return solved[-1]
+
+        monkeypatch.setattr(markov.np.linalg, "solve", spy)
+        toeplitz, _ = estimate_predictor(build_data_matrices(data, depth, imc=imc))
+        raw = solved[-1].swapaxes(-1, -2)
+        if imc is not None:
+            raw, q = append_imc_states(raw, q, imc), q + z
+        assert toeplitz.shape == batch + (q * depth, p * depth)
+        assert toeplitz.tobytes() == subdiagonal_means(raw, depth, q, p).tobytes()
 
 
 class TestLapackWork:

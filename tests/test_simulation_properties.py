@@ -136,6 +136,30 @@ def test_kernel_batch_entries_match_each_run_alone(n, T, batch, seed):
         assert np.array_equal(alone, loop)
 
 
+@SETTINGS
+@given(st.integers(1, 4), st.integers(1, 40), st.sampled_from([(), (1,), (1, 1)]),
+       st.sampled_from(["scalar", "vector", "row"]), st.integers(0, 2),
+       st.integers(0, 2 ** 32 - 1))
+def test_kernel_one_record_matches_the_per_sample_loop(n, T, batch, start, n_drives, seed):
+    # one record, unbatched or in a batch shape of one entry, from an x0 given as a
+    # scalar, as (n,) or as (1, n), under 0, 1 or 2 drives (the second shared)
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, n))
+    x0 = {"scalar": rng.normal(), "vector": rng.normal(size=n),
+          "row": rng.normal(size=(1, n))}[start]
+    drives = [rng.normal(size=batch + (T, n)), rng.normal(size=(T, n))][:n_drives]
+    x = _lti_run(A, x0, *drives, steps=T)
+    assert x.shape == np.broadcast_shapes(np.shape(x0)[:-1], *(d.shape[:-2] for d in drives)
+                                          ) + (T, n)
+    loop = np.empty((T, n))
+    loop[0] = x0
+    for k in range(T - 1):
+        loop[k + 1] = A @ loop[k]
+        for d in drives:
+            loop[k + 1] += d.reshape(T, n)[k]
+    assert np.array_equal(x.reshape(T, n), loop)
+
+
 def test_kernel_batches_independent_runs():
     rng = np.random.default_rng(5)
     A = rng.normal(size=(3, 3))
