@@ -13,9 +13,8 @@ loop ``simulate`` (A driven by B u; a chunk of ``experiments.monte_carlo_obs`` r
 is one call), ``imc.filter_imc_states`` (A_c driven by -B_c y per output) and the
 closed loops of ``experiments.evaluate_closed_loop``. The kernel does not check values: an
 unstable loop runs on to inf or nan: ``evaluate_closed_loop`` reports it, ``simulate`` raises.
-One record (a design's record, the filter of its one output, an eval) steps with the bound
-``A.dot`` and an add per drive; several (a Monte Carlo chunk) with ``np.matmul``. Both are
-the gemv of ``A @ x(k)``, so a batch entry has its solo run's bits.
+One record under one drive (a design's record, its filter, a tracking eval) steps with the
+bound ``A.dot``, a Monte Carlo chunk with ``np.matmul``: the same gemv, so the same bits.
 
 ``zoh_discretize`` takes its exponential from ``_expm``, numpy alone: keep scipy out of
 every command. Importing ``scipy.linalg`` added about 0.4 s to each command's start, and
@@ -292,14 +291,13 @@ def _lti_run(A: np.ndarray, x0, *drives: np.ndarray, steps: Optional[int] = None
     The drives are (..., T, n) series (``steps`` gives T when there are none)
     and x0 broadcasts against their batch axes. x is stored time major, so a
     step touches one contiguous slab, and returned as a (..., T, n) view. Each
-    step is a matrix-vector product and the drives are added one at a time, so
-    every run is bit-for-bit ``x[k+1] = A @ x[k] + d_1[k]; x[k+1] += d_2[k]``.
-    A run of one record (no batch axes, or axes that hold one entry) steps 1-D
-    sample views with the bound ``A.dot``, an in-place add per drive, and one
-    drive, the usual case, zipped in with the samples: the least Python per step.
-    Several records step their (n, 1) columns with ``np.matmul``, since one gemm
-    over the batch would round differently. Both products are the gemv of
-    ``A @ x[k]``, with the same bits for a 1-D or an (n, 1) operand.
+    step is a batched matrix-vector product and the drives are added one at a
+    time, so every run is bit-for-bit ``x[k+1] = A @ x[k] + d_1[k]; x[k+1] += d_2[k]``.
+    x is kept as (n, 1) columns. An unbatched step calls ``np.dot``, the gemv of
+    ``A @ x[k]`` at less call cost; a batched one calls ``np.matmul``, since one
+    gemm over the batch would round differently. One record (a batch of one entry
+    or none) under one drive steps 1-D sample views with the bound ``A.dot``, the
+    same gemv with the drive zipped in: the least Python per step.
     """
     T = drives[0].shape[-2] if drives else steps
     if T < 1:
@@ -307,22 +305,17 @@ def _lti_run(A: np.ndarray, x0, *drives: np.ndarray, steps: Optional[int] = None
     batch = np.broadcast_shapes(np.shape(x0)[:-1], *(d.shape[:-2] for d in drives))
     x = np.empty((T,) + batch + (len(A), 1))
     x[0, ..., 0] = x0
-    if np.prod(batch) == 1:
-        xs, dot, drives = x.reshape(T, -1), A.dot, [d.reshape(T, -1) for d in drives]
-        if len(drives) == 1:
-            for xk, nxt, dk in zip(xs, xs[1:], drives[0]):
-                dot(xk, out=nxt)
-                nxt += dk
-        else:
-            for k, (xk, nxt) in enumerate(zip(xs, xs[1:])):
-                dot(xk, out=nxt)
-                for d in drives:
-                    nxt += d[k]
+    if np.prod(batch) == 1 and len(drives) == 1:
+        xs, dot = x.reshape(T, -1), A.dot
+        for xk, nxt, dk in zip(xs, xs[1:], drives[0].reshape(T, -1)):
+            dot(xk, out=nxt)
+            nxt += dk
     else:
         drives = [np.moveaxis(d, -2, 0)[..., None] for d in drives]
+        step = np.matmul if batch else np.dot
         for k in range(T - 1):
             nxt = x[k + 1]
-            np.matmul(A, x[k], out=nxt)
+            step(A, x[k], out=nxt)
             for d in drives:
                 nxt += d[k]
     return np.moveaxis(x[..., 0], 0, -2)

@@ -78,7 +78,7 @@ MUTANTS = [
     ("1 x 1 Toeplitz blocks are averaged copy by copy, not pairwise as np.mean sums them",
      "markov.py", "    if p * q > 1:\n", "    if True:\n"),
     ("a one-record run with one drive adds the next sample's drive", "plant_sim.py",
-     "zip(xs, xs[1:], drives[0])", "zip(xs, xs[1:], drives[0][1:])"),
+     "drives[0].reshape(T, -1))", "drives[0].reshape(T, -1)[1:])"),
 ]
 
 
